@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, NotCentric
+from .errors import BudgetExceeded, NotCentric, PLocalError
 from .groups import PermutationGroup, Subgroup, centralizer, p_residual, transporter_set
 from .omega import IntersectionPoset, closure_in_poset, is_centric
 
@@ -164,7 +164,8 @@ class FiniteCategory:
                 tid, src, tgt = int(parts[1]), int(parts[2]), int(parts[3])
                 w = None if parts[4] == "-" else int(parts[4])
                 got = cat.add_morphism(src, tgt, w)
-                assert got == tid
+                if got != tid:
+                    raise PLocalError(f"category dump token {tid} out of order")
             elif parts[0] == "identity":
                 cat.set_identity(int(parts[1]), int(parts[2]))
             elif parts[0] == "compose":

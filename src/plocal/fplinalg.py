@@ -1,9 +1,21 @@
 """Exact sparse and dense linear algebra over the field with p elements.
 
-Sparse matrices are CSR (scipy) with entries reduced mod p; ranks come from
-an insertion echelon with minimal-leading-column pivots, using big-integer
-bitmask rows at p = 2.  All routines are deterministic: identical inputs give
-identical pivot choices and results.
+Sparse matrices are CSR (scipy) in canonical form with int64 entries reduced
+into 1..p-1.  Ranks come from an insertion echelon: each row is reduced
+against the pivots found so far, keyed by their leading (largest) column, and
+becomes a new pivot if anything is left.  Rows are big-integer bitmasks at
+p = 2 and {column: coefficient} dicts otherwise.  All routines are
+deterministic: identical inputs give identical pivot choices and results.
+
+``FpMatrix.rank`` keeps that echelon.  A matrix may declare that its last
+rows are ``[0 | block]`` for another matrix ``block`` starting at a column
+offset; a mapping cone declares the target's boundary this way.  If ``block``
+already holds its echelon, ``rank`` first checks that those rows really are
+``block``, seeds its echelon with block's pivots shifted by the offset, and
+inserts only the leading rows.  Otherwise it eliminates every row in order,
+as for any other matrix.  An echelon is reused only when it already exists:
+computing one for the block just to seed from it can cost far more than the
+whole matrix, because the leading rows often span most of it early.
 """
 
 from __future__ import annotations
@@ -15,14 +27,23 @@ from .errors import PLocalError
 
 
 class FpMatrix:
-    """A sparse matrix over F_p with row-major (CSR) storage."""
+    """A sparse matrix over F_p with row-major (CSR) storage.
 
-    def __init__(self, csr: sparse.csr_matrix, prime: int):
+    An int64 ``csr`` is taken over, not copied: it is reduced mod p in place.
+    ``tail`` optionally declares the last rows as ``[0 | block]``, given as
+    ``(block, column offset)``; see the module docstring.
+    """
+
+    def __init__(self, csr: sparse.csr_matrix, prime: int,
+                 tail: tuple["FpMatrix", int] | None = None):
         self.prime = prime
-        data = csr.data % prime
-        csr = sparse.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
+        csr = sparse.csr_matrix(csr, dtype=np.int64)
+        csr.sum_duplicates()
+        csr.data %= prime
         csr.eliminate_zeros()
         self.csr = csr
+        self.tail = tail
+        self.echelon: dict | None = None
         self._rank: int | None = None
 
     @classmethod
@@ -58,11 +79,36 @@ class FpMatrix:
 
     def rank(self) -> int:
         if self._rank is None:
+            pivots: dict = {}
+            nrows = self.shape[0]
+            if self.tail is not None and self.tail[0].echelon is not None:
+                block, offset = self.tail
+                nrows = self._check_tail()
+                pivots = _shifted_echelon(block.echelon, offset, self.prime)
             if self.prime == 2:
-                self._rank = _rank_csr_gf2(self.csr)
+                _insert_rows_gf2(self.csr, nrows, pivots)
             else:
-                self._rank = _rank_csr_modp(self.csr, self.prime)
+                _insert_rows_modp(self.csr, nrows, self.prime, pivots)
+            self.echelon = pivots
+            self._rank = len(pivots)
         return self._rank
+
+    def _check_tail(self) -> int:
+        """The first row of the declared tail; raises unless the rows from
+        there on are exactly ``[0 | block]``."""
+        block, offset = self.tail
+        a, b = self.csr, block.csr
+        start = a.shape[0] - b.shape[0]
+        if block.prime != self.prime or start < 0 or a.shape[1] != offset + b.shape[1]:
+            raise PLocalError("declared block does not fit the matrix")
+        lo = a.indptr[start]
+        if not (
+            np.array_equal(a.indptr[start:] - lo, b.indptr)
+            and np.array_equal(a.indices[lo:], b.indices + offset)
+            and np.array_equal(a.data[lo:], b.data)
+        ):
+            raise PLocalError("trailing rows differ from the declared block")
+        return start
 
     def matmul(self, other: "FpMatrix") -> "FpMatrix":
         prod = (self.csr @ other.csr).tocsr()
@@ -83,6 +129,58 @@ class FpMatrix:
     def triplets(self) -> list[tuple[int, int, int]]:
         coo = self.csr.tocoo()
         return sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+
+
+def _shifted_echelon(pivots: dict, offset: int, p: int) -> dict:
+    """An echelon moved ``offset`` columns to the right."""
+    if p == 2:
+        return {c + offset: m << offset for c, m in pivots.items()}
+    return {
+        c + offset: {k + offset: v for k, v in row.items()} for c, row in pivots.items()
+    }
+
+
+def _insert_rows_gf2(csr: sparse.csr_matrix, nrows: int, pivots: dict[int, int]) -> None:
+    """Insert rows ``0:nrows`` into a GF(2) echelon of bitmask rows."""
+    indptr, indices = csr.indptr, csr.indices
+    for i in range(nrows):
+        m = 0
+        for c in indices[indptr[i]:indptr[i + 1]].tolist():
+            m |= 1 << c
+        while m:
+            b = m.bit_length() - 1
+            piv = pivots.get(b)
+            if piv is None:
+                pivots[b] = m
+                break
+            m ^= piv
+
+
+def _insert_rows_modp(csr: sparse.csr_matrix, nrows: int, p: int,
+                      pivots: dict[int, dict[int, int]]) -> None:
+    """Insert rows ``0:nrows`` into an F_p echelon of monic {column: coeff} rows."""
+    indptr, indices, data = csr.indptr, csr.indices, csr.data
+    for i in range(nrows):
+        lo, hi = indptr[i], indptr[i + 1]
+        row = dict(zip(indices[lo:hi].tolist(), data[lo:hi].tolist()))
+        while row:
+            c = max(row)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {k: (v * inv) % p for k, v in row.items()}
+                break
+            f = row[c]
+            for k, v in piv.items():
+                nv = (row.get(k, 0) - f * v) % p
+                if nv:
+                    row[k] = nv
+                else:
+                    row.pop(k, None)
+
+
+# Reference eliminations, used only by the tests to check the engine above:
+# each ranks a whole matrix and keeps no echelon.
 
 
 def _rank_csr_gf2(csr: sparse.csr_matrix) -> int:

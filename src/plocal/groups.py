@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidPermutation, OrderBoundExceeded
+from .errors import InvalidPermutation, OrderBoundExceeded, PLocalError
 from .perm import Permutation
 
 DEFAULT_ORDER_BOUND = 10_000
@@ -83,7 +83,8 @@ class PermutationGroup:
             words[e.images] for e in self.elements
         )
         self.identity_id = self._index[ident.images]
-        assert self.identity_id == 0
+        if self.identity_id != 0:
+            raise PLocalError("the identity is not the first element in sorted order")
 
         self.inverse_ids = tuple(
             self._index[e.inverse().images] for e in self.elements
@@ -355,7 +356,8 @@ def sylow_subgroup(G: PermutationGroup, p: int) -> Subgroup:
         if pick is None:
             raise RuntimeError("normalizer ascent stalled below the p-part")
         P = G.generated_subgroup(P.ids + (pick,))
-    assert P.order == target
+    if P.order != target:
+        raise PLocalError(f"normalizer ascent reached order {P.order}, not {target}")
     return P
 
 
@@ -434,7 +436,8 @@ class QuotientRealization:
 
 def quotient_realization(G: PermutationGroup, N: Subgroup, Q: Subgroup) -> QuotientRealization:
     """Build N/Q (Q normal in N) acting regularly on the cosets Qg."""
-    assert Q.idset <= N.idset
+    if not Q.idset <= N.idset:
+        raise PLocalError("quotient_realization needs Q to be a subgroup of N")
     cosets: list[tuple[int, ...]] = []
     coset_of: dict[int, int] = {}
     for g in N.ids:

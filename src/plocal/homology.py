@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy import sparse
 
 from .categories import FiniteCategory, Functor, build_transporter
@@ -100,7 +101,8 @@ class FpComplex:
         i = 4
         for d in range(1, dmax + 1):
             head = lines[i].split()
-            assert head[0] == "boundary" and int(head[1]) == d
+            if head[0] != "boundary" or int(head[1]) != d:
+                raise PLocalError(f"expected boundary {d} in complex dump")
             count = int(head[2])
             rows: list[dict[int, int]] = [dict() for _ in range(dims[d])]
             for ln in lines[i + 1: i + 1 + count]:
@@ -263,7 +265,10 @@ def induced_chain_map(F: Functor, source_cx: FpComplex, target_cx: FpComplex) ->
 
 def mapping_cone(cm: ChainMap) -> FpComplex:
     """Algebraic mapping cone: cone_d = A_{d-1} (+) B_d with
-    boundary (a, b) -> (-dA a, f(a) + dB b)."""
+    boundary (a, b) -> (-dA a, f(a) + dB b).
+
+    Each cone boundary declares its B rows as the block dB_d, so ranking it
+    after B's own homology inserts only the A rows into dB_d's echelon."""
     A, B = cm.source, cm.target
     D = min(A.dmax + 1, B.dmax)
     p = A.prime
@@ -279,13 +284,15 @@ def mapping_cone(cm: ChainMap) -> FpComplex:
         if d >= 2 and left_cols:
             top_left = -A.boundaries[d - 1].csr
         else:
-            top_left = sparse.csr_matrix((a_rows, left_cols))
+            top_left = sparse.csr_matrix((a_rows, left_cols), dtype=np.int64)
         top = sparse.hstack([top_left, cm.mats[d - 1].csr], format="csr")
         bot = sparse.hstack(
-            [sparse.csr_matrix((b_rows, left_cols)), B.boundaries[d].csr],
+            [sparse.csr_matrix((b_rows, left_cols), dtype=np.int64), B.boundaries[d].csr],
             format="csr",
         )
-        boundaries[d] = FpMatrix(sparse.vstack([top, bot], format="csr"), p)
+        boundaries[d] = FpMatrix(
+            sparse.vstack([top, bot], format="csr"), p, tail=(B.boundaries[d], left_cols)
+        )
     basis = [[("cone", d, k) for k in range(dims[d])] for d in range(D + 1)]
     cone_cx = FpComplex(p, D, dims, boundaries, basis)
     if not cone_cx.check_boundary_squared_zero():

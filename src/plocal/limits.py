@@ -71,12 +71,6 @@ def constant_functor(C: FiniteCategory, prime: int, dim: int = 1) -> LinearFunct
     })
 
 
-def zero_functor(C: FiniteCategory, prime: int) -> LinearFunctor:
-    return LinearFunctor(C, prime, [0] * C.object_count, {
-        tid: np.zeros((0, 0), dtype=np.int64) for tid in range(C.morphism_count)
-    })
-
-
 @dataclass
 class LimitsProfile:
     """Dimensions of lim^n for n = 0..nmax-1, with the certified range."""

@@ -403,10 +403,11 @@ class PipelineRun:
             "transporter_centric", self.transporter_centric, max(dmax - 1, 1)
         )
         tgt = self.complex_of("linking_centric", self.linking_centric, dmax)
+        tgt_h = tgt.homology()  # before the cone, which then reuses its echelons
         cm = induced_chain_map(self.linking_projection, src, tgt)
         iso = homology_iso_verdict(cm)
         detail["homology"]["linking_nerve"] = {
-            "dims": tgt.homology().dims, "exact_through": dmax - 1}
+            "dims": tgt_h.dims, "exact_through": dmax - 1}
         detail["homology"]["transporter_into_linking_iso"] = {
             "certified_through": iso.certified_through,
             "iso": iso.iso_by_degree,

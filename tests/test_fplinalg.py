@@ -1,0 +1,134 @@
+"""Differential tests for the sparse elimination engine.
+
+A matrix whose last rows are declared as ``[0 | B]`` is ranked twice: seeded
+from B's kept echelon, and from scratch.  Both must agree with the reference
+eliminations ``_rank_csr_gf2``/``_rank_csr_modp`` and, where the matrix is
+small enough to hold densely, with the dense oracle.
+"""
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+import oracle
+from plocal import (
+    PLocalError,
+    all_subgroups,
+    build_transporter,
+    classify_centric,
+    induced_chain_map,
+    mapping_cone,
+    nerve_complex,
+    quotient_projection,
+    sylow_subgroup,
+)
+from plocal.catalog import build_group
+from plocal.fplinalg import FpMatrix, _rank_csr_gf2, _rank_csr_modp
+
+DENSE_ORACLE_MAX_ENTRIES = 2_000_000
+
+
+def reference_rank(m: FpMatrix) -> int:
+    if m.prime == 2:
+        return _rank_csr_gf2(m.csr)
+    return _rank_csr_modp(m.csr, m.prime)
+
+
+def random_sparse(rng, nrows, ncols, p, per_row):
+    """A random sparse matrix over F_p with about ``per_row`` entries a row."""
+    nnz = nrows * per_row
+    rows = rng.integers(0, nrows, nnz)
+    cols = rng.integers(0, ncols, nnz)
+    vals = rng.integers(1, p, nnz)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(nrows, ncols), dtype=np.int64)
+
+
+def random_stack(rng, p, t_rows, b_rows, left, right):
+    """[T; 0 | B] where some T rows are combinations of other rows, so the
+    seeded insertion has to reduce against pivots from both blocks."""
+    B = random_sparse(rng, b_rows, right, p, 3)
+    T = random_sparse(rng, t_rows, left + right, p, 4).tolil()
+    bottom = sparse.hstack([sparse.csr_matrix((b_rows, left), dtype=np.int64), B]).tocsr()
+    for i in range(0, t_rows, 3):
+        picks = rng.integers(0, b_rows, 2) if b_rows else []
+        combo = sum((int(rng.integers(1, p)) * bottom[j] for j in picks),
+                    sparse.csr_matrix((1, left + right), dtype=np.int64))
+        if i >= 2:
+            combo = combo + int(rng.integers(1, p)) * T[i - 2].tocsr()
+        T[i] = combo
+    return T.tocsr(), B
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("t_rows,b_rows,left,right", [
+    (0, 40, 0, 30),
+    (40, 0, 10, 30),
+    (60, 50, 0, 40),
+    (120, 200, 30, 150),
+    (300, 700, 100, 900),
+])
+def test_seeded_rank_matches_plain_and_oracle(p, t_rows, b_rows, left, right):
+    rng = np.random.default_rng(1000 * p + t_rows + b_rows)
+    T, B = random_stack(rng, p, t_rows, b_rows, left, right)
+    full = sparse.vstack([T, sparse.hstack(
+        [sparse.csr_matrix((b_rows, left), dtype=np.int64), B])]).tocsr()
+
+    block = FpMatrix(B.copy(), p)
+    block.rank()
+    seeded = FpMatrix(full.copy(), p, tail=(block, left))
+    plain = FpMatrix(full.copy(), p, tail=(FpMatrix(B.copy(), p), left))  # block never ranked
+
+    want = reference_rank(FpMatrix(full.copy(), p))
+    assert seeded.rank() == plain.rank() == want
+    assert len(seeded.echelon) == want
+    if full.shape[0] * full.shape[1] <= DENSE_ORACLE_MAX_ENTRIES:
+        assert want == oracle.dense_rank_modp(full.toarray(), p)
+
+
+def centric_linking_cone(spec, p, dmax):
+    """The mapping cone of the transporter-to-linking projection, as in the
+    linking-vs-transporter check."""
+    G = build_group(spec)
+    cents = classify_centric(G, p, all_subgroups(sylow_subgroup(G, p))).centric_subgroups()
+    psi = quotient_projection(build_transporter(G, cents), p)
+    src = nerve_complex(psi.source, p, dmax - 1)
+    tgt = nerve_complex(psi.target, p, dmax)
+    return induced_chain_map(psi, src, tgt), tgt
+
+
+@pytest.mark.parametrize("spec,p", [("sym:4", 2), ("sym:3 x cyc:3", 3)])
+def test_real_cone_ranks_seeded_and_plain(spec, p):
+    cm, tgt = centric_linking_cone(spec, p, 3)
+    plain = mapping_cone(cm)
+    plain_ranks = [plain.rank_boundary(d) for d in range(1, plain.dmax + 1)]
+    assert all(tgt.boundaries[d].echelon is None for d in range(1, tgt.dmax + 1))
+
+    tgt.homology()
+    seeded = mapping_cone(cm)
+    for d in range(1, seeded.dmax + 1):
+        m = seeded.boundaries[d]
+        assert np.issubdtype(m.csr.dtype, np.integer)
+        want = reference_rank(m)
+        assert m.rank() == plain_ranks[d - 1] == want, d
+        if m.shape[0] * m.shape[1] <= DENSE_ORACLE_MAX_ENTRIES:
+            assert want == oracle.dense_rank_modp(m.csr.toarray(), p)
+
+
+def test_cone_block_mismatch_raises():
+    cm, tgt = centric_linking_cone("sym:3 x cyc:3", 3, 3)
+    tgt.homology()
+    cone = mapping_cone(cm)
+    m = cone.boundaries[2]
+    csr = m.csr.copy()
+    csr.data[-1] = csr.data[-1] % 2 + 1  # a different nonzero entry mod 3
+    forged = FpMatrix(csr, 3, tail=m.tail)
+    with pytest.raises(PLocalError):
+        forged.rank()
+
+
+def test_block_that_does_not_fit_raises():
+    block = FpMatrix(sparse.identity(3, dtype=np.int64, format="csr"), 2)
+    block.rank()
+    m = FpMatrix(sparse.identity(4, dtype=np.int64, format="csr"), 2, tail=(block, 0))
+    with pytest.raises(PLocalError):
+        m.rank()

@@ -181,6 +181,16 @@ def test_mapping_cone_shapes():
         assert cone.dims[d] == cx.dims[d - 1] + cx.dims[d]
 
 
+def test_mapping_cone_boundaries_are_integer():
+    G = build_group("sym:3")
+    T = build_transporter(G, [sylow_subgroup(G, 2)])
+    cx = nerve_complex(T, 2, 3)
+    from plocal.categories import identity_functor
+    cone = mapping_cone(induced_chain_map(identity_functor(T), cx, cx))
+    for d in range(1, cone.dmax + 1):
+        assert np.issubdtype(cone.boundaries[d].csr.dtype, np.integer), d
+
+
 def test_complex_dump_roundtrip():
     G = build_group("sym:3")
     cx = bar_complex(G, 2, 3)
@@ -205,8 +215,8 @@ def test_nerve_from_parsed_category_dump():
 @settings(max_examples=40, deadline=None)
 def test_sparse_rank_matches_dense_oracle(data):
     p = data.draw(st.sampled_from([2, 3, 5]))
-    nrows = data.draw(st.integers(0, 8))
-    ncols = data.draw(st.integers(1, 8))
+    nrows = data.draw(st.integers(0, 64))
+    ncols = data.draw(st.integers(1, 64))
     entries = data.draw(
         st.lists(
             st.tuples(
@@ -214,7 +224,7 @@ def test_sparse_rank_matches_dense_oracle(data):
                 st.integers(0, ncols - 1),
                 st.integers(0, p - 1),
             ),
-            max_size=30,
+            max_size=4 * max(nrows, ncols),
         )
     )
     dense = np.zeros((nrows, ncols), dtype=np.int64)

@@ -7,6 +7,7 @@ from plocal import (
     InvalidPermutation,
     OrderBoundExceeded,
     Permutation,
+    PLocalError,
     all_subgroups,
     center,
     centralizer,
@@ -270,6 +271,14 @@ def test_quotient_realization():
             ga, gb = quo.quotient_elem_rep(a), quo.quotient_elem_rep(b)
             prod_rep = quo.quotient_elem_rep(W.mult(a, b))
             assert quo.coset_of(G.mult(ga, gb)) == quo.coset_of(prod_rep)
+
+
+def test_quotient_realization_rejects_non_subgroup():
+    G = build_group("sym:4")
+    V = G.generated_subgroup([elem(G, "(1 2)(3 4)"), elem(G, "(1 3)(2 4)")])
+    N = G.generated_subgroup([elem(G, "(1 2 3)")])
+    with pytest.raises(PLocalError):
+        quotient_realization(G, N, V)
 
 
 def test_p_part():

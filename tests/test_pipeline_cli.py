@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -204,3 +205,23 @@ def test_cli_determinism_across_processes():
     b = run_cli(*args)
     assert a.returncode == 0
     assert a.stdout == b.stdout
+
+
+# sha256 of the sym:4, p=2, max-degree-3 report over the five homology checks,
+# timings masked; any change to the report's bytes changes it
+GOLDEN_HOMOLOGY_REPORT_SHA256 = (
+    "270593219a6de891fc9f1e6151d04d3aac65a4258e5d42f619c37b303c4b601f"
+)
+
+
+def test_golden_masked_homology_report():
+    rep = run_pipeline(
+        "sym:4",
+        PipelineConfig(
+            prime=2, max_degree=3, include_timings=False,
+            checks=("nerve-vs-group", "centric-restriction", "centric-agreement",
+                    "linking-vs-transporter", "main"),
+        ),
+    )
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == GOLDEN_HOMOLOGY_REPORT_SHA256

@@ -49,7 +49,12 @@ class FiniteCategory:
     # -- construction ----------------------------------------------------
 
     def add_morphism(self, src: int, tgt: int, witness: int | None = None) -> int:
+        """Append a token.  Tokens are numbered grouped by source: a token may
+        not have a smaller source than the one before it (``chains`` relies on
+        this for its enumeration order)."""
         tid = len(self.morphisms)
+        if tid and src < self.morphisms[-1].src:
+            raise PLocalError("tokens must be added grouped by source object")
         self.morphisms.append(Morphism(src, tgt, witness))
         self.mor_ids.setdefault((src, tgt), []).append(tid)
         if witness is not None:
@@ -104,12 +109,6 @@ class FiniteCategory:
     def morphism_count(self) -> int:
         return len(self.morphisms)
 
-    def object_label(self, i) -> str:
-        obj = self.objects[i]
-        if isinstance(obj, Subgroup):
-            return obj.label()
-        return str(obj)
-
     def nonidentity_by_source(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in self.objects]
         for tid, m in enumerate(self.morphisms):
@@ -128,49 +127,6 @@ class FiniteCategory:
             if k > len(self.mor(m.src, m.src)) + 1:
                 raise ValueError("endomorphism is not invertible")
         return k
-
-    # -- serialization ------------------------------------------------------
-
-    def to_text(self) -> str:
-        """Compact text dump: objects, tokens, and the full composition table."""
-        lines = ["finite-category v1", f"kind {self.kind}", f"objects {len(self.objects)}"]
-        for i in range(len(self.objects)):
-            lines.append(f"object {i} {self.object_label(i)}")
-        lines.append(f"tokens {len(self.morphisms)}")
-        for tid, m in enumerate(self.morphisms):
-            w = "-" if m.witness is None else str(m.witness)
-            lines.append(f"token {tid} {m.src} {m.tgt} {w}")
-        for i, tid in enumerate(self.identity_ids):
-            lines.append(f"identity {i} {tid}")
-        lines.append(f"composites {len(self.compose_table)}")
-        for (t1, t2) in sorted(self.compose_table):
-            lines.append(f"compose {t1} {t2} {self.compose_table[(t1, t2)]}")
-        lines.append("end")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "FiniteCategory":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if lines[0] != "finite-category v1":
-            raise ValueError("unrecognized category dump header")
-        kind = lines[1].split(None, 1)[1]
-        nobj = int(lines[2].split()[1])
-        cat = cls(f"generic:{kind}", [f"obj{i}" for i in range(nobj)])
-        for ln in lines[3:]:
-            parts = ln.split()
-            if parts[0] == "object":
-                cat.objects[int(parts[1])] = " ".join(parts[2:])
-            elif parts[0] == "token":
-                tid, src, tgt = int(parts[1]), int(parts[2]), int(parts[3])
-                w = None if parts[4] == "-" else int(parts[4])
-                got = cat.add_morphism(src, tgt, w)
-                if got != tid:
-                    raise PLocalError(f"category dump token {tid} out of order")
-            elif parts[0] == "identity":
-                cat.set_identity(int(parts[1]), int(parts[2]))
-            elif parts[0] == "compose":
-                cat.compose_table[(int(parts[1]), int(parts[2]))] = int(parts[3])
-        return cat
 
 
 # -- canonical coset representatives ---------------------------------------
@@ -332,12 +288,14 @@ def full_subcategory(C: FiniteCategory, keep: list[int]) -> tuple[FiniteCategory
     old_of_new_obj = list(keep)
     new_obj = {o: i for i, o in enumerate(keep)}
     token_map: dict[int, int] = {}
-    for tid, m in enumerate(C.morphisms):
-        if m.src in new_obj and m.tgt in new_obj:
-            nid = sub.add_morphism(new_obj[m.src], new_obj[m.tgt], m.witness)
-            token_map[tid] = nid
-            if C.is_identity(tid):
-                sub.set_identity(new_obj[m.src], nid)
+    kept = [t for t, m in enumerate(C.morphisms) if m.src in new_obj and m.tgt in new_obj]
+    # stable in token order, so a sorted ``keep`` keeps C's numbering
+    for tid in sorted(kept, key=lambda t: new_obj[C.morphisms[t].src]):
+        m = C.morphisms[tid]
+        nid = sub.add_morphism(new_obj[m.src], new_obj[m.tgt], m.witness)
+        token_map[tid] = nid
+        if C.is_identity(tid):
+            sub.set_identity(new_obj[m.src], nid)
     for (t1, t2), t3 in C.compose_table.items():
         if t1 in token_map and t2 in token_map:
             sub.compose_table[(token_map[t1], token_map[t2])] = token_map[t3]

@@ -1,0 +1,220 @@
+"""Normalized chains of a finite category as integer arrays, and the
+boundary matrices built from them.
+
+A degree-d chain c_0 -> ... -> c_d of composable non-identity morphisms is
+the row (t_1, ..., t_d) of its tokens; degree 0 holds the head objects.
+Nerve boundaries (``homology``), functor cochain differentials (``limits``)
+and bar coboundaries, the nerve boundaries of a group's one-object category
+(``cohomology``), are all assembled here.
+
+Order: head-major, i.e. by head object c_0, then by tokens left to right.
+Degree d is grown from degree d-1 by one join that appends to every row, in
+order, each non-identity token leaving its tail, in ascending token order.
+The extensions of row j of degree d-1 are then the contiguous block of
+degree d starting at ``starts[d][j]``, and row j is their drop-last face.
+
+Face walk: a chain's row is found from its head with no hashing,
+``idx = row0[head]``, then ``idx = starts[k][idx] + pos[t_k]`` for k = 1..d,
+where ``pos[t]`` is the rank of t among the non-identity tokens with its
+source.  This needs tokens numbered grouped by source (object 0's first,
+then object 1's, ...); ``FiniteCategory.add_morphism`` enforces it, and it
+makes head-major order the lexicographic order of the token rows.
+
+Composition: the composable non-identity pairs (a, b) are exactly the
+degree-2 chains of the whole category, so their composites fill one int
+array indexed by ``pair_start[rank[a]] + pos[b]``; no dense table is built.
+Matrices are assembled as COO arrays, one block per face, and summed into
+CSR before reduction mod p.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+from scipy import sparse
+
+from .categories import FiniteCategory
+from .errors import PLocalError
+from .fplinalg import FpMatrix
+
+
+def chain_counts(C: FiniteCategory, dmax: int, weights: list[int] | None = None) -> list[int]:
+    """Exact number of normalized chains per degree, by path counting; with
+    ``weights``, each chain counts as the weight of its head object."""
+    nonid = C.nonidentity_by_source()
+    per_obj = list(weights) if weights is not None else [1] * C.object_count
+    totals = [sum(per_obj)]
+    for _ in range(dmax):
+        nxt = [0] * C.object_count
+        for src, toks in enumerate(nonid):
+            if per_obj[src] == 0:
+                continue
+            for t in toks:
+                nxt[C.morphisms[t].tgt] += per_obj[src]
+        per_obj = nxt
+        totals.append(sum(per_obj))
+    return totals
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums of ``counts``, with the total appended."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blocks of the given sizes laid end to end: each slot's block, its
+    position in the block, and the block offsets."""
+    offs = _offsets(counts)
+    block = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    return block, np.arange(offs[-1], dtype=np.int64) - offs[block], offs
+
+
+class Chains:
+    """The normalized chains of C through degree ``dmax`` that start at
+    ``heads`` (every object by default), with C's tokens as arrays."""
+
+    def __init__(self, C: FiniteCategory, dmax: int, heads=None):
+        ntok = C.morphism_count
+        self.src = np.fromiter((m.src for m in C.morphisms), np.int64, ntok)
+        self.tgt = np.fromiter((m.tgt for m in C.morphisms), np.int64, ntok)
+        self.is_id = np.asarray(C.identity_ids, dtype=np.int64)[self.src] == np.arange(ntok)
+        out = np.flatnonzero(~self.is_id)
+        out_count = np.bincount(self.src[out], minlength=C.object_count)
+        out_start = _offsets(out_count)
+        self.rank = np.full(ntok, -1, dtype=np.int64)
+        self.rank[out] = np.arange(len(out))
+        self.pos = np.full(ntok, -1, dtype=np.int64)
+        self.pos[out] = self.rank[out] - out_start[self.src[out]]
+
+        self.pair_start = _offsets(out_count[self.tgt[out]])
+        k = len(C.compose_table)
+        pairs = np.fromiter(itertools.chain.from_iterable(C.compose_table), np.int64, 2 * k)
+        a, b = pairs[0::2], pairs[1::2]
+        live = ~self.is_id[a] & ~self.is_id[b]
+        self.composite = np.full(self.pair_start[-1], -1, dtype=np.int64)
+        comp = np.fromiter(C.compose_table.values(), np.int64, k)
+        self.composite[self.pair_start[self.rank[a[live]]] + self.pos[b[live]]] = comp[live]
+        if (self.composite < 0).any():
+            raise PLocalError("composition table misses a composable pair")
+
+        tails = np.arange(C.object_count) if heads is None else np.asarray(heads, np.int64)
+        self.row0 = np.full(C.object_count, -1, dtype=np.int64)
+        self.row0[tails] = np.arange(len(tails))
+        self._heads = tails
+        self.tokens = [np.empty((len(tails), 0), dtype=np.int64)]
+        self.starts: list[np.ndarray | None] = [None]
+        for d in range(1, dmax + 1):
+            parent, j, starts = _expand(out_count[tails])
+            last = out[out_start[tails[parent]] + j]
+            rows = np.empty((len(last), d), dtype=np.int64)
+            rows[:, :-1] = self.tokens[d - 1][parent]
+            rows[:, -1] = last
+            self.tokens.append(rows)
+            self.starts.append(starts)
+            tails = self.tgt[last]
+        self.dims = [len(t) for t in self.tokens]
+
+    def heads(self, d: int) -> np.ndarray:
+        return self._heads if d == 0 else self.src[self.tokens[d][:, 0]]
+
+    def compose(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Composites of composable non-identity token pairs, elementwise."""
+        return self.composite[self.pair_start[self.rank[a]] + self.pos[b]]
+
+    def _walk(self, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        idx = self.row0[heads]
+        for k in range(rows.shape[1]):
+            idx = self.starts[k + 1][idx] + self.pos[rows[:, k]]
+        return idx
+
+    def find(self, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Row numbers of the given chains; raises unless each row is a chain
+        of non-identity tokens leaving its head, and that head starts chains."""
+        ok = self.row0[heads] >= 0
+        if rows.shape[1]:
+            ok &= (self.pos[rows] >= 0).all(axis=1) & (self.src[rows[:, 0]] == heads)
+            ok &= (self.tgt[rows[:, :-1]] == self.src[rows[:, 1:]]).all(axis=1)
+        if not ok.all():
+            raise PLocalError("image is not a chain of composable non-identity morphisms")
+        return self._walk(heads, rows)
+
+    def faces(self, d: int):
+        """For i = 0..d, the face of every degree-d chain that drops vertex
+        c_i, as ``(sign, rows, face_rows)``.  Faces through an identity, and
+        drop-first faces whose head starts no chains, are left out."""
+        T = self.tokens[d]
+        head0 = self.tgt[T[:, 0]]
+        rows = np.flatnonzero(self.row0[head0] >= 0)
+        yield 1, rows, self._walk(head0[rows], T[rows, 1:])
+        for i in range(1, d):
+            u = self.compose(T[:, i - 1], T[:, i])
+            rows = np.flatnonzero(~self.is_id[u])
+            face = np.concatenate([T[rows, :i - 1], u[rows, None], T[rows, i + 1:]], axis=1)
+            yield (-1) ** i, rows, self._walk(self.heads(d)[rows], face)
+        parent = np.repeat(np.arange(self.dims[d - 1]), np.diff(self.starts[d]))
+        yield (-1) ** d, np.arange(len(T)), parent
+
+
+def _fp_matrix(rows, cols, vals, shape, prime: int) -> FpMatrix:
+    coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return FpMatrix(sparse.csr_matrix(coo, shape=shape, dtype=np.int64), prime)
+
+
+def nerve_boundary(chains: Chains, d: int, prime: int) -> FpMatrix:
+    """The boundary from degree d to d-1, one +-1 block per face; row i is
+    the boundary of chain i."""
+    rows, cols, vals = [], [], []
+    for sign, r, face in chains.faces(d):
+        rows.append(r)
+        cols.append(face)
+        vals.append(np.full(len(r), sign, dtype=np.int64))
+    return _fp_matrix(rows, cols, vals, (chains.dims[d], chains.dims[d - 1]), prime)
+
+
+def cochain_differentials(chains: Chains, dims: list[int], mats: dict, prime: int
+                          ) -> tuple[list[int], list[FpMatrix]]:
+    """Degree sizes and differentials C^n -> C^{n+1} of the normalized
+    cochain complex of a contravariant functor with these object dimensions
+    and token matrices.  A chain carries ``dims[head]`` coordinates; its row
+    block has F(first arrow) at the drop-first face and +-I at the others.
+    ``chains`` must start exactly at the objects of nonzero dimension."""
+    dims = np.asarray(dims, dtype=np.int64)
+    # COO of F(t) mod p for every non-identity token t
+    blk_nnz = np.zeros(len(chains.src), dtype=np.int64)
+    blk = [[np.zeros(0, dtype=np.int64)] for _ in range(3)]
+    for t in np.flatnonzero(~chains.is_id).tolist():
+        M = np.asarray(mats[t], dtype=np.int64) % prime
+        r, c = np.nonzero(M)
+        blk_nnz[t] = len(r)
+        for part, x in zip(blk, (r, c, M[r, c])):
+            part.append(x)
+    blk_ptr = _offsets(blk_nnz)
+    blk_r, blk_c, blk_v = (np.concatenate(part) for part in blk)
+
+    offsets = [_offsets(dims[chains.heads(d)]) for d in range(len(chains.tokens))]
+    diffs = []
+    for n in range(len(chains.tokens) - 1):
+        first = chains.tokens[n + 1][:, 0]
+        row_of, local, row_off = _expand(dims[chains.heads(n + 1)])
+        col_off = offsets[n]
+        rows, cols, vals = [], [], []
+        for i, (sign, r, face) in enumerate(chains.faces(n + 1)):
+            at = np.full(len(first), -1, dtype=np.int64)
+            at[r] = face
+            if i == 0:
+                ent, j, _ = _expand(blk_nnz[first])
+                e = blk_ptr[first[ent]] + j
+                rows.append(row_off[ent] + blk_r[e])
+                cols.append(col_off[at[ent]] + blk_c[e])
+                vals.append(blk_v[e])
+            else:
+                sel = np.flatnonzero(at[row_of] >= 0)
+                rows.append(sel)
+                cols.append(col_off[at[row_of[sel]]] + local[sel])
+                vals.append(np.full(len(sel), sign, dtype=np.int64))
+        shape = (int(row_off[-1]), int(col_off[-1]))
+        diffs.append(_fp_matrix(rows, cols, vals, shape, prime))
+    return [int(o[-1]) for o in offsets], diffs

@@ -1,39 +1,39 @@
 """Classifying-space cohomology H^i(B P; F_p) with explicit cocycle bases.
 
 Cohomology is computed from normalized bar cochains of the subgroup, with a
-deterministic echelon-form basis of cocycles modulo coboundaries.  Induced
-maps along orbit-category morphisms are pullbacks by the conjugation
-homomorphism computed on representatives and reduced to the chosen bases, so
-the resulting functor matrices are reproducible.
+deterministic echelon-form basis of cocycles modulo coboundaries.  The bar
+coboundary C^n -> C^{n+1} is the nerve boundary from degree n+1 to n of the
+one-object category on P, whose tokens follow ``P.ids``; so cochains are
+indexed by tuples of non-identity elements in lexicographic order, and a
+pullback finds each image tuple's index by the ``chains`` index walk.
+Induced maps along orbit-category morphisms are pullbacks by the
+conjugation homomorphism computed on representatives and reduced to the
+chosen bases, so the resulting functor matrices are reproducible.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .categories import FiniteCategory
+from .chains import Chains, nerve_boundary
 from .errors import BudgetExceeded
 from .fplinalg import EchelonCoords, nullspace_dense
 from .groups import PermutationGroup, Subgroup
 from .limits import DEFAULT_BUDGET, LinearFunctor
 
 
-def _bar_coboundary(nonid: list[int], n: int, p: int, mult, tuples_n, tuples_n1,
-                    index_n) -> np.ndarray:
-    """Matrix of d: C^n -> C^{n+1} on normalized bar cochains, trivial coefficients."""
-    D = np.zeros((len(tuples_n1), len(tuples_n)), dtype=np.int64)
-    for r, tup in enumerate(tuples_n1):
-        D[r, index_n[tup[1:]]] += 1
-        for i in range(1, n + 1):
-            prod = mult(tup[i - 1], tup[i])
-            if prod == 0:
-                continue
-            face = tup[: i - 1] + (prod,) + tup[i + 1:]
-            D[r, index_n[face]] += -1 if i % 2 else 1
-        D[r, index_n[tup[:-1]]] += -1 if (n + 1) % 2 else 1
-    return D % p
+def _group_category(G: PermutationGroup, P: Subgroup) -> FiniteCategory:
+    """The one-object category with morphism set P, composed by G's product;
+    token k is the element ``P.ids[k]``."""
+    cat = FiniteCategory("group", [P], G)
+    for x in P.ids:
+        cat.add_morphism(0, 0, x)
+    cat.set_identity(0, cat.token_by_witness(0, 0, 0))
+    for a, x in enumerate(P.ids):
+        for b, y in enumerate(P.ids):
+            cat.compose_table[(a, b)] = cat.token_by_witness(0, 0, G.mult(x, y))
+    return cat
 
 
 class CohomologyBasis:
@@ -46,36 +46,23 @@ class CohomologyBasis:
         self.P = P
         self.i = i
         self.p = p
-        nonid = [x for x in P.ids if x != 0]
-        self.nonid = nonid
-        if len(nonid) ** (i + 1) > budget:
-            raise BudgetExceeded(i + 1, len(nonid) ** (i + 1), budget)
+        nonid = len(P.ids) - 1
+        if nonid ** (i + 1) > budget:
+            raise BudgetExceeded(i + 1, nonid ** (i + 1), budget)
 
-        tuples = [
-            [tuple(t) for t in itertools.product(nonid, repeat=n)]
-            for n in range(i + 2)
-        ]
-        self.tuples_i = tuples[i]
-        self.tuple_index = {t: k for k, t in enumerate(self.tuples_i)}
-        mult = G.mult
-
-        ambient = len(self.tuples_i)
+        self.category = _group_category(G, P)
+        self.chains = Chains(self.category, i + 1)
+        ambient = self.chains.dims[i]
         if ambient == 0:
             self.dim = 0
             self.reps: list[np.ndarray] = []
             self._ech = None
             return
 
-        index_i = self.tuple_index
-        D_i = _bar_coboundary(nonid, i, p, mult, tuples[i], tuples[i + 1], index_i)
-        cocycles = nullspace_dense(D_i, p)
-
+        cocycles = nullspace_dense(nerve_boundary(self.chains, i + 1, p).csr.toarray(), p)
         ech = EchelonCoords(ambient, p)
         if i >= 1:
-            index_prev = {t: k for k, t in enumerate(tuples[i - 1])}
-            D_prev = _bar_coboundary(
-                nonid, i - 1, p, mult, tuples[i - 1], tuples[i], index_prev
-            )
+            D_prev = nerve_boundary(self.chains, i, p).csr.toarray()
             for j in range(D_prev.shape[1]):
                 ech.add_silent(D_prev[:, j])
         reps = []
@@ -98,12 +85,13 @@ class CohomologyBasis:
         M = np.zeros((self.dim, other.dim), dtype=np.int64)
         if self.dim == 0 or other.dim == 0:
             return M
+        image = np.array(
+            [other.category.token_by_witness(0, 0, point_map(x)) for x in self.P.ids]
+        )
+        rows = self.chains.tokens[self.i]
+        at = other.chains.find(np.zeros(len(rows), dtype=np.int64), image[rows])
         for j, rep in enumerate(other.reps):
-            w = np.zeros(len(self.tuples_i), dtype=np.int64)
-            for k, tup in enumerate(self.tuples_i):
-                image = tuple(point_map(x) for x in tup)
-                w[k] = rep[other.tuple_index[image]]
-            M[:, j] = self.coords(w % self.p)
+            M[:, j] = self.coords(rep[at] % self.p)
         return M
 
 

@@ -126,10 +126,6 @@ class FpMatrix:
         lo, hi = self.csr.indptr[r], self.csr.indptr[r + 1]
         return list(zip(self.csr.indices[lo:hi].tolist(), self.csr.data[lo:hi].tolist()))
 
-    def triplets(self) -> list[tuple[int, int, int]]:
-        coo = self.csr.tocoo()
-        return sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
-
 
 def _shifted_echelon(pivots: dict, offset: int, p: int) -> dict:
     """An echelon moved ``offset`` columns to the right."""

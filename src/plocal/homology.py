@@ -1,9 +1,13 @@
 """Truncated nerve chain complexes over F_p and exact homology.
 
 The degree-d basis of a category nerve is the set of composable d-tuples of
-non-identity morphisms (normalized chains).  The boundary drops the outer
-morphisms and composes adjacent inner pairs; a face whose inner composition
-is an identity produces a degenerate chain and is dropped.
+non-identity morphisms (normalized chains), as integer arrays from
+``chains``: head-major, which is lexicographic in the tokens because
+``FiniteCategory.add_morphism`` numbers them grouped by source.  The
+boundary drops the outer morphisms and composes adjacent inner pairs; a
+face whose inner composition is an identity is degenerate and dropped.
+Faces and the images of induced chain maps find their rows by the index
+walk ``idx = starts[k][idx] + pos[t_k]``, with no dict.
 
 Truncation semantics: a complex built to ``dmax`` has its true chain groups
 and boundaries in all degrees <= dmax, so homology dimensions are exact for
@@ -19,6 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from .categories import FiniteCategory, Functor, build_transporter
+from .chains import Chains, chain_counts, nerve_boundary
 from .errors import BudgetExceeded, PLocalError
 from .fplinalg import FpMatrix
 from .groups import PermutationGroup
@@ -43,21 +48,16 @@ class FpComplex:
 
     ``boundaries[d]`` (1 <= d <= dmax) is stored row-major: row i holds the
     boundary of the i-th degree-d basis chain in the degree-(d-1) basis.
+    ``chains`` holds the nerve's chain arrays; mapping cones have none.
     """
 
     def __init__(self, prime: int, dmax: int, dims: list[int],
-                 boundaries: list[FpMatrix | None], basis: list[list]):
+                 boundaries: list[FpMatrix | None], chains: Chains | None = None):
         self.prime = prime
         self.dmax = dmax
         self.dims = dims
         self.boundaries = boundaries
-        self.basis = basis
-        self._index: dict[int, dict] = {}
-
-    def basis_index(self, d: int) -> dict:
-        if d not in self._index:
-            self._index[d] = {label: i for i, label in enumerate(self.basis[d])}
-        return self._index[d]
+        self.chains = chains
 
     def check_boundary_squared_zero(self) -> bool:
         for d in range(2, self.dmax + 1):
@@ -77,122 +77,18 @@ class FpComplex:
         ]
         return HomologyProfile(self.prime, dims, self.dmax)
 
-    def dump_text(self) -> str:
-        """Degree sizes plus sparse triplets, for external verification."""
-        lines = ["fp-complex v1", f"prime {self.prime}", f"dmax {self.dmax}",
-                 "dims " + " ".join(str(n) for n in self.dims)]
-        for d in range(1, self.dmax + 1):
-            trips = self.boundaries[d].triplets()
-            lines.append(f"boundary {d} {len(trips)}")
-            for r, c, v in trips:
-                lines.append(f"{r} {c} {v}")
-        lines.append("end")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "FpComplex":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if lines[0] != "fp-complex v1":
-            raise PLocalError("unrecognized complex dump header")
-        prime = int(lines[1].split()[1])
-        dmax = int(lines[2].split()[1])
-        dims = [int(x) for x in lines[3].split()[1:]]
-        boundaries: list[FpMatrix | None] = [None] * (dmax + 1)
-        i = 4
-        for d in range(1, dmax + 1):
-            head = lines[i].split()
-            if head[0] != "boundary" or int(head[1]) != d:
-                raise PLocalError(f"expected boundary {d} in complex dump")
-            count = int(head[2])
-            rows: list[dict[int, int]] = [dict() for _ in range(dims[d])]
-            for ln in lines[i + 1: i + 1 + count]:
-                r, c, v = (int(x) for x in ln.split())
-                rows[r][c] = v
-            boundaries[d] = FpMatrix.from_row_entries(dims[d], dims[d - 1], prime, rows)
-            i += 1 + count
-        basis = [[("external", d, k) for k in range(dims[d])] for d in range(dmax + 1)]
-        return cls(prime, dmax, dims, boundaries, basis)
-
-
-def chain_counts(C: FiniteCategory, dmax: int) -> list[int]:
-    """Exact number of normalized chains per degree, by path counting."""
-    nonid = C.nonidentity_by_source()
-    per_obj = [1] * C.object_count
-    totals = [C.object_count]
-    for _ in range(dmax):
-        nxt = [0] * C.object_count
-        for src, toks in enumerate(nonid):
-            if per_obj[src] == 0:
-                continue
-            for t in toks:
-                nxt[C.morphisms[t].tgt] += per_obj[src]
-        per_obj = nxt
-        totals.append(sum(per_obj))
-    return totals
-
 
 def nerve_complex(C: FiniteCategory, prime: int, dmax: int,
                   budget: int = DEFAULT_BUDGET) -> FpComplex:
     """Normalized chain complex of the nerve of C, through degree dmax."""
     if dmax < 1:
         raise PLocalError("dmax must be at least 1")
-    totals = chain_counts(C, dmax)
-    for d, n in enumerate(totals):
+    for d, n in enumerate(chain_counts(C, dmax)):
         if n > budget:
             raise BudgetExceeded(d, n, budget)
-
-    nonid = C.nonidentity_by_source()
-    basis: list[list] = [list(range(C.object_count))]
-    for d in range(1, dmax + 1):
-        prev = basis[d - 1]
-        cur = []
-        if d == 1:
-            for src, toks in enumerate(nonid):
-                cur.extend((t,) for t in toks)
-            cur.sort()
-        else:
-            for chain in prev:
-                tail = C.morphisms[chain[-1]].tgt
-                for t in nonid[tail]:
-                    cur.append(chain + (t,))
-        basis.append(cur)
-
-    dims = [len(b) for b in basis]
-    index1 = {label: i for i, label in enumerate(basis[1])} if dmax >= 1 else {}
-
-    boundaries: list[FpMatrix | None] = [None] * (dmax + 1)
-
-    def row_entries_for(chain: tuple, d: int, index_prev: dict) -> dict[int, int]:
-        entries: dict[int, int] = {}
-        if d == 1:
-            m = C.morphisms[chain[0]]
-            entries[m.tgt] = entries.get(m.tgt, 0) + 1
-            entries[m.src] = entries.get(m.src, 0) - 1
-            return entries
-
-        def add(label, coeff):
-            col = index_prev[label]
-            entries[col] = entries.get(col, 0) + coeff
-
-        add(chain[1:], 1)
-        sign = -1 if d % 2 else 1
-        add(chain[:-1], sign)
-        for i in range(1, d):
-            u = C.compose(chain[i - 1], chain[i])
-            if C.is_identity(u):
-                continue
-            face = chain[: i - 1] + (u,) + chain[i + 1:]
-            add(face, -1 if i % 2 else 1)
-        return entries
-
-    for d in range(1, dmax + 1):
-        index_prev = (
-            {label: i for i, label in enumerate(basis[d - 1])} if d >= 2 else {}
-        )
-        rows = (row_entries_for(chain, d, index_prev) for chain in basis[d])
-        boundaries[d] = FpMatrix.from_row_entries(dims[d], dims[d - 1], prime, rows)
-
-    cx = FpComplex(prime, dmax, dims, boundaries, basis)
+    chains = Chains(C, dmax)
+    boundaries = [None] + [nerve_boundary(chains, d, prime) for d in range(1, dmax + 1)]
+    cx = FpComplex(prime, dmax, chains.dims, boundaries, chains)
     if not cx.check_boundary_squared_zero():
         raise PLocalError("boundary squared is nonzero; nerve construction is broken")
     return cx
@@ -235,28 +131,19 @@ class ChainMap:
 def induced_chain_map(F: Functor, source_cx: FpComplex, target_cx: FpComplex) -> ChainMap:
     """Chain map sending a chain to its image chain; degenerate images go to 0."""
     D = min(source_cx.dmax, target_cx.dmax)
-    tgt_cat = F.target
+    src, tgt = source_cx.chains, target_cx.chains
+    object_map = np.asarray(F.object_map, dtype=np.int64)
+    morphism_map = np.asarray(F.morphism_map, dtype=np.int64)
     mats: list[FpMatrix] = []
-    rows0 = [{F.object_map[i]: 1} for i in source_cx.basis[0]]
-    mats.append(
-        FpMatrix.from_row_entries(
-            source_cx.dims[0], target_cx.dims[0], source_cx.prime, rows0
+    for d in range(D + 1):
+        image = morphism_map[src.tokens[d]]
+        rows = np.flatnonzero(~tgt.is_id[image].any(axis=1))
+        cols = tgt.find(object_map[src.heads(d)[rows]], image[rows])
+        csr = sparse.csr_matrix(
+            (np.ones(len(rows), dtype=np.int64), (rows, cols)),
+            shape=(source_cx.dims[d], target_cx.dims[d]),
         )
-    )
-    for d in range(1, D + 1):
-        index = target_cx.basis_index(d)
-        rows = []
-        for chain in source_cx.basis[d]:
-            image = tuple(F.apply(t) for t in chain)
-            if any(tgt_cat.is_identity(t) for t in image):
-                rows.append({})
-            else:
-                rows.append({index[image]: 1})
-        mats.append(
-            FpMatrix.from_row_entries(
-                source_cx.dims[d], target_cx.dims[d], source_cx.prime, rows
-            )
-        )
+        mats.append(FpMatrix(csr, source_cx.prime))
     cm = ChainMap(source_cx.prime, source_cx, target_cx, mats)
     if not cm.commutes():
         raise PLocalError("induced map does not commute with boundaries")
@@ -293,8 +180,7 @@ def mapping_cone(cm: ChainMap) -> FpComplex:
         boundaries[d] = FpMatrix(
             sparse.vstack([top, bot], format="csr"), p, tail=(B.boundaries[d], left_cols)
         )
-    basis = [[("cone", d, k) for k in range(dims[d])] for d in range(D + 1)]
-    cone_cx = FpComplex(p, D, dims, boundaries, basis)
+    cone_cx = FpComplex(p, D, dims, boundaries)
     if not cone_cx.check_boundary_squared_zero():
         raise PLocalError("mapping cone boundary squared is nonzero")
     return cone_cx

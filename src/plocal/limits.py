@@ -4,9 +4,12 @@ A functor assigns a vector-space dimension to every object and a matrix
 F(f): F(tgt) -> F(src) to every morphism, with F(f then g) = F(f) F(g).
 ``lim^n`` is computed from the normalized cochain complex whose degree-n
 piece is the direct sum of F(c_0) over composable chains
-c_0 -> c_1 -> ... -> c_n of non-identity morphisms.  A complex built to
-``nmax`` certifies lim^n for n <= nmax-1, and lim^0 can be cross-checked
-against the directly solved compatible-family system.
+c_0 -> c_1 -> ... -> c_n of non-identity morphisms, in the head-major order
+of ``chains`` (tokens are numbered grouped by source, as
+``FiniteCategory.add_morphism`` enforces) over the heads with F(c_0) != 0.
+Each face's block column is found by the index walk of ``chains``.  A
+complex built to ``nmax`` certifies lim^n for n <= nmax-1, and lim^0 can be
+cross-checked against the directly solved compatible-family system.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .categories import FiniteCategory, Functor
+from .chains import Chains, chain_counts, cochain_differentials
 from .errors import BudgetExceeded, NotAFunctor, PLocalError
 from .fplinalg import FpMatrix
 
@@ -113,36 +117,6 @@ class CochainComplex:
         ]
 
 
-def _chain_basis(F: LinearFunctor, nmax: int, budget: int):
-    """Chains with nonzero value at their start, and per-degree offsets."""
-    C = F.category
-    nonid = C.nonidentity_by_source()
-    chains: list[list[tuple[int, tuple[int, ...]]]] = [
-        [(i, ()) for i in range(C.object_count) if F.dims[i] > 0]
-    ]
-    for n in range(1, nmax + 1):
-        cur = []
-        for head, toks in chains[n - 1]:
-            tail = C.morphisms[toks[-1]].tgt if toks else head
-            for t in nonid[tail]:
-                cur.append((head, toks + (t,)))
-        chains.append(cur)
-        weight = sum(F.dims[head] for head, _ in cur)
-        if weight > budget:
-            raise BudgetExceeded(n, weight, budget)
-    offsets = []
-    dims = []
-    for n in range(nmax + 1):
-        offs = {}
-        total = 0
-        for head, toks in chains[n]:
-            offs[(head, toks)] = total
-            total += F.dims[head]
-        offsets.append(offs)
-        dims.append(total)
-    return chains, offsets, dims
-
-
 def functor_cochain_complex(F: LinearFunctor, nmax: int,
                             budget: int = DEFAULT_BUDGET) -> CochainComplex:
     """Build the normalized cochain complex of a (validated) functor.
@@ -153,50 +127,13 @@ def functor_cochain_complex(F: LinearFunctor, nmax: int,
     with the last-dropped face.
     """
     C = F.category
-    p = F.prime
-    chains, offsets, dims = _chain_basis(F, nmax, budget)
-
-    diffs: list[FpMatrix] = []
-    for n in range(nmax):
-        rows: list[dict[int, int]] = []
-        for head, toks in chains[n + 1]:
-            k = F.dims[head]
-            row_block: list[dict[int, int]] = [dict() for _ in range(k)]
-
-            def add_block(face, M):
-                if face not in offsets[n]:
-                    return
-                base = offsets[n][face]
-                for r in range(M.shape[0]):
-                    for c in range(M.shape[1]):
-                        v = int(M[r, c]) % p
-                        if v:
-                            row_block[r][base + c] = (
-                                row_block[r].get(base + c, 0) + v
-                            )
-
-            first = toks[0]
-            c1 = C.morphisms[first].tgt
-            face0 = (c1, toks[1:])
-            add_block(face0, F.mats[first] % p)
-
-            eye = np.eye(k, dtype=np.int64)
-            for i in range(1, n + 1):
-                u = C.compose(toks[i - 1], toks[i])
-                if C.is_identity(u):
-                    continue
-                face = (head, toks[: i - 1] + (u,) + toks[i + 1:])
-                sign = -1 if i % 2 else 1
-                add_block(face, (sign * eye) % p)
-
-            last_face = (head, toks[:-1])
-            sign = -1 if (n + 1) % 2 else 1
-            add_block(last_face, (sign * eye) % p)
-
-            rows.extend(row_block)
-        diffs.append(FpMatrix.from_row_entries(dims[n + 1], dims[n], p, rows))
-
-    cx = CochainComplex(p, nmax, dims, diffs)
+    weights = chain_counts(C, nmax, F.dims)
+    for n in range(1, nmax + 1):
+        if weights[n] > budget:
+            raise BudgetExceeded(n, weights[n], budget)
+    chains = Chains(C, nmax, [i for i, d in enumerate(F.dims) if d > 0])
+    dims, diffs = cochain_differentials(chains, F.dims, F.mats, F.prime)
+    cx = CochainComplex(F.prime, nmax, dims, diffs)
     for n in range(1, nmax):
         if not cx.diffs[n].matmul(cx.diffs[n - 1]).is_zero():
             raise PLocalError("cochain differential squared is nonzero")

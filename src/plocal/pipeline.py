@@ -9,7 +9,9 @@ vanishing, normalizer reduction, restriction, filtration), and the final
 comparison of the linking-system nerve against the classifying space.
 
 Budget overruns in one stage mark it not-certified and the run continues;
-earlier verdicts are kept.
+earlier verdicts are kept.  Any other toolkit error in a stage (a broken
+internal invariant such as a nonzero boundary squared) marks that stage's
+verdicts fail with a note, and the run likewise continues.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .omega import (
     verify_closure_properties,
 )
 from .report import (
+    FAIL,
     NOT_CERTIFIED,
     AnalysisReport,
     finalize_overall,
@@ -248,6 +251,10 @@ class PipelineRun:
                 self.notes.append(f"{check}: {e}")
                 for key in _CHECK_VERDICT_KEYS[check]:
                     verdicts.setdefault(key, NOT_CERTIFIED)
+            except PLocalError as e:
+                self.notes.append(f"{check}: {e}")
+                for key in _CHECK_VERDICT_KEYS[check]:
+                    verdicts[key] = FAIL
             self.timings[f"stage:{check}"] = round(time.perf_counter() - t0, 6)
 
         stage("closure", self._stage_closure)

@@ -1,0 +1,180 @@
+"""Dict-based reference builders for the chain kernel (``plocal.chains``).
+
+These are the loop implementations the kernel replaced: chains are tuples,
+faces are found through {chain: row} dicts and every row is assembled as a
+{column: coefficient} dict.  ``test_chains.py`` requires the kernel's
+matrices to equal theirs entry for entry.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from plocal.fplinalg import FpMatrix
+
+
+def nerve_basis(C, dmax: int) -> list[list]:
+    """Objects, then composable tuples of non-identity tokens, in lexicographic order."""
+    nonid = C.nonidentity_by_source()
+    basis: list[list] = [list(range(C.object_count))]
+    for d in range(1, dmax + 1):
+        cur = []
+        if d == 1:
+            for toks in nonid:
+                cur.extend((t,) for t in toks)
+            cur.sort()
+        else:
+            for chain in basis[d - 1]:
+                tail = C.morphisms[chain[-1]].tgt
+                for t in nonid[tail]:
+                    cur.append(chain + (t,))
+        basis.append(cur)
+    return basis
+
+
+def nerve_boundaries(C, prime: int, dmax: int) -> tuple[list[list], list]:
+    """The tuple basis and ``[None, boundary_1, ..., boundary_dmax]``."""
+    basis = nerve_basis(C, dmax)
+    dims = [len(b) for b in basis]
+    boundaries: list = [None]
+
+    def row_entries_for(chain, d, index_prev):
+        entries: dict[int, int] = {}
+        if d == 1:
+            m = C.morphisms[chain[0]]
+            entries[m.tgt] = entries.get(m.tgt, 0) + 1
+            entries[m.src] = entries.get(m.src, 0) - 1
+            return entries
+
+        def add(label, coeff):
+            col = index_prev[label]
+            entries[col] = entries.get(col, 0) + coeff
+
+        add(chain[1:], 1)
+        add(chain[:-1], -1 if d % 2 else 1)
+        for i in range(1, d):
+            u = C.compose(chain[i - 1], chain[i])
+            if C.is_identity(u):
+                continue
+            add(chain[: i - 1] + (u,) + chain[i + 1:], -1 if i % 2 else 1)
+        return entries
+
+    for d in range(1, dmax + 1):
+        index_prev = {label: i for i, label in enumerate(basis[d - 1])} if d >= 2 else {}
+        rows = (row_entries_for(chain, d, index_prev) for chain in basis[d])
+        boundaries.append(FpMatrix.from_row_entries(dims[d], dims[d - 1], prime, rows))
+    return basis, boundaries
+
+
+def chain_map(F, source_basis: list[list], target_basis: list[list], prime: int) -> list:
+    """Degree-wise matrices sending a chain to its image chain, or to 0."""
+    D = min(len(source_basis), len(target_basis)) - 1
+    mats = [FpMatrix.from_row_entries(
+        len(source_basis[0]), len(target_basis[0]), prime,
+        [{F.object_map[i]: 1} for i in source_basis[0]],
+    )]
+    for d in range(1, D + 1):
+        index = {label: i for i, label in enumerate(target_basis[d])}
+        rows = []
+        for chain in source_basis[d]:
+            image = tuple(F.apply(t) for t in chain)
+            if any(F.target.is_identity(t) for t in image):
+                rows.append({})
+            else:
+                rows.append({index[image]: 1})
+        mats.append(FpMatrix.from_row_entries(
+            len(source_basis[d]), len(target_basis[d]), prime, rows))
+    return mats
+
+
+def cochain_differentials(F, nmax: int) -> tuple[list[int], list]:
+    """Degree sizes and the differentials of the normalized functor cochain complex."""
+    C = F.category
+    p = F.prime
+    nonid = C.nonidentity_by_source()
+    chains = [[(i, ()) for i in range(C.object_count) if F.dims[i] > 0]]
+    for n in range(1, nmax + 1):
+        cur = []
+        for head, toks in chains[n - 1]:
+            tail = C.morphisms[toks[-1]].tgt if toks else head
+            for t in nonid[tail]:
+                cur.append((head, toks + (t,)))
+        chains.append(cur)
+    offsets, dims = [], []
+    for n in range(nmax + 1):
+        offs = {}
+        total = 0
+        for head, toks in chains[n]:
+            offs[(head, toks)] = total
+            total += F.dims[head]
+        offsets.append(offs)
+        dims.append(total)
+
+    diffs = []
+    for n in range(nmax):
+        rows: list[dict[int, int]] = []
+        for head, toks in chains[n + 1]:
+            k = F.dims[head]
+            row_block: list[dict[int, int]] = [dict() for _ in range(k)]
+
+            def add_block(face, M):
+                if face not in offsets[n]:
+                    return
+                base = offsets[n][face]
+                for r in range(M.shape[0]):
+                    for c in range(M.shape[1]):
+                        v = int(M[r, c]) % p
+                        if v:
+                            row_block[r][base + c] = row_block[r].get(base + c, 0) + v
+
+            first = toks[0]
+            add_block((C.morphisms[first].tgt, toks[1:]), F.mats[first] % p)
+            eye = np.eye(k, dtype=np.int64)
+            for i in range(1, n + 1):
+                u = C.compose(toks[i - 1], toks[i])
+                if C.is_identity(u):
+                    continue
+                face = (head, toks[: i - 1] + (u,) + toks[i + 1:])
+                add_block(face, ((-1 if i % 2 else 1) * eye) % p)
+            add_block((head, toks[:-1]), ((-1 if (n + 1) % 2 else 1) * eye) % p)
+            rows.extend(row_block)
+        diffs.append(FpMatrix.from_row_entries(dims[n + 1], dims[n], p, rows))
+    return dims, diffs
+
+
+def bar_tuples(P, n: int) -> list[tuple]:
+    nonid = [x for x in P.ids if x != 0]
+    return [tuple(t) for t in itertools.product(nonid, repeat=n)]
+
+
+def bar_coboundary(G, P, n: int, p: int) -> np.ndarray:
+    """Dense d: C^n -> C^{n+1} on normalized bar cochains of P, trivial coefficients."""
+    tuples_n, tuples_n1 = bar_tuples(P, n), bar_tuples(P, n + 1)
+    index_n = {t: k for k, t in enumerate(tuples_n)}
+    D = np.zeros((len(tuples_n1), len(tuples_n)), dtype=np.int64)
+    for r, tup in enumerate(tuples_n1):
+        D[r, index_n[tup[1:]]] += 1
+        for i in range(1, n + 1):
+            prod = G.mult(tup[i - 1], tup[i])
+            if prod == 0:
+                continue
+            D[r, index_n[tup[: i - 1] + (prod,) + tup[i + 1:]]] += -1 if i % 2 else 1
+        D[r, index_n[tup[:-1]]] += -1 if (n + 1) % 2 else 1
+    return D % p
+
+
+def pullback_matrix(basis, other, point_map) -> np.ndarray:
+    """``CohomologyBasis.pullback_matrix`` through tuple bases."""
+    M = np.zeros((basis.dim, other.dim), dtype=np.int64)
+    if basis.dim == 0 or other.dim == 0:
+        return M
+    tuples_i = bar_tuples(basis.P, basis.i)
+    other_index = {t: k for k, t in enumerate(bar_tuples(other.P, other.i))}
+    for j, rep in enumerate(other.reps):
+        w = np.zeros(len(tuples_i), dtype=np.int64)
+        for k, tup in enumerate(tuples_i):
+            w[k] = rep[other_index[tuple(point_map(x) for x in tup)]]
+        M[:, j] = basis.coords(w % basis.p)
+    return M

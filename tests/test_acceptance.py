@@ -5,6 +5,7 @@ with p in {2, 3}.  All checks are exact (no tolerances); homology claims
 carry the truncation degree they are certified at.
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -309,6 +310,13 @@ def test_criterion_8_main_comparison_golden():
     )
 
 
+# sha256 of the 14 timings-masked catalog reports joined by newlines, as built
+# by test_criterion_9_determinism; the same under every PYTHONHASHSEED
+GOLDEN_CATALOG_SHA256 = (
+    "c6bd9d58122486e29fff29b12e64bbd722651ee507fae1400a25e925d62af20e"
+)
+
+
 def test_criterion_9_determinism():
     def run_suite():
         out = []
@@ -333,3 +341,4 @@ def test_criterion_9_determinism():
         "reports with timings masked",
     )
     assert '"overall": "fail"' not in first
+    assert hashlib.sha256(first.encode()).hexdigest() == GOLDEN_CATALOG_SHA256

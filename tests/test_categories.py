@@ -1,7 +1,6 @@
 import pytest
 
 from plocal import (
-    FiniteCategory,
     Functor,
     NotCentric,
     all_subgroups,
@@ -201,16 +200,3 @@ def test_coset_category_contractible():
         if all(len(cat.mor(a, b)) == 1 for b in range(cat.object_count))
     ]
     assert len(initials) == n_min
-
-
-def test_category_text_roundtrip():
-    G = build_group("sym:3")
-    poset = build_intersection_poset(G, 2)
-    T = build_transporter(G, poset.members)
-    text = T.to_text()
-    back = FiniteCategory.from_text(text)
-    assert back.object_count == T.object_count
-    assert back.morphism_count == T.morphism_count
-    assert back.compose_table == T.compose_table
-    assert back.identity_ids == T.identity_ids
-    assert verify_category(back).associative

@@ -74,7 +74,7 @@ def test_budget_exceeded():
 def test_zero_boundaries_profile():
     rows = [dict() for _ in range(3)]
     mat = FpMatrix.from_row_entries(3, 2, 2, rows)
-    cx = FpComplex(2, 1, [2, 3], [None, mat], [[0, 1], [(0,), (1,), (2,)]])
+    cx = FpComplex(2, 1, [2, 3], [None, mat])
     assert cx.homology().dims == [2]
 
 
@@ -189,26 +189,6 @@ def test_mapping_cone_boundaries_are_integer():
     cone = mapping_cone(induced_chain_map(identity_functor(T), cx, cx))
     for d in range(1, cone.dmax + 1):
         assert np.issubdtype(cone.boundaries[d].csr.dtype, np.integer), d
-
-
-def test_complex_dump_roundtrip():
-    G = build_group("sym:3")
-    cx = bar_complex(G, 2, 3)
-    text = cx.dump_text()
-    back = FpComplex.from_text(text)
-    assert back.dims == cx.dims
-    assert back.homology().dims == cx.homology().dims
-
-
-def test_nerve_from_parsed_category_dump():
-    G = build_group("sym:3")
-    poset = build_intersection_poset(G, 2)
-    T = build_transporter(G, poset.members)
-    from plocal import FiniteCategory
-    back = FiniteCategory.from_text(T.to_text())
-    a = nerve_complex(T, 2, 3).homology().dims
-    b = nerve_complex(back, 2, 3).homology().dims
-    assert a == b
 
 
 @given(st.data())

@@ -151,6 +151,30 @@ def test_budget_failure_gives_partial_report():
     assert rep.exit_code == 0
 
 
+def test_internal_error_fails_only_its_stage(monkeypatch, capsys):
+    from plocal import PLocalError, cli, homology
+
+    def broken_cone(cm):
+        raise PLocalError("cone check broke")
+
+    monkeypatch.setattr(homology, "mapping_cone", broken_cone)
+    checks = ("closure", "centric-restriction", "main")
+    rep = run_pipeline(
+        "sym:3", PipelineConfig(prime=2, checks=checks, include_timings=False)
+    )
+    v = rep.data["verdicts"]
+    assert v["centric_restriction_homology"] == "fail"
+    assert "centric-restriction: cone check broke" in rep.data["notes"]
+    assert v["closure_idempotent"] == "pass"
+    assert v["closure_transporter_equality"] == "pass"
+    assert v["main_comparison"] == "pass"
+    assert rep.overall == "fail"
+    code = cli.main(["analyze", "--group", "sym:3", "--prime", "2", "--no-timings",
+                     "--check", ",".join(checks)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["verdicts"]["main_comparison"] == "pass"
+
+
 def test_exit_code_on_failing_verdict():
     from plocal.report import AnalysisReport, finalize_overall
 

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, NotCentric, PLocalError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, NotCentric, PLocalError
 from .groups import PermutationGroup, Subgroup, centralizer, p_residual, transporter_set
 from .omega import IntersectionPoset, closure_in_poset, is_centric
-
-DEFAULT_TABLE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -64,10 +62,10 @@ class FiniteCategory:
     def set_identity(self, obj: int, tid: int):
         self.identity_ids[obj] = tid
 
-    def fill_composition(self, canonical_witness, table_budget: int = DEFAULT_TABLE_BUDGET):
+    def fill_composition(self, canonical_witness, table_budget: int = DEFAULT_BUDGET):
         """Materialize the composition table from witness products.
 
-        ``canonical_witness(src, raw_product)`` reduces a product to the
+        ``canonical_witness(src, tgt, raw_product)`` reduces a product to the
         canonical representative of its coset.
         """
         G = self.group
@@ -143,22 +141,29 @@ def _min_right_coset(G: PermutationGroup, g: int, Q: Subgroup) -> int:
 # -- builders ---------------------------------------------------------------
 
 
-def build_transporter(G: PermutationGroup, collection,
-                      table_budget: int = DEFAULT_TABLE_BUDGET) -> FiniteCategory:
-    """The transporter category: Mor(P, Q) = N_G(P, Q), one token per element."""
-    cat = FiniteCategory("transporter", list(collection), G)
+def _fill_cosets(cat: FiniteCategory, canon, table_budget: int) -> FiniteCategory:
+    """Add one token per canonical witness ``canon(i, j, g)`` of the transporter
+    elements g from object i to object j, then compose by the same ``canon``."""
+    G = cat.group
     for i, P in enumerate(cat.objects):
         for j, Q in enumerate(cat.objects):
-            for g in transporter_set(G, P, Q):
-                tid = cat.add_morphism(i, j, g)
-                if i == j and g == 0:
+            for w in sorted({canon(i, j, g) for g in transporter_set(G, P, Q)}):
+                tid = cat.add_morphism(i, j, w)
+                if i == j and w == 0:
                     cat.set_identity(i, tid)
-    cat.fill_composition(lambda a, c, w: w, table_budget)
+    cat.fill_composition(canon, table_budget)
     return cat
 
 
+def build_transporter(G: PermutationGroup, collection,
+                      table_budget: int = DEFAULT_BUDGET) -> FiniteCategory:
+    """The transporter category: Mor(P, Q) = N_G(P, Q), one token per element."""
+    cat = FiniteCategory("transporter", list(collection), G)
+    return _fill_cosets(cat, lambda i, j, g: g, table_budget)
+
+
 def build_linking(G: PermutationGroup, p: int, centric_collection,
-                  table_budget: int = DEFAULT_TABLE_BUDGET) -> FiniteCategory:
+                  table_budget: int = DEFAULT_BUDGET) -> FiniteCategory:
     """The linking category on p-centric objects: Mor(P, Q) = K(P)\\N_G(P, Q)
     with K(P) = O^p(C_G(P)); tokens are canonical left-coset representatives."""
     objs = list(centric_collection)
@@ -169,37 +174,16 @@ def build_linking(G: PermutationGroup, p: int, centric_collection,
         kernels.append(p_residual(centralizer(G, P), p))
     cat = FiniteCategory("linking", objs, G)
     cat.source_kernels = kernels
-    for i, P in enumerate(objs):
-        K = kernels[i]
-        for j, Q in enumerate(objs):
-            reps = sorted({_min_left_coset(G, K, g) for g in transporter_set(G, P, Q)})
-            for w in reps:
-                tid = cat.add_morphism(i, j, w)
-                if i == j and w == 0:
-                    cat.set_identity(i, tid)
-    cat.fill_composition(
-        lambda a, c, w: _min_left_coset(G, kernels[a], w), table_budget
-    )
-    return cat
+    return _fill_cosets(cat, lambda i, j, g: _min_left_coset(G, kernels[i], g), table_budget)
 
 
 def build_orbit(G: PermutationGroup, collection,
-                table_budget: int = DEFAULT_TABLE_BUDGET) -> FiniteCategory:
+                table_budget: int = DEFAULT_BUDGET) -> FiniteCategory:
     """The orbit category: Mor(P, Q) = N_G(P, Q)/Q as cosets gQ."""
     objs = list(collection)
     cat = FiniteCategory("orbit", objs, G)
     cat.target_kernels = objs
-    for i, P in enumerate(objs):
-        for j, Q in enumerate(objs):
-            reps = sorted({_min_right_coset(G, g, Q) for g in transporter_set(G, P, Q)})
-            for w in reps:
-                tid = cat.add_morphism(i, j, w)
-                if i == j and w == 0:
-                    cat.set_identity(i, tid)
-    cat.fill_composition(
-        lambda a, c, w: _min_right_coset(G, w, objs[c]), table_budget
-    )
-    return cat
+    return _fill_cosets(cat, lambda i, j, g: _min_right_coset(G, g, objs[j]), table_budget)
 
 
 def coset_category(G: PermutationGroup, collection) -> FiniteCategory:
@@ -311,7 +295,7 @@ def full_subcategory(C: FiniteCategory, keep: list[int]) -> tuple[FiniteCategory
 
 
 def quotient_projection(T: FiniteCategory, p: int,
-                        table_budget: int = DEFAULT_TABLE_BUDGET) -> Functor:
+                        table_budget: int = DEFAULT_BUDGET) -> Functor:
     """The projection from a transporter category on centric objects to the
     linking category: identity on objects, witness g -> K(P) g."""
     G = T.group
@@ -614,7 +598,7 @@ def verify_closure_adjunction(
     p: int,
     poset: IntersectionPoset,
     test_subgroups: list[Subgroup],
-    table_budget: int = DEFAULT_TABLE_BUDGET,
+    table_budget: int = DEFAULT_BUDGET,
 ) -> AdjunctionVerdict:
     """Check that closure is left adjoint to inclusion between the orbit
     category on all p-subgroups and the one on intersection-poset members:

@@ -30,16 +30,18 @@ def _build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="run the verification pipeline")
     an.add_argument("--group", required=True, help='group spec, e.g. "sym:4"')
     an.add_argument("--prime", type=int, required=True)
-    an.add_argument("--max-degree", type=int, default=4,
-                    help="homology truncation degree (default 4)")
-    an.add_argument("--max-limit-degree", type=int, default=3,
-                    help="higher-limit truncation (default 3)")
-    an.add_argument("--cohomology-index-max", type=int, default=2,
+    an.add_argument("--max-degree", type=int, default=PipelineConfig.max_degree,
+                    help="homology truncation degree (default %(default)s)")
+    an.add_argument("--max-limit-degree", type=int, default=PipelineConfig.max_limit_degree,
+                    help="higher-limit truncation (default %(default)s)")
+    an.add_argument("--cohomology-index-max", type=int,
+                    default=PipelineConfig.cohomology_index_max,
                     help="largest cohomological index for coefficient functors")
-    an.add_argument("--budget", type=int, default=2_000_000,
+    an.add_argument("--budget", type=int, default=PipelineConfig.budget,
                     help="basis-size budget per degree")
-    an.add_argument("--order-bound", type=int, default=10_000)
-    an.add_argument("--skeletal", dest="skeletal", action="store_true", default=True)
+    an.add_argument("--order-bound", type=int, default=PipelineConfig.order_bound)
+    an.add_argument("--skeletal", dest="skeletal", action="store_true",
+                    default=PipelineConfig.skeletal)
     an.add_argument("--no-skeletal", dest="skeletal", action="store_false")
     an.add_argument("--check", default=None,
                     help="comma-separated subset of checks to run: "
@@ -59,10 +61,6 @@ def _cmd_analyze(args) -> int:
     checks = None
     if args.check:
         checks = tuple(t.strip() for t in args.check.split(",") if t.strip())
-        unknown = [c for c in checks if c not in ALL_CHECKS]
-        if unknown:
-            print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
-            return 2
     config = PipelineConfig(
         prime=args.prime,
         max_degree=args.max_degree,

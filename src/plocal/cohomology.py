@@ -8,7 +8,9 @@ indexed by tuples of non-identity elements in lexicographic order, and a
 pullback finds each image tuple's index by the ``chains`` index walk.
 Induced maps along orbit-category morphisms are pullbacks by the
 conjugation homomorphism computed on representatives and reduced to the
-chosen bases, so the resulting functor matrices are reproducible.
+chosen bases, so the resulting functor matrices are reproducible.  The
+functors built here are not validated on construction: ``limits_profile``
+checks each one exhaustively before it computes its limits.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import numpy as np
 
 from .categories import FiniteCategory
 from .chains import Chains, nerve_boundary
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .fplinalg import EchelonCoords, nullspace_dense
 from .groups import PermutationGroup, Subgroup
-from .limits import DEFAULT_BUDGET, LinearFunctor
+from .limits import LinearFunctor
 
 
 def _group_category(G: PermutationGroup, P: Subgroup) -> FiniteCategory:
@@ -128,9 +130,7 @@ def classifying_cohomology_functor(
         src_b, tgt_b = bases[m.src], bases[m.tgt]
         g = m.witness
         mats[tid] = src_b.pullback_matrix(tgt_b, lambda x: G.conj(x, g))
-    F = LinearFunctor(cat, p, dims, mats)
-    F.validate()
-    return F
+    return LinearFunctor(cat, p, dims, mats)
 
 
 def supported_cohomology_functor(
@@ -156,9 +156,7 @@ def supported_cohomology_functor(
             )
         else:
             mats[tid] = np.zeros((dims[m.src], dims[m.tgt]), dtype=np.int64)
-    F = LinearFunctor(cat, p, dims, mats)
-    F.validate()
-    return F
+    return LinearFunctor(cat, p, dims, mats)
 
 
 def zeroed_at(F: LinearFunctor, kill: list[int]) -> LinearFunctor:
@@ -171,6 +169,4 @@ def zeroed_at(F: LinearFunctor, kill: list[int]) -> LinearFunctor:
             mats[tid] = np.zeros((dims[m.src], dims[m.tgt]), dtype=np.int64)
         else:
             mats[tid] = F.mats[tid]
-    out = LinearFunctor(F.category, F.prime, dims, mats)
-    out.validate()
-    return out
+    return LinearFunctor(F.category, F.prime, dims, mats)

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the default budget whose
+overrun raises ``BudgetExceeded``."""
 
 
 class PLocalError(Exception):
@@ -23,6 +24,10 @@ class NotPSubgroup(PLocalError):
 
 class NotCentric(PLocalError):
     """Raised when a linking-system object fails the p-centricity test."""
+
+
+# basis-size (and composition-table) bound per degree when none is given
+DEFAULT_BUDGET = 2_000_000
 
 
 class BudgetExceeded(PLocalError):

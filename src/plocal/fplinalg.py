@@ -122,10 +122,6 @@ class FpMatrix:
             return False
         return ((self.csr - other.csr).data % self.prime == 0).all()
 
-    def row_entries(self, r: int) -> list[tuple[int, int]]:
-        lo, hi = self.csr.indptr[r], self.csr.indptr[r + 1]
-        return list(zip(self.csr.indices[lo:hi].tolist(), self.csr.data[lo:hi].tolist()))
-
 
 def _shifted_echelon(pivots: dict, offset: int, p: int) -> dict:
     """An echelon moved ``offset`` columns to the right."""

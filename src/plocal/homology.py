@@ -24,11 +24,9 @@ from scipy import sparse
 
 from .categories import FiniteCategory, Functor, build_transporter
 from .chains import Chains, chain_counts, nerve_boundary
-from .errors import BudgetExceeded, PLocalError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, PLocalError
 from .fplinalg import FpMatrix
 from .groups import PermutationGroup
-
-DEFAULT_BUDGET = 2_000_000
 
 
 @dataclass

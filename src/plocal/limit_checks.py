@@ -25,7 +25,7 @@ from .cohomology import (
     supported_cohomology_functor,
     zeroed_at,
 )
-from .errors import UpwardClosureViolated
+from .errors import DEFAULT_BUDGET, UpwardClosureViolated
 from .groups import (
     PermutationGroup,
     Subgroup,
@@ -34,7 +34,6 @@ from .groups import (
     quotient_realization,
 )
 from .limits import (
-    DEFAULT_BUDGET,
     LimitsProfile,
     LinearFunctor,
     ModuleData,

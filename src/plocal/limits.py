@@ -20,10 +20,8 @@ import numpy as np
 
 from .categories import FiniteCategory, Functor
 from .chains import Chains, chain_counts, cochain_differentials
-from .errors import BudgetExceeded, NotAFunctor, PLocalError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, NotAFunctor, PLocalError
 from .fplinalg import FpMatrix
-
-DEFAULT_BUDGET = 2_000_000
 
 
 @dataclass
@@ -142,6 +140,7 @@ def functor_cochain_complex(F: LinearFunctor, nmax: int,
 
 def limits_profile(F: LinearFunctor, nmax: int, budget: int = DEFAULT_BUDGET,
                    cross_check: bool = True) -> LimitsProfile:
+    """lim^n F for n < nmax, after an exhaustive check that F is a functor."""
     F.validate()
     cx = functor_cochain_complex(F, nmax, budget)
     dims = cx.limit_dims()

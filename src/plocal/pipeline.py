@@ -8,6 +8,10 @@ restriction, transporter vs linking), higher-limit checks (punctured
 vanishing, normalizer reduction, restriction, filtration), and the final
 comparison of the linking-system nerve against the classifying space.
 
+``STAGES`` is the one list of checks: each row names a check, its verdict
+keys in report order and the stage method, and ``run`` walks it in order.
+A stage method writes its ``detail`` sections and returns one value (True,
+False or None) per verdict key; the runner turns them into verdict strings.
 Budget overruns in one stage mark it not-certified and the run continues;
 earlier verdicts are kept.  Any other toolkit error in a stage (a broken
 internal invariant such as a nonzero boundary squared) marks that stage's
@@ -18,13 +22,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import categories as cats
 from .catalog import GroupSpec, build_group
 from .cohomology import CohomologyCache
-from .errors import BudgetExceeded, PLocalError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, PLocalError
 from .groups import (
     DEFAULT_ORDER_BOUND,
     PermutationGroup,
@@ -56,30 +61,7 @@ from .omega import (
     longest_chain_length,
     verify_closure_properties,
 )
-from .report import (
-    FAIL,
-    NOT_CERTIFIED,
-    AnalysisReport,
-    finalize_overall,
-    verdict_str,
-)
-
-ALL_CHECKS = (
-    "closure",
-    "categories",
-    "quotient",
-    "adjunction",
-    "nerve-vs-group",
-    "centric-restriction",
-    "centric-agreement",
-    "linking-vs-transporter",
-    "punctured",
-    "normalizer-reduction",
-    "atomic-vanishing",
-    "restriction",
-    "filtration",
-    "main",
-)
+from .report import AnalysisReport, finalize_overall, verdict_str
 
 
 @dataclass
@@ -88,7 +70,7 @@ class PipelineConfig:
     max_degree: int = 4
     max_limit_degree: int = 3
     cohomology_index_max: int = 2
-    budget: int = 2_000_000
+    budget: int = DEFAULT_BUDGET
     skeletal: bool = True
     checks: tuple[str, ...] | None = None
     include_timings: bool = True
@@ -104,6 +86,9 @@ class PipelineRun:
     def __init__(self, G: PermutationGroup, config: PipelineConfig, source: str):
         if not is_prime(config.prime):
             raise PLocalError(f"{config.prime} is not prime")
+        unknown = [c for c in config.checks or () if c not in ALL_CHECKS]
+        if unknown:
+            raise PLocalError(f"unknown checks: {', '.join(unknown)}")
         self.G = G
         self.cfg = config
         self.source = source
@@ -233,59 +218,40 @@ class PipelineRun:
     # -- stages -------------------------------------------------------------
 
     def run(self) -> AnalysisReport:
-        cfg = self.cfg
         verdicts: dict[str, str] = {}
-        detail: dict[str, dict] = {
-            "categories": {},
-            "homology": {},
-            "limits": {},
-        }
+        detail: dict[str, dict] = {"categories": {}, "homology": {}, "limits": {}}
+        for stage in STAGES:
+            values = (None,) * len(stage.keys)
+            if self.cfg.wants(stage.check):
+                values = self._run_stage(stage, detail)
+            verdicts.update(zip(stage.keys, map(verdict_str, values), strict=True))
+        return AnalysisReport(self._assemble(verdicts, detail))
 
-        def stage(check: str, fn):
-            if not cfg.wants(check):
-                return
-            t0 = time.perf_counter()
-            try:
-                fn(verdicts, detail)
-            except BudgetExceeded as e:
-                self.notes.append(f"{check}: {e}")
-                for key in _CHECK_VERDICT_KEYS[check]:
-                    verdicts.setdefault(key, NOT_CERTIFIED)
-            except PLocalError as e:
-                self.notes.append(f"{check}: {e}")
-                for key in _CHECK_VERDICT_KEYS[check]:
-                    verdicts[key] = FAIL
-            self.timings[f"stage:{check}"] = round(time.perf_counter() - t0, 6)
+    def _run_stage(self, stage: Stage, detail: dict) -> tuple:
+        """The stage's verdict values: None for all of them when it overruns
+        its budget, False for all of them on any other toolkit error."""
+        t0 = time.perf_counter()
+        try:
+            out = stage.run(self, detail)
+            values = out if len(stage.keys) > 1 else (out,)
+        except BudgetExceeded as e:
+            self.notes.append(f"{stage.check}: {e}")
+            values = (None,) * len(stage.keys)
+        except PLocalError as e:
+            self.notes.append(f"{stage.check}: {e}")
+            values = (False,) * len(stage.keys)
+        self.timings[f"stage:{stage.check}"] = round(time.perf_counter() - t0, 6)
+        return values
 
-        stage("closure", self._stage_closure)
-        stage("categories", self._stage_categories)
-        stage("quotient", self._stage_quotient)
-        stage("adjunction", self._stage_adjunction)
-        stage("nerve-vs-group", self._stage_nerve_vs_group)
-        stage("centric-restriction", self._stage_centric_restriction)
-        stage("centric-agreement", self._stage_centric_agreement)
-        stage("linking-vs-transporter", self._stage_t_vs_l)
-        stage("punctured", self._stage_punctured)
-        stage("normalizer-reduction", self._stage_reduction)
-        stage("atomic-vanishing", self._stage_atomic)
-        stage("restriction", self._stage_restriction)
-        stage("filtration", self._stage_filtration)
-        stage("main", self._stage_main)
-
-        data = self._assemble(verdicts, detail)
-        return AnalysisReport(data)
-
-    def _stage_closure(self, verdicts, detail):
+    def _stage_closure(self, detail):
         v = verify_closure_properties(
             self.G, self.p, self.poset, self.sylow_subgroup_list
         )
-        verdicts["closure_extends_and_monotone"] = verdict_str(v.extends_and_monotone)
-        verdicts["closure_idempotent"] = verdict_str(v.idempotent)
-        verdicts["closure_preserves_transporters"] = verdict_str(v.transporter_monotone)
-        verdicts["closure_transporter_equality"] = verdict_str(v.transporter_equality)
         detail["limits"]["closure_pairs_checked"] = v.pairs_checked
+        return (v.extends_and_monotone, v.idempotent, v.transporter_monotone,
+                v.transporter_equality)
 
-    def _stage_categories(self, verdicts, detail):
+    def _stage_categories(self, detail):
         built = {
             "transporter_poset": self.transporter_omega,
             "transporter_poset_centric": self.transporter_omega_centric,
@@ -313,21 +279,21 @@ class PipelineRun:
                 if len(pcat.mor(triv, j)) != self.G.order // R.order:
                     ok = False
                     self.notes.append(f"orbit coset count wrong at {R.label()}")
-        verdicts["category_laws"] = verdict_str(ok)
+        return ok
 
-    def _stage_quotient(self, verdicts, detail):
+    def _stage_quotient(self, detail):
         v = cats.verify_quotient_functor(self.linking_projection, self.p)
-        verdicts["quotient_functor_conditions"] = verdict_str(v.passed)
         detail["categories"]["quotient_kernel_orders"] = v.kernel_orders
+        return v.passed
 
-    def _stage_adjunction(self, verdicts, detail):
+    def _stage_adjunction(self, detail):
         v = cats.verify_closure_adjunction(
             self.G, self.p, self.poset, self.sylow_subgroup_list, self.cfg.budget
         )
-        verdicts["closure_inclusion_adjunction"] = verdict_str(v.passed)
         detail["limits"]["adjunction_pairs_checked"] = v.pairs_checked
+        return v.passed
 
-    def _stage_nerve_vs_group(self, verdicts, detail):
+    def _stage_nerve_vs_group(self, detail):
         dmax = self.cfg.max_degree
         bar = self.bar
         t_omega_cx = self.complex_of("transporter_poset", self.transporter_omega, dmax)
@@ -365,11 +331,9 @@ class PipelineRun:
             "certified_through": iso.certified_through,
             "iso": iso.iso_by_degree,
         }
-        verdicts["transporter_nerve_vs_classifying_space"] = verdict_str(
-            ok and iso.passed and dims_equal and coset_h.dims == point
-        )
+        return ok and iso.passed and dims_equal and coset_h.dims == point
 
-    def _stage_centric_restriction(self, verdicts, detail):
+    def _stage_centric_restriction(self, detail):
         dmax = self.cfg.max_degree
         T = self.transporter_omega
         sub_idx = [
@@ -385,9 +349,9 @@ class PipelineRun:
             "certified_through": iso.certified_through,
             "iso": iso.iso_by_degree,
         }
-        verdicts["centric_restriction_homology"] = verdict_str(iso.passed)
+        return iso.passed
 
-    def _stage_centric_agreement(self, verdicts, detail):
+    def _stage_centric_agreement(self, detail):
         dmax = max(self.cfg.max_degree - 1, 1)
         cx_omega_c = self.complex_of(
             "transporter_poset_centric", self.transporter_omega_centric, dmax
@@ -401,9 +365,9 @@ class PipelineRun:
             "dims": b, "exact_through": dmax - 1}
         detail["homology"]["transporter_poset_centric_nerve"] = {
             "dims": a, "exact_through": dmax - 1}
-        verdicts["centric_collections_agree"] = verdict_str(a == b)
+        return a == b
 
-    def _stage_t_vs_l(self, verdicts, detail):
+    def _stage_t_vs_l(self, detail):
         dmax = self.cfg.max_degree
         quotient_ok = cats.verify_quotient_functor(self.linking_projection, self.p).passed
         src = self.complex_of(
@@ -419,11 +383,9 @@ class PipelineRun:
             "certified_through": iso.certified_through,
             "iso": iso.iso_by_degree,
         }
-        verdicts["transporter_vs_linking_homology"] = verdict_str(
-            quotient_ok and iso.passed
-        )
+        return quotient_ok and iso.passed
 
-    def _stage_punctured(self, verdicts, detail):
+    def _stage_punctured(self, detail):
         skel = self.skeletons
         nmax = self.cfg.max_limit_degree
         records = []
@@ -443,9 +405,9 @@ class PipelineRun:
                     "poset_dims": v.omega_dims,
                 })
         detail["limits"]["punctured"] = records
-        verdicts["punctured_limits_vanish"] = verdict_str(ok)
+        return ok
 
-    def _stage_reduction(self, verdicts, detail):
+    def _stage_reduction(self, detail):
         skel = self.skeletons
         nmax = self.cfg.max_limit_degree
         records = []
@@ -464,9 +426,9 @@ class PipelineRun:
                     "quotient_order": v.quotient_order,
                 })
         detail["limits"]["normalizer_reduction"] = records
-        verdicts["normalizer_reduction"] = verdict_str(ok)
+        return ok
 
-    def _stage_atomic(self, verdicts, detail):
+    def _stage_atomic(self, detail):
         nmax = self.cfg.max_limit_degree
         module = ModuleData(1, [np.eye(1, dtype=np.int64) for _ in self.G.generators])
         profile = atomic_functor_limits(
@@ -477,12 +439,9 @@ class PipelineRun:
             "dims": profile.dims,
             "group_has_order_p_element": has_p_element,
         }
-        if has_p_element:
-            verdicts["atomic_vanishing_with_p_kernel"] = verdict_str(profile.vanishes)
-        else:
-            verdicts["atomic_vanishing_with_p_kernel"] = verdict_str(True)
+        return profile.vanishes or not has_p_element
 
-    def _stage_restriction(self, verdicts, detail):
+    def _stage_restriction(self, detail):
         skel = self.skeletons
         nmax = self.cfg.max_limit_degree
         records = []
@@ -498,9 +457,9 @@ class PipelineRun:
                 "restricted": v.restricted_dims,
             })
         detail["limits"]["support_restriction"] = records
-        verdicts["support_restriction_limits"] = verdict_str(ok)
+        return ok
 
-    def _stage_filtration(self, verdicts, detail):
+    def _stage_filtration(self, detail):
         skel = self.skeletons
         nmax = self.cfg.max_limit_degree
         records = []
@@ -527,15 +486,14 @@ class PipelineRun:
                 "full_dims": v.full_dims,
             })
         detail["limits"]["class_filtration"] = records
-        verdicts["class_filtration_limits"] = verdict_str(ok)
+        return ok
 
-    def _stage_main(self, verdicts, detail):
+    def _stage_main(self, detail):
         dmax = self.cfg.max_degree
         through = min(2, dmax - 1)
         if through < 2:
-            verdicts["main_comparison"] = NOT_CERTIFIED
             self.notes.append("main comparison needs max degree >= 3")
-            return
+            return None
         bar_h = self.bar.homology().dims
         link_h = self.complex_of(
             "linking_centric", self.linking_centric, dmax
@@ -546,7 +504,7 @@ class PipelineRun:
             "linking_dims": link_h[: through + 1],
             "through_degree": through,
         }
-        verdicts["main_comparison"] = verdict_str(equal)
+        return equal
 
     # -- assembly ------------------------------------------------------------
 
@@ -604,10 +562,8 @@ class PipelineRun:
                 "hasse_edges": poset.hasse_edges(),
             },
             "centric_in_sylow": centric_sylow,
-            "categories": detail["categories"],
-            "homology": detail["homology"],
-            "limits": detail["limits"],
-            "verdicts": {k: verdicts.get(k, NOT_CERTIFIED) for k in _ALL_VERDICT_KEYS},
+            **detail,
+            "verdicts": verdicts,
             "notes": self.notes,
             "overall": "",
         }
@@ -617,29 +573,39 @@ class PipelineRun:
         return data
 
 
-_CHECK_VERDICT_KEYS = {
-    "closure": [
+class Stage(NamedTuple):
+    check: str
+    keys: tuple[str, ...]  # verdict keys, in report order
+    run: Callable[[PipelineRun, dict], object]  # a value per key; a bare value for one key
+
+
+STAGES = (
+    Stage("closure", (
         "closure_extends_and_monotone",
         "closure_idempotent",
         "closure_preserves_transporters",
         "closure_transporter_equality",
-    ],
-    "categories": ["category_laws"],
-    "quotient": ["quotient_functor_conditions"],
-    "adjunction": ["closure_inclusion_adjunction"],
-    "nerve-vs-group": ["transporter_nerve_vs_classifying_space"],
-    "centric-restriction": ["centric_restriction_homology"],
-    "centric-agreement": ["centric_collections_agree"],
-    "linking-vs-transporter": ["transporter_vs_linking_homology"],
-    "punctured": ["punctured_limits_vanish"],
-    "normalizer-reduction": ["normalizer_reduction"],
-    "atomic-vanishing": ["atomic_vanishing_with_p_kernel"],
-    "restriction": ["support_restriction_limits"],
-    "filtration": ["class_filtration_limits"],
-    "main": ["main_comparison"],
-}
+    ), PipelineRun._stage_closure),
+    Stage("categories", ("category_laws",), PipelineRun._stage_categories),
+    Stage("quotient", ("quotient_functor_conditions",), PipelineRun._stage_quotient),
+    Stage("adjunction", ("closure_inclusion_adjunction",), PipelineRun._stage_adjunction),
+    Stage("nerve-vs-group", ("transporter_nerve_vs_classifying_space",),
+          PipelineRun._stage_nerve_vs_group),
+    Stage("centric-restriction", ("centric_restriction_homology",),
+          PipelineRun._stage_centric_restriction),
+    Stage("centric-agreement", ("centric_collections_agree",),
+          PipelineRun._stage_centric_agreement),
+    Stage("linking-vs-transporter", ("transporter_vs_linking_homology",),
+          PipelineRun._stage_t_vs_l),
+    Stage("punctured", ("punctured_limits_vanish",), PipelineRun._stage_punctured),
+    Stage("normalizer-reduction", ("normalizer_reduction",), PipelineRun._stage_reduction),
+    Stage("atomic-vanishing", ("atomic_vanishing_with_p_kernel",), PipelineRun._stage_atomic),
+    Stage("restriction", ("support_restriction_limits",), PipelineRun._stage_restriction),
+    Stage("filtration", ("class_filtration_limits",), PipelineRun._stage_filtration),
+    Stage("main", ("main_comparison",), PipelineRun._stage_main),
+)
 
-_ALL_VERDICT_KEYS = [k for keys in _CHECK_VERDICT_KEYS.values() for k in keys]
+ALL_CHECKS = tuple(stage.check for stage in STAGES)
 
 
 def run_pipeline(spec_source: str, config: PipelineConfig) -> AnalysisReport:

@@ -1,4 +1,8 @@
-"""Structured analysis reports with stable JSON serialization."""
+"""Structured analysis reports with stable JSON serialization.
+
+The pipeline builds ``verdicts`` in its stage order, with every verdict key
+present; the text report and the overall verdict walk that dict as built.
+"""
 
 from __future__ import annotations
 
@@ -8,26 +12,6 @@ from dataclasses import dataclass
 PASS = "pass"
 FAIL = "fail"
 NOT_CERTIFIED = "not-certified"
-
-VERDICT_KEYS = [
-    "closure_extends_and_monotone",
-    "closure_idempotent",
-    "closure_preserves_transporters",
-    "closure_transporter_equality",
-    "category_laws",
-    "quotient_functor_conditions",
-    "closure_inclusion_adjunction",
-    "transporter_nerve_vs_classifying_space",
-    "centric_restriction_homology",
-    "centric_collections_agree",
-    "transporter_vs_linking_homology",
-    "punctured_limits_vanish",
-    "normalizer_reduction",
-    "atomic_vanishing_with_p_kernel",
-    "support_restriction_limits",
-    "class_filtration_limits",
-    "main_comparison",
-]
 
 
 def verdict_str(value: bool | None) -> str:
@@ -72,15 +56,15 @@ class AnalysisReport:
                 for name, info in d[section].items():
                     lines.append(f"  {name}: {json.dumps(info)}")
         lines.append("[verdicts]")
-        for key in VERDICT_KEYS:
-            lines.append(f"  {key}: {d['verdicts'].get(key, NOT_CERTIFIED)}")
+        for key, value in d["verdicts"].items():
+            lines.append(f"  {key}: {value}")
         lines.append(f"overall: {d['overall']}")
         return "\n".join(lines) + "\n"
 
 
 def finalize_overall(verdicts: dict) -> str:
-    values = [verdicts.get(k, NOT_CERTIFIED) for k in VERDICT_KEYS]
-    if any(v == FAIL for v in values):
+    values = verdicts.values()
+    if FAIL in values:
         return FAIL
     if all(v == PASS for v in values):
         return PASS

@@ -56,6 +56,9 @@ def test_validate_rejects_bad_matrices():
     F.mats[tid] = np.zeros((1, 1), dtype=np.int64)
     with pytest.raises(NotAFunctor):
         F.validate()
+    # the builders leave validation to limits_profile, which must refuse it
+    with pytest.raises(NotAFunctor):
+        limits_profile(F, 2)
 
 
 def test_atomic_limits_vanish_with_p_element():

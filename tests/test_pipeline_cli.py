@@ -1,16 +1,21 @@
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plocal import GroupSpec, ParseError, PipelineConfig, analyze, run_pipeline
+from plocal import GroupSpec, ParseError, PLocalError, PipelineConfig, analyze, run_pipeline
 from plocal.catalog import build_group, parse_cycles
 from plocal.errors import OutOfRangePoint
-from plocal.report import VERDICT_KEYS, emit_report
+from plocal.pipeline import ALL_CHECKS, STAGES
+from plocal.report import emit_report
+
+VERDICT_KEYS = [key for stage in STAGES for key in stage.keys]
 
 
 def run_cli(*args):
@@ -85,7 +90,7 @@ def test_report_schema_keys():
         assert key in d
     assert d["sylow"]["order"] == 2
     assert d["sylow"]["count"] == 3
-    assert set(d["verdicts"]) == set(VERDICT_KEYS)
+    assert list(d["verdicts"]) == VERDICT_KEYS
     assert "timings" not in d
 
 
@@ -108,6 +113,23 @@ def test_check_subset_marks_others_not_certified():
     assert v["class_filtration_limits"] == "not-certified"
     assert rep.data["overall"] == "not-certified"
     assert rep.exit_code == 0
+
+
+def test_unknown_check_name_raises():
+    with pytest.raises(PLocalError, match="unknown checks: closre"):
+        run_pipeline("sym:3", PipelineConfig(prime=2, checks=("closre",)))
+
+
+def test_stage_table_matches_benchmark_and_report(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    table = {stage.check: stage.keys for stage in STAGES}
+    assert table == workloads.CHECK_VERDICTS
+    assert ALL_CHECKS == tuple(table)
+    rep = run_pipeline("sym:3", PipelineConfig(prime=2, checks=("closure", "main")))
+    assert list(rep.verdicts) == VERDICT_KEYS
+    stage_timings = [k for k in rep.data["timings"] if k.startswith("stage:")]
+    assert stage_timings == ["stage:closure", "stage:main"]
 
 
 def test_degenerate_prime_not_dividing_order():

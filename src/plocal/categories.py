@@ -1,15 +1,21 @@
 """Finite categories with explicit composition tables.
 
-Builders for the three categories attached to a group and a collection of
-p-subgroups:
+The three categories attached to a group G and a collection of p-subgroups
+differ only in which coset of G a transporter element stands for.  Each
+records, per object, one subgroup acting on witnesses from the left and one
+acting from the right, and a morphism P_i -> P_j with witness g stands for
+the coset left[i]·g·right[j]:
 
-* transporter: one morphism P -> Q per group element g with P^g <= Q;
-* linking: morphisms are left cosets O^p(C_G(P)) g of transporter elements;
-* orbit: morphisms are cosets g Q of transporter elements.
+* transporter: both sides trivial, so Mor(P, Q) = N_G(P, Q);
+* linking: K(P) = O^p(C_G(P)) on the left, Mor(P, Q) = K(P)\\N_G(P, Q);
+* orbit: Q on the right, Mor(P, Q) = N_G(P, Q)/Q.
 
-Morphism witnesses are canonical (minimal) coset representatives and the
-composite of g: P -> Q followed by h: Q -> R is the product g h, so all
-composition tables are total on composable pairs and reproducible.
+One rule, ``FiniteCategory.canonical``, picks each coset's least element as
+its witness; the composite of g: P -> Q followed by h: Q -> R is the coset
+of the product g h.  So all composition tables are total on composable
+pairs and reproducible, and ``verify_category`` checks every such category
+against the same rule.  ``group_category``, the one-object category of a
+subgroup, is built the same way with both sides trivial.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, NotCentric, PLocalError
-from .groups import PermutationGroup, Subgroup, centralizer, p_residual, transporter_set
-from .omega import IntersectionPoset, closure_in_poset, is_centric
+from .groups import PermutationGroup, Subgroup, transporter_set
+from .omega import IntersectionPoset, classify_centric, closure_in_poset
 
 
 @dataclass(frozen=True)
@@ -39,9 +45,10 @@ class FiniteCategory:
         self.mor_ids: dict[tuple[int, int], list[int]] = {}
         self.identity_ids: list[int] = [-1] * len(objects)
         self.compose_table: dict[tuple[int, int], int] = {}
-        # kernels defining the coset quotient each morphism set lives in
-        self.source_kernels: list[Subgroup] | None = None   # linking: K(P) acting on the left
-        self.target_kernels: list[Subgroup] | None = None   # orbit: Q acting on the right
+        # per object, the subgroups acting on witnesses from the left and from
+        # the right; None for a category not built from G by the coset rule
+        self.left: list[Subgroup] | None = None
+        self.right: list[Subgroup] | None = None
         self._by_witness: dict[tuple[int, int, int], int] = {}
 
     # -- construction ----------------------------------------------------
@@ -62,12 +69,9 @@ class FiniteCategory:
     def set_identity(self, obj: int, tid: int):
         self.identity_ids[obj] = tid
 
-    def fill_composition(self, canonical_witness, table_budget: int = DEFAULT_BUDGET):
-        """Materialize the composition table from witness products.
-
-        ``canonical_witness(src, tgt, raw_product)`` reduces a product to the
-        canonical representative of its coset.
-        """
+    def fill_composition(self, table_budget: int = DEFAULT_BUDGET):
+        """Materialize the composition table: the composite is the token of
+        the coset of the witness product."""
         G = self.group
         pairs = 0
         for (a, b), lhs in self.mor_ids.items():
@@ -81,8 +85,22 @@ class FiniteCategory:
                     w1 = self.morphisms[t1].witness
                     for t2 in rhs:
                         w2 = self.morphisms[t2].witness
-                        w = canonical_witness(a, c, G.mult(w1, w2))
+                        w = self.canonical(a, c, G.mult(w1, w2))
                         self.compose_table[(t1, t2)] = self._by_witness[(a, c, w)]
+
+    # -- the coset rule ------------------------------------------------------
+
+    def coset(self, i: int, j: int, g: int) -> list[int]:
+        """The elements left[i]·g·right[j] a witness g from object i to object j
+        stands for; a trivial side costs no multiplication."""
+        mult = self.group.mult
+        K, Q = self.left[i].ids, self.right[j].ids
+        gQ = [mult(g, q) for q in Q] if len(Q) > 1 else [g]
+        return [mult(k, x) for k in K for x in gQ] if len(K) > 1 else gQ
+
+    def canonical(self, i: int, j: int, g: int) -> int:
+        """The witness of g's coset: the least element of left[i]·g·right[j]."""
+        return min(self.coset(i, j, g))
 
     # -- queries -----------------------------------------------------------
 
@@ -123,35 +141,25 @@ class FiniteCategory:
             cur = self.compose(cur, tid)
             k += 1
             if k > len(self.mor(m.src, m.src)) + 1:
-                raise ValueError("endomorphism is not invertible")
+                raise PLocalError(f"endomorphism token {tid} is not invertible")
         return k
-
-
-# -- canonical coset representatives ---------------------------------------
-
-
-def _min_left_coset(G: PermutationGroup, K: Subgroup, g: int) -> int:
-    return min(G.mult(k, g) for k in K.ids)
-
-
-def _min_right_coset(G: PermutationGroup, g: int, Q: Subgroup) -> int:
-    return min(G.mult(g, q) for q in Q.ids)
 
 
 # -- builders ---------------------------------------------------------------
 
 
-def _fill_cosets(cat: FiniteCategory, canon, table_budget: int) -> FiniteCategory:
-    """Add one token per canonical witness ``canon(i, j, g)`` of the transporter
-    elements g from object i to object j, then compose by the same ``canon``."""
+def _fill_cosets(cat: FiniteCategory, table_budget: int) -> FiniteCategory:
+    """Add one token per coset left[i]·g·right[j] of the transporter elements
+    g from object i to object j, witnessed by its least element, and compose
+    by the same rule."""
     G = cat.group
     for i, P in enumerate(cat.objects):
         for j, Q in enumerate(cat.objects):
-            for w in sorted({canon(i, j, g) for g in transporter_set(G, P, Q)}):
+            for w in sorted({cat.canonical(i, j, g) for g in transporter_set(G, P, Q)}):
                 tid = cat.add_morphism(i, j, w)
                 if i == j and w == 0:
                     cat.set_identity(i, tid)
-    cat.fill_composition(canon, table_budget)
+    cat.fill_composition(table_budget)
     return cat
 
 
@@ -159,31 +167,44 @@ def build_transporter(G: PermutationGroup, collection,
                       table_budget: int = DEFAULT_BUDGET) -> FiniteCategory:
     """The transporter category: Mor(P, Q) = N_G(P, Q), one token per element."""
     cat = FiniteCategory("transporter", list(collection), G)
-    return _fill_cosets(cat, lambda i, j, g: g, table_budget)
+    cat.left = cat.right = [G.trivial_subgroup()] * cat.object_count
+    return _fill_cosets(cat, table_budget)
 
 
 def build_linking(G: PermutationGroup, p: int, centric_collection,
                   table_budget: int = DEFAULT_BUDGET) -> FiniteCategory:
     """The linking category on p-centric objects: Mor(P, Q) = K(P)\\N_G(P, Q)
-    with K(P) = O^p(C_G(P)); tokens are canonical left-coset representatives."""
+    with K(P) = O^p(C_G(P)) acting on the left."""
     objs = list(centric_collection)
-    kernels = []
-    for P in objs:
-        if not is_centric(G, p, P):
-            raise NotCentric(f"{P.label()} is not {p}-centric")
-        kernels.append(p_residual(centralizer(G, P), p))
+    records = classify_centric(G, p, objs).records
+    for r in records:
+        if not r.is_centric:
+            raise NotCentric(f"{r.subgroup.label()} is not {p}-centric")
     cat = FiniteCategory("linking", objs, G)
-    cat.source_kernels = kernels
-    return _fill_cosets(cat, lambda i, j, g: _min_left_coset(G, kernels[i], g), table_budget)
+    cat.left = [r.residual for r in records]
+    cat.right = [G.trivial_subgroup()] * len(objs)
+    return _fill_cosets(cat, table_budget)
 
 
 def build_orbit(G: PermutationGroup, collection,
                 table_budget: int = DEFAULT_BUDGET) -> FiniteCategory:
-    """The orbit category: Mor(P, Q) = N_G(P, Q)/Q as cosets gQ."""
-    objs = list(collection)
-    cat = FiniteCategory("orbit", objs, G)
-    cat.target_kernels = objs
-    return _fill_cosets(cat, lambda i, j, g: _min_right_coset(G, g, objs[j]), table_budget)
+    """The orbit category: Mor(P, Q) = N_G(P, Q)/Q, with Q acting on the right."""
+    cat = FiniteCategory("orbit", list(collection), G)
+    cat.left = [G.trivial_subgroup()] * cat.object_count
+    cat.right = cat.objects
+    return _fill_cosets(cat, table_budget)
+
+
+def group_category(G: PermutationGroup, P: Subgroup) -> FiniteCategory:
+    """The one-object category with morphism set P, composed by G's product;
+    token k is the element ``P.ids[k]``."""
+    cat = FiniteCategory("group", [P], G)
+    cat.left = cat.right = [G.trivial_subgroup()]
+    for x in P.ids:
+        cat.add_morphism(0, 0, x)
+    cat.set_identity(0, 0)
+    cat.fill_composition(table_budget=P.order ** 2)
+    return cat
 
 
 def coset_category(G: PermutationGroup, collection) -> FiniteCategory:
@@ -269,6 +290,9 @@ def identity_functor(C: FiniteCategory) -> Functor:
 def full_subcategory(C: FiniteCategory, keep: list[int]) -> tuple[FiniteCategory, Functor]:
     """Full subcategory on the listed objects, with its inclusion functor."""
     sub = FiniteCategory(C.kind, [C.objects[i] for i in keep], C.group)
+    if C.left is not None:
+        sub.left = [C.left[i] for i in keep]
+        sub.right = [C.right[i] for i in keep]
     old_of_new_obj = list(keep)
     new_obj = {o: i for i, o in enumerate(keep)}
     token_map: dict[int, int] = {}
@@ -283,10 +307,6 @@ def full_subcategory(C: FiniteCategory, keep: list[int]) -> tuple[FiniteCategory
     for (t1, t2), t3 in C.compose_table.items():
         if t1 in token_map and t2 in token_map:
             sub.compose_table[(token_map[t1], token_map[t2])] = token_map[t3]
-    if C.source_kernels is not None:
-        sub.source_kernels = [C.source_kernels[i] for i in keep]
-    if C.target_kernels is not None:
-        sub.target_kernels = [C.target_kernels[i] for i in keep]
     inv = {v: k for k, v in token_map.items()}
     incl = Functor(
         sub, C, old_of_new_obj, [inv[t] for t in range(sub.morphism_count)]
@@ -298,13 +318,11 @@ def quotient_projection(T: FiniteCategory, p: int,
                         table_budget: int = DEFAULT_BUDGET) -> Functor:
     """The projection from a transporter category on centric objects to the
     linking category: identity on objects, witness g -> K(P) g."""
-    G = T.group
-    L = build_linking(G, p, T.objects, table_budget)
-    mor_map = []
-    for m in T.morphisms:
-        K = L.source_kernels[m.src]
-        w = _min_left_coset(G, K, m.witness)
-        mor_map.append(L._by_witness[(m.src, m.tgt, w)])
+    L = build_linking(T.group, p, T.objects, table_budget)
+    mor_map = [
+        L.token_by_witness(m.src, m.tgt, L.canonical(m.src, m.tgt, m.witness))
+        for m in T.morphisms
+    ]
     return Functor(T, L, list(range(T.object_count)), mor_map)
 
 
@@ -435,54 +453,24 @@ def verify_category(C: FiniteCategory) -> CategoryLawsVerdict:
 
 
 def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str]) -> bool:
-    """Exhaustively check that coset composition is representative-independent."""
-    G = C.group
-    if G is None:
+    """Exhaustively check the coset rule: each witness is the least element of
+    its coset, and for every composable pair of tokens every product of
+    representatives of their two cosets lies in the composite's coset."""
+    if C.left is None:
         return True
     ok = True
-    if C.kind == "linking" and C.source_kernels is not None:
-        kernels = C.source_kernels
-        for t1, m1 in enumerate(C.morphisms):
-            K_src = kernels[m1.src]
-            K_mid = kernels[m1.tgt]
-            for j in range(C.object_count):
-                for t2 in C.mor(m1.tgt, j):
-                    m2 = C.morphisms[t2]
-                    expected = C.compose(t1, t2)
-                    for sig in K_src.ids:
-                        w = _min_left_coset(
-                            G, K_src, G.mult(G.mult(sig, m1.witness), m2.witness)
-                        )
-                        if w != C.morphisms[expected].witness:
-                            ok = False
-                            failures.append(f"left-kernel shift breaks composite ({t1},{t2})")
-                    for tau in K_mid.ids:
-                        w = _min_left_coset(
-                            G, K_src, G.mult(m1.witness, G.mult(tau, m2.witness))
-                        )
-                        if w != C.morphisms[expected].witness:
-                            ok = False
-                            failures.append(f"middle-kernel shift breaks composite ({t1},{t2})")
-    if C.kind == "orbit" and C.target_kernels is not None:
-        for t1, m1 in enumerate(C.morphisms):
-            Q = C.target_kernels[m1.tgt]
-            for j in range(C.object_count):
-                for t2 in C.mor(m1.tgt, j):
-                    m2 = C.morphisms[t2]
-                    R = C.target_kernels[j]
-                    expected = C.morphisms[C.compose(t1, t2)].witness
-                    for q in Q.ids:
-                        for r in R.ids:
-                            w = _min_right_coset(
-                                G,
-                                G.mult(G.mult(m1.witness, q), G.mult(m2.witness, r)),
-                                R,
-                            )
-                            if w != expected:
-                                ok = False
-                                failures.append(
-                                    f"representative shift breaks composite ({t1},{t2})"
-                                )
+    cosets = []
+    for tid, m in enumerate(C.morphisms):
+        cosets.append(frozenset(C.coset(m.src, m.tgt, m.witness)))
+        if min(cosets[tid]) != m.witness:
+            ok = False
+            failures.append(f"witness of token {tid} is not the least of its coset")
+    mult = C.group.mult
+    for (t1, t2), t3 in C.compose_table.items():
+        coset3 = cosets[t3]
+        if not all(mult(a, b) in coset3 for a in cosets[t1] for b in cosets[t2]):
+            ok = False
+            failures.append(f"representative shift breaks composite ({t1},{t2})")
     return ok
 
 
@@ -673,8 +661,8 @@ def verify_closure_adjunction(
             P2c, Pc = clos[P2.ids], clos[P.ids]
             for u in big.mor(iP2, iP):
                 w_u = big.morphisms[u].witness
-                w_uc = _min_right_coset(G, w_u, Pc)
-                uc = omega._by_witness.get((om_idx[P2c.ids], om_idx[Pc.ids], w_uc))
+                i_om, j_om = om_idx[P2c.ids], om_idx[Pc.ids]
+                uc = omega._by_witness.get((i_om, j_om, omega.canonical(i_om, j_om, w_u)))
                 if uc is None:
                     natural_src = False
                     failures.append("closure of a morphism is missing")

@@ -17,25 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .categories import FiniteCategory
+from .categories import FiniteCategory, group_category
 from .chains import Chains, nerve_boundary
 from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .fplinalg import EchelonCoords, nullspace_dense
 from .groups import PermutationGroup, Subgroup
 from .limits import LinearFunctor
-
-
-def _group_category(G: PermutationGroup, P: Subgroup) -> FiniteCategory:
-    """The one-object category with morphism set P, composed by G's product;
-    token k is the element ``P.ids[k]``."""
-    cat = FiniteCategory("group", [P], G)
-    for x in P.ids:
-        cat.add_morphism(0, 0, x)
-    cat.set_identity(0, cat.token_by_witness(0, 0, 0))
-    for a, x in enumerate(P.ids):
-        for b, y in enumerate(P.ids):
-            cat.compose_table[(a, b)] = cat.token_by_witness(0, 0, G.mult(x, y))
-    return cat
 
 
 class CohomologyBasis:
@@ -52,7 +39,7 @@ class CohomologyBasis:
         if nonid ** (i + 1) > budget:
             raise BudgetExceeded(i + 1, nonid ** (i + 1), budget)
 
-        self.category = _group_category(G, P)
+        self.category = group_category(G, P)
         self.chains = Chains(self.category, i + 1)
         ambient = self.chains.dims[i]
         if ambient == 0:
@@ -121,16 +108,10 @@ def classifying_cohomology_functor(
     cache: CohomologyCache | None = None,
 ) -> LinearFunctor:
     """The functor P |-> H^i(B P; F_p) on an orbit category, with morphism
-    action induced by conjugation by the canonical witness."""
-    cache = cache or CohomologyCache(G, p)
-    bases = [cache.basis(P, i) for P in cat.objects]
-    dims = [b.dim for b in bases]
-    mats: dict[int, np.ndarray] = {}
-    for tid, m in enumerate(cat.morphisms):
-        src_b, tgt_b = bases[m.src], bases[m.tgt]
-        g = m.witness
-        mats[tid] = src_b.pullback_matrix(tgt_b, lambda x: G.conj(x, g))
-    return LinearFunctor(cat, p, dims, mats)
+    action induced by conjugation by the canonical witness: the supported
+    functor with every object in its support."""
+    everywhere = list(range(cat.object_count))
+    return supported_cohomology_functor(G, p, cat, everywhere, i, cache)
 
 
 def supported_cohomology_functor(

@@ -157,9 +157,6 @@ class PermutationGroup:
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, tuple(range(self.order)))
 
-    def generator_ids(self) -> tuple[int, ...]:
-        return tuple(self._index[g.images] for g in self.generators)
-
 
 class Subgroup:
     """A subgroup of an enumerated group, stored as explicit sorted element ids."""
@@ -206,9 +203,6 @@ class Subgroup:
     def __lt__(self, other: "Subgroup") -> bool:
         return self.idset < other.idset
 
-    def contains_id(self, i: int) -> bool:
-        return i in self.idset
-
     @property
     def generating_ids(self) -> tuple[int, ...]:
         """A small generating set, chosen greedily in canonical element order."""
@@ -236,9 +230,6 @@ class Subgroup:
         while n % p == 0:
             n //= p
         return n == 1
-
-    def element_perms(self) -> list[Permutation]:
-        return [self.parent.elements[i] for i in self.ids]
 
     def label(self) -> str:
         """Readable label from a minimal generating set, e.g. ``<(1 2),(3 4)>``."""
@@ -354,7 +345,7 @@ def sylow_subgroup(G: PermutationGroup, p: int) -> Subgroup:
                     pick = g
                     break
         if pick is None:
-            raise RuntimeError("normalizer ascent stalled below the p-part")
+            raise PLocalError("normalizer ascent stalled below the p-part")
         P = G.generated_subgroup(P.ids + (pick,))
     if P.order != target:
         raise PLocalError(f"normalizer ascent reached order {P.order}, not {target}")

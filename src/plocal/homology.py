@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .categories import FiniteCategory, Functor, build_transporter
+from .categories import FiniteCategory, Functor, group_category
 from .chains import Chains, chain_counts, nerve_boundary
 from .errors import DEFAULT_BUDGET, BudgetExceeded, PLocalError
 from .fplinalg import FpMatrix
@@ -36,9 +36,6 @@ class HomologyProfile:
     prime: int
     dims: list[int]
     dmax: int
-
-    def dim(self, d: int) -> int:
-        return self.dims[d]
 
 
 class FpComplex:
@@ -100,8 +97,7 @@ def bar_complex(G: PermutationGroup, prime: int, dmax: int,
     """
     if (G.order - 1) ** dmax > budget:
         raise BudgetExceeded(dmax, (G.order - 1) ** dmax, budget)
-    cat = build_transporter(G, [G.full_subgroup()], table_budget=max(budget, G.order ** 2))
-    return nerve_complex(cat, prime, dmax, budget)
+    return nerve_complex(group_category(G, G.full_subgroup()), prime, dmax, budget)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from .cohomology import (
     supported_cohomology_functor,
     zeroed_at,
 )
-from .errors import DEFAULT_BUDGET, UpwardClosureViolated
+from .errors import DEFAULT_BUDGET, PLocalError, UpwardClosureViolated
 from .groups import (
     PermutationGroup,
     Subgroup,
@@ -79,7 +79,7 @@ class OrbitSkeletons:
                 return i
             if any(H.conjugate(g).ids == R.ids for g in range(self.G.order)):
                 return i
-        raise KeyError(f"{H.label()} is not a p-subgroup of the catalogued classes")
+        raise PLocalError(f"{H.label()} is not a p-subgroup of the catalogued classes")
 
     def omega_object_of(self, H: Subgroup) -> int | None:
         k = self.p_object_of(H)

@@ -8,7 +8,7 @@ c_0 -> c_1 -> ... -> c_n of non-identity morphisms, in the head-major order
 of ``chains`` (tokens are numbered grouped by source, as
 ``FiniteCategory.add_morphism`` enforces) over the heads with F(c_0) != 0.
 Each face's block column is found by the index walk of ``chains``.  A
-complex built to ``nmax`` certifies lim^n for n <= nmax-1, and lim^0 can be
+complex built to ``nmax`` certifies lim^n for n <= nmax-1, and lim^0 is
 cross-checked against the directly solved compatible-family system.
 """
 
@@ -32,9 +32,6 @@ class LinearFunctor:
     prime: int
     dims: list[int]
     mats: dict[int, np.ndarray]   # token id -> matrix of shape (dims[src], dims[tgt])
-
-    def matrix(self, tid: int) -> np.ndarray:
-        return self.mats[tid]
 
     def validate(self):
         """Exhaustive functoriality check; raises NotAFunctor on any failure."""
@@ -62,9 +59,6 @@ class LinearFunctor:
         }
         return LinearFunctor(sub, self.prime, dims, mats)
 
-    def support(self) -> list[int]:
-        return [i for i, d in enumerate(self.dims) if d > 0]
-
 
 def constant_functor(C: FiniteCategory, prime: int, dim: int = 1) -> LinearFunctor:
     eye = np.eye(dim, dtype=np.int64)
@@ -80,10 +74,7 @@ class LimitsProfile:
     prime: int
     dims: list[int]
     nmax: int
-    lim0_cross_check: int | None = None
-
-    def dim(self, n: int) -> int:
-        return self.dims[n]
+    lim0_cross_check: int
 
     @property
     def vanishes(self) -> bool:
@@ -138,14 +129,13 @@ def functor_cochain_complex(F: LinearFunctor, nmax: int,
     return cx
 
 
-def limits_profile(F: LinearFunctor, nmax: int, budget: int = DEFAULT_BUDGET,
-                   cross_check: bool = True) -> LimitsProfile:
+def limits_profile(F: LinearFunctor, nmax: int, budget: int = DEFAULT_BUDGET) -> LimitsProfile:
     """lim^n F for n < nmax, after an exhaustive check that F is a functor."""
     F.validate()
     cx = functor_cochain_complex(F, nmax, budget)
     dims = cx.limit_dims()
-    check = inverse_limit_dim(F) if cross_check else None
-    if check is not None and dims and dims[0] != check:
+    check = inverse_limit_dim(F)
+    if dims and dims[0] != check:
         raise PLocalError(
             f"lim^0 mismatch: cochain gives {dims[0]}, compatibility system gives {check}"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NotPSubgroup
+from .errors import NotPSubgroup, PLocalError
 from .groups import (
     PermutationGroup,
     Subgroup,
@@ -34,12 +34,6 @@ class IntersectionPoset:
     class_of: list[int]
     minimum: int                     # index of the intersection of all Sylows
     leq: list[frozenset[int]] = field(repr=False)  # leq[i] = {j : members[i] <= members[j]}
-
-    def index_of(self, H: Subgroup) -> int | None:
-        for i, m in enumerate(self.members):
-            if m.ids == H.ids:
-                return i
-        return None
 
     def members_in(self, S: Subgroup) -> list[int]:
         """Indices of members contained in S (the poset relative to one Sylow)."""
@@ -162,7 +156,7 @@ class CentricityTable:
         for r in self.records:
             if r.subgroup.ids == H.ids:
                 return r
-        raise KeyError(f"{H.label()} was not classified")
+        raise PLocalError(f"{H.label()} was not classified")
 
     def centric_subgroups(self) -> list[Subgroup]:
         return [r.subgroup for r in self.records if r.is_centric]

@@ -315,10 +315,7 @@ class PipelineRun:
             i for i, P in enumerate(T.objects)
             if P.ids == self.poset.members[self.poset.minimum].ids
         )
-        bg_cat = cats.build_transporter(
-            self.G, [self.G.full_subgroup()],
-            table_budget=max(self.cfg.budget, self.G.order ** 2),
-        )
+        bg_cat = cats.group_category(self.G, self.G.full_subgroup())
         functor = cats.Functor(
             bg_cat, T, [min_idx],
             [T.token_by_witness(min_idx, min_idx, m.witness) for m in bg_cat.morphisms],

@@ -18,7 +18,7 @@ from plocal import (
     verify_quotient_functor,
 )
 from plocal.catalog import build_group
-from plocal.categories import iso_classes
+from plocal.categories import Morphism, iso_classes
 
 
 def centric_in_sylow(G, p):
@@ -96,6 +96,44 @@ def test_category_laws_everywhere():
         cents = centric_in_sylow(G, p)
         if cents:
             assert verify_category(build_linking(G, p, cents)).passed
+
+
+def _corrupt_one_composite(C):
+    """Point one composite at another token of the same morphism set."""
+    for (t1, t2), t3 in C.compose_table.items():
+        m3 = C.morphisms[t3]
+        others = [t for t in C.mor(m3.src, m3.tgt) if t != t3]
+        if others:
+            C.compose_table[(t1, t2)] = others[0]
+            return
+    raise AssertionError("every morphism set has one token")
+
+
+@pytest.mark.parametrize("kind", ["transporter", "linking", "orbit"])
+def test_coset_check_catches_a_wrong_composite(kind):
+    G = build_group("sym:3 x cyc:3")
+    if kind == "linking":
+        C = build_linking(G, 2, centric_in_sylow(G, 2))
+        assert [K.order for K in C.left] == [3]
+    else:
+        builder = build_transporter if kind == "transporter" else build_orbit
+        C = builder(G, build_intersection_poset(G, 2).members)
+    assert verify_category(C).well_defined
+    _corrupt_one_composite(C)
+    v = verify_category(C)
+    assert not v.well_defined
+    assert any("representative shift breaks composite" in f for f in v.failures)
+
+
+def test_coset_check_catches_a_witness_that_is_not_least():
+    G = build_group("sym:3")
+    C = build_orbit(G, [G.trivial_subgroup(), sylow_subgroup(G, 2)])
+    t = C.mor(0, 1)[0]
+    m = C.morphisms[t]
+    C.morphisms[t] = Morphism(m.src, m.tgt, max(C.coset(m.src, m.tgt, m.witness)))
+    v = verify_category(C)
+    assert not v.well_defined
+    assert f"witness of token {t} is not the least of its coset" in v.failures
 
 
 def test_quotient_projection_fibers():

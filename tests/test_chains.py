@@ -26,6 +26,7 @@ from plocal import (
 )
 from plocal import cohomology, homology, limits, pipeline
 from plocal.catalog import build_group
+from plocal.categories import group_category
 from plocal.chains import Chains, nerve_boundary
 from plocal.limits import constant_functor, functor_cochain_complex
 
@@ -127,7 +128,7 @@ def test_bar_coboundaries_match_reference(spec, p):
     for P in all_subgroups(sylow_subgroup(G, p)):
         if P.order > 8:
             continue
-        chains = Chains(cohomology._group_category(G, P), 3)
+        chains = Chains(group_category(G, P), 3)
         for n in range(3):
             got = nerve_boundary(chains, n + 1, p).csr.toarray()
             want = ref.bar_coboundary(G, P, n, p)

@@ -197,6 +197,26 @@ def test_internal_error_fails_only_its_stage(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["verdicts"]["main_comparison"] == "pass"
 
 
+def test_broken_endomorphism_fails_only_the_quotient_stage():
+    from plocal.pipeline import PipelineRun
+
+    checks = ("closure", "quotient", "adjunction")
+    run = PipelineRun(build_group("sym:3 x cyc:3"),
+                      PipelineConfig(prime=2, checks=checks, include_timings=False), "")
+    T, L = run.transporter_centric, run.linking_centric
+    # a kernel automorphism of order 3: it maps to an identity of the linking
+    # category; composing it with itself now returns it, so it never cycles
+    t = next(t for t in range(T.morphism_count)
+             if not T.is_identity(t) and L.is_identity(run.linking_projection.apply(t)))
+    T.compose_table[(t, t)] = t
+    rep = run.run()
+    v = rep.data["verdicts"]
+    assert v["quotient_functor_conditions"] == "fail"
+    assert f"quotient: endomorphism token {t} is not invertible" in rep.data["notes"]
+    assert v["closure_idempotent"] == "pass"
+    assert v["closure_inclusion_adjunction"] == "pass"
+
+
 def test_exit_code_on_failing_verdict():
     from plocal.report import AnalysisReport, finalize_overall
 

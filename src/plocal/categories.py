@@ -16,15 +16,44 @@ of the product g h.  So all composition tables are total on composable
 pairs and reproducible, and ``verify_category`` checks every such category
 against the same rule.  ``group_category``, the one-object category of a
 subgroup, is built the same way with both sides trivial.
+
+Composition: tokens are numbered grouped by source (``add_morphism``
+enforces it), so the tokens leaving object o are the block
+``first[o] <= t < first[o + 1]``.  The composable pairs (t1, t2) are t1
+followed by a token of the block of t1's target; each has one slot in the
+int array ``composite``, at ``pair_start[t1] + (t2 - first[src[t2]])``,
+which puts the pairs in lexicographic order.  An unfilled slot holds -1.
+The per-token arrays ``src``, ``tgt`` and ``is_id`` are fixed with the slots.
+``fill_composition`` and ``coset_category`` write this store and
+``full_subcategory`` gathers it from the parent's; the scalar ``compose``,
+the elementwise ``composites``, ``chains``, the functor checks and
+``verify_category`` all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DEFAULT_BUDGET, BudgetExceeded, NotCentric, PLocalError
 from .groups import PermutationGroup, Subgroup, transporter_set
 from .omega import IntersectionPoset, classify_centric, closure_in_poset
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums of ``counts``, with the total appended."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blocks of the given sizes laid end to end: each slot's block, its
+    position in the block, and the block offsets."""
+    offs = _offsets(counts)
+    block = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    return block, np.arange(offs[-1], dtype=np.int64) - offs[block], offs
 
 
 @dataclass(frozen=True)
@@ -35,7 +64,8 @@ class Morphism:
 
 
 class FiniteCategory:
-    """Explicit objects, morphism lists per object pair, and a total composition table."""
+    """Explicit objects, morphism lists per object pair, and the composition
+    store of the module docstring."""
 
     def __init__(self, kind: str, objects: list, group: PermutationGroup | None = None):
         self.kind = kind
@@ -44,22 +74,26 @@ class FiniteCategory:
         self.morphisms: list[Morphism] = []
         self.mor_ids: dict[tuple[int, int], list[int]] = {}
         self.identity_ids: list[int] = [-1] * len(objects)
-        self.compose_table: dict[tuple[int, int], int] = {}
         # per object, the subgroups acting on witnesses from the left and from
         # the right; None for a category not built from G by the coset rule
         self.left: list[Subgroup] | None = None
         self.right: list[Subgroup] | None = None
         self._by_witness: dict[tuple[int, int, int], int] = {}
+        # the composition store, set once every token is added
+        self.src = self.tgt = self.is_id = self.first = self.pair_start = None
+        self.composite: np.ndarray | None = None
 
     # -- construction ----------------------------------------------------
 
     def add_morphism(self, src: int, tgt: int, witness: int | None = None) -> int:
         """Append a token.  Tokens are numbered grouped by source: a token may
-        not have a smaller source than the one before it (``chains`` relies on
-        this for its enumeration order)."""
+        not have a smaller source than the one before it (the composition
+        store and ``chains`` rely on this), and none is added to the store."""
         tid = len(self.morphisms)
         if tid and src < self.morphisms[-1].src:
             raise PLocalError("tokens must be added grouped by source object")
+        if self.composite is not None:
+            raise PLocalError("tokens are fixed once the composition is stored")
         self.morphisms.append(Morphism(src, tgt, witness))
         self.mor_ids.setdefault((src, tgt), []).append(tid)
         if witness is not None:
@@ -69,24 +103,33 @@ class FiniteCategory:
     def set_identity(self, obj: int, tid: int):
         self.identity_ids[obj] = tid
 
+    def _index_tokens(self):
+        """Fix the per-token arrays and the slot offsets of the store."""
+        n = self.morphism_count
+        self.src = np.fromiter((m.src for m in self.morphisms), np.int64, n)
+        self.tgt = np.fromiter((m.tgt for m in self.morphisms), np.int64, n)
+        self.is_id = np.asarray(self.identity_ids, dtype=np.int64)[self.src] == np.arange(n)
+        self.first = _offsets(np.bincount(self.src, minlength=self.object_count))
+        self.pair_start = _offsets(np.diff(self.first)[self.tgt])
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first and second tokens of every composable pair, in slot order."""
+        t1, j, _ = _expand(np.diff(self.pair_start))
+        return t1, self.first[self.tgt[t1]] + j
+
     def fill_composition(self, table_budget: int = DEFAULT_BUDGET):
-        """Materialize the composition table: the composite is the token of
-        the coset of the witness product."""
-        G = self.group
-        pairs = 0
-        for (a, b), lhs in self.mor_ids.items():
-            for (b2, c), rhs in self.mor_ids.items():
-                if b2 != b:
-                    continue
-                pairs += len(lhs) * len(rhs)
-                if pairs > table_budget:
-                    raise BudgetExceeded(2, pairs, table_budget)
-                for t1 in lhs:
-                    w1 = self.morphisms[t1].witness
-                    for t2 in rhs:
-                        w2 = self.morphisms[t2].witness
-                        w = self.canonical(a, c, G.mult(w1, w2))
-                        self.compose_table[(t1, t2)] = self._by_witness[(a, c, w)]
+        """Write the store: the composite is the token of the coset of the
+        witness product."""
+        self._index_tokens()
+        if self.pair_start[-1] > table_budget:
+            raise BudgetExceeded(2, int(self.pair_start[-1]), table_budget)
+        mult, mor = self.group.mult, self.morphisms
+        out = []
+        for t1, t2 in zip(*(t.tolist() for t in self.pairs())):
+            a, c = mor[t1].src, mor[t2].tgt
+            w = self.canonical(a, c, mult(mor[t1].witness, mor[t2].witness))
+            out.append(self._by_witness[(a, c, w)])
+        self.composite = np.array(out, dtype=np.int64)
 
     # -- the coset rule ------------------------------------------------------
 
@@ -110,12 +153,28 @@ class FiniteCategory:
     def token_by_witness(self, i: int, j: int, witness: int) -> int:
         return self._by_witness[(i, j, witness)]
 
+    def slot(self, t1: int, t2: int) -> int:
+        """The index of the pair (t1, t2) in ``composite``."""
+        if self.tgt[t1] != self.src[t2]:
+            raise PLocalError(f"tokens {t1} and {t2} do not compose")
+        return int(self.pair_start[t1] + t2 - self.first[self.src[t2]])
+
     def compose(self, t1: int, t2: int) -> int:
-        return self.compose_table[(t1, t2)]
+        t = int(self.composite[self.slot(t1, t2)])
+        if t < 0:
+            raise PLocalError(f"composite of tokens ({t1},{t2}) is not filled")
+        return t
+
+    def composites(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Composites of the tokens a then b, elementwise; -1 where a pair
+        does not compose or its slot is unfilled."""
+        ok = self.tgt[a] == self.src[b]
+        out = np.full(ok.shape, -1, dtype=np.int64)
+        out[ok] = self.composite[(self.pair_start[a] + b - self.first[self.src[b]])[ok]]
+        return out
 
     def is_identity(self, tid: int) -> bool:
-        m = self.morphisms[tid]
-        return self.identity_ids[m.src] == tid
+        return bool(self.is_id[tid])
 
     @property
     def object_count(self) -> int:
@@ -126,11 +185,8 @@ class FiniteCategory:
         return len(self.morphisms)
 
     def nonidentity_by_source(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.objects]
-        for tid, m in enumerate(self.morphisms):
-            if not self.is_identity(tid):
-                out[m.src].append(tid)
-        return out
+        out = np.flatnonzero(~self.is_id)
+        return [b.tolist() for b in np.split(out, np.searchsorted(out, self.first[1:-1]))]
 
     def endomorphism_order(self, tid: int) -> int:
         """Order of an invertible endomorphism under category composition."""
@@ -225,28 +281,17 @@ def coset_category(G: PermutationGroup, collection) -> FiniteCategory:
                 objs.append((k, cs))
     objs.sort()
     cat = FiniteCategory("coset", [f"{k}:{cs[0]}" for k, cs in objs], G)
-    conj_cache = []
-    for k, cs in objs:
-        g = cs[0]
-        P = collection[k]
-        conj_cache.append(frozenset(G.conj(x, g) for x in P.ids))
-    arrow = [[False] * len(objs) for _ in objs]
+    conj_cache = [frozenset(G.conj(x, cs[0]) for x in collection[k].ids) for k, cs in objs]
+    tok = np.full((len(objs), len(objs)), -1, dtype=np.int64)
     for a in range(len(objs)):
         for b in range(len(objs)):
             if conj_cache[a] <= conj_cache[b]:
-                arrow[a][b] = True
-    tok: dict[tuple[int, int], int] = {}
-    for a in range(len(objs)):
-        for b in range(len(objs)):
-            if arrow[a][b]:
-                tid = cat.add_morphism(a, b)
-                tok[(a, b)] = tid
+                tok[a, b] = cat.add_morphism(a, b)
                 if a == b:
-                    cat.set_identity(a, tid)
-    for (a, b), t1 in tok.items():
-        for (b2, c), t2 in tok.items():
-            if b2 == b:
-                cat.compose_table[(t1, t2)] = tok[(a, c)]
+                    cat.set_identity(a, int(tok[a, b]))
+    cat._index_tokens()
+    t1, t2 = cat.pairs()
+    cat.composite = tok[cat.src[t1], cat.tgt[t2]]
     return cat
 
 
@@ -264,18 +309,21 @@ class Functor:
         return self.morphism_map[tid]
 
     def violations(self) -> list[str]:
+        S, T = self.source, self.target
         out = []
-        for i, tid in enumerate(self.source.identity_ids):
-            if self.morphism_map[tid] != self.target.identity_ids[self.object_map[i]]:
+        for i, tid in enumerate(S.identity_ids):
+            if self.morphism_map[tid] != T.identity_ids[self.object_map[i]]:
                 out.append(f"identity at object {i} not preserved")
-        for (t1, t2), t3 in self.source.compose_table.items():
-            lhs = self.target.compose(self.morphism_map[t1], self.morphism_map[t2])
-            if lhs != self.morphism_map[t3]:
-                out.append(f"composition of tokens ({t1},{t2}) not preserved")
-        for tid, m in enumerate(self.source.morphisms):
-            img = self.target.morphisms[self.morphism_map[tid]]
-            if img.src != self.object_map[m.src] or img.tgt != self.object_map[m.tgt]:
-                out.append(f"token {tid} maps outside its object images")
+        fmap = np.asarray(self.morphism_map, dtype=np.int64)
+        t1, t2 = S.pairs()
+        t3 = S.composite
+        bad = (t3 < 0) | (T.composites(fmap[t1], fmap[t2]) != fmap[np.maximum(t3, 0)])
+        for k in np.flatnonzero(bad).tolist():
+            out.append(f"composition of tokens ({t1[k]},{t2[k]}) not preserved")
+        omap = np.asarray(self.object_map, dtype=np.int64)
+        moved = (T.src[fmap] != omap[S.src]) | (T.tgt[fmap] != omap[S.tgt])
+        for tid in np.flatnonzero(moved).tolist():
+            out.append(f"token {tid} maps outside its object images")
         return out
 
     @property
@@ -293,25 +341,23 @@ def full_subcategory(C: FiniteCategory, keep: list[int]) -> tuple[FiniteCategory
     if C.left is not None:
         sub.left = [C.left[i] for i in keep]
         sub.right = [C.right[i] for i in keep]
-    old_of_new_obj = list(keep)
     new_obj = {o: i for i, o in enumerate(keep)}
-    token_map: dict[int, int] = {}
     kept = [t for t, m in enumerate(C.morphisms) if m.src in new_obj and m.tgt in new_obj]
     # stable in token order, so a sorted ``keep`` keeps C's numbering
-    for tid in sorted(kept, key=lambda t: new_obj[C.morphisms[t].src]):
+    old_of_new = sorted(kept, key=lambda t: new_obj[C.morphisms[t].src])
+    for tid in old_of_new:
         m = C.morphisms[tid]
         nid = sub.add_morphism(new_obj[m.src], new_obj[m.tgt], m.witness)
-        token_map[tid] = nid
         if C.is_identity(tid):
             sub.set_identity(new_obj[m.src], nid)
-    for (t1, t2), t3 in C.compose_table.items():
-        if t1 in token_map and t2 in token_map:
-            sub.compose_table[(token_map[t1], token_map[t2])] = token_map[t3]
-    inv = {v: k for k, v in token_map.items()}
-    incl = Functor(
-        sub, C, old_of_new_obj, [inv[t] for t in range(sub.morphism_count)]
-    )
-    return sub, incl
+    sub._index_tokens()
+    t1, t2 = sub.pairs()
+    old = np.array(old_of_new, dtype=np.int64)
+    # C's unfilled slots read -1, i.e. the extra last entry, so stay unfilled
+    new_of_old = np.full(C.morphism_count + 1, -1, dtype=np.int64)
+    new_of_old[old] = np.arange(len(old))
+    sub.composite = new_of_old[C.composites(old[t1], old[t2])]
+    return sub, Functor(sub, C, list(keep), old_of_new)
 
 
 def quotient_projection(T: FiniteCategory, p: int,
@@ -407,44 +453,47 @@ class CategoryLawsVerdict:
 
 
 def verify_category(C: FiniteCategory) -> CategoryLawsVerdict:
-    failures = []
-    identities = True
-    for i in range(C.object_count):
-        e = C.identity_ids[i]
-        if e < 0:
-            identities = False
-            failures.append(f"object {i} has no identity")
-            continue
-        for (a, b), toks in C.mor_ids.items():
-            for t in toks:
-                if a == i and C.compose(e, t) != t:
-                    identities = False
-                    failures.append(f"left identity fails at token {t}")
-                if b == i and C.compose(t, e) != t:
-                    identities = False
-                    failures.append(f"right identity fails at token {t}")
+    """Check the identity, closure and associativity laws as array
+    comparisons over every token, composable pair and composable triple
+    (worked per first token, so memory stays that of the store), and the
+    coset rule where the category has one."""
+    tok = np.arange(C.morphism_count)
+    ident = np.asarray(C.identity_ids, dtype=np.int64)
+    failures = [f"object {i} has no identity" for i in np.flatnonzero(ident < 0).tolist()]
+    for side, e in (("left", ident[C.src]), ("right", ident[C.tgt])):
+        t, e = tok[e >= 0], e[e >= 0]
+        got = C.composites(e, t) if side == "left" else C.composites(t, e)
+        failures += [f"{side} identity fails at token {x}" for x in t[got != t].tolist()]
+    identities = not failures
 
-    closed = True
-    for (t1, t2), t3 in C.compose_table.items():
-        m1, m2, m3 = C.morphisms[t1], C.morphisms[t2], C.morphisms[t3]
-        if m1.tgt != m2.src or m3.src != m1.src or m3.tgt != m2.tgt:
-            closed = False
-            failures.append(f"composite ({t1},{t2}) lands outside Mor({m1.src},{m2.tgt})")
+    t1, t2 = C.pairs()
+    comp = C.composite
+    safe = np.where(comp >= 0, comp, 0)
+    inside = (comp >= 0) & (C.src[safe] == C.src[t1]) & (C.tgt[safe] == C.tgt[t2])
+    closed = bool(inside.all())
+    for k in np.flatnonzero(~inside).tolist():
+        where = f"({t1[k]},{t2[k]})"
+        failures.append(f"composite {where} is not filled" if comp[k] < 0 else
+                        f"composite {where} lands outside Mor({C.src[t1[k]]},{C.tgt[t2[k]]})")
 
-    associative = True
-    triples = 0
-    by_source: dict[int, list[int]] = {}
-    for tid, m in enumerate(C.morphisms):
-        by_source.setdefault(m.src, []).append(tid)
-    for t1, m1 in enumerate(C.morphisms):
-        for t2 in by_source.get(m1.tgt, ()):
-            t12 = C.compose(t1, t2)
-            m2 = C.morphisms[t2]
-            for t3 in by_source.get(m2.tgt, ()):
-                triples += 1
-                if C.compose(t12, t3) != C.compose(t1, C.compose(t2, t3)):
-                    associative = False
-                    failures.append(f"associativity fails at ({t1},{t2},{t3})")
+    # the triples (a, b, c) with first token a run over the slots (b, c) of
+    # the tokens b leaving a's target; a slot holds b's place j in its block,
+    # c's place in its block and, once inside, (b c)'s place in b's block
+    ps, first = C.pair_start, C.first
+    j, c_at, bc_at = t1 - first[C.src[t1]], t2 - first[C.src[t2]], comp - first[C.src[t1]]
+    before, triples = len(failures), 0
+    for a in range(C.morphism_count):
+        obj = C.tgt[a]
+        run = slice(ps[first[obj]], ps[first[obj + 1]])
+        ab = ps[a] + j[run]
+        ok = inside[run] & inside[ab]
+        bad = ~ok
+        lhs = comp[ps[comp[ab[ok]]] + c_at[run][ok]]
+        bad[ok] = (lhs < 0) | (lhs != comp[ps[a] + bc_at[run][ok]])
+        triples += len(ab)
+        failures += [f"associativity fails at ({a},{t1[run][k]},{t2[run][k]})"
+                     for k in np.flatnonzero(bad).tolist()]
+    associative = len(failures) == before
 
     well_defined = _verify_coset_well_definedness(C, failures)
     return CategoryLawsVerdict(
@@ -455,7 +504,8 @@ def verify_category(C: FiniteCategory) -> CategoryLawsVerdict:
 def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str]) -> bool:
     """Exhaustively check the coset rule: each witness is the least element of
     its coset, and for every composable pair of tokens every product of
-    representatives of their two cosets lies in the composite's coset."""
+    representatives of their two cosets lies in the composite's coset (an
+    unfilled slot is left to the closure check)."""
     if C.left is None:
         return True
     ok = True
@@ -466,7 +516,10 @@ def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str]) -> bo
             ok = False
             failures.append(f"witness of token {tid} is not the least of its coset")
     mult = C.group.mult
-    for (t1, t2), t3 in C.compose_table.items():
+    t1s, t2s = C.pairs()
+    for t1, t2, t3 in zip(t1s.tolist(), t2s.tolist(), C.composite.tolist()):
+        if t3 < 0:
+            continue
         coset3 = cosets[t3]
         if not all(mult(a, b) in coset3 for a in cosets[t1] for b in cosets[t2]):
             ok = False

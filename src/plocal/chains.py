@@ -20,21 +20,18 @@ source.  This needs tokens numbered grouped by source (object 0's first,
 then object 1's, ...); ``FiniteCategory.add_morphism`` enforces it, and it
 makes head-major order the lexicographic order of the token rows.
 
-Composition: the composable non-identity pairs (a, b) are exactly the
-degree-2 chains of the whole category, so their composites fill one int
-array indexed by ``pair_start[rank[a]] + pos[b]``; no dense table is built.
-Matrices are assembled as COO arrays, one block per face, and summed into
-CSR before reduction mod p.
+Inner faces compose adjacent tokens by reading the category's composition
+store (see ``categories``); nothing is rebuilt here.  Matrices are
+assembled as COO arrays, one block per face, and summed into CSR before
+reduction mod p.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 from scipy import sparse
 
-from .categories import FiniteCategory
+from .categories import FiniteCategory, _expand, _offsets
 from .errors import PLocalError
 from .fplinalg import FpMatrix
 
@@ -57,48 +54,18 @@ def chain_counts(C: FiniteCategory, dmax: int, weights: list[int] | None = None)
     return totals
 
 
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sums of ``counts``, with the total appended."""
-    out = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    return out
-
-
-def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Blocks of the given sizes laid end to end: each slot's block, its
-    position in the block, and the block offsets."""
-    offs = _offsets(counts)
-    block = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    return block, np.arange(offs[-1], dtype=np.int64) - offs[block], offs
-
-
 class Chains:
     """The normalized chains of C through degree ``dmax`` that start at
     ``heads`` (every object by default), with C's tokens as arrays."""
 
     def __init__(self, C: FiniteCategory, dmax: int, heads=None):
-        ntok = C.morphism_count
-        self.src = np.fromiter((m.src for m in C.morphisms), np.int64, ntok)
-        self.tgt = np.fromiter((m.tgt for m in C.morphisms), np.int64, ntok)
-        self.is_id = np.asarray(C.identity_ids, dtype=np.int64)[self.src] == np.arange(ntok)
+        self.category = C
+        self.src, self.tgt, self.is_id = C.src, C.tgt, C.is_id
         out = np.flatnonzero(~self.is_id)
         out_count = np.bincount(self.src[out], minlength=C.object_count)
         out_start = _offsets(out_count)
-        self.rank = np.full(ntok, -1, dtype=np.int64)
-        self.rank[out] = np.arange(len(out))
-        self.pos = np.full(ntok, -1, dtype=np.int64)
-        self.pos[out] = self.rank[out] - out_start[self.src[out]]
-
-        self.pair_start = _offsets(out_count[self.tgt[out]])
-        k = len(C.compose_table)
-        pairs = np.fromiter(itertools.chain.from_iterable(C.compose_table), np.int64, 2 * k)
-        a, b = pairs[0::2], pairs[1::2]
-        live = ~self.is_id[a] & ~self.is_id[b]
-        self.composite = np.full(self.pair_start[-1], -1, dtype=np.int64)
-        comp = np.fromiter(C.compose_table.values(), np.int64, k)
-        self.composite[self.pair_start[self.rank[a[live]]] + self.pos[b[live]]] = comp[live]
-        if (self.composite < 0).any():
-            raise PLocalError("composition table misses a composable pair")
+        self.pos = np.full(C.morphism_count, -1, dtype=np.int64)
+        self.pos[out] = np.arange(len(out)) - out_start[self.src[out]]
 
         tails = np.arange(C.object_count) if heads is None else np.asarray(heads, np.int64)
         self.row0 = np.full(C.object_count, -1, dtype=np.int64)
@@ -119,10 +86,6 @@ class Chains:
 
     def heads(self, d: int) -> np.ndarray:
         return self._heads if d == 0 else self.src[self.tokens[d][:, 0]]
-
-    def compose(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Composites of composable non-identity token pairs, elementwise."""
-        return self.composite[self.pair_start[self.rank[a]] + self.pos[b]]
 
     def _walk(self, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
         idx = self.row0[heads]
@@ -150,7 +113,9 @@ class Chains:
         rows = np.flatnonzero(self.row0[head0] >= 0)
         yield 1, rows, self._walk(head0[rows], T[rows, 1:])
         for i in range(1, d):
-            u = self.compose(T[:, i - 1], T[:, i])
+            u = self.category.composites(T[:, i - 1], T[:, i])
+            if (u < 0).any():
+                raise PLocalError("composition misses a composable pair")
             rows = np.flatnonzero(~self.is_id[u])
             face = np.concatenate([T[rows, :i - 1], u[rows, None], T[rows, i + 1:]], axis=1)
             yield (-1) ** i, rows, self._walk(self.heads(d)[rows], face)

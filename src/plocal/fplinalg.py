@@ -46,29 +46,6 @@ class FpMatrix:
         self.echelon: dict | None = None
         self._rank: int | None = None
 
-    @classmethod
-    def from_row_entries(cls, nrows: int, ncols: int, prime: int, rows) -> "FpMatrix":
-        """Build from an iterable of per-row {col: coeff} dicts."""
-        indptr = [0]
-        indices: list[int] = []
-        data: list[int] = []
-        for entries in rows:
-            for c in sorted(entries):
-                v = entries[c] % prime
-                if v:
-                    indices.append(c)
-                    data.append(v)
-            indptr.append(len(indices))
-        csr = sparse.csr_matrix(
-            (
-                np.asarray(data, dtype=np.int64),
-                np.asarray(indices, dtype=np.int64),
-                np.asarray(indptr, dtype=np.int64),
-            ),
-            shape=(nrows, ncols),
-        )
-        return cls(csr, prime)
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.csr.shape

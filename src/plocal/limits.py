@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .categories import FiniteCategory, Functor
-from .chains import Chains, chain_counts, cochain_differentials
+from .categories import FiniteCategory, Functor, _expand, _offsets
+from .chains import Chains, _fp_matrix, chain_counts, cochain_differentials
 from .errors import DEFAULT_BUDGET, BudgetExceeded, NotAFunctor, PLocalError
 from .fplinalg import FpMatrix
 
@@ -47,7 +47,10 @@ class LinearFunctor:
                 M % p, np.eye(self.dims[i], dtype=np.int64)
             ):
                 raise NotAFunctor(f"identity at object {i} is not the identity matrix")
-        for (t1, t2), t3 in C.compose_table.items():
+        t1s, t2s = C.pairs()
+        for t1, t2, t3 in zip(t1s.tolist(), t2s.tolist(), C.composite.tolist()):
+            if t3 < 0:
+                raise PLocalError(f"composite of tokens ({t1},{t2}) is not filled")
             lhs = (self.mats[t1] @ self.mats[t2]) % p
             if not np.array_equal(lhs, self.mats[t3] % p):
                 raise NotAFunctor(f"composition fails at tokens ({t1},{t2})")
@@ -143,28 +146,22 @@ def limits_profile(F: LinearFunctor, nmax: int, budget: int = DEFAULT_BUDGET) ->
 
 
 def inverse_limit_dim(F: LinearFunctor) -> int:
-    """dim lim^0 by solving the compatible-family system directly."""
+    """dim lim^0 by solving the compatible-family system directly: per
+    non-identity token t, one row block x_src - F(t) x_tgt = 0, built as an
+    I block and a -F(t) block of COO arrays."""
     C = F.category
-    p = F.prime
-    offsets = []
-    total = 0
-    for d in F.dims:
-        offsets.append(total)
-        total += d
-    rows: list[dict[int, int]] = []
-    for tid, m in enumerate(C.morphisms):
-        if C.is_identity(tid):
-            continue
-        M = F.mats[tid] % p
-        for r in range(F.dims[m.src]):
-            row = {offsets[m.src] + r: 1}
-            for c in range(F.dims[m.tgt]):
-                v = int(M[r, c])
-                if v:
-                    row[offsets[m.tgt] + c] = (row.get(offsets[m.tgt] + c, 0) - v) % p
-            rows.append(row)
-    mat = FpMatrix.from_row_entries(len(rows), total, p, rows)
-    return total - mat.rank()
+    dims = np.asarray(F.dims, dtype=np.int64)
+    offsets = _offsets(dims)
+    tids = np.flatnonzero(~C.is_id)
+    d_src, d_tgt = dims[C.src[tids]], dims[C.tgt[tids]]
+    blk, r, row_off = _expand(d_src)
+    ent, e, _ = _expand(d_src * d_tgt)      # F(t) entries, row-major per token
+    flat = np.concatenate([np.zeros(0, np.int64)] + [np.ravel(F.mats[t]) for t in tids.tolist()])
+    rows = [row_off[blk] + r, row_off[ent] + e // d_tgt[ent]]
+    cols = [offsets[C.src[tids[blk]]] + r, offsets[C.tgt[tids[ent]]] + e % d_tgt[ent]]
+    vals = [np.ones(len(r), dtype=np.int64), -(flat.astype(np.int64) % F.prime)]
+    mat = _fp_matrix(rows, cols, vals, (int(row_off[-1]), int(offsets[-1])), F.prime)
+    return int(offsets[-1]) - mat.rank()
 
 
 @dataclass

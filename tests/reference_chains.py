@@ -1,9 +1,12 @@
-"""Dict-based reference builders for the chain kernel (``plocal.chains``).
+"""Dict-based reference builders for the chain kernel (``plocal.chains``)
+and the composition store (``plocal.categories``).
 
 These are the loop implementations the kernel replaced: chains are tuples,
 faces are found through {chain: row} dicts and every row is assembled as a
 {column: coefficient} dict.  ``test_chains.py`` requires the kernel's
-matrices to equal theirs entry for entry.
+matrices to equal theirs entry for entry, and ``test_categories.py``
+requires the store to hold exactly the composites of the {(t1, t2): t3}
+table that ``reference_compose_table`` fills.
 """
 
 from __future__ import annotations
@@ -11,8 +14,53 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy import sparse
 
 from plocal.fplinalg import FpMatrix
+
+
+def from_row_entries(nrows: int, ncols: int, prime: int, rows) -> FpMatrix:
+    """An FpMatrix from an iterable of per-row {col: coeff} dicts."""
+    indptr = [0]
+    indices: list[int] = []
+    data: list[int] = []
+    for entries in rows:
+        for c in sorted(entries):
+            v = entries[c] % prime
+            if v:
+                indices.append(c)
+                data.append(v)
+        indptr.append(len(indices))
+    csr = sparse.csr_matrix(
+        (
+            np.asarray(data, dtype=np.int64),
+            np.asarray(indices, dtype=np.int64),
+            np.asarray(indptr, dtype=np.int64),
+        ),
+        shape=(nrows, ncols),
+    )
+    return FpMatrix(csr, prime)
+
+
+def reference_compose_table(C) -> dict[tuple[int, int], int]:
+    """The composition table as a dict, filled by the loop over pairs of
+    morphism sets that the store replaced: by the coset rule for a category
+    built from G (its full subcategories and skeleta included), and as the
+    unique arrow for the thin coset category.  Reads no composite."""
+    table: dict[tuple[int, int], int] = {}
+    for (a, b), lhs in C.mor_ids.items():
+        for (b2, c), rhs in C.mor_ids.items():
+            if b2 != b:
+                continue
+            for t1 in lhs:
+                for t2 in rhs:
+                    if C.left is None:
+                        (table[(t1, t2)],) = C.mor(a, c)
+                        continue
+                    w1, w2 = C.morphisms[t1].witness, C.morphisms[t2].witness
+                    w = C.canonical(a, c, C.group.mult(w1, w2))
+                    table[(t1, t2)] = C.token_by_witness(a, c, w)
+    return table
 
 
 def nerve_basis(C, dmax: int) -> list[list]:
@@ -64,14 +112,14 @@ def nerve_boundaries(C, prime: int, dmax: int) -> tuple[list[list], list]:
     for d in range(1, dmax + 1):
         index_prev = {label: i for i, label in enumerate(basis[d - 1])} if d >= 2 else {}
         rows = (row_entries_for(chain, d, index_prev) for chain in basis[d])
-        boundaries.append(FpMatrix.from_row_entries(dims[d], dims[d - 1], prime, rows))
+        boundaries.append(from_row_entries(dims[d], dims[d - 1], prime, rows))
     return basis, boundaries
 
 
 def chain_map(F, source_basis: list[list], target_basis: list[list], prime: int) -> list:
     """Degree-wise matrices sending a chain to its image chain, or to 0."""
     D = min(len(source_basis), len(target_basis)) - 1
-    mats = [FpMatrix.from_row_entries(
+    mats = [from_row_entries(
         len(source_basis[0]), len(target_basis[0]), prime,
         [{F.object_map[i]: 1} for i in source_basis[0]],
     )]
@@ -84,7 +132,7 @@ def chain_map(F, source_basis: list[list], target_basis: list[list], prime: int)
                 rows.append({})
             else:
                 rows.append({index[image]: 1})
-        mats.append(FpMatrix.from_row_entries(
+        mats.append(from_row_entries(
             len(source_basis[d]), len(target_basis[d]), prime, rows))
     return mats
 
@@ -140,7 +188,7 @@ def cochain_differentials(F, nmax: int) -> tuple[list[int], list]:
                 add_block(face, ((-1 if i % 2 else 1) * eye) % p)
             add_block((head, toks[:-1]), ((-1 if (n + 1) % 2 else 1) * eye) % p)
             rows.extend(row_block)
-        diffs.append(FpMatrix.from_row_entries(dims[n + 1], dims[n], p, rows))
+        diffs.append(from_row_entries(dims[n + 1], dims[n], p, rows))
     return dims, diffs
 
 

@@ -1,8 +1,12 @@
+import sys
+
 import pytest
 
 from plocal import (
     Functor,
     NotCentric,
+    PLocalError,
+    PipelineConfig,
     all_subgroups,
     build_intersection_poset,
     build_linking,
@@ -10,15 +14,21 @@ from plocal import (
     build_transporter,
     coset_category,
     full_subcategory,
+    nerve_complex,
     quotient_projection,
+    run_pipeline,
     skeleton,
     sylow_subgroup,
     verify_category,
     verify_closure_adjunction,
     verify_quotient_functor,
 )
+from plocal import categories
 from plocal.catalog import build_group
 from plocal.categories import Morphism, iso_classes
+from reference_chains import reference_compose_table
+
+CATALOG = ["sym:3", "sym:4", "alt:4", "dih:8", "dih:12", "cyc:6", "sym:3 x cyc:3"]
 
 
 def centric_in_sylow(G, p):
@@ -100,11 +110,11 @@ def test_category_laws_everywhere():
 
 def _corrupt_one_composite(C):
     """Point one composite at another token of the same morphism set."""
-    for (t1, t2), t3 in C.compose_table.items():
+    for k, t3 in enumerate(C.composite.tolist()):
         m3 = C.morphisms[t3]
         others = [t for t in C.mor(m3.src, m3.tgt) if t != t3]
         if others:
-            C.compose_table[(t1, t2)] = others[0]
+            C.composite[k] = others[0]
             return
     raise AssertionError("every morphism set has one token")
 
@@ -238,3 +248,149 @@ def test_coset_category_contractible():
         if all(len(cat.mor(a, b)) == 1 for b in range(cat.object_count))
     ]
     assert len(initials) == n_min
+
+
+def store_table(C):
+    t1, t2 = C.pairs()
+    return dict(zip(zip(t1.tolist(), t2.tolist()), C.composite.tolist()))
+
+
+def test_store_matches_reference_table_on_every_pipeline_category(monkeypatch):
+    """Every category the pipeline builds for the catalog at p in {2, 3}
+    holds exactly the composites of the dict-filling reference, with no
+    extra pairs."""
+    built = []
+    real_init = categories.FiniteCategory.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append((sys._getframe(1).f_code.co_name, self))
+
+    monkeypatch.setattr(categories.FiniteCategory, "__init__", init)
+    builders = set()
+    for spec in CATALOG:
+        for p in (2, 3):
+            rep = run_pipeline(spec, PipelineConfig(
+                prime=p, max_degree=2, max_limit_degree=2,
+                cohomology_index_max=1, include_timings=False,
+            ))
+            assert rep.overall != "fail", (spec, p)
+            for builder, C in built:
+                assert store_table(C) == reference_compose_table(C), (spec, p, builder)
+                builders.add(builder)
+            built.clear()
+    assert builders >= {"build_transporter", "build_linking", "build_orbit",
+                        "group_category", "coset_category", "full_subcategory"}
+
+
+def transporter_s3c3():
+    G = build_group("sym:3 x cyc:3")
+    return build_transporter(G, build_intersection_poset(G, 2).members)
+
+
+def test_compose_reads_the_store_and_rejects_bad_pairs():
+    C = transporter_s3c3()
+    t1, t2 = C.pairs()
+    k = len(t1) // 2
+    assert C.compose(int(t1[k]), int(t2[k])) == C.composite[k]
+    a = next(t for t in range(C.morphism_count) if C.tgt[t] != C.src[0])
+    with pytest.raises(PLocalError, match="do not compose"):
+        C.compose(a, 0)
+    with pytest.raises(PLocalError, match="fixed once"):
+        C.add_morphism(C.object_count - 1, 0)
+    k = next(k for k in range(len(t1)) if not C.is_id[t1[k]] and not C.is_id[t2[k]])
+    C.composite[k] = -1
+    with pytest.raises(PLocalError, match="is not filled"):
+        C.compose(int(t1[k]), int(t2[k]))
+    with pytest.raises(PLocalError, match="misses a composable pair"):
+        nerve_complex(C, 2, 2)
+
+
+def nonidentity_with_sibling(C):
+    """A non-identity token with another token in its morphism set."""
+    return next(t for t in range(C.morphism_count) if not C.is_id[t]
+                and len(C.mor(C.src[t], C.tgt[t])) > 1)
+
+
+def other_in_mor(C, t):
+    return next(x for x in C.mor(C.src[t], C.tgt[t]) if x != t)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_verify_category_catches_a_broken_identity(side):
+    C = transporter_s3c3()
+    t = nonidentity_with_sibling(C)
+    if side == "left":
+        k = C.slot(C.identity_ids[C.src[t]], t)
+    else:
+        k = C.slot(t, C.identity_ids[C.tgt[t]])
+    C.composite[k] = other_in_mor(C, t)
+    v = verify_category(C)
+    assert not v.identities and v.composition_closed
+    assert f"{side} identity fails at token {t}" in v.failures
+
+
+def test_verify_category_catches_a_composite_outside_its_mor_set():
+    C = transporter_s3c3()
+    t1, t2 = C.pairs()
+    k = next(k for k in range(len(t1)) if C.src[t1[k]] != C.tgt[t2[k]])
+    a, c = int(C.src[t1[k]]), int(C.tgt[t2[k]])
+    C.composite[k] = C.identity_ids[c]
+    v = verify_category(C)
+    assert not v.composition_closed and not v.passed
+    assert f"composite ({t1[k]},{t2[k]}) lands outside Mor({a},{c})" in v.failures
+
+
+def test_verify_category_reads_an_unfilled_slot_as_not_closed():
+    C = transporter_s3c3()
+    triples = verify_category(C).triples_checked
+    t1, t2 = C.pairs()
+    k = len(t1) // 3
+    C.composite[k] = -1
+    v = verify_category(C)
+    assert not v.composition_closed and not v.passed
+    assert f"composite ({t1[k]},{t2[k]}) is not filled" in v.failures
+    assert v.triples_checked == triples
+
+
+def test_verify_category_catches_non_associativity_without_a_coset_rule():
+    G = build_group("sym:4")
+    poset = build_intersection_poset(G, 2)
+    S = sylow_subgroup(G, 2)
+    C = coset_category(G, [poset.members[i] for i in poset.members_in(S)])
+    assert C.left is None
+    assert verify_category(C).passed
+    t1, t2 = C.pairs()
+    k = next(k for k in range(len(t1)) if not C.is_id[t1[k]] and not C.is_id[t2[k]])
+    c = int(C.tgt[t2[k]])
+    C.composite[k] = next(x for x in range(C.morphism_count)
+                          if C.tgt[x] == c and x != C.composite[k])
+    v = verify_category(C)
+    assert not v.associative and v.well_defined
+    assert any(f.startswith("associativity fails at") for f in v.failures)
+
+
+def test_verify_category_catches_non_associativity_inside_mor_sets():
+    """A wrong composite inside its morphism set keeps identities and
+    closure; with the coset rule dropped, only associativity sees it."""
+    C = transporter_s3c3()
+    C.left = C.right = None
+    t1, t2 = C.pairs()
+    k = next(k for k in range(len(t1)) if not C.is_id[t1[k]] and not C.is_id[t2[k]]
+             and len(C.mor(C.src[t1[k]], C.tgt[t2[k]])) > 1)
+    C.composite[k] = other_in_mor(C, C.composite[k])
+    v = verify_category(C)
+    assert v.identities and v.composition_closed and v.well_defined
+    assert not v.associative
+
+
+def test_functor_violations_catch_a_composite_not_preserved():
+    C, D = transporter_s3c3(), transporter_s3c3()
+    t = nonidentity_with_sibling(C)
+    k = C.slot(t, C.identity_ids[C.tgt[t]])
+    D.composite[k] = other_in_mor(D, t)
+    ident = Functor(C, D, list(range(C.object_count)), list(range(C.morphism_count)))
+    assert ident.violations() == [
+        f"composition of tokens ({t},{C.identity_ids[C.tgt[t]]}) not preserved"
+    ]
+    assert not ident.is_functor

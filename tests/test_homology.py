@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from reference_chains import from_row_entries
 from plocal import (
     BudgetExceeded,
     FpComplex,
@@ -23,7 +24,6 @@ from plocal import (
     sylow_subgroup,
 )
 from plocal.catalog import build_group
-from plocal.fplinalg import FpMatrix
 from scipy import sparse
 
 
@@ -73,7 +73,7 @@ def test_budget_exceeded():
 
 def test_zero_boundaries_profile():
     rows = [dict() for _ in range(3)]
-    mat = FpMatrix.from_row_entries(3, 2, 2, rows)
+    mat = from_row_entries(3, 2, 2, rows)
     cx = FpComplex(2, 1, [2, 3], [None, mat])
     assert cx.homology().dims == [2]
 
@@ -215,7 +215,7 @@ def test_sparse_rank_matches_dense_oracle(data):
         {c: int(dense[r, c]) for c in range(ncols) if dense[r, c]}
         for r in range(nrows)
     ]
-    mat = FpMatrix.from_row_entries(nrows, ncols, p, rows)
+    mat = from_row_entries(nrows, ncols, p, rows)
     assert mat.rank() == oracle.dense_rank_modp(dense, p)
 
 

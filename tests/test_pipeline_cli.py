@@ -208,7 +208,7 @@ def test_broken_endomorphism_fails_only_the_quotient_stage():
     # category; composing it with itself now returns it, so it never cycles
     t = next(t for t in range(T.morphism_count)
              if not T.is_identity(t) and L.is_identity(run.linking_projection.apply(t)))
-    T.compose_table[(t, t)] = t
+    T.composite[T.slot(t, t)] = t
     rep = run.run()
     v = rep.data["verdicts"]
     assert v["quotient_functor_conditions"] == "fail"

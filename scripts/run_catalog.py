@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Run the analysis pipeline over the whole built-in catalog.
 
-Prints one summary line per (group, prime) and optionally writes the full
-JSON reports to a directory.
+Prints one summary line per (group, prime) with the sha256 of its JSON
+report (timings left out, so the digest depends only on the results), then
+one combined digest over all reports in catalog order; optionally writes the
+reports to a directory.  Running it on two checkouts and comparing the last
+line tells whether the catalog reports are byte-identical.
 
     python3 scripts/run_catalog.py [--out reports/] [--max-degree 3]
 """
 
 import argparse
+import hashlib
 import pathlib
 import sys
 import time
@@ -32,6 +36,7 @@ def main():
         outdir.mkdir(parents=True, exist_ok=True)
 
     bad = 0
+    combined = hashlib.sha256()
     for spec in CATALOG:
         for p in (2, 3):
             t0 = time.time()
@@ -46,15 +51,19 @@ def main():
                 ),
             )
             fails = [k for k, v in rep.verdicts.items() if v == "fail"]
+            text = rep.to_json()
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            combined.update(digest.encode())
             print(
                 f"{spec:16s} p={p}  overall={rep.overall:13s} "
-                f"[{time.time() - t0:6.1f}s]"
+                f"[{time.time() - t0:6.1f}s]  sha256={digest}"
                 + (f"  FAILING: {fails}" if fails else "")
             )
             bad += bool(fails)
             if outdir:
                 name = spec.replace(" ", "").replace(":", "") + f"_p{p}.json"
-                (outdir / name).write_text(rep.to_json())
+                (outdir / name).write_text(text)
+    print(f"combined sha256={combined.hexdigest()}")
     return 1 if bad else 0
 
 

@@ -16,6 +16,18 @@ inserts only the leading rows.  Otherwise it eliminates every row in order,
 as for any other matrix.  An echelon is reused only when it already exists:
 computing one for the block just to seed from it can cost far more than the
 whole matrix, because the leading rows often span most of it early.
+
+``rank`` may also be given an upper bound on the rank; it always caps at
+``min(shape)`` too.  Insertion stops as soon as the echelon holds that many
+pivots, seeded ones included, and the rows after that are never read.  The
+result stays exact when the bound is a true upper bound: the rows inserted so
+far then span the whole row space, so every later row would reduce to zero
+and add no pivot, and the stopped echelon is the one a full pass would keep.
+Chain complexes supply the bound from ∂² = 0, which their constructors
+check: the rows of ∂_d lie in the left kernel of ∂_{d-1}, so
+rank ∂_d <= dim C_{d-1} - rank ∂_{d-1}.  For an acyclic complex (the mapping
+cone of an isomorphism) that bound is the rank, and elimination ends at the
+row that finds the last pivot.
 """
 
 from __future__ import annotations
@@ -54,8 +66,11 @@ class FpMatrix:
     def nnz(self) -> int:
         return self.csr.nnz
 
-    def rank(self) -> int:
+    def rank(self, bound: int | None = None) -> int:
+        """The rank over F_p.  ``bound``, if given, must be an upper bound on
+        it; elimination stops once ``min(bound, *shape)`` pivots are found."""
         if self._rank is None:
+            cap = min(self.shape) if bound is None else min(bound, *self.shape)
             pivots: dict = {}
             nrows = self.shape[0]
             if self.tail is not None and self.tail[0].echelon is not None:
@@ -63,9 +78,9 @@ class FpMatrix:
                 nrows = self._check_tail()
                 pivots = _shifted_echelon(block.echelon, offset, self.prime)
             if self.prime == 2:
-                _insert_rows_gf2(self.csr, nrows, pivots)
+                _insert_rows_gf2(self.csr, nrows, pivots, cap)
             else:
-                _insert_rows_modp(self.csr, nrows, self.prime, pivots)
+                _insert_rows_modp(self.csr, nrows, self.prime, pivots, cap)
             self.echelon = pivots
             self._rank = len(pivots)
         return self._rank
@@ -109,8 +124,12 @@ def _shifted_echelon(pivots: dict, offset: int, p: int) -> dict:
     }
 
 
-def _insert_rows_gf2(csr: sparse.csr_matrix, nrows: int, pivots: dict[int, int]) -> None:
-    """Insert rows ``0:nrows`` into a GF(2) echelon of bitmask rows."""
+def _insert_rows_gf2(csr: sparse.csr_matrix, nrows: int, pivots: dict[int, int],
+                     cap: int) -> None:
+    """Insert rows ``0:nrows`` into a GF(2) echelon of bitmask rows, stopping
+    once it holds ``cap`` pivots."""
+    if len(pivots) >= cap:
+        return
     indptr, indices = csr.indptr, csr.indices
     for i in range(nrows):
         m = 0
@@ -121,13 +140,18 @@ def _insert_rows_gf2(csr: sparse.csr_matrix, nrows: int, pivots: dict[int, int])
             piv = pivots.get(b)
             if piv is None:
                 pivots[b] = m
+                if len(pivots) >= cap:
+                    return
                 break
             m ^= piv
 
 
 def _insert_rows_modp(csr: sparse.csr_matrix, nrows: int, p: int,
-                      pivots: dict[int, dict[int, int]]) -> None:
-    """Insert rows ``0:nrows`` into an F_p echelon of monic {column: coeff} rows."""
+                      pivots: dict[int, dict[int, int]], cap: int) -> None:
+    """Insert rows ``0:nrows`` into an F_p echelon of monic {column: coeff}
+    rows, stopping once it holds ``cap`` pivots."""
+    if len(pivots) >= cap:
+        return
     indptr, indices, data = csr.indptr, csr.indices, csr.data
     for i in range(nrows):
         lo, hi = indptr[i], indptr[i + 1]
@@ -138,6 +162,8 @@ def _insert_rows_modp(csr: sparse.csr_matrix, nrows: int, p: int,
             if piv is None:
                 inv = pow(row[c], -1, p)
                 pivots[c] = {k: (v * inv) % p for k, v in row.items()}
+                if len(pivots) >= cap:
+                    return
                 break
             f = row[c]
             for k, v in piv.items():

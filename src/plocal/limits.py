@@ -47,13 +47,36 @@ class LinearFunctor:
                 M % p, np.eye(self.dims[i], dtype=np.int64)
             ):
                 raise NotAFunctor(f"identity at object {i} is not the identity matrix")
-        t1s, t2s = C.pairs()
-        for t1, t2, t3 in zip(t1s.tolist(), t2s.tolist(), C.composite.tolist()):
-            if t3 < 0:
-                raise PLocalError(f"composite of tokens ({t1},{t2}) is not filled")
-            lhs = (self.mats[t1] @ self.mats[t2]) % p
-            if not np.array_equal(lhs, self.mats[t3] % p):
-                raise NotAFunctor(f"composition fails at tokens ({t1},{t2})")
+        # Composition, one stacked matmul per (rows, inner, cols) shape; the
+        # first unfilled or failing pair in store order is reported.
+        t1, t2 = C.pairs()
+        t3 = C.composite
+        filled = t3 >= 0
+        bad = [int(np.argmin(filled))] if not filled.all() else []
+        dims = np.asarray(self.dims, dtype=np.int64)
+        rows, cols = dims[C.src], dims[C.tgt]
+        stack, pos = {}, np.zeros(len(rows), dtype=np.int64)
+        for shape in set(zip(rows.tolist(), cols.tolist())):
+            toks = np.flatnonzero((rows == shape[0]) & (cols == shape[1]))
+            pos[toks] = np.arange(len(toks))
+            stack[shape] = np.stack([self.mats[t] for t in toks.tolist()]) % p
+        t3 = np.where(filled, t3, t1)
+        fits = (rows[t3] == rows[t1]) & (cols[t3] == cols[t2])
+        bad.extend(np.flatnonzero(filled & ~fits)[:1].tolist())
+        ok = filled & fits
+        base = int(dims.max(initial=0)) + 1
+        key = (rows[t1] * base + cols[t1]) * base + cols[t2]
+        for k in np.unique(key[ok]).tolist():
+            a, b, c = k // base // base, k // base % base, k % base
+            sel = np.flatnonzero(ok & (key == k))
+            lhs = stack[a, b][pos[t1[sel]]] @ stack[b, c][pos[t2[sel]]] % p
+            wrong = (lhs != stack[a, c][pos[t3[sel]]]).any(axis=(1, 2))
+            bad.extend(sel[wrong][:1].tolist())
+        if bad:
+            k = min(bad)
+            if not filled[k]:
+                raise PLocalError(f"composite of tokens ({t1[k]},{t2[k]}) is not filled")
+            raise NotAFunctor(f"composition fails at tokens ({t1[k]},{t2[k]})")
 
     def restrict(self, sub: FiniteCategory, inclusion: Functor) -> "LinearFunctor":
         dims = [self.dims[inclusion.object_map[i]] for i in range(sub.object_count)]
@@ -89,18 +112,25 @@ class CochainComplex:
 
     ``diffs[n]`` is the matrix of d: C^n -> C^{n+1} with rows indexed by the
     degree-(n+1) basis, so ranks feed straight into lim^n dimensions.
+    Construction raises ``PLocalError`` unless d d = 0 in every degree, which
+    ``rank_diff``'s bound relies on.
     """
 
     def __init__(self, prime: int, nmax: int, dims: list[int], diffs: list[FpMatrix]):
+        for n in range(1, len(diffs)):
+            if not diffs[n].matmul(diffs[n - 1]).is_zero():
+                raise PLocalError(f"cochain differential squared is nonzero in degree {n}")
         self.prime = prime
         self.nmax = nmax
         self.dims = dims
         self.diffs = diffs
 
     def rank_diff(self, n: int) -> int:
+        """rank of d: C^n -> C^{n+1}, eliminated only until it reaches
+        dims[n] - rank of the differential into C^n (see ``fplinalg``)."""
         if n < 0 or n >= len(self.diffs):
             return 0
-        return self.diffs[n].rank()
+        return self.diffs[n].rank(self.dims[n] - self.rank_diff(n - 1))
 
     def limit_dims(self) -> list[int]:
         return [
@@ -125,11 +155,7 @@ def functor_cochain_complex(F: LinearFunctor, nmax: int,
             raise BudgetExceeded(n, weights[n], budget)
     chains = Chains(C, nmax, [i for i, d in enumerate(F.dims) if d > 0])
     dims, diffs = cochain_differentials(chains, F.dims, F.mats, F.prime)
-    cx = CochainComplex(F.prime, nmax, dims, diffs)
-    for n in range(1, nmax):
-        if not cx.diffs[n].matmul(cx.diffs[n - 1]).is_zero():
-            raise PLocalError("cochain differential squared is nonzero")
-    return cx
+    return CochainComplex(F.prime, nmax, dims, diffs)
 
 
 def limits_profile(F: LinearFunctor, nmax: int, budget: int = DEFAULT_BUDGET) -> LimitsProfile:

@@ -4,7 +4,14 @@ A matrix whose last rows are declared as ``[0 | B]`` is ranked twice: seeded
 from B's kept echelon, and from scratch.  Both must agree with the reference
 eliminations ``_rank_csr_gf2``/``_rank_csr_modp`` and, where the matrix is
 small enough to hold densely, with the dense oracle.
+
+Complexes rank each boundary with the bound ∂² = 0 forces.  A bounded rank
+must equal the unbounded one and the reference, its echelon must equal the
+one a pass over every row keeps, and no row after the one that reaches the
+bound may be read.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,8 +21,11 @@ import oracle
 from plocal import (
     PLocalError,
     all_subgroups,
+    build_orbit_skeletons,
     build_transporter,
     classify_centric,
+    classifying_cohomology_functor,
+    functor_cochain_complex,
     induced_chain_map,
     mapping_cone,
     nerve_complex,
@@ -23,7 +33,16 @@ from plocal import (
     sylow_subgroup,
 )
 from plocal.catalog import build_group
-from plocal.fplinalg import FpMatrix, _rank_csr_gf2, _rank_csr_modp
+from plocal.cohomology import CohomologyCache
+from plocal.fplinalg import (
+    FpMatrix,
+    _insert_rows_gf2,
+    _insert_rows_modp,
+    _rank_csr_gf2,
+    _rank_csr_modp,
+    _shifted_echelon,
+)
+from plocal.limits import constant_functor
 
 DENSE_ORACLE_MAX_ENTRIES = 2_000_000
 
@@ -32,6 +51,45 @@ def reference_rank(m: FpMatrix) -> int:
     if m.prime == 2:
         return _rank_csr_gf2(m.csr)
     return _rank_csr_modp(m.csr, m.prime)
+
+
+def full_echelon(m: FpMatrix) -> dict:
+    """The echelon ``m.rank()`` builds, seeded the same way, but with every
+    row inserted: no bound and no cap."""
+    pivots, nrows = {}, m.shape[0]
+    if m.tail is not None and m.tail[0].echelon is not None:
+        nrows = m._check_tail()
+        pivots = _shifted_echelon(m.tail[0].echelon, m.tail[1], m.prime)
+    if m.prime == 2:
+        _insert_rows_gf2(m.csr, nrows, pivots, math.inf)
+    else:
+        _insert_rows_modp(m.csr, nrows, m.prime, pivots, math.inf)
+    return pivots
+
+
+def assert_bounded_ranks_exact(mats: list[FpMatrix], ranks: list[int]):
+    """Each matrix, ranked by its complex with the ∂² = 0 bound, against an
+    unbounded rank, the reference and a full pass."""
+    for m, r in zip(mats, ranks):
+        unbounded = FpMatrix(m.csr.copy(), m.prime, m.tail)
+        assert r == unbounded.rank() == reference_rank(m)
+        assert m.echelon == unbounded.echelon == full_echelon(m)
+
+
+class RowSpy(np.ndarray):
+    """A CSR row pointer that records every row index read from it."""
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)) and hasattr(self, "read"):
+            self.read.append(int(key))
+        return super().__getitem__(key)
+
+
+def spy_on_rows(m: FpMatrix) -> list[int]:
+    spy = m.csr.indptr.view(RowSpy)
+    spy.read = []
+    m.csr.indptr = spy
+    return spy.read
 
 
 def random_sparse(rng, nrows, ncols, p, per_row):
@@ -81,6 +139,10 @@ def test_seeded_rank_matches_plain_and_oracle(p, t_rows, b_rows, left, right):
     want = reference_rank(FpMatrix(full.copy(), p))
     assert seeded.rank() == plain.rank() == want
     assert len(seeded.echelon) == want
+    # seeded and bounded by the true rank: the same rank and echelon
+    bounded = FpMatrix(full.copy(), p, tail=(block, left))
+    assert bounded.rank(want) == want
+    assert bounded.echelon == seeded.echelon == full_echelon(bounded)
     if full.shape[0] * full.shape[1] <= DENSE_ORACLE_MAX_ENTRIES:
         assert want == oracle.dense_rank_modp(full.toarray(), p)
 
@@ -96,15 +158,23 @@ def centric_linking_cone(spec, p, dmax):
     return induced_chain_map(psi, src, tgt), tgt
 
 
-@pytest.mark.parametrize("spec,p", [("sym:4", 2), ("sym:3 x cyc:3", 3)])
+@pytest.mark.parametrize("spec,p", [("sym:4", 2), ("sym:3 x cyc:3", 3), ("sym:3 x cyc:3", 5)])
 def test_real_cone_ranks_seeded_and_plain(spec, p):
+    """At p = 5 the Sylow subgroup is trivial: the cone compares BG with a
+    point, and is acyclic because 5 does not divide |G|."""
     cm, tgt = centric_linking_cone(spec, p, 3)
     plain = mapping_cone(cm)
     plain_ranks = [plain.rank_boundary(d) for d in range(1, plain.dmax + 1)]
     assert all(tgt.boundaries[d].echelon is None for d in range(1, tgt.dmax + 1))
+    assert_bounded_ranks_exact(plain.boundaries[1:], plain_ranks)
 
-    tgt.homology()
+    target_ranks = [tgt.rank_boundary(d) for d in range(1, tgt.dmax + 1)]
+    assert_bounded_ranks_exact(tgt.boundaries[1:], target_ranks)
     seeded = mapping_cone(cm)
+    seeded_ranks = [seeded.rank_boundary(d) for d in range(1, seeded.dmax + 1)]
+    assert seeded_ranks == plain_ranks
+    assert seeded.homology().dims == [0] * seeded.dmax
+    assert_bounded_ranks_exact(seeded.boundaries[1:], seeded_ranks)
     for d in range(1, seeded.dmax + 1):
         m = seeded.boundaries[d]
         assert np.issubdtype(m.csr.dtype, np.integer)
@@ -112,6 +182,48 @@ def test_real_cone_ranks_seeded_and_plain(spec, p):
         assert m.rank() == plain_ranks[d - 1] == want, d
         if m.shape[0] * m.shape[1] <= DENSE_ORACLE_MAX_ENTRIES:
             assert want == oracle.dense_rank_modp(m.csr.toarray(), p)
+
+
+@pytest.mark.parametrize("spec,p", [("sym:4", 2), ("sym:3 x cyc:3", 3)])
+def test_elimination_stops_at_the_row_that_reaches_the_forced_rank(spec, p):
+    """The top boundary of an acyclic cone has rank dims[d-1] - rank ∂_{d-1};
+    the last row read is the one whose pivot reaches it, and most rows are
+    never read."""
+    cm, _ = centric_linking_cone(spec, p, 3)
+    cone = mapping_cone(cm)
+    d = cone.dmax
+    top = cone.boundaries[d]
+    csr = top.csr.copy()
+    read = spy_on_rows(top)
+
+    rank = cone.rank_boundary(d)
+    assert rank == cone.dims[d - 1] - cone.rank_boundary(d - 1)
+    assert rank == reference_rank(FpMatrix(csr, p))
+    last = max(read) - 1  # row i reads indptr[i] and indptr[i + 1]
+    assert 2 * (last + 1) < csr.shape[0]
+    assert reference_rank(FpMatrix(csr[:last + 1], p)) == rank
+    assert reference_rank(FpMatrix(csr[:last], p)) == rank - 1
+
+
+@pytest.mark.parametrize("spec,p,index", [
+    ("sym:4", 2, 1), ("sym:3 x cyc:3", 3, 1), ("sym:3 x cyc:3", 5, None),
+])
+def test_real_cochain_and_nerve_ranks_bounded_and_full(spec, p, index):
+    """Cochain complexes of orbit-category functors (mod-p cohomology of the
+    stabilizers; the constant functor where p does not divide |G|) and the
+    nerve of the orbit category."""
+    G = build_group(spec)
+    skel = build_orbit_skeletons(G, p)
+    if index is None:
+        F = constant_functor(skel.omega_cat, p)
+    else:
+        F = classifying_cohomology_functor(G, p, skel.omega_cat, index, CohomologyCache(G, p))
+    cx = functor_cochain_complex(F, 3)
+    ranks = [cx.rank_diff(n) for n in range(len(cx.diffs))]
+    assert_bounded_ranks_exact(cx.diffs, ranks)
+    nerve = nerve_complex(skel.omega_cat, p, 3)
+    ranks = [nerve.rank_boundary(d) for d in range(1, nerve.dmax + 1)]
+    assert_bounded_ranks_exact(nerve.boundaries[1:], ranks)
 
 
 def test_cone_block_mismatch_raises():

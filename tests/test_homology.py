@@ -8,6 +8,7 @@ from reference_chains import from_row_entries
 from plocal import (
     BudgetExceeded,
     FpComplex,
+    PLocalError,
     all_subgroups,
     bar_complex,
     build_intersection_poset,
@@ -24,6 +25,7 @@ from plocal import (
     sylow_subgroup,
 )
 from plocal.catalog import build_group
+from plocal.limits import CochainComplex
 from scipy import sparse
 
 
@@ -229,5 +231,19 @@ def test_boundary_squared_zero_random_subgroup_bars(data):
         return
     sub = build_transporter(G, [H])
     p = data.draw(st.sampled_from([2, 3]))
-    cx = nerve_complex(sub, p, 3)
-    assert cx.check_boundary_squared_zero()
+    cx = nerve_complex(sub, p, 3)  # construction checks it as well
+    for d in range(2, cx.dmax + 1):
+        product = cx.boundaries[d].csr @ cx.boundaries[d - 1].csr
+        assert not (product.data % p).any()
+
+
+def test_complexes_with_nonzero_boundary_squared_do_not_build():
+    one = from_row_entries(1, 1, 2, [{0: 1}])
+    with pytest.raises(PLocalError, match="boundary squared is nonzero in degree 2"):
+        FpComplex(2, 2, [1, 1, 1], [None, one, one])
+    with pytest.raises(PLocalError, match="differential squared is nonzero in degree 1"):
+        CochainComplex(2, 2, [1, 1, 1], [one, one])
+    # ranking relies on it: with ∂² = 0 the same shapes build and rank
+    zero = from_row_entries(1, 1, 2, [{}])
+    assert FpComplex(2, 2, [1, 1, 1], [None, zero, one]).homology().dims == [1, 0]
+    assert CochainComplex(2, 2, [1, 1, 1], [zero, one]).limit_dims() == [1, 0]

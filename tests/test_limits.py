@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from plocal import (
     ModuleData,
     NotAFunctor,
+    PLocalError,
     atomic_functor_limits,
     build_orbit,
     build_orbit_skeletons,
@@ -19,7 +22,7 @@ from plocal import (
 )
 from plocal.catalog import build_group
 from plocal.cohomology import CohomologyBasis, CohomologyCache
-from plocal.limits import constant_functor
+from plocal.limits import LinearFunctor, constant_functor
 from plocal.omega import is_centric
 
 
@@ -59,6 +62,56 @@ def test_validate_rejects_bad_matrices():
     # the builders leave validation to limits_profile, which must refuse it
     with pytest.raises(NotAFunctor):
         limits_profile(F, 2)
+
+
+def first_bad_pair(F):
+    """The message of a per-pair loop over the store: the first composable
+    pair in store order that is unfilled or not preserved, or None."""
+    C, p = F.category, F.prime
+    t1s, t2s = C.pairs()
+    for t1, t2, t3 in zip(t1s.tolist(), t2s.tolist(), C.composite.tolist()):
+        if t3 < 0:
+            return f"composite of tokens ({t1},{t2}) is not filled"
+        if not np.array_equal(F.mats[t1] @ F.mats[t2] % p, F.mats[t3] % p):
+            return f"composition fails at tokens ({t1},{t2})"
+    return None
+
+
+@pytest.mark.parametrize("spec,p,index", [
+    ("sym:4", 2, 1), ("sym:4", 2, 2), ("sym:3 x cyc:3", 3, 1), ("sym:3 x cyc:3", 3, 2),
+])
+def test_validate_reports_the_first_bad_pair_in_store_order(spec, p, index):
+    G = build_group(spec)
+    C = build_orbit_skeletons(G, p).omega_cat
+    F = classifying_cohomology_functor(G, p, C, index, CohomologyCache(G, p))
+    assert first_bad_pair(F) is None
+    F.validate()
+    store = C.composite.copy()
+    spoilable = [t for t in range(C.morphism_count) if not C.is_identity(t) and F.mats[t].size]
+    spoiled = 0
+    for t in spoilable[::max(1, len(spoilable) // 8)]:
+        H = LinearFunctor(C, p, F.dims, dict(F.mats))
+        H.mats[t] = F.mats[t].copy()
+        H.mats[t][0, 0] = (H.mats[t][0, 0] + 1) % p
+        msg = first_bad_pair(H)
+        if msg is None:
+            H.validate()
+            continue
+        spoiled += 1
+        with pytest.raises(NotAFunctor, match=re.escape(msg)):
+            H.validate()
+        # an unfilled slot is reported only if it comes first in store order
+        k = next(i for i, (a, b) in enumerate(zip(*C.pairs()))
+                 if msg.endswith(f"({a},{b})"))
+        for slot in {0, k // 2, k, len(store) - 1}:
+            C.composite[slot] = -1
+            want = first_bad_pair(H)
+            error = NotAFunctor if "fails" in want else PLocalError
+            with pytest.raises(error, match=re.escape(want)) as raised:
+                H.validate()
+            assert type(raised.value) is error
+            C.composite[:] = store
+    assert spoiled
 
 
 def test_atomic_limits_vanish_with_p_element():

@@ -291,3 +291,21 @@ def test_golden_masked_homology_report():
     )
     digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
     assert digest == GOLDEN_HOMOLOGY_REPORT_SHA256
+
+
+# sha256 of the sym:3 x cyc:3, p=3, max-degree-4 centric-restriction report,
+# timings masked: its degree-4 cone boundaries are ranked over F_3 with the
+# bound that ∂² = 0 forces, so a wrong early stop changes it
+GOLDEN_CENTRIC_P3_REPORT_SHA256 = (
+    "3694d75a61d91273c53fb7722fc3105c78af154c97080ed3c9c7431fcfde7476"
+)
+
+
+def test_golden_masked_centric_restriction_report_at_p3():
+    rep = run_pipeline(
+        "sym:3 x cyc:3",
+        PipelineConfig(prime=3, max_degree=4, include_timings=False,
+                       checks=("centric-restriction",)),
+    )
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == GOLDEN_CENTRIC_P3_REPORT_SHA256

@@ -10,12 +10,13 @@ the coset left[i]·g·right[j]:
 * linking: K(P) = O^p(C_G(P)) on the left, Mor(P, Q) = K(P)\\N_G(P, Q);
 * orbit: Q on the right, Mor(P, Q) = N_G(P, Q)/Q.
 
-One rule, ``FiniteCategory.canonical``, picks each coset's least element as
-its witness; the composite of g: P -> Q followed by h: Q -> R is the coset
-of the product g h.  So all composition tables are total on composable
-pairs and reproducible, and ``verify_category`` checks every such category
-against the same rule.  ``group_category``, the one-object category of a
-subgroup, is built the same way with both sides trivial.
+One rule, ``FiniteCategory.canonicals``, picks each coset's least element as
+its witness, for whole arrays of cosets at once; the composite of
+g: P -> Q followed by h: Q -> R is the coset of the product g h.  So all
+composition tables are total on composable pairs and reproducible, and
+``verify_category`` checks every such category against the same rule.
+``group_category``, the one-object category of a subgroup, is built the same
+way with both sides trivial.
 
 Composition: tokens are numbered grouped by source (``add_morphism``
 enforces it), so the tokens leaving object o are the block
@@ -54,6 +55,26 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     offs = _offsets(counts)
     block = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     return block, np.arange(offs[-1], dtype=np.int64) - offs[block], offs
+
+
+def _flat(subgroups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ids of the subgroups laid end to end, each one's offset into them
+    and each one's order."""
+    orders = np.array([H.order for H in subgroups], dtype=np.int64)
+    ids = np.array([x for H in subgroups for x in H.ids], dtype=np.intp)
+    return ids, _offsets(orders)[:-1], orders
+
+
+# coset elements per array operation in the coset rule and its check
+_BLOCK = 1 << 15
+
+
+def _blocks(counts: np.ndarray) -> list[slice]:
+    """Runs of consecutive entries, a new run wherever the running total of
+    counts passes a multiple of ``_BLOCK``."""
+    run = _offsets(counts)[:-1] // _BLOCK
+    cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(counts)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 @dataclass(frozen=True)
@@ -119,31 +140,51 @@ class FiniteCategory:
 
     def fill_composition(self, table_budget: int = DEFAULT_BUDGET):
         """Write the store: the composite is the token of the coset of the
-        witness product."""
+        witness product (unfilled if there is none)."""
         self._index_tokens()
         if self.pair_start[-1] > table_budget:
             raise BudgetExceeded(2, int(self.pair_start[-1]), table_budget)
-        mult, mor = self.group.mult, self.morphisms
-        out = []
-        for t1, t2 in zip(*(t.tolist() for t in self.pairs())):
-            a, c = mor[t1].src, mor[t2].tgt
-            w = self.canonical(a, c, mult(mor[t1].witness, mor[t2].witness))
-            out.append(self._by_witness[(a, c, w)])
-        self.composite = np.array(out, dtype=np.int64)
+        t1, t2 = self.pairs()
+        w, a, c = self.witnesses(), self.src[t1], self.tgt[t2]
+        product = self.group.mul[w[t1], w[t2]]
+        self.composite = self.tokens_of(a, c, self.canonicals(a, c, product))
 
     # -- the coset rule ------------------------------------------------------
 
-    def coset(self, i: int, j: int, g: int) -> list[int]:
-        """The elements left[i]·g·right[j] a witness g from object i to object j
-        stands for; a trivial side costs no multiplication."""
-        mult = self.group.mult
-        K, Q = self.left[i].ids, self.right[j].ids
-        gQ = [mult(g, q) for q in Q] if len(Q) > 1 else [g]
-        return [mult(k, x) for k in K for x in gQ] if len(K) > 1 else gQ
+    def witnesses(self) -> np.ndarray:
+        return np.fromiter((m.witness for m in self.morphisms), np.int64, self.morphism_count)
 
-    def canonical(self, i: int, j: int, g: int) -> int:
-        """The witness of g's coset: the least element of left[i]·g·right[j]."""
-        return min(self.coset(i, j, g))
+    def cosets(self, i, j, g) -> tuple[np.ndarray, np.ndarray]:
+        """The cosets left[i]·g·right[j] a witness g from object i to object j
+        stands for, elementwise over broadcast id arrays: their elements laid
+        end to end (with repeats where the two sides overlap), and the offset
+        of each coset with the total appended."""
+        i, j, g = (np.ravel(a) for a in np.broadcast_arrays(i, j, g))
+        (kids, kat, kn), (qids, qat, qn) = _flat(self.left), _flat(self.right)
+        row, pos, offs = _expand(kn[i] * qn[j])
+        i, j, g = i[row], j[row], g[row]
+        mul = self.group.mul
+        return mul[kids[kat[i] + pos // qn[j]], mul[g, qids[qat[j] + pos % qn[j]]]], offs
+
+    def canonicals(self, i, j, g) -> np.ndarray:
+        """The witness of each coset left[i]·g·right[j], its least element,
+        elementwise; worked in ``_blocks`` of coset elements."""
+        i, j, g = (np.ravel(a) for a in np.broadcast_arrays(i, j, g))
+        out = [np.zeros(0, dtype=self.group.mul.dtype)]
+        for b in _blocks(_flat(self.left)[2][i] * _flat(self.right)[2][j]):
+            elems, offs = self.cosets(i[b], j[b], g[b])
+            out.append(np.minimum.reduceat(elems, offs[:-1]))
+        return np.concatenate(out)
+
+    def tokens_of(self, i, j, w) -> np.ndarray:
+        """The tokens from object i to object j witnessed by w, elementwise;
+        -1 where there is none."""
+        n, m = self.group.order, self.object_count
+        keys = (self.src * m + self.tgt) * n + self.witnesses()
+        order = np.argsort(keys)
+        want = (np.asarray(i, dtype=np.int64) * m + j) * n + w
+        at = order[np.searchsorted(keys, want, sorter=order).clip(max=len(keys) - 1)]
+        return np.where(keys[at] == want, at, -1)
 
     # -- queries -----------------------------------------------------------
 
@@ -206,15 +247,18 @@ class FiniteCategory:
 
 def _fill_cosets(cat: FiniteCategory, table_budget: int) -> FiniteCategory:
     """Add one token per coset left[i]·g·right[j] of the transporter elements
-    g from object i to object j, witnessed by its least element, and compose
-    by the same rule."""
-    G = cat.group
-    for i, P in enumerate(cat.objects):
-        for j, Q in enumerate(cat.objects):
-            for w in sorted({cat.canonical(i, j, g) for g in transporter_set(G, P, Q)}):
-                tid = cat.add_morphism(i, j, w)
-                if i == j and w == 0:
-                    cat.set_identity(i, tid)
+    g from object i to object j, witnessed by its least element, in order of
+    (i, j, witness), and compose by the same rule."""
+    G, m, n = cat.group, cat.object_count, cat.group.order
+    found = [transporter_set(G, P, Q) for P in cat.objects for Q in cat.objects]
+    pair = np.repeat(np.arange(m * m), np.array([len(ts) for ts in found], dtype=np.int64))
+    g = np.fromiter((x for ts in found for x in ts), np.intp, len(pair))
+    witness = cat.canonicals(pair // m, pair % m, g)
+    pair, witness = np.divmod(np.unique(pair * n + witness), n)
+    for i, j, w in zip((pair // m).tolist(), (pair % m).tolist(), witness.tolist()):
+        tid = cat.add_morphism(i, j, w)
+        if i == j and w == 0:
+            cat.set_identity(i, tid)
     cat.fill_composition(table_budget)
     return cat
 
@@ -271,17 +315,11 @@ def coset_category(G: PermutationGroup, collection) -> FiniteCategory:
     of all Sylow subgroups, say), every coset of it is an initial object and
     the nerve is contractible.
     """
-    objs: list[tuple[int, tuple[int, ...]]] = []
-    for k, P in enumerate(collection):
-        seen = set()
-        for g in range(G.order):
-            cs = tuple(sorted(G.mult(x, g) for x in P.ids))
-            if cs not in seen:
-                seen.add(cs)
-                objs.append((k, cs))
-    objs.sort()
-    cat = FiniteCategory("coset", [f"{k}:{cs[0]}" for k, cs in objs], G)
-    conj_cache = [frozenset(G.conj(x, cs[0]) for x in collection[k].ids) for k, cs in objs]
+    # each right coset Pg is named by its least element
+    objs = [(k, r) for k, P in enumerate(collection)
+            for r in np.unique(G.mul[list(P.ids)].min(axis=0)).tolist()]
+    cat = FiniteCategory("coset", [f"{k}:{r}" for k, r in objs], G)
+    conj_cache = [frozenset(collection[k].conjugate(r).ids) for k, r in objs]
     tok = np.full((len(objs), len(objs)), -1, dtype=np.int64)
     for a in range(len(objs)):
         for b in range(len(objs)):
@@ -365,49 +403,32 @@ def quotient_projection(T: FiniteCategory, p: int,
     """The projection from a transporter category on centric objects to the
     linking category: identity on objects, witness g -> K(P) g."""
     L = build_linking(T.group, p, T.objects, table_budget)
-    mor_map = [
-        L.token_by_witness(m.src, m.tgt, L.canonical(m.src, m.tgt, m.witness))
-        for m in T.morphisms
-    ]
-    return Functor(T, L, list(range(T.object_count)), mor_map)
+    mor_map = L.tokens_of(T.src, T.tgt, L.canonicals(T.src, T.tgt, T.witnesses()))
+    if (mor_map < 0).any():
+        raise PLocalError("a transporter morphism has no linking image")
+    return Functor(T, L, list(range(T.object_count)), mor_map.tolist())
 
 
 # -- isomorphism classes and skeleta ----------------------------------------
 
 
 def iso_classes(C: FiniteCategory) -> tuple[list[int], list[list[int]]]:
-    """Partition objects by categorical isomorphism."""
-    n = C.object_count
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            iso = False
-            for f in C.mor(i, j):
-                for g in C.mor(j, i):
-                    if (
-                        C.compose(f, g) == C.identity_ids[i]
-                        and C.compose(g, f) == C.identity_ids[j]
-                    ):
-                        iso = True
-                        break
-                if iso:
-                    break
-            if iso:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    class_of = [find(i) for i in range(n)]
-    roots = sorted(set(class_of))
-    renum = {r: k for k, r in enumerate(roots)}
-    class_of = [renum[r] for r in class_of]
-    classes = [[] for _ in roots]
+    """Partition objects by categorical isomorphism: the connected components
+    of the pairs f: i -> j, g: j -> i with f g = 1_i and g f = 1_j, numbered
+    by their least objects."""
+    ident = np.asarray(C.identity_ids, dtype=np.int64)
+    f, g = C.pairs()
+    back = (C.tgt[g] == C.src[f]) & (C.composite >= 0) & (C.composite == ident[C.src[f]])
+    f, g = f[back], g[back]
+    f = f[C.composites(g, f) == ident[C.src[g]]]
+    a, b = C.src[f], C.tgt[f]
+    least = np.arange(C.object_count)  # spread along the pairs until stable
+    while (least[a] != least[b]).any():
+        low = np.minimum(least[a], least[b])
+        np.minimum.at(least, a, low)
+        np.minimum.at(least, b, low)
+    class_of = np.unique(least, return_inverse=True)[1].tolist()
+    classes = [[] for _ in range(max(class_of, default=-1) + 1)]
     for i, c in enumerate(class_of):
         classes[c].append(i)
     return class_of, classes
@@ -508,23 +529,30 @@ def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str]) -> bo
     unfilled slot is left to the closure check)."""
     if C.left is None:
         return True
-    ok = True
-    cosets = []
-    for tid, m in enumerate(C.morphisms):
-        cosets.append(frozenset(C.coset(m.src, m.tgt, m.witness)))
-        if min(cosets[tid]) != m.witness:
-            ok = False
-            failures.append(f"witness of token {tid} is not the least of its coset")
-    mult = C.group.mult
-    t1s, t2s = C.pairs()
-    for t1, t2, t3 in zip(t1s.tolist(), t2s.tolist(), C.composite.tolist()):
-        if t3 < 0:
-            continue
-        coset3 = cosets[t3]
-        if not all(mult(a, b) in coset3 for a in cosets[t1] for b in cosets[t2]):
-            ok = False
-            failures.append(f"representative shift breaks composite ({t1},{t2})")
-    return ok
+    witness = C.witnesses()
+    elems, offs = C.cosets(C.src, C.tgt, witness)
+    bad = np.minimum.reduceat(elems, offs[:-1]) != witness
+    failures += [f"witness of token {t} is not the least of its coset"
+                 for t in np.flatnonzero(bad).tolist()]
+    # membership in a token's coset, by the key token * |G| + element
+    n, size = C.group.order, np.diff(offs)
+    members = np.sort(np.repeat(np.arange(C.morphism_count), size) * n + elems)
+    t1, t2 = C.pairs()
+    filled = C.composite >= 0
+    t1, t2, t3 = t1[filled], t2[filled], C.composite[filled]
+    broken = []
+    for blk in _blocks(size[t1] * size[t2]):
+        a, b, c = t1[blk], t2[blk], t3[blk]
+        pair, pos, _ = _expand(size[a] * size[b])
+        x = elems[offs[a[pair]] + pos // size[b[pair]]]
+        y = elems[offs[b[pair]] + pos % size[b[pair]]]
+        key = c[pair] * n + C.group.mul[x, y]
+        at = np.searchsorted(members, key).clip(max=len(members) - 1)
+        broken.append(blk.start + np.unique(pair[members[at] != key]))
+    broken = np.concatenate(broken or [np.zeros(0, dtype=np.int64)])
+    failures += [f"representative shift breaks composite ({t1[k]},{t2[k]})"
+                 for k in broken.tolist()]
+    return not bad.any() and not len(broken)
 
 
 # -- the quotient-functor conditions -----------------------------------------
@@ -679,59 +707,48 @@ def verify_closure_adjunction(
                     f"morphism sets differ for P={P.label()}, Q={Q.label()}"
                 )
 
-    # naturality in the target variable: postcomposition with any map of
-    # closed subgroups commutes with the identification
-    natural_tgt = True
+    # naturality, per test subgroup P.  In the target variable: for every
+    # phi: P° -> Q of omega, identified with the token phi_big: P -> Q of big,
+    # postcomposition with every m: Q -> Q2 of omega commutes with the
+    # identification.  In the source variable: precomposition of phi_big with
+    # every u: P' -> P of big between test subgroups matches precomposition of
+    # phi with the closure of u, the token P'° -> P° of u's coset.
+    w_big, w_om = big.witnesses(), omega.witnesses()
+    big_of = np.array([big_idx[M.ids] for M in members], dtype=np.int64)
+    om_of = np.full(big.object_count, -1, dtype=np.int64)
     for P in test_subgroups:
-        Pc = clos[P.ids]
-        for Q in members:
-            iP, iPc, iQ = big_idx[P.ids], om_idx[Pc.ids], om_idx[Q.ids]
-            for phi in omega.mor(iPc, iQ):
-                w_phi = omega.morphisms[phi].witness
-                phi_big = big._by_witness.get((iP, big_idx[Q.ids], w_phi))
-                if phi_big is None:
-                    natural_tgt = False
-                    failures.append("identification misses a morphism")
-                    continue
-                for jQ2, Q2 in enumerate(members):
-                    for m in omega.mor(iQ, jQ2):
-                        w_m = omega.morphisms[m].witness
-                        m_big = big._by_witness[
-                            (big_idx[Q.ids], big_idx[Q2.ids], w_m)
-                        ]
-                        lhs = omega.morphisms[omega.compose(phi, m)].witness
-                        rhs = big.morphisms[big.compose(phi_big, m_big)].witness
-                        if lhs != rhs:
-                            natural_tgt = False
-                            failures.append("postcomposition square fails")
+        om_of[big_idx[P.ids]] = om_idx[clos[P.ids].ids]
+    lift = big.tokens_of(big_of[omega.src], big_of[omega.tgt], w_om)
+    if (lift < 0).any():
+        raise PLocalError("a morphism between members is missing from the larger orbit category")
+    om_next = omega.pairs()[1]
 
-    # naturality in the source variable: precomposition with a map P' -> P of
-    # p-subgroups matches precomposition with its closure P'° -> P°
-    natural_src = True
-    for P2 in test_subgroups:
-        for P in test_subgroups:
-            iP2, iP = big_idx[P2.ids], big_idx[P.ids]
-            P2c, Pc = clos[P2.ids], clos[P.ids]
-            for u in big.mor(iP2, iP):
-                w_u = big.morphisms[u].witness
-                i_om, j_om = om_idx[P2c.ids], om_idx[Pc.ids]
-                uc = omega._by_witness.get((i_om, j_om, omega.canonical(i_om, j_om, w_u)))
-                if uc is None:
-                    natural_src = False
-                    failures.append("closure of a morphism is missing")
-                    continue
-                for Q in members:
-                    iQ_big, iQ_om = big_idx[Q.ids], om_idx[Q.ids]
-                    for phi in omega.mor(om_idx[Pc.ids], iQ_om):
-                        w_phi = omega.morphisms[phi].witness
-                        phi_big = big._by_witness.get((iP, iQ_big, w_phi))
-                        if phi_big is None:
-                            natural_src = False
-                            failures.append("identification misses a morphism")
-                            continue
-                        lhs = big.morphisms[big.compose(u, phi_big)].witness
-                        rhs = omega.morphisms[omega.compose(uc, phi)].witness
-                        if lhs != rhs:
-                            natural_src = False
-                            failures.append("precomposition square fails")
+    def differ(t_big, t_om):
+        return (t_big < 0) | (t_om < 0) | (w_big[t_big] != w_om[t_om])
+
+    tgt_failures, src_failures = [], []
+    for P in test_subgroups:
+        iP, iPc = big_idx[P.ids], om_of[big_idx[P.ids]]
+        phi = np.arange(omega.first[iPc], omega.first[iPc + 1])
+        phi_big = big.tokens_of(iP, big_of[omega.tgt[phi]], w_om[phi])
+        found = phi_big >= 0
+        phi, phi_big = phi[found], phi_big[found]
+        k, pos, _ = _expand(np.diff(omega.pair_start)[phi])
+        slot = omega.pair_start[phi[k]] + pos
+        post = differ(big.composites(phi_big[k], lift[om_next[slot]]), omega.composite[slot])
+        u = np.flatnonzero((om_of[big.src] >= 0) & (big.tgt == iP))
+        iu = om_of[big.src[u]]
+        uc = omega.tokens_of(iu, iPc, omega.canonicals(iu, iPc, w_big[u]))
+        closed = uc >= 0
+        u, uc = u[closed, None], uc[closed, None]
+        pre = differ(big.composites(u, phi_big), omega.composites(uc, phi))
+        missing = int((~found).sum())
+        tgt_failures += (["identification misses a morphism"] * missing
+                         + ["postcomposition square fails"] * int(post.sum()))
+        src_failures += (["closure of a morphism is missing"] * int((~closed).sum())
+                         + ["identification misses a morphism"] * (missing * len(u))
+                         + ["precomposition square fails"] * int(pre.sum()))
+    failures += tgt_failures + src_failures
+    natural_tgt = not tgt_failures
+    natural_src = not src_failures
     return AdjunctionVerdict(bijections, natural_src, natural_tgt, pairs, failures)

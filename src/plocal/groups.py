@@ -1,23 +1,26 @@
 """Exact arithmetic for finite permutation groups.
 
 Everything is enumerated: a group stores its full element list in a canonical
-order (lexicographic on image arrays), subgroups are explicit sorted id sets,
-and centralizers / normalizers / transporter sets are computed as element
-filters.  Conjugation is on the right, ``x^g = g^-1 x g``, which makes
-``(P^g)^h = P^(g h)`` and lets transporter elements compose left to right.
+order (lexicographic on image arrays) and one multiplication table
+``mul[a, b]``, the id of ``elements[a] * elements[b]``, in the smallest
+unsigned dtype that holds the order.  Subgroups are explicit sorted id sets.
+Transporter sets, normalizers and centralizers come from one conjugation
+filter and conjugacy classes of subgroups from ``conjugates``; both read
+``mul`` as arrays and hand out Python ints.  Conjugation is on the right,
+``x^g = g^-1 x g``, which makes ``(P^g)^h = P^(g h)`` and lets transporter
+elements compose left to right.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidPermutation, OrderBoundExceeded, PLocalError
 from .perm import Permutation
 
 DEFAULT_ORDER_BOUND = 10_000
-
-# full multiplication tables are kept for groups up to this order
-_MULT_TABLE_MAX_ORDER = 512
 
 
 def p_part(n: int, p: int) -> int:
@@ -45,8 +48,8 @@ class PermutationGroup:
 
     ``elements`` is sorted lexicographically on image arrays, so the identity
     always has id 0 and any "minimal element of a coset" choice downstream is
-    reproducible.  ``words[i]`` is a generator word reaching element i, used
-    to propagate matrix representations.
+    reproducible.  ``words[i]`` is the breadth-first generator word reaching
+    element i; it builds ``mul`` and propagates matrix representations.
     """
 
     def __init__(self, degree: int, generators, order_bound: int = DEFAULT_ORDER_BOUND):
@@ -86,31 +89,33 @@ class PermutationGroup:
         if self.identity_id != 0:
             raise PLocalError("the identity is not the first element in sorted order")
 
-        self.inverse_ids = tuple(
-            self._index[e.inverse().images] for e in self.elements
-        )
+        # mul, column by column: column b is the column of b's word without its
+        # last generator s, sent through s's column (cols is mul's transpose)
+        dtype = np.min_scalar_type(self.order)
+        gen_cols = np.array(
+            [[self._index[(e * s).images] for e in self.elements] for s in gens], dtype=dtype
+        ).reshape(len(gens), self.order)
+        cols = np.empty((self.order, self.order), dtype=dtype)
+        cols[0] = np.arange(self.order)
+        by_word = {w: b for b, w in enumerate(self.words)}
+        for b in sorted(range(1, self.order), key=lambda b: len(self.words[b])):
+            w = self.words[b]
+            cols[b] = gen_cols[w[-1]][cols[by_word[w[:-1]]]]
+        self.mul = cols.T
+        self.inverse_ids = self.mul.argmin(axis=1)  # the one b with a * b = 1
         self.element_orders = tuple(e.order() for e in self.elements)
-        self._mult: list[tuple[int, ...]] | None = None
-        if self.order <= _MULT_TABLE_MAX_ORDER:
-            idx = self._index
-            els = self.elements
-            self._mult = [
-                tuple(idx[(a * b).images] for b in els) for a in els
-            ]
 
     # -- element arithmetic on ids ------------------------------------
 
     def mult(self, i: int, j: int) -> int:
-        if self._mult is not None:
-            return self._mult[i][j]
-        return self._index[(self.elements[i] * self.elements[j]).images]
+        return self.mul.item(i, j)
 
     def inv(self, i: int) -> int:
-        return self.inverse_ids[i]
+        return self.inverse_ids.item(i)
 
     def conj(self, x: int, g: int) -> int:
         """Right conjugation x^g = g^-1 x g."""
-        return self.mult(self.mult(self.inverse_ids[g], x), g)
+        return self.mul.item(self.mul.item(self.inverse_ids.item(g), x), g)
 
     def power(self, i: int, k: int) -> int:
         out = 0
@@ -169,14 +174,13 @@ class Subgroup:
         self.idset = frozenset(self.ids)
         self._gens: tuple[int, ...] | None = None
         if validate:
+            ids = np.array(self.ids, dtype=np.intp)
             if 0 not in self.idset:
                 raise InvalidPermutation("subgroup must contain the identity")
-            for a in self.ids:
-                if parent.inv(a) not in self.idset:
-                    raise InvalidPermutation("subgroup not closed under inverse")
-                for b in self.ids:
-                    if parent.mult(a, b) not in self.idset:
-                        raise InvalidPermutation("subgroup not closed under product")
+            if not np.isin(parent.inverse_ids[ids], ids).all():
+                raise InvalidPermutation("subgroup not closed under inverse")
+            if not np.isin(parent.mul[ids[:, None], ids], ids).all():
+                raise InvalidPermutation("subgroup not closed under product")
 
     @property
     def order(self) -> int:
@@ -220,7 +224,7 @@ class Subgroup:
 
     def conjugate(self, g: int) -> "Subgroup":
         G = self.parent
-        return Subgroup(G, tuple(sorted(G.conj(x, g) for x in self.ids)))
+        return Subgroup(G, _conj(G, np.array(self.ids, dtype=np.intp), g).tolist())
 
     def intersection(self, other: "Subgroup") -> "Subgroup":
         return Subgroup(self.parent, tuple(sorted(self.idset & other.idset)))
@@ -258,49 +262,51 @@ def conjugate_subgroup(P: Subgroup, g: int) -> Subgroup:
     return P.conjugate(g)
 
 
-def centralizer(G: PermutationGroup, P: Subgroup) -> Subgroup:
-    """C_G(P): elements commuting with every member of P.
+def _conj(G: PermutationGroup, x, g) -> np.ndarray:
+    """x^g for id arrays x and g, broadcast against each other."""
+    return G.mul[G.mul[G.inverse_ids[g], x], g]
 
-    Commuting with a generating set of P suffices.
-    """
-    gens = P.generating_ids
-    ids = [
-        g
-        for g in range(G.order)
-        if all(G.mult(g, x) == G.mult(x, g) for x in gens)
-    ]
-    return Subgroup(G, tuple(ids))
+
+def _conjugators(G: PermutationGroup, P: Subgroup, Q: Subgroup | None = None) -> np.ndarray:
+    """The ids g, ascending, with x^g in Q for every generator x of P, or with
+    x^g = x when Q is None: the one filter behind transporter sets,
+    normalizers and centralizers."""
+    g = np.arange(G.order)
+    inside = np.zeros(G.order, dtype=bool)
+    if Q is not None:
+        inside[list(Q.ids)] = True
+    for x in P.generating_ids:
+        y = _conj(G, x, g)
+        g = g[y == x if Q is None else inside[y]]
+    return g
+
+
+def centralizer(G: PermutationGroup, P: Subgroup) -> Subgroup:
+    """C_G(P): the elements fixing every generator of P under conjugation."""
+    return Subgroup(G, _conjugators(G, P).tolist())
 
 
 def normalizer(G: PermutationGroup, P: Subgroup) -> Subgroup:
-    ids = [
-        g
-        for g in range(G.order)
-        if all(G.conj(x, g) in P.idset for x in P.generating_ids)
-    ]
-    return Subgroup(G, tuple(ids))
+    """N_G(P) = N_G(P, P)."""
+    return Subgroup(G, _conjugators(G, P, P).tolist())
 
 
 def center(P: Subgroup) -> Subgroup:
-    G = P.parent
-    gens = P.generating_ids
-    ids = [
-        x
-        for x in P.ids
-        if all(G.mult(x, y) == G.mult(y, x) for y in gens)
-    ]
-    return Subgroup(G, tuple(ids))
+    """Z(P) = P ∩ C_G(P)."""
+    return Subgroup(P.parent, np.intersect1d(_conjugators(P.parent, P), P.ids).tolist())
 
 
 def transporter_set(G: PermutationGroup, P: Subgroup, Q: Subgroup) -> tuple[int, ...]:
     """N_G(P, Q) = {g : P^g <= Q}, as a sorted tuple of element ids."""
-    gens = P.generating_ids if P.order > 1 else ()
-    out = [
-        g
-        for g in range(G.order)
-        if all(G.conj(x, g) in Q.idset for x in gens)
-    ]
-    return tuple(out)
+    return tuple(_conjugators(G, P, Q).tolist())
+
+
+def conjugates(G: PermutationGroup, H: Subgroup) -> list[Subgroup]:
+    """The distinct conjugates H^g, g in G, canonically sorted (they share
+    H's order, so by their id tuples)."""
+    h = np.array(H.ids, dtype=np.intp)
+    rows = np.sort(_conj(G, h, np.arange(G.order)[:, None]), axis=1)
+    return [Subgroup(G, ids) for ids in np.unique(rows, axis=0).tolist()]
 
 
 def p_residual(H: Subgroup, p: int) -> Subgroup:
@@ -358,12 +364,7 @@ def is_sylow(G: PermutationGroup, S: Subgroup, p: int) -> bool:
 
 def sylow_conjugates(G: PermutationGroup, S: Subgroup) -> list[Subgroup]:
     """The full deduplicated list {S^g : g in G}, canonically sorted."""
-    seen: dict[tuple[int, ...], Subgroup] = {}
-    for g in range(G.order):
-        T = S.conjugate(g)
-        if T.ids not in seen:
-            seen[T.ids] = T
-    return [seen[k] for k in sorted(seen)]
+    return conjugates(G, S)
 
 
 def all_subgroups(S: Subgroup) -> list[Subgroup]:
@@ -429,27 +430,12 @@ def quotient_realization(G: PermutationGroup, N: Subgroup, Q: Subgroup) -> Quoti
     """Build N/Q (Q normal in N) acting regularly on the cosets Qg."""
     if not Q.idset <= N.idset:
         raise PLocalError("quotient_realization needs Q to be a subgroup of N")
-    cosets: list[tuple[int, ...]] = []
-    coset_of: dict[int, int] = {}
-    for g in N.ids:
-        if g in coset_of:
-            continue
-        cs = tuple(sorted(G.mult(q, g) for q in Q.ids))
-        idx = len(cosets)
-        cosets.append(cs)
-        for e in cs:
-            coset_of[e] = idx
-    # sort cosets canonically by their minimal element, remap
-    order = sorted(range(len(cosets)), key=lambda i: cosets[i][0])
-    rank = {old: new for new, old in enumerate(order)}
-    cosets = [cosets[i] for i in order]
-    coset_of = {e: rank[i] for e, i in coset_of.items()}
-
-    gen_ids = N.generating_ids
-    gens = [
-        Permutation(tuple(coset_of[G.mult(cosets[i][0], g)] for i in range(len(cosets))))
-        for g in gen_ids
-    ]
+    # the cosets Qg, g in N, sorted by their least elements
+    rows = np.unique(np.sort(G.mul[np.ix_(Q.ids, N.ids)].T, axis=1), axis=0)
+    cosets = [tuple(cs) for cs in rows.tolist()]
+    coset_of = {e: i for i, cs in enumerate(cosets) for e in cs}
+    gens = [Permutation(tuple(coset_of[G.mult(cs[0], g)] for cs in cosets))
+            for g in N.generating_ids]
     W = PermutationGroup(max(len(cosets), 1), gens)
     if W.order != N.order // Q.order:
         raise InvalidPermutation("quotient is not faithful: Q is not normal in N")

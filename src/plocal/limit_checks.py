@@ -30,6 +30,7 @@ from .groups import (
     PermutationGroup,
     Subgroup,
     all_subgroups,
+    conjugates,
     normalizer,
     quotient_realization,
 )
@@ -44,13 +45,12 @@ from .omega import IntersectionPoset, build_intersection_poset, is_centric
 
 
 def p_class_representatives(G: PermutationGroup, p: int, sylow: Subgroup) -> list[Subgroup]:
-    """One canonical representative per conjugacy class of p-subgroups."""
+    """One canonical representative per conjugacy class of p-subgroups: the
+    least conjugate."""
     reps: dict[tuple[int, ...], Subgroup] = {}
     for H in all_subgroups(sylow):
-        orbit_min = min(
-            (H.conjugate(g) for g in range(G.order)), key=lambda x: x.key
-        )
-        reps.setdefault(orbit_min.ids, orbit_min)
+        least = conjugates(G, H)[0]
+        reps.setdefault(least.ids, least)
     return [reps[k] for k in sorted(reps, key=lambda ids: (len(ids), ids))]
 
 
@@ -68,26 +68,20 @@ class OrbitSkeletons:
     omega_cat: FiniteCategory
     omega_centric: list[bool]
     p_centric: list[bool]
+    member_class: list[int]   # omega skeleton object of each poset member
 
     def p_object_of(self, H: Subgroup) -> int:
-        """Skeleton object index of the class of H (H must be one of the reps'
-        conjugates; resolved by conjugation search)."""
+        """Skeleton object index of the class of H: the class whose
+        representative is H's least conjugate."""
+        least = conjugates(self.G, H)[0].ids
         for i, R in enumerate(self.p_reps):
-            if R.order != H.order:
-                continue
-            if R.ids == H.ids:
-                return i
-            if any(H.conjugate(g).ids == R.ids for g in range(self.G.order)):
+            if R.ids == least:
                 return i
         raise PLocalError(f"{H.label()} is not a p-subgroup of the catalogued classes")
 
     def omega_object_of(self, H: Subgroup) -> int | None:
-        k = self.p_object_of(H)
-        R = self.p_reps[k]
-        for i, M in enumerate(self.omega_reps):
-            if M.ids == R.ids:
-                return i
-        return None
+        ids = self.p_reps[self.p_object_of(H)].ids
+        return next((i for i, M in enumerate(self.omega_reps) if M.ids == ids), None)
 
 
 def build_orbit_skeletons(
@@ -101,13 +95,14 @@ def build_orbit_skeletons(
     S = min(poset.sylows, key=lambda T: T.key)
     p_reps = p_class_representatives(G, p, S)
     p_cat = build_orbit(G, p_reps, table_budget)
-    omega_rep_ids = sorted(
-        {min((poset.members[i] for i in cls), key=lambda m: m.key).ids
-         for cls in poset.classes},
-        key=lambda ids: (len(ids), ids),
-    )
+    # a poset class is a whole conjugacy class, so its least member is its
+    # representative in p_reps
+    class_rep = [min((poset.members[i] for i in cls), key=lambda m: m.key).ids
+                 for cls in poset.classes]
+    omega_rep_ids = sorted(set(class_rep), key=lambda ids: (len(ids), ids))
     by_ids = {R.ids: R for R in p_reps}
     omega_reps = [by_ids[ids] for ids in omega_rep_ids]
+    omega_index = {ids: i for i, ids in enumerate(omega_rep_ids)}
     omega_cat = build_orbit(G, omega_reps, table_budget)
     return OrbitSkeletons(
         G=G,
@@ -120,6 +115,7 @@ def build_orbit_skeletons(
         omega_cat=omega_cat,
         omega_centric=[is_centric(G, p, R) for R in omega_reps],
         p_centric=[is_centric(G, p, R) for R in p_reps],
+        member_class=[omega_index[class_rep[c]] for c in poset.class_of],
     )
 
 
@@ -269,7 +265,7 @@ def support_restriction_check(
     if support_classes is None:
         support_classes = [c for c, flag in enumerate(skel.omega_centric) if flag]
     wanted = set(support_classes)
-    member_class = [skel.omega_object_of(m) for m in poset.members]
+    member_class = skel.member_class
     for a in range(len(poset.members)):
         if member_class[a] not in wanted:
             continue
@@ -372,7 +368,7 @@ def class_filtration_check(
     verdict.centric_dims = lim_on(centric_objs, F_all)
     verdict.full_dims = limits_profile(F_all, nmax, budget).dims
 
-    member_class = [skel.omega_object_of(m) for m in poset.members]
+    member_class = skel.member_class
     in_sylow = set(poset.members_in(skel.sylow))
 
     current = list(centric_objs)

@@ -17,6 +17,7 @@ from .groups import (
     Subgroup,
     center,
     centralizer,
+    conjugates,
     p_residual,
     sylow_conjugates,
     sylow_subgroup,
@@ -87,7 +88,7 @@ def build_intersection_poset(G: PermutationGroup, p: int) -> IntersectionPoset:
     for i, m in enumerate(members):
         if class_of[i] >= 0:
             continue
-        orbit = sorted({index[m.conjugate(g).ids] for g in range(G.order)})
+        orbit = sorted(index[C.ids] for C in conjugates(G, m))
         for j in orbit:
             class_of[j] = len(classes)
         classes.append(orbit)
@@ -152,21 +153,20 @@ class CentricityTable:
     prime: int
     records: list[CentricityRecord]
 
+    def __post_init__(self):
+        self._by_ids = {r.subgroup.ids: r for r in self.records}
+
     def record_for(self, H: Subgroup) -> CentricityRecord:
-        for r in self.records:
-            if r.subgroup.ids == H.ids:
-                return r
-        raise PLocalError(f"{H.label()} was not classified")
+        if H.ids not in self._by_ids:
+            raise PLocalError(f"{H.label()} was not classified")
+        return self._by_ids[H.ids]
 
     def centric_subgroups(self) -> list[Subgroup]:
         return [r.subgroup for r in self.records if r.is_centric]
 
 
 def is_centric(G: PermutationGroup, p: int, P: Subgroup) -> bool:
-    """p-centric: Z(P) is a Sylow p-subgroup of C_G(P), i.e. |C/Z| is prime to p."""
-    C = centralizer(G, P)
-    Z = center(P)
-    return (C.order // Z.order) % p != 0
+    return classify_centric(G, p, [P]).records[0].is_centric
 
 
 def classify_centric(G: PermutationGroup, p: int, collection) -> CentricityTable:
@@ -180,6 +180,7 @@ def classify_centric(G: PermutationGroup, p: int, collection) -> CentricityTable
         records.append(
             CentricityRecord(
                 subgroup=P,
+                # Z(P) is a Sylow p-subgroup of C_G(P), i.e. |C/Z| is prime to p
                 is_centric=(C.order // Z.order) % p != 0,
                 centralizer=C,
                 center=Z,

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from plocal.fplinalg import FpMatrix
+from reference_groups import coset, product
 
 
 def from_row_entries(nrows: int, ncols: int, prime: int, rows) -> FpMatrix:
@@ -45,8 +46,9 @@ def from_row_entries(nrows: int, ncols: int, prime: int, rows) -> FpMatrix:
 def reference_compose_table(C) -> dict[tuple[int, int], int]:
     """The composition table as a dict, filled by the loop over pairs of
     morphism sets that the store replaced: by the coset rule for a category
-    built from G (its full subcategories and skeleta included), and as the
-    unique arrow for the thin coset category.  Reads no composite."""
+    built from G (its full subcategories and skeleta included), with cosets
+    of ``Permutation`` products, and as the unique arrow for the thin coset
+    category.  Reads no composite."""
     table: dict[tuple[int, int], int] = {}
     for (a, b), lhs in C.mor_ids.items():
         for (b2, c), rhs in C.mor_ids.items():
@@ -58,7 +60,7 @@ def reference_compose_table(C) -> dict[tuple[int, int], int]:
                         (table[(t1, t2)],) = C.mor(a, c)
                         continue
                     w1, w2 = C.morphisms[t1].witness, C.morphisms[t2].witness
-                    w = C.canonical(a, c, C.group.mult(w1, w2))
+                    w = min(coset(C, a, c, product(C.group, w1, w2)))
                     table[(t1, t2)] = C.token_by_witness(a, c, w)
     return table
 

@@ -140,7 +140,7 @@ def test_coset_check_catches_a_witness_that_is_not_least():
     C = build_orbit(G, [G.trivial_subgroup(), sylow_subgroup(G, 2)])
     t = C.mor(0, 1)[0]
     m = C.morphisms[t]
-    C.morphisms[t] = Morphism(m.src, m.tgt, max(C.coset(m.src, m.tgt, m.witness)))
+    C.morphisms[t] = Morphism(m.src, m.tgt, int(C.cosets(m.src, m.tgt, m.witness)[0].max()))
     v = verify_category(C)
     assert not v.well_defined
     assert f"witness of token {t} is not the least of its coset" in v.failures

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+import reference_groups as ref
 from plocal import (
     InvalidPermutation,
     OrderBoundExceeded,
@@ -24,6 +26,12 @@ from plocal import (
     transporter_set,
 )
 from plocal.catalog import build_group, parse_cycles
+from plocal.categories import build_linking, build_orbit, build_transporter, quotient_projection
+from plocal.groups import conjugates
+from plocal.limit_checks import build_orbit_skeletons, p_class_representatives
+from plocal.omega import build_intersection_poset, classify_centric
+
+CATALOG = ["sym:3", "sym:4", "alt:4", "dih:8", "dih:12", "cyc:6", "sym:3 x cyc:3"]
 
 perms = st.integers(3, 6).flatmap(
     lambda n: st.permutations(list(range(n))).map(tuple)
@@ -285,3 +293,64 @@ def test_p_part():
     assert p_part(24, 2) == 8
     assert p_part(24, 3) == 3
     assert p_part(7, 2) == 1
+
+
+@pytest.mark.parametrize("spec", ["sym:6", "sym:4 x cyc:2"])
+def test_multiplication_table_matches_permutation_products(spec):
+    G = build_group(spec)
+    e = G.elements
+    expected = np.array([[G.element_id(a * b) for b in e] for a in e])
+    assert G.mul.dtype == (np.uint16 if G.order > 255 else np.uint8)
+    assert np.array_equal(G.mul, expected)
+    assert np.array_equal(G.mul[:, 0], np.arange(G.order))
+    assert not G.mul[np.arange(G.order), G.inverse_ids].any()
+
+
+@pytest.mark.parametrize("spec", CATALOG + ["sym:4 x cyc:2"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_element_filters_match_the_permutation_references(spec, p):
+    """Every pair of subgroups of a Sylow subgroup, against the scalar loops
+    over Permutation products in ``reference_groups``."""
+    G = build_group(spec)
+    S = sylow_subgroup(G, p)
+    subs = all_subgroups(S)
+    for P in subs:
+        assert centralizer(G, P).ids == ref.centralizer(G, P)
+        assert normalizer(G, P).ids == ref.normalizer(G, P)
+        assert center(P).ids == ref.center(P)
+        assert [C.ids for C in conjugates(G, P)] == ref.conjugates(G, P)
+        for Q in subs:
+            assert transporter_set(G, P, Q) == ref.transporter_set(G, P, Q), (P, Q)
+    assert [T.ids for T in sylow_conjugates(G, S)] == ref.conjugates(G, S)
+    reps = {ref.conjugates(G, H)[0] for H in subs}
+    reps = sorted(reps, key=lambda ids: (len(ids), ids))
+    assert [R.ids for R in p_class_representatives(G, p, S)] == reps
+    poset = build_intersection_poset(G, p)
+    index = {M.ids: i for i, M in enumerate(poset.members)}
+    for i, M in enumerate(poset.members):
+        orbit = sorted(index[ids] for ids in ref.conjugates(G, M))
+        assert poset.classes[poset.class_of[i]] == orbit
+    skel = build_orbit_skeletons(G, p, poset)
+    for H in subs:
+        assert skel.p_reps[skel.p_object_of(H)].ids == ref.conjugates(G, H)[0]
+    assert skel.member_class == [skel.omega_object_of(M) for M in poset.members]
+
+
+def test_group_code_hands_out_python_ints():
+    """No numpy scalar may reach a dict key or the JSON report."""
+    G = build_group("sym:4 x cyc:2")
+    S = sylow_subgroup(G, 2)
+    subs = all_subgroups(S)
+    assert all(type(g) is int for P in subs for g in transporter_set(G, P, S))
+    residuals = [r.residual for r in classify_centric(G, 2, subs).records]
+    made = [centralizer(G, S), normalizer(G, S), center(S), S.conjugate(5),
+            *conjugates(G, S), *subs, *residuals]
+    assert all(type(x) is int for H in made for x in H.ids + H.generating_ids)
+    T = build_transporter(G, subs)
+    cents = [H for H in subs if classify_centric(G, 2, [H]).records[0].is_centric]
+    psi = quotient_projection(build_transporter(G, cents), 2)
+    for C in (T, build_orbit(G, subs), build_linking(G, 2, cents), psi.target):
+        assert all(type(m.witness) is int for m in C.morphisms)
+        assert all(type(w) is int for *_, w in C._by_witness)
+    assert all(type(t) is int for t in psi.morphism_map)
+    assert type(G.mult(3, 4)) is int and type(G.conj(3, 4)) is int and type(G.inv(3)) is int

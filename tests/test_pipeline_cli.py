@@ -132,6 +132,18 @@ def test_stage_table_matches_benchmark_and_report(monkeypatch):
     assert stage_timings == ["stage:closure", "stage:main"]
 
 
+def test_every_traced_benchmark_target_resolves(monkeypatch):
+    """The benchmark's tracer wraps plocal functions by name, so renaming or
+    deleting one would break ``perfbench/run.py --trace 1``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for module, attr, _ in tracing.TARGETS:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr)
+
+
 def test_degenerate_prime_not_dividing_order():
     rep = run_pipeline("cyc:3", PipelineConfig(prime=2, include_timings=False))
     d = rep.data
@@ -309,3 +321,21 @@ def test_golden_masked_centric_restriction_report_at_p3():
     )
     digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
     assert digest == GOLDEN_CENTRIC_P3_REPORT_SHA256
+
+
+# sha256 of the sym:4 x cyc:2, p=2, max-degree-3 report over the four
+# structure checks, timings masked: its coset categories are the largest the
+# benchmark builds, so any change to the coset rule shows here
+GOLDEN_STRUCTURE_REPORT_SHA256 = (
+    "c7a4675f0838dfb3148d241c1227f2ceb7ec85f52654dbdba4bd3329ab30935e"
+)
+
+
+def test_golden_masked_structure_report():
+    rep = run_pipeline(
+        "sym:4 x cyc:2",
+        PipelineConfig(prime=2, max_degree=3, include_timings=False,
+                       checks=("closure", "categories", "quotient", "adjunction")),
+    )
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == GOLDEN_STRUCTURE_REPORT_SHA256

@@ -143,9 +143,10 @@ def cochain_differentials(chains: Chains, dims: list[int], mats: dict, prime: in
                           ) -> tuple[list[int], list[FpMatrix]]:
     """Degree sizes and differentials C^n -> C^{n+1} of the normalized
     cochain complex of a contravariant functor with these object dimensions
-    and token matrices.  A chain carries ``dims[head]`` coordinates; its row
-    block has F(first arrow) at the drop-first face and +-I at the others.
-    ``chains`` must start exactly at the objects of nonzero dimension."""
+    and token matrices, with rows indexed by C^n.  A chain carries
+    ``dims[head]`` coordinates; its column block has F(first arrow) at the
+    drop-first face and +-I at the others.  ``chains`` must start exactly at
+    the objects of nonzero dimension."""
     dims = np.asarray(dims, dtype=np.int64)
     # COO of F(t) mod p for every non-identity token t
     blk_nnz = np.zeros(len(chains.src), dtype=np.int64)
@@ -180,6 +181,6 @@ def cochain_differentials(chains: Chains, dims: list[int], mats: dict, prime: in
                 rows.append(sel)
                 cols.append(col_off[at[row_of[sel]]] + local[sel])
                 vals.append(np.full(len(sel), sign, dtype=np.int64))
-        shape = (int(row_off[-1]), int(col_off[-1]))
-        diffs.append(_fp_matrix(rows, cols, vals, shape, prime))
+        shape = (int(col_off[-1]), int(row_off[-1]))
+        diffs.append(_fp_matrix(cols, rows, vals, shape, prime))
     return [int(o[-1]) for o in offsets], diffs

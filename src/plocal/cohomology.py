@@ -85,13 +85,15 @@ class CohomologyBasis:
 
 
 class CohomologyCache:
-    """Shared per-run cache of CohomologyBasis objects keyed by (subgroup, i)."""
+    """Shared per-run cache of CohomologyBasis objects keyed by (subgroup, i),
+    and the run's store of limit profiles (``limits_profile``'s ``memo``)."""
 
     def __init__(self, G: PermutationGroup, p: int, budget: int = DEFAULT_BUDGET):
         self.G = G
         self.p = p
         self.budget = budget
         self._store: dict[tuple[tuple[int, ...], int], CohomologyBasis] = {}
+        self.limits: dict = {}
 
     def basis(self, P: Subgroup, i: int) -> CohomologyBasis:
         key = (P.ids, i)

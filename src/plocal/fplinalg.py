@@ -23,11 +23,25 @@ pivots, seeded ones included, and the rows after that are never read.  The
 result stays exact when the bound is a true upper bound: the rows inserted so
 far then span the whole row space, so every later row would reduce to zero
 and add no pivot, and the stopped echelon is the one a full pass would keep.
-Chain complexes supply the bound from ∂² = 0, which their constructors
-check: the rows of ∂_d lie in the left kernel of ∂_{d-1}, so
+Nerves and mapping cones supply the bound from ∂² = 0, which their
+constructors check: the rows of ∂_d lie in the left kernel of ∂_{d-1}, so
 rank ∂_d <= dim C_{d-1} - rank ∂_{d-1}.  For an acyclic complex (the mapping
 cone of an isomorphism) that bound is the rank, and elimination ends at the
 row that finds the last pivot.
+
+``rank`` may also be told to skip rows, for clearing across consecutive
+degrees (Chen–Kerber, "Persistent homology computation with a twist", 2011;
+Bauer, "Ripser", 2021).  Let D_{n-1}, D_n be consecutive differentials with
+rows indexed by C^{n-1} and C^n, so D_{n-1} D_n = 0.  Every row v of the
+echelon of D_{n-1} lies in the row space of D_{n-1}, so v D_n = 0; if v's
+leading (largest) column is c, row c of D_n is a combination of rows < c.
+Inserted in order, row c would reduce to zero against the rows before it,
+so skipping the leading columns of D_{n-1}'s echelon keeps the same echelon
+and rank as a full pass.  Only D_{n-1} D_n = 0 is used, and the rank of D_n
+is then at most the number of rows left, which is the ∂² = 0 bound above.
+Functor cochain complexes are ranked this way.  Nerves keep the boundary
+orientation and the bound, because a seeded mapping cone needs its target
+boundary's echelon in that orientation.
 """
 
 from __future__ import annotations
@@ -57,6 +71,7 @@ class FpMatrix:
         self.tail = tail
         self.echelon: dict | None = None
         self._rank: int | None = None
+        self._tail_start: int | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -66,28 +81,34 @@ class FpMatrix:
     def nnz(self) -> int:
         return self.csr.nnz
 
-    def rank(self, bound: int | None = None) -> int:
+    def rank(self, bound: int | None = None, skip=()) -> int:
         """The rank over F_p.  ``bound``, if given, must be an upper bound on
-        it; elimination stops once ``min(bound, *shape)`` pivots are found."""
+        it; elimination stops once ``min(bound, *shape)`` pivots are found.
+        The rows in ``skip`` are never read; each must be a combination of
+        the rows before it (see the module docstring)."""
         if self._rank is None:
             cap = min(self.shape) if bound is None else min(bound, *self.shape)
             pivots: dict = {}
-            nrows = self.shape[0]
+            rows = range(self.shape[0])
             if self.tail is not None and self.tail[0].echelon is not None:
                 block, offset = self.tail
-                nrows = self._check_tail()
+                rows = range(self._check_tail())
                 pivots = _shifted_echelon(block.echelon, offset, self.prime)
+            if len(skip):
+                rows = np.setdiff1d(rows, np.fromiter(skip, np.int64)).tolist()
             if self.prime == 2:
-                _insert_rows_gf2(self.csr, nrows, pivots, cap)
+                _insert_rows_gf2(self.csr, rows, pivots, cap)
             else:
-                _insert_rows_modp(self.csr, nrows, self.prime, pivots, cap)
+                _insert_rows_modp(self.csr, rows, self.prime, pivots, cap)
             self.echelon = pivots
             self._rank = len(pivots)
         return self._rank
 
     def _check_tail(self) -> int:
         """The first row of the declared tail; raises unless the rows from
-        there on are exactly ``[0 | block]``."""
+        there on are exactly ``[0 | block]``.  Checked once per matrix."""
+        if self._tail_start is not None:
+            return self._tail_start
         block, offset = self.tail
         a, b = self.csr, block.csr
         start = a.shape[0] - b.shape[0]
@@ -100,6 +121,7 @@ class FpMatrix:
             and np.array_equal(a.data[lo:], b.data)
         ):
             raise PLocalError("trailing rows differ from the declared block")
+        self._tail_start = start
         return start
 
     def matmul(self, other: "FpMatrix") -> "FpMatrix":
@@ -124,14 +146,14 @@ def _shifted_echelon(pivots: dict, offset: int, p: int) -> dict:
     }
 
 
-def _insert_rows_gf2(csr: sparse.csr_matrix, nrows: int, pivots: dict[int, int],
+def _insert_rows_gf2(csr: sparse.csr_matrix, rows, pivots: dict[int, int],
                      cap: int) -> None:
-    """Insert rows ``0:nrows`` into a GF(2) echelon of bitmask rows, stopping
-    once it holds ``cap`` pivots."""
+    """Insert ``rows``, in order, into a GF(2) echelon of bitmask rows,
+    stopping once it holds ``cap`` pivots."""
     if len(pivots) >= cap:
         return
     indptr, indices = csr.indptr, csr.indices
-    for i in range(nrows):
+    for i in rows:
         m = 0
         for c in indices[indptr[i]:indptr[i + 1]].tolist():
             m |= 1 << c
@@ -146,14 +168,14 @@ def _insert_rows_gf2(csr: sparse.csr_matrix, nrows: int, pivots: dict[int, int],
             m ^= piv
 
 
-def _insert_rows_modp(csr: sparse.csr_matrix, nrows: int, p: int,
+def _insert_rows_modp(csr: sparse.csr_matrix, rows, p: int,
                       pivots: dict[int, dict[int, int]], cap: int) -> None:
-    """Insert rows ``0:nrows`` into an F_p echelon of monic {column: coeff}
+    """Insert ``rows``, in order, into an F_p echelon of monic {column: coeff}
     rows, stopping once it holds ``cap`` pivots."""
     if len(pivots) >= cap:
         return
     indptr, indices, data = csr.indptr, csr.indices, csr.data
-    for i in range(nrows):
+    for i in rows:
         lo, hi = indptr[i], indptr[i + 1]
         row = dict(zip(indices[lo:hi].tolist(), data[lo:hi].tolist()))
         while row:

@@ -6,7 +6,8 @@ order (lexicographic on image arrays) and one multiplication table
 unsigned dtype that holds the order.  Subgroups are explicit sorted id sets.
 Transporter sets, normalizers and centralizers come from one conjugation
 filter and conjugacy classes of subgroups from ``conjugates``; both read
-``mul`` as arrays and hand out Python ints.  Conjugation is on the right,
+``mul`` as arrays and hand out Python ints; a group keeps each (immutable)
+transporter set it computes.  Conjugation is on the right,
 ``x^g = g^-1 x g``, which makes ``(P^g)^h = P^(g h)`` and lets transporter
 elements compose left to right.
 """
@@ -104,6 +105,7 @@ class PermutationGroup:
         self.mul = cols.T
         self.inverse_ids = self.mul.argmin(axis=1)  # the one b with a * b = 1
         self.element_orders = tuple(e.order() for e in self.elements)
+        self._transporters: dict[tuple, tuple[int, ...]] = {}
 
     # -- element arithmetic on ids ------------------------------------
 
@@ -297,8 +299,13 @@ def center(P: Subgroup) -> Subgroup:
 
 
 def transporter_set(G: PermutationGroup, P: Subgroup, Q: Subgroup) -> tuple[int, ...]:
-    """N_G(P, Q) = {g : P^g <= Q}, as a sorted tuple of element ids."""
-    return tuple(_conjugators(G, P, Q).tolist())
+    """N_G(P, Q) = {g : P^g <= Q}, as a sorted tuple of element ids,
+    computed once per group and pair (P, Q)."""
+    key = (P.ids, Q.ids)
+    found = G._transporters.get(key)
+    if found is None:
+        found = G._transporters[key] = tuple(_conjugators(G, P, Q).tolist())
+    return found
 
 
 def conjugates(G: PermutationGroup, H: Subgroup) -> list[Subgroup]:

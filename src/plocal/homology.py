@@ -46,12 +46,25 @@ class FpComplex:
     ``chains`` holds the nerve's chain arrays; mapping cones have none.
     Construction raises ``PLocalError`` unless ∂_d ∂_{d-1} = 0 in every
     degree, which ``rank_boundary``'s bound relies on.
+
+    A boundary's declared tail ``[0 | block]`` is checked against its rows
+    here.  When ∂_{d-1}'s tail starts at the row ∂_d's tail block starts
+    at, the tail rows of ∂_d ∂_{d-1} are ``[0 | block_d block_{d-1}]``, so
+    only the leading rows are multiplied: consecutive tail blocks must be
+    consecutive boundaries of a complex that checked its own ∂² (a mapping
+    cone's target).
     """
 
     def __init__(self, prime: int, dmax: int, dims: list[int],
                  boundaries: list[FpMatrix | None], chains: Chains | None = None):
+        for d in range(1, dmax + 1):
+            if boundaries[d].tail is not None:
+                boundaries[d]._check_tail()
         for d in range(2, dmax + 1):
-            if not boundaries[d].matmul(boundaries[d - 1]).is_zero():
+            top, below = boundaries[d], boundaries[d - 1]
+            if top.tail and below.tail and top.tail[1] == below._check_tail():
+                top = FpMatrix(top.csr[:top._check_tail()], prime)
+            if not top.matmul(below).is_zero():
                 raise PLocalError(f"boundary squared is nonzero in degree {d}")
         self.prime = prime
         self.dmax = dmax

@@ -10,6 +10,11 @@ and compute both sides of each claimed identity independently:
   the functor is supported on;
 * the one-class-at-a-time filtration from the centric subcategory up to the
   whole intersection poset.
+
+Limits go through the run's ``CohomologyCache.limits`` store, so a functor
+whose content recurs (the same functor restricted to every object, or
+built again by a later check) is limited once per run.  The two sides of an
+identity are different functors and are still computed separately.
 """
 
 from __future__ import annotations
@@ -126,9 +131,11 @@ def atomic_functor_limits(
     nmax: int,
     budget: int = DEFAULT_BUDGET,
     skeletons: OrbitSkeletons | None = None,
+    memo: dict | None = None,
 ) -> LimitsProfile:
     """Higher limits of the functor with value M at the trivial subgroup and
-    zero elsewhere, over the skeletal orbit category of all p-subgroups."""
+    zero elsewhere, over the skeletal orbit category of all p-subgroups;
+    ``memo`` is passed on to ``limits_profile``."""
     skel = skeletons or build_orbit_skeletons(G, p)
     cat = skel.p_cat
     triv = next(i for i, R in enumerate(skel.p_reps) if R.order == 1)
@@ -141,7 +148,7 @@ def atomic_functor_limits(
         else:
             mats[tid] = np.zeros((dims[m.src], dims[m.tgt]), dtype=np.int64)
     F = LinearFunctor(cat, p, dims, mats)
-    return limits_profile(F, nmax, budget)
+    return limits_profile(F, nmax, budget, memo)
 
 
 @dataclass
@@ -178,17 +185,18 @@ def punctured_class_vanishing(
     """Limits of the functor concentrated on the class of a non-centric Q
     vanish, over both skeleta; flags NOT-APPLICABLE for centric input."""
     G, p = skel.G, skel.p
+    cache = cache or CohomologyCache(G, p)
     k = skel.p_object_of(Q)
     label = skel.p_reps[k].label()
     if skel.p_centric[k]:
         return VanishingVerdict(False, label, i)
     F_full = supported_cohomology_functor(G, p, skel.p_cat, [k], i, cache)
-    full = limits_profile(F_full, nmax, budget).dims
+    full = limits_profile(F_full, nmax, budget, cache.limits).dims
     om = skel.omega_object_of(Q)
     omega_dims = None
     if om is not None:
         F_om = supported_cohomology_functor(G, p, skel.omega_cat, [om], i, cache)
-        omega_dims = limits_profile(F_om, nmax, budget).dims
+        omega_dims = limits_profile(F_om, nmax, budget, cache.limits).dims
     return VanishingVerdict(True, label, i, full, omega_dims)
 
 
@@ -220,7 +228,7 @@ def normalizer_reduction_check(
     k = skel.p_object_of(Q)
     R = skel.p_reps[k]
     F = supported_cohomology_functor(G, p, skel.p_cat, [k], i, cache)
-    left = limits_profile(F, nmax, budget).dims
+    left = limits_profile(F, nmax, budget, cache.limits).dims
 
     N = normalizer(G, R)
     quo = quotient_realization(G, N, R)
@@ -230,7 +238,7 @@ def normalizer_reduction_check(
     for g in N.generating_ids:
         gen_mats.append(basis.pullback_matrix(basis, lambda x: G.conj(x, g)))
     module = ModuleData(dim=basis.dim, generator_matrices=gen_mats)
-    right = atomic_functor_limits(W, p, module, nmax, budget).dims
+    right = atomic_functor_limits(W, p, module, nmax, budget, memo=cache.limits).dims
     return ReductionVerdict(R.label(), i, left, right, W.order)
 
 
@@ -261,6 +269,7 @@ def support_restriction_check(
     closed under overgroups within the poset raises UpwardClosureViolated.
     """
     G, p = skel.G, skel.p
+    cache = cache or CohomologyCache(G, p)
     poset = skel.poset
     if support_classes is None:
         support_classes = [c for c, flag in enumerate(skel.omega_centric) if flag]
@@ -277,10 +286,10 @@ def support_restriction_check(
                 )
     support = sorted(wanted)
     F = supported_cohomology_functor(G, p, skel.omega_cat, support, i, cache)
-    ambient = limits_profile(F, nmax, budget).dims
+    ambient = limits_profile(F, nmax, budget, cache.limits).dims
     sub, incl = full_subcategory(skel.omega_cat, support)
     Fsub = F.restrict(sub, incl)
-    restricted = limits_profile(Fsub, nmax, budget).dims
+    restricted = limits_profile(Fsub, nmax, budget, cache.limits).dims
     return RestrictionVerdict(i, ambient, restricted, len(support))
 
 
@@ -362,11 +371,12 @@ def class_filtration_check(
 
     def lim_on(objs: list[int], functor: LinearFunctor) -> list[int]:
         sub, incl = full_subcategory(cat, objs)
-        return limits_profile(functor.restrict(sub, incl), nmax, budget).dims
+        restricted = functor.restrict(sub, incl)
+        return limits_profile(restricted, nmax, budget, cache.limits).dims
 
     verdict = FiltrationVerdict(index=i)
     verdict.centric_dims = lim_on(centric_objs, F_all)
-    verdict.full_dims = limits_profile(F_all, nmax, budget).dims
+    verdict.full_dims = limits_profile(F_all, nmax, budget, cache.limits).dims
 
     member_class = skel.member_class
     in_sylow = set(poset.members_in(skel.sylow))
@@ -405,9 +415,9 @@ def class_filtration_check(
             upward_closed=upward,
             surjection_natural=natural,
             kernel_matches_punctured=kernel_ok,
-            punctured_dims=limits_profile(punct, nmax, budget).dims,
-            lim_full=limits_profile(F_full, nmax, budget).dims,
-            lim_zeroed=limits_profile(F_zero, nmax, budget).dims,
+            punctured_dims=limits_profile(punct, nmax, budget, cache.limits).dims,
+            lim_full=limits_profile(F_full, nmax, budget, cache.limits).dims,
+            lim_zeroed=limits_profile(F_zero, nmax, budget, cache.limits).dims,
             lim_previous=prev_dims,
         )
         verdict.stages.append(stage)

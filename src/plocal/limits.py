@@ -10,6 +10,11 @@ of ``chains`` (tokens are numbered grouped by source, as
 Each face's block column is found by the index walk of ``chains``.  A
 complex built to ``nmax`` certifies lim^n for n <= nmax-1, and lim^0 is
 cross-checked against the directly solved compatible-family system.
+
+Each differential is stored in its natural orientation, rows indexed by C^n,
+so that the rank of d: C^n -> C^{n+1} can clear the rows at the pivots of
+the differential into C^n (see ``fplinalg``).  ``limits_profile`` can keep
+its results in a per-run store keyed on the functor's whole content.
 """
 
 from __future__ import annotations
@@ -110,15 +115,16 @@ class LimitsProfile:
 class CochainComplex:
     """The normalized functor cochain complex, truncated at chain length nmax.
 
-    ``diffs[n]`` is the matrix of d: C^n -> C^{n+1} with rows indexed by the
-    degree-(n+1) basis, so ranks feed straight into lim^n dimensions.
-    Construction raises ``PLocalError`` unless d d = 0 in every degree, which
-    ``rank_diff``'s bound relies on.
+    ``diffs[n]`` is the matrix of d: C^n -> C^{n+1} in its natural
+    orientation, acting on row vectors: rows are indexed by the degree-n
+    basis and columns by the degree-(n+1) basis.  Construction raises
+    ``PLocalError`` unless d d = 0 in every degree, which ``rank_diff``'s
+    clearing relies on.
     """
 
     def __init__(self, prime: int, nmax: int, dims: list[int], diffs: list[FpMatrix]):
         for n in range(1, len(diffs)):
-            if not diffs[n].matmul(diffs[n - 1]).is_zero():
+            if not diffs[n - 1].matmul(diffs[n]).is_zero():
                 raise PLocalError(f"cochain differential squared is nonzero in degree {n}")
         self.prime = prime
         self.nmax = nmax
@@ -126,11 +132,15 @@ class CochainComplex:
         self.diffs = diffs
 
     def rank_diff(self, n: int) -> int:
-        """rank of d: C^n -> C^{n+1}, eliminated only until it reaches
-        dims[n] - rank of the differential into C^n (see ``fplinalg``)."""
+        """rank of d: C^n -> C^{n+1}.  The rows at the leading columns of the
+        echelon of the differential into C^n are cleared, never read: each
+        is a combination of the rows before it (see ``fplinalg``)."""
         if n < 0 or n >= len(self.diffs):
             return 0
-        return self.diffs[n].rank(self.dims[n] - self.rank_diff(n - 1))
+        if n == 0:
+            return self.diffs[0].rank()
+        self.rank_diff(n - 1)
+        return self.diffs[n].rank(skip=self.diffs[n - 1].echelon)
 
     def limit_dims(self) -> list[int]:
         return [
@@ -158,8 +168,18 @@ def functor_cochain_complex(F: LinearFunctor, nmax: int,
     return CochainComplex(F.prime, nmax, dims, diffs)
 
 
-def limits_profile(F: LinearFunctor, nmax: int, budget: int = DEFAULT_BUDGET) -> LimitsProfile:
-    """lim^n F for n < nmax, after an exhaustive check that F is a functor."""
+def limits_profile(F: LinearFunctor, nmax: int, budget: int = DEFAULT_BUDGET,
+                   memo: dict | None = None) -> LimitsProfile:
+    """lim^n F for n < nmax, after an exhaustive check that F is a functor.
+
+    With ``memo`` (a run's store), a functor equal in content to one already
+    limited with the same nmax and budget is not validated or computed
+    again.  Only successes are stored, so an error is raised on every call."""
+    if memo is not None:
+        key = _functor_key(F, nmax, budget)
+        if key in memo:
+            dims, check = memo[key]
+            return LimitsProfile(F.prime, list(dims), nmax, check)
     F.validate()
     cx = functor_cochain_complex(F, nmax, budget)
     dims = cx.limit_dims()
@@ -168,7 +188,23 @@ def limits_profile(F: LinearFunctor, nmax: int, budget: int = DEFAULT_BUDGET) ->
         raise PLocalError(
             f"lim^0 mismatch: cochain gives {dims[0]}, compatibility system gives {check}"
         )
+    if memo is not None:
+        memo[key] = (tuple(dims), check)
     return LimitsProfile(F.prime, dims, nmax, check)
+
+
+def _functor_key(F: LinearFunctor, nmax: int, budget: int) -> tuple:
+    """Everything ``limits_profile`` reads: the category's composition, the
+    prime, nmax, the budget, the dimensions, and every token matrix's shape
+    and entries mod p.  Compared in full, never by digest alone."""
+    C = F.category
+    mats = [np.asarray(F.mats[t], dtype=np.int64) for t in range(C.morphism_count)]
+    arrays = (C.src, C.tgt, C.is_id, C.composite)
+    return (
+        C.object_count, *(np.asarray(a, dtype=np.int64).tobytes() for a in arrays),
+        F.prime, nmax, budget, tuple(F.dims), tuple(M.shape for M in mats),
+        b"".join((M % F.prime).tobytes() for M in mats),
+    )
 
 
 def inverse_limit_dim(F: LinearFunctor) -> int:

@@ -429,7 +429,8 @@ class PipelineRun:
         nmax = self.cfg.max_limit_degree
         module = ModuleData(1, [np.eye(1, dtype=np.int64) for _ in self.G.generators])
         profile = atomic_functor_limits(
-            self.G, self.p, module, nmax, self.cfg.budget, self.skeletons
+            self.G, self.p, module, nmax, self.cfg.budget, self.skeletons,
+            self.cohomology_cache.limits,
         )
         has_p_element = any(o == self.p for o in self.G.element_orders)
         detail["limits"]["atomic_trivial_module"] = {

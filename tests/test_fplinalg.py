@@ -5,10 +5,11 @@ from B's kept echelon, and from scratch.  Both must agree with the reference
 eliminations ``_rank_csr_gf2``/``_rank_csr_modp`` and, where the matrix is
 small enough to hold densely, with the dense oracle.
 
-Complexes rank each boundary with the bound ∂² = 0 forces.  A bounded rank
-must equal the unbounded one and the reference, its echelon must equal the
-one a pass over every row keeps, and no row after the one that reaches the
-bound may be read.
+Nerves and cones rank each boundary with the bound ∂² = 0 forces, and
+cochain complexes clear the rows at the previous differential's pivots.  A
+bounded or cleared rank must equal the plain one and the reference, its
+echelon must equal the one a pass over every row keeps, and no row after the
+one that reaches the bound, and no cleared row, may be read.
 """
 
 import math
@@ -19,6 +20,7 @@ from scipy import sparse
 
 import oracle
 from plocal import (
+    PipelineConfig,
     PLocalError,
     all_subgroups,
     build_orbit_skeletons,
@@ -30,8 +32,10 @@ from plocal import (
     mapping_cone,
     nerve_complex,
     quotient_projection,
+    run_pipeline,
     sylow_subgroup,
 )
+from plocal import limits
 from plocal.catalog import build_group
 from plocal.cohomology import CohomologyCache
 from plocal.fplinalg import (
@@ -61,15 +65,16 @@ def full_echelon(m: FpMatrix) -> dict:
         nrows = m._check_tail()
         pivots = _shifted_echelon(m.tail[0].echelon, m.tail[1], m.prime)
     if m.prime == 2:
-        _insert_rows_gf2(m.csr, nrows, pivots, math.inf)
+        _insert_rows_gf2(m.csr, range(nrows), pivots, math.inf)
     else:
-        _insert_rows_modp(m.csr, nrows, m.prime, pivots, math.inf)
+        _insert_rows_modp(m.csr, range(nrows), m.prime, pivots, math.inf)
     return pivots
 
 
 def assert_bounded_ranks_exact(mats: list[FpMatrix], ranks: list[int]):
-    """Each matrix, ranked by its complex with the ∂² = 0 bound, against an
-    unbounded rank, the reference and a full pass."""
+    """Each matrix, ranked by its complex with the ∂² = 0 bound (nerves and
+    cones) or with clearing (cochains), against an unbounded rank, the
+    reference and a full pass."""
     for m, r in zip(mats, ranks):
         unbounded = FpMatrix(m.csr.copy(), m.prime, m.tail)
         assert r == unbounded.rank() == reference_rank(m)
@@ -224,6 +229,55 @@ def test_real_cochain_and_nerve_ranks_bounded_and_full(spec, p, index):
     nerve = nerve_complex(skel.omega_cat, p, 3)
     ranks = [nerve.rank_boundary(d) for d in range(1, nerve.dmax + 1)]
     assert_bounded_ranks_exact(nerve.boundaries[1:], ranks)
+
+
+CATALOG = ["sym:3", "sym:4", "alt:4", "dih:8", "dih:12", "cyc:6", "sym:3 x cyc:3"]
+LIMIT_CHECKS = ("punctured", "normalizer-reduction", "atomic-vanishing", "restriction",
+                "filtration")
+
+
+def assert_clearing_exact(cx) -> int:
+    """Rank a fresh cochain complex with clearing, spying on every row read;
+    returns the number of rows cleared."""
+    plain = [FpMatrix(m.csr.copy(), m.prime) for m in cx.diffs]
+    reads = [spy_on_rows(m) for m in cx.diffs]
+    ranks = [cx.rank_diff(n) for n in range(len(cx.diffs))]
+    cleared_total = 0
+    for n, (m, full, read, r) in enumerate(zip(cx.diffs, plain, reads, ranks)):
+        assert r == full.rank() == reference_rank(full)
+        if full.shape[0] * full.shape[1] <= DENSE_ORACLE_MAX_ENTRIES:
+            assert r == oracle.dense_rank_modp(full.csr.toarray(), full.prime)
+        assert m.echelon == full.echelon == full_echelon(full)
+        # row i reads indptr[i] and then indptr[i + 1]
+        starts = read[::2]
+        assert read[1::2] == [i + 1 for i in starts]
+        assert starts == sorted(set(starts))
+        cleared = set(cx.diffs[n - 1].echelon) if n else set()
+        assert not cleared & set(starts)
+        cleared_total += len(cleared)
+    return cleared_total
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cochain_clearing_on_every_catalog_limit_complex(monkeypatch, p):
+    """Every cochain complex the limit checks build for the catalog: cleared
+    ranks equal plain ones, the references and the dense oracle, the kept
+    echelons equal full passes, and no cleared row is read."""
+    real = limits.functor_cochain_complex
+    seen, cleared = [], []
+
+    def checked(F, nmax, budget=limits.DEFAULT_BUDGET):
+        cx = real(F, nmax, budget)
+        cleared.append(assert_clearing_exact(cx))
+        seen.append(cx.dims)
+        return cx
+
+    monkeypatch.setattr(limits, "functor_cochain_complex", checked)
+    for spec in CATALOG:
+        rep = run_pipeline(spec, PipelineConfig(prime=p, checks=LIMIT_CHECKS,
+                                                include_timings=False))
+        assert "fail" not in rep.verdicts.values(), spec
+    assert seen and sum(cleared) > 0
 
 
 def test_cone_block_mismatch_raises():

@@ -25,6 +25,7 @@ from plocal import (
     sylow_subgroup,
 )
 from plocal.catalog import build_group
+from plocal.fplinalg import FpMatrix
 from plocal.limits import CochainComplex
 from scipy import sparse
 
@@ -247,3 +248,62 @@ def test_complexes_with_nonzero_boundary_squared_do_not_build():
     zero = from_row_entries(1, 1, 2, [{}])
     assert FpComplex(2, 2, [1, 1, 1], [None, zero, one]).homology().dims == [1, 0]
     assert CochainComplex(2, 2, [1, 1, 1], [zero, one]).limit_dims() == [1, 0]
+
+
+def real_cone(p=3):
+    """The cone of the transporter-to-linking projection on the centric
+    subgroups of sym:3 x cyc:3, as in the linking-vs-transporter check."""
+    G = build_group("sym:3 x cyc:3")
+    cents = classify_centric(G, p, all_subgroups(sylow_subgroup(G, p))).centric_subgroups()
+    psi = quotient_projection(build_transporter(G, cents), p)
+    src = nerve_complex(psi.source, p, 2)
+    tgt = nerve_complex(psi.target, p, 3)
+    return mapping_cone(induced_chain_map(psi, src, tgt))
+
+
+def test_cone_square_check_multiplies_only_the_leading_rows(monkeypatch):
+    cone = real_cone()
+    shapes = []
+    real = FpMatrix.matmul
+
+    def matmul(self, other):
+        shapes.append((self.shape, other.shape))
+        return real(self, other)
+
+    monkeypatch.setattr(FpMatrix, "matmul", matmul)
+    rebuilt = FpComplex(cone.prime, cone.dmax, cone.dims, cone.boundaries)
+    assert rebuilt.homology().dims == cone.homology().dims
+    want = [((b._check_tail(), b.shape[1]), below.shape)
+            for b, below in zip(cone.boundaries[2:], cone.boundaries[1:])]
+    assert shapes == want
+    assert all(lead < b.shape[0] for ((lead, _), _), b in zip(shapes, cone.boundaries[2:]))
+
+
+def test_cone_with_a_forged_tail_does_not_build():
+    cone = real_cone()
+    boundaries = list(cone.boundaries)
+    m = boundaries[2]
+    csr = m.csr.copy()
+    csr.data[-1] = csr.data[-1] % 2 + 1  # a different nonzero entry mod 3
+    boundaries[2] = FpMatrix(csr, 3, tail=m.tail)
+    with pytest.raises(PLocalError, match="trailing rows differ from the declared block"):
+        FpComplex(3, cone.dmax, cone.dims, boundaries)
+    # a one-degree complex has no square to check, but its tail is checked
+    m = boundaries[1]
+    lil = m.csr.tolil()
+    lil[-1, 0] = (lil[-1, 0] + 1) % 3
+    with pytest.raises(PLocalError, match="trailing rows differ from the declared block"):
+        FpComplex(3, 1, cone.dims[:2], [None, FpMatrix(lil.tocsr(), 3, tail=m.tail)])
+
+
+def test_cone_with_a_corrupted_leading_row_does_not_build():
+    cone = real_cone()
+    boundaries = list(cone.boundaries)
+    top, below = boundaries[2], boundaries[1]
+    j = int(np.flatnonzero(below.csr.getnnz(axis=1))[0])
+    lil = top.csr.tolil()
+    lil[0, j] = (lil[0, j] + 1) % 3
+    assert top._check_tail() > 0
+    boundaries[2] = FpMatrix(lil.tocsr(), 3, tail=top.tail)
+    with pytest.raises(PLocalError, match="boundary squared is nonzero in degree 2"):
+        FpComplex(3, cone.dmax, cone.dims, boundaries)

@@ -12,6 +12,7 @@ from plocal import (
     build_orbit_skeletons,
     class_filtration_check,
     classifying_cohomology_functor,
+    full_subcategory,
     functor_cochain_complex,
     inverse_limit_dim,
     limits_profile,
@@ -330,3 +331,113 @@ def test_supported_functor_zero_off_support():
     F = supported_cohomology_functor(G, 2, skel.p_cat, [k], 0)
     for j, d in enumerate(F.dims):
         assert (d > 0) == (j == k)
+
+
+# -- the per-run store of limit profiles ------------------------------------
+
+LIMIT_CHECKS = ("punctured", "normalizer-reduction", "atomic-vanishing", "restriction",
+                "filtration")
+
+
+def count_computations(monkeypatch) -> list:
+    """Record every functor whose limits are actually computed: the memo
+    validates and builds the cochain complex only on a miss."""
+    computed = []
+    real = LinearFunctor.validate
+
+    def validate(F):
+        computed.append(F)
+        return real(F)
+
+    monkeypatch.setattr(LinearFunctor, "validate", validate)
+    return computed
+
+
+def cohomology_functor(spec="sym:4", p=2, index=1):
+    G = build_group(spec)
+    C = build_orbit_skeletons(G, p).omega_cat
+    return classifying_cohomology_functor(G, p, C, index, CohomologyCache(G, p))
+
+
+def test_content_equal_functors_share_one_computation(monkeypatch):
+    computed = count_computations(monkeypatch)
+    F = cohomology_functor()
+    sub, incl = full_subcategory(F.category, list(range(F.category.object_count)))
+    twin = F.restrict(sub, incl)
+    assert sub is not F.category and twin.mats[1] is F.mats[1]
+    twin.mats = {t: M.copy() for t, M in twin.mats.items()}
+    memo: dict = {}
+    first = limits_profile(F, 3, memo=memo)
+    again = limits_profile(twin, 3, memo=memo)
+    assert computed == [F] and len(memo) == 1
+    assert again == first and again.dims is not first.dims
+    # entries are read mod p: adding p to one keeps the content
+    t = next(t for t, M in twin.mats.items() if M.size)
+    twin.mats[t] = twin.mats[t] + F.prime
+    assert limits_profile(twin, 3, memo=memo) == first
+    assert computed == [F]
+    assert limits_profile(F, 3, memo=None) == first and len(computed) == 2
+
+
+def test_any_change_to_the_functor_or_the_call_misses(monkeypatch):
+    computed = count_computations(monkeypatch)
+    F = cohomology_functor()
+    memo: dict = {}
+    limits_profile(F, 3, memo=memo)
+    t = next(t for t in range(F.category.morphism_count)
+             if not F.category.is_identity(t) and F.mats[t].size)
+
+    entry = LinearFunctor(F.category, F.prime, F.dims, dict(F.mats))
+    entry.mats[t] = F.mats[t].copy()
+    entry.mats[t][0, 0] = (entry.mats[t][0, 0] + 1) % F.prime
+    shape = LinearFunctor(F.category, F.prime, F.dims, dict(F.mats))
+    shape.mats[t] = np.zeros((F.mats[t].shape[0], F.mats[t].shape[1] + 1), dtype=np.int64)
+    prime = LinearFunctor(F.category, 3, F.dims, F.mats)
+    for variant in (entry, shape, prime):
+        try:
+            limits_profile(variant, 3, memo=memo)
+        except NotAFunctor:
+            pass
+        assert computed[-1] is variant
+    limits_profile(F, 2, memo=memo)
+    limits_profile(F, 3, budget=10 ** 6, memo=memo)
+    assert len(computed) == 6
+    limits_profile(F, 3, memo=memo)
+    assert len(computed) == 6
+
+
+def test_failures_are_never_stored(monkeypatch):
+    from plocal import BudgetExceeded
+    computed = count_computations(monkeypatch)
+    F = cohomology_functor()
+    bad = LinearFunctor(F.category, F.prime, F.dims, dict(F.mats))
+    t = next(t for t in range(F.category.morphism_count)
+             if not F.category.is_identity(t) and F.mats[t].size)
+    bad.mats[t] = np.zeros((F.mats[t].shape[0] + 1, F.mats[t].shape[1]), dtype=np.int64)
+    memo: dict = {}
+    for _ in range(2):
+        with pytest.raises(NotAFunctor):
+            limits_profile(bad, 3, memo=memo)
+        with pytest.raises(BudgetExceeded):
+            limits_profile(F, 3, budget=5, memo=memo)
+    assert memo == {} and len(computed) == 4
+
+
+def test_pipeline_runs_share_no_limits(monkeypatch):
+    from plocal import PipelineConfig, PipelineRun
+    computed = count_computations(monkeypatch)
+    G = build_group("sym:4")
+    cfg = PipelineConfig(prime=2, checks=LIMIT_CHECKS, include_timings=False,
+                         cohomology_index_max=1)
+    runs, counts = [], []
+    for _ in range(2):
+        run = PipelineRun(G, cfg, "sym:4")
+        rep = run.run()
+        assert "fail" not in rep.verdicts.values()
+        runs.append(run)
+        counts.append(len(computed))
+    first, second = runs
+    assert first.cohomology_cache is not second.cohomology_cache
+    assert first.cohomology_cache.limits is not second.cohomology_cache.limits
+    assert first.cohomology_cache.limits.keys() == second.cohomology_cache.limits.keys()
+    assert counts[0] == counts[1] - counts[0] == len(first.cohomology_cache.limits) > 0

@@ -164,6 +164,21 @@ def test_transporter_s3():
     assert len(transporter_set(G, full, full)) == G.order
 
 
+def test_transporter_sets_are_kept_per_group():
+    G, H = build_group("sym:4"), build_group("sym:4")
+    subs = all_subgroups(sylow_subgroup(G, 2))
+    P, Q = subs[1], subs[-1]
+    first = transporter_set(G, P, Q)
+    assert first == ref.transporter_set(G, P, Q)
+    assert transporter_set(G, P, Q) is first
+    assert transporter_set(G, G.generated_subgroup(list(P.ids)), Q) is first
+    P2, Q2 = (H.generated_subgroup(list(K.ids)) for K in (P, Q))
+    other = transporter_set(H, P2, Q2)
+    assert other == first and other is not first
+    for A, B in ((Q, P), (P, P), (Q, Q)):
+        assert transporter_set(G, A, B) == ref.transporter_set(G, A, B)
+
+
 def test_transporter_composable():
     G = build_group("sym:3")
     subs = all_subgroups(sylow_subgroup(G, 2)) + [G.full_subgroup()]

@@ -86,7 +86,9 @@ class CohomologyBasis:
 
 class CohomologyCache:
     """Shared per-run cache of CohomologyBasis objects keyed by (subgroup, i),
-    and the run's store of limit profiles (``limits_profile``'s ``memo``)."""
+    the run's store of limit profiles (``limits_profile``'s ``memo``), and
+    the normalizer quotients of the limit checks, keyed by the ids of the
+    subgroup divided out (see ``limit_checks.normalizer_reduction_check``)."""
 
     def __init__(self, G: PermutationGroup, p: int, budget: int = DEFAULT_BUDGET):
         self.G = G
@@ -94,6 +96,7 @@ class CohomologyCache:
         self.budget = budget
         self._store: dict[tuple[tuple[int, ...], int], CohomologyBasis] = {}
         self.limits: dict = {}
+        self.quotients: dict = {}
 
     def basis(self, P: Subgroup, i: int) -> CohomologyBasis:
         key = (P.ids, i)

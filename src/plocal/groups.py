@@ -317,12 +317,18 @@ def conjugates(G: PermutationGroup, H: Subgroup) -> list[Subgroup]:
 
 
 def p_residual(H: Subgroup, p: int) -> Subgroup:
-    """O^p(H): the subgroup generated by all elements of H of order prime to p."""
+    """O^p(H): the subgroup generated by all elements of H of order prime to p.
+
+    It is closed over a small generating set of those elements: each is
+    added as a generator only when the subgroup generated so far misses it."""
     G = H.parent
-    seeds = [x for x in H.ids if G.element_orders[x] % p != 0]
-    if not seeds:
-        return G.trivial_subgroup()
-    return G.generated_subgroup(seeds)
+    gens: list[int] = []
+    span = {0}
+    for x in H.ids:
+        if x not in span and G.element_orders[x] % p != 0:
+            gens.append(x)
+            span = set(G.subgroup_closure(gens))
+    return G.subgroup(span)
 
 
 def _is_p_element(G: PermutationGroup, g: int, p: int) -> bool:

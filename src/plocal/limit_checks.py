@@ -222,7 +222,10 @@ def normalizer_reduction_check(
     cache: CohomologyCache | None = None,
 ) -> ReductionVerdict:
     """Limits of a class-supported functor equal the atomic limits of the
-    normalizer quotient acting on the value; both sides computed independently."""
+    normalizer quotient acting on the value; both sides computed independently.
+    N_G(R), the quotient and its orbit skeletons depend only on the class
+    representative R, so they are built once per class and kept in
+    ``cache.quotients``."""
     G, p = skel.G, skel.p
     cache = cache or CohomologyCache(G, p)
     k = skel.p_object_of(Q)
@@ -230,15 +233,19 @@ def normalizer_reduction_check(
     F = supported_cohomology_functor(G, p, skel.p_cat, [k], i, cache)
     left = limits_profile(F, nmax, budget, cache.limits).dims
 
-    N = normalizer(G, R)
-    quo = quotient_realization(G, N, R)
-    W = quo.group
+    kept = cache.quotients.get(R.ids)
+    if kept is None:
+        N = normalizer(G, R)
+        W = quotient_realization(G, N, R).group
+        kept = cache.quotients[R.ids] = (N, W, build_orbit_skeletons(W, p))
+    N, W, quotient_skel = kept
     basis = cache.basis(R, i)
     gen_mats = []
     for g in N.generating_ids:
         gen_mats.append(basis.pullback_matrix(basis, lambda x: G.conj(x, g)))
     module = ModuleData(dim=basis.dim, generator_matrices=gen_mats)
-    right = atomic_functor_limits(W, p, module, nmax, budget, memo=cache.limits).dims
+    right = atomic_functor_limits(W, p, module, nmax, budget, quotient_skel,
+                                  cache.limits).dims
     return ReductionVerdict(R.label(), i, left, right, W.order)
 
 

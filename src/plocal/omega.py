@@ -165,26 +165,31 @@ class CentricityTable:
         return [r.subgroup for r in self.records if r.is_centric]
 
 
+def _centricity(G: PermutationGroup, p: int, P: Subgroup) -> tuple[Subgroup, Subgroup, bool]:
+    """C_G(P), Z(P), and whether P is p-centric: whether Z(P) is a Sylow
+    p-subgroup of C_G(P), i.e. |C_G(P) : Z(P)| is prime to p."""
+    if not P.is_p_group(p):
+        raise NotPSubgroup(f"{P.label()} is not a {p}-group")
+    C = centralizer(G, P)
+    Z = center(P)
+    return C, Z, (C.order // Z.order) % p != 0
+
+
 def is_centric(G: PermutationGroup, p: int, P: Subgroup) -> bool:
-    return classify_centric(G, p, [P]).records[0].is_centric
+    return _centricity(G, p, P)[2]
 
 
 def classify_centric(G: PermutationGroup, p: int, collection) -> CentricityTable:
     records = []
     for P in collection:
-        if not P.is_p_group(p):
-            raise NotPSubgroup(f"{P.label()} is not a {p}-group")
-        C = centralizer(G, P)
-        Z = center(P)
-        K = p_residual(C, p)
+        C, Z, centric = _centricity(G, p, P)
         records.append(
             CentricityRecord(
                 subgroup=P,
-                # Z(P) is a Sylow p-subgroup of C_G(P), i.e. |C/Z| is prime to p
-                is_centric=(C.order // Z.order) % p != 0,
+                is_centric=centric,
                 centralizer=C,
                 center=Z,
-                residual=K,
+                residual=p_residual(C, p),
             )
         )
     return CentricityTable(prime=p, records=records)

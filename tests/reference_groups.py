@@ -3,9 +3,10 @@
 These are the element loops that the array filters over the multiplication
 table replaced: transporter sets, centralizers, normalizers, centers,
 conjugacy orbits of subgroups and the cosets a category's witnesses stand
-for.  Every product here is a product of ``Permutation`` objects, looked up
-by ``element_id``; nothing reads ``PermutationGroup.mul``.  Ids are returned
-as plain sorted tuples, to compare with ``Subgroup.ids``.
+for; p-residuals, closed over every element of order prime to p; and the
+centricity rule.  Every product here is a product of ``Permutation``
+objects, looked up by ``element_id``; nothing reads ``PermutationGroup.mul``.
+Ids are returned as plain sorted tuples, to compare with ``Subgroup.ids``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,23 @@ def centralizer(G, P) -> tuple[int, ...]:
 def center(P) -> tuple[int, ...]:
     ct = conjugation_table(P.parent)
     return tuple(z for z in P.ids if all(ct[z][x] == x for x in P.ids))
+
+
+def p_residual(H, p: int) -> tuple[int, ...]:
+    """O^p(H): the closure of every element of H of order prime to p."""
+    G = H.parent
+    seeds = [x for x in H.ids if G.elements[x].order() % p]
+    members, frontier = {0}, [0]
+    while frontier:
+        new = [product(G, e, s) for e in frontier for s in seeds]
+        frontier = [f for f in dict.fromkeys(new) if f not in members]
+        members.update(frontier)
+    return tuple(sorted(members))
+
+
+def is_centric(G, p: int, P) -> bool:
+    """Whether Z(P) is a Sylow p-subgroup of C_G(P)."""
+    return (len(centralizer(G, P)) // len(center(P))) % p != 0
 
 
 def conjugates(G, H) -> list[tuple[int, ...]]:

@@ -10,6 +10,10 @@ cochain complexes clear the rows at the previous differential's pivots.  A
 bounded or cleared rank must equal the plain one and the reference, its
 echelon must equal the one a pass over every row keeps, and no row after the
 one that reaches the bound, and no cleared row, may be read.
+
+Every kept echelon is tail-reduced: each pivot is zero at the leading column
+of every pivot stored before it, seeds included.  The references reduce no
+tails, so they stay an independent check of the ranks.
 """
 
 import math
@@ -71,14 +75,31 @@ def full_echelon(m: FpMatrix) -> dict:
     return pivots
 
 
+def assert_tail_reduced(echelon: dict, p: int):
+    """Each pivot leads at its key (monic for p > 2) and is zero at the
+    leading column of every pivot stored before it; seeds are stored
+    first."""
+    if p == 2:
+        before = 0
+        for c, m in echelon.items():
+            assert m.bit_length() - 1 == c and not m & before, c
+            before |= 1 << c
+    else:
+        before = set()
+        for c, row in echelon.items():
+            assert max(row) == c and row[c] == 1 and not before & row.keys(), c
+            before.add(c)
+
+
 def assert_bounded_ranks_exact(mats: list[FpMatrix], ranks: list[int]):
     """Each matrix, ranked by its complex with the ∂² = 0 bound (nerves and
     cones) or with clearing (cochains), against an unbounded rank, the
-    reference and a full pass."""
+    reference and a full pass; its echelon is tail-reduced."""
     for m, r in zip(mats, ranks):
         unbounded = FpMatrix(m.csr.copy(), m.prime, m.tail)
         assert r == unbounded.rank() == reference_rank(m)
         assert m.echelon == unbounded.echelon == full_echelon(m)
+        assert_tail_reduced(m.echelon, m.prime)
 
 
 class RowSpy(np.ndarray):
@@ -148,6 +169,8 @@ def test_seeded_rank_matches_plain_and_oracle(p, t_rows, b_rows, left, right):
     bounded = FpMatrix(full.copy(), p, tail=(block, left))
     assert bounded.rank(want) == want
     assert bounded.echelon == seeded.echelon == full_echelon(bounded)
+    for m in (block, seeded, plain):
+        assert_tail_reduced(m.echelon, p)
     if full.shape[0] * full.shape[1] <= DENSE_ORACLE_MAX_ENTRIES:
         assert want == oracle.dense_rank_modp(full.toarray(), p)
 
@@ -248,6 +271,7 @@ def assert_clearing_exact(cx) -> int:
         if full.shape[0] * full.shape[1] <= DENSE_ORACLE_MAX_ENTRIES:
             assert r == oracle.dense_rank_modp(full.csr.toarray(), full.prime)
         assert m.echelon == full.echelon == full_echelon(full)
+        assert_tail_reduced(m.echelon, m.prime)
         # row i reads indptr[i] and then indptr[i + 1]
         starts = read[::2]
         assert read[1::2] == [i + 1 for i in starts]
@@ -278,6 +302,41 @@ def test_cochain_clearing_on_every_catalog_limit_complex(monkeypatch, p):
                                                 include_timings=False))
         assert "fail" not in rep.verdicts.values(), spec
     assert seen and sum(cleared) > 0
+
+
+HOMOLOGY_CHECKS = ("nerve-vs-group", "centric-restriction", "centric-agreement",
+                   "linking-vs-transporter", "main")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_every_catalog_nerve_and_cone_keeps_a_tail_reduced_echelon(monkeypatch, p):
+    """Every nerve and mapping-cone boundary the homology checks rank for the
+    catalog at max-degree 3, seeded cones included, keeps a tail-reduced
+    echelon; its rank equals the reference's and the dense oracle's where
+    those are cheap (the other tests here cover larger real matrices)."""
+    real = FpMatrix.rank
+    ranked = {"plain": 0, "seeded": 0, "referenced": 0}
+
+    def checked(self, bound=None, skip=()):
+        if self._rank is not None:
+            return real(self, bound, skip)
+        seeded = self.tail is not None and self.tail[0].echelon is not None
+        r = real(self, bound, skip)
+        assert_tail_reduced(self.echelon, self.prime)
+        if self.nnz <= 60_000:
+            assert r == reference_rank(self)
+            ranked["referenced"] += 1
+        if self.shape[0] * self.shape[1] <= 500_000:
+            assert r == oracle.dense_rank_modp(self.csr.toarray(), self.prime)
+        ranked["seeded" if seeded else "plain"] += 1
+        return r
+
+    monkeypatch.setattr(FpMatrix, "rank", checked)
+    for spec in CATALOG:
+        rep = run_pipeline(spec, PipelineConfig(prime=p, max_degree=3, checks=HOMOLOGY_CHECKS,
+                                                include_timings=False))
+        assert "fail" not in rep.verdicts.values(), spec
+    assert ranked["plain"] > 0 and ranked["seeded"] > 0 and ranked["referenced"] > 0
 
 
 def test_cone_block_mismatch_raises():

@@ -441,3 +441,47 @@ def test_pipeline_runs_share_no_limits(monkeypatch):
     assert first.cohomology_cache.limits is not second.cohomology_cache.limits
     assert first.cohomology_cache.limits.keys() == second.cohomology_cache.limits.keys()
     assert counts[0] == counts[1] - counts[0] == len(first.cohomology_cache.limits) > 0
+
+
+def test_normalizer_quotients_are_built_once_per_class(monkeypatch):
+    """N_G(R)/R and its orbit skeletons depend only on the class of R: a
+    run builds each once, however many cohomology indices it checks, and
+    every record equals the one a fresh cache gives."""
+    from plocal import PipelineConfig, PipelineRun
+    from plocal import limit_checks
+    quotients, skeletons = [], []
+    real_quotient = limit_checks.quotient_realization
+    real_skeletons = limit_checks.build_orbit_skeletons
+
+    def counted_quotient(G, N, Q):
+        quotients.append(Q.ids)
+        return real_quotient(G, N, Q)
+
+    def counted_skeletons(G, p, *args, **kwargs):
+        skeletons.append(G)
+        return real_skeletons(G, p, *args, **kwargs)
+
+    monkeypatch.setattr(limit_checks, "quotient_realization", counted_quotient)
+    monkeypatch.setattr(limit_checks, "build_orbit_skeletons", counted_skeletons)
+    G = build_group("sym:3 x cyc:3")
+    cfg = PipelineConfig(prime=2, checks=("normalizer-reduction",), include_timings=False)
+    run = PipelineRun(G, cfg, "sym:3 x cyc:3")
+    rep = run.run()
+    assert rep.verdicts["normalizer_reduction"] == "pass"
+    skel = run.skeletons
+    classes = [R.ids for R in skel.p_reps]
+    assert cfg.cohomology_index_max >= 1 and len(classes) > 1
+    assert quotients == classes
+    assert len([W for W in skeletons if W is not G]) == len(classes)
+    assert run.cohomology_cache.quotients.keys() == set(classes)
+
+    records = rep.data["limits"]["normalizer_reduction"]
+    assert len(records) == len(classes) * (cfg.cohomology_index_max + 1)
+    fresh = []
+    for R in skel.p_reps:
+        for i in range(cfg.cohomology_index_max + 1):
+            v = normalizer_reduction_check(skel, R, i, cfg.max_limit_degree, cfg.budget,
+                                           CohomologyCache(G, 2))
+            fresh.append({"class": v.class_label, "index": i, "left": v.left_dims,
+                          "right": v.right_dims, "quotient_order": v.quotient_order})
+    assert records == fresh

@@ -29,7 +29,7 @@ from plocal.catalog import build_group, parse_cycles
 from plocal.categories import build_linking, build_orbit, build_transporter, quotient_projection
 from plocal.groups import conjugates
 from plocal.limit_checks import build_orbit_skeletons, p_class_representatives
-from plocal.omega import build_intersection_poset, classify_centric
+from plocal.omega import build_intersection_poset, classify_centric, is_centric
 
 CATALOG = ["sym:3", "sym:4", "alt:4", "dih:8", "dih:12", "cyc:6", "sym:3 x cyc:3"]
 
@@ -325,18 +325,24 @@ def test_multiplication_table_matches_permutation_products(spec):
 @pytest.mark.parametrize("p", [2, 3])
 def test_element_filters_match_the_permutation_references(spec, p):
     """Every pair of subgroups of a Sylow subgroup, against the scalar loops
-    over Permutation products in ``reference_groups``."""
+    over Permutation products in ``reference_groups``; also the centricity of
+    each and the p-residuals of each, its centralizer, its normalizer and
+    the whole group."""
     G = build_group(spec)
     S = sylow_subgroup(G, p)
     subs = all_subgroups(S)
     for P in subs:
         assert centralizer(G, P).ids == ref.centralizer(G, P)
         assert normalizer(G, P).ids == ref.normalizer(G, P)
+        assert is_centric(G, p, P) == ref.is_centric(G, p, P)
+        for H in (P, centralizer(G, P), normalizer(G, P)):
+            assert p_residual(H, p).ids == ref.p_residual(H, p), H
         assert center(P).ids == ref.center(P)
         assert [C.ids for C in conjugates(G, P)] == ref.conjugates(G, P)
         for Q in subs:
             assert transporter_set(G, P, Q) == ref.transporter_set(G, P, Q), (P, Q)
     assert [T.ids for T in sylow_conjugates(G, S)] == ref.conjugates(G, S)
+    assert p_residual(G.full_subgroup(), p).ids == ref.p_residual(G.full_subgroup(), p)
     reps = {ref.conjugates(G, H)[0] for H in subs}
     reps = sorted(reps, key=lambda ids: (len(ids), ids))
     assert [R.ids for R in p_class_representatives(G, p, S)] == reps

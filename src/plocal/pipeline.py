@@ -13,9 +13,11 @@ keys in report order and the stage method, and ``run`` walks it in order.
 A stage method writes its ``detail`` sections and returns one value (True,
 False or None) per verdict key; the runner turns them into verdict strings.
 Budget overruns in one stage mark it not-certified and the run continues;
-earlier verdicts are kept.  Any other toolkit error in a stage (a broken
-internal invariant such as a nonzero boundary squared) marks that stage's
-verdicts fail with a note, and the run likewise continues.
+earlier verdicts are kept.  So does a ``MemoryError``: the stage's
+verdicts read not-certified, with the note "<check>: out of memory".  Any
+other toolkit error in a stage (a broken internal invariant such as a
+nonzero boundary squared) marks that stage's verdicts fail with a note, and
+the run likewise continues.
 """
 
 from __future__ import annotations
@@ -229,13 +231,17 @@ class PipelineRun:
 
     def _run_stage(self, stage: Stage, detail: dict) -> tuple:
         """The stage's verdict values: None for all of them when it overruns
-        its budget, False for all of them on any other toolkit error."""
+        its budget or runs out of memory, False for all of them on any other
+        toolkit error."""
         t0 = time.perf_counter()
         try:
             out = stage.run(self, detail)
             values = out if len(stage.keys) > 1 else (out,)
         except BudgetExceeded as e:
             self.notes.append(f"{stage.check}: {e}")
+            values = (None,) * len(stage.keys)
+        except MemoryError:
+            self.notes.append(f"{stage.check}: out of memory")
             values = (None,) * len(stage.keys)
         except PLocalError as e:
             self.notes.append(f"{stage.check}: {e}")

@@ -2,8 +2,8 @@
 
 A matrix whose last rows are declared as ``[0 | B]`` is ranked twice: seeded
 from B's kept echelon, and from scratch.  Both must agree with the reference
-eliminations ``_rank_csr_gf2``/``_rank_csr_modp`` and, where the matrix is
-small enough to hold densely, with the dense oracle.
+eliminations ``_rank_csr_gf2``/``_rank_csr_modp`` (``reference_fplinalg.py``)
+and, where the matrix is small enough to hold densely, with the dense oracle.
 
 Nerves and cones rank each boundary with the bound ∂² = 0 forces, and
 cochain complexes clear the rows at the previous differential's pivots.  A
@@ -14,6 +14,11 @@ one that reaches the bound, and no cleared row, may be read.
 Every kept echelon is tail-reduced: each pivot is zero at the leading column
 of every pivot stored before it, seeds included.  The references reduce no
 tails, so they stay an independent check of the ranks.
+
+At p = 2 the engine skips the rows that already lie in the span of its
+echelon, once it has read as many rows as the matrix has columns.  Its
+echelon must equal, key for key and in insertion order, the one a plain
+pass keeps, which inserts every row; a skipped row is never read.
 """
 
 import math
@@ -46,11 +51,12 @@ from plocal.fplinalg import (
     FpMatrix,
     _insert_rows_gf2,
     _insert_rows_modp,
-    _rank_csr_gf2,
-    _rank_csr_modp,
+    _reduce_rows_gf2,
     _shifted_echelon,
+    _SpanTest,
 )
 from plocal.limits import constant_functor
+from reference_fplinalg import _rank_csr_gf2, _rank_csr_modp
 
 DENSE_ORACLE_MAX_ENTRIES = 2_000_000
 
@@ -61,15 +67,25 @@ def reference_rank(m: FpMatrix) -> int:
     return _rank_csr_modp(m.csr, m.prime)
 
 
+def plain_pass_gf2(csr, rows, pivots: dict, cap) -> dict:
+    """Insert every row of ``rows`` into ``pivots``, up to ``cap`` pivots,
+    without the span filter."""
+    lead = 0
+    for c in pivots:
+        lead |= 1 << c
+    _reduce_rows_gf2(csr, rows, pivots, lead, cap)
+    return pivots
+
+
 def full_echelon(m: FpMatrix) -> dict:
     """The echelon ``m.rank()`` builds, seeded the same way, but with every
-    row inserted: no bound and no cap."""
+    row inserted: no bound, no cap and, at p = 2, no span filter."""
     pivots, nrows = {}, m.shape[0]
     if m.tail is not None and m.tail[0].echelon is not None:
         nrows = m._check_tail()
         pivots = _shifted_echelon(m.tail[0].echelon, m.tail[1], m.prime)
     if m.prime == 2:
-        _insert_rows_gf2(m.csr, range(nrows), pivots, math.inf)
+        plain_pass_gf2(m.csr, range(nrows), pivots, math.inf)
     else:
         _insert_rows_modp(m.csr, range(nrows), m.prime, pivots, math.inf)
     return pivots
@@ -111,11 +127,15 @@ class RowSpy(np.ndarray):
         return super().__getitem__(key)
 
 
-def spy_on_rows(m: FpMatrix) -> list[int]:
-    spy = m.csr.indptr.view(RowSpy)
+def spy_on_csr(csr) -> list[int]:
+    spy = csr.indptr.view(RowSpy)
     spy.read = []
-    m.csr.indptr = spy
+    csr.indptr = spy
     return spy.read
+
+
+def spy_on_rows(m: FpMatrix) -> list[int]:
+    return spy_on_csr(m.csr)
 
 
 def random_sparse(rng, nrows, ncols, p, per_row):
@@ -357,3 +377,168 @@ def test_block_that_does_not_fit_raises():
     m = FpMatrix(sparse.identity(4, dtype=np.int64, format="csr"), 2, tail=(block, 0))
     with pytest.raises(PLocalError):
         m.rank()
+
+
+# -- the span filter at p = 2 --------------------------------------------------
+
+
+def tall_gf2(rng, nrows, ncols, dim, late):
+    """A GF(2) matrix whose rows are drawn from ``dim`` generator rows: sums
+    of one to three generators, empty rows and repeats of earlier rows.
+    ``late`` generators first appear at random rows after the first
+    ``ncols``, so pivots keep arriving once the span filter has started."""
+    gens = np.zeros((dim, ncols), dtype=bool)
+    for g in gens:
+        g[rng.choice(ncols, int(rng.integers(1, 6)), replace=False)] = True
+    release = dict(zip(sorted(rng.choice(np.arange(ncols, nrows), late, replace=False).tolist()),
+                       range(dim - late, dim)))
+    known = dim - late
+    rows = np.zeros((nrows, ncols), dtype=bool)
+    for i in range(nrows):
+        r = rng.random()
+        if i in release:
+            rows[i] = gens[release[i]]
+            known += 1
+        elif r < 0.1:
+            continue
+        elif r < 0.25 and i:
+            rows[i] = rows[rng.integers(i)]
+        else:
+            picks = rng.choice(known, min(known, int(rng.integers(1, 4))), replace=False)
+            rows[i] = np.logical_xor.reduce(gens[picks], axis=0)
+    return sparse.csr_matrix(rows.astype(np.int64))
+
+
+def echelon_gf2(rng, ncols, nrows) -> dict:
+    """A tail-reduced GF(2) echelon, to seed an insertion with."""
+    seeds = {}
+    plain_pass_gf2(tall_gf2(rng, nrows, ncols, nrows, 0), range(nrows), seeds, math.inf)
+    return seeds
+
+
+@pytest.mark.parametrize("nrows,ncols,dim,late", [
+    (300, 12, 10, 3),
+    (2000, 40, 30, 8),
+    (4000, 100, 100, 20),
+    (6000, 250, 180, 30),
+])
+@pytest.mark.parametrize("seeded", [False, True])
+def test_span_filter_keeps_the_plain_echelon_on_tall_random_matrices(nrows, ncols, dim, late,
+                                                                    seeded):
+    """Filtered insertion against a plain pass, with and without seeds and
+    skipped rows, under infinite, loose, exact and default caps."""
+    rng = np.random.default_rng(7 * nrows + ncols + seeded)
+    csr = tall_gf2(rng, nrows, ncols, dim, late)
+    seeds = echelon_gf2(rng, ncols, 3 if seeded else 0)
+    kept = sorted(rng.choice(nrows, nrows * 4 // 5, replace=False).tolist())
+    filtered_any = False
+    for rows in (range(nrows), kept):
+        rank = len(plain_pass_gf2(csr, rows, dict(seeds), math.inf))
+        if not seeded and rows == range(nrows):
+            assert rank == _rank_csr_gf2(csr)
+        for cap in (math.inf, rank + 2, rank, min(nrows, ncols)):
+            plain = plain_pass_gf2(csr, rows, dict(seeds), cap)
+            spied = csr.copy()
+            read = spy_on_csr(spied)
+            filtered = dict(seeds)
+            _insert_rows_gf2(spied, rows, filtered, cap)
+            assert list(filtered.items()) == list(plain.items()), (rows, cap)
+            assert_tail_reduced(filtered, 2)
+            filtered_any |= len(read) < 2 * len(rows)
+    assert filtered_any
+
+
+def test_span_filter_never_reads_a_row_already_in_the_span():
+    """After the first ``ncols`` rows, rows in their span (sums of them,
+    repeats and empty rows) are skipped; rows that add a pivot are read,
+    and nothing after the row that reaches the cap."""
+    rng = np.random.default_rng(11)
+    ncols, nrows = 64, 3000
+    # the head touches only the first 48 columns, and each new row is a
+    # unit vector at one of the others
+    head = np.zeros((ncols, ncols), dtype=bool)
+    head[:, :48] = tall_gf2(rng, ncols, 48, 40, 0).toarray()
+    fresh = np.zeros((6, ncols), dtype=bool)
+    fresh[np.arange(6), rng.choice(np.arange(48, ncols), 6, replace=False)] = True
+    rows = np.zeros((nrows, ncols), dtype=bool)
+    rows[:ncols] = head
+    in_span = []
+    new_at = sorted(rng.choice(np.arange(ncols, nrows), 6, replace=False).tolist())
+    for i in range(ncols, nrows):
+        if i in new_at:
+            rows[i] = fresh[new_at.index(i)]
+            continue
+        r = rng.random()
+        if r < 0.2:
+            pass  # an empty row
+        elif r < 0.4:
+            rows[i] = head[rng.integers(ncols)]
+        else:
+            rows[i] = np.logical_xor.reduce(head[rng.choice(ncols, 3, replace=False)], axis=0)
+        in_span.append(i)
+    # the trailing rows are empty, so the last block ends with empty rows
+    rows[-5:] = False
+    csr = sparse.csr_matrix(rows.astype(np.int64))
+    rank = _rank_csr_gf2(csr)
+
+    for cap, last in ((math.inf, nrows - 1), (rank, new_at[-1])):
+        spied = csr.copy()
+        read = spy_on_csr(spied)
+        pivots = {}
+        _insert_rows_gf2(spied, range(nrows), pivots, cap)
+        assert list(pivots.items()) == list(plain_pass_gf2(csr, range(nrows), {}, cap).items())
+        starts = read[::2]  # row i reads indptr[i] and then indptr[i + 1]
+        assert starts[:ncols] == list(range(ncols))
+        assert not set(starts) & set(in_span)
+        assert set(new_at) <= set(starts)
+        assert max(starts) <= last
+    assert max(starts) == new_at[-1]  # the row that reaches the cap
+
+
+def test_span_filter_keeps_the_plain_echelon_on_the_sym4_degree3_boundaries(monkeypatch):
+    """The three largest boundaries the homology checks rank for sym:4 at
+    p = 2, max-degree 3: the bar ∂_3 and the transporter-poset and linking
+    ∂_3, which read past their columns because H_2 ≠ 0 keeps them below the
+    ∂² bound."""
+    real = FpMatrix.rank
+    seen = {}
+
+    def checked(self, bound=None, skip=()):
+        if self._rank is not None or self.shape[0] < 10_000 or self.tail is not None:
+            return real(self, bound, skip)
+        csr = self.csr.copy()
+        read = spy_on_rows(self)
+        r = real(self, bound, skip)
+        plain = plain_pass_gf2(csr, range(csr.shape[0]), {}, min(bound, *csr.shape))
+        assert list(self.echelon.items()) == list(plain.items())
+        assert r == _rank_csr_gf2(csr) == len(plain_pass_gf2(csr, range(csr.shape[0]), {},
+                                                                math.inf))
+        seen[csr.shape] = (r, len(read) // 2)
+        return r
+
+    monkeypatch.setattr(FpMatrix, "rank", checked)
+    rep = run_pipeline("sym:4", PipelineConfig(prime=2, max_degree=3, checks=HOMOLOGY_CHECKS,
+                                               include_timings=False))
+    assert "fail" not in rep.verdicts.values()
+    assert {shape: r for shape, (r, _) in seen.items()} == {
+        (12167, 529): 505, (30246, 1298): 1244, (33284, 1620): 1538}
+    for (nrows, _), (_, read) in seen.items():
+        assert read < nrows // 2
+
+
+def test_span_filter_declines_an_annihilator_larger_than_the_matrix():
+    """A wide, sparse matrix: the annihilator after the first ``ncols`` rows
+    would take more than 2 nnz words, so the rows go in plainly."""
+    ncols, nrows = 640, 2000
+    rows = np.arange(nrows)
+    csr = sparse.csr_matrix((np.ones(nrows, dtype=np.int64), (rows, rows % 8)),
+                            shape=(nrows, ncols))
+    pivots = {}
+    plain_pass_gf2(csr, range(ncols), pivots, math.inf)
+    assert ncols * -(-(ncols - len(pivots)) // 64) > 2 * csr.nnz
+    assert _SpanTest(csr).outside(np.arange(ncols, nrows), pivots) is None
+    read = spy_on_csr(csr)
+    filtered = {}
+    _insert_rows_gf2(csr, range(nrows), filtered, math.inf)
+    assert list(filtered.items()) == list(pivots.items())
+    assert read[::2] == list(range(nrows))

@@ -209,6 +209,47 @@ def test_internal_error_fails_only_its_stage(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["verdicts"]["main_comparison"] == "pass"
 
 
+def test_out_of_memory_marks_only_its_stage_not_certified(monkeypatch, capsys):
+    """A MemoryError raised by the first elimination of one homology stage
+    leaves that stage not-certified with a note; the other stages pass and
+    the CLI still prints the report."""
+    from plocal import cli, pipeline
+    from plocal.fplinalg import FpMatrix
+
+    def starved(run, detail):
+        real = FpMatrix.rank
+
+        def rank(self, bound=None, skip=()):
+            raise MemoryError
+
+        monkeypatch.setattr(FpMatrix, "rank", rank)
+        try:
+            return pipeline.PipelineRun._stage_t_vs_l(run, detail)
+        finally:
+            monkeypatch.setattr(FpMatrix, "rank", real)
+
+    stages = tuple(s._replace(run=starved) if s.check == "linking-vs-transporter" else s
+                   for s in pipeline.STAGES)
+    monkeypatch.setattr(pipeline, "STAGES", stages)
+    checks = ("nerve-vs-group", "centric-restriction", "centric-agreement",
+              "linking-vs-transporter", "main")
+    rep = run_pipeline("sym:4", PipelineConfig(prime=2, max_degree=3, checks=checks,
+                                               include_timings=False))
+    v = rep.data["verdicts"]
+    assert v["transporter_vs_linking_homology"] == "not-certified"
+    assert rep.data["notes"] == ["linking-vs-transporter: out of memory"]
+    for key in ("transporter_nerve_vs_classifying_space", "centric_restriction_homology",
+                "centric_collections_agree", "main_comparison"):
+        assert v[key] == "pass", key
+    assert rep.overall == "not-certified"
+    code = cli.main(["analyze", "--group", "sym:4", "--prime", "2", "--max-degree", "3",
+                     "--no-timings", "--check", ",".join(checks)])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdicts"] == v
+    assert out["notes"] == ["linking-vs-transporter: out of memory"]
+
+
 def test_broken_endomorphism_fails_only_the_quotient_stage():
     from plocal.pipeline import PipelineRun
 

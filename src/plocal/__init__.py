@@ -12,7 +12,6 @@ from .catalog import GroupSpec, build_group, parse_cycles
 from .categories import (
     FiniteCategory,
     Functor,
-    Morphism,
     build_linking,
     build_orbit,
     build_transporter,

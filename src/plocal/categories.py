@@ -18,13 +18,18 @@ composition tables are total on composable pairs and reproducible, and
 ``group_category``, the one-object category of a subgroup, is built the same
 way with both sides trivial.
 
-Composition: tokens are numbered grouped by source (``add_morphism``
-enforces it), so the tokens leaving object o are the block
-``first[o] <= t < first[o + 1]``.  The composable pairs (t1, t2) are t1
-followed by a token of the block of t1's target; each has one slot in the
-int array ``composite``, at ``pair_start[t1] + (t2 - first[src[t2]])``,
-which puts the pairs in lexicographic order.  An unfilled slot holds -1.
-The per-token arrays ``src``, ``tgt`` and ``is_id`` are fixed with the slots.
+Tokens: a category keeps its morphisms only as int arrays, one entry per
+token: ``src``, ``tgt`` and ``witness`` (the coset's least element; -1 in
+the thin coset category), set once, whole, by ``set_tokens`` together with
+each object's identity token.  Tokens are numbered grouped by source
+(``set_tokens`` enforces it), so the tokens leaving object o are the block
+``first[o] <= t < first[o + 1]``; ``mor`` reads Mor(i, j) from that block
+and ``tokens_of`` finds tokens by witness with one ``searchsorted``.
+
+Composition: the composable pairs (t1, t2) are t1 followed by a token of
+the block of t1's target; each has one slot in the int array
+``composite``, at ``pair_start[t1] + (t2 - first[src[t2]])``, which puts
+the pairs in lexicographic order.  An unfilled slot holds -1.
 ``fill_composition`` and ``coset_category`` write this store and
 ``full_subcategory`` gathers it from the parent's; the scalar ``compose``,
 the elementwise ``composites``, ``chains``, the functor checks and
@@ -77,60 +82,39 @@ def _blocks(counts: np.ndarray) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-@dataclass(frozen=True)
-class Morphism:
-    src: int
-    tgt: int
-    witness: int | None = None   # element id in the ambient group; None if table-defined
-
-
 class FiniteCategory:
-    """Explicit objects, morphism lists per object pair, and the composition
-    store of the module docstring."""
+    """Explicit objects and the token arrays and composition store of the
+    module docstring."""
 
     def __init__(self, kind: str, objects: list, group: PermutationGroup | None = None):
         self.kind = kind
         self.objects = list(objects)
         self.group = group
-        self.morphisms: list[Morphism] = []
-        self.mor_ids: dict[tuple[int, int], list[int]] = {}
-        self.identity_ids: list[int] = [-1] * len(objects)
         # per object, the subgroups acting on witnesses from the left and from
         # the right; None for a category not built from G by the coset rule
         self.left: list[Subgroup] | None = None
         self.right: list[Subgroup] | None = None
-        self._by_witness: dict[tuple[int, int, int], int] = {}
-        # the composition store, set once every token is added
-        self.src = self.tgt = self.is_id = self.first = self.pair_start = None
+        # the tokens and their slot offsets, fixed by ``set_tokens``
+        self.src = self.tgt = self.witness = self.identity_ids = None
+        self.is_id = self.first = self.pair_start = self._key_order = None
         self.composite: np.ndarray | None = None
 
     # -- construction ----------------------------------------------------
 
-    def add_morphism(self, src: int, tgt: int, witness: int | None = None) -> int:
-        """Append a token.  Tokens are numbered grouped by source: a token may
-        not have a smaller source than the one before it (the composition
-        store and ``chains`` rely on this), and none is added to the store."""
-        tid = len(self.morphisms)
-        if tid and src < self.morphisms[-1].src:
-            raise PLocalError("tokens must be added grouped by source object")
-        if self.composite is not None:
-            raise PLocalError("tokens are fixed once the composition is stored")
-        self.morphisms.append(Morphism(src, tgt, witness))
-        self.mor_ids.setdefault((src, tgt), []).append(tid)
-        if witness is not None:
-            self._by_witness[(src, tgt, witness)] = tid
-        return tid
-
-    def set_identity(self, obj: int, tid: int):
-        self.identity_ids[obj] = tid
-
-    def _index_tokens(self):
-        """Fix the per-token arrays and the slot offsets of the store."""
-        n = self.morphism_count
-        self.src = np.fromiter((m.src for m in self.morphisms), np.int64, n)
-        self.tgt = np.fromiter((m.tgt for m in self.morphisms), np.int64, n)
-        self.is_id = np.asarray(self.identity_ids, dtype=np.int64)[self.src] == np.arange(n)
-        self.first = _offsets(np.bincount(self.src, minlength=self.object_count))
+    def set_tokens(self, src, tgt, witness, identity_ids):
+        """Fix every token at once, with each object's identity token (-1
+        for none).  Sources may not decrease: the composition store and
+        ``chains`` rely on tokens grouped by source."""
+        if self.src is not None:
+            raise PLocalError("tokens are fixed once set")
+        src = np.asarray(src, dtype=np.int64)
+        if (np.diff(src) < 0).any():
+            raise PLocalError("tokens must be grouped by source object")
+        self.src, self.tgt = src, np.asarray(tgt, dtype=np.int64)
+        self.witness = np.asarray(witness, dtype=np.int64)
+        self.identity_ids = np.asarray(identity_ids, dtype=np.int64)
+        self.is_id = self.identity_ids[src] == np.arange(len(src))
+        self.first = _offsets(np.bincount(src, minlength=self.object_count))
         self.pair_start = _offsets(np.diff(self.first)[self.tgt])
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -141,18 +125,14 @@ class FiniteCategory:
     def fill_composition(self, table_budget: int = DEFAULT_BUDGET):
         """Write the store: the composite is the token of the coset of the
         witness product (unfilled if there is none)."""
-        self._index_tokens()
         if self.pair_start[-1] > table_budget:
             raise BudgetExceeded(2, int(self.pair_start[-1]), table_budget)
         t1, t2 = self.pairs()
-        w, a, c = self.witnesses(), self.src[t1], self.tgt[t2]
+        w, a, c = self.witness, self.src[t1], self.tgt[t2]
         product = self.group.mul[w[t1], w[t2]]
         self.composite = self.tokens_of(a, c, self.canonicals(a, c, product))
 
     # -- the coset rule ------------------------------------------------------
-
-    def witnesses(self) -> np.ndarray:
-        return np.fromiter((m.witness for m in self.morphisms), np.int64, self.morphism_count)
 
     def cosets(self, i, j, g) -> tuple[np.ndarray, np.ndarray]:
         """The cosets left[i]·g·right[j] a witness g from object i to object j
@@ -178,21 +158,24 @@ class FiniteCategory:
 
     def tokens_of(self, i, j, w) -> np.ndarray:
         """The tokens from object i to object j witnessed by w, elementwise;
-        -1 where there is none."""
-        n, m = self.group.order, self.object_count
-        keys = (self.src * m + self.tgt) * n + self.witnesses()
-        order = np.argsort(keys)
-        want = (np.asarray(i, dtype=np.int64) * m + j) * n + w
-        at = order[np.searchsorted(keys, want, sorter=order).clip(max=len(keys) - 1)]
-        return np.where(keys[at] == want, at, -1)
+        -1 where there is none.  The sorted keys are kept once computed; a
+        key has a place for each witness from -1 to |G| - 1."""
+        n, m = self.group.order + 1, self.object_count
+        if self._key_order is None:
+            keys = (self.src * m + self.tgt) * n + self.witness + 1
+            order = np.argsort(keys)
+            self._key_order = keys[order], order
+        keys, order = self._key_order
+        want = (np.asarray(i, dtype=np.int64) * m + j) * n + w + 1
+        at = np.searchsorted(keys, want).clip(max=len(keys) - 1)
+        return np.where(keys[at] == want, order[at], -1)
 
     # -- queries -----------------------------------------------------------
 
     def mor(self, i: int, j: int) -> list[int]:
-        return self.mor_ids.get((i, j), [])
-
-    def token_by_witness(self, i: int, j: int, witness: int) -> int:
-        return self._by_witness[(i, j, witness)]
+        """The tokens from object i to object j, ascending."""
+        block = slice(self.first[i], self.first[i + 1])
+        return (self.first[i] + np.flatnonzero(self.tgt[block] == j)).tolist()
 
     def slot(self, t1: int, t2: int) -> int:
         """The index of the pair (t1, t2) in ``composite``."""
@@ -223,7 +206,7 @@ class FiniteCategory:
 
     @property
     def morphism_count(self) -> int:
-        return len(self.morphisms)
+        return len(self.src)
 
     def nonidentity_by_source(self) -> list[list[int]]:
         out = np.flatnonzero(~self.is_id)
@@ -231,13 +214,13 @@ class FiniteCategory:
 
     def endomorphism_order(self, tid: int) -> int:
         """Order of an invertible endomorphism under category composition."""
-        m = self.morphisms[tid]
-        ident = self.identity_ids[m.src]
+        obj = self.src[tid]
+        ident, bound = self.identity_ids[obj], len(self.mor(obj, obj)) + 1
         k, cur = 1, tid
         while cur != ident:
             cur = self.compose(cur, tid)
             k += 1
-            if k > len(self.mor(m.src, m.src)) + 1:
+            if k > bound:
                 raise PLocalError(f"endomorphism token {tid} is not invertible")
         return k
 
@@ -255,10 +238,11 @@ def _fill_cosets(cat: FiniteCategory, table_budget: int) -> FiniteCategory:
     g = np.fromiter((x for ts in found for x in ts), np.intp, len(pair))
     witness = cat.canonicals(pair // m, pair % m, g)
     pair, witness = np.divmod(np.unique(pair * n + witness), n)
-    for i, j, w in zip((pair // m).tolist(), (pair % m).tolist(), witness.tolist()):
-        tid = cat.add_morphism(i, j, w)
-        if i == j and w == 0:
-            cat.set_identity(i, tid)
+    src, tgt = np.divmod(pair, m)
+    ident = np.full(m, -1, dtype=np.int64)
+    at = np.flatnonzero((src == tgt) & (witness == 0))
+    ident[src[at]] = at
+    cat.set_tokens(src, tgt, witness, ident)
     cat.fill_composition(table_budget)
     return cat
 
@@ -300,9 +284,7 @@ def group_category(G: PermutationGroup, P: Subgroup) -> FiniteCategory:
     token k is the element ``P.ids[k]``."""
     cat = FiniteCategory("group", [P], G)
     cat.left = cat.right = [G.trivial_subgroup()]
-    for x in P.ids:
-        cat.add_morphism(0, 0, x)
-    cat.set_identity(0, 0)
+    cat.set_tokens([0] * P.order, [0] * P.order, P.ids, [0])
     cat.fill_composition(table_budget=P.order ** 2)
     return cat
 
@@ -319,15 +301,11 @@ def coset_category(G: PermutationGroup, collection) -> FiniteCategory:
     objs = [(k, r) for k, P in enumerate(collection)
             for r in np.unique(G.mul[list(P.ids)].min(axis=0)).tolist()]
     cat = FiniteCategory("coset", [f"{k}:{r}" for k, r in objs], G)
-    conj_cache = [frozenset(collection[k].conjugate(r).ids) for k, r in objs]
+    conj = [frozenset(collection[k].conjugate(r).ids) for k, r in objs]
+    src, tgt = np.nonzero(np.array([[a <= b for b in conj] for a in conj], dtype=bool))
     tok = np.full((len(objs), len(objs)), -1, dtype=np.int64)
-    for a in range(len(objs)):
-        for b in range(len(objs)):
-            if conj_cache[a] <= conj_cache[b]:
-                tok[a, b] = cat.add_morphism(a, b)
-                if a == b:
-                    cat.set_identity(a, int(tok[a, b]))
-    cat._index_tokens()
+    tok[src, tgt] = np.arange(len(src))
+    cat.set_tokens(src, tgt, np.full(len(src), -1), np.diag(tok))
     t1, t2 = cat.pairs()
     cat.composite = tok[cat.src[t1], cat.tgt[t2]]
     return cat
@@ -348,17 +326,15 @@ class Functor:
 
     def violations(self) -> list[str]:
         S, T = self.source, self.target
-        out = []
-        for i, tid in enumerate(S.identity_ids):
-            if self.morphism_map[tid] != T.identity_ids[self.object_map[i]]:
-                out.append(f"identity at object {i} not preserved")
         fmap = np.asarray(self.morphism_map, dtype=np.int64)
+        omap = np.asarray(self.object_map, dtype=np.int64)
+        lost = fmap[S.identity_ids] != T.identity_ids[omap]
+        out = [f"identity at object {i} not preserved" for i in np.flatnonzero(lost).tolist()]
         t1, t2 = S.pairs()
         t3 = S.composite
         bad = (t3 < 0) | (T.composites(fmap[t1], fmap[t2]) != fmap[np.maximum(t3, 0)])
         for k in np.flatnonzero(bad).tolist():
             out.append(f"composition of tokens ({t1[k]},{t2[k]}) not preserved")
-        omap = np.asarray(self.object_map, dtype=np.int64)
         moved = (T.src[fmap] != omap[S.src]) | (T.tgt[fmap] != omap[S.tgt])
         for tid in np.flatnonzero(moved).tolist():
             out.append(f"token {tid} maps outside its object images")
@@ -379,23 +355,20 @@ def full_subcategory(C: FiniteCategory, keep: list[int]) -> tuple[FiniteCategory
     if C.left is not None:
         sub.left = [C.left[i] for i in keep]
         sub.right = [C.right[i] for i in keep]
-    new_obj = {o: i for i, o in enumerate(keep)}
-    kept = [t for t, m in enumerate(C.morphisms) if m.src in new_obj and m.tgt in new_obj]
+    new_obj = np.full(C.object_count, -1, dtype=np.int64)
+    new_obj[keep] = np.arange(len(keep))
+    a, b = new_obj[C.src], new_obj[C.tgt]
+    kept = np.flatnonzero((a >= 0) & (b >= 0))
     # stable in token order, so a sorted ``keep`` keeps C's numbering
-    old_of_new = sorted(kept, key=lambda t: new_obj[C.morphisms[t].src])
-    for tid in old_of_new:
-        m = C.morphisms[tid]
-        nid = sub.add_morphism(new_obj[m.src], new_obj[m.tgt], m.witness)
-        if C.is_identity(tid):
-            sub.set_identity(new_obj[m.src], nid)
-    sub._index_tokens()
-    t1, t2 = sub.pairs()
-    old = np.array(old_of_new, dtype=np.int64)
-    # C's unfilled slots read -1, i.e. the extra last entry, so stay unfilled
+    old = kept[np.argsort(a[kept], kind="stable")]
+    # C's missing identities and unfilled slots read -1, i.e. the extra last
+    # entry, so stay missing and unfilled
     new_of_old = np.full(C.morphism_count + 1, -1, dtype=np.int64)
     new_of_old[old] = np.arange(len(old))
+    sub.set_tokens(a[old], b[old], C.witness[old], new_of_old[C.identity_ids[keep]])
+    t1, t2 = sub.pairs()
     sub.composite = new_of_old[C.composites(old[t1], old[t2])]
-    return sub, Functor(sub, C, list(keep), old_of_new)
+    return sub, Functor(sub, C, list(keep), old.tolist())
 
 
 def quotient_projection(T: FiniteCategory, p: int,
@@ -403,7 +376,7 @@ def quotient_projection(T: FiniteCategory, p: int,
     """The projection from a transporter category on centric objects to the
     linking category: identity on objects, witness g -> K(P) g."""
     L = build_linking(T.group, p, T.objects, table_budget)
-    mor_map = L.tokens_of(T.src, T.tgt, L.canonicals(T.src, T.tgt, T.witnesses()))
+    mor_map = L.tokens_of(T.src, T.tgt, L.canonicals(T.src, T.tgt, T.witness))
     if (mor_map < 0).any():
         raise PLocalError("a transporter morphism has no linking image")
     return Functor(T, L, list(range(T.object_count)), mor_map.tolist())
@@ -529,7 +502,7 @@ def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str]) -> bo
     unfilled slot is left to the closure check)."""
     if C.left is None:
         return True
-    witness = C.witnesses()
+    witness = C.witness
     elems, offs = C.cosets(C.src, C.tgt, witness)
     bad = np.minimum.reduceat(elems, offs[:-1]) != witness
     failures += [f"witness of token {t} is not the least of its coset"
@@ -578,13 +551,10 @@ class QuotientFunctorVerdict:
 
 
 def automorphism_tokens(C: FiniteCategory, i: int) -> list[int]:
-    out = []
-    for t in C.mor(i, i):
-        for s in C.mor(i, i):
-            if C.compose(t, s) == C.identity_ids[i] and C.compose(s, t) == C.identity_ids[i]:
-                out.append(t)
-                break
-    return out
+    ends = np.array(C.mor(i, i), dtype=np.int64)
+    t, s = np.repeat(ends, len(ends)), np.tile(ends, len(ends))
+    one = C.identity_ids[i]
+    return np.unique(t[(C.composites(t, s) == one) & (C.composites(s, t) == one)]).tolist()
 
 
 def verify_quotient_functor(psi: Functor, p: int) -> QuotientFunctorVerdict:
@@ -688,24 +658,13 @@ def verify_closure_adjunction(
     om_idx = {H.ids: i for i, H in enumerate(members)}
     clos = {P.ids: closure_in_poset(poset, P) for P in test_subgroups}
 
-    def tokens_match(i_big, j_big, i_om, j_om):
-        reps_big = sorted(big.morphisms[t].witness for t in big.mor(i_big, j_big))
-        reps_om = sorted(omega.morphisms[t].witness for t in omega.mor(i_om, j_om))
-        return reps_big == reps_om
-
-    bijections = True
-    pairs = 0
     for P in test_subgroups:
-        Pc = clos[P.ids]
         for Q in members:
-            pairs += 1
-            if not tokens_match(
-                big_idx[P.ids], big_idx[Q.ids], om_idx[Pc.ids], om_idx[Q.ids]
-            ):
-                bijections = False
-                failures.append(
-                    f"morphism sets differ for P={P.label()}, Q={Q.label()}"
-                )
+            reps_big = big.witness[big.mor(big_idx[P.ids], big_idx[Q.ids])]
+            reps_om = omega.witness[omega.mor(om_idx[clos[P.ids].ids], om_idx[Q.ids])]
+            if not np.array_equal(np.sort(reps_big), np.sort(reps_om)):
+                failures.append(f"morphism sets differ for P={P.label()}, Q={Q.label()}")
+    bijections, pairs = not failures, len(test_subgroups) * len(members)
 
     # naturality, per test subgroup P.  In the target variable: for every
     # phi: P° -> Q of omega, identified with the token phi_big: P -> Q of big,
@@ -713,7 +672,7 @@ def verify_closure_adjunction(
     # identification.  In the source variable: precomposition of phi_big with
     # every u: P' -> P of big between test subgroups matches precomposition of
     # phi with the closure of u, the token P'° -> P° of u's coset.
-    w_big, w_om = big.witnesses(), omega.witnesses()
+    w_big, w_om = big.witness, omega.witness
     big_of = np.array([big_idx[M.ids] for M in members], dtype=np.int64)
     om_of = np.full(big.object_count, -1, dtype=np.int64)
     for P in test_subgroups:

@@ -17,7 +17,7 @@ Face walk: a chain's row is found from its head with no hashing,
 ``idx = row0[head]``, then ``idx = starts[k][idx] + pos[t_k]`` for k = 1..d,
 where ``pos[t]`` is the rank of t among the non-identity tokens with its
 source.  This needs tokens numbered grouped by source (object 0's first,
-then object 1's, ...); ``FiniteCategory.add_morphism`` enforces it, and it
+then object 1's, ...); ``FiniteCategory.set_tokens`` enforces it, and it
 makes head-major order the lexicographic order of the token rows.
 
 Inner faces compose adjacent tokens by reading the category's composition
@@ -38,19 +38,16 @@ from .fplinalg import FpMatrix
 
 def chain_counts(C: FiniteCategory, dmax: int, weights: list[int] | None = None) -> list[int]:
     """Exact number of normalized chains per degree, by path counting; with
-    ``weights``, each chain counts as the weight of its head object."""
-    nonid = C.nonidentity_by_source()
-    per_obj = list(weights) if weights is not None else [1] * C.object_count
-    totals = [sum(per_obj)]
+    ``weights``, each chain counts as the weight of its head object.  The
+    counts are Python ints (object arrays), so they never overflow."""
+    m, out = C.object_count, ~C.is_id
+    arrows = np.bincount(C.src[out] * m + C.tgt[out], minlength=m * m).reshape(m, m)
+    arrows = arrows.astype(object)
+    per_obj = np.array([1] * m if weights is None else list(weights), dtype=object)
+    totals = [int(sum(per_obj))]
     for _ in range(dmax):
-        nxt = [0] * C.object_count
-        for src, toks in enumerate(nonid):
-            if per_obj[src] == 0:
-                continue
-            for t in toks:
-                nxt[C.morphisms[t].tgt] += per_obj[src]
-        per_obj = nxt
-        totals.append(sum(per_obj))
+        per_obj = per_obj @ arrows
+        totals.append(int(sum(per_obj)))
     return totals
 
 

@@ -6,9 +6,9 @@ coboundary C^n -> C^{n+1} is the nerve boundary from degree n+1 to n of the
 one-object category on P, whose tokens follow ``P.ids``; so cochains are
 indexed by tuples of non-identity elements in lexicographic order, and a
 pullback finds each image tuple's index by the ``chains`` index walk.
-Induced maps along orbit-category morphisms are pullbacks by the
-conjugation homomorphism computed on representatives and reduced to the
-chosen bases, so the resulting functor matrices are reproducible.  The
+Induced maps along orbit-category morphisms are pullbacks by conjugation by
+the morphism's witness, mapped on token arrays and reduced to the chosen
+bases, so the resulting functor matrices are reproducible.  The
 functors built here are not validated on construction: ``limits_profile``
 checks each one exhaustively before it computes its limits.
 """
@@ -19,9 +19,9 @@ import numpy as np
 
 from .categories import FiniteCategory, group_category
 from .chains import Chains, nerve_boundary
-from .errors import DEFAULT_BUDGET, BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded, PLocalError
 from .fplinalg import EchelonCoords, nullspace_dense
-from .groups import PermutationGroup, Subgroup
+from .groups import PermutationGroup, Subgroup, _conj
 from .limits import LinearFunctor
 
 
@@ -40,6 +40,9 @@ class CohomologyBasis:
             raise BudgetExceeded(i + 1, nonid ** (i + 1), budget)
 
         self.category = group_category(G, P)
+        # each element's token: k for P.ids[k], -1 outside P
+        self.token_of = np.full(G.order, -1, dtype=np.int64)
+        self.token_of[self.category.witness] = np.arange(P.order)
         self.chains = Chains(self.category, i + 1)
         ambient = self.chains.dims[i]
         if ambient == 0:
@@ -68,15 +71,15 @@ class CohomologyBasis:
             return np.zeros(0, dtype=np.int64)
         return self._ech.coords(vec)
 
-    def pullback_matrix(self, other: "CohomologyBasis", point_map) -> np.ndarray:
+    def pullback_matrix(self, other: "CohomologyBasis", g: int) -> np.ndarray:
         """Matrix of the map H^i(B other) -> H^i(B self) induced by the
-        injective homomorphism ``point_map``: self.P -> other.P on elements."""
+        conjugation x -> x^g, which must map self.P into other.P."""
         M = np.zeros((self.dim, other.dim), dtype=np.int64)
         if self.dim == 0 or other.dim == 0:
             return M
-        image = np.array(
-            [other.category.token_by_witness(0, 0, point_map(x)) for x in self.P.ids]
-        )
+        image = other.token_of[_conj(self.G, self.category.witness, g)]
+        if (image < 0).any():
+            raise PLocalError(f"conjugation by {g} maps {self.P.label()} outside {other.P.label()}")
         rows = self.chains.tokens[self.i]
         at = other.chains.find(np.zeros(len(rows), dtype=np.int64), image[rows])
         for j, rep in enumerate(other.reps):
@@ -134,14 +137,12 @@ def supported_cohomology_functor(
     bases = {k: cache.basis(cat.objects[k], i) for k in supp}
     dims = [bases[k].dim if k in supp else 0 for k in range(cat.object_count)]
     mats: dict[int, np.ndarray] = {}
-    for tid, m in enumerate(cat.morphisms):
-        if m.src in supp and m.tgt in supp:
-            g = m.witness
-            mats[tid] = bases[m.src].pullback_matrix(
-                bases[m.tgt], lambda x: G.conj(x, g)
-            )
+    tokens = zip(cat.src.tolist(), cat.tgt.tolist(), cat.witness.tolist())
+    for tid, (a, b, g) in enumerate(tokens):
+        if a in supp and b in supp:
+            mats[tid] = bases[a].pullback_matrix(bases[b], g)
         else:
-            mats[tid] = np.zeros((dims[m.src], dims[m.tgt]), dtype=np.int64)
+            mats[tid] = np.zeros((dims[a], dims[b]), dtype=np.int64)
     return LinearFunctor(cat, p, dims, mats)
 
 
@@ -150,9 +151,9 @@ def zeroed_at(F: LinearFunctor, kill: list[int]) -> LinearFunctor:
     dead = set(kill)
     dims = [0 if k in dead else d for k, d in enumerate(F.dims)]
     mats = {}
-    for tid, m in enumerate(F.category.morphisms):
-        if m.src in dead or m.tgt in dead:
-            mats[tid] = np.zeros((dims[m.src], dims[m.tgt]), dtype=np.int64)
+    for tid, (a, b) in enumerate(zip(F.category.src.tolist(), F.category.tgt.tolist())):
+        if a in dead or b in dead:
+            mats[tid] = np.zeros((dims[a], dims[b]), dtype=np.int64)
         else:
             mats[tid] = F.mats[tid]
     return LinearFunctor(F.category, F.prime, dims, mats)

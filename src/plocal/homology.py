@@ -3,7 +3,7 @@
 The degree-d basis of a category nerve is the set of composable d-tuples of
 non-identity morphisms (normalized chains), as integer arrays from
 ``chains``: head-major, which is lexicographic in the tokens because
-``FiniteCategory.add_morphism`` numbers them grouped by source.  The
+``FiniteCategory.set_tokens`` requires them grouped by source.  The
 boundary drops the outer morphisms and composes adjacent inner pairs; a
 face whose inner composition is an identity is degenerate and dropped.
 Faces and the images of induced chain maps find their rows by the index
@@ -17,6 +17,7 @@ d <= dmax-2.  Alternating signs are kept, and vanish mod 2.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,13 @@ class FpComplex:
         self.dims = dims
         self.boundaries = boundaries
         self.chains = chains
+
+    def prefix(self, dmax: int) -> "FpComplex":
+        """This complex truncated at dmax <= self.dmax, sharing its chains
+        and boundaries, so ranks already computed are not computed again."""
+        out = copy.copy(self)
+        out.dmax, out.dims, out.boundaries = dmax, self.dims[:dmax + 1], self.boundaries[:dmax + 1]
+        return out
 
     def rank_boundary(self, d: int) -> int:
         """rank ∂_d, eliminated only until it reaches dims[d-1] - rank ∂_{d-1}

@@ -142,11 +142,12 @@ def atomic_functor_limits(
     rho = element_action_matrices(G, module, p)
     dims = [module.dim if k == triv else 0 for k in range(cat.object_count)]
     mats: dict[int, np.ndarray] = {}
-    for tid, m in enumerate(cat.morphisms):
-        if m.src == triv and m.tgt == triv:
-            mats[tid] = rho[m.witness]
+    tokens = zip(cat.src.tolist(), cat.tgt.tolist(), cat.witness.tolist())
+    for tid, (a, b, g) in enumerate(tokens):
+        if a == triv and b == triv:
+            mats[tid] = rho[g]
         else:
-            mats[tid] = np.zeros((dims[m.src], dims[m.tgt]), dtype=np.int64)
+            mats[tid] = np.zeros((dims[a], dims[b]), dtype=np.int64)
     F = LinearFunctor(cat, p, dims, mats)
     return limits_profile(F, nmax, budget, memo)
 
@@ -240,9 +241,7 @@ def normalizer_reduction_check(
         kept = cache.quotients[R.ids] = (N, W, build_orbit_skeletons(W, p))
     N, W, quotient_skel = kept
     basis = cache.basis(R, i)
-    gen_mats = []
-    for g in N.generating_ids:
-        gen_mats.append(basis.pullback_matrix(basis, lambda x: G.conj(x, g)))
+    gen_mats = [basis.pullback_matrix(basis, g) for g in N.generating_ids]
     module = ModuleData(dim=basis.dim, generator_matrices=gen_mats)
     right = atomic_functor_limits(W, p, module, nmax, budget, quotient_skel,
                                   cache.limits).dims
@@ -339,15 +338,14 @@ class FiltrationVerdict:
         )
 
 
-def _natural_surjection_ok(F1: LinearFunctor, dead: set[int]) -> bool:
-    """The objectwise projection (identity on live objects, zero on dead
-    ones) commutes with every morphism map iff no morphism from a live
-    object into a dead one carries a nonzero map."""
-    for tid, m in enumerate(F1.category.morphisms):
-        if m.src not in dead and m.tgt in dead:
-            M = F1.mats[tid] % F1.prime
-            if M.size and np.any(M):
-                return False
+def _natural_surjection_ok(F1: LinearFunctor, dead: int) -> bool:
+    """The objectwise projection (identity on live objects, zero on the dead
+    one) commutes with every morphism map iff no morphism from a live
+    object into the dead one carries a nonzero map."""
+    C = F1.category
+    for tid in np.flatnonzero((C.src != dead) & (C.tgt == dead)).tolist():
+        if np.any(F1.mats[tid] % F1.prime):
+            return False
     return True
 
 
@@ -407,14 +405,13 @@ def class_filtration_check(
         F_zero = zeroed_at(F_full, [new_sub])
         punct = supported_cohomology_functor(G, p, sub, [new_sub], i, cache)
 
-        natural = _natural_surjection_ok(F_full, {new_sub})
+        natural = _natural_surjection_ok(F_full, new_sub)
         kernel_ok = punct.dims[new_sub] == F_full.dims[new_sub] and all(
             punct.dims[k] == 0 for k in range(sub.object_count) if k != new_sub
         )
-        for tid, m in enumerate(sub.morphisms):
-            if m.src == new_sub and m.tgt == new_sub:
-                if not np.array_equal(punct.mats[tid] % p, F_full.mats[tid] % p):
-                    kernel_ok = False
+        for tid in sub.mor(new_sub, new_sub):
+            if not np.array_equal(punct.mats[tid] % p, F_full.mats[tid] % p):
+                kernel_ok = False
 
         stage = FiltrationStage(
             added_label=skel.omega_reps[new].label(),

@@ -6,7 +6,7 @@ F(f): F(tgt) -> F(src) to every morphism, with F(f then g) = F(f) F(g).
 piece is the direct sum of F(c_0) over composable chains
 c_0 -> c_1 -> ... -> c_n of non-identity morphisms, in the head-major order
 of ``chains`` (tokens are numbered grouped by source, as
-``FiniteCategory.add_morphism`` enforces) over the heads with F(c_0) != 0.
+``FiniteCategory.set_tokens`` enforces) over the heads with F(c_0) != 0.
 Each face's block column is found by the index walk of ``chains``.  A
 complex built to ``nmax`` certifies lim^n for n <= nmax-1, and lim^0 is
 cross-checked against the directly solved compatible-family system.
@@ -42,11 +42,12 @@ class LinearFunctor:
         """Exhaustive functoriality check; raises NotAFunctor on any failure."""
         C = self.category
         p = self.prime
-        for tid, m in enumerate(C.morphisms):
-            M = self.mats[tid]
-            if M.shape != (self.dims[m.src], self.dims[m.tgt]):
+        dims = np.asarray(self.dims, dtype=np.int64)
+        rows, cols = dims[C.src], dims[C.tgt]
+        for tid, shape in enumerate(zip(rows.tolist(), cols.tolist())):
+            if self.mats[tid].shape != shape:
                 raise NotAFunctor(f"matrix shape mismatch at token {tid}")
-        for i, tid in enumerate(C.identity_ids):
+        for i, tid in enumerate(C.identity_ids.tolist()):
             M = self.mats[tid]
             if self.dims[i] and not np.array_equal(
                 M % p, np.eye(self.dims[i], dtype=np.int64)
@@ -58,8 +59,6 @@ class LinearFunctor:
         t3 = C.composite
         filled = t3 >= 0
         bad = [int(np.argmin(filled))] if not filled.all() else []
-        dims = np.asarray(self.dims, dtype=np.int64)
-        rows, cols = dims[C.src], dims[C.tgt]
         stack, pos = {}, np.zeros(len(rows), dtype=np.int64)
         for shape in set(zip(rows.tolist(), cols.tolist())):
             toks = np.flatnonzero((rows == shape[0]) & (cols == shape[1]))
@@ -84,10 +83,8 @@ class LinearFunctor:
             raise NotAFunctor(f"composition fails at tokens ({t1[k]},{t2[k]})")
 
     def restrict(self, sub: FiniteCategory, inclusion: Functor) -> "LinearFunctor":
-        dims = [self.dims[inclusion.object_map[i]] for i in range(sub.object_count)]
-        mats = {
-            tid: self.mats[inclusion.apply(tid)] for tid in range(sub.morphism_count)
-        }
+        dims = [self.dims[i] for i in inclusion.object_map]
+        mats = {tid: self.mats[t] for tid, t in enumerate(inclusion.morphism_map)}
         return LinearFunctor(sub, self.prime, dims, mats)
 
 

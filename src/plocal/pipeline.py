@@ -98,6 +98,7 @@ class PipelineRun:
         self.timings: dict[str, float] = {}
         self.notes: list[str] = []
         self._cache: dict[str, object] = {}
+        self._nerves: dict[cats.FiniteCategory, FpComplex] = {}
 
     # -- cached artifacts -------------------------------------------------
 
@@ -165,12 +166,13 @@ class PipelineRun:
 
     @property
     def transporter_omega_centric(self):
-        return self._get(
-            "transporter_omega_centric",
-            lambda: cats.build_transporter(
-                self.G, self.omega_centric_in_sylow, self.cfg.budget
-            ),
-        )
+        """``transporter_omega`` itself when every poset member is centric."""
+        def build():
+            objs = self.omega_centric_in_sylow
+            if [H.ids for H in objs] == [H.ids for H in self.omega_in_sylow]:
+                return self.transporter_omega
+            return cats.build_transporter(self.G, objs, self.cfg.budget)
+        return self._get("transporter_omega_centric", build)
 
     @property
     def transporter_centric(self):
@@ -205,11 +207,17 @@ class PipelineRun:
             "cohomology_cache", lambda: CohomologyCache(self.G, self.p, self.cfg.budget)
         )
 
-    def complex_of(self, name: str, cat, dmax: int) -> FpComplex:
-        return self._get(
-            f"cx:{name}:{dmax}",
-            lambda: nerve_complex(cat, self.p, dmax, self.cfg.budget),
-        )
+    def complex_of(self, cat: cats.FiniteCategory, dmax: int) -> FpComplex:
+        """The nerve of ``cat`` through degree dmax, built once per category
+        object: a smaller dmax is served as the prefix of the larger complex,
+        whose boundaries it shares, so each boundary is ranked once."""
+        cx = self._nerves.get(cat)
+        if cx is None or cx.dmax < dmax:
+            t0 = time.perf_counter()
+            cx = self._nerves[cat] = nerve_complex(cat, self.p, dmax, self.cfg.budget)
+            key = f"cx:{cat.kind}:{cat.object_count}x{cat.morphism_count}:{dmax}"
+            self.timings[key] = round(time.perf_counter() - t0, 6)
+        return cx.prefix(dmax)
 
     @property
     def bar(self) -> FpComplex:
@@ -302,7 +310,7 @@ class PipelineRun:
     def _stage_nerve_vs_group(self, detail):
         dmax = self.cfg.max_degree
         bar = self.bar
-        t_omega_cx = self.complex_of("transporter_poset", self.transporter_omega, dmax)
+        t_omega_cx = self.complex_of(self.transporter_omega, dmax)
         bar_h = bar.homology()
         t_h = t_omega_cx.homology()
         detail["homology"]["classifying_space"] = {
@@ -322,10 +330,10 @@ class PipelineRun:
             if P.ids == self.poset.members[self.poset.minimum].ids
         )
         bg_cat = cats.group_category(self.G, self.G.full_subgroup())
-        functor = cats.Functor(
-            bg_cat, T, [min_idx],
-            [T.token_by_witness(min_idx, min_idx, m.witness) for m in bg_cat.morphisms],
-        )
+        tokens = T.tokens_of(min_idx, min_idx, bg_cat.witness)
+        if (tokens < 0).any():
+            raise PLocalError("an element of G has no token at the poset minimum")
+        functor = cats.Functor(bg_cat, T, [min_idx], tokens.tolist())
         ok = functor.is_functor
         cm = induced_chain_map(functor, bar, t_omega_cx)
         iso = homology_iso_verdict(cm)
@@ -345,7 +353,7 @@ class PipelineRun:
         ]
         sub, incl = cats.full_subcategory(T, sub_idx)
         src = nerve_complex(sub, self.p, max(dmax - 1, 1), self.cfg.budget)
-        tgt = self.complex_of("transporter_poset", T, dmax)
+        tgt = self.complex_of(T, dmax)
         cm = induced_chain_map(incl, src, tgt)
         iso = homology_iso_verdict(cm)
         detail["homology"]["centric_restriction_iso"] = {
@@ -356,12 +364,8 @@ class PipelineRun:
 
     def _stage_centric_agreement(self, detail):
         dmax = max(self.cfg.max_degree - 1, 1)
-        cx_omega_c = self.complex_of(
-            "transporter_poset_centric", self.transporter_omega_centric, dmax
-        )
-        cx_centric = self.complex_of(
-            "transporter_centric", self.transporter_centric, dmax
-        )
+        cx_omega_c = self.complex_of(self.transporter_omega_centric, dmax)
+        cx_centric = self.complex_of(self.transporter_centric, dmax)
         a = cx_omega_c.homology().dims
         b = cx_centric.homology().dims
         detail["homology"]["transporter_centric_nerve"] = {
@@ -373,10 +377,8 @@ class PipelineRun:
     def _stage_t_vs_l(self, detail):
         dmax = self.cfg.max_degree
         quotient_ok = cats.verify_quotient_functor(self.linking_projection, self.p).passed
-        src = self.complex_of(
-            "transporter_centric", self.transporter_centric, max(dmax - 1, 1)
-        )
-        tgt = self.complex_of("linking_centric", self.linking_centric, dmax)
+        src = self.complex_of(self.transporter_centric, max(dmax - 1, 1))
+        tgt = self.complex_of(self.linking_centric, dmax)
         tgt_h = tgt.homology()  # before the cone, which then reuses its echelons
         cm = induced_chain_map(self.linking_projection, src, tgt)
         iso = homology_iso_verdict(cm)
@@ -499,9 +501,7 @@ class PipelineRun:
             self.notes.append("main comparison needs max degree >= 3")
             return None
         bar_h = self.bar.homology().dims
-        link_h = self.complex_of(
-            "linking_centric", self.linking_centric, dmax
-        ).homology().dims
+        link_h = self.complex_of(self.linking_centric, dmax).homology().dims
         equal = bar_h[: through + 1] == link_h[: through + 1]
         detail["homology"]["main_comparison"] = {
             "classifying_dims": bar_h[: through + 1],

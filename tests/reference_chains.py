@@ -6,7 +6,10 @@ faces are found through {chain: row} dicts and every row is assembled as a
 {column: coefficient} dict.  ``test_chains.py`` requires the kernel's
 matrices to equal theirs entry for entry, and ``test_categories.py``
 requires the store to hold exactly the composites of the {(t1, t2): t3}
-table that ``reference_compose_table`` fills.
+table that ``reference_compose_table`` fills.  ``reference_mor`` and
+``reference_by_witness`` rebuild the dicts the token store replaced from
+its ``src``/``tgt``/``witness`` arrays alone, never calling ``mor`` or
+``tokens_of``, so they check those lookups independently.
 """
 
 from __future__ import annotations
@@ -43,6 +46,20 @@ def from_row_entries(nrows: int, ncols: int, prime: int, rows) -> FpMatrix:
     return FpMatrix(csr, prime)
 
 
+def reference_mor(C) -> dict[tuple[int, int], list[int]]:
+    """{(i, j): the tokens from i to j, ascending}, by one loop over tokens."""
+    mor: dict[tuple[int, int], list[int]] = {}
+    for t, (a, b) in enumerate(zip(C.src.tolist(), C.tgt.tolist())):
+        mor.setdefault((a, b), []).append(t)
+    return mor
+
+
+def reference_by_witness(C) -> dict[tuple[int, int, int], int]:
+    """{(i, j, witness): token}, by one loop over tokens."""
+    tokens = zip(C.src.tolist(), C.tgt.tolist(), C.witness.tolist())
+    return {key: t for t, key in enumerate(tokens)}
+
+
 def reference_compose_table(C) -> dict[tuple[int, int], int]:
     """The composition table as a dict, filled by the loop over pairs of
     morphism sets that the store replaced: by the coset rule for a category
@@ -50,18 +67,19 @@ def reference_compose_table(C) -> dict[tuple[int, int], int]:
     of ``Permutation`` products, and as the unique arrow for the thin coset
     category.  Reads no composite."""
     table: dict[tuple[int, int], int] = {}
-    for (a, b), lhs in C.mor_ids.items():
-        for (b2, c), rhs in C.mor_ids.items():
+    mor, by_witness = reference_mor(C), reference_by_witness(C)
+    witness = C.witness.tolist()
+    for (a, b), lhs in mor.items():
+        for (b2, c), rhs in mor.items():
             if b2 != b:
                 continue
             for t1 in lhs:
                 for t2 in rhs:
                     if C.left is None:
-                        (table[(t1, t2)],) = C.mor(a, c)
+                        (table[(t1, t2)],) = mor[(a, c)]
                         continue
-                    w1, w2 = C.morphisms[t1].witness, C.morphisms[t2].witness
-                    w = min(coset(C, a, c, product(C.group, w1, w2)))
-                    table[(t1, t2)] = C.token_by_witness(a, c, w)
+                    w = min(coset(C, a, c, product(C.group, witness[t1], witness[t2])))
+                    table[(t1, t2)] = by_witness[(a, c, w)]
     return table
 
 
@@ -77,7 +95,7 @@ def nerve_basis(C, dmax: int) -> list[list]:
             cur.sort()
         else:
             for chain in basis[d - 1]:
-                tail = C.morphisms[chain[-1]].tgt
+                tail = int(C.tgt[chain[-1]])
                 for t in nonid[tail]:
                     cur.append(chain + (t,))
         basis.append(cur)
@@ -93,9 +111,9 @@ def nerve_boundaries(C, prime: int, dmax: int) -> tuple[list[list], list]:
     def row_entries_for(chain, d, index_prev):
         entries: dict[int, int] = {}
         if d == 1:
-            m = C.morphisms[chain[0]]
-            entries[m.tgt] = entries.get(m.tgt, 0) + 1
-            entries[m.src] = entries.get(m.src, 0) - 1
+            a, b = int(C.src[chain[0]]), int(C.tgt[chain[0]])
+            entries[b] = entries.get(b, 0) + 1
+            entries[a] = entries.get(a, 0) - 1
             return entries
 
         def add(label, coeff):
@@ -148,7 +166,7 @@ def cochain_differentials(F, nmax: int) -> tuple[list[int], list]:
     for n in range(1, nmax + 1):
         cur = []
         for head, toks in chains[n - 1]:
-            tail = C.morphisms[toks[-1]].tgt if toks else head
+            tail = int(C.tgt[toks[-1]]) if toks else head
             for t in nonid[tail]:
                 cur.append((head, toks + (t,)))
         chains.append(cur)
@@ -180,7 +198,7 @@ def cochain_differentials(F, nmax: int) -> tuple[list[int], list]:
                             row_block[r][base + c] = row_block[r].get(base + c, 0) + v
 
             first = toks[0]
-            add_block((C.morphisms[first].tgt, toks[1:]), F.mats[first] % p)
+            add_block((int(C.tgt[first]), toks[1:]), F.mats[first] % p)
             eye = np.eye(k, dtype=np.int64)
             for i in range(1, n + 1):
                 u = C.compose(toks[i - 1], toks[i])

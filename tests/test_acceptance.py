@@ -176,10 +176,7 @@ def test_criterion_4_transporter_nerve_matches_classifying_space():
             if P.ids == ps.members[ps.minimum].ids
         )
         bg = build_transporter(G, [G.full_subgroup()])
-        F = Functor(
-            bg, T, [min_idx],
-            [T.token_by_witness(min_idx, min_idx, m.witness) for m in bg.morphisms],
-        )
+        F = Functor(bg, T, [min_idx], T.tokens_of(min_idx, min_idx, bg.witness).tolist())
         iso = homology_iso_verdict(induced_chain_map(F, bar, t_cx))
         if not iso.passed:
             failures.append((spec, p, "cone"))

@@ -1,5 +1,6 @@
 import sys
 
+import numpy as np
 import pytest
 
 from plocal import (
@@ -25,8 +26,8 @@ from plocal import (
 )
 from plocal import categories
 from plocal.catalog import build_group
-from plocal.categories import Morphism, iso_classes
-from reference_chains import reference_compose_table
+from plocal.categories import iso_classes
+from reference_chains import reference_by_witness, reference_compose_table, reference_mor
 
 CATALOG = ["sym:3", "sym:4", "alt:4", "dih:8", "dih:12", "cyc:6", "sym:3 x cyc:3"]
 
@@ -111,8 +112,7 @@ def test_category_laws_everywhere():
 def _corrupt_one_composite(C):
     """Point one composite at another token of the same morphism set."""
     for k, t3 in enumerate(C.composite.tolist()):
-        m3 = C.morphisms[t3]
-        others = [t for t in C.mor(m3.src, m3.tgt) if t != t3]
+        others = [t for t in C.mor(C.src[t3], C.tgt[t3]) if t != t3]
         if others:
             C.composite[k] = others[0]
             return
@@ -139,8 +139,7 @@ def test_coset_check_catches_a_witness_that_is_not_least():
     G = build_group("sym:3")
     C = build_orbit(G, [G.trivial_subgroup(), sylow_subgroup(G, 2)])
     t = C.mor(0, 1)[0]
-    m = C.morphisms[t]
-    C.morphisms[t] = Morphism(m.src, m.tgt, int(C.cosets(m.src, m.tgt, m.witness)[0].max()))
+    C.witness[t] = C.cosets(C.src[t], C.tgt[t], C.witness[t])[0].max()
     v = verify_category(C)
     assert not v.well_defined
     assert f"witness of token {t} is not the least of its coset" in v.failures
@@ -297,7 +296,7 @@ def test_compose_reads_the_store_and_rejects_bad_pairs():
     with pytest.raises(PLocalError, match="do not compose"):
         C.compose(a, 0)
     with pytest.raises(PLocalError, match="fixed once"):
-        C.add_morphism(C.object_count - 1, 0)
+        C.set_tokens(C.src, C.tgt, C.witness, C.identity_ids)
     k = next(k for k in range(len(t1)) if not C.is_id[t1[k]] and not C.is_id[t2[k]])
     C.composite[k] = -1
     with pytest.raises(PLocalError, match="is not filled"):
@@ -394,3 +393,75 @@ def test_functor_violations_catch_a_composite_not_preserved():
         f"composition of tokens ({t},{C.identity_ids[C.tgt[t]]}) not preserved"
     ]
     assert not ident.is_functor
+
+
+def check_store_lookups(C):
+    """``mor`` and ``tokens_of`` against the dicts rebuilt from the token
+    arrays, over every object pair and every witness (-1 included), so
+    missing tokens read [] and -1."""
+    mor, by_witness = reference_mor(C), reference_by_witness(C)
+    m = C.object_count
+    for i in range(m):
+        for j in range(m):
+            assert C.mor(i, j) == mor.get((i, j), []), (i, j)
+    i, j, w = np.meshgrid(np.arange(m), np.arange(m), np.arange(-1, C.group.order), indexing="ij")
+    want = [by_witness.get(key, -1) for key in zip(i.ravel().tolist(), j.ravel().tolist(),
+                                                   w.ravel().tolist())]
+    assert C.tokens_of(i.ravel(), j.ravel(), w.ravel()).tolist() == want
+
+
+def test_store_lookups_match_reference_dicts_on_every_pipeline_category(monkeypatch):
+    """Every category the pipeline builds for the catalog at p in {2, 3},
+    skeleta and the thin coset category included."""
+    built = []
+    real_init = categories.FiniteCategory.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append((sys._getframe(1).f_code.co_name, self))
+
+    monkeypatch.setattr(categories.FiniteCategory, "__init__", init)
+    builders = set()
+    for spec in CATALOG:
+        for p in (2, 3):
+            run_pipeline(spec, PipelineConfig(
+                prime=p, max_degree=2, max_limit_degree=2,
+                cohomology_index_max=1, include_timings=False,
+            ))
+            for builder, C in built:
+                check_store_lookups(C)
+                builders.add(builder)
+                if builder == "coset_category":
+                    assert (C.witness == -1).all()
+                    assert all(len(C.mor(i, j)) <= 1 for i in range(C.object_count)
+                               for j in range(C.object_count))
+            built.clear()
+    assert builders >= {"build_transporter", "build_linking", "build_orbit",
+                        "group_category", "coset_category", "full_subcategory"}
+
+
+@pytest.mark.parametrize("spec,p", [("sym:4", 2), ("sym:3 x cyc:3", 3), ("dih:12", 2)])
+def test_skeleta_and_unsorted_full_subcategories_keep_the_store(spec, p):
+    G = build_group(spec)
+    T = build_transporter(G, build_intersection_poset(G, p).members)
+    keep = list(range(T.object_count))[::-2]
+    sub, incl = full_subcategory(T, keep)
+    skel, skel_incl = skeleton(T)
+    for C, F in ((sub, incl), (skel, skel_incl)):
+        assert (np.diff(C.src) >= 0).all()
+        assert C.witness.tolist() == T.witness[F.morphism_map].tolist()
+        check_store_lookups(C)
+        assert store_table(C) == reference_compose_table(C)
+        assert F.is_functor and verify_category(C).passed
+
+
+def test_set_tokens_rejects_ungrouped_sources_and_a_second_call():
+    G = build_group("sym:3")
+    C = categories.FiniteCategory("transporter", [G.trivial_subgroup()] * 2, G)
+    with pytest.raises(PLocalError, match="grouped by source"):
+        C.set_tokens([0, 1, 0], [0, 1, 1], [0, 0, 1], [0, 1])
+    assert C.src is None
+    C.set_tokens([0, 0, 1], [0, 1, 1], [0, 1, 0], [0, 2])
+    assert C.mor(0, 1) == [1] and C.is_id.tolist() == [True, False, True]
+    with pytest.raises(PLocalError, match="fixed once"):
+        C.set_tokens([0, 0, 1], [0, 1, 1], [0, 1, 0], [0, 2])

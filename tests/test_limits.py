@@ -9,6 +9,7 @@ from plocal import (
     PLocalError,
     atomic_functor_limits,
     build_orbit,
+    all_subgroups,
     build_orbit_skeletons,
     class_filtration_check,
     classifying_cohomology_functor,
@@ -48,14 +49,25 @@ def test_constant_functor_with_terminal_object():
     assert prof.dims == [1, 0, 0]
 
 
+def test_a_pullback_outside_the_target_subgroup_raises():
+    G = build_group("sym:3")
+    P, Q = [H for H in all_subgroups(G.full_subgroup()) if H.order == 2][:2]
+    bP, bQ = CohomologyBasis(G, P, 1, 2), CohomologyBasis(G, Q, 1, 2)
+    assert bP.dim == bQ.dim == 1
+    with pytest.raises(PLocalError, match="outside"):
+        bP.pullback_matrix(bQ, 0)
+    g = next(g for g in range(G.order) if P.conjugate(g).ids == Q.ids)
+    assert bP.pullback_matrix(bQ, g).tolist() == [[1]]
+
+
 def test_validate_rejects_bad_matrices():
     G = build_group("cyc:2")
     O = build_orbit(G, [G.trivial_subgroup(), G.full_subgroup()])
     F = constant_functor(O, 2)
     # zero out a non-identity automorphism whose square is the identity
     tid = next(
-        t for t, m in enumerate(O.morphisms)
-        if m.src == m.tgt and not O.is_identity(t)
+        t for t in range(O.morphism_count)
+        if O.src[t] == O.tgt[t] and not O.is_identity(t)
     )
     F.mats[tid] = np.zeros((1, 1), dtype=np.int64)
     with pytest.raises(NotAFunctor):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,9 +140,12 @@ def test_every_traced_benchmark_target_resolves(monkeypatch):
     tracing = importlib.import_module("tracing")
     for module, attr, _ in tracing.TARGETS:
         owner = importlib.import_module(module)
-        for part in attr.split("."):
-            owner = getattr(owner, part)
-        assert callable(owner), (module, attr)
+        *classes, name = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        # ``Tracer.install`` reads a method from its class's own __dict__
+        assert name in vars(owner), (module, attr)
+        assert callable(getattr(owner, name)), (module, attr)
 
 
 def test_degenerate_prime_not_dividing_order():
@@ -207,6 +211,49 @@ def test_internal_error_fails_only_its_stage(monkeypatch, capsys):
                      "--check", ",".join(checks)])
     assert code == 1
     assert json.loads(capsys.readouterr().out)["verdicts"]["main_comparison"] == "pass"
+
+
+def test_a_missing_token_fails_its_stage_and_later_stages_report():
+    from plocal.pipeline import PipelineRun
+
+    checks = ("nerve-vs-group", "centric-agreement", "main")
+    run = PipelineRun(build_group("sym:3"),
+                      PipelineConfig(prime=2, checks=checks, include_timings=False), "sym:3")
+    T = run.transporter_omega
+    real = T.tokens_of
+    T.tokens_of = lambda i, j, w: np.where(np.asarray(w) == 1, -1, real(i, j, w))
+    rep = run.run()
+    v = rep.data["verdicts"]
+    assert v["transporter_nerve_vs_classifying_space"] == "fail"
+    assert rep.data["notes"] == [
+        "nerve-vs-group: an element of G has no token at the poset minimum"]
+    assert v["centric_collections_agree"] == "pass"
+    assert v["main_comparison"] == "pass"
+
+
+def test_centric_agreement_reuses_the_transporter_poset_nerve(monkeypatch):
+    """On sym:4 at p=2 every poset member in the Sylow is centric, so the
+    two transporter categories are one object and its nerve is built once;
+    the report is unchanged."""
+    from plocal import pipeline
+    from plocal.pipeline import PipelineRun
+
+    built = []
+    real = pipeline.nerve_complex
+
+    def nerve(C, *args):
+        built.append(C)
+        return real(C, *args)
+
+    monkeypatch.setattr(pipeline, "nerve_complex", nerve)
+    checks = ("nerve-vs-group", "centric-agreement")
+    run = PipelineRun(build_group("sym:4"), PipelineConfig(
+        prime=2, max_degree=3, checks=checks, include_timings=False), "sym:4")
+    rep = run.run()
+    assert run.transporter_omega_centric is run.transporter_omega
+    assert sum(C is run.transporter_omega for C in built) == 1
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == "4d6042a9ac7d459ef8017317b18291da6411ab8fd91ee5553e2c11f46d1fff38"
 
 
 def test_out_of_memory_marks_only_its_stage_not_certified(monkeypatch, capsys):

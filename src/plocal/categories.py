@@ -197,9 +197,6 @@ class FiniteCategory:
         out[ok] = self.composite[(self.pair_start[a] + b - self.first[self.src[b]])[ok]]
         return out
 
-    def is_identity(self, tid: int) -> bool:
-        return bool(self.is_id[tid])
-
     @property
     def object_count(self) -> int:
         return len(self.objects)
@@ -207,10 +204,6 @@ class FiniteCategory:
     @property
     def morphism_count(self) -> int:
         return len(self.src)
-
-    def nonidentity_by_source(self) -> list[list[int]]:
-        out = np.flatnonzero(~self.is_id)
-        return [b.tolist() for b in np.split(out, np.searchsorted(out, self.first[1:-1]))]
 
     def endomorphism_order(self, tid: int) -> int:
         """Order of an invertible endomorphism under category composition."""
@@ -343,10 +336,6 @@ class Functor:
     @property
     def is_functor(self) -> bool:
         return not self.violations()
-
-
-def identity_functor(C: FiniteCategory) -> Functor:
-    return Functor(C, C, list(range(C.object_count)), list(range(C.morphism_count)))
 
 
 def full_subcategory(C: FiniteCategory, keep: list[int]) -> tuple[FiniteCategory, Functor]:

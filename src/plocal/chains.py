@@ -136,43 +136,38 @@ def nerve_boundary(chains: Chains, d: int, prime: int) -> FpMatrix:
     return _fp_matrix(rows, cols, vals, (chains.dims[d], chains.dims[d - 1]), prime)
 
 
-def cochain_differentials(chains: Chains, dims: list[int], mats: dict, prime: int
-                          ) -> tuple[list[int], list[FpMatrix]]:
+def cochain_differentials(chains: Chains, dims: list[int], entries: np.ndarray,
+                          offsets: np.ndarray, prime: int) -> tuple[list[int], list[FpMatrix]]:
     """Degree sizes and differentials C^n -> C^{n+1} of the normalized
     cochain complex of a contravariant functor with these object dimensions
-    and token matrices, with rows indexed by C^n.  A chain carries
+    and token matrices (``entries`` and ``offsets`` as ``limits.LinearFunctor``
+    stores them), with rows indexed by C^n.  A chain carries
     ``dims[head]`` coordinates; its column block has F(first arrow) at the
     drop-first face and +-I at the others.  ``chains`` must start exactly at
     the objects of nonzero dimension."""
     dims = np.asarray(dims, dtype=np.int64)
-    # COO of F(t) mod p for every non-identity token t
-    blk_nnz = np.zeros(len(chains.src), dtype=np.int64)
-    blk = [[np.zeros(0, dtype=np.int64)] for _ in range(3)]
-    for t in np.flatnonzero(~chains.is_id).tolist():
-        M = np.asarray(mats[t], dtype=np.int64) % prime
-        r, c = np.nonzero(M)
-        blk_nnz[t] = len(r)
-        for part, x in zip(blk, (r, c, M[r, c])):
-            part.append(x)
-    blk_ptr = _offsets(blk_nnz)
-    blk_r, blk_c, blk_v = (np.concatenate(part) for part in blk)
+    # COO of every token's matrix: its nonzero entries in store order
+    nz = np.flatnonzero(entries)
+    tok = np.searchsorted(offsets, nz, "right") - 1
+    blk_r, blk_c = np.divmod(nz - offsets[tok], dims[chains.tgt[tok]])
+    blk_ptr = np.searchsorted(nz, offsets)
 
-    offsets = [_offsets(dims[chains.heads(d)]) for d in range(len(chains.tokens))]
+    cochain_off = [_offsets(dims[chains.heads(d)]) for d in range(len(chains.tokens))]
     diffs = []
     for n in range(len(chains.tokens) - 1):
         first = chains.tokens[n + 1][:, 0]
         row_of, local, row_off = _expand(dims[chains.heads(n + 1)])
-        col_off = offsets[n]
+        col_off = cochain_off[n]
         rows, cols, vals = [], [], []
         for i, (sign, r, face) in enumerate(chains.faces(n + 1)):
             at = np.full(len(first), -1, dtype=np.int64)
             at[r] = face
             if i == 0:
-                ent, j, _ = _expand(blk_nnz[first])
+                ent, j, _ = _expand(np.diff(blk_ptr)[first])
                 e = blk_ptr[first[ent]] + j
                 rows.append(row_off[ent] + blk_r[e])
                 cols.append(col_off[at[ent]] + blk_c[e])
-                vals.append(blk_v[e])
+                vals.append(entries[nz[e]])
             else:
                 sel = np.flatnonzero(at[row_of] >= 0)
                 rows.append(sel)
@@ -180,4 +175,4 @@ def cochain_differentials(chains: Chains, dims: list[int], mats: dict, prime: in
                 vals.append(np.full(len(sel), sign, dtype=np.int64))
         shape = (int(col_off[-1]), int(row_off[-1]))
         diffs.append(_fp_matrix(cols, rows, vals, shape, prime))
-    return [int(o[-1]) for o in offsets], diffs
+    return [int(o[-1]) for o in cochain_off], diffs

@@ -136,24 +136,16 @@ def supported_cohomology_functor(
     supp = set(support)
     bases = {k: cache.basis(cat.objects[k], i) for k in supp}
     dims = [bases[k].dim if k in supp else 0 for k in range(cat.object_count)]
-    mats: dict[int, np.ndarray] = {}
-    tokens = zip(cat.src.tolist(), cat.tgt.tolist(), cat.witness.tolist())
-    for tid, (a, b, g) in enumerate(tokens):
-        if a in supp and b in supp:
-            mats[tid] = bases[a].pullback_matrix(bases[b], g)
-        else:
-            mats[tid] = np.zeros((dims[a], dims[b]), dtype=np.int64)
-    return LinearFunctor(cat, p, dims, mats)
+    live = np.isin(cat.src, support) & np.isin(cat.tgt, support)
+    tokens = zip(cat.src[live].tolist(), cat.tgt[live].tolist(), cat.witness[live].tolist())
+    blocks = [bases[a].pullback_matrix(bases[b], g).ravel() for a, b, g in tokens]
+    return LinearFunctor(cat, p, dims, np.concatenate([np.zeros(0, np.int64), *blocks]))
 
 
 def zeroed_at(F: LinearFunctor, kill: list[int]) -> LinearFunctor:
     """Replace the value at the listed objects by zero (and adapt all maps)."""
     dead = set(kill)
     dims = [0 if k in dead else d for k, d in enumerate(F.dims)]
-    mats = {}
-    for tid, (a, b) in enumerate(zip(F.category.src.tolist(), F.category.tgt.tolist())):
-        if a in dead or b in dead:
-            mats[tid] = np.zeros((dims[a], dims[b]), dtype=np.int64)
-        else:
-            mats[tid] = F.mats[tid]
-    return LinearFunctor(F.category, F.prime, dims, mats)
+    C = F.category
+    live = np.flatnonzero(~np.isin(C.src, kill) & ~np.isin(C.tgt, kill))
+    return LinearFunctor(C, F.prime, dims, F.blocks(live))

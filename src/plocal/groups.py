@@ -125,12 +125,6 @@ class PermutationGroup:
             out = self.mult(out, i)
         return out
 
-    def element_id(self, perm: Permutation) -> int:
-        try:
-            return self._index[perm.images]
-        except KeyError:
-            raise InvalidPermutation(f"{perm} is not an element of this group") from None
-
     def contains(self, perm: Permutation) -> bool:
         return perm.images in self._index
 

@@ -141,14 +141,8 @@ def atomic_functor_limits(
     triv = next(i for i, R in enumerate(skel.p_reps) if R.order == 1)
     rho = element_action_matrices(G, module, p)
     dims = [module.dim if k == triv else 0 for k in range(cat.object_count)]
-    mats: dict[int, np.ndarray] = {}
-    tokens = zip(cat.src.tolist(), cat.tgt.tolist(), cat.witness.tolist())
-    for tid, (a, b, g) in enumerate(tokens):
-        if a == triv and b == triv:
-            mats[tid] = rho[g]
-        else:
-            mats[tid] = np.zeros((dims[a], dims[b]), dtype=np.int64)
-    F = LinearFunctor(cat, p, dims, mats)
+    loops = (cat.src == triv) & (cat.tgt == triv)
+    F = LinearFunctor(cat, p, dims, rho[cat.witness[loops]].ravel())
     return limits_profile(F, nmax, budget, memo)
 
 
@@ -343,10 +337,7 @@ def _natural_surjection_ok(F1: LinearFunctor, dead: int) -> bool:
     one) commutes with every morphism map iff no morphism from a live
     object into the dead one carries a nonzero map."""
     C = F1.category
-    for tid in np.flatnonzero((C.src != dead) & (C.tgt == dead)).tolist():
-        if np.any(F1.mats[tid] % F1.prime):
-            return False
-    return True
+    return not F1.blocks(np.flatnonzero((C.src != dead) & (C.tgt == dead))).any()
 
 
 def class_filtration_check(
@@ -406,12 +397,10 @@ def class_filtration_check(
         punct = supported_cohomology_functor(G, p, sub, [new_sub], i, cache)
 
         natural = _natural_surjection_ok(F_full, new_sub)
+        loops = sub.mor(new_sub, new_sub)
         kernel_ok = punct.dims[new_sub] == F_full.dims[new_sub] and all(
             punct.dims[k] == 0 for k in range(sub.object_count) if k != new_sub
-        )
-        for tid in sub.mor(new_sub, new_sub):
-            if not np.array_equal(punct.mats[tid] % p, F_full.mats[tid] % p):
-                kernel_ok = False
+        ) and np.array_equal(punct.blocks(loops), F_full.blocks(loops))
 
         stage = FiltrationStage(
             added_label=skel.omega_reps[new].label(),

@@ -2,6 +2,8 @@
 
 A functor assigns a vector-space dimension to every object and a matrix
 F(f): F(tgt) -> F(src) to every morphism, with F(f then g) = F(f) F(g).
+All the matrices sit in one flat array of entries mod p, token after token,
+each row-major, so the layout follows from the dimensions (``LinearFunctor``).
 ``lim^n`` is computed from the normalized cochain complex whose degree-n
 piece is the direct sum of F(c_0) over composable chains
 c_0 -> c_1 -> ... -> c_n of non-identity morphisms, in the head-major order
@@ -31,27 +33,43 @@ from .fplinalg import FpMatrix
 
 @dataclass
 class LinearFunctor:
-    """A contravariant functor to F_p vector spaces on a finite category."""
+    """A contravariant functor to F_p vector spaces on a finite category.
+
+    Token t's matrix, of shape (dims[src t], dims[tgt t]), is the row-major
+    block ``entries[offsets[t]:offsets[t + 1]]``: the entries are reduced mod
+    p at construction, and ``offsets`` follows from dims and the category."""
 
     category: FiniteCategory
     prime: int
     dims: list[int]
-    mats: dict[int, np.ndarray]   # token id -> matrix of shape (dims[src], dims[tgt])
+    entries: np.ndarray
+
+    def __post_init__(self):
+        self.entries = np.asarray(self.entries, dtype=np.int64) % self.prime
+        dims = np.asarray(self.dims, dtype=np.int64)
+        self.offsets = _offsets(dims[self.category.src] * dims[self.category.tgt])
+
+    def blocks(self, toks) -> np.ndarray:
+        """The entries of the given tokens' matrices, laid end to end."""
+        toks = np.asarray(toks, dtype=np.int64)
+        blk, pos, _ = _expand(np.diff(self.offsets)[toks])
+        return self.entries[self.offsets[toks[blk]] + pos]
 
     def validate(self):
         """Exhaustive functoriality check; raises NotAFunctor on any failure."""
         C = self.category
         p = self.prime
+        if len(self.entries) != self.offsets[-1]:
+            raise NotAFunctor(f"{len(self.entries)} entries where the dimensions "
+                              f"need {self.offsets[-1]}")
         dims = np.asarray(self.dims, dtype=np.int64)
         rows, cols = dims[C.src], dims[C.tgt]
-        for tid, shape in enumerate(zip(rows.tolist(), cols.tolist())):
-            if self.mats[tid].shape != shape:
-                raise NotAFunctor(f"matrix shape mismatch at token {tid}")
-        for i, tid in enumerate(C.identity_ids.tolist()):
-            M = self.mats[tid]
-            if self.dims[i] and not np.array_equal(
-                M % p, np.eye(self.dims[i], dtype=np.int64)
-            ):
+        ident = C.identity_ids
+        if (ident < 0).any():
+            raise PLocalError(f"object {np.argmin(ident >= 0)} has no identity token")
+        for i, tid in enumerate(ident.tolist()):
+            eye = np.eye(self.dims[i], dtype=np.int64).ravel()
+            if not np.array_equal(self.blocks([tid]), eye):
                 raise NotAFunctor(f"identity at object {i} is not the identity matrix")
         # Composition, one stacked matmul per (rows, inner, cols) shape; the
         # first unfilled or failing pair in store order is reported.
@@ -59,11 +77,6 @@ class LinearFunctor:
         t3 = C.composite
         filled = t3 >= 0
         bad = [int(np.argmin(filled))] if not filled.all() else []
-        stack, pos = {}, np.zeros(len(rows), dtype=np.int64)
-        for shape in set(zip(rows.tolist(), cols.tolist())):
-            toks = np.flatnonzero((rows == shape[0]) & (cols == shape[1]))
-            pos[toks] = np.arange(len(toks))
-            stack[shape] = np.stack([self.mats[t] for t in toks.tolist()]) % p
         t3 = np.where(filled, t3, t1)
         fits = (rows[t3] == rows[t1]) & (cols[t3] == cols[t2])
         bad.extend(np.flatnonzero(filled & ~fits)[:1].tolist())
@@ -73,8 +86,9 @@ class LinearFunctor:
         for k in np.unique(key[ok]).tolist():
             a, b, c = k // base // base, k // base % base, k % base
             sel = np.flatnonzero(ok & (key == k))
-            lhs = stack[a, b][pos[t1[sel]]] @ stack[b, c][pos[t2[sel]]] % p
-            wrong = (lhs != stack[a, c][pos[t3[sel]]]).any(axis=(1, 2))
+            n = len(sel)
+            lhs = self.blocks(t1[sel]).reshape(n, a, b) @ self.blocks(t2[sel]).reshape(n, b, c)
+            wrong = (lhs % p != self.blocks(t3[sel]).reshape(n, a, c)).any(axis=(1, 2))
             bad.extend(sel[wrong][:1].tolist())
         if bad:
             k = min(bad)
@@ -84,15 +98,7 @@ class LinearFunctor:
 
     def restrict(self, sub: FiniteCategory, inclusion: Functor) -> "LinearFunctor":
         dims = [self.dims[i] for i in inclusion.object_map]
-        mats = {tid: self.mats[t] for tid, t in enumerate(inclusion.morphism_map)}
-        return LinearFunctor(sub, self.prime, dims, mats)
-
-
-def constant_functor(C: FiniteCategory, prime: int, dim: int = 1) -> LinearFunctor:
-    eye = np.eye(dim, dtype=np.int64)
-    return LinearFunctor(C, prime, [dim] * C.object_count, {
-        tid: eye.copy() for tid in range(C.morphism_count)
-    })
+        return LinearFunctor(sub, self.prime, dims, self.blocks(inclusion.morphism_map))
 
 
 @dataclass
@@ -161,7 +167,7 @@ def functor_cochain_complex(F: LinearFunctor, nmax: int,
         if weights[n] > budget:
             raise BudgetExceeded(n, weights[n], budget)
     chains = Chains(C, nmax, [i for i, d in enumerate(F.dims) if d > 0])
-    dims, diffs = cochain_differentials(chains, F.dims, F.mats, F.prime)
+    dims, diffs = cochain_differentials(chains, F.dims, F.entries, F.offsets, F.prime)
     return CochainComplex(F.prime, nmax, dims, diffs)
 
 
@@ -191,16 +197,14 @@ def limits_profile(F: LinearFunctor, nmax: int, budget: int = DEFAULT_BUDGET,
 
 
 def _functor_key(F: LinearFunctor, nmax: int, budget: int) -> tuple:
-    """Everything ``limits_profile`` reads: the category's composition, the
-    prime, nmax, the budget, the dimensions, and every token matrix's shape
-    and entries mod p.  Compared in full, never by digest alone."""
+    """Everything ``limits_profile`` reads: the category's identities and
+    composition, the prime, nmax, the budget, the dimensions (so every
+    matrix's shape) and the entries mod p.  Compared in full, never by digest."""
     C = F.category
-    mats = [np.asarray(F.mats[t], dtype=np.int64) for t in range(C.morphism_count)]
-    arrays = (C.src, C.tgt, C.is_id, C.composite)
+    arrays = (C.src, C.tgt, C.is_id, C.identity_ids, C.composite)
     return (
         C.object_count, *(np.asarray(a, dtype=np.int64).tobytes() for a in arrays),
-        F.prime, nmax, budget, tuple(F.dims), tuple(M.shape for M in mats),
-        b"".join((M % F.prime).tobytes() for M in mats),
+        F.prime, nmax, budget, tuple(F.dims), F.entries.tobytes(),
     )
 
 
@@ -215,10 +219,9 @@ def inverse_limit_dim(F: LinearFunctor) -> int:
     d_src, d_tgt = dims[C.src[tids]], dims[C.tgt[tids]]
     blk, r, row_off = _expand(d_src)
     ent, e, _ = _expand(d_src * d_tgt)      # F(t) entries, row-major per token
-    flat = np.concatenate([np.zeros(0, np.int64)] + [np.ravel(F.mats[t]) for t in tids.tolist()])
     rows = [row_off[blk] + r, row_off[ent] + e // d_tgt[ent]]
     cols = [offsets[C.src[tids[blk]]] + r, offsets[C.tgt[tids[ent]]] + e % d_tgt[ent]]
-    vals = [np.ones(len(r), dtype=np.int64), -(flat.astype(np.int64) % F.prime)]
+    vals = [np.ones(len(r), dtype=np.int64), -F.blocks(tids)]
     mat = _fp_matrix(rows, cols, vals, (int(row_off[-1]), int(offsets[-1])), F.prime)
     return int(offsets[-1]) - mat.rank()
 
@@ -231,13 +234,14 @@ class ModuleData:
     generator_matrices: list[np.ndarray]
 
 
-def element_action_matrices(G, module: ModuleData, p: int) -> list[np.ndarray]:
-    """Matrices for every group element, propagated along generator words."""
+def element_action_matrices(G, module: ModuleData, p: int) -> np.ndarray:
+    """Matrices for every group element, propagated along generator words,
+    stacked in element order."""
     eye = np.eye(module.dim, dtype=np.int64)
     gens = [np.asarray(M, dtype=np.int64) % p for M in module.generator_matrices]
     if len(gens) != len(G.generators):
         raise NotAFunctor("one action matrix per group generator is required")
-    out: list[np.ndarray | None] = [None] * G.order
+    out = np.empty((G.order, module.dim, module.dim), dtype=np.int64)
     for i, word in enumerate(G.words):
         M = eye
         for k in word:

@@ -161,9 +161,6 @@ class CentricityTable:
             raise PLocalError(f"{H.label()} was not classified")
         return self._by_ids[H.ids]
 
-    def centric_subgroups(self) -> list[Subgroup]:
-        return [r.subgroup for r in self.records if r.is_centric]
-
 
 def _centricity(G: PermutationGroup, p: int, P: Subgroup) -> tuple[Subgroup, Subgroup, bool]:
     """C_G(P), Z(P), and whether P is p-centric: whether Z(P) is a Sylow
@@ -193,24 +190,6 @@ def classify_centric(G: PermutationGroup, p: int, collection) -> CentricityTable
             )
         )
     return CentricityTable(prime=p, records=records)
-
-
-def verify_centric_decomposition(G: PermutationGroup, p: int, rec: CentricityRecord) -> bool:
-    """For centric P: C_G(P) = Z(P) x O^p(C_G(P)) as an internal direct product."""
-    if not rec.is_centric:
-        return True
-    Z, K, C = rec.center, rec.residual, rec.centralizer
-    if len(Z.idset & K.idset) != 1:
-        return False
-    if K.order % p == 0:
-        return False
-    if Z.order * K.order != C.order:
-        return False
-    for z in Z.generating_ids:
-        for k in K.generating_ids:
-            if G.mult(z, k) != G.mult(k, z):
-                return False
-    return G.generated_subgroup(Z.ids + K.ids).ids == C.ids
 
 
 @dataclass

@@ -191,6 +191,13 @@ class PipelineRun:
         )
 
     @property
+    def quotient_verdict(self) -> cats.QuotientFunctorVerdict:
+        return self._get(
+            "quotient_verdict",
+            lambda: cats.verify_quotient_functor(self.linking_projection, self.p),
+        )
+
+    @property
     def linking_centric(self):
         return self.linking_projection.target
 
@@ -274,14 +281,15 @@ class PipelineRun:
             "orbit_poset_skeleton": self.skeletons.omega_cat,
             "orbit_full_skeleton": self.skeletons.p_cat,
         }
-        ok = True
+        ok, laws = True, {}  # one verdict per category object: entries may share one
         for name, cat in built.items():
-            verdict = cats.verify_category(cat)
-            ok = ok and verdict.passed
+            if cat not in laws:
+                laws[cat] = cats.verify_category(cat)
+            ok = ok and laws[cat].passed
             detail["categories"][name] = {
                 "objects": cat.object_count,
                 "morphisms": cat.morphism_count,
-                "laws": verdict_str(verdict.passed),
+                "laws": verdict_str(laws[cat].passed),
             }
         # orbit morphism-count identity |Mor(1, Q)| = |G| / |Q|
         pcat = self.skeletons.p_cat
@@ -296,7 +304,7 @@ class PipelineRun:
         return ok
 
     def _stage_quotient(self, detail):
-        v = cats.verify_quotient_functor(self.linking_projection, self.p)
+        v = self.quotient_verdict
         detail["categories"]["quotient_kernel_orders"] = v.kernel_orders
         return v.passed
 
@@ -376,7 +384,7 @@ class PipelineRun:
 
     def _stage_t_vs_l(self, detail):
         dmax = self.cfg.max_degree
-        quotient_ok = cats.verify_quotient_functor(self.linking_projection, self.p).passed
+        quotient_ok = self.quotient_verdict.passed
         src = self.complex_of(self.transporter_centric, max(dmax - 1, 1))
         tgt = self.complex_of(self.linking_centric, dmax)
         tgt_h = tgt.homology()  # before the cone, which then reuses its echelons

@@ -10,6 +10,13 @@ table that ``reference_compose_table`` fills.  ``reference_mor`` and
 ``reference_by_witness`` rebuild the dicts the token store replaced from
 its ``src``/``tgt``/``witness`` arrays alone, never calling ``mor`` or
 ``tokens_of``, so they check those lookups independently.
+
+The functor references build {token: matrix} dicts by the per-token loops
+that the flat functor store (``plocal.limits.LinearFunctor``) replaced: a
+pullback or ``rho[g]`` where a token's ends both carry the functor and a
+zero matrix elsewhere.  They read matrices out of a functor only through
+``token_matrix``, which slices ``entries`` by ``offsets``, never through
+``LinearFunctor.blocks``.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ import itertools
 import numpy as np
 from scipy import sparse
 
+from plocal.categories import Functor
 from plocal.fplinalg import FpMatrix
+from plocal.limits import LinearFunctor
 from reference_groups import coset, product
 
 
@@ -44,6 +53,19 @@ def from_row_entries(nrows: int, ncols: int, prime: int, rows) -> FpMatrix:
         shape=(nrows, ncols),
     )
     return FpMatrix(csr, prime)
+
+
+def nonidentity_by_source(C) -> list[list[int]]:
+    """The non-identity tokens leaving each object, ascending."""
+    out: list[list[int]] = [[] for _ in range(C.object_count)]
+    for t, (a, ident) in enumerate(zip(C.src.tolist(), C.is_id.tolist())):
+        if not ident:
+            out[a].append(t)
+    return out
+
+
+def identity_functor(C) -> Functor:
+    return Functor(C, C, list(range(C.object_count)), list(range(C.morphism_count)))
 
 
 def reference_mor(C) -> dict[tuple[int, int], list[int]]:
@@ -85,7 +107,7 @@ def reference_compose_table(C) -> dict[tuple[int, int], int]:
 
 def nerve_basis(C, dmax: int) -> list[list]:
     """Objects, then composable tuples of non-identity tokens, in lexicographic order."""
-    nonid = C.nonidentity_by_source()
+    nonid = nonidentity_by_source(C)
     basis: list[list] = [list(range(C.object_count))]
     for d in range(1, dmax + 1):
         cur = []
@@ -124,7 +146,7 @@ def nerve_boundaries(C, prime: int, dmax: int) -> tuple[list[list], list]:
         add(chain[:-1], -1 if d % 2 else 1)
         for i in range(1, d):
             u = C.compose(chain[i - 1], chain[i])
-            if C.is_identity(u):
+            if C.is_id[u]:
                 continue
             add(chain[: i - 1] + (u,) + chain[i + 1:], -1 if i % 2 else 1)
         return entries
@@ -148,7 +170,7 @@ def chain_map(F, source_basis: list[list], target_basis: list[list], prime: int)
         rows = []
         for chain in source_basis[d]:
             image = tuple(F.apply(t) for t in chain)
-            if any(F.target.is_identity(t) for t in image):
+            if any(F.target.is_id[t] for t in image):
                 rows.append({})
             else:
                 rows.append({index[image]: 1})
@@ -161,7 +183,7 @@ def cochain_differentials(F, nmax: int) -> tuple[list[int], list]:
     """Degree sizes and the differentials of the normalized functor cochain complex."""
     C = F.category
     p = F.prime
-    nonid = C.nonidentity_by_source()
+    nonid = nonidentity_by_source(C)
     chains = [[(i, ()) for i in range(C.object_count) if F.dims[i] > 0]]
     for n in range(1, nmax + 1):
         cur = []
@@ -198,11 +220,11 @@ def cochain_differentials(F, nmax: int) -> tuple[list[int], list]:
                             row_block[r][base + c] = row_block[r].get(base + c, 0) + v
 
             first = toks[0]
-            add_block((int(C.tgt[first]), toks[1:]), F.mats[first] % p)
+            add_block((int(C.tgt[first]), toks[1:]), token_matrix(F, first) % p)
             eye = np.eye(k, dtype=np.int64)
             for i in range(1, n + 1):
                 u = C.compose(toks[i - 1], toks[i])
-                if C.is_identity(u):
+                if C.is_id[u]:
                     continue
                 face = (head, toks[: i - 1] + (u,) + toks[i + 1:])
                 add_block(face, ((-1 if i % 2 else 1) * eye) % p)
@@ -246,3 +268,68 @@ def pullback_matrix(basis, other, point_map) -> np.ndarray:
             w[k] = rep[other_index[tuple(point_map(x) for x in tup)]]
         M[:, j] = basis.coords(w % basis.p)
     return M
+
+
+# -- the functor store ----------------------------------------------------------
+
+
+def token_matrix(F, t: int) -> np.ndarray:
+    """Token t's matrix, sliced out of the functor's entries by its offsets."""
+    C = F.category
+    shape = (F.dims[C.src[t]], F.dims[C.tgt[t]])
+    return F.entries[F.offsets[t]:F.offsets[t + 1]].reshape(shape)
+
+
+def constant_functor(C, prime: int, dim: int = 1) -> LinearFunctor:
+    """F_p^dim at every object, with the identity matrix on every token."""
+    eye = np.eye(dim, dtype=np.int64).ravel()
+    return LinearFunctor(C, prime, [dim] * C.object_count, np.tile(eye, C.morphism_count))
+
+
+def supported_mats(cat, support, i: int, cache) -> tuple[list[int], dict]:
+    """The dimensions and {token: matrix} of the cohomology functor H^i
+    supported on the listed objects: a pullback where both ends lie in the
+    support, a zero matrix elsewhere."""
+    supp = set(support)
+    bases = {k: cache.basis(cat.objects[k], i) for k in supp}
+    dims = [bases[k].dim if k in supp else 0 for k in range(cat.object_count)]
+    mats: dict[int, np.ndarray] = {}
+    tokens = zip(cat.src.tolist(), cat.tgt.tolist(), cat.witness.tolist())
+    for tid, (a, b, g) in enumerate(tokens):
+        if a in supp and b in supp:
+            mats[tid] = bases[a].pullback_matrix(bases[b], g)
+        else:
+            mats[tid] = np.zeros((dims[a], dims[b]), dtype=np.int64)
+    return dims, mats
+
+
+def restricted_mats(mats: dict, inclusion) -> dict:
+    """{token: matrix} of a functor restricted along an inclusion."""
+    return {tid: mats[t] for tid, t in enumerate(inclusion.morphism_map)}
+
+
+def zeroed_mats(cat, dims: list[int], mats: dict, kill) -> tuple[list[int], dict]:
+    """The dimensions and {token: matrix} with the listed objects set to 0."""
+    dead = set(kill)
+    dims = [0 if k in dead else d for k, d in enumerate(dims)]
+    out: dict[int, np.ndarray] = {}
+    for tid, (a, b) in enumerate(zip(cat.src.tolist(), cat.tgt.tolist())):
+        if a in dead or b in dead:
+            out[tid] = np.zeros((dims[a], dims[b]), dtype=np.int64)
+        else:
+            out[tid] = mats[tid]
+    return dims, out
+
+
+def atomic_mats(cat, triv: int, rho, dim: int) -> tuple[list[int], dict]:
+    """The dimensions and {token: matrix} of the atomic functor: ``rho[g]``
+    on the endomorphisms g of the trivial subgroup, a zero matrix elsewhere."""
+    dims = [dim if k == triv else 0 for k in range(cat.object_count)]
+    mats: dict[int, np.ndarray] = {}
+    tokens = zip(cat.src.tolist(), cat.tgt.tolist(), cat.witness.tolist())
+    for tid, (a, b, g) in enumerate(tokens):
+        if a == triv and b == triv:
+            mats[tid] = rho[g]
+        else:
+            mats[tid] = np.zeros((dims[a], dims[b]), dtype=np.int64)
+    return dims, mats

@@ -5,7 +5,8 @@ table replaced: transporter sets, centralizers, normalizers, centers,
 conjugacy orbits of subgroups and the cosets a category's witnesses stand
 for; p-residuals, closed over every element of order prime to p; and the
 centricity rule.  Every product here is a product of ``Permutation``
-objects, looked up by ``element_id``; nothing reads ``PermutationGroup.mul``.
+objects, looked up by ``element_id`` in the group's enumeration; nothing
+reads ``PermutationGroup.mul``.
 Ids are returned as plain sorted tuples, to compare with ``Subgroup.ids``.
 """
 
@@ -13,9 +14,24 @@ from __future__ import annotations
 
 import functools
 
+from plocal.errors import InvalidPermutation
+
+
+@functools.cache
+def _enumeration(G) -> dict[tuple[int, ...], int]:
+    return {e.images: i for i, e in enumerate(G.elements)}
+
+
+def element_id(G, perm) -> int:
+    """The id of a permutation in G's enumeration."""
+    try:
+        return _enumeration(G)[perm.images]
+    except KeyError:
+        raise InvalidPermutation(f"{perm} is not an element of this group") from None
+
 
 def product(G, a: int, b: int) -> int:
-    return G.element_id(G.elements[a] * G.elements[b])
+    return element_id(G, G.elements[a] * G.elements[b])
 
 
 @functools.cache
@@ -23,7 +39,7 @@ def conjugation_table(G) -> tuple[tuple[int, ...], ...]:
     """``table[g][x]`` is x^g = g^-1 x g."""
     e = G.elements
     return tuple(
-        tuple(G.element_id(e[g].inverse() * x * e[g]) for x in e) for g in range(G.order)
+        tuple(element_id(G, e[g].inverse() * x * e[g]) for x in e) for g in range(G.order)
     )
 
 
@@ -76,5 +92,5 @@ def coset(C, i: int, j: int, g: int) -> set[int]:
     G = C.group
     e = G.elements
     return {
-        G.element_id(e[k] * e[g] * e[q]) for k in C.left[i].ids for q in C.right[j].ids
+        element_id(G, e[k] * e[g] * e[q]) for k in C.left[i].ids for q in C.right[j].ids
     }

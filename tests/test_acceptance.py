@@ -39,6 +39,7 @@ from plocal import (
 from plocal.catalog import build_group
 from plocal.cohomology import CohomologyCache
 from plocal.report import PASS
+from reference_omega import centric_subgroups
 
 CATALOG = ["sym:3", "sym:4", "alt:4", "dih:8", "dih:12", "cyc:6", "sym:3 x cyc:3"]
 PRIMES = (2, 3)
@@ -69,7 +70,7 @@ def skeletons(spec, p):
 def centric_in_sylow(spec, p):
     G = group(spec)
     subs = all_subgroups(sylow_subgroup(G, p))
-    return classify_centric(G, p, subs).centric_subgroups()
+    return centric_subgroups(classify_centric(G, p, subs))
 
 
 def announce(num, ok, text):

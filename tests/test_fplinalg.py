@@ -55,8 +55,9 @@ from plocal.fplinalg import (
     _shifted_echelon,
     _SpanTest,
 )
-from plocal.limits import constant_functor
+from reference_chains import constant_functor
 from reference_fplinalg import _rank_csr_gf2, _rank_csr_modp
+from reference_omega import centric_subgroups
 
 DENSE_ORACLE_MAX_ENTRIES = 2_000_000
 
@@ -199,7 +200,7 @@ def centric_linking_cone(spec, p, dmax):
     """The mapping cone of the transporter-to-linking projection, as in the
     linking-vs-transporter check."""
     G = build_group(spec)
-    cents = classify_centric(G, p, all_subgroups(sylow_subgroup(G, p))).centric_subgroups()
+    cents = centric_subgroups(classify_centric(G, p, all_subgroups(sylow_subgroup(G, p))))
     psi = quotient_projection(build_transporter(G, cents), p)
     src = nerve_complex(psi.source, p, dmax - 1)
     tgt = nerve_complex(psi.target, p, dmax)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from reference_chains import from_row_entries
+from reference_chains import from_row_entries, identity_functor
+from reference_omega import centric_subgroups
 from plocal import (
     BudgetExceeded,
     FpComplex,
@@ -93,7 +94,6 @@ def test_identity_functor_chain_map():
     G = build_group("sym:3")
     T = build_transporter(G, [sylow_subgroup(G, 2)])
     cx = nerve_complex(T, 2, 3)
-    from plocal.categories import identity_functor
     cm = induced_chain_map(identity_functor(T), cx, cx)
     v = homology_iso_verdict(cm)
     assert v.passed
@@ -133,7 +133,7 @@ def test_skeleton_inclusion_iso():
 def test_quotient_projection_iso_with_fibers():
     G = build_group("sym:3 x cyc:3")
     subs = all_subgroups(sylow_subgroup(G, 2))
-    cents = classify_centric(G, 2, subs).centric_subgroups()
+    cents = centric_subgroups(classify_centric(G, 2, subs))
     T = build_transporter(G, cents)
     psi = quotient_projection(T, 2)
     src = nerve_complex(T, 2, 3)
@@ -176,7 +176,6 @@ def test_mapping_cone_shapes():
     G = build_group("cyc:2")
     T = build_transporter(G, [G.full_subgroup()])
     cx = nerve_complex(T, 2, 3)
-    from plocal.categories import identity_functor
     cm = induced_chain_map(identity_functor(T), cx, cx)
     cone = mapping_cone(cm)
     assert cone.dims[0] == cx.dims[0]
@@ -188,7 +187,6 @@ def test_mapping_cone_boundaries_are_integer():
     G = build_group("sym:3")
     T = build_transporter(G, [sylow_subgroup(G, 2)])
     cx = nerve_complex(T, 2, 3)
-    from plocal.categories import identity_functor
     cone = mapping_cone(induced_chain_map(identity_functor(T), cx, cx))
     for d in range(1, cone.dmax + 1):
         assert np.issubdtype(cone.boundaries[d].csr.dtype, np.integer), d
@@ -254,7 +252,7 @@ def real_cone(p=3):
     """The cone of the transporter-to-linking projection on the centric
     subgroups of sym:3 x cyc:3, as in the linking-vs-transporter check."""
     G = build_group("sym:3 x cyc:3")
-    cents = classify_centric(G, p, all_subgroups(sylow_subgroup(G, p))).centric_subgroups()
+    cents = centric_subgroups(classify_centric(G, p, all_subgroups(sylow_subgroup(G, p))))
     psi = quotient_projection(build_transporter(G, cents), p)
     src = nerve_complex(psi.source, p, 2)
     tgt = nerve_complex(psi.target, p, 3)

@@ -22,10 +22,20 @@ from plocal import (
     support_restriction_check,
     supported_cohomology_functor,
 )
+from plocal import limit_checks
 from plocal.catalog import build_group
-from plocal.cohomology import CohomologyBasis, CohomologyCache
-from plocal.limits import LinearFunctor, constant_functor
+from plocal.cohomology import CohomologyBasis, CohomologyCache, zeroed_at
+from plocal.limits import LinearFunctor, element_action_matrices
 from plocal.omega import is_centric
+from reference_chains import (
+    atomic_mats,
+    constant_functor,
+    restricted_mats,
+    supported_mats,
+    token_matrix,
+    zeroed_mats,
+)
+from reference_groups import element_id
 
 
 def eye_module(G, dim=1):
@@ -67,9 +77,9 @@ def test_validate_rejects_bad_matrices():
     # zero out a non-identity automorphism whose square is the identity
     tid = next(
         t for t in range(O.morphism_count)
-        if O.src[t] == O.tgt[t] and not O.is_identity(t)
+        if O.src[t] == O.tgt[t] and not O.is_id[t]
     )
-    F.mats[tid] = np.zeros((1, 1), dtype=np.int64)
+    F.entries[F.offsets[tid]:F.offsets[tid + 1]] = 0
     with pytest.raises(NotAFunctor):
         F.validate()
     # the builders leave validation to limits_profile, which must refuse it
@@ -85,7 +95,8 @@ def first_bad_pair(F):
     for t1, t2, t3 in zip(t1s.tolist(), t2s.tolist(), C.composite.tolist()):
         if t3 < 0:
             return f"composite of tokens ({t1},{t2}) is not filled"
-        if not np.array_equal(F.mats[t1] @ F.mats[t2] % p, F.mats[t3] % p):
+        if not np.array_equal(token_matrix(F, t1) @ token_matrix(F, t2) % p,
+                              token_matrix(F, t3) % p):
             return f"composition fails at tokens ({t1},{t2})"
     return None
 
@@ -100,12 +111,12 @@ def test_validate_reports_the_first_bad_pair_in_store_order(spec, p, index):
     assert first_bad_pair(F) is None
     F.validate()
     store = C.composite.copy()
-    spoilable = [t for t in range(C.morphism_count) if not C.is_identity(t) and F.mats[t].size]
+    spoilable = [t for t in range(C.morphism_count)
+                 if not C.is_id[t] and F.offsets[t + 1] > F.offsets[t]]
     spoiled = 0
     for t in spoilable[::max(1, len(spoilable) // 8)]:
-        H = LinearFunctor(C, p, F.dims, dict(F.mats))
-        H.mats[t] = F.mats[t].copy()
-        H.mats[t][0, 0] = (H.mats[t][0, 0] + 1) % p
+        H = LinearFunctor(C, p, F.dims, F.entries.copy())
+        H.entries[H.offsets[t]] = (H.entries[H.offsets[t]] + 1) % p
         msg = first_bad_pair(H)
         if msg is None:
             H.validate()
@@ -191,7 +202,7 @@ def test_cohomology_functor_inner_action_trivial():
     k = next(i for i, R in enumerate(skel.p_reps) if R.order == 2)
     assert F.dims[k] == 1
     for tid in skel.p_cat.mor(k, k):
-        assert np.array_equal(F.mats[tid], np.eye(1, dtype=np.int64))
+        assert np.array_equal(token_matrix(F, tid), np.eye(1, dtype=np.int64))
 
 
 def test_cohomology_functor_index_zero_constant():
@@ -200,7 +211,7 @@ def test_cohomology_functor_index_zero_constant():
     F = classifying_cohomology_functor(G, 2, skel.omega_cat, 0)
     assert all(d == 1 for d in F.dims)
     for tid in range(skel.omega_cat.morphism_count):
-        assert np.array_equal(F.mats[tid] % 2, np.eye(1, dtype=np.int64))
+        assert np.array_equal(token_matrix(F, tid) % 2, np.eye(1, dtype=np.int64))
 
 
 def test_punctured_vanishing_s3():
@@ -226,7 +237,7 @@ def test_punctured_vanishing_s4_noncentric_small_class():
     G = build_group("sym:4")
     skel = build_orbit_skeletons(G, 2)
     from plocal.catalog import parse_cycles
-    Q = G.generated_subgroup([G.element_id(parse_cycles("(1 2)(3 4)", degree=4))])
+    Q = G.generated_subgroup([element_id(G, parse_cycles("(1 2)(3 4)", degree=4))])
     assert not is_centric(G, 2, Q)
     v = punctured_class_vanishing(skel, Q, 1, 3)
     assert v.applicable
@@ -376,17 +387,16 @@ def test_content_equal_functors_share_one_computation(monkeypatch):
     F = cohomology_functor()
     sub, incl = full_subcategory(F.category, list(range(F.category.object_count)))
     twin = F.restrict(sub, incl)
-    assert sub is not F.category and twin.mats[1] is F.mats[1]
-    twin.mats = {t: M.copy() for t, M in twin.mats.items()}
+    assert sub is not F.category and twin.entries is not F.entries
+    assert np.array_equal(twin.entries, F.entries)
     memo: dict = {}
     first = limits_profile(F, 3, memo=memo)
     again = limits_profile(twin, 3, memo=memo)
     assert computed == [F] and len(memo) == 1
     assert again == first and again.dims is not first.dims
-    # entries are read mod p: adding p to one keeps the content
-    t = next(t for t, M in twin.mats.items() if M.size)
-    twin.mats[t] = twin.mats[t] + F.prime
-    assert limits_profile(twin, 3, memo=memo) == first
+    # entries are reduced mod p: a functor built from entries + p has the content
+    shifted = LinearFunctor(sub, F.prime, twin.dims, twin.entries + F.prime)
+    assert limits_profile(shifted, 3, memo=memo) == first
     assert computed == [F]
     assert limits_profile(F, 3, memo=None) == first and len(computed) == 2
 
@@ -397,15 +407,13 @@ def test_any_change_to_the_functor_or_the_call_misses(monkeypatch):
     memo: dict = {}
     limits_profile(F, 3, memo=memo)
     t = next(t for t in range(F.category.morphism_count)
-             if not F.category.is_identity(t) and F.mats[t].size)
+             if not F.category.is_id[t] and F.offsets[t + 1] > F.offsets[t])
 
-    entry = LinearFunctor(F.category, F.prime, F.dims, dict(F.mats))
-    entry.mats[t] = F.mats[t].copy()
-    entry.mats[t][0, 0] = (entry.mats[t][0, 0] + 1) % F.prime
-    shape = LinearFunctor(F.category, F.prime, F.dims, dict(F.mats))
-    shape.mats[t] = np.zeros((F.mats[t].shape[0], F.mats[t].shape[1] + 1), dtype=np.int64)
-    prime = LinearFunctor(F.category, 3, F.dims, F.mats)
-    for variant in (entry, shape, prime):
+    entry = LinearFunctor(F.category, F.prime, F.dims, F.entries.copy())
+    entry.entries[entry.offsets[t]] = (entry.entries[entry.offsets[t]] + 1) % F.prime
+    length = LinearFunctor(F.category, F.prime, F.dims, np.append(F.entries, 0))
+    prime = LinearFunctor(F.category, 3, F.dims, F.entries)
+    for variant in (entry, length, prime):
         try:
             limits_profile(variant, 3, memo=memo)
         except NotAFunctor:
@@ -422,10 +430,7 @@ def test_failures_are_never_stored(monkeypatch):
     from plocal import BudgetExceeded
     computed = count_computations(monkeypatch)
     F = cohomology_functor()
-    bad = LinearFunctor(F.category, F.prime, F.dims, dict(F.mats))
-    t = next(t for t in range(F.category.morphism_count)
-             if not F.category.is_identity(t) and F.mats[t].size)
-    bad.mats[t] = np.zeros((F.mats[t].shape[0] + 1, F.mats[t].shape[1]), dtype=np.int64)
+    bad = LinearFunctor(F.category, F.prime, F.dims, F.entries[:-1])
     memo: dict = {}
     for _ in range(2):
         with pytest.raises(NotAFunctor):
@@ -433,6 +438,86 @@ def test_failures_are_never_stored(monkeypatch):
         with pytest.raises(BudgetExceeded):
             limits_profile(F, 3, budget=5, memo=memo)
     assert memo == {} and len(computed) == 4
+
+
+@pytest.mark.parametrize("short", [False, True])
+def test_validate_rejects_entries_of_the_wrong_length(monkeypatch, short):
+    computed = count_computations(monkeypatch)
+    F = cohomology_functor()
+    entries = F.entries[:-1] if short else np.append(F.entries, 0)
+    bad = LinearFunctor(F.category, F.prime, F.dims, entries)
+    memo: dict = {}
+    for _ in range(2):
+        with pytest.raises(NotAFunctor, match="entries where the dimensions need"):
+            limits_profile(bad, 3, memo=memo)
+    assert memo == {} and computed == [bad, bad]
+    limits_profile(F, 3, memo=memo)
+    assert len(memo) == 1
+
+
+def test_an_object_without_an_identity_token_fails_cleanly():
+    F = cohomology_functor()
+    F.category.identity_ids[1] = -1
+    memo: dict = {}
+    with pytest.raises(PLocalError, match="object 1 has no identity token"):
+        limits_profile(F, 3, memo=memo)
+    assert memo == {}
+
+
+def test_an_identity_token_that_is_not_a_loop_is_rejected():
+    G = build_group("sym:4")
+    C = build_orbit_skeletons(G, 2).p_cat
+    F = classifying_cohomology_functor(G, 2, C, 1, CohomologyCache(G, 2))
+    t = next(t for t in range(C.morphism_count)
+             if 0 < F.dims[C.src[t]] != F.dims[C.tgt[t]])
+    C.identity_ids[C.src[t]] = t
+    with pytest.raises(NotAFunctor, match=f"identity at object {C.src[t]} is not"):
+        limits_profile(F, 3)
+
+
+CATALOG = ["sym:3", "sym:4", "alt:4", "dih:8", "dih:12", "cyc:6", "sym:3 x cyc:3"]
+
+
+def assert_store_matches(F, dims, mats):
+    """F's dimensions, and each token's block, equal the reference's."""
+    assert list(F.dims) == dims
+    assert len(F.entries) == sum(M.size for M in mats.values())
+    for t in range(F.category.morphism_count):
+        M = mats[t] % F.prime
+        assert np.array_equal(F.blocks([t]).reshape(M.shape), M), t
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("spec", CATALOG)
+def test_functor_store_matches_the_per_token_reference(spec, p, monkeypatch):
+    """Every builder of a functor lays out the matrices that the per-token
+    loops it replaced put in a {token: matrix} dict."""
+    G = build_group(spec)
+    skel = build_orbit_skeletons(G, p)
+    cache = CohomologyCache(G, p)
+    for cat in (skel.omega_cat, skel.p_cat):
+        everywhere = list(range(cat.object_count))
+        for i in range(3):
+            dims, mats = supported_mats(cat, everywhere, i, cache)
+            F = classifying_cohomology_functor(G, p, cat, i, cache)
+            assert_store_matches(F, dims, mats)
+            for k in everywhere:
+                assert_store_matches(supported_cohomology_functor(G, p, cat, [k], i, cache),
+                                     *supported_mats(cat, [k], i, cache))
+                assert_store_matches(zeroed_at(F, [k]), *zeroed_mats(cat, dims, mats, [k]))
+                for keep in ([k], everywhere[k:]):
+                    sub, incl = full_subcategory(cat, keep)
+                    assert_store_matches(F.restrict(sub, incl), [dims[j] for j in keep],
+                                         restricted_mats(mats, incl))
+
+    rng = np.random.default_rng(7)
+    module = ModuleData(2, [rng.integers(0, p, (2, 2)) for _ in G.generators])
+    built = []
+    monkeypatch.setattr(limit_checks, "limits_profile", lambda F, *args: built.append(F))
+    atomic_functor_limits(G, p, module, 3, skeletons=skel)
+    triv = next(k for k, R in enumerate(skel.p_reps) if R.order == 1)
+    rho = element_action_matrices(G, module, p)
+    assert_store_matches(built[0], *atomic_mats(skel.p_cat, triv, rho, 2))
 
 
 def test_pipeline_runs_share_no_limits(monkeypatch):

@@ -12,7 +12,8 @@ from plocal import (
     verify_closure_properties,
 )
 from plocal.catalog import build_group, parse_cycles
-from plocal.omega import verify_centric_decomposition
+from reference_groups import element_id
+from reference_omega import verify_centric_decomposition
 
 
 def test_poset_s3_p2():
@@ -65,7 +66,7 @@ def test_closure_on_members_is_identity():
 def test_closure_of_small_subgroup_s4():
     G = build_group("sym:4")
     poset = build_intersection_poset(G, 2)
-    P = G.generated_subgroup([G.element_id(parse_cycles("(1 2)(3 4)"))])
+    P = G.generated_subgroup([element_id(G, parse_cycles("(1 2)(3 4)"))])
     Pc = closure_in_poset(poset, P)
     assert Pc.order == 4
     assert Pc.ids == poset.members[poset.minimum].ids

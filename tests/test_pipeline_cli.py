@@ -297,6 +297,38 @@ def test_out_of_memory_marks_only_its_stage_not_certified(monkeypatch, capsys):
     assert out["notes"] == ["linking-vs-transporter: out of memory"]
 
 
+# sha256 of the sym:4, p=2 report with every check at max-degree 3, timings
+# left out: the line ``scripts/run_catalog.py --max-degree 3`` prints for it
+SYM4_P2_SHA256 = "5a34d67bc21e889c4eb0d7a01830585f3d3f0fb62c1d535f82383121b57d9609"
+
+
+def test_each_category_and_the_quotient_are_verified_once_per_run(monkeypatch):
+    """The poset-centric transporter category is the poset's own category
+    here, so the six table entries are five category objects; the quotient
+    verdict serves both the quotient and the linking-vs-transporter stage."""
+    from plocal import categories
+    laws, quotients = [], []
+    real_laws, real_quotient = categories.verify_category, categories.verify_quotient_functor
+
+    def counted_laws(C):
+        laws.append(C)
+        return real_laws(C)
+
+    def counted_quotient(psi, p):
+        quotients.append(psi)
+        return real_quotient(psi, p)
+
+    monkeypatch.setattr(categories, "verify_category", counted_laws)
+    monkeypatch.setattr(categories, "verify_quotient_functor", counted_quotient)
+    rep = run_pipeline("sym:4", PipelineConfig(prime=2, max_degree=3, include_timings=False))
+    assert len(laws) == len({id(C) for C in laws}) == 5
+    assert len(quotients) == 1
+    entries = rep.data["categories"]
+    assert entries["transporter_poset_centric"] == entries["transporter_poset"]
+    assert sum("laws" in v for v in entries.values() if isinstance(v, dict)) == 6
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == SYM4_P2_SHA256
+
+
 def test_broken_endomorphism_fails_only_the_quotient_stage():
     from plocal.pipeline import PipelineRun
 
@@ -307,7 +339,7 @@ def test_broken_endomorphism_fails_only_the_quotient_stage():
     # a kernel automorphism of order 3: it maps to an identity of the linking
     # category; composing it with itself now returns it, so it never cycles
     t = next(t for t in range(T.morphism_count)
-             if not T.is_identity(t) and L.is_identity(run.linking_projection.apply(t)))
+             if not T.is_id[t] and L.is_id[run.linking_projection.apply(t)])
     T.composite[T.slot(t, t)] = t
     rep = run.run()
     v = rep.data["verdicts"]

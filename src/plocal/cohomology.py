@@ -88,16 +88,18 @@ class CohomologyBasis:
 
 
 class CohomologyCache:
-    """Shared per-run cache of CohomologyBasis objects keyed by (subgroup, i),
-    the run's store of limit profiles (``limits_profile``'s ``memo``), and
-    the normalizer quotients of the limit checks, keyed by the ids of the
-    subgroup divided out (see ``limit_checks.normalizer_reduction_check``)."""
+    """Shared per-run cache of CohomologyBasis objects keyed by (subgroup, i)
+    and of their pullback matrices keyed by (P, Q, i, g), the run's store of
+    limit profiles (``limits_profile``'s ``memo``), and the normalizer
+    quotients of the limit checks, keyed by the ids of the subgroup divided
+    out (see ``limit_checks.normalizer_reduction_check``)."""
 
     def __init__(self, G: PermutationGroup, p: int, budget: int = DEFAULT_BUDGET):
         self.G = G
         self.p = p
         self.budget = budget
         self._store: dict[tuple[tuple[int, ...], int], CohomologyBasis] = {}
+        self._pullbacks: dict[tuple, np.ndarray] = {}
         self.limits: dict = {}
         self.quotients: dict = {}
 
@@ -106,6 +108,17 @@ class CohomologyCache:
         if key not in self._store:
             self._store[key] = CohomologyBasis(self.G, P, i, self.p, self.budget)
         return self._store[key]
+
+    def pullback(self, P: Subgroup, Q: Subgroup, i: int, g: int) -> np.ndarray:
+        """``basis(P, i).pullback_matrix(basis(Q, i), g)``, computed once per
+        key and kept read-only, since every caller shares it."""
+        key = (P.ids, Q.ids, i, g)
+        M = self._pullbacks.get(key)
+        if M is None:
+            M = self.basis(P, i).pullback_matrix(self.basis(Q, i), g)
+            M.flags.writeable = False
+            self._pullbacks[key] = M
+        return M
 
 
 def classifying_cohomology_functor(
@@ -134,11 +147,11 @@ def supported_cohomology_functor(
     elsewhere, with zero maps off the support."""
     cache = cache or CohomologyCache(G, p)
     supp = set(support)
-    bases = {k: cache.basis(cat.objects[k], i) for k in supp}
-    dims = [bases[k].dim if k in supp else 0 for k in range(cat.object_count)]
+    objs = cat.objects
+    dims = [cache.basis(P, i).dim if k in supp else 0 for k, P in enumerate(objs)]
     live = np.isin(cat.src, support) & np.isin(cat.tgt, support)
     tokens = zip(cat.src[live].tolist(), cat.tgt[live].tolist(), cat.witness[live].tolist())
-    blocks = [bases[a].pullback_matrix(bases[b], g).ravel() for a, b, g in tokens]
+    blocks = [cache.pullback(objs[a], objs[b], i, g).ravel() for a, b, g in tokens]
     return LinearFunctor(cat, p, dims, np.concatenate([np.zeros(0, np.int64), *blocks]))
 
 

@@ -235,7 +235,7 @@ def normalizer_reduction_check(
         kept = cache.quotients[R.ids] = (N, W, build_orbit_skeletons(W, p))
     N, W, quotient_skel = kept
     basis = cache.basis(R, i)
-    gen_mats = [basis.pullback_matrix(basis, g) for g in N.generating_ids]
+    gen_mats = [cache.pullback(R, R, i, g) for g in N.generating_ids]
     module = ModuleData(dim=basis.dim, generator_matrices=gen_mats)
     right = atomic_functor_limits(W, p, module, nmax, budget, quotient_skel,
                                   cache.limits).dims

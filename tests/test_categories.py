@@ -27,6 +27,7 @@ from plocal import (
 from plocal import categories
 from plocal.catalog import build_group
 from plocal.categories import iso_classes
+from reference_categories import reference_verify_category
 from reference_chains import reference_by_witness, reference_compose_table, reference_mor
 from reference_omega import centric_subgroups
 
@@ -255,10 +256,14 @@ def store_table(C):
     return dict(zip(zip(t1.tolist(), t2.tolist()), C.composite.tolist()))
 
 
-def test_store_matches_reference_table_on_every_pipeline_category(monkeypatch):
-    """Every category the pipeline builds for the catalog at p in {2, 3}
-    holds exactly the composites of the dict-filling reference, with no
-    extra pairs."""
+BUILDERS = {"build_transporter", "build_linking", "build_orbit",
+            "group_category", "coset_category", "full_subcategory"}
+
+
+def pipeline_categories(monkeypatch):
+    """(spec, p, builder, category) for every category the pipeline builds
+    for the catalog at p in {2, 3}, skeleta and the thin coset category
+    included, with the name of the function that built it."""
     built = []
     real_init = categories.FiniteCategory.__init__
 
@@ -267,7 +272,6 @@ def test_store_matches_reference_table_on_every_pipeline_category(monkeypatch):
         built.append((sys._getframe(1).f_code.co_name, self))
 
     monkeypatch.setattr(categories.FiniteCategory, "__init__", init)
-    builders = set()
     for spec in CATALOG:
         for p in (2, 3):
             rep = run_pipeline(spec, PipelineConfig(
@@ -275,12 +279,87 @@ def test_store_matches_reference_table_on_every_pipeline_category(monkeypatch):
                 cohomology_index_max=1, include_timings=False,
             ))
             assert rep.overall != "fail", (spec, p)
-            for builder, C in built:
-                assert store_table(C) == reference_compose_table(C), (spec, p, builder)
-                builders.add(builder)
+            batch = built[:]
             built.clear()
-    assert builders >= {"build_transporter", "build_linking", "build_orbit",
-                        "group_category", "coset_category", "full_subcategory"}
+            for builder, C in batch:
+                yield spec, p, builder, C
+
+
+def test_store_matches_reference_table_on_every_pipeline_category(monkeypatch):
+    """Every category the pipeline builds holds exactly the composites of
+    the dict-filling reference, with no extra pairs."""
+    builders = set()
+    for spec, p, builder, C in pipeline_categories(monkeypatch):
+        assert store_table(C) == reference_compose_table(C), (spec, p, builder)
+        builders.add(builder)
+    assert builders >= BUILDERS
+
+
+def generated_by(C, S) -> np.ndarray:
+    """Which tokens the stored composites reach from S, by rounds of
+    composing every pair of tokens reached so far."""
+    t1, t2 = C.pairs()
+    reached = np.zeros(C.morphism_count, dtype=bool)
+    reached[S] = True
+    while True:
+        new = C.composite[reached[t1] & reached[t2]]
+        new = new[new >= 0]
+        if reached[new].all():
+            return reached
+        reached[new] = True
+
+
+def laws(v):
+    return (v.passed, v.associative, v.identities, v.composition_closed, v.well_defined)
+
+
+def test_verify_category_matches_the_exhaustive_reference_on_every_pipeline_category(
+        monkeypatch):
+    """Light's test over the generating set gives the exhaustive check's
+    verdicts and failures, and the generating set reaches every token."""
+    builders = set()
+    for spec, p, builder, C in pipeline_categories(monkeypatch):
+        v, ref = verify_category(C), reference_verify_category(C)
+        assert laws(v) == laws(ref), (spec, p, builder)
+        assert set(v.failures) == set(ref.failures), (spec, p, builder)
+        assert v.triples_checked <= ref.triples_checked
+        assert generated_by(C, categories.generating_set(C)).all(), (spec, p, builder)
+        builders.add(builder)
+    assert builders >= BUILDERS
+
+
+@pytest.mark.parametrize("spec", ["sym:3 x cyc:3", "sym:4", "dih:12"])
+def test_generating_set_check_agrees_with_the_exhaustive_one_under_faults(spec):
+    """50 seeded trials per category, each pointing one composite at another
+    token of its morphism set with the coset rule dropped: the associativity
+    verdict equals the exhaustive reference's every time."""
+    G = build_group(spec)
+    rng = np.random.default_rng(14)
+    members = build_intersection_poset(G, 2).members
+    for builder in (build_transporter, build_orbit):
+        C = builder(G, members)
+        C.left = C.right = None
+        good, (t1, t2) = C.composite.copy(), C.pairs()
+        outcomes = []
+        while len(outcomes) < 50:
+            k = int(rng.integers(len(good)))
+            others = [t for t in C.mor(C.src[t1[k]], C.tgt[t2[k]]) if t != good[k]]
+            if not others:
+                continue
+            C.composite[:] = good
+            C.composite[k] = others[int(rng.integers(len(others)))]
+            v = verify_category(C)
+            assert v.associative == reference_verify_category(C).associative, (builder, k)
+            outcomes.append(v.associative)
+        assert not all(outcomes), (spec, builder)
+
+
+def test_category_laws_pass_on_sym6_at_p3():
+    """1,875,317,376 composable triples; about 16 million with a middle in
+    the generating sets."""
+    rep = run_pipeline("sym:6", PipelineConfig(
+        prime=3, max_degree=2, checks=("categories",), include_timings=False))
+    assert rep.verdicts["category_laws"] == "pass"
 
 
 def transporter_s3c3():
@@ -342,15 +421,16 @@ def test_verify_category_catches_a_composite_outside_its_mor_set():
 
 
 def test_verify_category_reads_an_unfilled_slot_as_not_closed():
+    """An unfilled slot also makes associativity fall back to every
+    composable triple."""
     C = transporter_s3c3()
-    triples = verify_category(C).triples_checked
     t1, t2 = C.pairs()
     k = len(t1) // 3
     C.composite[k] = -1
     v = verify_category(C)
     assert not v.composition_closed and not v.passed
     assert f"composite ({t1[k]},{t2[k]}) is not filled" in v.failures
-    assert v.triples_checked == triples
+    assert v.triples_checked == reference_verify_category(C).triples_checked
 
 
 def test_verify_category_catches_non_associativity_without_a_coset_rule():
@@ -412,33 +492,15 @@ def check_store_lookups(C):
 
 
 def test_store_lookups_match_reference_dicts_on_every_pipeline_category(monkeypatch):
-    """Every category the pipeline builds for the catalog at p in {2, 3},
-    skeleta and the thin coset category included."""
-    built = []
-    real_init = categories.FiniteCategory.__init__
-
-    def init(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
-        built.append((sys._getframe(1).f_code.co_name, self))
-
-    monkeypatch.setattr(categories.FiniteCategory, "__init__", init)
     builders = set()
-    for spec in CATALOG:
-        for p in (2, 3):
-            run_pipeline(spec, PipelineConfig(
-                prime=p, max_degree=2, max_limit_degree=2,
-                cohomology_index_max=1, include_timings=False,
-            ))
-            for builder, C in built:
-                check_store_lookups(C)
-                builders.add(builder)
-                if builder == "coset_category":
-                    assert (C.witness == -1).all()
-                    assert all(len(C.mor(i, j)) <= 1 for i in range(C.object_count)
-                               for j in range(C.object_count))
-            built.clear()
-    assert builders >= {"build_transporter", "build_linking", "build_orbit",
-                        "group_category", "coset_category", "full_subcategory"}
+    for spec, p, builder, C in pipeline_categories(monkeypatch):
+        check_store_lookups(C)
+        builders.add(builder)
+        if builder == "coset_category":
+            assert (C.witness == -1).all()
+            assert all(len(C.mor(i, j)) <= 1 for i in range(C.object_count)
+                       for j in range(C.object_count))
+    assert builders >= BUILDERS
 
 
 @pytest.mark.parametrize("spec,p", [("sym:4", 2), ("sym:3 x cyc:3", 3), ("dih:12", 2)])

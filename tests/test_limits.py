@@ -582,3 +582,25 @@ def test_normalizer_quotients_are_built_once_per_class(monkeypatch):
             fresh.append({"class": v.class_label, "index": i, "left": v.left_dims,
                           "right": v.right_dims, "quotient_order": v.quotient_order})
     assert records == fresh
+
+
+def test_pullbacks_are_computed_once_per_key(monkeypatch):
+    """A run computes each pullback matrix once per (P, Q, i, g) and hands
+    every caller the same read-only array."""
+    from plocal import PipelineConfig, PipelineRun
+    keys = []
+    real = CohomologyBasis.pullback_matrix
+
+    def counted(self, other, g):
+        keys.append((self.P.ids, other.P.ids, self.i, g))
+        return real(self, other, g)
+
+    monkeypatch.setattr(CohomologyBasis, "pullback_matrix", counted)
+    G = build_group("sym:3 x cyc:3")
+    run = PipelineRun(G, PipelineConfig(prime=2, checks=LIMIT_CHECKS, include_timings=False),
+                      "sym:3 x cyc:3")
+    assert "fail" not in run.run().verdicts.values()
+    assert len(keys) == len(set(keys)) > 0
+    R = run.skeletons.p_reps[-1]
+    M = run.cohomology_cache.pullback(R, R, 1, 0)
+    assert M is run.cohomology_cache.pullback(R, R, 1, 0) and not M.flags.writeable

@@ -11,8 +11,11 @@ the coset left[i]·g·right[j]:
 * orbit: Q on the right, Mor(P, Q) = N_G(P, Q)/Q.
 
 One rule, ``FiniteCategory.canonicals``, picks each coset's least element as
-its witness, for whole arrays of cosets at once; the composite of
-g: P -> Q followed by h: Q -> R is the coset of the product g h.  So all
+its witness; the composite of g: P -> Q followed by h: Q -> R is the coset
+of the product g h.  The least elements are read, never searched for: the
+group keeps one table min(L·x·R), x in G, per pair of sides (L, R)
+(``groups.coset_minima``), and a category stacks the tables of its objects'
+sides, so a coset's witness is one gather ``tables[at[i, j], g]``.  So all
 composition tables are total on composable pairs and reproducible, and
 ``verify_category`` checks every such category against the same rule.
 ``group_category``, the one-object category of a subgroup, is built the same
@@ -44,7 +47,9 @@ factor.  ``generating_set`` S keeps, in one pass over the store, every
 token that is not the stored composite of two tokens with smaller ids; by
 strong induction on the id, S generates every token.  So only the triples
 with middle in S are checked, unless identities or closure fail: then
-every composable triple is.
+every composable triple is.  The coset rule is checked by table lookups,
+over the middle object's sides only where the composite lies in its
+morphism set (``_verify_coset_well_definedness``).
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, NotCentric, PLocalError
-from .groups import PermutationGroup, Subgroup, transporter_set
+from .groups import PermutationGroup, Subgroup, coset_minima, transporter_set
 from .omega import IntersectionPoset, classify_centric, closure_in_poset
 
 
@@ -73,25 +78,27 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return block, np.arange(offs[-1], dtype=np.int64) - offs[block], offs
 
 
-def _flat(subgroups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ids of the subgroups laid end to end, each one's offset into them
-    and each one's order."""
-    orders = np.array([H.order for H in subgroups], dtype=np.int64)
-    ids = np.array([x for H in subgroups for x in H.ids], dtype=np.intp)
-    return ids, _offsets(orders)[:-1], orders
+def _flat(id_sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The id sets laid end to end, each one's offset into them and each
+    one's size."""
+    sizes = np.array([len(s) for s in id_sets], dtype=np.int64)
+    ids = np.array([x for s in id_sets for x in s], dtype=np.intp)
+    return ids, _offsets(sizes)[:-1], sizes
 
 
-# entries per array operation in the coset rule, its check and the
-# associativity check
+def _distinct(subgroups) -> tuple[list[Subgroup], np.ndarray]:
+    """The distinct subgroups in first-seen order, and each entry's place
+    among them."""
+    place: dict = {}
+    for H in subgroups:
+        place.setdefault(H.ids, (len(place), H))
+    places = np.array([place[H.ids][0] for H in subgroups], dtype=np.int64)
+    return [H for _, H in place.values()], places
+
+
+# entries per array operation in the coset-rule check and the associativity
+# check
 _BLOCK = 1 << 15
-
-
-def _blocks(counts: np.ndarray) -> list[slice]:
-    """Runs of consecutive entries, a new run wherever the running total of
-    counts passes a multiple of ``_BLOCK``."""
-    run = _offsets(counts)[:-1] // _BLOCK
-    cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(counts)]
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 class FiniteCategory:
@@ -110,6 +117,8 @@ class FiniteCategory:
         self.src = self.tgt = self.witness = self.identity_ids = None
         self.is_id = self.first = self.pair_start = self._key_order = None
         self.composite: np.ndarray | None = None
+        # the least-element tables of the sides, stacked on first use
+        self._at = self._tables = None
 
     # -- construction ----------------------------------------------------
 
@@ -139,34 +148,37 @@ class FiniteCategory:
         witness product (unfilled if there is none)."""
         if self.pair_start[-1] > table_budget:
             raise BudgetExceeded(2, int(self.pair_start[-1]), table_budget)
-        t1, t2 = self.pairs()
-        w, a, c = self.witness, self.src[t1], self.tgt[t2]
-        product = self.group.mul[w[t1], w[t2]]
-        self.composite = self.tokens_of(a, c, self.canonicals(a, c, product))
+        self.composite = self.coset_composites(*self.pairs())
 
     # -- the coset rule ------------------------------------------------------
 
-    def cosets(self, i, j, g) -> tuple[np.ndarray, np.ndarray]:
-        """The cosets left[i]·g·right[j] a witness g from object i to object j
-        stands for, elementwise over broadcast id arrays: their elements laid
-        end to end (with repeats where the two sides overlap), and the offset
-        of each coset with the total appended."""
-        i, j, g = (np.ravel(a) for a in np.broadcast_arrays(i, j, g))
-        (kids, kat, kn), (qids, qat, qn) = _flat(self.left), _flat(self.right)
-        row, pos, offs = _expand(kn[i] * qn[j])
-        i, j, g = i[row], j[row], g[row]
-        mul = self.group.mul
-        return mul[kids[kat[i] + pos // qn[j]], mul[g, qids[qat[j] + pos % qn[j]]]], offs
+    def least_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``at``, an object-count square array, and ``tables``, one row
+        min(L·x·R) over x in G per distinct pair of sides (L, R) of the
+        objects: row ``at[i, j]`` is the table of (left[i], right[j]).  The
+        rows come from the group's ``coset_minima``, stacked on first use."""
+        if self._tables is None:
+            lefts, li = _distinct(self.left)
+            rights, ri = _distinct(self.right)
+            self._tables = np.stack([coset_minima(self.group, L, R)
+                                     for L in lefts for R in rights])
+            self._at = li[:, None] * len(rights) + ri
+        return self._at, self._tables
 
     def canonicals(self, i, j, g) -> np.ndarray:
         """The witness of each coset left[i]·g·right[j], its least element,
-        elementwise; worked in ``_blocks`` of coset elements."""
-        i, j, g = (np.ravel(a) for a in np.broadcast_arrays(i, j, g))
-        out = [np.zeros(0, dtype=self.group.mul.dtype)]
-        for b in _blocks(_flat(self.left)[2][i] * _flat(self.right)[2][j]):
-            elems, offs = self.cosets(i[b], j[b], g[b])
-            out.append(np.minimum.reduceat(elems, offs[:-1]))
-        return np.concatenate(out)
+        elementwise over broadcast id arrays: one gather from the tables."""
+        at, tables = self.least_tables()
+        return tables[at[i, j], g]
+
+    def coset_composites(self, t1, t2) -> np.ndarray:
+        """The composites of the tokens t1 then t2 by the coset rule,
+        elementwise over broadcast composable tokens: the token of the coset
+        of the witness product from t1's source to t2's target (-1 where
+        there is none)."""
+        a, c = self.src[t1], self.tgt[t2]
+        product = self.group.mul[self.witness[t1], self.witness[t2]]
+        return self.tokens_of(a, c, self.canonicals(a, c, product))
 
     def tokens_of(self, i, j, w) -> np.ndarray:
         """The tokens from object i to object j witnessed by w, elementwise;
@@ -233,10 +245,11 @@ class FiniteCategory:
 # -- builders ---------------------------------------------------------------
 
 
-def _fill_cosets(cat: FiniteCategory, table_budget: int) -> FiniteCategory:
+def _fill_cosets(cat: FiniteCategory, table_budget: int | None) -> FiniteCategory:
     """Add one token per coset left[i]·g·right[j] of the transporter elements
     g from object i to object j, witnessed by its least element, in order of
-    (i, j, witness), and compose by the same rule."""
+    (i, j, witness), and compose by the same rule unless ``table_budget`` is
+    None."""
     G, m, n = cat.group, cat.object_count, cat.group.order
     found = [transporter_set(G, P, Q) for P in cat.objects for Q in cat.objects]
     pair = np.repeat(np.arange(m * m), np.array([len(ts) for ts in found], dtype=np.int64))
@@ -248,7 +261,8 @@ def _fill_cosets(cat: FiniteCategory, table_budget: int) -> FiniteCategory:
     at = np.flatnonzero((src == tgt) & (witness == 0))
     ident[src[at]] = at
     cat.set_tokens(src, tgt, witness, ident)
-    cat.fill_composition(table_budget)
+    if table_budget is not None:
+        cat.fill_composition(table_budget)
     return cat
 
 
@@ -276,8 +290,9 @@ def build_linking(G: PermutationGroup, p: int, centric_collection,
 
 
 def build_orbit(G: PermutationGroup, collection,
-                table_budget: int = DEFAULT_BUDGET) -> FiniteCategory:
-    """The orbit category: Mor(P, Q) = N_G(P, Q)/Q, with Q acting on the right."""
+                table_budget: int | None = DEFAULT_BUDGET) -> FiniteCategory:
+    """The orbit category: Mor(P, Q) = N_G(P, Q)/Q, with Q acting on the
+    right; with no composition store when ``table_budget`` is None."""
     cat = FiniteCategory("orbit", list(collection), G)
     cat.left = [G.trivial_subgroup()] * cat.object_count
     cat.right = cat.objects
@@ -544,36 +559,59 @@ def verify_category(C: FiniteCategory) -> CategoryLawsVerdict:
 
 
 def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str]) -> bool:
-    """Exhaustively check the coset rule: each witness is the least element of
-    its coset, and for every composable pair of tokens every product of
-    representatives of their two cosets lies in the composite's coset (an
-    unfilled slot is left to the closure check)."""
+    """Check the coset rule by lookups in ``least_tables``: each witness is
+    the least element of its coset, and for every filled composable pair of
+    tokens every product of representatives of their two cosets lies in the
+    composite's coset (an unfilled slot is left to the closure check).
+
+    Let t1: i -> j have witness a, t2: j -> k witness b, and the composite
+    t3 witness c.  The products are x y with x = l a r and y = l' b r' for l
+    in L_i = left[i], r in R_j = right[j], l' in L_j and r' in R_k.  An
+    element z lies in t3's coset exactly when its table entry there equals
+    c's.  When t3 lies in Mor(i, k), its coset L_i c R_k is a union of sets
+    L_i z R_k, so
+
+        x y = l (a r l' b) r'  lies in it exactly when  a r l' b  does,
+
+    and the pair takes one lookup per element of R_j L_j, not one per
+    product.  Where t3 starts elsewhere than i, l still ranges over L_i, and
+    where it ends elsewhere than k, r' over R_k: a composite outside its
+    morphism set is judged on every product."""
     if C.left is None:
         return True
-    witness = C.witness
-    elems, offs = C.cosets(C.src, C.tgt, witness)
-    bad = np.minimum.reduceat(elems, offs[:-1]) != witness
+    at, tables = C.least_tables()
+    w, mul = C.witness, C.group.mul
+    bad = tables[at[C.src, C.tgt], w] != w
     failures += [f"witness of token {t} is not the least of its coset"
                  for t in np.flatnonzero(bad).tolist()]
-    # membership in a token's coset, by the key token * |G| + element
-    n, size = C.group.order, np.diff(offs)
-    members = np.sort(np.repeat(np.arange(C.morphism_count), size) * n + elems)
     t1, t2 = C.pairs()
     filled = C.composite >= 0
     t1, t2, t3 = t1[filled], t2[filled], C.composite[filled]
-    broken = []
-    for blk in _blocks(size[t1] * size[t2]):
-        a, b, c = t1[blk], t2[blk], t3[blk]
-        pair, pos, _ = _expand(size[a] * size[b])
-        x = elems[offs[a[pair]] + pos // size[b[pair]]]
-        y = elems[offs[b[pair]] + pos % size[b[pair]]]
-        key = c[pair] * n + C.group.mul[x, y]
-        at = np.searchsorted(members, key).clip(max=len(members) - 1)
-        broken.append(blk.start + np.unique(pair[members[at] != key]))
-    broken = np.concatenate(broken or [np.zeros(0, dtype=np.int64)])
-    failures += [f"representative shift breaks composite ({t1[k]},{t2[k]})"
-                 for k in broken.tolist()]
-    return not bad.any() and not len(broken)
+    i, j, k, s, e = C.src[t1], C.tgt[t1], C.tgt[t2], C.src[t3], C.tgt[t3]
+    row = at[s, e]
+    # the factors each pair's products range over: L_i, R_j L_j and R_k, with
+    # a side the composite's coset absorbs cut to its first id, the identity
+    (lids, lat, ln), (rids, rat, rn) = (_flat([H.ids for H in side]) for side in (C.left, C.right))
+    mids, mat, mn = _flat([np.unique(mul[np.ix_(R.ids, L.ids)]) for L, R in zip(C.left, C.right)])
+    nl, nm, nr = np.where(s == i, 1, ln[i]), mn[j], np.where(e == k, 1, rn[k])
+    count, broken = nl * nm * nr, np.zeros(len(t1), dtype=bool)
+    # the pairs with one product count n at a time, in rows of about _BLOCK
+    # lookups; with n = 1 every factor but a and b is the identity
+    for n in np.flatnonzero(np.bincount(count)).tolist():
+        run, pos, step = np.flatnonzero(count == n), np.arange(n), max(1, _BLOCK // n)
+        for lo in range(0, len(run), step):
+            q = run[lo:lo + step]
+            a, b = w[t1[q], None], w[t2[q], None]
+            if n > 1:
+                lm, r = np.divmod(pos, nr[q, None])
+                l, m = np.divmod(lm, nm[q, None])
+                a = mul[mul[lids[lat[i[q], None] + l], a], mids[mat[j[q], None] + m]]
+                b = mul[b, rids[rat[k[q], None] + r]]
+            least = tables[row[q], w[t3[q]]]
+            broken[q] = (tables[row[q, None], mul[a, b]] != least[:, None]).any(axis=1)
+    failures += [f"representative shift breaks composite ({t1[q]},{t2[q]})"
+                 for q in np.flatnonzero(broken).tolist()]
+    return not bad.any() and not broken.any()
 
 
 # -- the quotient-functor conditions -----------------------------------------
@@ -700,7 +738,9 @@ def verify_closure_adjunction(
             seen.add(H.ids)
             collection.append(H)
     collection.sort(key=lambda H: H.key)
-    big = build_orbit(G, collection, table_budget)
+    # only two families of big's composites are read, so they are composed
+    # by the coset rule where needed and big keeps no composition store
+    big = build_orbit(G, collection, table_budget=None)
     omega = build_orbit(G, members, table_budget)
     big_idx = {H.ids: i for i, H in enumerate(collection)}
     om_idx = {H.ids: i for i, H in enumerate(members)}
@@ -742,13 +782,14 @@ def verify_closure_adjunction(
         phi, phi_big = phi[found], phi_big[found]
         k, pos, _ = _expand(np.diff(omega.pair_start)[phi])
         slot = omega.pair_start[phi[k]] + pos
-        post = differ(big.composites(phi_big[k], lift[om_next[slot]]), omega.composite[slot])
+        post = differ(big.coset_composites(phi_big[k], lift[om_next[slot]]),
+                      omega.composite[slot])
         u = np.flatnonzero((om_of[big.src] >= 0) & (big.tgt == iP))
         iu = om_of[big.src[u]]
         uc = omega.tokens_of(iu, iPc, omega.canonicals(iu, iPc, w_big[u]))
         closed = uc >= 0
         u, uc = u[closed, None], uc[closed, None]
-        pre = differ(big.composites(u, phi_big), omega.composites(uc, phi))
+        pre = differ(big.coset_composites(u, phi_big), omega.composites(uc, phi))
         missing = int((~found).sum())
         tgt_failures += (["identification misses a morphism"] * missing
                          + ["postcomposition square fails"] * int(post.sum()))

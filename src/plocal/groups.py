@@ -6,8 +6,10 @@ order (lexicographic on image arrays) and one multiplication table
 unsigned dtype that holds the order.  Subgroups are explicit sorted id sets.
 Transporter sets, normalizers and centralizers come from one conjugation
 filter and conjugacy classes of subgroups from ``conjugates``; both read
-``mul`` as arrays and hand out Python ints; a group keeps each (immutable)
-transporter set it computes.  Conjugation is on the right,
+``mul`` as arrays and hand out Python ints.  A group keeps each (immutable)
+transporter set it computes, and each table ``coset_minima`` builds: for a
+pair of subgroups (L, R), the least element of L·x·R for every x in G.
+Conjugation is on the right,
 ``x^g = g^-1 x g``, which makes ``(P^g)^h = P^(g h)`` and lets transporter
 elements compose left to right.
 """
@@ -106,6 +108,7 @@ class PermutationGroup:
         self.inverse_ids = self.mul.argmin(axis=1)  # the one b with a * b = 1
         self.element_orders = tuple(e.order() for e in self.elements)
         self._transporters: dict[tuple, tuple[int, ...]] = {}
+        self._coset_minima: dict[tuple, np.ndarray] = {}
 
     # -- element arithmetic on ids ------------------------------------
 
@@ -299,6 +302,20 @@ def transporter_set(G: PermutationGroup, P: Subgroup, Q: Subgroup) -> tuple[int,
     found = G._transporters.get(key)
     if found is None:
         found = G._transporters[key] = tuple(_conjugators(G, P, Q).tolist())
+    return found
+
+
+def coset_minima(G: PermutationGroup, L: Subgroup, R: Subgroup) -> np.ndarray:
+    """min(L·x·R) for every x in G, indexed by x: the least element of each
+    x·R from ``mul``'s R columns, then, if L is nontrivial, the least of those
+    over l·x for l in L.  Computed once per group and pair (L, R)."""
+    key = (L.ids, R.ids)
+    found = G._coset_minima.get(key)
+    if found is None:
+        found = G.mul[:, list(R.ids)].min(axis=1)
+        if L.order > 1:
+            found = found[G.mul[list(L.ids)]].min(axis=0)
+        G._coset_minima[key] = found
     return found
 
 

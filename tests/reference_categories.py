@@ -1,21 +1,83 @@
-"""Exhaustive reference for the category-law check (``plocal.categories``).
+"""Exhaustive references for the category-law check (``plocal.categories``).
 
 ``reference_verify_category`` is the law check that walks every composable
 triple, one first token a at a time, as ``verify_category`` did before it
 checked associativity only over a generating set of middle tokens.  Its
 identity and closure checks are the same array comparisons; the coset rule
-is ``verify_category``'s own ``_verify_coset_well_definedness``, which the
-generating-set change left alone.  ``test_categories.py`` requires the two
-checks to agree on ``passed``, ``associative`` and the set of failures on
-every category the pipeline builds, and on ``associative`` under injected
-faults.
+is ``reference_coset_well_definedness``, the check ``verify_category`` made
+before it read least elements from tables: it expands every coset element
+by element (``reference_cosets``) and tests every product of
+representatives of two composable cosets for membership in the composite's
+coset.  ``test_categories.py`` requires the checks to agree on ``passed``,
+``associative``, ``well_defined`` and the failures on every category the
+pipeline builds, and under injected faults.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from plocal.categories import CategoryLawsVerdict, _verify_coset_well_definedness
+from plocal.categories import _BLOCK, CategoryLawsVerdict, _expand, _flat, _offsets
+
+
+def _blocks(counts: np.ndarray) -> list[slice]:
+    """Runs of consecutive entries, a new run wherever the running total of
+    counts passes a multiple of ``_BLOCK``."""
+    run = _offsets(counts)[:-1] // _BLOCK
+    cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(counts)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def reference_cosets(C, i, j, g) -> tuple[np.ndarray, np.ndarray]:
+    """The cosets left[i]·g·right[j] a witness g from object i to object j
+    stands for, elementwise over broadcast id arrays: their elements laid
+    end to end (with repeats where the two sides overlap), and the offset
+    of each coset with the total appended."""
+    i, j, g = (np.ravel(a) for a in np.broadcast_arrays(i, j, g))
+    (kids, kat, kn), (qids, qat, qn) = (_flat([H.ids for H in side]) for side in (C.left, C.right))
+    row, pos, offs = _expand(kn[i] * qn[j])
+    i, j, g = i[row], j[row], g[row]
+    mul = C.group.mul
+    return mul[kids[kat[i] + pos // qn[j]], mul[g, qids[qat[j] + pos % qn[j]]]], offs
+
+
+def reference_least(C, i, j, g) -> np.ndarray:
+    """The least element of each coset left[i]·g·right[j], from its
+    expansion."""
+    elems, offs = reference_cosets(C, i, j, g)
+    return np.minimum.reduceat(elems, offs[:-1])
+
+
+def reference_coset_well_definedness(C, failures: list[str]) -> bool:
+    """Each witness is the least element of its expanded coset, and for every
+    filled composable pair every product of representatives of the two
+    cosets is, by a sorted-key search, an element of the composite's coset."""
+    if C.left is None:
+        return True
+    witness = C.witness
+    elems, offs = reference_cosets(C, C.src, C.tgt, witness)
+    bad = np.minimum.reduceat(elems, offs[:-1]) != witness
+    failures += [f"witness of token {t} is not the least of its coset"
+                 for t in np.flatnonzero(bad).tolist()]
+    # membership in a token's coset, by the key token * |G| + element
+    n, size = C.group.order, np.diff(offs)
+    members = np.sort(np.repeat(np.arange(C.morphism_count), size) * n + elems)
+    t1, t2 = C.pairs()
+    filled = C.composite >= 0
+    t1, t2, t3 = t1[filled], t2[filled], C.composite[filled]
+    broken = []
+    for blk in _blocks(size[t1] * size[t2]):
+        a, b, c = t1[blk], t2[blk], t3[blk]
+        pair, pos, _ = _expand(size[a] * size[b])
+        x = elems[offs[a[pair]] + pos // size[b[pair]]]
+        y = elems[offs[b[pair]] + pos % size[b[pair]]]
+        key = c[pair] * n + C.group.mul[x, y]
+        at = np.searchsorted(members, key).clip(max=len(members) - 1)
+        broken.append(blk.start + np.unique(pair[members[at] != key]))
+    broken = np.concatenate(broken or [np.zeros(0, dtype=np.int64)])
+    failures += [f"representative shift breaks composite ({t1[k]},{t2[k]})"
+                 for k in broken.tolist()]
+    return not bad.any() and not len(broken)
 
 
 def reference_verify_category(C) -> CategoryLawsVerdict:
@@ -57,7 +119,7 @@ def reference_verify_category(C) -> CategoryLawsVerdict:
                      for k in np.flatnonzero(bad).tolist()]
     associative = len(failures) == before
 
-    well_defined = _verify_coset_well_definedness(C, failures)
+    well_defined = reference_coset_well_definedness(C, failures)
     return CategoryLawsVerdict(
         associative, identities, closed, well_defined, triples, failures
     )

@@ -16,9 +16,11 @@ from plocal import (
     coset_category,
     full_subcategory,
     nerve_complex,
+    normalizer,
     quotient_projection,
     run_pipeline,
     skeleton,
+    sylow_conjugates,
     sylow_subgroup,
     verify_category,
     verify_closure_adjunction,
@@ -27,7 +29,12 @@ from plocal import (
 from plocal import categories
 from plocal.catalog import build_group
 from plocal.categories import iso_classes
-from reference_categories import reference_verify_category
+from reference_categories import (
+    reference_coset_well_definedness,
+    reference_cosets,
+    reference_least,
+    reference_verify_category,
+)
 from reference_chains import reference_by_witness, reference_compose_table, reference_mor
 from reference_omega import centric_subgroups
 
@@ -141,10 +148,105 @@ def test_coset_check_catches_a_witness_that_is_not_least():
     G = build_group("sym:3")
     C = build_orbit(G, [G.trivial_subgroup(), sylow_subgroup(G, 2)])
     t = C.mor(0, 1)[0]
-    C.witness[t] = C.cosets(C.src[t], C.tgt[t], C.witness[t])[0].max()
+    C.witness[t] = reference_cosets(C, C.src[t], C.tgt[t], C.witness[t])[0].max()
     v = verify_category(C)
     assert not v.well_defined
     assert f"witness of token {t} is not the least of its coset" in v.failures
+
+
+def coset_check(C):
+    """The coset-rule verdict and its failures, in order."""
+    failures = []
+    return categories._verify_coset_well_definedness(C, failures), failures
+
+
+def reference_coset_check(C):
+    failures = []
+    return reference_coset_well_definedness(C, failures), failures
+
+
+def s3c3_category(kind):
+    """A category on sym:3 x cyc:3 at p=2; the linking one on the three
+    Sylow subgroups, each with K(P) of order 3 on the left."""
+    G = build_group("sym:3 x cyc:3")
+    if kind == "linking":
+        return build_linking(G, 2, sylow_conjugates(G, sylow_subgroup(G, 2)))
+    builder = build_transporter if kind == "transporter" else build_orbit
+    return builder(G, build_intersection_poset(G, 2).members)
+
+
+@pytest.mark.parametrize("kind", ["transporter", "linking", "orbit"])
+def test_coset_check_matches_the_exhaustive_reference_under_a_wrong_composite(kind):
+    C = s3c3_category(kind)
+    _corrupt_one_composite(C)
+    got = coset_check(C)
+    assert not got[0]
+    assert got == reference_coset_check(C)
+
+
+@pytest.mark.parametrize("kind", ["transporter", "linking", "orbit"])
+def test_coset_check_matches_the_exhaustive_reference_outside_mor_sets(kind):
+    """40 seeded trials, each pointing one composite at a token outside its
+    morphism set, so every product of the pair is looked up in the
+    composite's own coset: the verdict and failures equal the reference's."""
+    C = s3c3_category(kind)
+    rng = np.random.default_rng(15)
+    good, (t1, t2) = C.composite.copy(), C.pairs()
+    verdicts = []
+    for _ in range(40):
+        k = int(rng.integers(len(good)))
+        a, c = C.src[t1[k]], C.tgt[t2[k]]
+        outside = np.flatnonzero((C.src != a) | (C.tgt != c))
+        C.composite[:] = good
+        C.composite[k] = outside[int(rng.integers(len(outside)))]
+        got = coset_check(C)
+        assert got == reference_coset_check(C), (kind, k)
+        verdicts.append(got[0])
+    assert not all(verdicts)
+
+
+def misplace_a_composite(C):
+    """Point one composite, of t1: i -> j with witness a and t2: j -> k with
+    witness b, at a token outside Mor(i, k) whose coset holds every a r l b
+    (r in right[j], l in left[j]) but not every product of representatives;
+    the pair's failure message."""
+    t1, t2 = C.pairs()
+    mul, m = C.group.mul, C.object_count
+    s, e = (x.ravel() for x in np.meshgrid(np.arange(m), np.arange(m), indexing="ij"))
+
+    def within(t3, z):
+        """Whether every element of z lies in the coset of each token t3."""
+        least = reference_least(C, s[:, None], e[:, None], z[None, :]).reshape(len(s), -1)
+        return (least == C.witness[t3][:, None]).all(axis=1)
+
+    for q in range(len(t1)):
+        a, b, j = C.witness[t1[q]], C.witness[t2[q]], C.tgt[t1[q]]
+        middle = mul[mul[a, C.right[j].ids][:, None], mul[C.left[j].ids, b]].ravel()
+        x, y = (reference_cosets(C, C.src[t], C.tgt[t], C.witness[t])[0] for t in (t1[q], t2[q]))
+        t3 = C.tokens_of(s, e, reference_least(C, s, e, mul[a, b]))
+        hit = (t3 >= 0) & (t3 != C.composite[q]) & within(t3, middle)
+        hit &= ~within(t3, mul[x[:, None], y].ravel())
+        if hit.any():
+            C.composite[q] = t3[np.flatnonzero(hit)[0]]
+            return f"representative shift breaks composite ({t1[q]},{t2[q]})"
+    raise AssertionError("no composite to misplace")
+
+
+def test_coset_check_judges_every_product_of_a_composite_outside_its_mor_set():
+    """The products through the middle object lie in the misplaced
+    composite's coset, so only those through the outer sides, right(R) on the
+    orbit category and left(P) on a category with varying left sides, show
+    the fault."""
+    G = build_group("sym:4")
+    members = build_intersection_poset(G, 2).members
+    three = G.generated_subgroup([G.element_orders.index(3)])
+    trivial = G.trivial_subgroup()
+    lefts = [trivial if k % 2 else three for k in range(len(members))]
+    for C in (s3c3_category("orbit"), both_sided(G, members, lefts, [trivial] * len(members))):
+        message = misplace_a_composite(C)
+        got = coset_check(C)
+        assert got == reference_coset_check(C)
+        assert message in got[1]
 
 
 def test_quotient_projection_fibers():
@@ -235,6 +337,23 @@ def test_closure_adjunction():
         assert v.passed, (spec, p, v.failures[:3])
 
 
+def test_adjunction_composes_without_the_larger_orbit_table():
+    """On sym:4 x cyc:2 at p=2, a budget that admits the members' orbit
+    table but not the one on every subgroup of the Sylow: the adjunction
+    composes the larger category's morphisms by the coset rule and passes."""
+    G = build_group("sym:4 x cyc:2")
+    poset = build_intersection_poset(G, 2)
+    subs = all_subgroups(sylow_subgroup(G, 2))
+    members = int(build_orbit(G, poset.members).pair_start[-1])
+    everything = sorted({H.ids: H for H in subs + poset.members}.values(), key=lambda H: H.key)
+    assert members < int(build_orbit(G, everything, table_budget=None).pair_start[-1])
+    v = verify_closure_adjunction(G, 2, poset, subs, table_budget=members)
+    assert v.passed, v.failures[:3]
+    rep = run_pipeline("sym:4 x cyc:2", PipelineConfig(
+        prime=2, max_degree=2, checks=("adjunction",), budget=members, include_timings=False))
+    assert rep.verdicts["closure_inclusion_adjunction"] == "pass"
+
+
 def test_coset_category_contractible():
     G = build_group("sym:4")
     poset = build_intersection_poset(G, 2)
@@ -260,10 +379,12 @@ BUILDERS = {"build_transporter", "build_linking", "build_orbit",
             "group_category", "coset_category", "full_subcategory"}
 
 
-def pipeline_categories(monkeypatch):
+def pipeline_categories(monkeypatch, composed_only=True):
     """(spec, p, builder, category) for every category the pipeline builds
     for the catalog at p in {2, 3}, skeleta and the thin coset category
-    included, with the name of the function that built it."""
+    included, with the name of the function that built it; unless
+    ``composed_only`` is False, without the categories built with no
+    composition store (the adjunction's larger orbit category)."""
     built = []
     real_init = categories.FiniteCategory.__init__
 
@@ -282,7 +403,8 @@ def pipeline_categories(monkeypatch):
             batch = built[:]
             built.clear()
             for builder, C in batch:
-                yield spec, p, builder, C
+                if C.composite is not None or not composed_only:
+                    yield spec, p, builder, C
 
 
 def test_store_matches_reference_table_on_every_pipeline_category(monkeypatch):
@@ -293,6 +415,66 @@ def test_store_matches_reference_table_on_every_pipeline_category(monkeypatch):
         assert store_table(C) == reference_compose_table(C), (spec, p, builder)
         builders.add(builder)
     assert builders >= BUILDERS
+
+
+def check_least_tables(C):
+    """``canonicals`` against the least element of the expanded coset, for
+    every object pair and every element of G."""
+    m, n = C.object_count, C.group.order
+    i, j, g = (a.ravel() for a in np.meshgrid(np.arange(m), np.arange(m), np.arange(n),
+                                               indexing="ij"))
+    assert C.canonicals(i, j, g).tolist() == reference_least(C, i, j, g).tolist()
+
+
+def test_least_tables_match_expanded_cosets_on_every_pipeline_category(monkeypatch):
+    builders = set()
+    for spec, p, builder, C in pipeline_categories(monkeypatch, composed_only=False):
+        if C.left is not None:
+            check_least_tables(C)
+            builders.add(builder)
+    assert builders >= BUILDERS - {"coset_category"}
+
+
+def test_coset_check_matches_the_exhaustive_reference_on_every_pipeline_category(
+        monkeypatch):
+    """The table check gives the reference's verdict and failure list, in
+    order."""
+    for spec, p, builder, C in pipeline_categories(monkeypatch):
+        assert coset_check(C) == reference_coset_check(C), (spec, p, builder)
+
+
+def both_sided(G, objects, left, right):
+    """A category built by the coset rule with the given sides."""
+    C = categories.FiniteCategory("both-sided", objects, G)
+    C.left, C.right = left, right
+    return categories._fill_cosets(C, table_budget=10 ** 6)
+
+
+def test_least_tables_on_cosets_with_both_sides_nontrivial():
+    """Double cosets L x R: with the normal Klein four group V on both sides
+    the rule composes (V g V)(V h V) = V g h V and every law holds; with
+    sides that do not absorb each other the check still reports exactly the
+    reference's failures."""
+    G = build_group("sym:4")
+    members = build_intersection_poset(G, 2).members
+    V = next(H for H in all_subgroups(sylow_subgroup(G, 2))
+             if H.order == 4 and normalizer(G, H).order == G.order)
+    C = both_sided(G, members, [V] * len(members), [V] * len(members))
+    check_least_tables(C)
+    v = verify_category(C)
+    assert v.passed and laws(v) == laws(reference_verify_category(C))
+    assert coset_check(C) == reference_coset_check(C)
+
+    three = G.generated_subgroup([G.element_orders.index(3)])
+    two = G.generated_subgroup([G.element_orders.index(2)])
+    sides = [three, V, two]
+    C = both_sided(G, members, [sides[k % 3] for k in range(len(members))],
+                   [sides[(k + 1) % 3] for k in range(len(members))])
+    assert all(C.left[k].order > 1 and C.right[k].order > 1 for k in range(len(members)))
+    check_least_tables(C)
+    got = coset_check(C)
+    assert got == reference_coset_check(C)
+    assert not got[0]
 
 
 def generated_by(C, S) -> np.ndarray:

@@ -245,11 +245,10 @@ class FiniteCategory:
 # -- builders ---------------------------------------------------------------
 
 
-def _fill_cosets(cat: FiniteCategory, table_budget: int | None) -> FiniteCategory:
+def _fill_cosets(cat: FiniteCategory) -> FiniteCategory:
     """Add one token per coset left[i]·g·right[j] of the transporter elements
     g from object i to object j, witnessed by its least element, in order of
-    (i, j, witness), and compose by the same rule unless ``table_budget`` is
-    None."""
+    (i, j, witness)."""
     G, m, n = cat.group, cat.object_count, cat.group.order
     found = [transporter_set(G, P, Q) for P in cat.objects for Q in cat.objects]
     pair = np.repeat(np.arange(m * m), np.array([len(ts) for ts in found], dtype=np.int64))
@@ -261,8 +260,6 @@ def _fill_cosets(cat: FiniteCategory, table_budget: int | None) -> FiniteCategor
     at = np.flatnonzero((src == tgt) & (witness == 0))
     ident[src[at]] = at
     cat.set_tokens(src, tgt, witness, ident)
-    if table_budget is not None:
-        cat.fill_composition(table_budget)
     return cat
 
 
@@ -271,7 +268,8 @@ def build_transporter(G: PermutationGroup, collection,
     """The transporter category: Mor(P, Q) = N_G(P, Q), one token per element."""
     cat = FiniteCategory("transporter", list(collection), G)
     cat.left = cat.right = [G.trivial_subgroup()] * cat.object_count
-    return _fill_cosets(cat, table_budget)
+    _fill_cosets(cat).fill_composition(table_budget)
+    return cat
 
 
 def build_linking(G: PermutationGroup, p: int, centric_collection,
@@ -286,17 +284,19 @@ def build_linking(G: PermutationGroup, p: int, centric_collection,
     cat = FiniteCategory("linking", objs, G)
     cat.left = [r.residual for r in records]
     cat.right = [G.trivial_subgroup()] * len(objs)
-    return _fill_cosets(cat, table_budget)
+    _fill_cosets(cat).fill_composition(table_budget)
+    return cat
 
 
 def build_orbit(G: PermutationGroup, collection,
-                table_budget: int | None = DEFAULT_BUDGET) -> FiniteCategory:
+                table_budget: int = DEFAULT_BUDGET) -> FiniteCategory:
     """The orbit category: Mor(P, Q) = N_G(P, Q)/Q, with Q acting on the
-    right; with no composition store when ``table_budget`` is None."""
+    right."""
     cat = FiniteCategory("orbit", list(collection), G)
     cat.left = [G.trivial_subgroup()] * cat.object_count
     cat.right = cat.objects
-    return _fill_cosets(cat, table_budget)
+    _fill_cosets(cat).fill_composition(table_budget)
+    return cat
 
 
 def group_category(G: PermutationGroup, P: Subgroup) -> FiniteCategory:
@@ -728,7 +728,10 @@ def verify_closure_adjunction(
     """Check that closure is left adjoint to inclusion between the orbit
     category on all p-subgroups and the one on intersection-poset members:
     the morphism sets Mor(P, Q) and Mor(P°, Q) coincide for closed Q, and the
-    identification commutes with composition on both sides."""
+    identification commutes with composition on both sides.  Raises
+    ``BudgetExceeded`` when the members' orbit table, or the pairs of the
+    larger orbit category one test subgroup's precomposition square
+    composes, exceed ``table_budget``."""
     failures: list[str] = []
     members = poset.members
     collection: list[Subgroup] = []
@@ -738,9 +741,13 @@ def verify_closure_adjunction(
             seen.add(H.ids)
             collection.append(H)
     collection.sort(key=lambda H: H.key)
-    # only two families of big's composites are read, so they are composed
-    # by the coset rule where needed and big keeps no composition store
-    big = build_orbit(G, collection, table_budget=None)
+    # the orbit category on the collection; only two families of its
+    # composites are read, so they are composed by the coset rule where
+    # needed and it keeps no composition store
+    big = FiniteCategory("orbit", collection, G)
+    big.left = [G.trivial_subgroup()] * big.object_count
+    big.right = big.objects
+    _fill_cosets(big)
     omega = build_orbit(G, members, table_budget)
     big_idx = {H.ids: i for i, H in enumerate(collection)}
     om_idx = {H.ids: i for i, H in enumerate(members)}
@@ -780,15 +787,20 @@ def verify_closure_adjunction(
         phi_big = big.tokens_of(iP, big_of[omega.tgt[phi]], w_om[phi])
         found = phi_big >= 0
         phi, phi_big = phi[found], phi_big[found]
-        k, pos, _ = _expand(np.diff(omega.pair_start)[phi])
-        slot = omega.pair_start[phi[k]] + pos
-        post = differ(big.coset_composites(phi_big[k], lift[om_next[slot]]),
-                      omega.composite[slot])
         u = np.flatnonzero((om_of[big.src] >= 0) & (big.tgt == iP))
         iu = om_of[big.src[u]]
         uc = omega.tokens_of(iu, iPc, omega.canonicals(iu, iPc, w_big[u]))
         closed = uc >= 0
         u, uc = u[closed, None], uc[closed, None]
+        # each family is composed as one array: the postcomposition pairs
+        # are omega's, within the budget once omega is built; the
+        # precomposition pairs are counted before they are formed
+        if len(u) * len(phi_big) > table_budget:
+            raise BudgetExceeded(2, len(u) * len(phi_big), table_budget)
+        k, pos, _ = _expand(np.diff(omega.pair_start)[phi])
+        slot = omega.pair_start[phi[k]] + pos
+        post = differ(big.coset_composites(phi_big[k], lift[om_next[slot]]),
+                      omega.composite[slot])
         pre = differ(big.coset_composites(u, phi_big), omega.composites(uc, phi))
         missing = int((~found).sum())
         tgt_failures += (["identification misses a morphism"] * missing

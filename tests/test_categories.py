@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plocal import (
+    BudgetExceeded,
     Functor,
     NotCentric,
     PLocalError,
@@ -339,19 +340,26 @@ def test_closure_adjunction():
 
 def test_adjunction_composes_without_the_larger_orbit_table():
     """On sym:4 x cyc:2 at p=2, a budget that admits the members' orbit
-    table but not the one on every subgroup of the Sylow: the adjunction
-    composes the larger category's morphisms by the coset rule and passes."""
+    table and each precomposition square but not the orbit table on every
+    subgroup of the Sylow: the adjunction composes the larger category's
+    morphisms by the coset rule and passes.  At the members' table alone
+    the precomposition squares overrun it and the verdict is not
+    certified."""
     G = build_group("sym:4 x cyc:2")
     poset = build_intersection_poset(G, 2)
     subs = all_subgroups(sylow_subgroup(G, 2))
     members = int(build_orbit(G, poset.members).pair_start[-1])
     everything = sorted({H.ids: H for H in subs + poset.members}.values(), key=lambda H: H.key)
-    assert members < int(build_orbit(G, everything, table_budget=None).pair_start[-1])
-    v = verify_closure_adjunction(G, 2, poset, subs, table_budget=members)
+    budget = 2000
+    assert members < budget < int(build_orbit(G, everything, 10 ** 7).pair_start[-1])
+    v = verify_closure_adjunction(G, 2, poset, subs, table_budget=budget)
     assert v.passed, v.failures[:3]
-    rep = run_pipeline("sym:4 x cyc:2", PipelineConfig(
-        prime=2, max_degree=2, checks=("adjunction",), budget=members, include_timings=False))
-    assert rep.verdicts["closure_inclusion_adjunction"] == "pass"
+    with pytest.raises(BudgetExceeded):
+        verify_closure_adjunction(G, 2, poset, subs, table_budget=members)
+    for b, verdict in ((budget, "pass"), (members, "not-certified")):
+        rep = run_pipeline("sym:4 x cyc:2", PipelineConfig(
+            prime=2, max_degree=2, checks=("adjunction",), budget=b, include_timings=False))
+        assert rep.verdicts["closure_inclusion_adjunction"] == verdict
 
 
 def test_coset_category_contractible():
@@ -376,15 +384,16 @@ def store_table(C):
 
 
 BUILDERS = {"build_transporter", "build_linking", "build_orbit",
-            "group_category", "coset_category", "full_subcategory"}
+            "group_category", "coset_category", "full_subcategory",
+            "verify_closure_adjunction"}
 
 
-def pipeline_categories(monkeypatch, composed_only=True):
+def pipeline_categories(monkeypatch):
     """(spec, p, builder, category) for every category the pipeline builds
     for the catalog at p in {2, 3}, skeleta and the thin coset category
-    included, with the name of the function that built it; unless
-    ``composed_only`` is False, without the categories built with no
-    composition store (the adjunction's larger orbit category)."""
+    included, with the name of the function that built it.  A category the
+    pipeline left without a composition store (the adjunction's larger
+    orbit category) is given one after the run."""
     built = []
     real_init = categories.FiniteCategory.__init__
 
@@ -403,8 +412,9 @@ def pipeline_categories(monkeypatch, composed_only=True):
             batch = built[:]
             built.clear()
             for builder, C in batch:
-                if C.composite is not None or not composed_only:
-                    yield spec, p, builder, C
+                if C.composite is None:
+                    C.fill_composition(int(C.pair_start[-1]))
+                yield spec, p, builder, C
 
 
 def test_store_matches_reference_table_on_every_pipeline_category(monkeypatch):
@@ -428,7 +438,7 @@ def check_least_tables(C):
 
 def test_least_tables_match_expanded_cosets_on_every_pipeline_category(monkeypatch):
     builders = set()
-    for spec, p, builder, C in pipeline_categories(monkeypatch, composed_only=False):
+    for spec, p, builder, C in pipeline_categories(monkeypatch):
         if C.left is not None:
             check_least_tables(C)
             builders.add(builder)
@@ -447,7 +457,8 @@ def both_sided(G, objects, left, right):
     """A category built by the coset rule with the given sides."""
     C = categories.FiniteCategory("both-sided", objects, G)
     C.left, C.right = left, right
-    return categories._fill_cosets(C, table_budget=10 ** 6)
+    categories._fill_cosets(C).fill_composition(10 ** 6)
+    return C
 
 
 def test_least_tables_on_cosets_with_both_sides_nontrivial():

@@ -34,9 +34,10 @@ the block of t1's target; each has one slot in the int array
 ``composite``, at ``pair_start[t1] + (t2 - first[src[t2]])``, which puts
 the pairs in lexicographic order.  An unfilled slot holds -1.
 ``fill_composition`` and ``coset_category`` write this store and
-``full_subcategory`` gathers it from the parent's; the scalar ``compose``,
-the elementwise ``composites``, ``chains``, the functor checks and
-``verify_category`` all read it.
+``full_subcategory`` gathers it from the parent's.  It has one reader of
+chosen pairs, the elementwise ``composites``, which ``chains``, the functor
+and quotient checks and ``verify_category`` use; the laws and the functor
+checks also read the whole array in slot order.
 
 Laws: ``verify_category`` checks identities and closure on every token and
 composable pair, and associativity by Light's test (Clifford–Preston, *The
@@ -59,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, NotCentric, PLocalError
-from .groups import PermutationGroup, Subgroup, coset_minima, transporter_set
+from .groups import PermutationGroup, Subgroup, coset_minima, transporters
 from .omega import IntersectionPoset, classify_centric, closure_in_poset
 
 
@@ -201,18 +202,6 @@ class FiniteCategory:
         block = slice(self.first[i], self.first[i + 1])
         return (self.first[i] + np.flatnonzero(self.tgt[block] == j)).tolist()
 
-    def slot(self, t1: int, t2: int) -> int:
-        """The index of the pair (t1, t2) in ``composite``."""
-        if self.tgt[t1] != self.src[t2]:
-            raise PLocalError(f"tokens {t1} and {t2} do not compose")
-        return int(self.pair_start[t1] + t2 - self.first[self.src[t2]])
-
-    def compose(self, t1: int, t2: int) -> int:
-        t = int(self.composite[self.slot(t1, t2)])
-        if t < 0:
-            raise PLocalError(f"composite of tokens ({t1},{t2}) is not filled")
-        return t
-
     def composites(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Composites of the tokens a then b, elementwise; -1 where a pair
         does not compose or its slot is unfilled."""
@@ -229,18 +218,6 @@ class FiniteCategory:
     def morphism_count(self) -> int:
         return len(self.src)
 
-    def endomorphism_order(self, tid: int) -> int:
-        """Order of an invertible endomorphism under category composition."""
-        obj = self.src[tid]
-        ident, bound = self.identity_ids[obj], len(self.mor(obj, obj)) + 1
-        k, cur = 1, tid
-        while cur != ident:
-            cur = self.compose(cur, tid)
-            k += 1
-            if k > bound:
-                raise PLocalError(f"endomorphism token {tid} is not invertible")
-        return k
-
 
 # -- builders ---------------------------------------------------------------
 
@@ -249,10 +226,8 @@ def _fill_cosets(cat: FiniteCategory) -> FiniteCategory:
     """Add one token per coset left[i]·g·right[j] of the transporter elements
     g from object i to object j, witnessed by its least element, in order of
     (i, j, witness)."""
-    G, m, n = cat.group, cat.object_count, cat.group.order
-    found = [transporter_set(G, P, Q) for P in cat.objects for Q in cat.objects]
-    pair = np.repeat(np.arange(m * m), np.array([len(ts) for ts in found], dtype=np.int64))
-    g = np.fromiter((x for ts in found for x in ts), np.intp, len(pair))
+    m, n = cat.object_count, cat.group.order
+    pair, g = np.divmod(np.flatnonzero(transporters(cat.group, cat.objects, cat.objects)), n)
     witness = cat.canonicals(pair // m, pair % m, g)
     pair, witness = np.divmod(np.unique(pair * n + witness), n)
     src, tgt = np.divmod(pair, m)
@@ -340,9 +315,6 @@ class Functor:
     target: FiniteCategory
     object_map: list[int]
     morphism_map: list[int]     # source token id -> target token id
-
-    def apply(self, tid: int) -> int:
-        return self.morphism_map[tid]
 
     def violations(self) -> list[str]:
         S, T = self.source, self.target
@@ -636,69 +608,75 @@ class QuotientFunctorVerdict:
         )
 
 
-def automorphism_tokens(C: FiniteCategory, i: int) -> list[int]:
-    ends = np.array(C.mor(i, i), dtype=np.int64)
-    t, s = np.repeat(ends, len(ends)), np.tile(ends, len(ends))
-    one = C.identity_ids[i]
-    return np.unique(t[(C.composites(t, s) == one) & (C.composites(s, t) == one)]).tolist()
+def _mismatch(key_a, val_a, key_b, val_b, width: int) -> list[int]:
+    """The keys k, ascending, whose sets {v : (k, v) in a} and {v : (k, v)
+    in b} differ, for values from -1 to width - 2."""
+    x = np.setxor1d(key_a * width + val_a + 1, key_b * width + val_b + 1)
+    return np.unique(x // width).tolist()
+
+
+def _matches(keys: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair (q, k) with ``keys[k] == want[q]``."""
+    order = np.argsort(keys, kind="stable")
+    lo, hi = (np.searchsorted(keys[order], want, side=s) for s in ("left", "right"))
+    q, pos, _ = _expand(hi - lo)
+    return q, order[lo[q] + pos]
 
 
 def verify_quotient_functor(psi: Functor, p: int) -> QuotientFunctorVerdict:
     """Check the three conditions under which a surjective quotient of
     categories is transparent to mod-p homology: bijectivity on isomorphism
     classes plus morphism-set surjectivity, kernels of order prime to p, and
-    fibers that are exactly right-translates by the kernel."""
-    C, D = psi.source, psi.target
-    failures: list[str] = []
+    fibers that are exactly right-translates by the kernel.
 
-    src_class_of, src_classes = iso_classes(C)
-    tgt_class_of, tgt_classes = iso_classes(D)
-    image_classes = [tgt_class_of[psi.object_map[cls[0]]] for cls in src_classes]
-    injective = len(set(image_classes)) == len(image_classes)
-    surjective_classes = set(image_classes) == set(range(len(tgt_classes)))
-    for cls in src_classes:
-        imgs = {tgt_class_of[psi.object_map[i]] for i in cls}
-        if len(imgs) != 1:
-            injective = False
-            failures.append("isomorphic objects map to non-isomorphic objects")
-    iso_bij = injective and surjective_classes
+    Each is an array comparison over the token arrays.  The kernel at i is
+    the loops at i mapped onto the identity of ψi; their orders come at
+    once, by composing each with itself until it is the identity, which a
+    loop of finite order reaches within |Mor(i, i)| steps.  The fiber of f
+    must be {s f : s in the kernel} = {g in Mor(i, j) : ψg = ψf}."""
+    C, D = psi.source, psi.target
+    m, n, md, nd = C.object_count, C.morphism_count, D.object_count, D.morphism_count
+    fmap = np.asarray(psi.morphism_map, dtype=np.int64)
+    omap = np.asarray(psi.object_map, dtype=np.int64)
+
+    # the distinct (class, image class) of the objects: one per class, and
+    # the images every class of D once
+    tgt_class, tgt_classes = iso_classes(D)
+    cls, img = np.unique(np.stack([iso_classes(C)[0], np.asarray(tgt_class)[omap]]), axis=1)
+    split = int((np.bincount(cls) > 1).sum())
+    failures = ["isomorphic objects map to non-isomorphic objects"] * split
+    iso_bij = not split and np.array_equal(np.sort(img), np.arange(len(tgt_classes)))
     if not iso_bij:
         failures.append("not bijective on isomorphism classes")
 
-    mor_surj = True
-    for i in range(C.object_count):
-        for j in range(C.object_count):
-            hit = {psi.apply(t) for t in C.mor(i, j)}
-            want = set(D.mor(psi.object_map[i], psi.object_map[j]))
-            if hit != want:
-                mor_surj = False
-                failures.append(f"morphism map not surjective on Mor({i},{j})")
+    # (i, j) with the images of Mor(i, j), against the tokens of Mor(ψi, ψj)
+    ij = np.arange(m * m)
+    q, u = _matches(D.src * md + D.tgt, omap[ij // m] * md + omap[ij % m])
+    unhit = _mismatch(C.src * m + C.tgt, fmap, q, u, nd + 1)
+    failures += [f"morphism map not surjective on Mor({k // m},{k % m})" for k in unhit]
 
-    kernels: list[list[int]] = []
-    kernels_ok = True
-    for i in range(C.object_count):
-        ident_img = D.identity_ids[psi.object_map[i]]
-        K = [t for t in automorphism_tokens(C, i) if psi.apply(t) == ident_img]
-        kernels.append(K)
-        for t in K:
-            if C.endomorphism_order(t) % p == 0:
-                kernels_ok = False
-                failures.append(f"kernel element at object {i} has order divisible by {p}")
+    kernel = np.flatnonzero((C.src == C.tgt) & (fmap == D.identity_ids[omap[C.src]]))
+    at = C.src[kernel]
+    one, order, cur = C.identity_ids[at], np.zeros(len(kernel), dtype=np.int64), kernel
+    for k in range(1, n + 1):
+        order[(order == 0) & (cur == one) & (cur >= 0)] = k
+        if order.all():
+            break
+        cur = np.where(cur >= 0, C.composites(np.maximum(cur, 0), kernel), -1)
+    if not order.all():
+        raise PLocalError(f"endomorphism token {kernel[order == 0][0]} is not invertible")
+    failures += [f"kernel element at object {i} has order divisible by {p}"
+                 for i in at[order % p == 0].tolist()]
 
-    fibers_ok = True
-    for i in range(C.object_count):
-        K = kernels[i]
-        for j in range(C.object_count):
-            toks = C.mor(i, j)
-            for f in toks:
-                orbit = {C.compose(s, f) for s in K}
-                fiber = {g for g in toks if psi.apply(g) == psi.apply(f)}
-                if orbit != fiber:
-                    fibers_ok = False
-                    failures.append(f"fiber of token {f} is not a kernel orbit")
+    # (f, s f) for s in the kernel at f's source, against (f, g) for ψg = ψf
+    kat = _offsets(np.bincount(at, minlength=m))
+    f, pos, _ = _expand(np.diff(kat)[C.src])
+    key = (C.src * m + C.tgt) * nd + fmap
+    loose = _mismatch(f, C.composites(kernel[kat[C.src[f]] + pos], f), *_matches(key, key), n + 1)
+    failures += [f"fiber of token {t} is not a kernel orbit" for t in loose]
     return QuotientFunctorVerdict(
-        iso_bij, mor_surj, kernels_ok, fibers_ok,
-        [len(K) for K in kernels], failures,
+        iso_bij, not unhit, not (order % p == 0).any(), not loose,
+        np.diff(kat).tolist(), failures,
     )
 
 

@@ -4,12 +4,13 @@ Everything is enumerated: a group stores its full element list in a canonical
 order (lexicographic on image arrays) and one multiplication table
 ``mul[a, b]``, the id of ``elements[a] * elements[b]``, in the smallest
 unsigned dtype that holds the order.  Subgroups are explicit sorted id sets.
-Transporter sets, normalizers and centralizers come from one conjugation
-filter and conjugacy classes of subgroups from ``conjugates``; both read
-``mul`` as arrays and hand out Python ints.  A group keeps each (immutable)
-transporter set it computes, and each table ``coset_minima`` builds: for a
-pair of subgroups (L, R), the least element of L·x·R for every x in G.
-Conjugation is on the right,
+Transporter sets and normalizers come from one kernel, ``transporters``,
+which conjugates a source's generators by every element at once and reads
+membership in all targets at once; centralizers come from one conjugation
+filter and conjugacy classes of subgroups from ``conjugates``.  All read
+``mul`` as arrays and hand out Python ints.  A group keeps only the tables
+``coset_minima`` builds: for a pair of subgroups (L, R), the least element
+of L·x·R for every x in G.  Conjugation is on the right,
 ``x^g = g^-1 x g``, which makes ``(P^g)^h = P^(g h)`` and lets transporter
 elements compose left to right.
 """
@@ -107,7 +108,6 @@ class PermutationGroup:
         self.mul = cols.T
         self.inverse_ids = self.mul.argmin(axis=1)  # the one b with a * b = 1
         self.element_orders = tuple(e.order() for e in self.elements)
-        self._transporters: dict[tuple, tuple[int, ...]] = {}
         self._coset_minima: dict[tuple, np.ndarray] = {}
 
     # -- element arithmetic on ids ------------------------------------
@@ -266,18 +266,29 @@ def _conj(G: PermutationGroup, x, g) -> np.ndarray:
     return G.mul[G.mul[G.inverse_ids[g], x], g]
 
 
-def _conjugators(G: PermutationGroup, P: Subgroup, Q: Subgroup | None = None) -> np.ndarray:
-    """The ids g, ascending, with x^g in Q for every generator x of P, or with
-    x^g = x when Q is None: the one filter behind transporter sets,
-    normalizers and centralizers."""
+def _conjugators(G: PermutationGroup, P: Subgroup) -> np.ndarray:
+    """The ids g, ascending, with x^g = x for every generator x of P: the
+    filter behind centralizers and centers."""
     g = np.arange(G.order)
-    inside = np.zeros(G.order, dtype=bool)
-    if Q is not None:
-        inside[list(Q.ids)] = True
     for x in P.generating_ids:
-        y = _conj(G, x, g)
-        g = g[y == x if Q is None else inside[y]]
+        g = g[_conj(G, x, g) == x]
     return g
+
+
+def transporters(G: PermutationGroup, sources, targets) -> np.ndarray:
+    """The (source, target, g) mask of N_G(P, Q) = {g : P^g <= Q}: each
+    generator of a source is conjugated by every g at once and its images'
+    rows gathered from one (element, target) membership table, so no more
+    than one |G| × targets mask is held on top of the output."""
+    inside = np.zeros((G.order, len(targets)), dtype=bool)
+    for k, Q in enumerate(targets):
+        inside[list(Q.ids), k] = True
+    out = np.ones((len(sources), G.order, len(targets)), dtype=bool)
+    g = np.arange(G.order)
+    for s, P in enumerate(sources):
+        for x in P.generating_ids:
+            out[s] &= inside[_conj(G, x, g)]
+    return out.transpose(0, 2, 1)
 
 
 def centralizer(G: PermutationGroup, P: Subgroup) -> Subgroup:
@@ -287,7 +298,7 @@ def centralizer(G: PermutationGroup, P: Subgroup) -> Subgroup:
 
 def normalizer(G: PermutationGroup, P: Subgroup) -> Subgroup:
     """N_G(P) = N_G(P, P)."""
-    return Subgroup(G, _conjugators(G, P, P).tolist())
+    return Subgroup(G, np.flatnonzero(transporters(G, [P], [P])[0, 0]).tolist())
 
 
 def center(P: Subgroup) -> Subgroup:
@@ -296,13 +307,9 @@ def center(P: Subgroup) -> Subgroup:
 
 
 def transporter_set(G: PermutationGroup, P: Subgroup, Q: Subgroup) -> tuple[int, ...]:
-    """N_G(P, Q) = {g : P^g <= Q}, as a sorted tuple of element ids,
-    computed once per group and pair (P, Q)."""
-    key = (P.ids, Q.ids)
-    found = G._transporters.get(key)
-    if found is None:
-        found = G._transporters[key] = tuple(_conjugators(G, P, Q).tolist())
-    return found
+    """N_G(P, Q) = {g : P^g <= Q}, as a sorted tuple of element ids: the one
+    pair view of ``transporters``."""
+    return tuple(np.flatnonzero(transporters(G, [P], [Q])[0, 0]).tolist())
 
 
 def coset_minima(G: PermutationGroup, L: Subgroup, R: Subgroup) -> np.ndarray:

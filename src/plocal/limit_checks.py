@@ -49,11 +49,12 @@ from .limits import (
 from .omega import IntersectionPoset, build_intersection_poset, is_centric
 
 
-def p_class_representatives(G: PermutationGroup, p: int, sylow: Subgroup) -> list[Subgroup]:
-    """One canonical representative per conjugacy class of p-subgroups: the
-    least conjugate."""
+def p_class_representatives(G: PermutationGroup, p: int, subgroups) -> list[Subgroup]:
+    """One canonical representative per conjugacy class of p-subgroups, the
+    least conjugate, from the subgroups of any one Sylow p-subgroup: every
+    class meets every Sylow."""
     reps: dict[tuple[int, ...], Subgroup] = {}
-    for H in all_subgroups(sylow):
+    for H in subgroups:
         least = conjugates(G, H)[0]
         reps.setdefault(least.ids, least)
     return [reps[k] for k in sorted(reps, key=lambda ids: (len(ids), ids))]
@@ -94,11 +95,13 @@ def build_orbit_skeletons(
     p: int,
     poset: IntersectionPoset | None = None,
     table_budget: int = DEFAULT_BUDGET,
+    sylow_subgroups: list[Subgroup] | None = None,
 ) -> OrbitSkeletons:
     poset = poset or build_intersection_poset(G, p)
-    # any Sylow works; the minimal-key conjugate keeps output reproducible
+    # any Sylow works, for ``sylow_subgroups`` (every subgroup of one) too;
+    # the minimal-key conjugate keeps output reproducible
     S = min(poset.sylows, key=lambda T: T.key)
-    p_reps = p_class_representatives(G, p, S)
+    p_reps = p_class_representatives(G, p, sylow_subgroups or all_subgroups(S))
     p_cat = build_orbit(G, p_reps, table_budget)
     # a poset class is a whole conjugacy class, so its least member is its
     # representative in p_reps

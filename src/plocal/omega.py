@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import NotPSubgroup, PLocalError
 from .groups import (
     PermutationGroup,
@@ -21,7 +23,7 @@ from .groups import (
     p_residual,
     sylow_conjugates,
     sylow_subgroup,
-    transporter_set,
+    transporters,
 )
 
 
@@ -232,18 +234,15 @@ def verify_closure_properties(
         if closure_in_poset(poset, M).ids != M.ids:
             b = False
 
-    c = True
-    d = True
-    pairs = 0
-    for P in test_subgroups:
-        Pc = clos[P.ids]
-        for Q in test_subgroups:
-            pairs += 1
-            npq = set(transporter_set(G, P, Q))
-            if not npq <= set(transporter_set(G, Pc, clos[Q.ids])):
-                c = False
-        for i, M in enumerate(poset.members):
-            pairs += 1
-            if transporter_set(G, Pc, M) != transporter_set(G, P, M):
-                d = False
+    sources = list({H.ids: H for H in [*test_subgroups, *clos.values()]}.values())
+    targets = list({H.ids: H for H in [*sources, *poset.members]}.values())
+    at = {H.ids: k for k, H in enumerate(targets)}
+    N = transporters(G, sources, targets)
+    tests = [at[P.ids] for P in test_subgroups]
+    closed = [at[clos[P.ids].ids] for P in test_subgroups]
+    members = [at[M.ids] for M in poset.members]
+    # N(P, Q) ⊆ N(P°, Q°) for P, Q tests; N(P°, M) = N(P, M) for M a member
+    c = not (N[np.ix_(tests, tests)] & ~N[np.ix_(closed, closed)]).any()
+    d = bool((N[np.ix_(closed, members)] == N[np.ix_(tests, members)]).all())
+    pairs = len(tests) * (len(tests) + len(members))
     return ClosureVerdict(a, b, c, d, pairs)

@@ -205,7 +205,8 @@ class PipelineRun:
     def skeletons(self) -> OrbitSkeletons:
         return self._get(
             "skeletons",
-            lambda: build_orbit_skeletons(self.G, self.p, self.poset, self.cfg.budget),
+            lambda: build_orbit_skeletons(self.G, self.p, self.poset, self.cfg.budget,
+                                          self.sylow_subgroup_list),
         )
 
     @property

@@ -11,13 +11,29 @@ representatives of two composable cosets for membership in the composite's
 coset.  ``test_categories.py`` requires the checks to agree on ``passed``,
 ``associative``, ``well_defined`` and the failures on every category the
 pipeline builds, and under injected faults.
+
+``reference_verify_quotient_functor`` is the quotient-functor check as
+per-object and per-token loops over sets, as it was before it became array
+comparisons over the token arrays: kernels are the automorphisms mapped to an
+identity, each one's order found by composing it with itself one store
+lookup at a time.  The tests require the same flags, kernel orders and
+failures from both checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from plocal.categories import _BLOCK, CategoryLawsVerdict, _expand, _flat, _offsets
+from plocal.categories import (
+    _BLOCK,
+    CategoryLawsVerdict,
+    QuotientFunctorVerdict,
+    _expand,
+    _flat,
+    _offsets,
+    iso_classes,
+)
+from plocal.errors import PLocalError
 
 
 def _blocks(counts: np.ndarray) -> list[slice]:
@@ -122,4 +138,82 @@ def reference_verify_category(C) -> CategoryLawsVerdict:
     well_defined = reference_coset_well_definedness(C, failures)
     return CategoryLawsVerdict(
         associative, identities, closed, well_defined, triples, failures
+    )
+
+
+def stored(C, t1: int, t2: int) -> int:
+    """The store's entry for the composable tokens t1 then t2; -1 if unfilled."""
+    return int(C.composite[C.pair_start[t1] + t2 - C.first[C.src[t2]]])
+
+
+def compose(C, t1: int, t2: int) -> int:
+    """The stored composite of the composable tokens t1 then t2."""
+    t = stored(C, t1, t2)
+    if t < 0:
+        raise PLocalError(f"composite of tokens ({t1},{t2}) is not filled")
+    return t
+
+
+def reference_verify_quotient_functor(psi, p: int) -> QuotientFunctorVerdict:
+    C, D = psi.source, psi.target
+    image = psi.morphism_map
+    failures: list[str] = []
+
+    src_class_of, src_classes = iso_classes(C)
+    tgt_class_of, tgt_classes = iso_classes(D)
+    image_classes = [tgt_class_of[psi.object_map[cls[0]]] for cls in src_classes]
+    injective = len(set(image_classes)) == len(image_classes)
+    surjective_classes = set(image_classes) == set(range(len(tgt_classes)))
+    for cls in src_classes:
+        imgs = {tgt_class_of[psi.object_map[i]] for i in cls}
+        if len(imgs) != 1:
+            injective = False
+            failures.append("isomorphic objects map to non-isomorphic objects")
+    iso_bij = injective and surjective_classes
+    if not iso_bij:
+        failures.append("not bijective on isomorphism classes")
+
+    mor_surj = True
+    for i in range(C.object_count):
+        for j in range(C.object_count):
+            hit = {image[t] for t in C.mor(i, j)}
+            want = set(D.mor(psi.object_map[i], psi.object_map[j]))
+            if hit != want:
+                mor_surj = False
+                failures.append(f"morphism map not surjective on Mor({i},{j})")
+
+    kernels: list[list[int]] = []
+    kernels_ok = True
+    for i in range(C.object_count):
+        ident_img = D.identity_ids[psi.object_map[i]]
+        one, ends = C.identity_ids[i], C.mor(i, i)
+        autos = [t for t in ends
+                 if any(stored(C, t, s) == one and stored(C, s, t) == one for s in ends)]
+        K = [t for t in autos if image[t] == ident_img]
+        kernels.append(K)
+        for t in K:
+            k, cur = 1, t
+            while cur != one:
+                cur = compose(C, cur, t)
+                k += 1
+                if k > len(ends) + 1:
+                    raise PLocalError(f"endomorphism token {t} is not invertible")
+            if k % p == 0:
+                kernels_ok = False
+                failures.append(f"kernel element at object {i} has order divisible by {p}")
+
+    fibers_ok = True
+    for i in range(C.object_count):
+        K = kernels[i]
+        for j in range(C.object_count):
+            toks = C.mor(i, j)
+            for f in toks:
+                orbit = {compose(C, s, f) for s in K}
+                fiber = {g for g in toks if image[g] == image[f]}
+                if orbit != fiber:
+                    fibers_ok = False
+                    failures.append(f"fiber of token {f} is not a kernel orbit")
+    return QuotientFunctorVerdict(
+        iso_bij, mor_surj, kernels_ok, fibers_ok,
+        [len(K) for K in kernels], failures,
     )

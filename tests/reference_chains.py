@@ -29,6 +29,7 @@ from scipy import sparse
 from plocal.categories import Functor
 from plocal.fplinalg import FpMatrix
 from plocal.limits import LinearFunctor
+from reference_categories import compose
 from reference_groups import coset, product
 
 
@@ -145,7 +146,7 @@ def nerve_boundaries(C, prime: int, dmax: int) -> tuple[list[list], list]:
         add(chain[1:], 1)
         add(chain[:-1], -1 if d % 2 else 1)
         for i in range(1, d):
-            u = C.compose(chain[i - 1], chain[i])
+            u = compose(C, chain[i - 1], chain[i])
             if C.is_id[u]:
                 continue
             add(chain[: i - 1] + (u,) + chain[i + 1:], -1 if i % 2 else 1)
@@ -169,7 +170,7 @@ def chain_map(F, source_basis: list[list], target_basis: list[list], prime: int)
         index = {label: i for i, label in enumerate(target_basis[d])}
         rows = []
         for chain in source_basis[d]:
-            image = tuple(F.apply(t) for t in chain)
+            image = tuple(F.morphism_map[t] for t in chain)
             if any(F.target.is_id[t] for t in image):
                 rows.append({})
             else:
@@ -223,7 +224,7 @@ def cochain_differentials(F, nmax: int) -> tuple[list[int], list]:
             add_block((int(C.tgt[first]), toks[1:]), token_matrix(F, first) % p)
             eye = np.eye(k, dtype=np.int64)
             for i in range(1, n + 1):
-                u = C.compose(toks[i - 1], toks[i])
+                u = compose(C, toks[i - 1], toks[i])
                 if C.is_id[u]:
                     continue
                 face = (head, toks[: i - 1] + (u,) + toks[i + 1:])

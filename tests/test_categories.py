@@ -35,6 +35,7 @@ from reference_categories import (
     reference_cosets,
     reference_least,
     reference_verify_category,
+    reference_verify_quotient_functor,
 )
 from reference_chains import reference_by_witness, reference_compose_table, reference_mor
 from reference_omega import centric_subgroups
@@ -296,6 +297,62 @@ def test_identity_functor_passes_kernel_conditions():
     assert v.kernel_orders == [1]
 
 
+def quotient_agrees(psi, p):
+    """The array check's verdict, after requiring the scalar reference's
+    flags, kernel orders and failures from it."""
+    v, r = verify_quotient_functor(psi, p), reference_verify_quotient_functor(psi, p)
+    names = ("iso_class_bijective", "morphism_surjective", "kernels_prime_to_p",
+             "fibers_are_kernel_orbits")
+    assert [getattr(v, x) for x in names] == [getattr(r, x) for x in names]
+    assert v.kernel_orders == r.kernel_orders
+    assert sorted(v.failures) == sorted(r.failures)
+    return v
+
+
+@pytest.mark.parametrize("spec", CATALOG)
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("skeletal", [True, False])
+def test_quotient_check_matches_the_scalar_reference(spec, p, skeletal):
+    from plocal.pipeline import PipelineRun
+    cfg = PipelineConfig(prime=p, skeletal=skeletal, include_timings=False)
+    psi = PipelineRun(build_group(spec), cfg, "").linking_projection
+    assert quotient_agrees(psi, p).passed
+
+
+def test_quotient_check_matches_the_scalar_reference_under_faults():
+    G = build_group("sym:3 x cyc:3")
+    T = build_transporter(G, centric_in_sylow(G, 2))
+    psi = quotient_projection(T, 2)
+    D, fmap = psi.target, psi.morphism_map
+
+    def remapped(change):
+        return Functor(T, D, psi.object_map, [change.get(x, x) for x in fmap])
+
+    # one token remapped within its Mor set
+    t = next(t for t in range(T.morphism_count) if not T.is_id[t]
+             and len(D.mor(D.src[fmap[t]], D.tgt[fmap[t]])) > 1)
+    u = other_in_mor(D, fmap[t])
+    one = Functor(T, D, psi.object_map, fmap[:t] + [u] + fmap[t + 1:])
+    assert not quotient_agrees(one, 2).fibers_are_kernel_orbits
+    # a target token left unhit: every token over fmap[t] sent to u
+    v = quotient_agrees(remapped({fmap[t]: u}), 2)
+    assert not v.morphism_surjective and not v.passed
+    # the collapse functor
+    S3 = build_group("sym:3")
+    poset = build_intersection_poset(S3, 2)
+    T3 = build_transporter(S3, [poset.members[poset.minimum], sylow_subgroup(S3, 2)])
+    terminal = build_orbit(S3, [S3.full_subgroup()])
+    collapse = Functor(T3, terminal, [0] * T3.object_count, [0] * T3.morphism_count)
+    v = quotient_agrees(collapse, 2)
+    assert not v.iso_class_bijective and not v.kernels_prime_to_p
+    # a kernel automorphism whose square is made itself never cycles
+    k = next(k for k in range(T.morphism_count) if not T.is_id[k] and D.is_id[fmap[k]])
+    T.composite[slot(T, k, k)] = k
+    for check in (verify_quotient_functor, reference_verify_quotient_functor):
+        with pytest.raises(PLocalError, match=f"endomorphism token {k} is not invertible"):
+            check(psi, 2)
+
+
 def test_skeleton_of_conjugate_objects():
     G = build_group("sym:3")
     cents = [H for H in all_subgroups(G.full_subgroup()) if H.order == 2]
@@ -555,6 +612,21 @@ def test_category_laws_pass_on_sym6_at_p3():
     assert rep.verdicts["category_laws"] == "pass"
 
 
+def test_structure_checks_on_sym6_at_p2():
+    """The closure and quotient verdicts pass; one test subgroup's
+    precomposition family in the adjunction has 79,280,775 pairs, over the
+    default budget."""
+    checks = ("closure", "quotient", "adjunction")
+    rep = run_pipeline("sym:6", PipelineConfig(
+        prime=2, max_degree=2, checks=checks, include_timings=False))
+    v = rep.verdicts
+    assert [v[k] for k in ("closure_extends_and_monotone", "closure_idempotent",
+                           "closure_preserves_transporters", "closure_transporter_equality",
+                           "quotient_functor_conditions")] == ["pass"] * 5
+    assert v["closure_inclusion_adjunction"] == "not-certified"
+    assert rep.data["notes"] == ["adjunction: basis size 79280775 at degree 2 exceeds budget 2000000"]
+
+
 def transporter_s3c3():
     G = build_group("sym:3 x cyc:3")
     return build_transporter(G, build_intersection_poset(G, 2).members)
@@ -564,18 +636,21 @@ def test_compose_reads_the_store_and_rejects_bad_pairs():
     C = transporter_s3c3()
     t1, t2 = C.pairs()
     k = len(t1) // 2
-    assert C.compose(int(t1[k]), int(t2[k])) == C.composite[k]
+    assert C.composites(t1[k:k + 1], t2[k:k + 1]) == [C.composite[k]]
     a = next(t for t in range(C.morphism_count) if C.tgt[t] != C.src[0])
-    with pytest.raises(PLocalError, match="do not compose"):
-        C.compose(a, 0)
+    assert C.composites(np.array([a]), np.array([0])) == [-1]  # they do not compose
     with pytest.raises(PLocalError, match="fixed once"):
         C.set_tokens(C.src, C.tgt, C.witness, C.identity_ids)
     k = next(k for k in range(len(t1)) if not C.is_id[t1[k]] and not C.is_id[t2[k]])
     C.composite[k] = -1
-    with pytest.raises(PLocalError, match="is not filled"):
-        C.compose(int(t1[k]), int(t2[k]))
+    assert C.composites(t1[k:k + 1], t2[k:k + 1]) == [-1]  # the slot is not filled
     with pytest.raises(PLocalError, match="misses a composable pair"):
         nerve_complex(C, 2, 2)
+
+
+def slot(C, t1, t2):
+    """The index of the composable pair (t1, t2) in ``C.composite``."""
+    return C.pair_start[t1] + t2 - C.first[C.src[t2]]
 
 
 def nonidentity_with_sibling(C):
@@ -593,9 +668,9 @@ def test_verify_category_catches_a_broken_identity(side):
     C = transporter_s3c3()
     t = nonidentity_with_sibling(C)
     if side == "left":
-        k = C.slot(C.identity_ids[C.src[t]], t)
+        k = slot(C, C.identity_ids[C.src[t]], t)
     else:
-        k = C.slot(t, C.identity_ids[C.tgt[t]])
+        k = slot(C, t, C.identity_ids[C.tgt[t]])
     C.composite[k] = other_in_mor(C, t)
     v = verify_category(C)
     assert not v.identities and v.composition_closed
@@ -660,7 +735,7 @@ def test_verify_category_catches_non_associativity_inside_mor_sets():
 def test_functor_violations_catch_a_composite_not_preserved():
     C, D = transporter_s3c3(), transporter_s3c3()
     t = nonidentity_with_sibling(C)
-    k = C.slot(t, C.identity_ids[C.tgt[t]])
+    k = slot(C, t, C.identity_ids[C.tgt[t]])
     D.composite[k] = other_in_mor(D, t)
     ident = Functor(C, D, list(range(C.object_count)), list(range(C.morphism_count)))
     assert ident.violations() == [

@@ -584,6 +584,32 @@ def test_normalizer_quotients_are_built_once_per_class(monkeypatch):
     assert records == fresh
 
 
+def test_run_skeletons_reuse_the_runs_sylow_subgroups(monkeypatch):
+    """A structure run enumerates the subgroups of a Sylow once; the
+    skeletons built from that list have the classes and the Sylow of those
+    built from the minimal-key Sylow's own subgroups."""
+    from plocal import PipelineConfig, PipelineRun, pipeline
+    calls = []
+    real = limit_checks.all_subgroups
+
+    def counted(S):
+        calls.append(S.ids)
+        return real(S)
+
+    monkeypatch.setattr(limit_checks, "all_subgroups", counted)
+    monkeypatch.setattr(pipeline, "all_subgroups", counted)
+    G = build_group("sym:4 x cyc:2")
+    checks = ("closure", "categories", "quotient", "adjunction")
+    run = PipelineRun(G, PipelineConfig(prime=2, checks=checks, include_timings=False), "")
+    verdicts = run.run().verdicts
+    assert verdicts["category_laws"] == verdicts["closure_inclusion_adjunction"] == "pass"
+    assert len(calls) == 1
+    fresh = build_orbit_skeletons(G, 2, run.poset)
+    assert len(calls) == 2
+    assert [R.ids for R in run.skeletons.p_reps] == [R.ids for R in fresh.p_reps]
+    assert run.skeletons.sylow == fresh.sylow
+
+
 def test_pullbacks_are_computed_once_per_key(monkeypatch):
     """A run computes each pullback matrix once per (P, Q, i, g) and hands
     every caller the same read-only array."""

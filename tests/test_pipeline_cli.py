@@ -339,8 +339,8 @@ def test_broken_endomorphism_fails_only_the_quotient_stage():
     # a kernel automorphism of order 3: it maps to an identity of the linking
     # category; composing it with itself now returns it, so it never cycles
     t = next(t for t in range(T.morphism_count)
-             if not T.is_id[t] and L.is_id[run.linking_projection.apply(t)])
-    T.composite[T.slot(t, t)] = t
+             if not T.is_id[t] and L.is_id[run.linking_projection.morphism_map[t]])
+    T.composite[T.pair_start[t] + t - T.first[T.src[t]]] = t
     rep = run.run()
     v = rep.data["verdicts"]
     assert v["quotient_functor_conditions"] == "fail"

@@ -225,12 +225,14 @@ class FiniteCategory:
 def _fill_cosets(cat: FiniteCategory) -> FiniteCategory:
     """Add one token per coset left[i]·g·right[j] of the transporter elements
     g from object i to object j, witnessed by its least element, in order of
-    (i, j, witness)."""
+    (i, j, witness).  Each such coset lies in the transporter set, so its
+    least element is one of the listed g: the witnesses are the g that are
+    their own coset's least element, already in (pair, g) order."""
     m, n = cat.object_count, cat.group.order
     pair, g = np.divmod(np.flatnonzero(transporters(cat.group, cat.objects, cat.objects)), n)
-    witness = cat.canonicals(pair // m, pair % m, g)
-    pair, witness = np.divmod(np.unique(pair * n + witness), n)
-    src, tgt = np.divmod(pair, m)
+    least = np.flatnonzero(cat.canonicals(pair // m, pair % m, g) == g)
+    src, tgt = np.divmod(pair[least], m)
+    witness = g[least]
     ident = np.full(m, -1, dtype=np.int64)
     at = np.flatnonzero((src == tgt) & (witness == 0))
     ident[src[at]] = at

@@ -1,29 +1,43 @@
 """Normalized chains of a finite category as integer arrays, and the
 boundary matrices built from them.
 
-A degree-d chain c_0 -> ... -> c_d of composable non-identity morphisms is
-the row (t_1, ..., t_d) of its tokens; degree 0 holds the head objects.
-Nerve boundaries (``homology``), functor cochain differentials (``limits``)
-and bar coboundaries, the nerve boundaries of a group's one-object category
+A degree-d chain c_0 -> ... -> c_d of composable non-identity morphisms has
+the token row (t_1, ..., t_d); degree 0 holds the head objects.  Nerve
+boundaries (``homology``), functor cochain differentials (``limits``) and
+bar coboundaries, the nerve boundaries of a group's one-object category
 (``cohomology``), are all assembled here.
 
 Order: head-major, i.e. by head object c_0, then by tokens left to right.
-Degree d is grown from degree d-1 by one join that appends to every row, in
-order, each non-identity token leaving its tail, in ascending token order.
+Degree d is grown from degree d-1 by one join that extends every row, in
+order, by each non-identity token leaving its tail, in ascending token order.
 The extensions of row j of degree d-1 are then the contiguous block of
-degree d starting at ``starts[d][j]``, and row j is their drop-last face.
+degree d starting at ``starts[d][j]``: the extension by t is row
+``starts[d][j] + pos[t]``, where ``pos[t]`` is the rank of t among the
+non-identity tokens with its source.  A degree keeps only each chain's last
+token, parent row j (its drop-last face) and head; the token rows are read
+back along parents only when asked for.  Tokens must be numbered grouped by
+source (object 0's first, then object 1's, ...); ``FiniteCategory.set_tokens``
+enforces it, and it makes head-major order the lexicographic order of the
+token rows.
 
-Face walk: a chain's row is found from its head with no hashing,
-``idx = row0[head]``, then ``idx = starts[k][idx] + pos[t_k]`` for k = 1..d,
-where ``pos[t]`` is the rank of t among the non-identity tokens with its
-source.  This needs tokens numbered grouped by source (object 0's first,
-then object 1's, ...); ``FiniteCategory.set_tokens`` enforces it, and it
-makes head-major order the lexicographic order of the token rows.
+Faces by recursion (after Bauer, "Ripser", 2021: faces are derived from
+the combinatorics of the numbering, not kept and searched for).  Let
+F_{d,i} be the face of a degree-d chain that drops vertex c_i, and let a
+chain c have parent q, grandparent g and last token t.  For i <= d-2, face i
+keeps t, so F_{d,i}(c) is face i of q extended by t, the row
+``starts[d-1][F_{d-1,i}(q)] + pos[t]``.  Face d-1 composes q's last token u
+with t, so it is g extended by u·t, one lookup in the category's
+composition store; the last face is q.  A face through an identity, or whose
+head starts no chains, is -1, and so is every face derived from it.  So each
+degree's face table is one gather per face from the table before it, and
+is dropped once the next degree's is made.  The images of an induced chain
+map follow the same recursion: a chain's image is its parent's, extended by
+the image of its last token.
 
-Inner faces compose adjacent tokens by reading the category's composition
-store (see ``categories``); nothing is rebuilt here.  Matrices are
-assembled as COO arrays, one block per face, and summed into CSR before
-reduction mod p.
+Nerve boundaries are written as CSR straight from the face table, one entry
+per live face; cochain differentials, whose rows are indexed by the lower
+degree, are summed from COO arrays.  Either way scipy sorts each row and
+adds up duplicate faces before reduction mod p.
 """
 
 from __future__ import annotations
@@ -53,7 +67,9 @@ def chain_counts(C: FiniteCategory, dmax: int, weights: list[int] | None = None)
 
 class Chains:
     """The normalized chains of C through degree ``dmax`` that start at
-    ``heads`` (every object by default), with C's tokens as arrays."""
+    ``heads`` (every object by default).  Degree d >= 1 keeps, per chain, its
+    last token, its parent (drop-last face) row in degree d-1 and its head
+    object; token rows are built only when asked for (``tokens``)."""
 
     def __init__(self, C: FiniteCategory, dmax: int, heads=None):
         self.category = C
@@ -67,57 +83,81 @@ class Chains:
         tails = np.arange(C.object_count) if heads is None else np.asarray(heads, np.int64)
         self.row0 = np.full(C.object_count, -1, dtype=np.int64)
         self.row0[tails] = np.arange(len(tails))
-        self._heads = tails
-        self.tokens = [np.empty((len(tails), 0), dtype=np.int64)]
+        self.heads = [tails]
+        self.last: list[np.ndarray | None] = [None]
+        self.parent: list[np.ndarray | None] = [None]
         self.starts: list[np.ndarray | None] = [None]
         for d in range(1, dmax + 1):
             parent, j, starts = _expand(out_count[tails])
             last = out[out_start[tails[parent]] + j]
-            rows = np.empty((len(last), d), dtype=np.int64)
-            rows[:, :-1] = self.tokens[d - 1][parent]
-            rows[:, -1] = last
-            self.tokens.append(rows)
+            self.last.append(last)
+            self.parent.append(parent)
             self.starts.append(starts)
+            self.heads.append(self.heads[d - 1][parent])
             tails = self.tgt[last]
-        self.dims = [len(t) for t in self.tokens]
+        self.dims = [len(h) for h in self.heads]
 
-    def heads(self, d: int) -> np.ndarray:
-        return self._heads if d == 0 else self.src[self.tokens[d][:, 0]]
+    def tokens(self, d: int) -> np.ndarray:
+        """The (dims[d], d) token rows of degree d, read back along parents."""
+        rows = np.empty((self.dims[d], d), dtype=np.int64)
+        at = np.arange(self.dims[d])
+        for k in range(d, 0, -1):
+            rows[:, k - 1] = self.last[k][at]
+            at = self.parent[k][at]
+        return rows
 
-    def _walk(self, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        idx = self.row0[heads]
-        for k in range(rows.shape[1]):
-            idx = self.starts[k + 1][idx] + self.pos[rows[:, k]]
-        return idx
+    def faces(self):
+        """For d = 1..dmax in turn, the (dims[d], d+1) table whose column i
+        holds the row of each chain's face that drops vertex c_i, or -1 where
+        that face goes through an identity or starts at no head.  Each table
+        is derived from the one before and dropped when the next is made."""
+        prev = None
+        for d in range(1, len(self.dims)):
+            last, parent, starts = self.last[d], self.parent[d], self.starts[d - 1]
+            table = np.empty((len(last), d + 1), dtype=np.int64)
+            if d == 1:
+                table[:, 0] = self.row0[self.tgt[last]]
+            else:
+                at = self.pos[last]
+                for i in range(d - 1):
+                    face = prev[parent, i]
+                    table[:, i] = np.where(face >= 0, starts[face] + at, -1)
+                u = self.category.composites(self.last[d - 1][parent], last)
+                if (u < 0).any():
+                    raise PLocalError("composition misses a composable pair")
+                grand = self.parent[d - 1][parent]
+                table[:, d - 1] = np.where(self.is_id[u], -1, starts[grand] + self.pos[u])
+            table[:, d] = parent
+            prev = table
+            yield table
 
-    def find(self, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Row numbers of the given chains; raises unless each row is a chain
-        of non-identity tokens leaving its head, and that head starts chains."""
-        ok = self.row0[heads] >= 0
-        if rows.shape[1]:
-            ok &= (self.pos[rows] >= 0).all(axis=1) & (self.src[rows[:, 0]] == heads)
-            ok &= (self.tgt[rows[:, :-1]] == self.src[rows[:, 1:]]).all(axis=1)
-        if not ok.all():
-            raise PLocalError("image is not a chain of composable non-identity morphisms")
-        return self._walk(heads, rows)
 
-    def faces(self, d: int):
-        """For i = 0..d, the face of every degree-d chain that drops vertex
-        c_i, as ``(sign, rows, face_rows)``.  Faces through an identity, and
-        drop-first faces whose head starts no chains, are left out."""
-        T = self.tokens[d]
-        head0 = self.tgt[T[:, 0]]
-        rows = np.flatnonzero(self.row0[head0] >= 0)
-        yield 1, rows, self._walk(head0[rows], T[rows, 1:])
-        for i in range(1, d):
-            u = self.category.composites(T[:, i - 1], T[:, i])
-            if (u < 0).any():
-                raise PLocalError("composition misses a composable pair")
-            rows = np.flatnonzero(~self.is_id[u])
-            face = np.concatenate([T[rows, :i - 1], u[rows, None], T[rows, i + 1:]], axis=1)
-            yield (-1) ** i, rows, self._walk(self.heads(d)[rows], face)
-        parent = np.repeat(np.arange(self.dims[d - 1]), np.diff(self.starts[d]))
-        yield (-1) ** d, np.arange(len(T)), parent
+NOT_A_CHAIN = "image is not a chain of composable non-identity morphisms"
+
+
+def chain_images(source: Chains, target: Chains, object_map: np.ndarray,
+                 morphism_map: np.ndarray, dmax: int):
+    """For d = 0..dmax in turn, the row in ``target`` of the image of each
+    degree-d chain of ``source`` under the given maps, or -1 where an image
+    token is an identity.  A chain's image is its parent's extended by the
+    image of its last token.  Raises unless every other image is a chain of
+    composable tokens whose head starts chains."""
+    heads = object_map[source.heads[0]]
+    rows = target.row0[heads]
+    if (rows < 0).any():
+        raise PLocalError(NOT_A_CHAIN)
+    yield rows
+    tails = heads
+    for d in range(1, dmax + 1):
+        parent = source.parent[d]
+        t = morphism_map[source.last[d]]
+        at = rows[parent]
+        live = (at >= 0) & ~target.is_id[t]
+        if (target.src[t[live]] != tails[parent[live]]).any():
+            raise PLocalError(NOT_A_CHAIN)
+        rows = np.where(live, target.starts[d][at] + target.pos[t], -1)
+        yield rows
+        tails = target.tgt[t]
 
 
 def _fp_matrix(rows, cols, vals, shape, prime: int) -> FpMatrix:
@@ -125,15 +165,19 @@ def _fp_matrix(rows, cols, vals, shape, prime: int) -> FpMatrix:
     return FpMatrix(sparse.csr_matrix(coo, shape=shape, dtype=np.int64), prime)
 
 
-def nerve_boundary(chains: Chains, d: int, prime: int) -> FpMatrix:
-    """The boundary from degree d to d-1, one +-1 block per face; row i is
-    the boundary of chain i."""
-    rows, cols, vals = [], [], []
-    for sign, r, face in chains.faces(d):
-        rows.append(r)
-        cols.append(face)
-        vals.append(np.full(len(r), sign, dtype=np.int64))
-    return _fp_matrix(rows, cols, vals, (chains.dims[d], chains.dims[d - 1]), prime)
+def nerve_boundaries(chains: Chains, prime: int) -> list[FpMatrix | None]:
+    """``[None, ∂_1, ..., ∂_dmax]``: row i of ∂_d is the boundary of chain i,
+    written as CSR straight from the face table, +-1 per face."""
+    out: list[FpMatrix | None] = [None]
+    for d, table in enumerate(chains.faces(), start=1):
+        live = table >= 0
+        signs = np.resize(np.array([1, -1], dtype=np.int64), d + 1)
+        csr = sparse.csr_matrix(
+            (np.broadcast_to(signs, table.shape)[live], table[live], _offsets(live.sum(axis=1))),
+            shape=(chains.dims[d], chains.dims[d - 1]),
+        )
+        out.append(FpMatrix(csr, prime))
+    return out
 
 
 def cochain_differentials(chains: Chains, dims: list[int], entries: np.ndarray,
@@ -152,27 +196,22 @@ def cochain_differentials(chains: Chains, dims: list[int], entries: np.ndarray,
     blk_r, blk_c = np.divmod(nz - offsets[tok], dims[chains.tgt[tok]])
     blk_ptr = np.searchsorted(nz, offsets)
 
-    cochain_off = [_offsets(dims[chains.heads(d)]) for d in range(len(chains.tokens))]
+    cochain_off = [_offsets(dims[heads]) for heads in chains.heads]
     diffs = []
-    for n in range(len(chains.tokens) - 1):
-        first = chains.tokens[n + 1][:, 0]
-        row_of, local, row_off = _expand(dims[chains.heads(n + 1)])
+    for n, table in enumerate(chains.faces()):
+        first = chains.last[1] if n == 0 else first[chains.parent[n + 1]]
+        row_of, local, row_off = _expand(dims[chains.heads[n + 1]])
         col_off = cochain_off[n]
-        rows, cols, vals = [], [], []
-        for i, (sign, r, face) in enumerate(chains.faces(n + 1)):
-            at = np.full(len(first), -1, dtype=np.int64)
-            at[r] = face
-            if i == 0:
-                ent, j, _ = _expand(np.diff(blk_ptr)[first])
-                e = blk_ptr[first[ent]] + j
-                rows.append(row_off[ent] + blk_r[e])
-                cols.append(col_off[at[ent]] + blk_c[e])
-                vals.append(entries[nz[e]])
-            else:
-                sel = np.flatnonzero(at[row_of] >= 0)
-                rows.append(sel)
-                cols.append(col_off[at[row_of[sel]]] + local[sel])
-                vals.append(np.full(len(sel), sign, dtype=np.int64))
+        # drop-first face: F(first arrow), with no entries where that face is absent
+        ent, j, _ = _expand(np.diff(blk_ptr)[first])
+        e = blk_ptr[first[ent]] + j
+        rows, cols, vals = [row_off[ent] + blk_r[e]], [col_off[table[ent, 0]] + blk_c[e]], [entries[nz[e]]]
+        for i in range(1, n + 2):
+            at = table[row_of, i]
+            sel = np.flatnonzero(at >= 0)
+            rows.append(sel)
+            cols.append(col_off[at[sel]] + local[sel])
+            vals.append(np.full(len(sel), (-1) ** i, dtype=np.int64))
         shape = (int(col_off[-1]), int(row_off[-1]))
         diffs.append(_fp_matrix(cols, rows, vals, shape, prime))
     return [int(o[-1]) for o in cochain_off], diffs

@@ -5,7 +5,8 @@ deterministic echelon-form basis of cocycles modulo coboundaries.  The bar
 coboundary C^n -> C^{n+1} is the nerve boundary from degree n+1 to n of the
 one-object category on P, whose tokens follow ``P.ids``; so cochains are
 indexed by tuples of non-identity elements in lexicographic order, and a
-pullback finds each image tuple's index by the ``chains`` index walk.
+pullback finds each image tuple's index from its parent's image
+(``chains.chain_images``).
 Induced maps along orbit-category morphisms are pullbacks by conjugation by
 the morphism's witness, mapped on token arrays and reduced to the chosen
 bases, so the resulting functor matrices are reproducible.  The
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .categories import FiniteCategory, group_category
-from .chains import Chains, nerve_boundary
+from .chains import NOT_A_CHAIN, Chains, chain_images, nerve_boundaries
 from .errors import DEFAULT_BUDGET, BudgetExceeded, PLocalError
 from .fplinalg import EchelonCoords, nullspace_dense
 from .groups import PermutationGroup, Subgroup, _conj
@@ -51,10 +52,11 @@ class CohomologyBasis:
             self._ech = None
             return
 
-        cocycles = nullspace_dense(nerve_boundary(self.chains, i + 1, p).csr.toarray(), p)
+        boundaries = nerve_boundaries(self.chains, p)
+        cocycles = nullspace_dense(boundaries[i + 1].csr.toarray(), p)
         ech = EchelonCoords(ambient, p)
         if i >= 1:
-            D_prev = nerve_boundary(self.chains, i, p).csr.toarray()
+            D_prev = boundaries[i].csr.toarray()
             for j in range(D_prev.shape[1]):
                 ech.add_silent(D_prev[:, j])
         reps = []
@@ -80,8 +82,9 @@ class CohomologyBasis:
         image = other.token_of[_conj(self.G, self.category.witness, g)]
         if (image < 0).any():
             raise PLocalError(f"conjugation by {g} maps {self.P.label()} outside {other.P.label()}")
-        rows = self.chains.tokens[self.i]
-        at = other.chains.find(np.zeros(len(rows), dtype=np.int64), image[rows])
+        *_, at = chain_images(self.chains, other.chains, np.zeros(1, dtype=np.int64), image, self.i)
+        if (at < 0).any():
+            raise PLocalError(NOT_A_CHAIN)
         for j, rep in enumerate(other.reps):
             M[:, j] = self.coords(rep[at] % self.p)
         return M

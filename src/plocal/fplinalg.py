@@ -83,7 +83,8 @@ time, so a gather stays smaller too.  When Y would be larger the block's
 rows are inserted plainly.  On the three degree-3 boundaries of the sym:4,
 p = 2 homology checks, which never reach their ∂² bound because H_2 ≠ 0,
 the rows read fall from 75,697 to 17,972.  The F_p path has no filter: a dense
-annihilator of ints would take 64 times the memory of a packed one.
+annihilator takes at least a byte per entry, so even an int8 one would take
+8 times the memory of a packed bit plane.
 """
 
 from __future__ import annotations

@@ -278,17 +278,18 @@ def _conjugators(G: PermutationGroup, P: Subgroup) -> np.ndarray:
 def transporters(G: PermutationGroup, sources, targets) -> np.ndarray:
     """The (source, target, g) mask of N_G(P, Q) = {g : P^g <= Q}: each
     generator of a source is conjugated by every g at once and its images'
-    rows gathered from one (element, target) membership table, so no more
-    than one |G| × targets mask is held on top of the output."""
-    inside = np.zeros((G.order, len(targets)), dtype=bool)
+    columns gathered from one (target, element) membership table, so no more
+    than one targets × |G| mask is held on top of the output, which is
+    written in its own (source, target, g) order."""
+    inside = np.zeros((len(targets), G.order), dtype=bool)
     for k, Q in enumerate(targets):
-        inside[list(Q.ids), k] = True
-    out = np.ones((len(sources), G.order, len(targets)), dtype=bool)
+        inside[k, list(Q.ids)] = True
+    out = np.ones((len(sources), len(targets), G.order), dtype=bool)
     g = np.arange(G.order)
     for s, P in enumerate(sources):
         for x in P.generating_ids:
-            out[s] &= inside[_conj(G, x, g)]
-    return out.transpose(0, 2, 1)
+            out[s] &= inside[:, _conj(G, x, g)]
+    return out
 
 
 def centralizer(G: PermutationGroup, P: Subgroup) -> Subgroup:

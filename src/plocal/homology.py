@@ -6,8 +6,8 @@ non-identity morphisms (normalized chains), as integer arrays from
 ``FiniteCategory.set_tokens`` requires them grouped by source.  The
 boundary drops the outer morphisms and composes adjacent inner pairs; a
 face whose inner composition is an identity is degenerate and dropped.
-Faces and the images of induced chain maps find their rows by the index
-walk ``idx = starts[k][idx] + pos[t_k]``, with no dict.
+Faces and the images of induced chain maps are derived degree by degree
+from the parent chain's (see ``chains``), with no dict and no search.
 
 Truncation semantics: a complex built to ``dmax`` has its true chain groups
 and boundaries in all degrees <= dmax, so homology dimensions are exact for
@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .categories import FiniteCategory, Functor, group_category
-from .chains import Chains, chain_counts, nerve_boundary
+from .categories import FiniteCategory, Functor, _offsets, group_category
+from .chains import Chains, chain_counts, chain_images, nerve_boundaries
 from .errors import DEFAULT_BUDGET, BudgetExceeded, PLocalError
 from .fplinalg import FpMatrix
 from .groups import PermutationGroup
@@ -104,8 +104,7 @@ def nerve_complex(C: FiniteCategory, prime: int, dmax: int,
         if n > budget:
             raise BudgetExceeded(d, n, budget)
     chains = Chains(C, dmax)
-    boundaries = [None] + [nerve_boundary(chains, d, prime) for d in range(1, dmax + 1)]
-    return FpComplex(prime, dmax, chains.dims, boundaries, chains)
+    return FpComplex(prime, dmax, chains.dims, nerve_boundaries(chains, prime), chains)
 
 
 def bar_complex(G: PermutationGroup, prime: int, dmax: int,
@@ -144,16 +143,14 @@ class ChainMap:
 def induced_chain_map(F: Functor, source_cx: FpComplex, target_cx: FpComplex) -> ChainMap:
     """Chain map sending a chain to its image chain; degenerate images go to 0."""
     D = min(source_cx.dmax, target_cx.dmax)
-    src, tgt = source_cx.chains, target_cx.chains
-    object_map = np.asarray(F.object_map, dtype=np.int64)
-    morphism_map = np.asarray(F.morphism_map, dtype=np.int64)
+    images = chain_images(source_cx.chains, target_cx.chains,
+                          np.asarray(F.object_map, dtype=np.int64),
+                          np.asarray(F.morphism_map, dtype=np.int64), D)
     mats: list[FpMatrix] = []
-    for d in range(D + 1):
-        image = morphism_map[src.tokens[d]]
-        rows = np.flatnonzero(~tgt.is_id[image].any(axis=1))
-        cols = tgt.find(object_map[src.heads(d)[rows]], image[rows])
+    for d, cols in enumerate(images):
+        live = cols >= 0
         csr = sparse.csr_matrix(
-            (np.ones(len(rows), dtype=np.int64), (rows, cols)),
+            (np.ones(len(cols), dtype=np.int64)[live], cols[live], _offsets(live)),
             shape=(source_cx.dims[d], target_cx.dims[d]),
         )
         mats.append(FpMatrix(csr, source_cx.prime))
@@ -163,12 +160,28 @@ def induced_chain_map(F: Functor, source_cx: FpComplex, target_cx: FpComplex) ->
     return cm
 
 
+def _beside(left: sparse.csr_matrix, right: sparse.csr_matrix, offset: int):
+    """CSR arrays (indptr, indices, data) of ``[left | right]`` with right's
+    columns moved ``offset`` to the right: each row's left entries, then its
+    right entries, so canonical blocks give a canonical result."""
+    indptr = left.indptr + right.indptr
+    at_l = np.arange(left.nnz) + np.repeat(right.indptr[:-1], np.diff(left.indptr))
+    at_r = np.arange(right.nnz) + np.repeat(left.indptr[1:], np.diff(right.indptr))
+    indices = np.empty(left.nnz + right.nnz, dtype=np.int64)
+    data = np.empty(len(indices), dtype=np.int64)
+    indices[at_l], indices[at_r] = left.indices, right.indices + offset
+    data[at_l], data[at_r] = left.data, right.data
+    return indptr, indices, data
+
+
 def mapping_cone(cm: ChainMap) -> FpComplex:
     """Algebraic mapping cone: cone_d = A_{d-1} (+) B_d with
     boundary (a, b) -> (-dA a, f(a) + dB b).
 
-    Each cone boundary declares its B rows as the block dB_d, so ranking it
-    after B's own homology inserts only the A rows into dB_d's echelon."""
+    Each cone boundary is one concatenation of CSR arrays: the rows
+    ``[-dA_{d-1} | f_{d-1}]`` over ``[0 | dB_d]``.  It declares its B rows
+    as the block dB_d, so ranking it after B's own homology inserts only the
+    A rows into dB_d's echelon."""
     A, B = cm.source, cm.target
     D = min(A.dmax + 1, B.dmax)
     p = A.prime
@@ -178,21 +191,22 @@ def mapping_cone(cm: ChainMap) -> FpComplex:
     ]
     boundaries: list[FpMatrix | None] = [None] * (D + 1)
     for d in range(1, D + 1):
-        a_rows = A.dims[d - 1]
-        b_rows = B.dims[d]
         left_cols = A.dims[d - 2] if d >= 2 else 0
-        if d >= 2 and left_cols:
-            top_left = -A.boundaries[d - 1].csr
+        if d >= 2:
+            left = -A.boundaries[d - 1].csr
         else:
-            top_left = sparse.csr_matrix((a_rows, left_cols), dtype=np.int64)
-        top = sparse.hstack([top_left, cm.mats[d - 1].csr], format="csr")
-        bot = sparse.hstack(
-            [sparse.csr_matrix((b_rows, left_cols), dtype=np.int64), B.boundaries[d].csr],
-            format="csr",
+            left = sparse.csr_matrix((A.dims[0], 0), dtype=np.int64)
+        top_ptr, top_idx, top_data = _beside(left, cm.mats[d - 1].csr, left_cols)
+        below = B.boundaries[d].csr
+        csr = sparse.csr_matrix(
+            (
+                np.concatenate([top_data, below.data]),
+                np.concatenate([top_idx, below.indices + left_cols]),
+                np.concatenate([top_ptr, top_ptr[-1] + below.indptr[1:]]),
+            ),
+            shape=(A.dims[d - 1] + B.dims[d], left_cols + B.dims[d - 1]),
         )
-        boundaries[d] = FpMatrix(
-            sparse.vstack([top, bot], format="csr"), p, tail=(B.boundaries[d], left_cols)
-        )
+        boundaries[d] = FpMatrix(csr, p, tail=(B.boundaries[d], left_cols))
     return FpComplex(p, D, dims, boundaries)
 
 

@@ -9,7 +9,7 @@ piece is the direct sum of F(c_0) over composable chains
 c_0 -> c_1 -> ... -> c_n of non-identity morphisms, in the head-major order
 of ``chains`` (tokens are numbered grouped by source, as
 ``FiniteCategory.set_tokens`` enforces) over the heads with F(c_0) != 0.
-Each face's block column is found by the index walk of ``chains``.  A
+Each face's block column comes from the face tables of ``chains``.  A
 complex built to ``nmax`` certifies lim^n for n <= nmax-1, and lim^0 is
 cross-checked against the directly solved compatible-family system.
 

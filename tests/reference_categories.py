@@ -12,6 +12,11 @@ coset.  ``test_categories.py`` requires the checks to agree on ``passed``,
 ``associative``, ``well_defined`` and the failures on every category the
 pipeline builds, and under injected faults.
 
+``reference_coset_tokens`` is the token list ``_fill_cosets`` made before
+it took the witnesses as the listed elements that are their own coset's
+least element: every transporter element's least element, then one
+``np.unique`` over (object pair, witness).
+
 ``reference_verify_quotient_functor`` is the quotient-functor check as
 per-object and per-token loops over sets, as it was before it became array
 comparisons over the token arrays: kernels are the automorphisms mapped to an
@@ -34,6 +39,7 @@ from plocal.categories import (
     iso_classes,
 )
 from plocal.errors import PLocalError
+from plocal.groups import transporters
 
 
 def _blocks(counts: np.ndarray) -> list[slice]:
@@ -62,6 +68,18 @@ def reference_least(C, i, j, g) -> np.ndarray:
     expansion."""
     elems, offs = reference_cosets(C, i, j, g)
     return np.minimum.reduceat(elems, offs[:-1])
+
+
+def reference_coset_tokens(C) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``src``, ``tgt`` and ``witness`` of one token per coset of C's
+    transporter elements, by sorting the least element of every element's
+    coset."""
+    m, n = C.object_count, C.group.order
+    pair, g = np.divmod(np.flatnonzero(transporters(C.group, C.objects, C.objects)), n)
+    witness = C.canonicals(pair // m, pair % m, g)
+    pair, witness = np.divmod(np.unique(pair * n + witness), n)
+    src, tgt = np.divmod(pair, m)
+    return src, tgt, witness
 
 
 def reference_coset_well_definedness(C, failures: list[str]) -> bool:

@@ -11,6 +11,12 @@ table that ``reference_compose_table`` fills.  ``reference_mor`` and
 its ``src``/``tgt``/``witness`` arrays alone, never calling ``mor`` or
 ``tokens_of``, so they check those lookups independently.
 
+``walk``, ``find`` and ``reference_faces`` are the index walk the chain
+kernel used before it derived faces and chain-map images from the parent
+chain's: a chain's row is found from its head, ``idx = row0[head]``, then
+``idx = starts[k][idx] + pos[t_k]`` for k = 1..d, over the token rows that
+``Chains.tokens`` reads back.
+
 The functor references build {token: matrix} dicts by the per-token loops
 that the flat functor store (``plocal.limits.LinearFunctor``) replaced: a
 pullback or ``rho[g]`` where a token's ends both carry the functor and a
@@ -27,6 +33,7 @@ import numpy as np
 from scipy import sparse
 
 from plocal.categories import Functor
+from plocal.errors import PLocalError
 from plocal.fplinalg import FpMatrix
 from plocal.limits import LinearFunctor
 from reference_categories import compose
@@ -104,6 +111,62 @@ def reference_compose_table(C) -> dict[tuple[int, int], int]:
                     w = min(coset(C, a, c, product(C.group, witness[t1], witness[t2])))
                     table[(t1, t2)] = by_witness[(a, c, w)]
     return table
+
+
+def walk(chains, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row numbers of the given chains, by the index walk from their heads."""
+    idx = chains.row0[heads]
+    for k in range(rows.shape[1]):
+        idx = chains.starts[k + 1][idx] + chains.pos[rows[:, k]]
+    return idx
+
+
+def find(chains, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row numbers of the given chains; raises unless each row is a chain
+    of non-identity tokens leaving its head, and that head starts chains."""
+    ok = chains.row0[heads] >= 0
+    if rows.shape[1]:
+        ok &= (chains.pos[rows] >= 0).all(axis=1) & (chains.src[rows[:, 0]] == heads)
+        ok &= (chains.tgt[rows[:, :-1]] == chains.src[rows[:, 1:]]).all(axis=1)
+    if not ok.all():
+        raise PLocalError("image is not a chain of composable non-identity morphisms")
+    return walk(chains, heads, rows)
+
+
+def reference_faces(chains, d: int) -> np.ndarray:
+    """The (dims[d], d+1) face table of degree d by composing and walking
+    every face of the token rows: column i is the row of the face that drops
+    vertex c_i, -1 where it goes through an identity or starts at no head."""
+    C = chains.category
+    T = chains.tokens(d)
+    table = np.full((len(T), d + 1), -1, dtype=np.int64)
+    head0 = C.tgt[T[:, 0]]
+    rows = np.flatnonzero(chains.row0[head0] >= 0)
+    table[rows, 0] = walk(chains, head0[rows], T[rows, 1:])
+    for i in range(1, d):
+        u = C.composites(T[:, i - 1], T[:, i])
+        assert (u >= 0).all()
+        rows = np.flatnonzero(~C.is_id[u])
+        face = np.concatenate([T[rows, :i - 1], u[rows, None], T[rows, i + 1:]], axis=1)
+        table[rows, i] = walk(chains, chains.heads[d][rows], face)
+    table[:, d] = walk(chains, chains.heads[d], T[:, :-1])
+    return table
+
+
+def reference_images(F, source, target, dmax: int) -> list[np.ndarray]:
+    """For d = 0..dmax, the row in ``target`` of each degree-d chain's image
+    under the functor F, -1 where an image token is an identity, found by
+    mapping the token rows and walking them."""
+    object_map = np.asarray(F.object_map, dtype=np.int64)
+    morphism_map = np.asarray(F.morphism_map, dtype=np.int64)
+    out = []
+    for d in range(dmax + 1):
+        image = morphism_map[source.tokens(d)]
+        rows = np.flatnonzero(~target.is_id[image].any(axis=1))
+        cols = np.full(source.dims[d], -1, dtype=np.int64)
+        cols[rows] = find(target, object_map[source.heads[d][rows]], image[rows])
+        out.append(cols)
+    return out
 
 
 def nerve_basis(C, dmax: int) -> list[list]:

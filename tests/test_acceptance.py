@@ -8,6 +8,8 @@ carry the truncation degree they are certified at.
 import hashlib
 import json
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
@@ -340,3 +342,20 @@ def test_criterion_9_determinism():
     )
     assert '"overall": "fail"' not in first
     assert hashlib.sha256(first.encode()).hexdigest() == GOLDEN_CATALOG_SHA256
+
+
+# the last line of ``scripts/run_catalog.py --max-degree 3``: the combined
+# digest of the 14 catalog reports at cohomology index 2, timings masked
+CATALOG_SCRIPT_SHA256 = (
+    "b20d7ca3fa093c59487da71cdc50a264586655e63a01a3dcb8e19c305af76c2a"
+)
+
+
+def test_catalog_script_digest_is_pinned():
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_catalog.py"
+    r = subprocess.run(
+        [sys.executable, str(script), "--max-degree", "3"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stdout.splitlines()[-1] == f"combined sha256={CATALOG_SCRIPT_SHA256}"

@@ -31,6 +31,7 @@ from plocal import categories
 from plocal.catalog import build_group
 from plocal.categories import iso_classes
 from reference_categories import (
+    reference_coset_tokens,
     reference_coset_well_definedness,
     reference_cosets,
     reference_least,
@@ -482,6 +483,23 @@ def test_store_matches_reference_table_on_every_pipeline_category(monkeypatch):
         assert store_table(C) == reference_compose_table(C), (spec, p, builder)
         builders.add(builder)
     assert builders >= BUILDERS
+
+
+def test_coset_tokens_match_the_sorting_reference_on_every_pipeline_category(monkeypatch):
+    """Every category the pipeline builds on transporter sets, its full
+    subcategories and skeleta included, has the tokens of the ``np.unique``
+    form: one per coset, witnessed by its least element, in (source,
+    target, witness) order."""
+    builders = set()
+    for spec, p, builder, C in pipeline_categories(monkeypatch):
+        if builder in ("group_category", "coset_category"):
+            continue
+        src, tgt, witness = reference_coset_tokens(C)
+        assert np.array_equal(C.src, src), (spec, p, builder)
+        assert np.array_equal(C.tgt, tgt), (spec, p, builder)
+        assert np.array_equal(C.witness, witness), (spec, p, builder)
+        builders.add(builder)
+    assert builders >= BUILDERS - {"group_category", "coset_category"}
 
 
 def check_least_tables(C):

@@ -1,6 +1,6 @@
 """Differential tests: the array chain kernel against the dict-based
-reference builders in ``reference_chains.py``.  Matrices must agree in
-shape, indptr, indices and data, not just in rank."""
+reference builders and the index walk in ``reference_chains.py``.  Matrices
+must agree in shape, indptr, indices and data, not just in rank."""
 
 import numpy as np
 import pytest
@@ -24,10 +24,10 @@ from plocal import (
     run_pipeline,
     sylow_subgroup,
 )
-from plocal import cohomology, homology, limits, pipeline
+from plocal import categories, cohomology, homology, limits, pipeline
 from plocal.catalog import build_group
 from plocal.categories import group_category
-from plocal.chains import Chains, nerve_boundary
+from plocal.chains import Chains, chain_counts, chain_images, nerve_boundaries
 from plocal.fplinalg import FpMatrix
 from plocal.limits import functor_cochain_complex
 from reference_omega import centric_subgroups
@@ -53,7 +53,7 @@ def check_nerve(C, prime, cx):
     basis, boundaries = ref.nerve_boundaries(C, prime, cx.dmax)
     assert cx.dims == [len(b) for b in basis]
     for d in range(1, cx.dmax + 1):
-        assert cx.chains.tokens[d].tolist() == [list(t) for t in basis[d]]
+        assert cx.chains.tokens(d).tolist() == [list(t) for t in basis[d]]
         assert_same_matrix(cx.boundaries[d], boundaries[d])
 
 
@@ -132,9 +132,9 @@ def test_bar_coboundaries_match_reference(spec, p):
     for P in all_subgroups(sylow_subgroup(G, p)):
         if P.order > 8:
             continue
-        chains = Chains(group_category(G, P), 3)
+        boundaries = nerve_boundaries(Chains(group_category(G, P), 3), p)
         for n in range(3):
-            got = nerve_boundary(chains, n + 1, p).csr.toarray()
+            got = boundaries[n + 1].csr.toarray()
             want = ref.bar_coboundary(G, P, n, p)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (P.label(), n)
@@ -192,3 +192,131 @@ def test_chain_map_rejects_images_that_are_not_chains():
     swapped = Functor(T, T, [1, 0], list(range(T.morphism_count)))
     with pytest.raises(PLocalError):
         induced_chain_map(swapped, cx, cx)
+
+
+# chains per degree up to which the walk references check a category
+WALK_CAP = 300_000
+
+
+def walk_degree(*cats, top: int = 4) -> int:
+    """The largest degree <= top through which every category has at most
+    WALK_CAP chains per degree."""
+    return min(
+        next((d - 1 for d, n in enumerate(chain_counts(C, top)) if n > WALK_CAP), top)
+        for C in cats
+    )
+
+
+@pytest.fixture(scope="module")
+def pipeline_inputs() -> tuple[list, list]:
+    """Every category with a composition store that the catalog pipeline
+    builds at p in {2, 3}, one of each that compose alike, and every functor
+    it induces a chain map along."""
+    cats, functors = [], []
+    real_init = categories.FiniteCategory.__init__
+    real_map = pipeline.induced_chain_map
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        cats.append(self)
+
+    def chain_map(F, source_cx, target_cx):
+        functors.append(F)
+        return real_map(F, source_cx, target_cx)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(categories.FiniteCategory, "__init__", init)
+        mp.setattr(pipeline, "induced_chain_map", chain_map)
+        for spec in CATALOG:
+            for p in (2, 3):
+                rep = run_pipeline(spec, PipelineConfig(
+                    prime=p, max_degree=2, max_limit_degree=2,
+                    cohomology_index_max=1, include_timings=False,
+                ))
+                assert rep.overall != "fail", (spec, p)
+    distinct = {
+        (C.object_count, C.src.tobytes(), C.tgt.tobytes(), C.composite.tobytes()): C
+        for C in cats if C.composite is not None
+    }
+    return list(distinct.values()), functors
+
+
+def test_face_tables_match_the_index_walk_on_every_pipeline_category(pipeline_inputs):
+    """Each degree's face table, derived from the one before, equals the
+    faces the index walk finds from the token rows, through degree 4 where
+    the chains fit WALK_CAP: with every object a head, and with every other
+    object one (the cochain case, where drop-first faces can be absent)."""
+    seen = dict.fromkeys(("restricted", "degenerate", "duplicate", "degree 4"), 0)
+    cats, _ = pipeline_inputs
+    for C in cats:
+        D = walk_degree(C)
+        for heads in (None, np.arange(0, C.object_count, 2)):
+            chains = Chains(C, D, heads)
+            for d, table in enumerate(chains.faces(), start=1):
+                assert np.array_equal(table, ref.reference_faces(chains, d)), (C.kind, d)
+                if heads is not None:
+                    seen["restricted"] += int((table[:, 0] < 0).sum())
+                seen["degenerate"] += int((table[:, 1:d] < 0).sum())
+                cols = np.sort(table, axis=1)
+                seen["duplicate"] += int(((cols[:, 1:] == cols[:, :-1]) & (cols[:, 1:] >= 0)).sum())
+                seen["degree 4"] += d == 4
+    assert all(seen.values()), seen
+
+
+def test_chain_images_match_the_index_walk_on_every_pipeline_functor(pipeline_inputs):
+    """The images of every functor the pipeline induces a chain map along,
+    grown from the parents' images, equal those found by mapping the token
+    rows and walking them, through degree 4 where the chains fit WALK_CAP."""
+    _, functors = pipeline_inputs
+    zeros = top = 0
+    for F in functors:
+        D = walk_degree(F.source, F.target)
+        source, target = Chains(F.source, D), Chains(F.target, D)
+        got = list(chain_images(source, target, np.asarray(F.object_map, dtype=np.int64),
+                                np.asarray(F.morphism_map, dtype=np.int64), D))
+        want = ref.reference_images(F, source, target, D)
+        assert len(got) == len(want) == D + 1
+        for cols, expected in zip(got, want):
+            assert np.array_equal(cols, expected)
+            zeros += int((cols < 0).sum())
+        top = max(top, D)
+    assert functors and zeros and top == 4
+
+
+@pytest.mark.parametrize("p,entry", [(2, 0), (3, 2)])
+def test_duplicate_faces_add_up(p, entry):
+    """In the bar complex of a cyclic group the chain (a, a) has its
+    drop-first and drop-last faces both (a), each with sign +1: the two
+    cancel at p = 2 and add up to 2 otherwise."""
+    G = build_group("cyc:6")
+    chains = Chains(group_category(G, G.full_subgroup()), 2)
+    boundary = nerve_boundaries(chains, p)[2].csr
+    tokens = chains.tokens(2)
+    for row in np.flatnonzero(tokens[:, 0] == tokens[:, 1]).tolist():
+        a = int(tokens[row, 0]) - 1                 # degree-1 row of the chain (a)
+        assert boundary[row, a] == entry, (p, row)
+
+
+def test_homology_runs_read_no_token_rows(monkeypatch):
+    """Faces and chain-map images come from parents, so a run of the
+    homology checks never builds the token rows of any nerve."""
+    calls = {"tokens": 0, "chain_map": 0}
+    real_tokens, real_map = Chains.tokens, pipeline.induced_chain_map
+
+    def tokens(self, d):
+        calls["tokens"] += 1
+        return real_tokens(self, d)
+
+    def chain_map(F, source_cx, target_cx):
+        calls["chain_map"] += 1
+        return real_map(F, source_cx, target_cx)
+
+    monkeypatch.setattr(Chains, "tokens", tokens)
+    monkeypatch.setattr(pipeline, "induced_chain_map", chain_map)
+    rep = run_pipeline("sym:4", PipelineConfig(
+        prime=2, max_degree=3, include_timings=False,
+        checks=("nerve-vs-group", "centric-restriction", "centric-agreement",
+                "linking-vs-transporter", "main"),
+    ))
+    assert "fail" not in rep.verdicts.values()
+    assert calls["chain_map"] and not calls["tokens"], calls

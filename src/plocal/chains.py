@@ -35,9 +35,9 @@ map follow the same recursion: a chain's image is its parent's, extended by
 the image of its last token.
 
 Nerve boundaries are written as CSR straight from the face table, one entry
-per live face; cochain differentials, whose rows are indexed by the lower
-degree, are summed from COO arrays.  Either way scipy sorts each row and
-adds up duplicate faces before reduction mod p.
+per live face; cochain differentials, a block of entries per face, are
+summed from COO arrays.  Either way scipy sorts each row and adds up
+duplicate faces before reduction mod p.
 """
 
 from __future__ import annotations
@@ -185,10 +185,11 @@ def cochain_differentials(chains: Chains, dims: list[int], entries: np.ndarray,
     """Degree sizes and differentials C^n -> C^{n+1} of the normalized
     cochain complex of a contravariant functor with these object dimensions
     and token matrices (``entries`` and ``offsets`` as ``limits.LinearFunctor``
-    stores them), with rows indexed by C^n.  A chain carries
-    ``dims[head]`` coordinates; its column block has F(first arrow) at the
-    drop-first face and +-I at the others.  ``chains`` must start exactly at
-    the objects of nonzero dimension."""
+    stores them), each written transposed, with rows indexed by C^{n+1} and
+    columns by C^n, as a nerve boundary is.  A chain carries ``dims[head]``
+    coordinates; its row block has F(first arrow) at the drop-first face and
+    +-I at the others.  ``chains`` must start exactly at the objects of
+    nonzero dimension."""
     dims = np.asarray(dims, dtype=np.int64)
     # COO of every token's matrix: its nonzero entries in store order
     nz = np.flatnonzero(entries)
@@ -212,6 +213,6 @@ def cochain_differentials(chains: Chains, dims: list[int], entries: np.ndarray,
             rows.append(sel)
             cols.append(col_off[at[sel]] + local[sel])
             vals.append(np.full(len(sel), (-1) ** i, dtype=np.int64))
-        shape = (int(col_off[-1]), int(row_off[-1]))
-        diffs.append(_fp_matrix(cols, rows, vals, shape, prime))
+        shape = (int(row_off[-1]), int(col_off[-1]))
+        diffs.append(_fp_matrix(rows, cols, vals, shape, prime))
     return [int(o[-1]) for o in cochain_off], diffs

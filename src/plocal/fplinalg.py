@@ -18,8 +18,8 @@ them once, when the pivot is stored.  Most rows of a nerve boundary reduce to
 zero, and they pay most of those steps: on the three degree-3 boundaries of
 the sym:4, p = 2 homology checks the XORs fall by almost half.  Stored pivots
 are never changed afterwards, so the echelon after k rows does not depend on
-any row after them, and the bounded, seeded and cleared passes below still
-keep exactly the echelon a full pass keeps.
+any row after them, and the bounded and seeded passes below still keep
+exactly the echelon a full pass keeps.
 
 ``FpMatrix.rank`` keeps that echelon.  A matrix may declare that its last
 rows are ``[0 | block]`` for another matrix ``block`` starting at a column
@@ -39,25 +39,13 @@ pivots, seeded ones included, and the rows after that are never read.  The
 result stays exact when the bound is a true upper bound: the rows inserted so
 far then span the whole row space, so every later row would reduce to zero
 and add no pivot, and the stopped echelon is the one a full pass would keep.
-Nerves and mapping cones supply the bound from ∂² = 0, which their
-constructors check: the rows of ∂_d lie in the left kernel of ∂_{d-1}, so
-rank ∂_d <= dim C_{d-1} - rank ∂_{d-1}.  For an acyclic complex (the mapping
-cone of an isomorphism) that bound is the rank, and elimination ends at the
-row that finds the last pivot.
-
-``rank`` may also be told to skip rows, for clearing across consecutive
-degrees (Chen–Kerber, "Persistent homology computation with a twist", 2011;
-Bauer, "Ripser", 2021).  Let D_{n-1}, D_n be consecutive differentials with
-rows indexed by C^{n-1} and C^n, so D_{n-1} D_n = 0.  Every row v of the
-echelon of D_{n-1} lies in the row space of D_{n-1}, so v D_n = 0; if v's
-leading (largest) column is c, row c of D_n is a combination of rows < c.
-Inserted in order, row c would reduce to zero against the rows before it,
-so skipping the leading columns of D_{n-1}'s echelon keeps the same echelon
-and rank as a full pass.  Only D_{n-1} D_n = 0 is used, and the rank of D_n
-is then at most the number of rows left, which is the ∂² = 0 bound above.
-Functor cochain complexes are ranked this way.  Nerves keep the boundary
-orientation and the bound, because a seeded mapping cone needs its target
-boundary's echelon in that orientation.
+Every complex supplies the bound from ∂² = 0, which ``homology.FpComplex``
+checks: the rows of ∂_d lie in the left kernel of ∂_{d-1}, so
+rank ∂_d <= dim C_{d-1} - rank ∂_{d-1}.  Nerves, mapping cones and functor
+cochain complexes are all written in that orientation, a cochain
+differential C^n -> C^{n+1} transposed with rows indexed by C^{n+1}.  For an
+acyclic complex (the mapping cone of an isomorphism) that bound is the rank,
+and elimination ends at the row that finds the last pivot.
 
 At p = 2 the engine also skips the rows that already lie in the span of its
 echelon E.  A row v lies in span(E) exactly when v y = 0 for every y in the
@@ -72,9 +60,9 @@ hashing and no randomness.  A row in span(E) reduces to zero against E and
 against every later echelon, since stored pivots never change and the span
 only grows, so skipping it stores nothing: the kept echelon is the one a
 full pass keeps, in keys, values and insertion order, whatever the seeds,
-bound, skipped rows or cap.  The filter starts once the engine has read as
-many rows as the matrix has columns without reaching its cap.  The rest go
-in blocks, the first as long as the matrix is wide and each later one half
+bound or cap.  The filter starts once the engine has read as many rows as
+the matrix has columns without reaching its cap.  The rest go in blocks,
+the first as long as the matrix is wide and each later one half
 as long as the rows read so far, and Y is rebuilt at a block's start only
 when the echelon has grown.  Memory: Y takes ncols * ceil((ncols - rank) /
 64) words, and it is built only when that is at most 2 nnz, about the size
@@ -126,11 +114,9 @@ class FpMatrix:
     def nnz(self) -> int:
         return self.csr.nnz
 
-    def rank(self, bound: int | None = None, skip=()) -> int:
+    def rank(self, bound: int | None = None) -> int:
         """The rank over F_p.  ``bound``, if given, must be an upper bound on
-        it; elimination stops once ``min(bound, *shape)`` pivots are found.
-        The rows in ``skip`` are never read; each must be a combination of
-        the rows before it (see the module docstring)."""
+        it; elimination stops once ``min(bound, *shape)`` pivots are found."""
         if self._rank is None:
             cap = min(self.shape) if bound is None else min(bound, *self.shape)
             pivots: dict = {}
@@ -139,8 +125,6 @@ class FpMatrix:
                 block, offset = self.tail
                 rows = range(self._check_tail())
                 pivots = _shifted_echelon(block.echelon, offset, self.prime)
-            if len(skip):
-                rows = np.setdiff1d(rows, np.fromiter(skip, np.int64)).tolist()
             if self.prime == 2:
                 _insert_rows_gf2(self.csr, rows, pivots, cap)
             else:
@@ -191,7 +175,7 @@ def _shifted_echelon(pivots: dict, offset: int, p: int) -> dict:
     }
 
 
-def _insert_rows_gf2(csr: sparse.csr_matrix, rows, pivots: dict[int, int],
+def _insert_rows_gf2(csr: sparse.csr_matrix, rows: range, pivots: dict[int, int],
                      cap: int) -> None:
     """Insert ``rows``, in order, into a GF(2) echelon of bitmask rows,
     stopping once it holds ``cap`` pivots.  After as many rows as the matrix
@@ -207,8 +191,7 @@ def _insert_rows_gf2(csr: sparse.csr_matrix, rows, pivots: dict[int, int],
     lead = _reduce_rows_gf2(csr, rows[:ncols], pivots, lead, cap)
     if lead is None or len(rows) <= ncols:
         return
-    ids = (np.arange(rows.start, rows.stop, rows.step) if isinstance(rows, range)
-           else np.asarray(rows, dtype=np.int64))
+    ids = np.arange(rows.start, rows.stop, rows.step)
     span = _SpanTest(csr)
     done = ncols
     while lead is not None and done < len(ids):

@@ -44,7 +44,9 @@ class FpComplex:
 
     ``boundaries[d]`` (1 <= d <= dmax) is stored row-major: row i holds the
     boundary of the i-th degree-d basis chain in the degree-(d-1) basis.
-    ``chains`` holds the nerve's chain arrays; mapping cones have none.
+    ``chains`` holds the nerve's chain arrays; mapping cones and functor
+    cochain complexes (``limits``, boundary d+1 the transposed differential
+    C^d -> C^{d+1}) carry none.
     Construction raises ``PLocalError`` unless ∂_d ∂_{d-1} = 0 in every
     degree, which ``rank_boundary``'s bound relies on.
 

@@ -183,7 +183,7 @@ def punctured_class_vanishing(
     """Limits of the functor concentrated on the class of a non-centric Q
     vanish, over both skeleta; flags NOT-APPLICABLE for centric input."""
     G, p = skel.G, skel.p
-    cache = cache or CohomologyCache(G, p)
+    cache = cache or CohomologyCache(G, p, budget)
     k = skel.p_object_of(Q)
     label = skel.p_reps[k].label()
     if skel.p_centric[k]:
@@ -225,7 +225,7 @@ def normalizer_reduction_check(
     representative R, so they are built once per class and kept in
     ``cache.quotients``."""
     G, p = skel.G, skel.p
-    cache = cache or CohomologyCache(G, p)
+    cache = cache or CohomologyCache(G, p, budget)
     k = skel.p_object_of(Q)
     R = skel.p_reps[k]
     F = supported_cohomology_functor(G, p, skel.p_cat, [k], i, cache)
@@ -272,7 +272,7 @@ def support_restriction_check(
     closed under overgroups within the poset raises UpwardClosureViolated.
     """
     G, p = skel.G, skel.p
-    cache = cache or CohomologyCache(G, p)
+    cache = cache or CohomologyCache(G, p, budget)
     poset = skel.poset
     if support_classes is None:
         support_classes = [c for c, flag in enumerate(skel.omega_centric) if flag]
@@ -356,7 +356,7 @@ def class_filtration_check(
     vanish, and that the limit profile is unchanged; finish with the direct
     comparison of the centric and full profiles."""
     G, p = skel.G, skel.p
-    cache = cache or CohomologyCache(G, p)
+    cache = cache or CohomologyCache(G, p, budget)
     cat = skel.omega_cat
     poset = skel.poset
 

@@ -13,10 +13,12 @@ Each face's block column comes from the face tables of ``chains``.  A
 complex built to ``nmax`` certifies lim^n for n <= nmax-1, and lim^0 is
 cross-checked against the directly solved compatible-family system.
 
-Each differential is stored in its natural orientation, rows indexed by C^n,
-so that the rank of d: C^n -> C^{n+1} can clear the rows at the pivots of
-the differential into C^n (see ``fplinalg``).  ``limits_profile`` can keep
-its results in a per-run store keyed on the functor's whole content.
+Each differential d: C^n -> C^{n+1} is written transposed, rows indexed by
+C^{n+1}, so the complex is a ``homology.FpComplex`` whose boundary in
+degree n+1 is d, and lim^n is its homology in degree n, ranked exactly as a
+nerve's: each rank stops at the bound ∂² = 0 forces (see ``fplinalg``).
+``limits_profile`` can keep its results in a per-run store keyed on the
+functor's whole content.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .categories import FiniteCategory, Functor, _expand, _offsets
 from .chains import Chains, _fp_matrix, chain_counts, cochain_differentials
 from .errors import DEFAULT_BUDGET, BudgetExceeded, NotAFunctor, PLocalError
-from .fplinalg import FpMatrix
+from .homology import FpComplex
 
 
 @dataclass
@@ -115,45 +117,8 @@ class LimitsProfile:
         return all(d == 0 for d in self.dims)
 
 
-class CochainComplex:
-    """The normalized functor cochain complex, truncated at chain length nmax.
-
-    ``diffs[n]`` is the matrix of d: C^n -> C^{n+1} in its natural
-    orientation, acting on row vectors: rows are indexed by the degree-n
-    basis and columns by the degree-(n+1) basis.  Construction raises
-    ``PLocalError`` unless d d = 0 in every degree, which ``rank_diff``'s
-    clearing relies on.
-    """
-
-    def __init__(self, prime: int, nmax: int, dims: list[int], diffs: list[FpMatrix]):
-        for n in range(1, len(diffs)):
-            if not diffs[n - 1].matmul(diffs[n]).is_zero():
-                raise PLocalError(f"cochain differential squared is nonzero in degree {n}")
-        self.prime = prime
-        self.nmax = nmax
-        self.dims = dims
-        self.diffs = diffs
-
-    def rank_diff(self, n: int) -> int:
-        """rank of d: C^n -> C^{n+1}.  The rows at the leading columns of the
-        echelon of the differential into C^n are cleared, never read: each
-        is a combination of the rows before it (see ``fplinalg``)."""
-        if n < 0 or n >= len(self.diffs):
-            return 0
-        if n == 0:
-            return self.diffs[0].rank()
-        self.rank_diff(n - 1)
-        return self.diffs[n].rank(skip=self.diffs[n - 1].echelon)
-
-    def limit_dims(self) -> list[int]:
-        return [
-            self.dims[n] - self.rank_diff(n) - self.rank_diff(n - 1)
-            for n in range(self.nmax)
-        ]
-
-
 def functor_cochain_complex(F: LinearFunctor, nmax: int,
-                            budget: int = DEFAULT_BUDGET) -> CochainComplex:
+                            budget: int = DEFAULT_BUDGET) -> FpComplex:
     """Build the normalized cochain complex of a (validated) functor.
 
     The differential evaluated on a chain c_0 -> ... -> c_{n+1} applies
@@ -168,7 +133,7 @@ def functor_cochain_complex(F: LinearFunctor, nmax: int,
             raise BudgetExceeded(n, weights[n], budget)
     chains = Chains(C, nmax, [i for i, d in enumerate(F.dims) if d > 0])
     dims, diffs = cochain_differentials(chains, F.dims, F.entries, F.offsets, F.prime)
-    return CochainComplex(F.prime, nmax, dims, diffs)
+    return FpComplex(F.prime, nmax, dims, [None, *diffs])
 
 
 def limits_profile(F: LinearFunctor, nmax: int, budget: int = DEFAULT_BUDGET,
@@ -185,7 +150,7 @@ def limits_profile(F: LinearFunctor, nmax: int, budget: int = DEFAULT_BUDGET,
             return LimitsProfile(F.prime, list(dims), nmax, check)
     F.validate()
     cx = functor_cochain_complex(F, nmax, budget)
-    dims = cx.limit_dims()
+    dims = cx.homology().dims
     check = inverse_limit_dim(F)
     if dims and dims[0] != check:
         raise PLocalError(

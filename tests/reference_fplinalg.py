@@ -1,7 +1,7 @@
 """Reference eliminations for the sparse rank engine (``plocal.fplinalg``).
 
 Each ranks a whole CSR matrix over F_p by plain insertion, in row order:
-no bound, no seeding, no clearing, no tail reduction and no span filter,
+no bound, no seeding, no tail reduction and no span filter,
 and it keeps no echelon.  The tests check the engine's ranks against them.
 """
 

@@ -5,11 +5,10 @@ from B's kept echelon, and from scratch.  Both must agree with the reference
 eliminations ``_rank_csr_gf2``/``_rank_csr_modp`` (``reference_fplinalg.py``)
 and, where the matrix is small enough to hold densely, with the dense oracle.
 
-Nerves and cones rank each boundary with the bound ∂² = 0 forces, and
-cochain complexes clear the rows at the previous differential's pivots.  A
-bounded or cleared rank must equal the plain one and the reference, its
-echelon must equal the one a pass over every row keeps, and no row after the
-one that reaches the bound, and no cleared row, may be read.
+Nerves, cones and functor cochain complexes rank each boundary with the
+bound ∂² = 0 forces.  A bounded rank must equal the plain one and the
+reference, its echelon must equal the one a pass over every row keeps, and
+no row after the one that reaches the bound may be read.
 
 Every kept echelon is tail-reduced: each pivot is zero at the leading column
 of every pivot stored before it, seeds included.  The references reduce no
@@ -109,9 +108,9 @@ def assert_tail_reduced(echelon: dict, p: int):
 
 
 def assert_bounded_ranks_exact(mats: list[FpMatrix], ranks: list[int]):
-    """Each matrix, ranked by its complex with the ∂² = 0 bound (nerves and
-    cones) or with clearing (cochains), against an unbounded rank, the
-    reference and a full pass; its echelon is tail-reduced."""
+    """Each boundary, ranked by its complex with the ∂² = 0 bound, against
+    an unbounded rank, the reference and a full pass; its echelon is
+    tail-reduced."""
     for m, r in zip(mats, ranks):
         unbounded = FpMatrix(m.csr.copy(), m.prime, m.tail)
         assert r == unbounded.rank() == reference_rank(m)
@@ -268,8 +267,8 @@ def test_real_cochain_and_nerve_ranks_bounded_and_full(spec, p, index):
     else:
         F = classifying_cohomology_functor(G, p, skel.omega_cat, index, CohomologyCache(G, p))
     cx = functor_cochain_complex(F, 3)
-    ranks = [cx.rank_diff(n) for n in range(len(cx.diffs))]
-    assert_bounded_ranks_exact(cx.diffs, ranks)
+    ranks = [cx.rank_boundary(d) for d in range(1, cx.dmax + 1)]
+    assert_bounded_ranks_exact(cx.boundaries[1:], ranks)
     nerve = nerve_complex(skel.omega_cat, p, 3)
     ranks = [nerve.rank_boundary(d) for d in range(1, nerve.dmax + 1)]
     assert_bounded_ranks_exact(nerve.boundaries[1:], ranks)
@@ -280,14 +279,16 @@ LIMIT_CHECKS = ("punctured", "normalizer-reduction", "atomic-vanishing", "restri
                 "filtration")
 
 
-def assert_clearing_exact(cx) -> int:
-    """Rank a fresh cochain complex with clearing, spying on every row read;
-    returns the number of rows cleared."""
-    plain = [FpMatrix(m.csr.copy(), m.prime) for m in cx.diffs]
-    reads = [spy_on_rows(m) for m in cx.diffs]
-    ranks = [cx.rank_diff(n) for n in range(len(cx.diffs))]
-    cleared_total = 0
-    for n, (m, full, read, r) in enumerate(zip(cx.diffs, plain, reads, ranks)):
+def assert_cochain_ranks_exact(cx) -> int:
+    """Rank a fresh cochain complex with its ∂² = 0 bounds, spying on every
+    row read; returns how many boundaries stopped at their bound before
+    their last row."""
+    plain = [FpMatrix(m.csr.copy(), m.prime) for m in cx.boundaries[1:]]
+    reads = [spy_on_rows(m) for m in cx.boundaries[1:]]
+    ranks = [cx.rank_boundary(d) for d in range(1, cx.dmax + 1)]
+    stopped = 0
+    for d, m, full, read, r in zip(range(1, cx.dmax + 1), cx.boundaries[1:], plain, reads,
+                                   ranks):
         assert r == full.rank() == reference_rank(full)
         if full.shape[0] * full.shape[1] <= DENSE_ORACLE_MAX_ENTRIES:
             assert r == oracle.dense_rank_modp(full.csr.toarray(), full.prime)
@@ -297,23 +298,24 @@ def assert_clearing_exact(cx) -> int:
         starts = read[::2]
         assert read[1::2] == [i + 1 for i in starts]
         assert starts == sorted(set(starts))
-        cleared = set(cx.diffs[n - 1].echelon) if n else set()
-        assert not cleared & set(starts)
-        cleared_total += len(cleared)
-    return cleared_total
+        bound = cx.dims[d - 1] - (ranks[d - 2] if d > 1 else 0)
+        if r == bound and starts and starts[-1] < m.shape[0] - 1:
+            stopped += 1
+    return stopped
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_cochain_clearing_on_every_catalog_limit_complex(monkeypatch, p):
-    """Every cochain complex the limit checks build for the catalog: cleared
-    ranks equal plain ones, the references and the dense oracle, the kept
-    echelons equal full passes, and no cleared row is read."""
+def test_cochain_ranks_bounded_on_every_catalog_limit_complex(monkeypatch, p):
+    """Every cochain complex the limit checks build for the catalog: ranks
+    bounded by ∂² = 0 equal full passes, the references and the dense
+    oracle, the kept echelons equal full passes, and some boundary stops at
+    its bound before its last row."""
     real = limits.functor_cochain_complex
-    seen, cleared = [], []
+    seen, stopped = [], []
 
     def checked(F, nmax, budget=limits.DEFAULT_BUDGET):
         cx = real(F, nmax, budget)
-        cleared.append(assert_clearing_exact(cx))
+        stopped.append(assert_cochain_ranks_exact(cx))
         seen.append(cx.dims)
         return cx
 
@@ -322,7 +324,7 @@ def test_cochain_clearing_on_every_catalog_limit_complex(monkeypatch, p):
         rep = run_pipeline(spec, PipelineConfig(prime=p, checks=LIMIT_CHECKS,
                                                 include_timings=False))
         assert "fail" not in rep.verdicts.values(), spec
-    assert seen and sum(cleared) > 0
+    assert seen and sum(stopped) > 0
 
 
 HOMOLOGY_CHECKS = ("nerve-vs-group", "centric-restriction", "centric-agreement",
@@ -338,11 +340,11 @@ def test_every_catalog_nerve_and_cone_keeps_a_tail_reduced_echelon(monkeypatch, 
     real = FpMatrix.rank
     ranked = {"plain": 0, "seeded": 0, "referenced": 0}
 
-    def checked(self, bound=None, skip=()):
+    def checked(self, bound=None):
         if self._rank is not None:
-            return real(self, bound, skip)
+            return real(self, bound)
         seeded = self.tail is not None and self.tail[0].echelon is not None
-        r = real(self, bound, skip)
+        r = real(self, bound)
         assert_tail_reduced(self.echelon, self.prime)
         if self.nnz <= 60_000:
             assert r == reference_rank(self)
@@ -426,26 +428,25 @@ def echelon_gf2(rng, ncols, nrows) -> dict:
 @pytest.mark.parametrize("seeded", [False, True])
 def test_span_filter_keeps_the_plain_echelon_on_tall_random_matrices(nrows, ncols, dim, late,
                                                                     seeded):
-    """Filtered insertion against a plain pass, with and without seeds and
-    skipped rows, under infinite, loose, exact and default caps."""
+    """Filtered insertion against a plain pass, with and without seeds,
+    under infinite, loose, exact and default caps."""
     rng = np.random.default_rng(7 * nrows + ncols + seeded)
     csr = tall_gf2(rng, nrows, ncols, dim, late)
     seeds = echelon_gf2(rng, ncols, 3 if seeded else 0)
-    kept = sorted(rng.choice(nrows, nrows * 4 // 5, replace=False).tolist())
+    rows = range(nrows)
     filtered_any = False
-    for rows in (range(nrows), kept):
-        rank = len(plain_pass_gf2(csr, rows, dict(seeds), math.inf))
-        if not seeded and rows == range(nrows):
-            assert rank == _rank_csr_gf2(csr)
-        for cap in (math.inf, rank + 2, rank, min(nrows, ncols)):
-            plain = plain_pass_gf2(csr, rows, dict(seeds), cap)
-            spied = csr.copy()
-            read = spy_on_csr(spied)
-            filtered = dict(seeds)
-            _insert_rows_gf2(spied, rows, filtered, cap)
-            assert list(filtered.items()) == list(plain.items()), (rows, cap)
-            assert_tail_reduced(filtered, 2)
-            filtered_any |= len(read) < 2 * len(rows)
+    rank = len(plain_pass_gf2(csr, rows, dict(seeds), math.inf))
+    if not seeded:
+        assert rank == _rank_csr_gf2(csr)
+    for cap in (math.inf, rank + 2, rank, min(nrows, ncols)):
+        plain = plain_pass_gf2(csr, rows, dict(seeds), cap)
+        spied = csr.copy()
+        read = spy_on_csr(spied)
+        filtered = dict(seeds)
+        _insert_rows_gf2(spied, rows, filtered, cap)
+        assert list(filtered.items()) == list(plain.items()), cap
+        assert_tail_reduced(filtered, 2)
+        filtered_any |= len(read) < 2 * nrows
     assert filtered_any
 
 
@@ -504,12 +505,12 @@ def test_span_filter_keeps_the_plain_echelon_on_the_sym4_degree3_boundaries(monk
     real = FpMatrix.rank
     seen = {}
 
-    def checked(self, bound=None, skip=()):
+    def checked(self, bound=None):
         if self._rank is not None or self.shape[0] < 10_000 or self.tail is not None:
-            return real(self, bound, skip)
+            return real(self, bound)
         csr = self.csr.copy()
         read = spy_on_rows(self)
-        r = real(self, bound, skip)
+        r = real(self, bound)
         plain = plain_pass_gf2(csr, range(csr.shape[0]), {}, min(bound, *csr.shape))
         assert list(self.echelon.items()) == list(plain.items())
         assert r == _rank_csr_gf2(csr) == len(plain_pass_gf2(csr, range(csr.shape[0]), {},

@@ -171,7 +171,7 @@ def test_lim0_equals_compat_system_everywhere():
     for i in range(3):
         F = classifying_cohomology_functor(G, 2, skel.omega_cat, i, cache)
         cx = functor_cochain_complex(F, 3)
-        assert cx.limit_dims()[0] == inverse_limit_dim(F)
+        assert cx.homology().dims[0] == inverse_limit_dim(F)
 
 
 def test_cohomology_basis_dimensions():
@@ -345,6 +345,23 @@ def test_cochain_budget_guard():
     F = classifying_cohomology_functor(G, 2, skel.p_cat, 0)
     with pytest.raises(BudgetExceeded):
         functor_cochain_complex(F, 3, budget=5)
+
+
+@pytest.mark.parametrize("own_cache", [False, True])
+def test_limit_checks_build_their_cache_with_the_callers_budget(own_cache):
+    """H^2 of the Sylow subgroup of sym:4 needs a bar basis of 343 chains at
+    degree 3; a check given budget 300 raises, with or without its own cache."""
+    from plocal import BudgetExceeded
+    G = build_group("sym:4")
+    skel = build_orbit_skeletons(G, 2)
+    checks = (
+        lambda cache: normalizer_reduction_check(skel, skel.sylow, 2, 1, 300, cache),
+        lambda cache: support_restriction_check(skel, 2, 1, 300, cache),
+        lambda cache: class_filtration_check(skel, 2, 1, 300, cache),
+    )
+    for check in checks:
+        with pytest.raises(BudgetExceeded, match="basis size 343 at degree 3"):
+            check(None if own_cache else CohomologyCache(G, 2, 300))
 
 
 def test_supported_functor_zero_off_support():

@@ -256,6 +256,22 @@ def test_centric_agreement_reuses_the_transporter_poset_nerve(monkeypatch):
     assert digest == "4d6042a9ac7d459ef8017317b18291da6411ab8fd91ee5553e2c11f46d1fff38"
 
 
+def test_sym4_limit_checks_at_limit_degree_4():
+    """The five limit checks on sym:4 at p=2 through lim^3: every verdict
+    passes and the report is pinned byte for byte."""
+    checks = ("punctured", "normalizer-reduction", "atomic-vanishing", "restriction",
+              "filtration")
+    rep = run_pipeline("sym:4", PipelineConfig(prime=2, max_limit_degree=4, checks=checks,
+                                               include_timings=False))
+    v = rep.data["verdicts"]
+    for key in ("punctured_limits_vanish", "normalizer_reduction",
+                "atomic_vanishing_with_p_kernel", "support_restriction_limits",
+                "class_filtration_limits"):
+        assert v[key] == "pass", key
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == "2b93bfb64640f129b0720af83cd0604b3628c9d910920e101dbc98f80eefc5c0"
+
+
 def test_out_of_memory_marks_only_its_stage_not_certified(monkeypatch, capsys):
     """A MemoryError raised by the first elimination of one homology stage
     leaves that stage not-certified with a note; the other stages pass and
@@ -266,7 +282,7 @@ def test_out_of_memory_marks_only_its_stage_not_certified(monkeypatch, capsys):
     def starved(run, detail):
         real = FpMatrix.rank
 
-        def rank(self, bound=None, skip=()):
+        def rank(self, bound=None):
             raise MemoryError
 
         monkeypatch.setattr(FpMatrix, "rank", rank)

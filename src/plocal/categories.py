@@ -24,10 +24,13 @@ way with both sides trivial.
 Tokens: a category keeps its morphisms only as int arrays, one entry per
 token: ``src``, ``tgt`` and ``witness`` (the coset's least element; -1 in
 the thin coset category), set once, whole, by ``set_tokens`` together with
-each object's identity token.  Tokens are numbered grouped by source
-(``set_tokens`` enforces it), so the tokens leaving object o are the block
-``first[o] <= t < first[o + 1]``; ``mor`` reads Mor(i, j) from that block
-and ``tokens_of`` finds tokens by witness with one ``searchsorted``.
+each object's identity token.  Tokens are numbered in strictly increasing
+(source, target, witness) order, which every builder emits and
+``set_tokens`` enforces, keeping the sorted keys.  So the tokens leaving
+object o are the block ``first[o] <= t < first[o + 1]``; ``mor`` reads
+Mor(i, j) from that block and ``tokens_of`` finds tokens by witness with one
+``searchsorted`` over the kept keys.  ``full_subcategory`` keeps its
+tokens in the same order.
 
 Composition: the composable pairs (t1, t2) are t1 followed by a token of
 the block of t1's target; each has one slot in the int array
@@ -116,7 +119,7 @@ class FiniteCategory:
         self.right: list[Subgroup] | None = None
         # the tokens and their slot offsets, fixed by ``set_tokens``
         self.src = self.tgt = self.witness = self.identity_ids = None
-        self.is_id = self.first = self.pair_start = self._key_order = None
+        self.is_id = self.first = self.pair_start = self._keys = None
         self.composite: np.ndarray | None = None
         # the least-element tables of the sides, stacked on first use
         self._at = self._tables = None
@@ -125,15 +128,18 @@ class FiniteCategory:
 
     def set_tokens(self, src, tgt, witness, identity_ids):
         """Fix every token at once, with each object's identity token (-1
-        for none).  Sources may not decrease: the composition store and
-        ``chains`` rely on tokens grouped by source."""
+        for none).  Tokens must be strictly increasing in (source, target,
+        witness): the composition store and ``chains`` rely on tokens
+        grouped by source, and ``tokens_of`` searches the sorted keys."""
         if self.src is not None:
             raise PLocalError("tokens are fixed once set")
-        src = np.asarray(src, dtype=np.int64)
+        src, tgt, witness = (np.asarray(a, dtype=np.int64) for a in (src, tgt, witness))
         if (np.diff(src) < 0).any():
             raise PLocalError("tokens must be grouped by source object")
-        self.src, self.tgt = src, np.asarray(tgt, dtype=np.int64)
-        self.witness = np.asarray(witness, dtype=np.int64)
+        keys = self._key(src, tgt, witness)
+        if (np.diff(keys) <= 0).any():
+            raise PLocalError("tokens must be distinct and sorted by (source, target, witness)")
+        self.src, self.tgt, self.witness, self._keys = src, tgt, witness, keys
         self.identity_ids = np.asarray(identity_ids, dtype=np.int64)
         self.is_id = self.identity_ids[src] == np.arange(len(src))
         self.first = _offsets(np.bincount(src, minlength=self.object_count))
@@ -181,19 +187,17 @@ class FiniteCategory:
         product = self.group.mul[self.witness[t1], self.witness[t2]]
         return self.tokens_of(a, c, self.canonicals(a, c, product))
 
+    def _key(self, i, j, w):
+        """The sort key of (source, target, witness): a key has a place for
+        each witness from -1 to |G| - 1."""
+        return (i * self.object_count + j) * (self.group.order + 1) + w + 1
+
     def tokens_of(self, i, j, w) -> np.ndarray:
         """The tokens from object i to object j witnessed by w, elementwise;
-        -1 where there is none.  The sorted keys are kept once computed; a
-        key has a place for each witness from -1 to |G| - 1."""
-        n, m = self.group.order + 1, self.object_count
-        if self._key_order is None:
-            keys = (self.src * m + self.tgt) * n + self.witness + 1
-            order = np.argsort(keys)
-            self._key_order = keys[order], order
-        keys, order = self._key_order
-        want = (np.asarray(i, dtype=np.int64) * m + j) * n + w + 1
-        at = np.searchsorted(keys, want).clip(max=len(keys) - 1)
-        return np.where(keys[at] == want, order[at], -1)
+        -1 where there is none: one search of the keys ``set_tokens`` sorted."""
+        want = self._key(np.asarray(i, dtype=np.int64), j, w)
+        at = np.searchsorted(self._keys, want).clip(max=len(self._keys) - 1)
+        return np.where(self._keys[at] == want, at, -1)
 
     # -- queries -----------------------------------------------------------
 
@@ -349,8 +353,8 @@ def full_subcategory(C: FiniteCategory, keep: list[int]) -> tuple[FiniteCategory
     new_obj[keep] = np.arange(len(keep))
     a, b = new_obj[C.src], new_obj[C.tgt]
     kept = np.flatnonzero((a >= 0) & (b >= 0))
-    # stable in token order, so a sorted ``keep`` keeps C's numbering
-    old = kept[np.argsort(a[kept], kind="stable")]
+    # in (source, target, witness) order, so a sorted ``keep`` keeps C's numbering
+    old = kept[np.lexsort((C.witness[kept], b[kept], a[kept]))]
     # C's missing identities and unfilled slots read -1, i.e. the extra last
     # entry, so stay missing and unfilled
     new_of_old = np.full(C.morphism_count + 1, -1, dtype=np.int64)

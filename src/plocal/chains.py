@@ -14,11 +14,10 @@ The extensions of row j of degree d-1 are then the contiguous block of
 degree d starting at ``starts[d][j]``: the extension by t is row
 ``starts[d][j] + pos[t]``, where ``pos[t]`` is the rank of t among the
 non-identity tokens with its source.  A degree keeps only each chain's last
-token, parent row j (its drop-last face) and head; the token rows are read
-back along parents only when asked for.  Tokens must be numbered grouped by
-source (object 0's first, then object 1's, ...); ``FiniteCategory.set_tokens``
-enforces it, and it makes head-major order the lexicographic order of the
-token rows.
+token, parent row j (its drop-last face) and head, never the token rows.
+Tokens must be numbered grouped by source (object 0's first, then object
+1's, ...); ``FiniteCategory.set_tokens`` enforces it, and it makes
+head-major order the lexicographic order of the token rows.
 
 Faces by recursion (after Bauer, "Ripser", 2021: faces are derived from
 the combinatorics of the numbering, not kept and searched for).  Let
@@ -69,7 +68,7 @@ class Chains:
     """The normalized chains of C through degree ``dmax`` that start at
     ``heads`` (every object by default).  Degree d >= 1 keeps, per chain, its
     last token, its parent (drop-last face) row in degree d-1 and its head
-    object; token rows are built only when asked for (``tokens``)."""
+    object; the token rows are never built."""
 
     def __init__(self, C: FiniteCategory, dmax: int, heads=None):
         self.category = C
@@ -96,15 +95,6 @@ class Chains:
             self.heads.append(self.heads[d - 1][parent])
             tails = self.tgt[last]
         self.dims = [len(h) for h in self.heads]
-
-    def tokens(self, d: int) -> np.ndarray:
-        """The (dims[d], d) token rows of degree d, read back along parents."""
-        rows = np.empty((self.dims[d], d), dtype=np.int64)
-        at = np.arange(self.dims[d])
-        for k in range(d, 0, -1):
-            rows[:, k - 1] = self.last[k][at]
-            at = self.parent[k][at]
-        return rows
 
     def faces(self):
         """For d = 1..dmax in turn, the (dims[d], d+1) table whose column i

@@ -128,9 +128,6 @@ class PermutationGroup:
             out = self.mult(out, i)
         return out
 
-    def contains(self, perm: Permutation) -> bool:
-        return perm.images in self._index
-
     # -- subgroups -----------------------------------------------------
 
     def subgroup_closure(self, seed_ids) -> tuple[int, ...]:

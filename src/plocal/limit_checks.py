@@ -1,7 +1,10 @@
 """Verification passes over orbit-category higher limits.
 
 All checks run on skeletal orbit categories (one object per conjugacy class)
-and compute both sides of each claimed identity independently:
+and compute both sides of each claimed identity independently.  One orbit
+category is built per group: the intersection-poset skeleton is the full
+subcategory of the p-subgroup skeleton on the poset's classes.  The checks
+are:
 
 * vanishing of the limits of a functor concentrated on a non-centric class,
   over both the intersection-poset skeleton and the full p-subgroup skeleton;
@@ -10,6 +13,9 @@ and compute both sides of each claimed identity independently:
   the functor is supported on;
 * the one-class-at-a-time filtration from the centric subcategory up to the
   whole intersection poset.
+
+The restriction and filtration checks share one upward-closure rule,
+``_first_outside_above``.
 
 Limits go through the run's ``CohomologyCache.limits`` store, so a functor
 whose content recurs (the same functor restricted to every object, or
@@ -97,21 +103,25 @@ def build_orbit_skeletons(
     table_budget: int = DEFAULT_BUDGET,
     sylow_subgroups: list[Subgroup] | None = None,
 ) -> OrbitSkeletons:
+    """The orbit category on the least member of each class of p-subgroups,
+    its composition store within ``table_budget``, and its full subcategory
+    on the classes of the intersection poset."""
     poset = poset or build_intersection_poset(G, p)
     # any Sylow works, for ``sylow_subgroups`` (every subgroup of one) too;
     # the minimal-key conjugate keeps output reproducible
     S = min(poset.sylows, key=lambda T: T.key)
     p_reps = p_class_representatives(G, p, sylow_subgroups or all_subgroups(S))
     p_cat = build_orbit(G, p_reps, table_budget)
+    p_centric = [is_centric(G, p, R) for R in p_reps]
     # a poset class is a whole conjugacy class, so its least member is its
-    # representative in p_reps
-    class_rep = [min((poset.members[i] for i in cls), key=lambda m: m.key).ids
+    # representative in p_reps; the poset skeleton is the full subcategory
+    # of p_cat on those representatives, in p_reps order, so its tokens
+    # keep their order in p_cat
+    p_index = {R.ids: k for k, R in enumerate(p_reps)}
+    class_rep = [p_index[min((poset.members[i] for i in cls), key=lambda m: m.key).ids]
                  for cls in poset.classes]
-    omega_rep_ids = sorted(set(class_rep), key=lambda ids: (len(ids), ids))
-    by_ids = {R.ids: R for R in p_reps}
-    omega_reps = [by_ids[ids] for ids in omega_rep_ids]
-    omega_index = {ids: i for i, ids in enumerate(omega_rep_ids)}
-    omega_cat = build_orbit(G, omega_reps, table_budget)
+    keep = sorted(set(class_rep))
+    omega_index = {k: i for i, k in enumerate(keep)}
     return OrbitSkeletons(
         G=G,
         p=p,
@@ -119,10 +129,10 @@ def build_orbit_skeletons(
         sylow=S,
         p_reps=p_reps,
         p_cat=p_cat,
-        omega_reps=omega_reps,
-        omega_cat=omega_cat,
-        omega_centric=[is_centric(G, p, R) for R in omega_reps],
-        p_centric=[is_centric(G, p, R) for R in p_reps],
+        omega_reps=[p_reps[k] for k in keep],
+        omega_cat=full_subcategory(p_cat, keep)[0],
+        omega_centric=[p_centric[k] for k in keep],
+        p_centric=p_centric,
         member_class=[omega_index[class_rep[c]] for c in poset.class_of],
     )
 
@@ -139,7 +149,7 @@ def atomic_functor_limits(
     """Higher limits of the functor with value M at the trivial subgroup and
     zero elsewhere, over the skeletal orbit category of all p-subgroups;
     ``memo`` is passed on to ``limits_profile``."""
-    skel = skeletons or build_orbit_skeletons(G, p)
+    skel = skeletons or build_orbit_skeletons(G, p, table_budget=budget)
     cat = skel.p_cat
     triv = next(i for i, R in enumerate(skel.p_reps) if R.order == 1)
     rho = element_action_matrices(G, module, p)
@@ -235,7 +245,7 @@ def normalizer_reduction_check(
     if kept is None:
         N = normalizer(G, R)
         W = quotient_realization(G, N, R).group
-        kept = cache.quotients[R.ids] = (N, W, build_orbit_skeletons(W, p))
+        kept = cache.quotients[R.ids] = (N, W, build_orbit_skeletons(W, p, table_budget=budget))
     N, W, quotient_skel = kept
     basis = cache.basis(R, i)
     gen_mats = [cache.pullback(R, R, i, g) for g in N.generating_ids]
@@ -257,6 +267,23 @@ class RestrictionVerdict:
         return self.ambient_dims == self.restricted_dims
 
 
+def _first_outside_above(skel: OrbitSkeletons, classes: list[int]) -> int | None:
+    """A poset member that lies above a member of the listed skeleton
+    classes without being in one itself, the first found scanning members
+    in order; None when the classes are closed under overgroups within the
+    poset.  The poset is closed under conjugation, so a pair a <= b
+    conjugates into one Sylow together: the rule over all members is the
+    rule within any one Sylow."""
+    present = set(classes)
+    member_class, poset = skel.member_class, skel.poset
+    for a in range(len(poset.members)):
+        if member_class[a] in present:
+            for b in poset.leq[a]:
+                if member_class[b] not in present:
+                    return b
+    return None
+
+
 def support_restriction_check(
     skel: OrbitSkeletons,
     i: int,
@@ -273,21 +300,15 @@ def support_restriction_check(
     """
     G, p = skel.G, skel.p
     cache = cache or CohomologyCache(G, p, budget)
-    poset = skel.poset
     if support_classes is None:
         support_classes = [c for c, flag in enumerate(skel.omega_centric) if flag]
-    wanted = set(support_classes)
-    member_class = skel.member_class
-    for a in range(len(poset.members)):
-        if member_class[a] not in wanted:
-            continue
-        for b in poset.leq[a]:
-            if member_class[b] not in wanted:
-                raise UpwardClosureViolated(
-                    f"{poset.members[b].label()} lies above a supported member "
-                    f"but is outside the support"
-                )
-    support = sorted(wanted)
+    support = sorted(set(support_classes))
+    outside = _first_outside_above(skel, support)
+    if outside is not None:
+        raise UpwardClosureViolated(
+            f"{skel.poset.members[outside].label()} lies above a supported member "
+            f"but is outside the support"
+        )
     F = supported_cohomology_functor(G, p, skel.omega_cat, support, i, cache)
     ambient = limits_profile(F, nmax, budget, cache.limits).dims
     sub, incl = full_subcategory(skel.omega_cat, support)
@@ -358,7 +379,6 @@ def class_filtration_check(
     G, p = skel.G, skel.p
     cache = cache or CohomologyCache(G, p, budget)
     cat = skel.omega_cat
-    poset = skel.poset
 
     centric_objs = sorted(c for c, f in enumerate(skel.omega_centric) if f)
     noncentric = sorted(
@@ -377,22 +397,10 @@ def class_filtration_check(
     verdict.centric_dims = lim_on(centric_objs, F_all)
     verdict.full_dims = limits_profile(F_all, nmax, budget, cache.limits).dims
 
-    member_class = skel.member_class
-    in_sylow = set(poset.members_in(skel.sylow))
-
     current = list(centric_objs)
     prev_dims = verdict.centric_dims
     for new in noncentric:
         objs = sorted(current + [new])
-        present = set(objs)
-        upward = True
-        for a in in_sylow:
-            if member_class[a] not in present:
-                continue
-            for b in poset.leq[a]:
-                if b in in_sylow and member_class[b] not in present:
-                    upward = False
-
         sub, incl = full_subcategory(cat, objs)
         new_sub = objs.index(new)
         F_full = F_all.restrict(sub, incl)
@@ -408,7 +416,7 @@ def class_filtration_check(
         stage = FiltrationStage(
             added_label=skel.omega_reps[new].label(),
             added_order=skel.omega_reps[new].order,
-            upward_closed=upward,
+            upward_closed=_first_outside_above(skel, objs) is None,
             surjection_natural=natural,
             kernel_matches_punctured=kernel_ok,
             punctured_dims=limits_profile(punct, nmax, budget, cache.limits).dims,

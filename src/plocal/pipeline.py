@@ -151,13 +151,6 @@ class PipelineRun:
         )
 
     @property
-    def omega_centric_in_sylow(self):
-        def build():
-            table = self.centricity
-            return [H for H in self.omega_in_sylow if table.record_for(H).is_centric]
-        return self._get("omega_centric_in_sylow", build)
-
-    @property
     def transporter_omega(self):
         return self._get(
             "transporter_omega",
@@ -165,14 +158,22 @@ class PipelineRun:
         )
 
     @property
-    def transporter_omega_centric(self):
-        """``transporter_omega`` itself when every poset member is centric."""
+    def centric_inclusion(self) -> cats.Functor:
+        """The inclusion into ``transporter_omega`` of its full subcategory
+        on the centric poset members: the identity functor when every member
+        is centric, so that the subcategory is ``transporter_omega`` itself."""
         def build():
-            objs = self.omega_centric_in_sylow
-            if [H.ids for H in objs] == [H.ids for H in self.omega_in_sylow]:
-                return self.transporter_omega
-            return cats.build_transporter(self.G, objs, self.cfg.budget)
-        return self._get("transporter_omega_centric", build)
+            T = self.transporter_omega
+            keep = [i for i, P in enumerate(T.objects)
+                    if self.centricity.record_for(P).is_centric]
+            if len(keep) == T.object_count:
+                return cats.Functor(T, T, keep, list(range(T.morphism_count)))
+            return cats.full_subcategory(T, keep)[1]
+        return self._get("centric_inclusion", build)
+
+    @property
+    def transporter_omega_centric(self):
+        return self.centric_inclusion.source
 
     @property
     def transporter_centric(self):
@@ -338,7 +339,7 @@ class PipelineRun:
             i for i, P in enumerate(T.objects)
             if P.ids == self.poset.members[self.poset.minimum].ids
         )
-        bg_cat = cats.group_category(self.G, self.G.full_subgroup())
+        bg_cat = bar.chains.category
         tokens = T.tokens_of(min_idx, min_idx, bg_cat.witness)
         if (tokens < 0).any():
             raise PLocalError("an element of G has no token at the poset minimum")
@@ -355,14 +356,10 @@ class PipelineRun:
 
     def _stage_centric_restriction(self, detail):
         dmax = self.cfg.max_degree
-        T = self.transporter_omega
-        sub_idx = [
-            i for i, P in enumerate(T.objects)
-            if self.centricity.record_for(P).is_centric
-        ]
-        sub, incl = cats.full_subcategory(T, sub_idx)
-        src = nerve_complex(sub, self.p, max(dmax - 1, 1), self.cfg.budget)
-        tgt = self.complex_of(T, dmax)
+        incl = self.centric_inclusion
+        # the target first, so that a source equal to it is served as its prefix
+        tgt = self.complex_of(incl.target, dmax)
+        src = self.complex_of(incl.source, max(dmax - 1, 1))
         cm = induced_chain_map(incl, src, tgt)
         iso = homology_iso_verdict(cm)
         detail["homology"]["centric_restriction_iso"] = {

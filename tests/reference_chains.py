@@ -15,7 +15,7 @@ its ``src``/``tgt``/``witness`` arrays alone, never calling ``mor`` or
 kernel used before it derived faces and chain-map images from the parent
 chain's: a chain's row is found from its head, ``idx = row0[head]``, then
 ``idx = starts[k][idx] + pos[t_k]`` for k = 1..d, over the token rows that
-``Chains.tokens`` reads back.
+``tokens`` reads back along parents; the kernel itself never builds them.
 
 The functor references build {token: matrix} dicts by the per-token loops
 that the flat functor store (``plocal.limits.LinearFunctor``) replaced: a
@@ -113,6 +113,16 @@ def reference_compose_table(C) -> dict[tuple[int, int], int]:
     return table
 
 
+def tokens(chains, d: int) -> np.ndarray:
+    """The (dims[d], d) token rows of degree d, read back along parents."""
+    rows = np.empty((chains.dims[d], d), dtype=np.int64)
+    at = np.arange(chains.dims[d])
+    for k in range(d, 0, -1):
+        rows[:, k - 1] = chains.last[k][at]
+        at = chains.parent[k][at]
+    return rows
+
+
 def walk(chains, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Row numbers of the given chains, by the index walk from their heads."""
     idx = chains.row0[heads]
@@ -138,7 +148,7 @@ def reference_faces(chains, d: int) -> np.ndarray:
     every face of the token rows: column i is the row of the face that drops
     vertex c_i, -1 where it goes through an identity or starts at no head."""
     C = chains.category
-    T = chains.tokens(d)
+    T = tokens(chains, d)
     table = np.full((len(T), d + 1), -1, dtype=np.int64)
     head0 = C.tgt[T[:, 0]]
     rows = np.flatnonzero(chains.row0[head0] >= 0)
@@ -161,7 +171,7 @@ def reference_images(F, source, target, dmax: int) -> list[np.ndarray]:
     morphism_map = np.asarray(F.morphism_map, dtype=np.int64)
     out = []
     for d in range(dmax + 1):
-        image = morphism_map[source.tokens(d)]
+        image = morphism_map[tokens(source, d)]
         rows = np.flatnonzero(~target.is_id[image].any(axis=1))
         cols = np.full(source.dims[d], -1, dtype=np.int64)
         cols[rows] = find(target, object_map[source.heads[d][rows]], image[rows])

@@ -29,3 +29,17 @@ def verify_centric_decomposition(G, p: int, rec) -> bool:
             if G.mult(z, k) != G.mult(k, z):
                 return False
     return G.generated_subgroup(Z.ids + K.ids).ids == C.ids
+
+
+def upward_closed_in_sylow(skel, classes) -> bool:
+    """Whether the poset members of the listed orbit-skeleton classes are
+    closed under overgroups, checked only on pairs a <= b of members of the
+    skeleton's Sylow subgroup: the rule the filtration check used before it
+    shared one rule over all members with the restriction check."""
+    present = set(classes)
+    poset, member_class = skel.poset, skel.member_class
+    in_sylow = set(poset.members_in(skel.sylow))
+    return not any(
+        member_class[a] in present and member_class[b] not in present
+        for a in in_sylow for b in poset.leq[a] if b in in_sylow
+    )

@@ -810,6 +810,11 @@ def test_set_tokens_rejects_ungrouped_sources_and_a_second_call():
     with pytest.raises(PLocalError, match="grouped by source"):
         C.set_tokens([0, 1, 0], [0, 1, 1], [0, 0, 1], [0, 1])
     assert C.src is None
+    # a repeated (source, target, witness), then targets out of order
+    for tgt, witness in (([0, 1, 1], [0, 1, 1]), ([1, 0], [0, 0])):
+        with pytest.raises(PLocalError, match="distinct and sorted"):
+            C.set_tokens([0] * len(tgt) + [1], tgt + [1], witness + [0], [0, len(tgt)])
+        assert C.src is None
     C.set_tokens([0, 0, 1], [0, 1, 1], [0, 1, 0], [0, 2])
     assert C.mor(0, 1) == [1] and C.is_id.tolist() == [True, False, True]
     with pytest.raises(PLocalError, match="fixed once"):

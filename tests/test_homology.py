@@ -99,6 +99,30 @@ def test_identity_functor_chain_map():
     assert v.cone_homology == [0] * len(v.cone_homology)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("source_dmax", [2, 3])
+def test_a_chain_map_that_does_not_commute_has_no_cone(p, source_dmax):
+    """The identity of the transporter nerve on the poset members of sym:3
+    in one Sylow, into the same nerve through degree 3, with one entry of
+    f_1 changed: its mapping cone fails its ∂² check, whether the source
+    stops one degree below the target or at the same degree."""
+    from plocal.homology import ChainMap
+    G = build_group("sym:3")
+    S = sylow_subgroup(G, 2)
+    poset = build_intersection_poset(G, 2)
+    T = build_transporter(G, [poset.members[i] for i in poset.members_in(S)])
+    tgt = nerve_complex(T, p, 3)
+    src = tgt.prefix(source_dmax)
+    cm = induced_chain_map(identity_functor(T), src, tgt)
+    assert homology_iso_verdict(cm).passed
+    f1 = cm.mats[1].csr.tolil()
+    j = int(np.flatnonzero(np.diff(tgt.boundaries[1].csr.indptr))[0])  # a chain with a boundary
+    f1[0, j] = (f1[0, j] + 1) % p
+    mats = [cm.mats[0], FpMatrix(f1.tocsr(), p), *cm.mats[2:]]
+    with pytest.raises(PLocalError, match="boundary squared is nonzero"):
+        homology_iso_verdict(ChainMap(p, src, tgt, mats))
+
+
 def test_point_into_bz2_not_iso():
     G2 = build_group("cyc:2")
     T2 = build_transporter(G2, [G2.full_subgroup()])

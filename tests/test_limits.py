@@ -364,6 +364,49 @@ def test_limit_checks_build_their_cache_with_the_callers_budget(own_cache):
             check(None if own_cache else CohomologyCache(G, 2, 300))
 
 
+def test_quotient_skeletons_are_built_within_the_callers_budget():
+    """N(1)/1 is sym:4, whose orbit skeleton of 2-subgroups composes 2,239
+    pairs: the normalizer-reduction check, and atomic limits that build
+    their own skeletons, keep to the budget they are given."""
+    from plocal import BudgetExceeded
+    G = build_group("sym:4")
+    skel = build_orbit_skeletons(G, 2)
+    over = re.escape("basis size 2239 at degree 2 exceeds budget 2238")
+    with pytest.raises(BudgetExceeded, match=over):
+        normalizer_reduction_check(skel, skel.p_reps[0], 0, 2, 2238, CohomologyCache(G, 2, 2238))
+    module = ModuleData(1, [np.eye(1, dtype=np.int64) for _ in G.generators])
+    with pytest.raises(BudgetExceeded, match=over):
+        atomic_functor_limits(G, 2, module, 2, 2238)
+    assert normalizer_reduction_check(skel, skel.p_reps[0], 0, 2, 2239,
+                                      CohomologyCache(G, 2, 2239)).passed
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_upward_closure_is_the_per_sylow_rule_on_every_catalog_group(p):
+    """One rule over all poset members decides upward closure for the
+    restriction and the filtration checks.  On every catalog group it agrees
+    with the rule within one Sylow (``reference_omega``) on every set of
+    skeleton classes, and so on each filtration stage's."""
+    from itertools import combinations
+    from reference_omega import upward_closed_in_sylow
+    for spec in CATALOG:
+        skel = build_orbit_skeletons(build_group(spec), p)
+        n = len(skel.omega_reps)
+        for size in range(n + 1):
+            for classes in combinations(range(n), size):
+                want = upward_closed_in_sylow(skel, classes)
+                assert (limit_checks._first_outside_above(skel, classes) is None) == want
+        stages = class_filtration_check(skel, 0, 1).stages
+        objs = [c for c, flag in enumerate(skel.omega_centric) if flag]
+        added = sorted((c for c, flag in enumerate(skel.omega_centric) if not flag),
+                       key=lambda c: (-skel.omega_reps[c].order, skel.omega_reps[c].key))
+        assert len(stages) == len(added)
+        for stage, new in zip(stages, added):
+            objs.append(new)
+            assert stage.added_label == skel.omega_reps[new].label()
+            assert stage.upward_closed == upward_closed_in_sylow(skel, objs), (spec, new)
+
+
 def test_supported_functor_zero_off_support():
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)

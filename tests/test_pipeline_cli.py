@@ -345,6 +345,65 @@ def test_each_category_and_the_quotient_are_verified_once_per_run(monkeypatch):
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == SYM4_P2_SHA256
 
 
+def record_calls(monkeypatch, name):
+    """Wrap the function ``name`` in every plocal module that binds it; the
+    returned list gets the positional arguments of each call."""
+    mods = [m for k, m in list(sys.modules.items()) if k == "plocal" or k.startswith("plocal.")]
+    real = next(getattr(m, name) for m in mods if hasattr(m, name))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for m in mods:
+        if getattr(m, name, None) is real:
+            monkeypatch.setattr(m, name, counted)
+    return calls
+
+
+HOMOLOGY_CHECKS = ("nerve-vs-group", "centric-restriction", "centric-agreement",
+                   "linking-vs-transporter", "main")
+
+
+def test_sym4_homology_checks_build_five_nerves_and_one_group_category(monkeypatch):
+    """The bar complex, the transporter-poset nerve (the centric-restriction
+    source is that category itself, read as a prefix), the coset nerve and
+    the centric transporter and linking nerves: five nerves of five distinct
+    category objects, and the nerve-vs-group functor starts at the bar
+    complex's own one-object category."""
+    nerves = record_calls(monkeypatch, "nerve_complex")
+    groups = record_calls(monkeypatch, "group_category")
+    rep = run_pipeline("sym:4", PipelineConfig(prime=2, max_degree=3, checks=HOMOLOGY_CHECKS,
+                                               include_timings=False))
+    assert set(rep.verdicts[k] for s in STAGES if s.check in HOMOLOGY_CHECKS
+               for k in s.keys) == {"pass"}
+    assert len(nerves) == len({id(args[0]) for args in nerves}) == 5
+    assert sum(P.order == G.order for G, P in groups) == 1
+
+
+def test_s3c3_centric_restriction_builds_one_nerve(monkeypatch):
+    """On sym:3 x cyc:3 at p=3 every poset member is centric: the inclusion
+    is the identity of the transporter-poset category, whose one nerve
+    serves as target and, through its prefix, as source."""
+    nerves = record_calls(monkeypatch, "nerve_complex")
+    rep = run_pipeline("sym:3 x cyc:3", PipelineConfig(
+        prime=3, max_degree=4, checks=("centric-restriction",), include_timings=False))
+    assert rep.verdicts["centric_restriction_homology"] == "pass"
+    assert len(nerves) == 1
+
+
+@pytest.mark.parametrize("spec,p", [("sym:4", 2), ("sym:3 x cyc:3", 2), ("alt:4", 3)])
+def test_orbit_skeletons_build_one_orbit_category(monkeypatch, spec, p):
+    """The poset skeleton is a full subcategory of the p-subgroup skeleton,
+    not a second orbit category."""
+    from plocal import build_orbit_skeletons
+    orbits = record_calls(monkeypatch, "build_orbit")
+    skel = build_orbit_skeletons(build_group(spec), p)
+    assert len(orbits) == 1
+    assert skel.omega_cat.kind == "orbit"
+
+
 def test_broken_endomorphism_fails_only_the_quotient_stage():
     from plocal.pipeline import PipelineRun
 

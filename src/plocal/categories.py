@@ -18,15 +18,17 @@ group keeps one table min(L·x·R), x in G, per pair of sides (L, R)
 sides, so a coset's witness is one gather ``tables[at[i, j], g]``.  So all
 composition tables are total on composable pairs and reproducible, and
 ``verify_category`` checks every such category against the same rule.
-``group_category``, the one-object category of a subgroup, is built the same
-way with both sides trivial.
+``group_category``, the one-object category of a subgroup, and
+``coset_category``, the inclusion poset of the conjugates of a collection
+(the skeleton of its coset category), are built the same way with both
+sides trivial.
 
 Tokens: a category keeps its morphisms only as int arrays, one entry per
-token: ``src``, ``tgt`` and ``witness`` (the coset's least element; -1 in
-the thin coset category), set once, whole, by ``set_tokens`` together with
-each object's identity token.  Tokens are numbered in strictly increasing
-(source, target, witness) order, which every builder emits and
-``set_tokens`` enforces, keeping the sorted keys.  So the tokens leaving
+token: ``src``, ``tgt`` and ``witness`` (the coset's least element), set
+once, whole, by ``set_tokens`` together with each object's identity token.
+Tokens are numbered in strictly increasing (source, target, witness)
+order, which every builder emits and ``set_tokens`` enforces, keeping the
+sorted keys.  So the tokens leaving
 object o are the block ``first[o] <= t < first[o + 1]``; ``mor`` reads
 Mor(i, j) from that block and ``tokens_of`` finds tokens by witness with one
 ``searchsorted`` over the kept keys.  ``full_subcategory`` keeps its
@@ -36,11 +38,11 @@ Composition: the composable pairs (t1, t2) are t1 followed by a token of
 the block of t1's target; each has one slot in the int array
 ``composite``, at ``pair_start[t1] + (t2 - first[src[t2]])``, which puts
 the pairs in lexicographic order.  An unfilled slot holds -1.
-``fill_composition`` and ``coset_category`` write this store and
-``full_subcategory`` gathers it from the parent's.  It has one reader of
-chosen pairs, the elementwise ``composites``, which ``chains``, the functor
-and quotient checks and ``verify_category`` use; the laws and the functor
-checks also read the whole array in slot order.
+``fill_composition`` writes this store and ``full_subcategory`` gathers it
+from the parent's.  It has one reader of chosen pairs, the elementwise
+``composites``, which ``chains``, the functor and quotient checks and
+``verify_category`` use; the laws and the functor checks also read the
+whole array in slot order.
 
 Laws: ``verify_category`` checks identities and closure on every token and
 composable pair, and associativity by Light's test (Clifford–Preston, *The
@@ -63,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, NotCentric, PLocalError
-from .groups import PermutationGroup, Subgroup, coset_minima, transporters
+from .groups import PermutationGroup, Subgroup, conjugates, coset_minima, transporters
 from .omega import IntersectionPoset, classify_centric, closure_in_poset
 
 
@@ -290,25 +292,30 @@ def group_category(G: PermutationGroup, P: Subgroup) -> FiniteCategory:
     return cat
 
 
-def coset_category(G: PermutationGroup, collection) -> FiniteCategory:
-    """The thin category of cosets Pg for P in the collection, with exactly
-    one morphism Pg -> Qh when P^g <= Q^h (independent of representatives).
+def coset_category(G: PermutationGroup, collection,
+                   table_budget: int = DEFAULT_BUDGET) -> FiniteCategory:
+    """The coset category of the collection, built as its skeleton.
+
+    The coset category has an object Pg per coset of a member P and one
+    morphism Pg -> Qh when P^g <= Q^h.  It is thin, and Pg and Qh are
+    isomorphic exactly when P^g = Q^h, so its skeleton is the inclusion
+    poset of the distinct conjugates P^g, sorted by ``Subgroup.key``, with
+    one token of witness 0 per inclusion.  Equivalent categories have
+    homotopy-equivalent nerves (Quillen, "Higher algebraic K-theory I",
+    1973, §1), so this nerve has the homology of the full one, which has
+    |N_G(P) : P| objects per conjugate P^g.
 
     When the collection contains a common normal subgroup (the intersection
-    of all Sylow subgroups, say), every coset of it is an initial object and
-    the nerve is contractible.
+    of all Sylow subgroups, say), it is the least object and the nerve is
+    contractible.
     """
-    # each right coset Pg is named by its least element
-    objs = [(k, r) for k, P in enumerate(collection)
-            for r in np.unique(G.mul[list(P.ids)].min(axis=0)).tolist()]
-    cat = FiniteCategory("coset", [f"{k}:{r}" for k, r in objs], G)
-    conj = [frozenset(collection[k].conjugate(r).ids) for k, r in objs]
-    src, tgt = np.nonzero(np.array([[a <= b for b in conj] for a in conj], dtype=bool))
-    tok = np.full((len(objs), len(objs)), -1, dtype=np.int64)
-    tok[src, tgt] = np.arange(len(src))
-    cat.set_tokens(src, tgt, np.full(len(src), -1), np.diag(tok))
-    t1, t2 = cat.pairs()
-    cat.composite = tok[cat.src[t1], cat.tgt[t2]]
+    objs = sorted({H.ids: H for P in collection for H in conjugates(G, P)}.values(),
+                  key=lambda H: H.key)
+    cat = FiniteCategory("coset", objs, G)
+    cat.left = cat.right = [G.trivial_subgroup()] * cat.object_count
+    src, tgt = np.nonzero(np.array([[a <= b for b in objs] for a in objs], dtype=bool))
+    cat.set_tokens(src, tgt, np.zeros(len(src)), np.flatnonzero(src == tgt))
+    cat.fill_composition(table_budget)
     return cat
 
 
@@ -401,20 +408,12 @@ def iso_classes(C: FiniteCategory) -> tuple[list[int], list[list[int]]]:
     return class_of, classes
 
 
-def _object_key(C: FiniteCategory, i: int):
-    obj = C.objects[i]
-    if isinstance(obj, Subgroup):
-        return obj.key
-    return (i,)
-
-
 def skeleton(C: FiniteCategory) -> tuple[FiniteCategory, Functor]:
-    """Full subcategory on one canonical representative per isomorphism class."""
+    """Full subcategory on the least object of each isomorphism class, by
+    ``Subgroup.key``, in that order."""
     _, classes = iso_classes(C)
-    reps = sorted(
-        (min(cls, key=lambda i: _object_key(C, i)) for cls in classes),
-        key=lambda i: _object_key(C, i),
-    )
+    reps = sorted((min(cls, key=lambda i: C.objects[i].key) for cls in classes),
+                  key=lambda i: C.objects[i].key)
     return full_subcategory(C, reps)
 
 

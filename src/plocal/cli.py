@@ -40,9 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--budget", type=int, default=PipelineConfig.budget,
                     help="basis-size budget per degree")
     an.add_argument("--order-bound", type=int, default=PipelineConfig.order_bound)
-    an.add_argument("--skeletal", dest="skeletal", action="store_true",
-                    default=PipelineConfig.skeletal)
-    an.add_argument("--no-skeletal", dest="skeletal", action="store_false")
     an.add_argument("--check", default=None,
                     help="comma-separated subset of checks to run: "
                          + ",".join(ALL_CHECKS))
@@ -67,7 +64,6 @@ def _cmd_analyze(args) -> int:
         max_limit_degree=args.max_limit_degree,
         cohomology_index_max=args.cohomology_index_max,
         budget=args.budget,
-        skeletal=args.skeletal,
         checks=checks,
         include_timings=args.timings,
         order_bound=args.order_bound,

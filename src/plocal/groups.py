@@ -347,38 +347,23 @@ def p_residual(H: Subgroup, p: int) -> Subgroup:
     return G.subgroup(span)
 
 
-def _is_p_element(G: PermutationGroup, g: int, p: int) -> bool:
-    n = G.element_orders[g]
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def sylow_subgroup(G: PermutationGroup, p: int) -> Subgroup:
     """A Sylow p-subgroup, built by normalizer ascent.
 
-    While |P| is short of the p-part of |G|, the normalizer N_G(P) contains a
-    p-element outside P whose image in N_G(P)/P has order p; adjoining it
-    multiplies the order by p.  Correctness is certified by the final order
+    While |P| is short of the p-part of |G|, p divides |G : P|, and so
+    |N_G(P) : P|: P acts on the cosets G/P with fixed points N_G(P)/P and
+    orbits of p-power length, so |N_G(P) : P| = |G : P| mod p.  By Cauchy's
+    theorem N_G(P)/P has an element of order p, so some g in N_G(P) lies
+    outside P with g^p in P; such a g is a p-element, because P is a
+    p-group, and adjoining it multiplies the order by p.  The first such g
+    in element order is taken.  Correctness is certified by the final order
     check against the p-part.
     """
     target = p_part(G.order, p)
     P = G.trivial_subgroup()
     while P.order < target:
-        N = normalizer(G, P)
-        pick = None
-        for g in N.ids:
-            if g in P.idset or not _is_p_element(G, g, p):
-                continue
-            if G.power(g, p) in P.idset:
-                pick = g
-                break
-        if pick is None:
-            # any p-element of N outside P still extends P to a larger p-group
-            for g in N.ids:
-                if g not in P.idset and _is_p_element(G, g, p):
-                    pick = g
-                    break
+        pick = next((g for g in normalizer(G, P).ids
+                     if g not in P.idset and G.power(g, p) in P.idset), None)
         if pick is None:
             raise PLocalError("normalizer ascent stalled below the p-part")
         P = G.generated_subgroup(P.ids + (pick,))

@@ -9,9 +9,12 @@ vanishing, normalizer reduction, restriction, filtration), and the final
 comparison of the linking-system nerve against the classifying space.
 
 ``STAGES`` is the one list of checks: each row names a check, its verdict
-keys in report order and the stage method, and ``run`` walks it in order.
+keys in report order, the stage method and the least max degree its
+verdicts need, and ``run`` walks it in order.
 A stage method writes its ``detail`` sections and returns one value (True,
 False or None) per verdict key; the runner turns them into verdict strings.
+Below that degree (a mapping cone certifies through max_degree - 2) the
+stage reads not-certified, with the note "<check>: needs max degree >= n".
 Budget overruns in one stage mark it not-certified and the run continues;
 earlier verdicts are kept.  So does a ``MemoryError``: the stage's
 verdicts read not-certified, with the note "<check>: out of memory".  Any
@@ -73,7 +76,6 @@ class PipelineConfig:
     max_limit_degree: int = 3
     cohomology_index_max: int = 2
     budget: int = DEFAULT_BUDGET
-    skeletal: bool = True
     checks: tuple[str, ...] | None = None
     include_timings: bool = True
     order_bound: int = DEFAULT_ORDER_BOUND
@@ -91,6 +93,10 @@ class PipelineRun:
         unknown = [c for c in config.checks or () if c not in ALL_CHECKS]
         if unknown:
             raise PLocalError(f"unknown checks: {', '.join(unknown)}")
+        for flag, least in (("max_degree", 1), ("max_limit_degree", 1),
+                            ("cohomology_index_max", 0)):
+            if getattr(config, flag) < least:
+                raise PLocalError(f"{flag} must be at least {least}")
         self.G = G
         self.cfg = config
         self.source = source
@@ -177,12 +183,11 @@ class PipelineRun:
 
     @property
     def transporter_centric(self):
-        def build():
-            T = cats.build_transporter(self.G, self.centric_in_sylow, self.cfg.budget)
-            if self.cfg.skeletal:
-                T, _ = cats.skeleton(T)
-            return T
-        return self._get("transporter_centric", build)
+        return self._get(
+            "transporter_centric",
+            lambda: cats.skeleton(
+                cats.build_transporter(self.G, self.centric_in_sylow, self.cfg.budget))[0],
+        )
 
     @property
     def linking_projection(self):
@@ -247,9 +252,12 @@ class PipelineRun:
         return AnalysisReport(self._assemble(verdicts, detail))
 
     def _run_stage(self, stage: Stage, detail: dict) -> tuple:
-        """The stage's verdict values: None for all of them when it overruns
-        its budget or runs out of memory, False for all of them on any other
-        toolkit error."""
+        """The stage's verdict values: None for all of them when max_degree
+        is below the stage's least, or it overruns its budget or runs out of
+        memory, False for all of them on any other toolkit error."""
+        if self.cfg.max_degree < stage.min_degree:
+            self.notes.append(f"{stage.check}: needs max degree >= {stage.min_degree}")
+            return (None,) * len(stage.keys)
         t0 = time.perf_counter()
         try:
             out = stage.run(self, detail)
@@ -328,7 +336,7 @@ class PipelineRun:
         detail["homology"]["transporter_poset_nerve"] = {
             "dims": t_h.dims, "exact_through": dmax - 1}
 
-        cosets = cats.coset_category(self.G, self.omega_in_sylow)
+        cosets = cats.coset_category(self.G, self.omega_in_sylow, self.cfg.budget)
         coset_h = nerve_complex(cosets, self.p, dmax, self.cfg.budget).homology()
         point = [1] + [0] * (dmax - 1)
         detail["homology"]["coset_category_nerve"] = {
@@ -359,7 +367,7 @@ class PipelineRun:
         incl = self.centric_inclusion
         # the target first, so that a source equal to it is served as its prefix
         tgt = self.complex_of(incl.target, dmax)
-        src = self.complex_of(incl.source, max(dmax - 1, 1))
+        src = self.complex_of(incl.source, dmax - 1)
         cm = induced_chain_map(incl, src, tgt)
         iso = homology_iso_verdict(cm)
         detail["homology"]["centric_restriction_iso"] = {
@@ -383,7 +391,7 @@ class PipelineRun:
     def _stage_t_vs_l(self, detail):
         dmax = self.cfg.max_degree
         quotient_ok = self.quotient_verdict.passed
-        src = self.complex_of(self.transporter_centric, max(dmax - 1, 1))
+        src = self.complex_of(self.transporter_centric, dmax - 1)
         tgt = self.complex_of(self.linking_centric, dmax)
         tgt_h = tgt.homology()  # before the cone, which then reuses its echelons
         cm = induced_chain_map(self.linking_projection, src, tgt)
@@ -501,11 +509,7 @@ class PipelineRun:
         return ok
 
     def _stage_main(self, detail):
-        dmax = self.cfg.max_degree
-        through = min(2, dmax - 1)
-        if through < 2:
-            self.notes.append("main comparison needs max degree >= 3")
-            return None
+        dmax, through = self.cfg.max_degree, 2
         bar_h = self.bar.homology().dims
         link_h = self.complex_of(self.linking_centric, dmax).homology().dims
         equal = bar_h[: through + 1] == link_h[: through + 1]
@@ -550,7 +554,7 @@ class PipelineRun:
                 "max_limit_degree": self.cfg.max_limit_degree,
                 "cohomology_index_max": self.cfg.cohomology_index_max,
                 "budget": self.cfg.budget,
-                "skeletal": self.cfg.skeletal,
+                "skeletal": True,  # the centric transporter category is a skeleton
                 "checks": sorted(self.cfg.checks) if self.cfg.checks else "all",
             },
             "sylow": {
@@ -587,6 +591,9 @@ class Stage(NamedTuple):
     check: str
     keys: tuple[str, ...]  # verdict keys, in report order
     run: Callable[[PipelineRun, dict], object]  # a value per key; a bare value for one key
+    # the least max_degree its verdicts need: 2 for a mapping cone, certified
+    # through max_degree - 2; 3 for main, which compares through degree 2
+    min_degree: int = 1
 
 
 STAGES = (
@@ -600,19 +607,19 @@ STAGES = (
     Stage("quotient", ("quotient_functor_conditions",), PipelineRun._stage_quotient),
     Stage("adjunction", ("closure_inclusion_adjunction",), PipelineRun._stage_adjunction),
     Stage("nerve-vs-group", ("transporter_nerve_vs_classifying_space",),
-          PipelineRun._stage_nerve_vs_group),
+          PipelineRun._stage_nerve_vs_group, 2),
     Stage("centric-restriction", ("centric_restriction_homology",),
-          PipelineRun._stage_centric_restriction),
+          PipelineRun._stage_centric_restriction, 2),
     Stage("centric-agreement", ("centric_collections_agree",),
           PipelineRun._stage_centric_agreement),
     Stage("linking-vs-transporter", ("transporter_vs_linking_homology",),
-          PipelineRun._stage_t_vs_l),
+          PipelineRun._stage_t_vs_l, 2),
     Stage("punctured", ("punctured_limits_vanish",), PipelineRun._stage_punctured),
     Stage("normalizer-reduction", ("normalizer_reduction",), PipelineRun._stage_reduction),
     Stage("atomic-vanishing", ("atomic_vanishing_with_p_kernel",), PipelineRun._stage_atomic),
     Stage("restriction", ("support_restriction_limits",), PipelineRun._stage_restriction),
     Stage("filtration", ("class_filtration_limits",), PipelineRun._stage_filtration),
-    Stage("main", ("main_comparison",), PipelineRun._stage_main),
+    Stage("main", ("main_comparison",), PipelineRun._stage_main, 3),
 )
 
 ALL_CHECKS = tuple(stage.check for stage in STAGES)

@@ -17,6 +17,11 @@ it took the witnesses as the listed elements that are their own coset's
 least element: every transporter element's least element, then one
 ``np.unique`` over (object pair, witness).
 
+``reference_coset_category`` is the coset category as ``coset_category``
+built it before it built only the skeleton: every coset Pg an object, each
+labelled by its conjugate P^g, so that ``skeleton`` of it can be compared
+with ``coset_category`` object for object.
+
 ``reference_verify_quotient_functor`` is the quotient-functor check as
 per-object and per-token loops over sets, as it was before it became array
 comparisons over the token arrays: kernels are the automorphisms mapped to an
@@ -32,6 +37,7 @@ import numpy as np
 from plocal.categories import (
     _BLOCK,
     CategoryLawsVerdict,
+    FiniteCategory,
     QuotientFunctorVerdict,
     _expand,
     _flat,
@@ -235,3 +241,21 @@ def reference_verify_quotient_functor(psi, p: int) -> QuotientFunctorVerdict:
         iso_bij, mor_surj, kernels_ok, fibers_ok,
         [len(K) for K in kernels], failures,
     )
+
+
+def reference_coset_category(G, collection) -> FiniteCategory:
+    """The whole coset category, every coset built: the cosets Pg for P in
+    the collection, each named by its least element g and labelled by its
+    conjugate P^g, with exactly one morphism Pg -> Qh when P^g <= Q^h,
+    witnessed by -1.  ``coset_category`` builds its skeleton instead."""
+    objs = [(k, r) for k, P in enumerate(collection)
+            for r in np.unique(G.mul[list(P.ids)].min(axis=0)).tolist()]
+    cat = FiniteCategory("coset", [collection[k].conjugate(r) for k, r in objs], G)
+    conj = [frozenset(H.ids) for H in cat.objects]
+    src, tgt = np.nonzero(np.array([[a <= b for b in conj] for a in conj], dtype=bool))
+    tok = np.full((len(objs), len(objs)), -1, dtype=np.int64)
+    tok[src, tgt] = np.arange(len(src))
+    cat.set_tokens(src, tgt, np.full(len(src), -1), np.diag(tok))
+    t1, t2 = cat.pairs()
+    cat.composite = tok[cat.src[t1], cat.tgt[t2]]
+    return cat

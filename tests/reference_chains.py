@@ -94,8 +94,7 @@ def reference_compose_table(C) -> dict[tuple[int, int], int]:
     """The composition table as a dict, filled by the loop over pairs of
     morphism sets that the store replaced: by the coset rule for a category
     built from G (its full subcategories and skeleta included), with cosets
-    of ``Permutation`` products, and as the unique arrow for the thin coset
-    category.  Reads no composite."""
+    of ``Permutation`` products.  Reads no composite."""
     table: dict[tuple[int, int], int] = {}
     mor, by_witness = reference_mor(C), reference_by_witness(C)
     witness = C.witness.tolist()
@@ -105,9 +104,6 @@ def reference_compose_table(C) -> dict[tuple[int, int], int]:
                 continue
             for t1 in lhs:
                 for t2 in rhs:
-                    if C.left is None:
-                        (table[(t1, t2)],) = mor[(a, c)]
-                        continue
                     w = min(coset(C, a, c, product(C.group, witness[t1], witness[t2])))
                     table[(t1, t2)] = by_witness[(a, c, w)]
     return table

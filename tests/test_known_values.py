@@ -83,14 +83,3 @@ def test_sym3_at_3_deep_truncation():
     assert d["homology"]["classifying_space"]["dims"] == [1, 0, 0, 1, 1]
     assert d["homology"]["linking_nerve"]["dims"] == [1, 0, 0, 1, 1]
 
-
-def test_non_skeletal_pipeline_agrees():
-    cfg_a = PipelineConfig(prime=2, max_degree=3, skeletal=True, include_timings=False)
-    cfg_b = PipelineConfig(prime=2, max_degree=3, skeletal=False, include_timings=False)
-    a = run_pipeline("sym:3 x cyc:3", cfg_a).data
-    b = run_pipeline("sym:3 x cyc:3", cfg_b).data
-    assert a["overall"] == b["overall"] == "pass"
-    assert (
-        a["homology"]["main_comparison"]["linking_dims"]
-        == b["homology"]["main_comparison"]["linking_dims"]
-    )

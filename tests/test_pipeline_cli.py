@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -467,6 +469,44 @@ def test_cli_analyze_bad_prime():
 def test_cli_analyze_unknown_check():
     r = run_cli("analyze", "--group", "sym:3", "--prime", "2", "--check", "bogus")
     assert r.returncode == 2
+
+
+def test_max_degree_1_leaves_the_mapping_cone_checks_not_certified():
+    """A mapping cone through degree 1 certifies no degree, so the three iso
+    checks read not-certified, each with a note, and nothing reads fail."""
+    r = run_cli("analyze", "--group", "sym:3", "--prime", "2", "--max-degree", "1",
+                "--no-timings")
+    assert r.returncode == 0, r.stderr
+    d = json.loads(r.stdout)
+    for check in ("nerve-vs-group", "centric-restriction", "linking-vs-transporter"):
+        (stage,) = [s for s in STAGES if s.check == check]
+        assert [d["verdicts"][k] for k in stage.keys] == ["not-certified"]
+        assert f"{check}: needs max degree >= 2" in d["notes"]
+    assert "fail" not in d["verdicts"].values()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--max-degree", "0"), ("--max-limit-degree", "0"), ("--cohomology-index-max", "-1"),
+])
+def test_cli_rejects_a_truncation_that_certifies_nothing(flag, value):
+    """Max degree 0 builds no boundary, limit degree 0 no lim^n and index -1
+    no coefficient functor: a usage error, not a verdict."""
+    r = run_cli("analyze", "--group", "sym:3", "--prime", "2", flag, value)
+    assert r.returncode == 2
+    assert "must be at least" in r.stderr
+
+
+def test_readme_flag_table_matches_the_analyze_parser():
+    """The README's table of ``analyze`` flags names every option of the
+    parser but ``-h``, ``--group`` and ``--prime``, and no other."""
+    from plocal.cli import _build_parser
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Flags for `analyze`:", 1)[1].split("\n\n", 2)[1]
+    rows = [line.split("|")[1] for line in table.splitlines()[2:]]
+    flags = {f for cell in rows for f in re.findall(r"`(--[a-z-]+)", cell)}
+    options = {s for a in sub.choices["analyze"]._actions for s in a.option_strings}
+    assert flags == options - {"-h", "--help", "--group", "--prime"}
 
 
 def test_cli_determinism_across_processes():

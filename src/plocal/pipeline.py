@@ -164,6 +164,13 @@ class PipelineRun:
         )
 
     @property
+    def coset_category(self):
+        return self._get(
+            "coset_category",
+            lambda: cats.coset_category(self.G, self.omega_in_sylow, self.cfg.budget),
+        )
+
+    @property
     def centric_inclusion(self) -> cats.Functor:
         """The inclusion into ``transporter_omega`` of its full subcategory
         on the centric poset members: the identity functor when every member
@@ -336,8 +343,7 @@ class PipelineRun:
         detail["homology"]["transporter_poset_nerve"] = {
             "dims": t_h.dims, "exact_through": dmax - 1}
 
-        cosets = cats.coset_category(self.G, self.omega_in_sylow, self.cfg.budget)
-        coset_h = nerve_complex(cosets, self.p, dmax, self.cfg.budget).homology()
+        coset_h = self.complex_of(self.coset_category, dmax).homology()
         point = [1] + [0] * (dmax - 1)
         detail["homology"]["coset_category_nerve"] = {
             "dims": coset_h.dims, "expected": point}

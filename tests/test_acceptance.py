@@ -310,6 +310,31 @@ def test_criterion_8_main_comparison_golden():
     )
 
 
+def test_stable_elements_match_the_homology_of_bg_and_the_linking_nerve():
+    """Over a field, dim H_i(BG; F_p) = dim H^i(BG; F_p), and H^i(BG; F_p)
+    is the module of stable elements (Cartan–Eilenberg, "Homological
+    Algebra", 1956, XII.10.1): lim^0 of H^i(B-; F_p) over the orbit
+    category on a collection holding every intersection S ∩ S^g of Sylow
+    subgroups.  Broto–Levi–Oliver ("The homotopy theory of fusion systems",
+    JAMS 2003, Thm. B) identify H^*(|L|; F_p) with the stable elements of
+    the fusion system.  So on every catalog run, for i = 0, 1, 2, lim^0 of
+    the filtration check's full profile equals the bar's and the linking
+    nerve's H_i, and the higher limits vanish: an independent route to the
+    dimensions the main-comparison goldens froze."""
+    for spec in CATALOG:
+        for p in PRIMES:
+            rep = run_pipeline(spec, PipelineConfig(
+                prime=p, max_degree=3, cohomology_index_max=2, include_timings=False,
+                checks=("filtration", "main")))
+            main = rep.data["homology"]["main_comparison"]
+            profiles = rep.data["limits"]["class_filtration"]
+            assert [f["index"] for f in profiles] == [0, 1, 2]
+            for i, f in enumerate(profiles):
+                lim0, *higher = f["full_dims"]
+                assert lim0 == main["classifying_dims"][i] == main["linking_dims"][i], (spec, p, i)
+                assert higher and not any(higher), (spec, p, i)
+
+
 # sha256 of the 14 timings-masked catalog reports joined by newlines, as built
 # by test_criterion_9_determinism; the same under every PYTHONHASHSEED
 GOLDEN_CATALOG_SHA256 = (

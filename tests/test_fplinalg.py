@@ -14,10 +14,15 @@ Every kept echelon is tail-reduced: each pivot is zero at the leading column
 of every pivot stored before it, seeds included.  The references reduce no
 tails, so they stay an independent check of the ranks.
 
-At p = 2 the engine skips the rows that already lie in the span of its
-echelon, once it has read as many rows as the matrix has columns.  Its
+At p = 2 the engine first inserts its structural rows (the first row with
+each leading column that no seed leads, in ascending order of that column),
+then the others in row order.  ``structural_first`` finds that order by a
+scan of each row, independently of the engine's ``np.unique``.  Once the
+structural rows and as many more rows as the matrix has columns are in, the
+engine skips the rows that already lie in the span of its echelon.  Its
 echelon must equal, key for key and in insertion order, the one a plain
-pass keeps, which inserts every row; a skipped row is never read.
+pass in the same order keeps, which inserts every row; rows are read in
+that order, and a skipped row is never read.
 """
 
 import math
@@ -67,13 +72,41 @@ def reference_rank(m: FpMatrix) -> int:
     return _rank_csr_modp(m.csr, m.prime)
 
 
+def structural_first(csr, rows, seeds) -> tuple[list[int], list[int]]:
+    """The order in which the GF(2) engine inserts ``rows`` into an echelon
+    seeded with ``seeds``, found by a scan of each row: the structural rows
+    (for each leading column that no seed leads, the first row leading
+    there, in ascending order of that column), then the others in their
+    order."""
+    first = {}
+    for i in rows:
+        cols = csr.indices[csr.indptr[i]:csr.indptr[i + 1]].tolist()
+        if cols and max(cols) not in seeds:
+            first.setdefault(max(cols), i)
+    structural = [first[c] for c in sorted(first)]
+    taken = set(structural)
+    return structural, [i for i in rows if i not in taken]
+
+
+def assert_read_in_order(read: list[int], order: list[int]) -> list[int]:
+    """The rows read, from a spy's record, which must come in ``order``
+    with none read twice (rows may be skipped); returns them."""
+    starts = read[::2]  # row i reads indptr[i] and then indptr[i + 1]
+    assert read[1::2] == [i + 1 for i in starts]
+    position = {i: k for k, i in enumerate(order)}
+    at = [position[i] for i in starts]
+    assert at == sorted(set(at))
+    return starts
+
+
 def plain_pass_gf2(csr, rows, pivots: dict, cap) -> dict:
     """Insert every row of ``rows`` into ``pivots``, up to ``cap`` pivots,
-    without the span filter."""
+    in the engine's order but without the span filter."""
     lead = 0
     for c in pivots:
         lead |= 1 << c
-    _reduce_rows_gf2(csr, rows, pivots, lead, cap)
+    structural, others = structural_first(csr, rows, pivots)
+    _reduce_rows_gf2(csr, structural + others, pivots, lead, cap)
     return pivots
 
 
@@ -294,10 +327,10 @@ def assert_cochain_ranks_exact(cx) -> int:
             assert r == oracle.dense_rank_modp(full.csr.toarray(), full.prime)
         assert m.echelon == full.echelon == full_echelon(full)
         assert_tail_reduced(m.echelon, m.prime)
-        # row i reads indptr[i] and then indptr[i + 1]
-        starts = read[::2]
-        assert read[1::2] == [i + 1 for i in starts]
-        assert starts == sorted(set(starts))
+        order = range(m.shape[0])
+        if m.prime == 2:
+            order = sum(structural_first(full.csr, order, {}), [])
+        starts = assert_read_in_order(read, order)
         bound = cx.dims[d - 1] - (ranks[d - 2] if d > 1 else 0)
         if r == bound and starts and starts[-1] < m.shape[0] - 1:
             stopped += 1
@@ -385,23 +418,35 @@ def test_block_that_does_not_fit_raises():
 # -- the span filter at p = 2 --------------------------------------------------
 
 
-def tall_gf2(rng, nrows, ncols, dim, late):
+def tall_gf2(rng, nrows, ncols, dim, late, triangular=False):
     """A GF(2) matrix whose rows are drawn from ``dim`` generator rows: sums
     of one to three generators, empty rows and repeats of earlier rows.
     ``late`` generators first appear at random rows after the first
-    ``ncols``, so pivots keep arriving once the span filter has started."""
+    ``ncols``, so pivots keep arriving once the span filter has started.
+    With ``triangular``, generator k leads at column k (``dim <= ncols``)
+    and the early generators also appear alone among the first ``ncols``
+    rows, so each of the first ``dim`` columns leads some row."""
     gens = np.zeros((dim, ncols), dtype=bool)
-    for g in gens:
-        g[rng.choice(ncols, int(rng.integers(1, 6)), replace=False)] = True
+    for k, g in enumerate(gens):
+        if triangular:
+            g[rng.choice(k + 1, min(k + 1, int(rng.integers(1, 6))), replace=False)] = True
+            g[k] = True
+        else:
+            g[rng.choice(ncols, int(rng.integers(1, 6)), replace=False)] = True
     release = dict(zip(sorted(rng.choice(np.arange(ncols, nrows), late, replace=False).tolist()),
                        range(dim - late, dim)))
     known = dim - late
+    alone = {}
+    if triangular:
+        alone = dict(zip(rng.choice(ncols, known, replace=False).tolist(), range(known)))
     rows = np.zeros((nrows, ncols), dtype=bool)
     for i in range(nrows):
         r = rng.random()
         if i in release:
             rows[i] = gens[release[i]]
             known += 1
+        elif i in alone:
+            rows[i] = gens[alone[i]]
         elif r < 0.1:
             continue
         elif r < 0.25 and i:
@@ -446,22 +491,25 @@ def test_span_filter_keeps_the_plain_echelon_on_tall_random_matrices(nrows, ncol
         _insert_rows_gf2(spied, rows, filtered, cap)
         assert list(filtered.items()) == list(plain.items()), cap
         assert_tail_reduced(filtered, 2)
+        assert_read_in_order(read, sum(structural_first(csr, rows, seeds), []))
         filtered_any |= len(read) < 2 * nrows
     assert filtered_any
 
 
 def test_span_filter_never_reads_a_row_already_in_the_span():
-    """After the first ``ncols`` rows, rows in their span (sums of them,
-    repeats and empty rows) are skipped; rows that add a pivot are read,
-    and nothing after the row that reaches the cap."""
+    """After the structural rows and the next ``ncols`` rows, rows in their
+    span (sums of head rows, repeats and empty rows) are skipped; rows that
+    add a pivot are read, and nothing after the row that reaches the cap."""
     rng = np.random.default_rng(11)
     ncols, nrows = 64, 3000
-    # the head touches only the first 48 columns, and each new row is a
-    # unit vector at one of the others
+    # the head touches only the first 48 columns; each new row leads at the
+    # last column and has one more entry among the others, so only the
+    # first of them is structural and the rest add their pivots late
     head = np.zeros((ncols, ncols), dtype=bool)
     head[:, :48] = tall_gf2(rng, ncols, 48, 40, 0).toarray()
     fresh = np.zeros((6, ncols), dtype=bool)
-    fresh[np.arange(6), rng.choice(np.arange(48, ncols), 6, replace=False)] = True
+    fresh[:, -1] = True
+    fresh[np.arange(6), rng.choice(np.arange(48, ncols - 1), 6, replace=False)] = True
     rows = np.zeros((nrows, ncols), dtype=bool)
     rows[:ncols] = head
     in_span = []
@@ -482,6 +530,10 @@ def test_span_filter_never_reads_a_row_already_in_the_span():
     rows[-5:] = False
     csr = sparse.csr_matrix(rows.astype(np.int64))
     rank = _rank_csr_gf2(csr)
+    structural, others = structural_first(csr, range(nrows), {})
+    assert new_at[0] in structural and not set(new_at[1:]) & set(structural)
+    order = structural + others
+    plain = order[:len(structural) + ncols]  # read before the filter starts
 
     for cap, last in ((math.inf, nrows - 1), (rank, new_at[-1])):
         spied = csr.copy()
@@ -489,19 +541,20 @@ def test_span_filter_never_reads_a_row_already_in_the_span():
         pivots = {}
         _insert_rows_gf2(spied, range(nrows), pivots, cap)
         assert list(pivots.items()) == list(plain_pass_gf2(csr, range(nrows), {}, cap).items())
-        starts = read[::2]  # row i reads indptr[i] and then indptr[i + 1]
-        assert starts[:ncols] == list(range(ncols))
-        assert not set(starts) & set(in_span)
+        starts = assert_read_in_order(read, order)
+        assert starts[:len(plain)] == plain
+        assert not set(starts) & set(in_span) - set(plain)
         assert set(new_at) <= set(starts)
-        assert max(starts) <= last
-    assert max(starts) == new_at[-1]  # the row that reaches the cap
+        assert max(starts[len(structural):]) <= last
+    assert starts[-1] == new_at[-1]  # the row that reaches the cap
 
 
 def test_span_filter_keeps_the_plain_echelon_on_the_sym4_degree3_boundaries(monkeypatch):
     """The three largest boundaries the homology checks rank for sym:4 at
     p = 2, max-degree 3: the bar ∂_3 and the transporter-poset and linking
     ∂_3, which read past their columns because H_2 ≠ 0 keeps them below the
-    ∂² bound."""
+    ∂² bound.  The rows read are pinned exactly: they repeat from run to
+    run, so a filter that lets more rows through fails here."""
     real = FpMatrix.rank
     seen = {}
 
@@ -515,22 +568,21 @@ def test_span_filter_keeps_the_plain_echelon_on_the_sym4_degree3_boundaries(monk
         assert list(self.echelon.items()) == list(plain.items())
         assert r == _rank_csr_gf2(csr) == len(plain_pass_gf2(csr, range(csr.shape[0]), {},
                                                                 math.inf))
-        seen[csr.shape] = (r, len(read) // 2)
+        order = sum(structural_first(csr, range(csr.shape[0]), {}), [])
+        seen[csr.shape] = (r, len(assert_read_in_order(read, order)))
         return r
 
     monkeypatch.setattr(FpMatrix, "rank", checked)
     rep = run_pipeline("sym:4", PipelineConfig(prime=2, max_degree=3, checks=HOMOLOGY_CHECKS,
                                                include_timings=False))
     assert "fail" not in rep.verdicts.values()
-    assert {shape: r for shape, (r, _) in seen.items()} == {
-        (12167, 529): 505, (30246, 1298): 1244, (33284, 1620): 1538}
-    for (nrows, _), (_, read) in seen.items():
-        assert read < nrows // 2
+    assert seen == {
+        (12167, 529): (505, 1167), (30246, 1298): (1244, 3055), (33284, 1620): (1538, 6455)}
 
 
 def test_span_filter_declines_an_annihilator_larger_than_the_matrix():
-    """A wide, sparse matrix: the annihilator after the first ``ncols`` rows
-    would take more than 2 nnz words, so the rows go in plainly."""
+    """A wide, sparse matrix: the annihilator of the echelon of its first
+    rows would take more than 2 nnz words, so the rows go in plainly."""
     ncols, nrows = 640, 2000
     rows = np.arange(nrows)
     csr = sparse.csr_matrix((np.ones(nrows, dtype=np.int64), (rows, rows % 8)),
@@ -539,8 +591,118 @@ def test_span_filter_declines_an_annihilator_larger_than_the_matrix():
     plain_pass_gf2(csr, range(ncols), pivots, math.inf)
     assert ncols * -(-(ncols - len(pivots)) // 64) > 2 * csr.nnz
     assert _SpanTest(csr).outside(np.arange(ncols, nrows), pivots) is None
+    order = sum(structural_first(csr, range(nrows), {}), [])
     read = spy_on_csr(csr)
     filtered = {}
     _insert_rows_gf2(csr, range(nrows), filtered, math.inf)
     assert list(filtered.items()) == list(pivots.items())
-    assert read[::2] == list(range(nrows))
+    assert assert_read_in_order(read, order) == order
+
+
+# -- the structural phase at p = 2 ---------------------------------------------
+
+
+def lead_of(csr, i) -> int:
+    return max(csr.indices[csr.indptr[i]:csr.indptr[i + 1]].tolist())
+
+
+def assert_rank_exact(csr, rank: int):
+    assert rank == _rank_csr_gf2(csr) == oracle.dense_rank_modp(csr.toarray(), 2)
+
+
+@pytest.mark.parametrize("nrows,ncols,dim,late", [(2000, 40, 30, 8), (6000, 250, 180, 30)])
+def test_structural_phase_skips_the_leads_of_seeds(nrows, ncols, dim, late):
+    """Seeds leading where structural rows lead, and mostly outside their
+    row space: the rows leading there are not structural, and the echelon
+    is the one a plain pass in the same order keeps."""
+    rng = np.random.default_rng(nrows + ncols)
+    csr = tall_gf2(rng, nrows, ncols, dim, late)
+    structural, _ = structural_first(csr, range(nrows), {})
+    # every third structural row with one more entry below its lead
+    dense = csr[structural[::3]].toarray()
+    for row in dense:
+        below = np.flatnonzero(row)[-1]
+        if below:
+            row[rng.integers(below)] ^= 1
+    S = sparse.csr_matrix(dense)
+    seeds = plain_pass_gf2(S, range(S.shape[0]), {}, math.inf)
+    assert sorted(seeds) == sorted(lead_of(csr, i) for i in structural[::3])
+    after, others = structural_first(csr, range(nrows), seeds)
+    assert after == [i for i in structural if lead_of(csr, i) not in seeds]
+    both = sparse.vstack([S, csr]).tocsr()
+    rank = _rank_csr_gf2(both)
+    assert_rank_exact(both, rank)
+    assert rank > _rank_csr_gf2(csr)
+
+    for cap in (math.inf, rank, len(seeds) + len(after), min(nrows, ncols)):
+        spied = csr.copy()
+        read = spy_on_csr(spied)
+        pivots = dict(seeds)
+        _insert_rows_gf2(spied, range(nrows), pivots, cap)
+        assert list(pivots.items()) == list(plain_pass_gf2(csr, range(nrows), dict(seeds),
+                                                           cap).items())
+        assert len(pivots) == min(rank, cap)
+        assert_tail_reduced(pivots, 2)
+        starts = assert_read_in_order(read, after + others)
+        assert starts[:len(after)] == after
+
+
+def test_a_cap_inside_the_structural_phase_reads_no_later_row():
+    """Structural rows have distinct leads, so each one read is a pivot,
+    and a cap reached among them leaves every later row unread."""
+    rng = np.random.default_rng(23)
+    nrows, ncols = 4000, 100
+    csr = tall_gf2(rng, nrows, ncols, 100, 20)
+    structural, _ = structural_first(csr, range(nrows), {})
+    assert_rank_exact(csr, _rank_csr_gf2(csr))
+    assert len(structural) < _rank_csr_gf2(csr)
+    for cap in (1, len(structural) // 2, len(structural)):
+        spied = csr.copy()
+        read = spy_on_csr(spied)
+        pivots = {}
+        _insert_rows_gf2(spied, range(nrows), pivots, cap)
+        assert read[::2] == structural[:cap]
+        assert list(pivots.items()) == list(plain_pass_gf2(csr, range(nrows), {}, cap).items())
+        assert_tail_reduced(pivots, 2)
+        assert_rank_exact(csr[structural[:cap]], len(pivots))
+
+
+@pytest.mark.parametrize("nrows,ncols,late", [(3000, 120, 30), (5000, 200, 40)])
+def test_structural_rows_alone_reach_the_bound_of_a_full_rank_matrix(nrows, ncols, late):
+    """A tall matrix of full column rank whose every column leads some row,
+    late ones included, like the top boundary of an acyclic cone: ranked
+    with the bound ``ncols``, it reads its structural rows and nothing
+    else."""
+    rng = np.random.default_rng(nrows + late)
+    csr = tall_gf2(rng, nrows, ncols, ncols, late, triangular=True)
+    structural, _ = structural_first(csr, range(nrows), {})
+    assert len(structural) == ncols
+    m = FpMatrix(csr.copy(), 2)
+    read = spy_on_rows(m)
+    assert m.rank(ncols) == ncols
+    assert_rank_exact(csr, ncols)
+    assert read[::2] == structural
+    assert list(m.echelon.items()) == list(plain_pass_gf2(csr, structural, {},
+                                                          math.inf).items())
+    assert_tail_reduced(m.echelon, 2)
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "dih:8"])
+def test_acyclic_cone_boundaries_read_only_their_structural_rows(spec):
+    """Every boundary of the transporter-to-linking cone at p = 2 reaches
+    its ∂² bound with its structural rows alone, read once each in
+    ascending order of their leads."""
+    cm, _ = centric_linking_cone(spec, 2, 3)
+    cone = mapping_cone(cm)
+    for d in range(1, cone.dmax + 1):
+        m = cone.boundaries[d]
+        csr = m.csr.copy()
+        structural, _ = structural_first(csr, range(csr.shape[0]), {})
+        read = spy_on_rows(m)
+        rank = cone.rank_boundary(d)
+        assert rank == cone.dims[d - 1] - (cone.rank_boundary(d - 1) if d > 1 else 0)
+        assert read[::2] == structural
+        assert rank == reference_rank(FpMatrix(csr, 2))
+        if csr.shape[0] * csr.shape[1] <= DENSE_ORACLE_MAX_ENTRIES:
+            assert rank == oracle.dense_rank_modp(csr.toarray(), 2)
+        assert_tail_reduced(m.echelon, 2)

@@ -368,6 +368,16 @@ HOMOLOGY_CHECKS = ("nerve-vs-group", "centric-restriction", "centric-agreement",
                    "linking-vs-transporter", "main")
 
 
+def test_nerve_vs_group_times_the_coset_category_and_its_nerve():
+    """The coset category and its nerve are run artifacts like the others,
+    so a ``--check nerve-vs-group`` report times each of them."""
+    r = run_cli("analyze", "--group", "sym:3", "--prime", "2", "--check", "nerve-vs-group")
+    assert r.returncode == 0
+    timings = json.loads(r.stdout)["timings"]
+    assert "coset_category" in timings
+    assert [k for k in timings if k.startswith("cx:coset:")] == ["cx:coset:4x7:4"]
+
+
 def test_sym4_homology_checks_build_five_nerves_and_one_group_category(monkeypatch):
     """The bar complex, the transporter-poset nerve (the centric-restriction
     source is that category itself, read as a prefix), the coset nerve and

@@ -282,13 +282,14 @@ def build_orbit(G: PermutationGroup, collection,
     return cat
 
 
-def group_category(G: PermutationGroup, P: Subgroup) -> FiniteCategory:
+def group_category(G: PermutationGroup, P: Subgroup,
+                   table_budget: int = DEFAULT_BUDGET) -> FiniteCategory:
     """The one-object category with morphism set P, composed by G's product;
-    token k is the element ``P.ids[k]``."""
+    token k is the element ``P.ids[k]``: its nerve is P's bar construction."""
     cat = FiniteCategory("group", [P], G)
     cat.left = cat.right = [G.trivial_subgroup()]
     cat.set_tokens([0] * P.order, [0] * P.order, P.ids, [0])
-    cat.fill_composition(table_budget=P.order ** 2)
+    cat.fill_composition(table_budget)
     return cat
 
 

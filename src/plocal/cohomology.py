@@ -2,11 +2,11 @@
 
 Cohomology is computed from normalized bar cochains of the subgroup, with a
 deterministic echelon-form basis of cocycles modulo coboundaries.  The bar
-coboundary C^n -> C^{n+1} is the nerve boundary from degree n+1 to n of the
-one-object category on P, whose tokens follow ``P.ids``; so cochains are
-indexed by tuples of non-identity elements in lexicographic order, and a
-pullback finds each image tuple's index from its parent's image
-(``chains.chain_images``).
+coboundary C^n -> C^{n+1} is ∂_{n+1} of the one-object category on P,
+whose tokens follow ``P.ids``, built and checked by ``nerve_complex`` like
+every nerve; so cochains are indexed by tuples of non-identity elements in
+lexicographic order, and a pullback finds each image tuple's index from
+its parent's image (``chains.chain_images``).
 Induced maps along orbit-category morphisms are pullbacks by conjugation by
 the morphism's witness, mapped on token arrays and reduced to the chosen
 bases, so the resulting functor matrices are reproducible.  The
@@ -19,10 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from .categories import FiniteCategory, group_category
-from .chains import NOT_A_CHAIN, Chains, chain_images, nerve_boundaries
-from .errors import DEFAULT_BUDGET, BudgetExceeded, PLocalError
+from .chains import NOT_A_CHAIN, chain_images
+from .errors import DEFAULT_BUDGET, PLocalError
 from .fplinalg import EchelonCoords, nullspace_dense
 from .groups import PermutationGroup, Subgroup, _conj
+from .homology import nerve_complex
 from .limits import LinearFunctor
 
 
@@ -36,27 +37,16 @@ class CohomologyBasis:
         self.P = P
         self.i = i
         self.p = p
-        nonid = len(P.ids) - 1
-        if nonid ** (i + 1) > budget:
-            raise BudgetExceeded(i + 1, nonid ** (i + 1), budget)
-
-        self.category = group_category(G, P)
+        self.category = group_category(G, P, budget)
         # each element's token: k for P.ids[k], -1 outside P
         self.token_of = np.full(G.order, -1, dtype=np.int64)
         self.token_of[self.category.witness] = np.arange(P.order)
-        self.chains = Chains(self.category, i + 1)
-        ambient = self.chains.dims[i]
-        if ambient == 0:
-            self.dim = 0
-            self.reps: list[np.ndarray] = []
-            self._ech = None
-            return
-
-        boundaries = nerve_boundaries(self.chains, p)
-        cocycles = nullspace_dense(boundaries[i + 1].csr.toarray(), p)
-        ech = EchelonCoords(ambient, p)
+        cx = nerve_complex(self.category, p, i + 1, budget)
+        self.chains = cx.chains
+        cocycles = nullspace_dense(cx.boundaries[i + 1].csr.toarray(), p)
+        ech = EchelonCoords(cx.dims[i], p)
         if i >= 1:
-            D_prev = boundaries[i].csr.toarray()
+            D_prev = cx.boundaries[i].csr.toarray()
             for j in range(D_prev.shape[1]):
                 ech.add_silent(D_prev[:, j])
         reps = []
@@ -69,8 +59,6 @@ class CohomologyBasis:
 
     def coords(self, vec: np.ndarray) -> np.ndarray:
         """Coordinates of a cocycle's class in the chosen basis of H^i."""
-        if self._ech is None:
-            return np.zeros(0, dtype=np.int64)
         return self._ech.coords(vec)
 
     def pullback_matrix(self, other: "CohomologyBasis", g: int) -> np.ndarray:

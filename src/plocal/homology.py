@@ -9,6 +9,10 @@ face whose inner composition is an identity is degenerate and dropped.
 Faces and the images of induced chain maps are derived degree by degree
 from the parent chain's (see ``chains``), with no dict and no search.
 
+Every nerve, a group's bar complex too (the nerve of its one-object
+category), is built by ``nerve_complex``, which raises ``BudgetExceeded``
+at the first degree over budget before it builds any chain.
+
 An induced chain map is checked once, by the ∂² check of its mapping cone,
 which covers its commutation with the boundaries (see ``mapping_cone``).
 
@@ -114,13 +118,9 @@ def nerve_complex(C: FiniteCategory, prime: int, dmax: int,
 
 def bar_complex(G: PermutationGroup, prime: int, dmax: int,
                 budget: int = DEFAULT_BUDGET) -> FpComplex:
-    """Normalized bar complex computing H_*(BG; F_p) below dmax.
-
-    Realized as the nerve of the one-object category with morphism set G.
-    """
-    if (G.order - 1) ** dmax > budget:
-        raise BudgetExceeded(dmax, (G.order - 1) ** dmax, budget)
-    return nerve_complex(group_category(G, G.full_subgroup()), prime, dmax, budget)
+    """Normalized bar complex computing H_*(BG; F_p) below dmax: the nerve
+    of the one-object category with morphism set G, like any other nerve."""
+    return nerve_complex(group_category(G, G.full_subgroup(), budget), prime, dmax, budget)
 
 
 @dataclass

@@ -8,6 +8,10 @@ restriction, transporter vs linking), higher-limit checks (punctured
 vanishing, normalizer reduction, restriction, filtration), and the final
 comparison of the linking-system nerve against the classifying space.
 
+Every nerve a run ranks, the bar complex of G too (the nerve of
+``group_category``), comes from ``complex_of`` at the degree its stage
+reads: main compares through degree 2, so it reads degree 3.
+
 ``STAGES`` is the one list of checks: each row names a check, its verdict
 keys in report order, the stage method and the least max degree its
 verdicts need, and ``run`` walks it in order.
@@ -45,7 +49,6 @@ from .groups import (
 )
 from .homology import (
     FpComplex,
-    bar_complex,
     homology_iso_verdict,
     induced_chain_map,
     nerve_complex,
@@ -90,11 +93,13 @@ class PipelineRun:
     def __init__(self, G: PermutationGroup, config: PipelineConfig, source: str):
         if not is_prime(config.prime):
             raise PLocalError(f"{config.prime} is not prime")
+        if config.checks == ():
+            raise PLocalError("no checks requested")
         unknown = [c for c in config.checks or () if c not in ALL_CHECKS]
         if unknown:
             raise PLocalError(f"unknown checks: {', '.join(unknown)}")
         for flag, least in (("max_degree", 1), ("max_limit_degree", 1),
-                            ("cohomology_index_max", 0)):
+                            ("cohomology_index_max", 0), ("budget", 1)):
             if getattr(config, flag) < least:
                 raise PLocalError(f"{flag} must be at least {least}")
         self.G = G
@@ -161,6 +166,13 @@ class PipelineRun:
         return self._get(
             "transporter_omega",
             lambda: cats.build_transporter(self.G, self.omega_in_sylow, self.cfg.budget),
+        )
+
+    @property
+    def group_category(self):
+        return self._get(
+            "group_category",
+            lambda: cats.group_category(self.G, self.G.full_subgroup(), self.cfg.budget),
         )
 
     @property
@@ -239,12 +251,6 @@ class PipelineRun:
             key = f"cx:{cat.kind}:{cat.object_count}x{cat.morphism_count}:{dmax}"
             self.timings[key] = round(time.perf_counter() - t0, 6)
         return cx.prefix(dmax)
-
-    @property
-    def bar(self) -> FpComplex:
-        return self._get(
-            "bar", lambda: bar_complex(self.G, self.p, self.cfg.max_degree, self.cfg.budget)
-        )
 
     # -- stages -------------------------------------------------------------
 
@@ -334,7 +340,8 @@ class PipelineRun:
 
     def _stage_nerve_vs_group(self, detail):
         dmax = self.cfg.max_degree
-        bar = self.bar
+        bg_cat = self.group_category
+        bar = self.complex_of(bg_cat, dmax)
         t_omega_cx = self.complex_of(self.transporter_omega, dmax)
         bar_h = bar.homology()
         t_h = t_omega_cx.homology()
@@ -353,7 +360,6 @@ class PipelineRun:
             i for i, P in enumerate(T.objects)
             if P.ids == self.poset.members[self.poset.minimum].ids
         )
-        bg_cat = bar.chains.category
         tokens = T.tokens_of(min_idx, min_idx, bg_cat.witness)
         if (tokens < 0).any():
             raise PLocalError("an element of G has no token at the poset minimum")
@@ -515,16 +521,12 @@ class PipelineRun:
         return ok
 
     def _stage_main(self, detail):
-        dmax, through = self.cfg.max_degree, 2
-        bar_h = self.bar.homology().dims
-        link_h = self.complex_of(self.linking_centric, dmax).homology().dims
-        equal = bar_h[: through + 1] == link_h[: through + 1]
+        # homology through degree 2, exact from complexes through degree 3
+        bar_h = self.complex_of(self.group_category, 3).homology().dims
+        link_h = self.complex_of(self.linking_centric, 3).homology().dims
         detail["homology"]["main_comparison"] = {
-            "classifying_dims": bar_h[: through + 1],
-            "linking_dims": link_h[: through + 1],
-            "through_degree": through,
-        }
-        return equal
+            "classifying_dims": bar_h, "linking_dims": link_h, "through_degree": 2}
+        return bar_h == link_h
 
     # -- assembly ------------------------------------------------------------
 

@@ -422,6 +422,16 @@ def test_adjunction_composes_without_the_larger_orbit_table():
         assert rep.verdicts["closure_inclusion_adjunction"] == verdict
 
 
+def test_group_category_store_is_checked_against_the_budget():
+    """sym:4's one-object category composes 24 * 24 = 576 pairs: its store
+    is budgeted like every other builder's."""
+    G = build_group("sym:4")
+    with pytest.raises(BudgetExceeded, match="basis size 576 at degree 2 exceeds budget 575"):
+        categories.group_category(G, G.full_subgroup(), table_budget=575)
+    C = categories.group_category(G, G.full_subgroup(), table_budget=576)
+    assert C.pair_start[-1] == 576
+
+
 def test_coset_category_contractible():
     G = build_group("sym:4")
     poset = build_intersection_poset(G, 2)

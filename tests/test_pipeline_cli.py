@@ -379,19 +379,48 @@ def test_nerve_vs_group_times_the_coset_category_and_its_nerve():
 
 
 def test_sym4_homology_checks_build_five_nerves_and_one_group_category(monkeypatch):
-    """The bar complex, the transporter-poset nerve (the centric-restriction
-    source is that category itself, read as a prefix), the coset nerve and
-    the centric transporter and linking nerves: five nerves of five distinct
-    category objects, and the nerve-vs-group functor starts at the bar
-    complex's own one-object category."""
+    """The bar complex is the nerve of the run's one-object group category,
+    served like the transporter-poset nerve (the centric-restriction source
+    is that category itself, read as a prefix), the coset nerve and the
+    centric transporter and linking nerves: five nerves of five distinct
+    category objects, none of them through ``bar_complex``, and the
+    nerve-vs-group functor starts at that one group category."""
     nerves = record_calls(monkeypatch, "nerve_complex")
     groups = record_calls(monkeypatch, "group_category")
+    bars = record_calls(monkeypatch, "bar_complex")
     rep = run_pipeline("sym:4", PipelineConfig(prime=2, max_degree=3, checks=HOMOLOGY_CHECKS,
                                                include_timings=False))
     assert set(rep.verdicts[k] for s in STAGES if s.check in HOMOLOGY_CHECKS
                for k in s.keys) == {"pass"}
     assert len(nerves) == len({id(args[0]) for args in nerves}) == 5
-    assert sum(P.order == G.order for G, P in groups) == 1
+    assert sum(P.order == G.order for G, P, *_ in groups) == 1
+    assert bars == []
+
+
+def test_main_passes_at_degree_three_when_the_bar_overruns_at_degree_four():
+    """Main compares homology through degree 2, so it reads the bar and the
+    linking nerve through degree 3.  Under a budget below the bar's 279,841
+    chains at degree 4, nerve-vs-group, which reads the bar at max degree 4,
+    is not certified, and main still passes."""
+    rep = run_pipeline("sym:4", PipelineConfig(prime=2, max_degree=4, budget=100_000,
+                                               include_timings=False))
+    assert rep.verdicts["main_comparison"] == "pass"
+    assert rep.data["homology"]["main_comparison"]["classifying_dims"] == [1, 1, 2]
+    assert rep.verdicts["transporter_nerve_vs_classifying_space"] == "not-certified"
+    notes = rep.data["notes"]
+    assert "nerve-vs-group: basis size 279841 at degree 4 exceeds budget 100000" in notes
+    assert not any(n.startswith("main:") for n in notes)
+
+
+def test_main_alone_builds_the_bar_and_linking_nerves_at_degree_three():
+    """At max degree 4, ``--check main`` times the group category's and the
+    linking category's nerves through degree 3, and no other nerve."""
+    rep = run_pipeline("sym:4", PipelineConfig(prime=2, max_degree=4, checks=("main",)))
+    assert rep.verdicts["main_comparison"] == "pass"
+    timings = rep.data["timings"]
+    assert "bar" not in timings
+    assert [k for k in timings if k.startswith("cx:")] == [
+        "cx:group:1x24:3", "cx:linking:4x88:3"]
 
 
 def test_s3c3_centric_restriction_builds_one_nerve(monkeypatch):
@@ -497,13 +526,23 @@ def test_max_degree_1_leaves_the_mapping_cone_checks_not_certified():
 
 @pytest.mark.parametrize("flag,value", [
     ("--max-degree", "0"), ("--max-limit-degree", "0"), ("--cohomology-index-max", "-1"),
+    ("--budget", "0"), ("--budget", "-5"),
 ])
 def test_cli_rejects_a_truncation_that_certifies_nothing(flag, value):
-    """Max degree 0 builds no boundary, limit degree 0 no lim^n and index -1
-    no coefficient functor: a usage error, not a verdict."""
+    """Max degree 0 builds no boundary, limit degree 0 no lim^n, index -1
+    no coefficient functor, and a budget below 1 admits no degree-0 basis:
+    a usage error, not a verdict."""
     r = run_cli("analyze", "--group", "sym:3", "--prime", "2", flag, value)
     assert r.returncode == 2
     assert "must be at least" in r.stderr
+
+
+def test_cli_rejects_an_empty_check_list():
+    """``--check ,`` names no check: a usage error, not a report whose
+    verdicts all read not-certified."""
+    r = run_cli("analyze", "--group", "sym:3", "--prime", "2", "--check", ",")
+    assert r.returncode == 2
+    assert "no checks requested" in r.stderr
 
 
 def test_readme_flag_table_matches_the_analyze_parser():

@@ -8,7 +8,7 @@ end-to-end pipeline comparing the linking-system nerve with the classifying
 space in mod-p homology.
 """
 
-from .catalog import GroupSpec, build_group, parse_cycles
+from .catalog import build_group, parse_cycles
 from .categories import (
     FiniteCategory,
     Functor,
@@ -47,10 +47,7 @@ from .groups import (
     all_subgroups,
     center,
     centralizer,
-    conjugate_subgroup,
     direct_product,
-    generate_group,
-    is_sylow,
     normalizer,
     p_part,
     p_residual,
@@ -97,7 +94,7 @@ from .omega import (
     verify_closure_properties,
 )
 from .perm import Permutation
-from .pipeline import ALL_CHECKS, PipelineConfig, PipelineRun, analyze, run_pipeline
+from .pipeline import ALL_CHECKS, PipelineConfig, PipelineRun, run_pipeline
 from .report import AnalysisReport, emit_report
 
 __version__ = "0.1.0"

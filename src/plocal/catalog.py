@@ -3,23 +3,18 @@
 Spec strings name a catalog entry with parameters (``sym:4``, ``dih:12``,
 ``cyc:6``, ``alt:5``), a direct product of entries (``sym:3 x cyc:3``), or an
 explicit generator list in cycle notation
-(``gens:(1 2 3)(4 5),(1 2);deg=5``).
+(``gens:(1 2 3)(4 5),(1 2);deg=5``).  ``build_group`` parses a spec; every
+entry hands its generators straight to ``PermutationGroup``, which
+enumerates the group.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError
-from .groups import DEFAULT_ORDER_BOUND, PermutationGroup, direct_product, generate_group
+from .groups import DEFAULT_ORDER_BOUND, PermutationGroup, direct_product
 from .perm import Permutation
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    source: str
-    prime: int
 
 
 def parse_cycles(text: str, degree: int | None = None) -> Permutation:
@@ -78,9 +73,9 @@ def cyclic_group(n: int, order_bound: int = DEFAULT_ORDER_BOUND) -> PermutationG
     if n < 1:
         raise ParseError("cyclic order must be >= 1", 0)
     if n == 1:
-        return generate_group(1, [], order_bound)
+        return PermutationGroup(1, [], order_bound)
     gen = Permutation(tuple((i + 1) % n for i in range(n)))
-    return generate_group(n, [gen], order_bound)
+    return PermutationGroup(n, [gen], order_bound)
 
 
 def dihedral_group(order: int, order_bound: int = DEFAULT_ORDER_BOUND) -> PermutationGroup:
@@ -89,31 +84,31 @@ def dihedral_group(order: int, order_bound: int = DEFAULT_ORDER_BOUND) -> Permut
         raise ParseError("dihedral order must be even and >= 2", 0)
     n = order // 2
     if n == 1:
-        return generate_group(2, [Permutation((1, 0))], order_bound)
+        return PermutationGroup(2, [Permutation((1, 0))], order_bound)
     if n == 2:
         gens = [Permutation((1, 0, 2, 3)), Permutation((0, 1, 3, 2))]
-        return generate_group(4, gens, order_bound)
+        return PermutationGroup(4, gens, order_bound)
     rot = Permutation(tuple((i + 1) % n for i in range(n)))
     ref = Permutation(tuple((n - i) % n for i in range(n)))
-    return generate_group(n, [rot, ref], order_bound)
+    return PermutationGroup(n, [rot, ref], order_bound)
 
 
 def symmetric_group(n: int, order_bound: int = DEFAULT_ORDER_BOUND) -> PermutationGroup:
     if n < 1:
         raise ParseError("symmetric degree must be >= 1", 0)
     if n == 1:
-        return generate_group(1, [], order_bound)
+        return PermutationGroup(1, [], order_bound)
     gens = [Permutation(tuple((i + 1) % n for i in range(n)))]
     if n > 2:
         swap = list(range(n))
         swap[0], swap[1] = 1, 0
         gens.append(Permutation(tuple(swap)))
-    return generate_group(n, gens, order_bound)
+    return PermutationGroup(n, gens, order_bound)
 
 
 def alternating_group(n: int, order_bound: int = DEFAULT_ORDER_BOUND) -> PermutationGroup:
     if n < 3:
-        return generate_group(max(n, 1), [], order_bound)
+        return PermutationGroup(max(n, 1), [], order_bound)
     three = list(range(n))
     three[0], three[1], three[2] = 1, 2, 0
     gens = [Permutation(tuple(three))]
@@ -124,7 +119,7 @@ def alternating_group(n: int, order_bound: int = DEFAULT_ORDER_BOUND) -> Permuta
             images = [0] + [1 + ((i + 1) % (n - 1)) for i in range(n - 1)]
             cyc = Permutation(tuple(images))
         gens.append(cyc)
-    return generate_group(n, gens, order_bound)
+    return PermutationGroup(n, gens, order_bound)
 
 
 _CATALOG = {
@@ -173,7 +168,7 @@ def build_group(spec: str, order_bound: int = DEFAULT_ORDER_BOUND) -> Permutatio
         if deg is None:
             deg = max((p.degree for p in perms), default=1)
             perms = [parse_cycles(t, degree=deg) for t in gen_texts]
-        return generate_group(deg, perms, order_bound)
+        return PermutationGroup(deg, perms, order_bound)
     parts = [t for t in re.split(r"\s*x\s*", text) if t]
     if not parts:
         raise ParseError("empty group spec", 0)

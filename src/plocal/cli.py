@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .catalog import build_group, catalog_entries, parse_cycles
+from .catalog import catalog_entries, parse_cycles
 from .errors import PLocalError
-from .pipeline import ALL_CHECKS, PipelineConfig, PipelineRun
+from .pipeline import ALL_CHECKS, PipelineConfig, run_pipeline
 from .report import emit_report
 
 
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args) -> int:
     checks = None
-    if args.check:
+    if args.check is not None:
         checks = tuple(t.strip() for t in args.check.split(",") if t.strip())
     config = PipelineConfig(
         prime=args.prime,
@@ -68,8 +68,7 @@ def _cmd_analyze(args) -> int:
         include_timings=args.timings,
         order_bound=args.order_bound,
     )
-    G = build_group(args.group, config.order_bound)
-    report = PipelineRun(G, config, args.group).run()
+    report = run_pipeline(args.group, config)
     sys.stdout.write(emit_report(report, args.format))
     return report.exit_code
 

@@ -8,16 +8,15 @@ Transporter sets and normalizers come from one kernel, ``transporters``,
 which conjugates a source's generators by every element at once and reads
 membership in all targets at once; centralizers come from one conjugation
 filter and conjugacy classes of subgroups from ``conjugates``.  All read
-``mul`` as arrays and hand out Python ints.  A group keeps only the tables
-``coset_minima`` builds: for a pair of subgroups (L, R), the least element
-of L·x·R for every x in G.  Conjugation is on the right,
-``x^g = g^-1 x g``, which makes ``(P^g)^h = P^(g h)`` and lets transporter
-elements compose left to right.
+``mul`` as arrays and hand out Python ints.  A quotient N/Q is a group in
+its own right, acting on the cosets of Q, with no map back to N.  A group
+keeps only the tables ``coset_minima`` builds: for a pair of subgroups
+(L, R), the least element of L·x·R for every x in G.  Conjugation is on the
+right, ``x^g = g^-1 x g``, which makes ``(P^g)^h = P^(g h)`` and lets
+transporter elements compose left to right.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,13 +114,6 @@ class PermutationGroup:
     def mult(self, i: int, j: int) -> int:
         return self.mul.item(i, j)
 
-    def inv(self, i: int) -> int:
-        return self.inverse_ids.item(i)
-
-    def conj(self, x: int, g: int) -> int:
-        """Right conjugation x^g = g^-1 x g."""
-        return self.mul.item(self.mul.item(self.inverse_ids.item(g), x), g)
-
     def power(self, i: int, k: int) -> int:
         out = 0
         for _ in range(k):
@@ -146,9 +138,6 @@ class PermutationGroup:
             frontier = new
         return tuple(sorted(members))
 
-    def subgroup(self, ids, validate: bool = False) -> "Subgroup":
-        return Subgroup(self, ids, validate=validate)
-
     def generated_subgroup(self, seed_ids) -> "Subgroup":
         return Subgroup(self, self.subgroup_closure(seed_ids))
 
@@ -164,19 +153,11 @@ class Subgroup:
 
     __slots__ = ("parent", "ids", "idset", "_gens")
 
-    def __init__(self, parent: PermutationGroup, ids, validate: bool = False):
+    def __init__(self, parent: PermutationGroup, ids):
         self.parent = parent
         self.ids: tuple[int, ...] = tuple(sorted(set(ids)))
         self.idset = frozenset(self.ids)
         self._gens: tuple[int, ...] | None = None
-        if validate:
-            ids = np.array(self.ids, dtype=np.intp)
-            if 0 not in self.idset:
-                raise InvalidPermutation("subgroup must contain the identity")
-            if not np.isin(parent.inverse_ids[ids], ids).all():
-                raise InvalidPermutation("subgroup not closed under inverse")
-            if not np.isin(parent.mul[ids[:, None], ids], ids).all():
-                raise InvalidPermutation("subgroup not closed under product")
 
     @property
     def order(self) -> int:
@@ -245,17 +226,6 @@ class Subgroup:
 
 
 # -- spec operations on groups and subgroups -------------------------------
-
-
-def generate_group(degree: int, generators, order_bound: int = DEFAULT_ORDER_BOUND) -> PermutationGroup:
-    """Enumerate the group generated by the given permutations."""
-    return PermutationGroup(degree, generators, order_bound=order_bound)
-
-
-def conjugate_subgroup(P: Subgroup, g: int) -> Subgroup:
-    if g < 0 or g >= P.parent.order:
-        raise InvalidPermutation(f"element id {g} outside the parent group")
-    return P.conjugate(g)
 
 
 def _conj(G: PermutationGroup, x, g) -> np.ndarray:
@@ -344,7 +314,7 @@ def p_residual(H: Subgroup, p: int) -> Subgroup:
         if x not in span and G.element_orders[x] % p != 0:
             gens.append(x)
             span = set(G.subgroup_closure(gens))
-    return G.subgroup(span)
+    return Subgroup(G, span)
 
 
 def sylow_subgroup(G: PermutationGroup, p: int) -> Subgroup:
@@ -370,10 +340,6 @@ def sylow_subgroup(G: PermutationGroup, p: int) -> Subgroup:
     if P.order != target:
         raise PLocalError(f"normalizer ascent reached order {P.order}, not {target}")
     return P
-
-
-def is_sylow(G: PermutationGroup, S: Subgroup, p: int) -> bool:
-    return S.is_p_group(p) and S.order == p_part(G.order, p)
 
 
 def sylow_conjugates(G: PermutationGroup, S: Subgroup) -> list[Subgroup]:
@@ -417,46 +383,18 @@ def direct_product(A: PermutationGroup, B: PermutationGroup,
     return PermutationGroup(n + m, gens, order_bound=order_bound)
 
 
-@dataclass
-class QuotientRealization:
-    """N/Q realized as a permutation group on the right cosets of Q in N.
-
-    ``rep_ids[i]`` is the canonical (minimal) element of coset i, and
-    ``quotient_elem_rep`` maps an element of the quotient group back to a
-    coset representative in the parent.
-    """
-
-    group: PermutationGroup
-    cosets: list[tuple[int, ...]]
-    rep_ids: list[int]
-    _coset_of: dict[int, int]
-    base_index: int
-
-    def coset_of(self, elem_id: int) -> int:
-        return self._coset_of[elem_id]
-
-    def quotient_elem_rep(self, w_id: int) -> int:
-        w = self.group.elements[w_id]
-        return self.rep_ids[w.apply(self.base_index)]
-
-
-def quotient_realization(G: PermutationGroup, N: Subgroup, Q: Subgroup) -> QuotientRealization:
-    """Build N/Q (Q normal in N) acting regularly on the cosets Qg."""
+def quotient_realization(G: PermutationGroup, N: Subgroup, Q: Subgroup) -> PermutationGroup:
+    """N/Q (Q normal in N) as the permutation group by which N acts on the
+    right cosets Qg, numbered by their least elements; its k-th generator is
+    the action of N's k-th generating id."""
     if not Q.idset <= N.idset:
         raise PLocalError("quotient_realization needs Q to be a subgroup of N")
-    # the cosets Qg, g in N, sorted by their least elements
     rows = np.unique(np.sort(G.mul[np.ix_(Q.ids, N.ids)].T, axis=1), axis=0)
-    cosets = [tuple(cs) for cs in rows.tolist()]
+    cosets = rows.tolist()
     coset_of = {e: i for i, cs in enumerate(cosets) for e in cs}
     gens = [Permutation(tuple(coset_of[G.mult(cs[0], g)] for cs in cosets))
             for g in N.generating_ids]
     W = PermutationGroup(max(len(cosets), 1), gens)
     if W.order != N.order // Q.order:
         raise InvalidPermutation("quotient is not faithful: Q is not normal in N")
-    return QuotientRealization(
-        group=W,
-        cosets=cosets,
-        rep_ids=[cs[0] for cs in cosets],
-        _coset_of=coset_of,
-        base_index=coset_of[0],
-    )
+    return W

@@ -230,10 +230,11 @@ def normalizer_reduction_check(
     cache: CohomologyCache | None = None,
 ) -> ReductionVerdict:
     """Limits of a class-supported functor equal the atomic limits of the
-    normalizer quotient acting on the value; both sides computed independently.
-    N_G(R), the quotient and its orbit skeletons depend only on the class
-    representative R, so they are built once per class and kept in
-    ``cache.quotients``."""
+    normalizer quotient W = N_G(R)/R acting on the value through the
+    pullbacks along N_G(R)'s generating ids (W's generators, in order); both
+    sides computed independently.  N_G(R), W and W's orbit skeletons depend
+    only on the class representative R, so they are built once per class and
+    kept in ``cache.quotients``."""
     G, p = skel.G, skel.p
     cache = cache or CohomologyCache(G, p, budget)
     k = skel.p_object_of(Q)
@@ -244,7 +245,7 @@ def normalizer_reduction_check(
     kept = cache.quotients.get(R.ids)
     if kept is None:
         N = normalizer(G, R)
-        W = quotient_realization(G, N, R).group
+        W = quotient_realization(G, N, R)
         kept = cache.quotients[R.ids] = (N, W, build_orbit_skeletons(W, p, table_budget=budget))
     N, W, quotient_skel = kept
     basis = cache.basis(R, i)

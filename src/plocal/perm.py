@@ -32,9 +32,6 @@ class Permutation:
     def identity(cls, degree: int) -> "Permutation":
         return cls(tuple(range(degree)))
 
-    def is_identity(self) -> bool:
-        return all(j == i for i, j in enumerate(self.images))
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         if other.degree != self.degree:
             raise InvalidPermutation(
@@ -48,9 +45,6 @@ class Permutation:
         for i, j in enumerate(self.images):
             inv[j] = i
         return Permutation(tuple(inv))
-
-    def apply(self, point: int) -> int:
-        return self.images[point]
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its minimal point, sorted."""

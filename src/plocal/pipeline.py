@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import categories as cats
-from .catalog import GroupSpec, build_group
+from .catalog import build_group
 from .cohomology import CohomologyCache
 from .errors import DEFAULT_BUDGET, BudgetExceeded, PLocalError
 from .groups import (
@@ -637,9 +637,3 @@ def run_pipeline(spec_source: str, config: PipelineConfig) -> AnalysisReport:
     """Build the group from a spec string and run the full analysis."""
     G = build_group(spec_source, config.order_bound)
     return PipelineRun(G, config, spec_source).run()
-
-
-def analyze(spec: GroupSpec, **flag_overrides) -> AnalysisReport:
-    """Run the pipeline for a GroupSpec; keyword arguments override flags."""
-    config = PipelineConfig(prime=spec.prime, **flag_overrides)
-    return run_pipeline(spec.source, config)

@@ -104,7 +104,10 @@ def test_kernel_matches_reference_on_every_pipeline_input(monkeypatch):
 
     def pullback(self, other, g):
         M = real_pullback(self, other, g)
-        assert np.array_equal(M, ref.pullback_matrix(self, other, lambda x: self.G.conj(x, g)))
+        G = self.G
+        g_inv = G.inverse_ids.item(g)
+        assert np.array_equal(M, ref.pullback_matrix(
+            self, other, lambda x: G.mult(G.mult(g_inv, x), g)))
         seen["pullback"] += 1
         return M
 

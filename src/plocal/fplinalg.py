@@ -1,11 +1,14 @@
 """Exact sparse and dense linear algebra over the field with p elements.
 
 Sparse matrices are CSR (scipy) in canonical form with int64 entries reduced
-into 1..p-1.  Ranks come from an insertion echelon: each row is reduced
-against the pivots found so far, keyed by their leading (largest) column, and
-becomes a new pivot if anything is left.  Rows are big-integer bitmasks at
-p = 2 and {column: coefficient} dicts otherwise.  All routines are
-deterministic: identical inputs give identical pivot choices and results.
+into 1..p-1.  Entries are reduced and zeros dropped before duplicates are
+summed and indices sorted, so a product that vanishes mod p, as every
+passing ∂² check's does, is never sorted.  Ranks come from an insertion
+echelon: each row is reduced against the pivots found so far, keyed by their
+leading (largest) column, and becomes a new pivot if anything is left.  Rows
+are big-integer bitmasks at p = 2 and {column: coefficient} dicts otherwise.
+All routines are deterministic: identical inputs give identical pivot
+choices and results.
 
 The echelon is tail-reduced at insertion: before a row is stored as a new
 pivot it is reduced again by the pivots already stored, at every pivot column
@@ -38,12 +41,13 @@ order alone gained nothing there, since no span filter profits from the
 early span (50.8 s structural-first against 50.3 s on the sym:4, p = 3
 transporter-poset ∂_4).
 
-``FpMatrix.rank`` keeps that echelon.  A matrix may declare that its last
-rows are ``[0 | block]`` for another matrix ``block`` starting at a column
-offset; a mapping cone declares the target's boundary this way.  If ``block``
-already holds its echelon, ``rank`` first checks that those rows really are
-``block``, seeds its echelon with block's pivots shifted by the offset, and
-inserts only the leading rows.  The shifted pivots are the ones inserting
+``FpMatrix.rank`` keeps that echelon, unless it certifies the rank (below).
+A matrix may declare that its last rows are ``[0 | block]`` for another
+matrix ``block`` starting at a column offset; a mapping cone declares the
+target's boundary this way.  ``rank`` first checks that those rows really
+are ``block``.  If ``block`` already holds its echelon, it then seeds its
+echelon with block's pivots shifted by the offset, and inserts only the
+leading rows.  The shifted pivots are the ones inserting
 the tail rows first would store, tail-reduced the same way, since the shift
 keeps the order of the columns.  Otherwise it eliminates every row, as for
 any other matrix.  An echelon is reused only when it already exists:
@@ -62,9 +66,22 @@ rank ∂_d <= dim C_{d-1} - rank ∂_{d-1}.  Nerves, mapping cones and functor
 cochain complexes are all written in that orientation, a cochain
 differential C^n -> C^{n+1} transposed with rows indexed by C^{n+1}.  For an
 acyclic complex (the mapping cone of an isomorphism) that bound is the rank,
-and elimination ends at the row that finds the last pivot.  At p = 2, on the
-transporter-to-linking cones of sym:4 and dih:8, every boundary reaches its
-bound with its structural rows alone and reads no other row.
+and elimination ends at the row that finds the last pivot.
+
+Often no row need be read at all.  Before inserting any, ``rank`` counts
+its seeds plus the distinct leading columns, among the rows it would
+insert, that no seed leads, with the one ``np.unique`` that also finds the
+structural rows at p = 2.  The seeds and one row per such column have
+pairwise distinct leading columns, so they are linearly independent and the
+rank is at least the count.  When the count reaches the cap, the rank is
+the cap, exactly, because the cap bounds it from above: the rank is
+certified and no row is read.  A certified matrix keeps no echelon, so a
+cone over it inserts every row unseeded, as over a block never ranked.
+The top boundaries of acyclic cones are certified this way: on the four
+boundaries of the sym:3 x cyc:3, p = 3 centric-restriction cone the counts
+1, 17, 289 and 4,913 equal their ∂² bounds, and no row of the 5,220 that
+elimination read is read; at p = 2 so are the transporter-to-linking cones
+of sym:4 and dih:8.
 
 At p = 2 the engine also skips the rows that already lie in the span of its
 echelon E.  A row v lies in span(E) exactly when v y = 0 for every y in the
@@ -120,9 +137,13 @@ class FpMatrix:
                  tail: tuple["FpMatrix", int] | None = None):
         self.prime = prime
         csr = sparse.csr_matrix(csr, dtype=np.int64)
-        csr.sum_duplicates()
+        # reduce before sorting: a product that vanishes mod p is never sorted
         csr.data %= prime
         csr.eliminate_zeros()
+        if not csr.has_canonical_format:
+            csr.sum_duplicates()
+            csr.data %= prime
+            csr.eliminate_zeros()
         self.csr = csr
         self.tail = tail
         self.echelon: dict | None = None
@@ -139,19 +160,28 @@ class FpMatrix:
 
     def rank(self, bound: int | None = None) -> int:
         """The rank over F_p.  ``bound``, if given, must be an upper bound on
-        it; elimination stops once ``min(bound, *shape)`` pivots are found."""
+        it; elimination stops once ``min(bound, *shape)`` pivots are found,
+        and does not start when the seeds and the rows' distinct unseeded
+        leads already number that many (see the module docstring)."""
         if self._rank is None:
             cap = min(self.shape) if bound is None else min(bound, *self.shape)
             pivots: dict = {}
-            rows = range(self.shape[0])
-            if self.tail is not None and self.tail[0].echelon is not None:
+            nrows = self.shape[0]
+            if self.tail is not None:
+                start = self._check_tail()
                 block, offset = self.tail
-                rows = range(self._check_tail())
-                pivots = _shifted_echelon(block.echelon, offset, self.prime)
-            if self.prime == 2:
-                _insert_rows_gf2(self.csr, rows, pivots, cap)
-            else:
-                _insert_rows_modp(self.csr, rows, self.prime, pivots, cap)
+                if block.echelon is not None:
+                    nrows = start
+                    pivots = _shifted_echelon(block.echelon, offset, self.prime)
+            if len(pivots) < cap:
+                structural = _structural_rows(self.csr, nrows, pivots)
+                if len(pivots) + len(structural) >= cap:
+                    self._rank = cap  # certified: no row read, no echelon kept
+                    return cap
+                if self.prime == 2:
+                    _insert_rows_gf2(self.csr, nrows, structural, pivots, cap)
+                else:
+                    _insert_rows_modp(self.csr, range(nrows), self.prime, pivots, cap)
             self.echelon = pivots
             self._rank = len(pivots)
         return self._rank
@@ -198,42 +228,46 @@ def _shifted_echelon(pivots: dict, offset: int, p: int) -> dict:
     }
 
 
-def _insert_rows_gf2(csr: sparse.csr_matrix, rows: range, pivots: dict[int, int],
-                     cap: int) -> None:
-    """Insert ``rows`` into a GF(2) echelon of bitmask rows, stopping once
-    it holds ``cap`` pivots.
+def _structural_rows(csr: sparse.csr_matrix, nrows: int, pivots: dict) -> np.ndarray:
+    """For each leading column that no pivot in ``pivots`` leads, the first
+    of the first ``nrows`` rows leading there, in ascending order of that
+    column.  The rows have distinct leads, none a pivot's, so they and the
+    pivots are linearly independent."""
+    indptr = np.asarray(csr.indptr)
+    ends = indptr[1:nrows + 1]
+    full = np.flatnonzero(ends > indptr[:nrows])
+    # canonical CSR: a row's last index is its leading column
+    cols, first = np.unique(csr.indices[ends[full] - 1], return_index=True)
+    seeded = np.zeros(csr.shape[1], dtype=bool)
+    seeded[list(pivots)] = True
+    return full[first[~seeded[cols]]]
 
-    Structural phase: for each leading column c that no stored pivot leads,
-    the first row of ``rows`` that leads at c goes in, in ascending order of
-    c.  Its lead is not a pivot column when it goes in, since the pivots
-    before it lead at seeds or at smaller columns, so it becomes a pivot at
-    once and pays only its tail reduction.  The remaining rows then go in
-    their order: as many as the matrix has columns, and then blocks of
-    growing size, whose rows that lie in the span of the echelon at the
-    block's start are skipped.
+
+def _insert_rows_gf2(csr: sparse.csr_matrix, nrows: int, structural: np.ndarray,
+                     pivots: dict[int, int], cap: int) -> None:
+    """Insert the first ``nrows`` rows into a GF(2) echelon of bitmask rows,
+    stopping once it holds ``cap`` pivots.
+
+    Structural phase: the rows ``structural`` (``_structural_rows`` of
+    ``nrows`` and ``pivots``) go in first.  Each one's lead is not a pivot
+    column when it goes in, since the pivots before it lead at seeds or at
+    smaller columns, so it becomes a pivot at once and pays only its tail
+    reduction.  The remaining rows then go in their order: as many as the
+    matrix has columns, and then blocks of growing size, whose rows that
+    lie in the span of the echelon at the block's start are skipped.
 
     Stored pivots never change, so stopping at a cap that bounds the rank,
     or starting from seeds, keeps the echelon that a pass over every row
     in this order keeps: the rows never read would reduce to zero."""
-    if len(pivots) >= cap:
-        return
     ncols = csr.shape[1]
     # bit c of ``lead`` is set when column c leads a stored pivot
     bits = np.zeros(ncols, dtype=np.uint8)
     bits[list(pivots)] = 1
     lead = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-    ids = np.arange(rows.start, rows.stop, rows.step)
-    indptr = np.asarray(csr.indptr)
-    ends = indptr[ids + 1]
-    full = np.flatnonzero(ends > indptr[ids])
-    # canonical CSR: a row's last index is its leading column
-    cols, first = np.unique(csr.indices[ends[full] - 1], return_index=True)
-    first = full[first[bits[cols] == 0]]
-    del ends, full, cols  # one entry per row each: not kept through elimination
-    lead = _reduce_rows_gf2(csr, ids[first].tolist(), pivots, lead, cap)
+    lead = _reduce_rows_gf2(csr, structural.tolist(), pivots, lead, cap)
     if lead is None:
         return
-    ids = np.delete(ids, first)
+    ids = np.delete(np.arange(nrows), structural)
     lead = _reduce_rows_gf2(csr, ids[:ncols].tolist(), pivots, lead, cap)
     span = _SpanTest(csr)
     done = ncols
@@ -382,8 +416,6 @@ def _insert_rows_modp(csr: sparse.csr_matrix, rows, p: int,
     """Insert ``rows``, in order, into an F_p echelon of monic {column: coeff}
     rows, stopping once it holds ``cap`` pivots.  A new pivot is first
     cleared at every pivot column it has, largest first."""
-    if len(pivots) >= cap:
-        return
     indptr, indices, data = csr.indptr, csr.indices, csr.data
     for i in rows:
         lo, hi = indptr[i], indptr[i + 1]

@@ -199,10 +199,6 @@ class Subgroup:
             self._gens = tuple(gens)
         return self._gens
 
-    def conjugate(self, g: int) -> "Subgroup":
-        G = self.parent
-        return Subgroup(G, _conj(G, np.array(self.ids, dtype=np.intp), g).tolist())
-
     def intersection(self, other: "Subgroup") -> "Subgroup":
         return Subgroup(self.parent, tuple(sorted(self.idset & other.idset)))
 

@@ -40,12 +40,6 @@ class Permutation:
         a, b = self.images, other.images
         return Permutation(tuple(b[a[i]] for i in range(len(a))))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its minimal point, sorted."""
         seen = [False] * len(self.images)

@@ -46,6 +46,7 @@ from plocal.categories import (
 )
 from plocal.errors import PLocalError
 from plocal.groups import transporters
+from reference_groups import conjugate
 
 
 def _blocks(counts: np.ndarray) -> list[slice]:
@@ -250,7 +251,7 @@ def reference_coset_category(G, collection) -> FiniteCategory:
     witnessed by -1.  ``coset_category`` builds its skeleton instead."""
     objs = [(k, r) for k, P in enumerate(collection)
             for r in np.unique(G.mul[list(P.ids)].min(axis=0)).tolist()]
-    cat = FiniteCategory("coset", [collection[k].conjugate(r) for k, r in objs], G)
+    cat = FiniteCategory("coset", [conjugate(collection[k], r) for k, r in objs], G)
     conj = [frozenset(H.ids) for H in cat.objects]
     src, tgt = np.nonzero(np.array([[a <= b for b in conj] for a in conj], dtype=bool))
     tok = np.full((len(objs), len(objs)), -1, dtype=np.int64)

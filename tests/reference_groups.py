@@ -4,10 +4,12 @@ These are the element loops that the array filters over the multiplication
 table replaced: transporter sets, centralizers, normalizers, centers,
 conjugacy orbits of subgroups and the cosets a category's witnesses stand
 for; p-residuals, closed over every element of order prime to p; and the
-centricity rule.  Every product here is a product of ``Permutation``
+centricity rule; and the conjugates H^g and inverses of single elements,
+which only tests use.  Every product here is a product of ``Permutation``
 objects, looked up by ``element_id`` in the group's enumeration; nothing
 reads ``PermutationGroup.mul``.
-Ids are returned as plain sorted tuples, to compare with ``Subgroup.ids``.
+Ids are returned as plain sorted tuples, to compare with ``Subgroup.ids``;
+only ``conjugate`` returns a ``Subgroup``, to build categories from.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import functools
 
 from plocal.errors import InvalidPermutation
+from plocal.groups import Subgroup
+from plocal.perm import Permutation
 
 
 @functools.cache
@@ -34,13 +38,26 @@ def product(G, a: int, b: int) -> int:
     return element_id(G, G.elements[a] * G.elements[b])
 
 
+def inverse(perm: Permutation) -> Permutation:
+    inv = [0] * perm.degree
+    for i, j in enumerate(perm.images):
+        inv[j] = i
+    return Permutation(tuple(inv))
+
+
 @functools.cache
 def conjugation_table(G) -> tuple[tuple[int, ...], ...]:
     """``table[g][x]`` is x^g = g^-1 x g."""
     e = G.elements
     return tuple(
-        tuple(element_id(G, e[g].inverse() * x * e[g]) for x in e) for g in range(G.order)
+        tuple(element_id(G, inverse(e[g]) * x * e[g]) for x in e) for g in range(G.order)
     )
+
+
+def conjugate(H, g: int) -> Subgroup:
+    """H^g = g^-1 H g, a subgroup of H's parent."""
+    ct = conjugation_table(H.parent)
+    return Subgroup(H.parent, [ct[g][x] for x in H.ids])
 
 
 def transporter_set(G, P, Q) -> tuple[int, ...]:

@@ -14,6 +14,13 @@ Every kept echelon is tail-reduced: each pivot is zero at the leading column
 of every pivot stored before it, seeds included.  The references reduce no
 tails, so they stay an independent check of the ranks.
 
+A rank is certified, with no row read and no echelon kept, when the seeds
+and the distinct leading columns that no seed leads number at least the cap.
+``certificate`` recounts them by a scan of each row, independently of the
+engine's ``np.unique``.  Every matrix ranked here must be certified exactly
+when that count reaches its cap, and otherwise keep the echelon a full pass
+keeps.
+
 At p = 2 the engine first inserts its structural rows (the first row with
 each leading column that no seed leads, in ascending order of that column),
 then the others in row order.  ``structural_first`` finds that order by a
@@ -33,6 +40,7 @@ from scipy import sparse
 
 import oracle
 from plocal import (
+    FpComplex,
     PipelineConfig,
     PLocalError,
     all_subgroups,
@@ -58,6 +66,7 @@ from plocal.fplinalg import (
     _reduce_rows_gf2,
     _shifted_echelon,
     _SpanTest,
+    _structural_rows,
 )
 from reference_chains import constant_functor
 from reference_fplinalg import _rank_csr_gf2, _rank_csr_modp
@@ -77,10 +86,12 @@ def structural_first(csr, rows, seeds) -> tuple[list[int], list[int]]:
     seeded with ``seeds``, found by a scan of each row: the structural rows
     (for each leading column that no seed leads, the first row leading
     there, in ascending order of that column), then the others in their
-    order."""
+    order.  It reads the row pointer through ``np.asarray``, so a spy on it
+    records nothing."""
     first = {}
+    indptr = np.asarray(csr.indptr)
     for i in rows:
-        cols = csr.indices[csr.indptr[i]:csr.indptr[i + 1]].tolist()
+        cols = csr.indices[indptr[i]:indptr[i + 1]].tolist()
         if cols and max(cols) not in seeds:
             first.setdefault(max(cols), i)
     structural = [first[c] for c in sorted(first)]
@@ -110,13 +121,56 @@ def plain_pass_gf2(csr, rows, pivots: dict, cap) -> dict:
     return pivots
 
 
+def insert_gf2(csr, rows: range, pivots: dict, cap) -> None:
+    """``_insert_rows_gf2`` on ``rows`` (``range(nrows)``) with the structural
+    rows ``rank`` hands it, which must be the ones ``structural_first``
+    finds."""
+    structural = _structural_rows(csr, len(rows), pivots)
+    assert structural.tolist() == structural_first(csr, rows, pivots)[0]
+    _insert_rows_gf2(csr, len(rows), structural, pivots, cap)
+
+
+def seeds_of(m: FpMatrix) -> tuple[dict, int]:
+    """The seeds ``m.rank()`` starts from and the number of rows it inserts."""
+    if m.tail is not None and m.tail[0].echelon is not None:
+        return _shifted_echelon(m.tail[0].echelon, m.tail[1], m.prime), m._check_tail()
+    return {}, m.shape[0]
+
+
+def certificate(m: FpMatrix) -> tuple[int, int]:
+    """The number of seeds of ``m``, and that number plus the distinct
+    leading columns of the rows it inserts that no seed leads, counted by a
+    scan of each row."""
+    seeds, nrows = seeds_of(m)
+    return len(seeds), len(seeds) + len(structural_first(m.csr, range(nrows), seeds)[0])
+
+
+def assert_certified_exactly(m: FpMatrix, cap: int):
+    """``m``, ranked under ``cap``, kept no echelon exactly when its seeds
+    fall short of the cap and its certificate reaches it, and then its rank
+    is the cap."""
+    seeds, count = certificate(m)
+    assert (m.echelon is None) == (seeds < cap <= count)
+    if m.echelon is None:
+        assert m.rank() == cap
+
+
+def assert_certified_or_eliminated(m: FpMatrix, cap: int, read: list[int] | None = None):
+    """``m``, ranked under ``cap``, is certified exactly when its
+    certificate says so, and then read no row (``read``, from a spy).
+    Otherwise it kept the tail-reduced echelon a full pass keeps."""
+    assert_certified_exactly(m, cap)
+    if m.echelon is None:
+        assert not read
+    else:
+        assert m.echelon == full_echelon(m)
+        assert_tail_reduced(m.echelon, m.prime)
+
+
 def full_echelon(m: FpMatrix) -> dict:
     """The echelon ``m.rank()`` builds, seeded the same way, but with every
     row inserted: no bound, no cap and, at p = 2, no span filter."""
-    pivots, nrows = {}, m.shape[0]
-    if m.tail is not None and m.tail[0].echelon is not None:
-        nrows = m._check_tail()
-        pivots = _shifted_echelon(m.tail[0].echelon, m.tail[1], m.prime)
+    pivots, nrows = seeds_of(m)
     if m.prime == 2:
         plain_pass_gf2(m.csr, range(nrows), pivots, math.inf)
     else:
@@ -140,15 +194,22 @@ def assert_tail_reduced(echelon: dict, p: int):
             before.add(c)
 
 
-def assert_bounded_ranks_exact(mats: list[FpMatrix], ranks: list[int]):
+def bound_caps(cx, ranks: list[int]) -> list[int]:
+    """The cap each boundary of ``cx`` is ranked under, from its ∂² bound
+    and its shape."""
+    return [min(cx.dims[d - 1] - (ranks[d - 2] if d > 1 else 0), *cx.boundaries[d].shape)
+            for d in range(1, len(ranks) + 1)]
+
+
+def assert_bounded_ranks_exact(cx, ranks: list[int]):
     """Each boundary, ranked by its complex with the ∂² = 0 bound, against
-    an unbounded rank, the reference and a full pass; its echelon is
-    tail-reduced."""
-    for m, r in zip(mats, ranks):
+    an unbounded rank and the reference; each is certified or keeps the
+    echelon of a full pass, as its certificate says."""
+    for m, r, cap in zip(cx.boundaries[1:], ranks, bound_caps(cx, ranks)):
         unbounded = FpMatrix(m.csr.copy(), m.prime, m.tail)
         assert r == unbounded.rank() == reference_rank(m)
-        assert m.echelon == unbounded.echelon == full_echelon(m)
-        assert_tail_reduced(m.echelon, m.prime)
+        assert_certified_or_eliminated(m, cap)
+        assert_certified_or_eliminated(unbounded, min(m.shape))
 
 
 class RowSpy(np.ndarray):
@@ -217,13 +278,15 @@ def test_seeded_rank_matches_plain_and_oracle(p, t_rows, b_rows, left, right):
 
     want = reference_rank(FpMatrix(full.copy(), p))
     assert seeded.rank() == plain.rank() == want
-    assert len(seeded.echelon) == want
-    # seeded and bounded by the true rank: the same rank and echelon
+    # seeded and bounded by the true rank: the same rank, and the same
+    # echelon unless the bound certifies it
     bounded = FpMatrix(full.copy(), p, tail=(block, left))
     assert bounded.rank(want) == want
-    assert bounded.echelon == seeded.echelon == full_echelon(bounded)
-    for m in (block, seeded, plain):
-        assert_tail_reduced(m.echelon, p)
+    for m, cap in ((block, min(B.shape)), (seeded, min(full.shape)), (plain, min(full.shape)),
+                   (bounded, want)):
+        assert_certified_or_eliminated(m, cap)
+    if bounded.echelon is not None:
+        assert bounded.echelon == seeded.echelon
     if full.shape[0] * full.shape[1] <= DENSE_ORACLE_MAX_ENTRIES:
         assert want == oracle.dense_rank_modp(full.toarray(), p)
 
@@ -247,15 +310,15 @@ def test_real_cone_ranks_seeded_and_plain(spec, p):
     plain = mapping_cone(cm)
     plain_ranks = [plain.rank_boundary(d) for d in range(1, plain.dmax + 1)]
     assert all(tgt.boundaries[d].echelon is None for d in range(1, tgt.dmax + 1))
-    assert_bounded_ranks_exact(plain.boundaries[1:], plain_ranks)
+    assert_bounded_ranks_exact(plain, plain_ranks)
 
     target_ranks = [tgt.rank_boundary(d) for d in range(1, tgt.dmax + 1)]
-    assert_bounded_ranks_exact(tgt.boundaries[1:], target_ranks)
+    assert_bounded_ranks_exact(tgt, target_ranks)
     seeded = mapping_cone(cm)
     seeded_ranks = [seeded.rank_boundary(d) for d in range(1, seeded.dmax + 1)]
     assert seeded_ranks == plain_ranks
     assert seeded.homology().dims == [0] * seeded.dmax
-    assert_bounded_ranks_exact(seeded.boundaries[1:], seeded_ranks)
+    assert_bounded_ranks_exact(seeded, seeded_ranks)
     for d in range(1, seeded.dmax + 1):
         m = seeded.boundaries[d]
         assert np.issubdtype(m.csr.dtype, np.integer)
@@ -267,9 +330,11 @@ def test_real_cone_ranks_seeded_and_plain(spec, p):
 
 @pytest.mark.parametrize("spec,p", [("sym:4", 2), ("sym:3 x cyc:3", 3)])
 def test_elimination_stops_at_the_row_that_reaches_the_forced_rank(spec, p):
-    """The top boundary of an acyclic cone has rank dims[d-1] - rank ∂_{d-1};
-    the last row read is the one whose pivot reaches it, and most rows are
-    never read."""
+    """The top boundary of an acyclic cone has rank dims[d-1] - rank ∂_{d-1},
+    and its distinct leading columns reach that bound, so ``rank`` certifies
+    it without reading a row.  The engine run on it under the same cap, as
+    for a matrix whose certificate falls short, stops at the row whose pivot
+    reaches the bound, and most rows are never read."""
     cm, _ = centric_linking_cone(spec, p, 3)
     cone = mapping_cone(cm)
     d = cone.dmax
@@ -280,6 +345,18 @@ def test_elimination_stops_at_the_row_that_reaches_the_forced_rank(spec, p):
     rank = cone.rank_boundary(d)
     assert rank == cone.dims[d - 1] - cone.rank_boundary(d - 1)
     assert rank == reference_rank(FpMatrix(csr, p))
+    assert certificate(top) == (0, rank)
+    assert_certified_or_eliminated(top, rank, read)
+    assert top.echelon is None
+
+    spied = csr.copy()
+    read = spy_on_csr(spied)
+    pivots = {}
+    if p == 2:
+        insert_gf2(spied, range(csr.shape[0]), pivots, rank)
+    else:
+        _insert_rows_modp(spied, range(csr.shape[0]), p, pivots, rank)
+    assert pivots == full_echelon(FpMatrix(csr, p))
     last = max(read) - 1  # row i reads indptr[i] and indptr[i + 1]
     assert 2 * (last + 1) < csr.shape[0]
     assert reference_rank(FpMatrix(csr[:last + 1], p)) == rank
@@ -301,10 +378,10 @@ def test_real_cochain_and_nerve_ranks_bounded_and_full(spec, p, index):
         F = classifying_cohomology_functor(G, p, skel.omega_cat, index, CohomologyCache(G, p))
     cx = functor_cochain_complex(F, 3)
     ranks = [cx.rank_boundary(d) for d in range(1, cx.dmax + 1)]
-    assert_bounded_ranks_exact(cx.boundaries[1:], ranks)
+    assert_bounded_ranks_exact(cx, ranks)
     nerve = nerve_complex(skel.omega_cat, p, 3)
     ranks = [nerve.rank_boundary(d) for d in range(1, nerve.dmax + 1)]
-    assert_bounded_ranks_exact(nerve.boundaries[1:], ranks)
+    assert_bounded_ranks_exact(nerve, ranks)
 
 
 CATALOG = ["sym:3", "sym:4", "alt:4", "dih:8", "dih:12", "cyc:6", "sym:3 x cyc:3"]
@@ -314,41 +391,45 @@ LIMIT_CHECKS = ("punctured", "normalizer-reduction", "atomic-vanishing", "restri
 
 def assert_cochain_ranks_exact(cx) -> int:
     """Rank a fresh cochain complex with its ∂² = 0 bounds, spying on every
-    row read; returns how many boundaries stopped at their bound before
-    their last row."""
+    row read; returns how many boundaries were certified and how many
+    stopped at their bound before their last row."""
     plain = [FpMatrix(m.csr.copy(), m.prime) for m in cx.boundaries[1:]]
     reads = [spy_on_rows(m) for m in cx.boundaries[1:]]
     ranks = [cx.rank_boundary(d) for d in range(1, cx.dmax + 1)]
-    stopped = 0
-    for d, m, full, read, r in zip(range(1, cx.dmax + 1), cx.boundaries[1:], plain, reads,
-                                   ranks):
+    certified = stopped = 0
+    for m, full, read, r, cap in zip(cx.boundaries[1:], plain, reads, ranks,
+                                     bound_caps(cx, ranks)):
+        read = list(read)  # before the checks below read m's rows again
         assert r == full.rank() == reference_rank(full)
         if full.shape[0] * full.shape[1] <= DENSE_ORACLE_MAX_ENTRIES:
             assert r == oracle.dense_rank_modp(full.csr.toarray(), full.prime)
-        assert m.echelon == full.echelon == full_echelon(full)
-        assert_tail_reduced(m.echelon, m.prime)
+        assert_certified_or_eliminated(m, cap, read)
+        assert_certified_or_eliminated(full, min(full.shape))
+        if m.echelon is None:
+            certified += 1
+            continue
+        assert m.echelon == full.echelon
         order = range(m.shape[0])
         if m.prime == 2:
             order = sum(structural_first(full.csr, order, {}), [])
         starts = assert_read_in_order(read, order)
-        bound = cx.dims[d - 1] - (ranks[d - 2] if d > 1 else 0)
-        if r == bound and starts and starts[-1] < m.shape[0] - 1:
+        if r == cap and starts and starts[-1] < m.shape[0] - 1:
             stopped += 1
-    return stopped
+    return certified, stopped
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_cochain_ranks_bounded_on_every_catalog_limit_complex(monkeypatch, p):
     """Every cochain complex the limit checks build for the catalog: ranks
     bounded by ∂² = 0 equal full passes, the references and the dense
-    oracle, the kept echelons equal full passes, and some boundary stops at
-    its bound before its last row."""
+    oracle, the kept echelons equal full passes, some boundary is certified
+    and some other stops at its bound before its last row."""
     real = limits.functor_cochain_complex
-    seen, stopped = [], []
+    seen, counts = [], []
 
     def checked(F, nmax, budget=limits.DEFAULT_BUDGET):
         cx = real(F, nmax, budget)
-        stopped.append(assert_cochain_ranks_exact(cx))
+        counts.append(assert_cochain_ranks_exact(cx))
         seen.append(cx.dims)
         return cx
 
@@ -357,7 +438,8 @@ def test_cochain_ranks_bounded_on_every_catalog_limit_complex(monkeypatch, p):
         rep = run_pipeline(spec, PipelineConfig(prime=p, checks=LIMIT_CHECKS,
                                                 include_timings=False))
         assert "fail" not in rep.verdicts.values(), spec
-    assert seen and sum(stopped) > 0
+    certified, stopped = map(sum, zip(*counts))
+    assert seen and certified > 0 and stopped > 0
 
 
 HOMOLOGY_CHECKS = ("nerve-vs-group", "centric-restriction", "centric-agreement",
@@ -367,18 +449,24 @@ HOMOLOGY_CHECKS = ("nerve-vs-group", "centric-restriction", "centric-agreement",
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_every_catalog_nerve_and_cone_keeps_a_tail_reduced_echelon(monkeypatch, p):
     """Every nerve and mapping-cone boundary the homology checks rank for the
-    catalog at max-degree 3, seeded cones included, keeps a tail-reduced
+    catalog at max-degree 3, seeded cones included, is certified exactly when
+    its certificate reaches its cap and otherwise keeps a tail-reduced
     echelon; its rank equals the reference's and the dense oracle's where
     those are cheap (the other tests here cover larger real matrices)."""
     real = FpMatrix.rank
-    ranked = {"plain": 0, "seeded": 0, "referenced": 0}
+    ranked = {"plain": 0, "seeded": 0, "certified": 0, "referenced": 0}
 
     def checked(self, bound=None):
         if self._rank is not None:
             return real(self, bound)
         seeded = self.tail is not None and self.tail[0].echelon is not None
         r = real(self, bound)
-        assert_tail_reduced(self.echelon, self.prime)
+        assert_certified_exactly(self, min(self.shape) if bound is None
+                                 else min(bound, *self.shape))
+        if self.echelon is None:
+            ranked["certified"] += 1
+        else:
+            assert_tail_reduced(self.echelon, self.prime)
         if self.nnz <= 60_000:
             assert r == reference_rank(self)
             ranked["referenced"] += 1
@@ -392,7 +480,7 @@ def test_every_catalog_nerve_and_cone_keeps_a_tail_reduced_echelon(monkeypatch, 
         rep = run_pipeline(spec, PipelineConfig(prime=p, max_degree=3, checks=HOMOLOGY_CHECKS,
                                                 include_timings=False))
         assert "fail" not in rep.verdicts.values(), spec
-    assert ranked["plain"] > 0 and ranked["seeded"] > 0 and ranked["referenced"] > 0
+    assert all(ranked.values()), ranked
 
 
 def test_cone_block_mismatch_raises():
@@ -488,7 +576,7 @@ def test_span_filter_keeps_the_plain_echelon_on_tall_random_matrices(nrows, ncol
         spied = csr.copy()
         read = spy_on_csr(spied)
         filtered = dict(seeds)
-        _insert_rows_gf2(spied, rows, filtered, cap)
+        insert_gf2(spied, rows, filtered, cap)
         assert list(filtered.items()) == list(plain.items()), cap
         assert_tail_reduced(filtered, 2)
         assert_read_in_order(read, sum(structural_first(csr, rows, seeds), []))
@@ -539,7 +627,7 @@ def test_span_filter_never_reads_a_row_already_in_the_span():
         spied = csr.copy()
         read = spy_on_csr(spied)
         pivots = {}
-        _insert_rows_gf2(spied, range(nrows), pivots, cap)
+        insert_gf2(spied, range(nrows), pivots, cap)
         assert list(pivots.items()) == list(plain_pass_gf2(csr, range(nrows), {}, cap).items())
         starts = assert_read_in_order(read, order)
         assert starts[:len(plain)] == plain
@@ -594,7 +682,7 @@ def test_span_filter_declines_an_annihilator_larger_than_the_matrix():
     order = sum(structural_first(csr, range(nrows), {}), [])
     read = spy_on_csr(csr)
     filtered = {}
-    _insert_rows_gf2(csr, range(nrows), filtered, math.inf)
+    insert_gf2(csr, range(nrows), filtered, math.inf)
     assert list(filtered.items()) == list(pivots.items())
     assert assert_read_in_order(read, order) == order
 
@@ -638,7 +726,7 @@ def test_structural_phase_skips_the_leads_of_seeds(nrows, ncols, dim, late):
         spied = csr.copy()
         read = spy_on_csr(spied)
         pivots = dict(seeds)
-        _insert_rows_gf2(spied, range(nrows), pivots, cap)
+        insert_gf2(spied, range(nrows), pivots, cap)
         assert list(pivots.items()) == list(plain_pass_gf2(csr, range(nrows), dict(seeds),
                                                            cap).items())
         assert len(pivots) == min(rank, cap)
@@ -660,7 +748,7 @@ def test_a_cap_inside_the_structural_phase_reads_no_later_row():
         spied = csr.copy()
         read = spy_on_csr(spied)
         pivots = {}
-        _insert_rows_gf2(spied, range(nrows), pivots, cap)
+        insert_gf2(spied, range(nrows), pivots, cap)
         assert read[::2] == structural[:cap]
         assert list(pivots.items()) == list(plain_pass_gf2(csr, range(nrows), {}, cap).items())
         assert_tail_reduced(pivots, 2)
@@ -671,8 +759,8 @@ def test_a_cap_inside_the_structural_phase_reads_no_later_row():
 def test_structural_rows_alone_reach_the_bound_of_a_full_rank_matrix(nrows, ncols, late):
     """A tall matrix of full column rank whose every column leads some row,
     late ones included, like the top boundary of an acyclic cone: ranked
-    with the bound ``ncols``, it reads its structural rows and nothing
-    else."""
+    with the bound ``ncols``, it is certified and reads no row, and the
+    engine under that cap reads its structural rows and nothing else."""
     rng = np.random.default_rng(nrows + late)
     csr = tall_gf2(rng, nrows, ncols, ncols, late, triangular=True)
     structural, _ = structural_first(csr, range(nrows), {})
@@ -681,17 +769,24 @@ def test_structural_rows_alone_reach_the_bound_of_a_full_rank_matrix(nrows, ncol
     read = spy_on_rows(m)
     assert m.rank(ncols) == ncols
     assert_rank_exact(csr, ncols)
+    assert_certified_or_eliminated(m, ncols, read)
+    assert m.echelon is None
+
+    spied = csr.copy()
+    read = spy_on_csr(spied)
+    pivots = {}
+    insert_gf2(spied, range(nrows), pivots, ncols)
     assert read[::2] == structural
-    assert list(m.echelon.items()) == list(plain_pass_gf2(csr, structural, {},
-                                                          math.inf).items())
-    assert_tail_reduced(m.echelon, 2)
+    assert list(pivots.items()) == list(plain_pass_gf2(csr, structural, {}, math.inf).items())
+    assert_tail_reduced(pivots, 2)
 
 
 @pytest.mark.parametrize("spec", ["sym:4", "dih:8"])
 def test_acyclic_cone_boundaries_read_only_their_structural_rows(spec):
     """Every boundary of the transporter-to-linking cone at p = 2 reaches
-    its ∂² bound with its structural rows alone, read once each in
-    ascending order of their leads."""
+    its ∂² bound with its structural rows alone: they are as many as the
+    bound, so ``rank`` certifies it and reads no row, and the engine under
+    that cap reads them once each in ascending order of their leads."""
     cm, _ = centric_linking_cone(spec, 2, 3)
     cone = mapping_cone(cm)
     for d in range(1, cone.dmax + 1):
@@ -701,8 +796,219 @@ def test_acyclic_cone_boundaries_read_only_their_structural_rows(spec):
         read = spy_on_rows(m)
         rank = cone.rank_boundary(d)
         assert rank == cone.dims[d - 1] - (cone.rank_boundary(d - 1) if d > 1 else 0)
-        assert read[::2] == structural
+        assert len(structural) == rank
+        assert_certified_or_eliminated(m, rank, read)
+        assert m.echelon is None
         assert rank == reference_rank(FpMatrix(csr, 2))
         if csr.shape[0] * csr.shape[1] <= DENSE_ORACLE_MAX_ENTRIES:
             assert rank == oracle.dense_rank_modp(csr.toarray(), 2)
-        assert_tail_reduced(m.echelon, 2)
+
+        spied = csr.copy()
+        read = spy_on_csr(spied)
+        pivots = {}
+        insert_gf2(spied, range(csr.shape[0]), pivots, rank)
+        assert read[::2] == structural
+        assert_tail_reduced(pivots, 2)
+
+
+# -- the rank certificate ------------------------------------------------------
+
+
+def led_generators(rng, p, ncols, leads) -> np.ndarray:
+    """One dense row over F_p per column of ``leads`` (ascending), 1 there
+    and with up to three random nonzero entries below it."""
+    gens = np.zeros((len(leads), ncols), dtype=np.int64)
+    for k, c in enumerate(leads):
+        below = rng.choice(c, min(c, int(rng.integers(0, 4))), replace=False)
+        gens[k, below] = rng.integers(1, p, len(below))
+        gens[k, c] = 1
+    return gens
+
+
+def combinations(rng, p, gens, nrows, hidden=()) -> sparse.csr_matrix:
+    """``nrows`` random combinations of the rows of ``gens`` (ascending
+    leads), about 5% of them empty.  A row's largest generator sets its
+    lead; up to three smaller ones join it.  The generators ``hidden`` are
+    never the largest, so no row leads at their column, but each of them
+    appears under a larger one."""
+    shown = [k for k in range(len(gens)) if k not in hidden]
+    rows = np.zeros((nrows, gens.shape[1]), dtype=np.int64)
+    for i in range(nrows):
+        if rng.random() < 0.05:
+            continue
+        top = shown[int(rng.integers(len(shown)))]
+        for k in [top, *rng.choice(top, min(top, int(rng.integers(0, 4))), replace=False)]:
+            rows[i] += int(rng.integers(1, p)) * gens[k]
+    for i, k in zip(rng.choice(nrows, len(hidden), replace=False), hidden):
+        rows[i] = gens[k] + gens[shown[-1]]
+    return sparse.csr_matrix(rows % p)
+
+
+def tall_with_leads(rng, p, seeded, hidden):
+    """A tall random matrix and the block its last rows are, or None.
+
+    Unseeded: 2,000 rows over 120 columns, spanned by generators leading at
+    84 of the columns.  Seeded: ``[T; 0 | B]``, 3,000 rows of each over 40 +
+    160 columns.  B is spanned by generators leading at 96 of its columns,
+    one never leading a row, so B's own certificate falls short and it
+    keeps its echelon; T's rows lead both at those columns, which the seeds
+    lead, and at the 30 columns of T's own generators.  ``hidden`` of the
+    (unseeded, or T's own) generators never lead a row."""
+    if not seeded:
+        gens = led_generators(rng, p, 120, np.sort(rng.choice(120, 84, replace=False)))
+        return combinations(rng, p, gens, 2000, hidden=range(40, 40 + hidden)), None
+    left, right = 40, 160
+    lead_b = np.sort(rng.choice(right, 96, replace=False))
+    g_b = led_generators(rng, p, right, lead_b)
+    B = combinations(rng, p, g_b, 3000, hidden=(50,))
+    free = np.setdiff1d(np.arange(left + right), lead_b + left)
+    lead_t = np.sort(rng.choice(free, 30, replace=False))
+    g_t = led_generators(rng, p, left + right, lead_t)
+    gens = np.vstack([g_t, np.hstack([np.zeros((len(g_b), left), dtype=np.int64), g_b])])
+    order = np.argsort(np.concatenate([lead_t, lead_b + left]))
+    own = np.flatnonzero(order < len(lead_t))  # T's own generators, in lead order
+    T = combinations(rng, p, gens[order], 3000, hidden=own[10:10 + hidden])
+    bottom = sparse.hstack([sparse.csr_matrix((B.shape[0], left), dtype=np.int64), B])
+    return sparse.vstack([T, bottom]).tocsr(), (B, left)
+
+
+def test_centric_restriction_on_s3c3_at_p3_reads_no_row(monkeypatch):
+    """The centric-restriction check on sym:3 x cyc:3 at p = 3, max-degree
+    4, ranks the four boundaries of one acyclic cone, the largest 88,434 x
+    5,202.  Each one's distinct leading columns reach its ∂² bound, so all
+    four ranks are certified and no row is read."""
+    real = FpMatrix.rank
+    reads = []
+
+    def spied(self, bound=None):
+        if self._rank is None:
+            reads.append(spy_on_rows(self))
+        return real(self, bound)
+
+    monkeypatch.setattr(FpMatrix, "rank", spied)
+    rep = run_pipeline("sym:3 x cyc:3", PipelineConfig(
+        prime=3, max_degree=4, checks=("centric-restriction",), include_timings=False))
+    assert rep.verdicts["centric_restriction_homology"] == "pass"
+    assert len(reads) == 4 and not any(reads)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("seeded", [False, True])
+@pytest.mark.parametrize("hidden", [0, 1])
+def test_certificate_on_tall_random_matrices(p, seeded, hidden):
+    """Ranked under its true rank, under one more and under its smaller
+    side, a matrix is certified exactly when its certificate reaches the
+    cap, and its rank is the oracle's either way.  With every generator
+    leading some row the certificate is just at the true rank; with one
+    that leads no row it is one below.  Seeded, T's rows that lead where
+    the seeds lead put the number of distinct leads above a loose cap
+    while the certificate stays below it: counting those leads would
+    certify a rank that is too large."""
+    rng = np.random.default_rng(100 * p + 10 * seeded + hidden)
+    csr, tail = tall_with_leads(rng, p, seeded, hidden)
+    want = oracle.dense_rank_modp(csr.toarray(), p)
+    assert want == reference_rank(FpMatrix(csr.copy(), p))
+    if seeded:
+        block = FpMatrix(tail[0].copy(), p)
+        block.rank()
+        assert block.echelon is not None  # B's certificate falls short
+        tail = (block, tail[1])
+    certified = []
+    for bound in (want, want + 1, None):
+        m = FpMatrix(csr.copy(), p, tail)
+        if seeded:
+            m._check_tail()  # reads the tail's first row pointer, not a row
+        read = spy_on_rows(m)
+        assert m.rank(bound) == want
+        cap = min(m.shape) if bound is None else min(bound, *m.shape)
+        read = list(read)
+        assert_certified_or_eliminated(m, cap, read)
+        certified.append(m.echelon is None)
+        seeds, count = certificate(m)
+        assert count == want - hidden
+        if seeded and bound is None:
+            leads = {lead_of(csr, i) for i in range(m._check_tail()) if csr.indptr[i + 1] >
+                     csr.indptr[i]}
+            assert count < cap <= seeds + len(leads)
+    assert certified == [not hidden, False, False]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cone_over_a_certified_block_eliminates_unseeded(p):
+    """A block certified by its bound keeps no echelon, so a matrix that
+    declares it as its tail has no seeds: it inserts every row, the tail's
+    included, and its rank is the oracle's."""
+    rng = np.random.default_rng(p)
+    csr, (B, left) = tall_with_leads(rng, p, True, 1)
+    # a block in which every generator leads some row
+    B = combinations(rng, p, led_generators(rng, p, B.shape[1], np.arange(0, B.shape[1], 2)),
+                     B.shape[0])
+    block = FpMatrix(B.copy(), p)
+    r = oracle.dense_rank_modp(B.toarray(), p)
+    assert block.rank(r) == r and block.echelon is None
+    full = sparse.vstack([csr[:-B.shape[0]], sparse.hstack(
+        [sparse.csr_matrix((B.shape[0], left), dtype=np.int64), B])]).tocsr()
+    m = FpMatrix(full.copy(), p, tail=(block, left))
+    m._check_tail()  # reads the tail's first row pointer, not a row
+    read = spy_on_rows(m)
+    want = oracle.dense_rank_modp(full.toarray(), p)
+    assert m.rank() == want == reference_rank(FpMatrix(full.copy(), p))
+    read = list(read)
+    assert certificate(m)[0] == 0
+    assert_certified_or_eliminated(m, min(m.shape), read)
+    assert max(read) > m._check_tail()  # the tail's rows were read too
+
+
+# -- construction --------------------------------------------------------------
+
+
+def sum_first(csr, p: int) -> sparse.csr_matrix:
+    """Canonical form the way ``FpMatrix`` once built it: duplicates summed
+    over the integers, then reduced mod p and zeros dropped."""
+    csr = sparse.csr_matrix(csr, dtype=np.int64, copy=True)
+    csr.sum_duplicates()
+    csr.data %= p
+    csr.eliminate_zeros()
+    return csr
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_construction_reduces_before_summing_as_summing_first_does(p):
+    """Unsorted indices, explicit zeros, entries that vanish mod p, and
+    duplicates that cancel only once summed (2 + 2 -> 1 and 1 + 2 -> 0 at
+    p = 3, 1 + 1 -> 0 at p = 2), given as COO and as raw CSR arrays: the
+    matrix is canonical and equal, array for array, to the sum-first one."""
+    if p == 3:
+        row0 = ([3, 2, 0, 1, 2, 0, 4], [2, 2, 1, 0, 3, 2, -1])  # (cols, vals)
+    else:
+        row0 = ([3, 1, 0, 1, 4, 2], [1, 1, 0, 3, 2, -1])
+    cols = row0[0] + [4, 0, 4]
+    vals = row0[1] + [p, 1, -1]
+    rows = [0] * len(row0[0]) + [1, 2, 2]
+    n = len(row0[0])
+    raw = sparse.csr_matrix((np.array(vals), np.array(cols), np.array([0, n, n + 1, n + 3])),
+                            shape=(3, 5))
+    coo = sparse.coo_matrix((vals, (rows, cols)), shape=(3, 5))
+    for given in (coo, raw):
+        want = sum_first(given, p)
+        got = FpMatrix(given.copy(), p).csr
+        assert got.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert FpMatrix(raw.copy(), p).csr.toarray().tolist() == (raw.toarray() % p).tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_square_check_rejects_a_boundary_that_squares_to_nonzero_mod_p(p):
+    """p edges from one point to another, and a face whose boundary is the
+    sum of the edges plus c times the first: its square is (p + c) times an
+    edge's boundary, a nonzero integer product that vanishes mod p exactly
+    when p divides c."""
+    d1 = FpMatrix(sparse.csr_matrix(np.tile([-1, 1], (p, 1))), p)
+    for c in (0, p, 1, p + 1):
+        d2 = FpMatrix(sparse.csr_matrix(np.array([[1 + c] + [1] * (p - 1)])), p)
+        if c % p:
+            with pytest.raises(PLocalError, match="boundary squared is nonzero in degree 2"):
+                FpComplex(p, 2, [2, p, 1], [None, d1, d2])
+        else:
+            assert FpComplex(p, 2, [2, p, 1], [None, d1, d2]).homology().dims == [1, p - 2]

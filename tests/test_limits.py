@@ -35,7 +35,7 @@ from reference_chains import (
     token_matrix,
     zeroed_mats,
 )
-from reference_groups import element_id
+from reference_groups import conjugate, element_id
 
 
 def eye_module(G, dim=1):
@@ -66,7 +66,7 @@ def test_a_pullback_outside_the_target_subgroup_raises():
     assert bP.dim == bQ.dim == 1
     with pytest.raises(PLocalError, match="outside"):
         bP.pullback_matrix(bQ, 0)
-    g = next(g for g in range(G.order) if P.conjugate(g).ids == Q.ids)
+    g = next(g for g in range(G.order) if conjugate(P, g).ids == Q.ids)
     assert bP.pullback_matrix(bQ, g).tolist() == [[1]]
 
 

@@ -58,8 +58,8 @@ def test_associativity_and_inverse(ai, bi, ci):
         return Permutation(tuple(im) + tuple(range(len(im), n)))
     a, b, c = pad(ai), pad(bi), pad(ci)
     assert (a * b) * c == a * (b * c)
-    assert a * a.inverse() == Permutation.identity(n)
-    assert a.inverse() * a == Permutation.identity(n)
+    assert a * ref.inverse(a) == Permutation.identity(n)
+    assert ref.inverse(a) * a == Permutation.identity(n)
 
 
 @given(perms)
@@ -93,9 +93,9 @@ def test_conjugate_subgroup():
     G = build_group("sym:3")
     P = G.generated_subgroup([elem(G, "(1 2)")])
     g = elem(G, "(1 2 3)")
-    Pg = P.conjugate(g)
+    Pg = ref.conjugate(P, g)
     assert Pg.ids == G.generated_subgroup([elem(G, "(2 3)")]).ids
-    assert P.conjugate(0).ids == P.ids
+    assert ref.conjugate(P, 0).ids == P.ids
 
 
 @given(st.data())
@@ -106,7 +106,7 @@ def test_conjugation_composes(data):
     h = data.draw(st.integers(0, G.order - 1))
     seed = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=2))
     P = G.generated_subgroup(seed)
-    assert P.conjugate(g).conjugate(h).ids == P.conjugate(G.mult(g, h)).ids
+    assert ref.conjugate(ref.conjugate(P, g), h).ids == ref.conjugate(P, G.mult(g, h)).ids
 
 
 def test_centralizer_normalizer_s3():
@@ -204,7 +204,7 @@ def test_p_residual_normal():
         G = build_group(spec)
         K = p_residual(G.full_subgroup(), p)
         for h in range(G.order):
-            assert K.conjugate(h).ids == K.ids
+            assert ref.conjugate(K, h).ids == K.ids
 
 
 def test_sylow_subgroup():
@@ -232,7 +232,7 @@ def test_sylow_conjugacy_exhaustive():
         syl = sylow_conjugates(G, sylow_subgroup(G, p))
         for S in syl:
             for T in syl:
-                assert any(S.conjugate(g).ids == T.ids for g in range(G.order))
+                assert any(ref.conjugate(S, g).ids == T.ids for g in range(G.order))
 
 
 def test_sylow_maximality_exhaustive():
@@ -368,7 +368,7 @@ def test_group_code_hands_out_python_ints():
     subs = all_subgroups(S)
     assert all(type(g) is int for P in subs for g in transporter_set(G, P, S))
     residuals = [r.residual for r in classify_centric(G, 2, subs).records]
-    made = [centralizer(G, S), normalizer(G, S), center(S), S.conjugate(5),
+    made = [centralizer(G, S), normalizer(G, S), center(S),
             *conjugates(G, S), *subs, *residuals]
     assert all(type(x) is int for H in made for x in H.ids + H.generating_ids)
     T = build_transporter(G, subs)

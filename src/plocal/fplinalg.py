@@ -75,44 +75,49 @@ structural rows at p = 2.  The seeds and one row per such column have
 pairwise distinct leading columns, so they are linearly independent and the
 rank is at least the count.  When the count reaches the cap, the rank is
 the cap, exactly, because the cap bounds it from above: the rank is
-certified and no row is read.  A certified matrix keeps no echelon, so a
-cone over it inserts every row unseeded, as over a block never ranked.
+certified and no row is read.  The seeds are counted by the leads of the
+block's echelon; its pivots are shifted only when they are kept.  A
+certified matrix keeps no echelon, so a cone over it inserts every row
+unseeded, as over a block never ranked.
 The top boundaries of acyclic cones are certified this way: on the four
 boundaries of the sym:3 x cyc:3, p = 3 centric-restriction cone the counts
 1, 17, 289 and 4,913 equal their ∂² bounds, and no row of the 5,220 that
 elimination read is read; at p = 2 so are the transporter-to-linking cones
 of sym:4 and dih:8.
 
-At p = 2 the engine also skips the rows that already lie in the span of its
-echelon E.  A row v lies in span(E) exactly when v y = 0 for every y in the
-annihilator {y : E y = 0}.  A basis Y of the annihilator comes straight from
-the echelon: a unit vector at each free column, and at each pivot column c
-the XOR of Y over the other columns of pivot c, in one pass in ascending c
-(a pivot's other columns all lie below its lead).  Packed into uint64 words,
-Y tests a block of rows with one gather and one XOR reduction per word: a
-row lies in the span exactly when the XOR of Y over its columns is 0, and an
-empty row lies in every span.  The test is exact linear algebra, with no
-hashing and no randomness.  A row in span(E) reduces to zero against E and
-against every later echelon, since stored pivots never change and the span
-only grows, so skipping it stores nothing: the kept echelon is the one a
-full pass in the same order keeps, in keys, values and insertion order,
-whatever the seeds, bound or cap.  The filter starts after the structural
-phase and as many further rows as the matrix has columns, if the cap is not
-reached by then.  Starting it right after the structural phase measured the
-same.  The rest go in blocks, the first as long as the matrix is wide and
-each later one half as long as the rows read so far, and Y is rebuilt at a
-block's start only when the echelon has grown.  After the structural phase
-Y is narrow: ncols - rank is 36, 79 and 141 columns on the three boundaries
-below, one to three words.  Memory: Y takes ncols * ceil((ncols - rank) /
-64) words, and it is built only when that is at most 2 nnz, about the size
-of the CSR itself; rows are gathered one word and at most 2^18 entries at a
-time, so a gather stays smaller too.  When Y would be larger the block's
-rows are inserted plainly.  On the three degree-3 boundaries of the sym:4,
-p = 2 homology checks, which never reach their ∂² bound because H_2 ≠ 0,
-the rows read fall from 75,697 to 10,677, against 17,972 with the filter in
-row order.  The F_p path has no filter: a dense annihilator takes at least a
-byte per entry, so even an int8 one would take 8 times the memory of a
-packed bit plane.
+At p = 2 the engine reduces, after the structural phase, only the rows
+that add a pivot.  A row v lies in span(E) exactly when v y = 0 for every y
+in the annihilator {y : E y = 0}.  A basis Y of it is built once, right
+after the structural phase, in one ascending pass over the leads: a unit
+vector at each free column, and at each lead c the XOR of Y over the other
+columns of the row leading at c.  Those rows are the structural rows, read
+from their CSR indices, and the seeds; they span E and have distinct
+leads, all above their other columns.  Packed into uint64 words, Y tests a
+chunk of rows with one gather and one XOR reduction per word.  A row's
+syndrome, the XOR of Y over its columns, is 0 exactly when the row lies in
+span(E); an empty row lies in every span.  Within a chunk, the nonzero
+syndromes are eliminated in row order, and a row whose syndrome is
+independent of those before it is reduced and becomes a pivot; the others
+lie in the span of E and the rows before them, and would reduce to zero.
+Each new pivot, with b the top bit of its syndrome v, is folded into Y:
+every column of Y with bit b set takes ^= v.  That clears bit b and keeps
+Y a basis of the annihilator of the grown echelon, so a later row in its
+span tests 0.  The test is exact linear algebra, with no hashing and no
+randomness, and the kept echelon is the one a full pass in the same order
+keeps, in keys, values and insertion order, whatever the seeds, bound or
+cap.  Rows are reduced in blocks, the first as long as the matrix is wide
+and each later one half as long as the rows tested so far, and a block is
+tested in chunks of at most 2^18 entries and 2^18 syndrome words.  After
+the structural phase Y is narrow: ncols - rank is 36, 79 and 141 columns
+on the three degree-3 boundaries of the sym:4, p = 2 homology checks, one
+to three words.  Those boundaries never reach their ∂² bound, because
+H_2 ≠ 0, and they reduce 505, 1,244 and 1,538 rows: their ranks.  Memory:
+Y takes ncols * ceil((ncols - rank) / 64) words, and it is built only when
+that is at most 2 nnz, about the size of the CSR itself; a gather holds
+one word per entry of its chunk.  When Y would be larger the rows after
+the structural phase are all reduced.  The F_p path has no filter: a dense
+annihilator takes at least a byte per entry, so even an int8 one would take
+8 times the memory of a packed bit plane.
 """
 
 from __future__ import annotations
@@ -165,19 +170,20 @@ class FpMatrix:
         leads already number that many (see the module docstring)."""
         if self._rank is None:
             cap = min(self.shape) if bound is None else min(bound, *self.shape)
-            pivots: dict = {}
-            nrows = self.shape[0]
+            nrows, seeds, offset = self.shape[0], {}, 0
             if self.tail is not None:
                 start = self._check_tail()
                 block, offset = self.tail
                 if block.echelon is not None:
-                    nrows = start
-                    pivots = _shifted_echelon(block.echelon, offset, self.prime)
-            if len(pivots) < cap:
-                structural = _structural_rows(self.csr, nrows, pivots)
-                if len(pivots) + len(structural) >= cap:
+                    nrows, seeds = start, block.echelon
+            if len(seeds) < cap:
+                structural = _structural_rows(self.csr, nrows, [c + offset for c in seeds])
+                if len(seeds) + len(structural) >= cap:
                     self._rank = cap  # certified: no row read, no echelon kept
                     return cap
+            # the seeds are shifted only now, when they are kept or eliminated against
+            pivots = _shifted_echelon(seeds, offset, self.prime)
+            if len(pivots) < cap:
                 if self.prime == 2:
                     _insert_rows_gf2(self.csr, nrows, structural, pivots, cap)
                 else:
@@ -228,19 +234,19 @@ def _shifted_echelon(pivots: dict, offset: int, p: int) -> dict:
     }
 
 
-def _structural_rows(csr: sparse.csr_matrix, nrows: int, pivots: dict) -> np.ndarray:
-    """For each leading column that no pivot in ``pivots`` leads, the first
-    of the first ``nrows`` rows leading there, in ascending order of that
-    column.  The rows have distinct leads, none a pivot's, so they and the
-    pivots are linearly independent."""
+def _structural_rows(csr: sparse.csr_matrix, nrows: int, seeded) -> np.ndarray:
+    """For each leading column not in ``seeded`` (the leads of the pivots),
+    the first of the first ``nrows`` rows leading there, in ascending order
+    of that column.  The rows have distinct leads, none a pivot's, so they
+    and the pivots are linearly independent."""
     indptr = np.asarray(csr.indptr)
     ends = indptr[1:nrows + 1]
     full = np.flatnonzero(ends > indptr[:nrows])
     # canonical CSR: a row's last index is its leading column
     cols, first = np.unique(csr.indices[ends[full] - 1], return_index=True)
-    seeded = np.zeros(csr.shape[1], dtype=bool)
-    seeded[list(pivots)] = True
-    return full[first[~seeded[cols]]]
+    led = np.zeros(csr.shape[1], dtype=bool)
+    led[list(seeded)] = True
+    return full[first[~led[cols]]]
 
 
 def _insert_rows_gf2(csr: sparse.csr_matrix, nrows: int, structural: np.ndarray,
@@ -249,12 +255,11 @@ def _insert_rows_gf2(csr: sparse.csr_matrix, nrows: int, structural: np.ndarray,
     stopping once it holds ``cap`` pivots.
 
     Structural phase: the rows ``structural`` (``_structural_rows`` of
-    ``nrows`` and ``pivots``) go in first.  Each one's lead is not a pivot
-    column when it goes in, since the pivots before it lead at seeds or at
-    smaller columns, so it becomes a pivot at once and pays only its tail
-    reduction.  The remaining rows then go in their order: as many as the
-    matrix has columns, and then blocks of growing size, whose rows that
-    lie in the span of the echelon at the block's start are skipped.
+    ``nrows`` and ``pivots``) go in first, each a new pivot at once.  The
+    remaining rows then go in their order, in blocks of growing size: a
+    block's rows are tested by their syndromes (``_SpanTest``), and only
+    the rows that add a pivot are reduced.  When the annihilator does not
+    fit, the remaining rows are all reduced.
 
     Stored pivots never change, so stopping at a cap that bounds the rank,
     or starting from seeds, keeps the echelon that a pass over every row
@@ -264,21 +269,47 @@ def _insert_rows_gf2(csr: sparse.csr_matrix, nrows: int, structural: np.ndarray,
     bits = np.zeros(ncols, dtype=np.uint8)
     bits[list(pivots)] = 1
     lead = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-    lead = _reduce_rows_gf2(csr, structural.tolist(), pivots, lead, cap)
+    seeds = list(pivots)
+    lead, below = _insert_structural_gf2(csr, structural.tolist(), pivots, lead, cap)
     if lead is None:
         return
     ids = np.delete(np.arange(nrows), structural)
-    lead = _reduce_rows_gf2(csr, ids[:ncols].tolist(), pivots, lead, cap)
-    span = _SpanTest(csr)
-    done = ncols
+    span = _SpanTest(csr, pivots, seeds, below)
+    if span.basis is None:
+        _reduce_rows_gf2(csr, ids.tolist(), pivots, lead, cap)
+        return
+    done = 0
     while lead is not None and done < len(ids):
         size = max(ncols, done // 2, 1)
-        block = ids[done:done + size]
-        outside = span.outside(block, pivots)
-        if outside is not None:
-            block = block[outside]
-        lead = _reduce_rows_gf2(csr, block.tolist(), pivots, lead, cap)
+        fresh = span.new_pivots(ids[done:done + size], cap - len(pivots))
+        lead = _reduce_rows_gf2(csr, fresh.tolist(), pivots, lead, cap)
         done += size
+
+
+def _insert_structural_gf2(csr: sparse.csr_matrix, rows: list[int], pivots: dict[int, int],
+                           lead: int, cap: int) -> tuple[int | None, dict[int, list[int]]]:
+    """Insert ``rows``, whose leads are distinct and no pivot's, in
+    ascending order of lead: each becomes a pivot after its tail reduction.
+    Returns the updated ``lead`` mask, or None once the echelon holds
+    ``cap`` pivots, and each row's columns below its lead, keyed by it."""
+    indptr, indices = csr.indptr, csr.indices
+    below: dict[int, list[int]] = {}
+    for i in rows:
+        cols = indices[indptr[i]:indptr[i + 1]].tolist()
+        m = 0
+        for c in cols:
+            m |= 1 << c
+        t = m & lead
+        while t:
+            m ^= pivots[t.bit_length() - 1]
+            t = m & lead
+        b = cols[-1]
+        pivots[b] = m
+        lead |= 1 << b
+        below[b] = cols[:-1]
+        if len(pivots) >= cap:
+            return None, below
+    return lead, below
 
 
 def _reduce_rows_gf2(csr: sparse.csr_matrix, rows, pivots: dict[int, int], lead: int,
@@ -308,49 +339,56 @@ def _reduce_rows_gf2(csr: sparse.csr_matrix, rows, pivots: dict[int, int], lead:
     return lead
 
 
-_GATHER = 1 << 18  # entries tested at a time by ``_SpanTest.outside``
+_GATHER = 1 << 18  # entries, and syndrome words, tested at a time by ``_SpanTest.new_pivots``
 _BATCH = 1024  # bigints converted to bytes at a time
 
 
 class _SpanTest:
-    """Which rows of a GF(2) matrix lie outside the span of an echelon E.
+    """Which rows of a GF(2) matrix add a pivot to an echelon E.
 
     A row lies in span(E) exactly when it is orthogonal to every y with
-    E y = 0.  ``outside`` keeps a basis Y of that annihilator, packed as
-    one array of uint64 words over the columns per 64 basis vectors, and
-    XORs Y over each row's columns: the row lies in the span exactly when
-    every word comes out 0.  Empty rows lie in every span.  Y is rebuilt
-    only when the echelon has grown, and only when it fits in ``2 * nnz``
-    words; otherwise ``outside`` returns None and the rows are inserted
-    plainly.  Rows are tested one word and about ``_GATHER`` entries at a
+    E y = 0.  ``basis`` holds a basis Y of that annihilator, packed as one
+    array of uint64 words over the columns per 64 basis vectors; a row's
+    syndrome is the XOR of Y over its columns, and it is 0 exactly when the
+    row lies in the span.  Empty rows lie in every span.  Y is built once,
+    and only when it fits in ``2 * nnz`` words; otherwise ``basis`` is None.
+    ``new_pivots`` folds each row it passes on into Y, so Y stays a basis
+    of the annihilator of the growing echelon.  Rows are tested one word
+    and at most ``_GATHER`` entries and ``_GATHER`` syndrome words at a
     time, so no gather holds more than one word per entry of the matrix.
     """
 
-    def __init__(self, csr: sparse.csr_matrix):
+    def __init__(self, csr: sparse.csr_matrix, pivots: dict[int, int], seeds: list[int],
+                 below: dict[int, list[int]]):
+        """``pivots`` are ``seeds`` and the structural pivots, whose rows'
+        columns below their leads are ``below``."""
         self.indptr = np.asarray(csr.indptr)
         self.indices = csr.indices
-        self.ncols = csr.shape[1]
-        self.limit = 2 * int(self.indptr[-1])  # 2 nnz
-        self.others: dict[int, list[int]] = {}  # pivot -> its columns below the lead
-        self.rank = -1
-        self.basis: np.ndarray | None = None
+        ncols = csr.shape[1]
+        words = -(-(ncols - len(pivots)) // 64)
+        self.basis = None
+        if ncols * words <= 2 * int(self.indptr[-1]):  # 2 nnz
+            self.basis = _annihilator(ncols, words, below | _read_pivots(seeds, pivots, ncols))
 
-    def outside(self, ids: np.ndarray, pivots: dict[int, int]) -> np.ndarray | None:
-        """A mask of the rows ``ids`` that lie outside span(pivots), or None
-        when the annihilator does not fit."""
-        if len(pivots) != self.rank:
-            self.rank, self.basis = len(pivots), None  # free the old basis first
-            self.basis = self._annihilator(pivots)
-        if self.basis is None:
-            return None
+    def new_pivots(self, ids: np.ndarray, need: int) -> np.ndarray:
+        """The rows of ``ids``, in order, that lie outside the span of E and
+        of the rows of ``ids`` before them, at most ``need`` of them; each is
+        folded into Y.  Each chunk of rows is tested against Y as the chunks
+        before it left it."""
         lo = self.indptr[ids]
         lens = self.indptr[ids + 1] - lo
-        out = np.zeros(len(ids), dtype=bool)
         full = np.flatnonzero(lens)
         if not len(full):
-            return out
+            return ids[:0]
+        words = len(self.basis)
+        step = max(1, _GATHER // words)
         ends = np.cumsum(lens[full])
-        for rows in np.split(full, np.searchsorted(ends, np.arange(_GATHER, ends[-1], _GATHER))):
+        cuts = np.union1d(np.searchsorted(ends, np.arange(_GATHER, ends[-1], _GATHER)),
+                          np.arange(step, len(full), step))
+        taken: list[int] = []
+        for rows in np.split(full, cuts):
+            if len(taken) >= need:
+                break
             if not len(rows):  # a row of more than _GATHER entries was split on
                 continue
             n = lens[rows]
@@ -358,57 +396,90 @@ class _SpanTest:
             pos = np.repeat(lo[rows] - first, n)
             pos += np.arange(len(pos))
             cols = self.indices[pos]
-            for y in self.basis:
-                out[rows] |= np.bitwise_xor.reduceat(y[cols], first) != 0
-        return out
+            syn = np.empty((words, len(rows)), dtype=np.uint64)
+            for w, y in enumerate(self.basis):
+                syn[w] = np.bitwise_xor.reduceat(y[cols], first)
+            nonzero = np.flatnonzero(syn.any(axis=0))
+            fresh = self._eliminate(syn[:, nonzero], need - len(taken))
+            taken.extend(rows[nonzero[fresh]].tolist())
+        return ids[taken]
 
-    def _annihilator(self, pivots: dict[int, int]) -> np.ndarray | None:
-        """A basis of {y : E y = 0}: a unit vector at each free column, and
-        at each pivot column c the XOR of the basis over the other columns
-        of pivot c, all of which lie below c."""
-        ncols, others = self.ncols, self.others
-        words = -(-(ncols - len(pivots)) // 64)
-        if ncols * words > self.limit:
-            return None
-        self._read_pivots([c for c in pivots if c not in others], pivots)
-        free = np.ones(ncols, dtype=bool)
-        free[list(pivots)] = False
-        free = np.flatnonzero(free).tolist()
-        leads = sorted(pivots)
-        basis = np.empty((words, ncols), dtype=np.uint64)
-        # 32 words at a time, so that no int outgrows the small-object allocator
-        for w0 in range(0, words, 32):
-            group = min(32, words - w0)
-            Y = [0] * ncols
-            for k, f in enumerate(free[64 * w0:64 * (w0 + group)]):
-                Y[f] = 1 << k
-            for c in leads:
-                y = 0
-                for j in others[c]:
-                    y ^= Y[j]
-                Y[c] = y
-            for a in range(0, ncols, _BATCH):
-                part = b"".join(y.to_bytes(8 * group, "little") for y in Y[a:a + _BATCH])
-                basis[w0:w0 + group, a:a + _BATCH] = \
-                    np.frombuffer(part, dtype=np.uint64).reshape(-1, group).T
-        return basis
+    def _eliminate(self, syn: np.ndarray, need: int) -> list[int]:
+        """The columns of ``syn``, nonzero syndromes in row order, that are
+        independent of those before them, at most ``need`` of them.  Each
+        is folded into Y as it is found: with b the top bit of its syndrome
+        v, Y's columns with bit b set take ``^= v``, which clears bit b
+        everywhere and keeps Y orthogonal to its row.  The later syndromes
+        take the same step, so they stay the syndromes against the folded
+        Y, and one is 0 exactly when its row lies in the grown span."""
+        basis = self.basis
+        alive = np.ones(syn.shape[1], dtype=bool)
+        taken: list[int] = []
+        k = 0
+        while len(taken) < need and k < len(alive):
+            k += int(alive[k:].argmax())
+            if not alive[k]:
+                break
+            v = syn[:, k].copy()
+            w = int(np.flatnonzero(v)[-1])
+            top = np.uint64(1 << (int(v[w]).bit_length() - 1))
+            hit = np.flatnonzero(syn[w, k + 1:] & top) + (k + 1)
+            syn[:, hit] ^= v[:, None]
+            alive[hit] = syn[:, hit].any(axis=0)
+            hit = np.flatnonzero(basis[w] & top)
+            basis[:, hit] ^= v[:, None]
+            taken.append(k)
+            k += 1
+        return taken
 
-    def _read_pivots(self, leads: list[int], pivots: dict[int, int]) -> None:
-        """Record the columns below the lead of each pivot in ``leads``."""
-        words = -(-self.ncols // 64)
-        for s in range(0, len(leads), _BATCH):
-            batch = leads[s:s + _BATCH]
-            raw = np.frombuffer(b"".join(pivots[c].to_bytes(8 * words, "little") for c in batch),
-                                dtype=np.uint64).reshape(len(batch), words)
-            r, w = np.nonzero(raw)
-            bits = np.unpackbits(raw[r, w].view(np.uint8).reshape(-1, 8), axis=1,
-                                 bitorder="little")
-            k, bit = np.nonzero(bits)
-            bounds = np.searchsorted(r[k], np.arange(len(batch) + 1)).tolist()
-            cols = (w[k] * 64 + bit).tolist()
-            # each pivot's columns come in ascending order, its lead last
-            for i, c in enumerate(batch):
-                self.others[c] = cols[bounds[i]:bounds[i + 1] - 1]
+
+def _annihilator(ncols: int, words: int, below: dict[int, list[int]]) -> np.ndarray:
+    """A basis of {y : E y = 0}, packed into ``words`` rows of uint64, for
+    an echelon E spanned by one row per key c of ``below``, leading at c
+    with its other columns ``below[c]``: a unit vector at each free column,
+    and at each lead c the XOR of the basis over ``below[c]``, all of which
+    lie below c."""
+    free = np.ones(ncols, dtype=bool)
+    free[list(below)] = False
+    free = np.flatnonzero(free).tolist()
+    leads = sorted(below)
+    basis = np.empty((words, ncols), dtype=np.uint64)
+    # 32 words at a time, so that no int outgrows the small-object allocator
+    for w0 in range(0, words, 32):
+        group = min(32, words - w0)
+        Y = [0] * ncols
+        for k, f in enumerate(free[64 * w0:64 * (w0 + group)]):
+            Y[f] = 1 << k
+        for c in leads:
+            y = 0
+            for j in below[c]:
+                y ^= Y[j]
+            Y[c] = y
+        for a in range(0, ncols, _BATCH):
+            part = b"".join(y.to_bytes(8 * group, "little") for y in Y[a:a + _BATCH])
+            basis[w0:w0 + group, a:a + _BATCH] = \
+                np.frombuffer(part, dtype=np.uint64).reshape(-1, group).T
+    return basis
+
+
+def _read_pivots(leads: list[int], pivots: dict[int, int], ncols: int) -> dict[int, list[int]]:
+    """The columns below the lead of each pivot in ``leads``."""
+    words = -(-ncols // 64)
+    below = {}
+    for s in range(0, len(leads), _BATCH):
+        batch = leads[s:s + _BATCH]
+        raw = np.frombuffer(b"".join(pivots[c].to_bytes(8 * words, "little") for c in batch),
+                            dtype=np.uint64).reshape(len(batch), words)
+        r, w = np.nonzero(raw)
+        bits = np.unpackbits(raw[r, w].view(np.uint8).reshape(-1, 8), axis=1,
+                             bitorder="little")
+        k, bit = np.nonzero(bits)
+        bounds = np.searchsorted(r[k], np.arange(len(batch) + 1)).tolist()
+        cols = (w[k] * 64 + bit).tolist()
+        # each pivot's columns come in ascending order, its lead last
+        for i, c in enumerate(batch):
+            below[c] = cols[bounds[i]:bounds[i + 1] - 1]
+    return below
 
 
 def _insert_rows_modp(csr: sparse.csr_matrix, rows, p: int,

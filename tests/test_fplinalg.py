@@ -24,10 +24,10 @@ keeps.
 At p = 2 the engine first inserts its structural rows (the first row with
 each leading column that no seed leads, in ascending order of that column),
 then the others in row order.  ``structural_first`` finds that order by a
-scan of each row, independently of the engine's ``np.unique``.  Once the
-structural rows and as many more rows as the matrix has columns are in, the
-engine skips the rows that already lie in the span of its echelon.  Its
-echelon must equal, key for key and in insertion order, the one a plain
+scan of each row, independently of the engine's ``np.unique``.  After the
+structural rows, the engine reads only the rows that add a pivot: it skips
+each row that lies in the span of its echelon and of the rows before it.
+Its echelon must equal, key for key and in insertion order, the one a plain
 pass in the same order keeps, which inserts every row; rows are read in
 that order, and a skipped row is never read.
 """
@@ -56,13 +56,14 @@ from plocal import (
     run_pipeline,
     sylow_subgroup,
 )
-from plocal import limits
+from plocal import fplinalg, limits
 from plocal.catalog import build_group
 from plocal.cohomology import CohomologyCache
 from plocal.fplinalg import (
     FpMatrix,
     _insert_rows_gf2,
     _insert_rows_modp,
+    _insert_structural_gf2,
     _reduce_rows_gf2,
     _shifted_echelon,
     _SpanTest,
@@ -119,6 +120,24 @@ def plain_pass_gf2(csr, rows, pivots: dict, cap) -> dict:
     structural, others = structural_first(csr, rows, pivots)
     _reduce_rows_gf2(csr, structural + others, pivots, lead, cap)
     return pivots
+
+
+def rows_adding_pivots(csr, rows, pivots: dict, cap) -> list[int]:
+    """The rows a plain pass in the engine's order turns into pivots, up to
+    ``cap`` pivots, found by inserting one row at a time."""
+    lead = 0
+    for c in pivots:
+        lead |= 1 << c
+    structural, others = structural_first(csr, rows, pivots)
+    adding = []
+    for i in structural + others:
+        if len(pivots) >= cap:
+            break
+        before = len(pivots)
+        lead = _reduce_rows_gf2(csr, [i], pivots, lead, cap) or lead
+        if len(pivots) > before:
+            adding.append(i)
+    return adding
 
 
 def insert_gf2(csr, rows: range, pivots: dict, cap) -> None:
@@ -585,9 +604,10 @@ def test_span_filter_keeps_the_plain_echelon_on_tall_random_matrices(nrows, ncol
 
 
 def test_span_filter_never_reads_a_row_already_in_the_span():
-    """After the structural rows and the next ``ncols`` rows, rows in their
-    span (sums of head rows, repeats and empty rows) are skipped; rows that
-    add a pivot are read, and nothing after the row that reaches the cap."""
+    """After the structural rows, rows in the span of the rows before them
+    (sums of head rows, repeats and empty rows) are skipped: the rows read
+    are the structural rows and the rows that add a pivot, which past the
+    head are the new rows, and nothing after the row that reaches the cap."""
     rng = np.random.default_rng(11)
     ncols, nrows = 64, 3000
     # the head touches only the first 48 columns; each new row leads at the
@@ -621,20 +641,110 @@ def test_span_filter_never_reads_a_row_already_in_the_span():
     structural, others = structural_first(csr, range(nrows), {})
     assert new_at[0] in structural and not set(new_at[1:]) & set(structural)
     order = structural + others
-    plain = order[:len(structural) + ncols]  # read before the filter starts
 
-    for cap, last in ((math.inf, nrows - 1), (rank, new_at[-1])):
+    for cap in (math.inf, rank):
         spied = csr.copy()
         read = spy_on_csr(spied)
         pivots = {}
         insert_gf2(spied, range(nrows), pivots, cap)
         assert list(pivots.items()) == list(plain_pass_gf2(csr, range(nrows), {}, cap).items())
         starts = assert_read_in_order(read, order)
-        assert starts[:len(plain)] == plain
-        assert not set(starts) & set(in_span) - set(plain)
-        assert set(new_at) <= set(starts)
-        assert max(starts[len(structural):]) <= last
+        assert starts == rows_adding_pivots(csr, range(nrows), {}, cap)
+        assert starts[:len(structural)] == structural
+        assert [i for i in starts[len(structural):] if i >= ncols] == new_at[1:]
+        assert not set(starts) & set(in_span) - set(structural)
+        assert len(starts) == len(pivots) == rank
     assert starts[-1] == new_at[-1]  # the row that reaches the cap
+
+
+def shared_lead_gf2(rng, nrows, ncols, early, late):
+    """A GF(2) matrix drawn from ``early`` generators with distinct leads
+    and ``late`` generators that lead where early ones do, so most late ones
+    add their pivots after the structural phase.  Each late generator first
+    appears alone at a random row in the first half, and about half of the
+    rows after it add it to one or two other generators, so rows that join
+    the span arrive in the same block as the pivot that puts them there."""
+    leads = np.sort(rng.choice(np.arange(1, ncols), early, replace=False))
+    gens = np.zeros((early + late, ncols), dtype=bool)
+    for g, c in zip(gens, np.concatenate([leads, rng.choice(leads, late)])):
+        g[rng.choice(c, min(c, int(rng.integers(2, 8))), replace=False)] = True
+        g[c] = True
+    release = dict(zip(sorted(rng.choice(nrows // 2, late, replace=False).tolist()),
+                       range(early, early + late)))
+    known = early
+    rows = np.zeros((nrows, ncols), dtype=bool)
+    for i in range(nrows):
+        r = rng.random()
+        if i in release:
+            rows[i] = gens[release[i]]
+            known += 1
+        elif r < 0.05:
+            continue
+        elif r < 0.15 and i:
+            rows[i] = rows[rng.integers(i)]
+        else:
+            picks = rng.choice(known, int(rng.integers(1, 3)), replace=False).tolist()
+            if known > early and r < 0.6:
+                picks.append(known - 1)  # the generator released last
+            rows[i] = np.logical_xor.reduce(gens[picks], axis=0)
+    return sparse.csr_matrix(rows.astype(np.int64))
+
+
+def outside_span(csr, rows, pivots: dict) -> list[int]:
+    """The rows of ``rows`` that do not reduce to zero against ``pivots``."""
+    out = []
+    for i in rows:
+        m = 0
+        for c in csr.indices[csr.indptr[i]:csr.indptr[i + 1]].tolist():
+            m |= 1 << c
+        while m and m.bit_length() - 1 in pivots:
+            m ^= pivots[m.bit_length() - 1]
+        if m:
+            out.append(i)
+    return out
+
+
+@pytest.mark.parametrize("nrows,ncols,early,late", [(3000, 400, 150, 120),
+                                                    (6000, 700, 300, 200)])
+@pytest.mark.parametrize("seeded", [False, True])
+@pytest.mark.parametrize("gather", [None, 8])
+def test_rows_joining_the_span_inside_a_block_are_never_reduced(monkeypatch, nrows, ncols,
+                                                                 early, late, seeded, gather):
+    """Pivots that arrive inside a block put the block's later rows into the
+    span: those rows are not reduced, so every row reduced after the
+    structural phase becomes a pivot, under the caps infinity, rank and
+    ``min(shape)``.  The syndromes are more than 128 bits wide, so their
+    top bits are found across several words.  With a gather of 8 entries a
+    block is tested in chunks of one or two rows, some longer than the
+    gather, each against Y as the chunks before it left it."""
+    if gather:
+        monkeypatch.setattr(fplinalg, "_GATHER", gather)
+    rng = np.random.default_rng(nrows + late + seeded)
+    csr = shared_lead_gf2(rng, nrows, ncols, early, late)
+    seeds = echelon_gf2(rng, ncols, 40 if seeded else 0)
+    rows = range(nrows)
+    structural, others = structural_first(csr, rows, seeds)
+    start = plain_pass_gf2(csr, structural, dict(seeds), math.inf)
+    assert ncols - len(start) > 128
+    rank = len(plain_pass_gf2(csr, rows, dict(seeds), math.inf))
+    if not seeded:
+        assert rank == _rank_csr_gf2(csr)
+        if gather is None and nrows * ncols <= DENSE_ORACLE_MAX_ENTRIES:
+            assert rank == oracle.dense_rank_modp(csr.toarray(), 2)
+    # far more rows lie outside the span after the structural phase than
+    # add a pivot: the rest join the span later
+    assert len(outside_span(csr, others, start)) > 5 * (rank - len(start))
+    for cap in (math.inf, rank, min(nrows, ncols)):
+        spied = csr.copy()
+        read = spy_on_csr(spied)
+        pivots = dict(seeds)
+        insert_gf2(spied, rows, pivots, cap)
+        assert list(pivots.items()) == list(plain_pass_gf2(csr, rows, dict(seeds), cap).items())
+        assert_tail_reduced(pivots, 2)
+        starts = assert_read_in_order(read, structural + others)
+        assert starts[:len(structural)] == structural
+        assert starts == rows_adding_pivots(csr, rows, dict(seeds), cap)
+        assert len(starts) == len(pivots) - len(seeds) == min(rank, cap) - len(seeds)
 
 
 def test_span_filter_keeps_the_plain_echelon_on_the_sym4_degree3_boundaries(monkeypatch):
@@ -642,7 +752,8 @@ def test_span_filter_keeps_the_plain_echelon_on_the_sym4_degree3_boundaries(monk
     p = 2, max-degree 3: the bar ∂_3 and the transporter-poset and linking
     ∂_3, which read past their columns because H_2 ≠ 0 keeps them below the
     ∂² bound.  The rows read are pinned exactly: they repeat from run to
-    run, so a filter that lets more rows through fails here."""
+    run, so a filter that lets more rows through fails here: each boundary
+    reads exactly as many rows as its rank, every one a new pivot."""
     real = FpMatrix.rank
     seen = {}
 
@@ -665,20 +776,22 @@ def test_span_filter_keeps_the_plain_echelon_on_the_sym4_degree3_boundaries(monk
                                                include_timings=False))
     assert "fail" not in rep.verdicts.values()
     assert seen == {
-        (12167, 529): (505, 1167), (30246, 1298): (1244, 3055), (33284, 1620): (1538, 6455)}
+        (12167, 529): (505, 505), (30246, 1298): (1244, 1244), (33284, 1620): (1538, 1538)}
 
 
 def test_span_filter_declines_an_annihilator_larger_than_the_matrix():
-    """A wide, sparse matrix: the annihilator of the echelon of its first
-    rows would take more than 2 nnz words, so the rows go in plainly."""
+    """A wide, sparse matrix: the annihilator of the echelon of its
+    structural rows would take more than 2 nnz words, so the other rows go
+    in plainly."""
     ncols, nrows = 640, 2000
     rows = np.arange(nrows)
     csr = sparse.csr_matrix((np.ones(nrows, dtype=np.int64), (rows, rows % 8)),
                             shape=(nrows, ncols))
     pivots = {}
-    plain_pass_gf2(csr, range(ncols), pivots, math.inf)
+    structural = _structural_rows(csr, nrows, pivots).tolist()
+    _, below = _insert_structural_gf2(csr, structural, pivots, 0, math.inf)
     assert ncols * -(-(ncols - len(pivots)) // 64) > 2 * csr.nnz
-    assert _SpanTest(csr).outside(np.arange(ncols, nrows), pivots) is None
+    assert _SpanTest(csr, pivots, [], below).basis is None
     order = sum(structural_first(csr, range(nrows), {}), [])
     read = spy_on_csr(csr)
     filtered = {}

@@ -517,8 +517,9 @@ def verify_category(C: FiniteCategory) -> CategoryLawsVerdict:
 
     t1, t2 = C.pairs()
     comp = C.composite
-    safe = np.where(comp >= 0, comp, 0)
-    inside = (comp >= 0) & (C.src[safe] == C.src[t1]) & (C.tgt[safe] == C.tgt[t2])
+    # a composite outside [0, morphism_count) is no token, and there safe != comp
+    safe = np.where((comp >= 0) & (comp < C.morphism_count), comp, 0)
+    inside = (safe == comp) & (C.src[safe] == C.src[t1]) & (C.tgt[safe] == C.tgt[t2])
     closed = bool(inside.all())
     for k in np.flatnonzero(~inside).tolist():
         where = f"({t1[k]},{t2[k]})"
@@ -540,7 +541,8 @@ def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str]) -> bo
     """Check the coset rule by lookups in ``least_tables``: each witness is
     the least element of its coset, and for every filled composable pair of
     tokens every product of representatives of their two cosets lies in the
-    composite's coset (an unfilled slot is left to the closure check).
+    composite's coset (a slot unfilled or holding no token is left to the
+    closure check).
 
     Let t1: i -> j have witness a, t2: j -> k witness b, and the composite
     t3 witness c.  The products are x y with x = l a r and y = l' b r' for l
@@ -563,7 +565,7 @@ def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str]) -> bo
     failures += [f"witness of token {t} is not the least of its coset"
                  for t in np.flatnonzero(bad).tolist()]
     t1, t2 = C.pairs()
-    filled = C.composite >= 0
+    filled = (C.composite >= 0) & (C.composite < C.morphism_count)
     t1, t2, t3 = t1[filled], t2[filled], C.composite[filled]
     i, j, k, s, e = C.src[t1], C.tgt[t1], C.tgt[t2], C.src[t3], C.tgt[t3]
     row = at[s, e]

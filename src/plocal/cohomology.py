@@ -117,7 +117,7 @@ def classifying_cohomology_functor(
     p: int,
     cat: FiniteCategory,
     i: int,
-    cache: CohomologyCache | None = None,
+    cache: CohomologyCache,
 ) -> LinearFunctor:
     """The functor P |-> H^i(B P; F_p) on an orbit category, with morphism
     action induced by conjugation by the canonical witness: the supported
@@ -132,11 +132,10 @@ def supported_cohomology_functor(
     cat: FiniteCategory,
     support: list[int],
     i: int,
-    cache: CohomologyCache | None = None,
+    cache: CohomologyCache,
 ) -> LinearFunctor:
     """The punctured variant: H^i(B P; F_p) on the listed objects, zero
     elsewhere, with zero maps off the support."""
-    cache = cache or CohomologyCache(G, p)
     supp = set(support)
     objs = cat.objects
     dims = [cache.basis(P, i).dim if k in supp else 0 for k, P in enumerate(objs)]

@@ -10,63 +10,59 @@ are big-integer bitmasks at p = 2 and {column: coefficient} dicts otherwise.
 All routines are deterministic: identical inputs give identical pivot
 choices and results.
 
-The echelon is tail-reduced at insertion: before a row is stored as a new
-pivot it is reduced again by the pivots already stored, at every pivot column
-below its leading one, largest first, so each pivot is zero at the leading
-column of every pivot stored before it.  Reducing a row costs one step (one
-XOR at p = 2) each time its leading column is a pivot column.  A pivot that
-is nonzero at other pivot columns puts those entries into every row it
-reduces, and each of them costs a further step there; tail reduction clears
-them once, when the pivot is stored.  Most rows of a nerve boundary reduce to
-zero, and they pay most of those steps: on the three degree-3 boundaries of
-the sym:4, p = 2 homology checks the XORs fall by almost half.  Stored pivots
-are never changed afterwards, so the echelon after k rows does not depend on
-any row after them, and the bounded and seeded passes below still keep
+Stored pivots are never changed, so the echelon after k rows does not
+depend on any row after them, and the bounded and seeded passes below keep
 exactly the echelon a full pass keeps.  A full pass here means one that
 inserts every row in the engine's order, which at p = 2 is not row order.
+Over F_p with p > 2 a new pivot is also tail-reduced: before it is stored it
+is cleared at every pivot column below its leading one, largest first.  A
+pivot's entries at other pivot columns cost a further step in every row it
+reduces, and over F_p every row is still reduced, most of them to zero, so
+clearing those entries once pays.  At p = 2 only the rows that add a pivot
+are reduced (below), so a pivot is stored as it stands.
 
 At p = 2 rows go in in two phases (the structural pivots of Faugère and
 Lachartre, PASCO 2010, and of Bouillaguet, Delaplace and Voge, ISSAC 2017).
 The structural phase comes first.  For each leading column c that no seed
-leads, it inserts the first row whose leading column is c, in ascending
-order of c.  One ``np.unique`` over the rows' last CSR indices finds these
-rows.  When such a row goes in, every stored pivot leads at a seed or at a
-smaller column, so its own lead is no pivot column.  It becomes a pivot at
-once, with no reduction at its lead, and pays only its tail reduction.
-The other rows then go in in row order.  Rows with distinct leads are
-independent, so the echelon's span is large from the start.  On the three
-degree-3 boundaries below, 493 of 505, 1,219 of 1,244 and 1,479 of 1,538
-pivots are structural.  Over F_p with p > 2 rows go in in row order: the
-order alone gained nothing there, since no span filter profits from the
+leads, it inserts the first row whose leading column is c, in ascending order
+of c.  One ``np.unique`` over the rows' last CSR indices finds these rows.
+When such a row goes in, every stored pivot leads at a seed or at a smaller
+column, so its own lead is no pivot column.  It becomes a pivot as it stands,
+with no reduction at all.  The other rows then go in in row order.  Rows with
+distinct leads are independent, so the echelon's span is large from the start.
+On the three degree-3 boundaries below, 493 of 505, 1,219 of 1,244 and 1,479
+of 1,538 pivots are structural.  Over F_p with p > 2 rows go in in row order:
+the order alone gained nothing there, since no span filter profits from the
 early span (50.8 s structural-first against 50.3 s on the sym:4, p = 3
 transporter-poset ∂_4).
 
-``FpMatrix.rank`` keeps that echelon, unless it certifies the rank (below).
-A matrix may declare that its last rows are ``[0 | block]`` for another
-matrix ``block`` starting at a column offset; a mapping cone declares the
-target's boundary this way.  ``rank`` first checks that those rows really
-are ``block``.  If ``block`` already holds its echelon, it then seeds its
-echelon with block's pivots shifted by the offset, and inserts only the
-leading rows.  The shifted pivots are the ones inserting
-the tail rows first would store, tail-reduced the same way, since the shift
-keeps the order of the columns.  Otherwise it eliminates every row, as for
-any other matrix.  An echelon is reused only when it already exists:
-computing one for the block just to seed from it can cost far more than the
-whole matrix, because the leading rows often span most of it early.
+``FpMatrix.rank`` keeps that echelon, unless it certifies the rank (below).  A
+matrix may declare that its last rows are ``[0 | block]`` for another matrix
+``block`` starting at a column offset; a mapping cone declares the target's
+boundary this way.  ``rank`` first checks that those rows really are
+``block``.  If ``block`` already holds its echelon, it then seeds its echelon
+with block's pivots shifted by the offset, and inserts only the leading rows.
+The shifted pivots are the ones inserting the tail rows first would store,
+reduced the same way, since the shift keeps the order of the columns.
+Otherwise it eliminates every row, as for any other matrix.  An echelon is
+reused only when it already exists: computing one for the block just to seed
+from it can cost far more than the whole matrix, because the leading rows
+often span most of it early.
 
 ``rank`` may also be given an upper bound on the rank; it always caps at
-``min(shape)`` too.  Insertion stops as soon as the echelon holds that many
-pivots, seeded ones included, and the rows after that are never read.  The
-result stays exact when the bound is a true upper bound: the rows inserted so
-far then span the whole row space, so every later row would reduce to zero
-and add no pivot, and the stopped echelon is the one a full pass would keep.
-Every complex supplies the bound from ∂² = 0, which ``homology.FpComplex``
-checks: the rows of ∂_d lie in the left kernel of ∂_{d-1}, so
-rank ∂_d <= dim C_{d-1} - rank ∂_{d-1}.  Nerves, mapping cones and functor
-cochain complexes are all written in that orientation, a cochain
-differential C^n -> C^{n+1} transposed with rows indexed by C^{n+1}.  For an
-acyclic complex (the mapping cone of an isomorphism) that bound is the rank,
-and elimination ends at the row that finds the last pivot.
+``min(shape)`` too, and at 0 when the matrix has no entries.  Insertion stops
+as soon as the echelon holds that many pivots, seeded ones included, and the
+rows after that are never read.  The result stays exact when the bound is a
+true upper bound: the rows inserted so far then span the whole row space, so
+every later row would reduce to zero and add no pivot, and the stopped echelon
+is the one a full pass would keep.  Every complex supplies the bound from
+∂² = 0, which ``homology.FpComplex`` checks: the rows of ∂_d lie in the left
+kernel of ∂_{d-1}, so rank ∂_d <= dim C_{d-1} - rank ∂_{d-1}.  Nerves,
+mapping cones and functor cochain complexes are all written in that
+orientation, a cochain differential C^n -> C^{n+1} transposed with rows
+indexed by C^{n+1}.  For an acyclic complex (the mapping cone of an
+isomorphism) that bound is the rank, and elimination ends at the row that
+finds the last pivot.
 
 Often no row need be read at all.  Before inserting any, ``rank`` counts
 its seeds plus the distinct leading columns, among the rows it would
@@ -114,10 +110,10 @@ to three words.  Those boundaries never reach their ∂² bound, because
 H_2 ≠ 0, and they reduce 505, 1,244 and 1,538 rows: their ranks.  Memory:
 Y takes ncols * ceil((ncols - rank) / 64) words, and it is built only when
 that is at most 2 nnz, about the size of the CSR itself; a gather holds
-one word per entry of its chunk.  When Y would be larger the rows after
-the structural phase are all reduced.  The F_p path has no filter: a dense
-annihilator takes at least a byte per entry, so even an int8 one would take
-8 times the memory of a packed bit plane.
+one word per entry of its chunk.  When Y would be larger every block is
+reduced whole.  The F_p path has no filter: a dense annihilator takes at
+least a byte per entry, so even an int8 one would take 8 times the memory
+of a packed bit plane.
 """
 
 from __future__ import annotations
@@ -165,11 +161,14 @@ class FpMatrix:
 
     def rank(self, bound: int | None = None) -> int:
         """The rank over F_p.  ``bound``, if given, must be an upper bound on
-        it; elimination stops once ``min(bound, *shape)`` pivots are found,
-        and does not start when the seeds and the rows' distinct unseeded
-        leads already number that many (see the module docstring)."""
+        it; elimination stops once ``min(bound, *shape)`` pivots are found
+        (0 when there are no entries), and does not start when the seeds and
+        the rows' distinct unseeded leads already number that many (see the
+        module docstring)."""
         if self._rank is None:
             cap = min(self.shape) if bound is None else min(bound, *self.shape)
+            if not self.csr.data.size:  # no entries (``__init__`` pruned them)
+                cap = 0  # rank 0, and no row is read
             nrows, seeds, offset = self.shape[0], {}, 0
             if self.tail is not None:
                 start = self._check_tail()
@@ -255,68 +254,33 @@ def _insert_rows_gf2(csr: sparse.csr_matrix, nrows: int, structural: np.ndarray,
     stopping once it holds ``cap`` pivots.
 
     Structural phase: the rows ``structural`` (``_structural_rows`` of
-    ``nrows`` and ``pivots``) go in first, each a new pivot at once.  The
-    remaining rows then go in their order, in blocks of growing size: a
+    ``nrows`` and ``pivots``) go in first, each a new pivot as it stands.
+    The remaining rows then go in their order, in blocks of growing size: a
     block's rows are tested by their syndromes (``_SpanTest``), and only
     the rows that add a pivot are reduced.  When the annihilator does not
-    fit, the remaining rows are all reduced.
+    fit, a block's rows are all reduced.
 
     Stored pivots never change, so stopping at a cap that bounds the rank,
     or starting from seeds, keeps the echelon that a pass over every row
     in this order keeps: the rows never read would reduce to zero."""
-    ncols = csr.shape[1]
-    # bit c of ``lead`` is set when column c leads a stored pivot
-    bits = np.zeros(ncols, dtype=np.uint8)
-    bits[list(pivots)] = 1
-    lead = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
     seeds = list(pivots)
-    lead, below = _insert_structural_gf2(csr, structural.tolist(), pivots, lead, cap)
-    if lead is None:
-        return
+    _reduce_rows_gf2(csr, structural.tolist(), pivots, cap)
     ids = np.delete(np.arange(nrows), structural)
-    span = _SpanTest(csr, pivots, seeds, below)
-    if span.basis is None:
-        _reduce_rows_gf2(csr, ids.tolist(), pivots, lead, cap)
-        return
+    span = _SpanTest(csr, pivots, seeds, structural)
     done = 0
-    while lead is not None and done < len(ids):
-        size = max(ncols, done // 2, 1)
-        fresh = span.new_pivots(ids[done:done + size], cap - len(pivots))
-        lead = _reduce_rows_gf2(csr, fresh.tolist(), pivots, lead, cap)
+    while len(pivots) < cap and done < len(ids):
+        size = max(csr.shape[1], done // 2, 1)
+        block = ids[done:done + size]
+        if span.basis is not None:
+            block = span.new_pivots(block, cap - len(pivots))
+        _reduce_rows_gf2(csr, block.tolist(), pivots, cap)
         done += size
 
 
-def _insert_structural_gf2(csr: sparse.csr_matrix, rows: list[int], pivots: dict[int, int],
-                           lead: int, cap: int) -> tuple[int | None, dict[int, list[int]]]:
-    """Insert ``rows``, whose leads are distinct and no pivot's, in
-    ascending order of lead: each becomes a pivot after its tail reduction.
-    Returns the updated ``lead`` mask, or None once the echelon holds
-    ``cap`` pivots, and each row's columns below its lead, keyed by it."""
-    indptr, indices = csr.indptr, csr.indices
-    below: dict[int, list[int]] = {}
-    for i in rows:
-        cols = indices[indptr[i]:indptr[i + 1]].tolist()
-        m = 0
-        for c in cols:
-            m |= 1 << c
-        t = m & lead
-        while t:
-            m ^= pivots[t.bit_length() - 1]
-            t = m & lead
-        b = cols[-1]
-        pivots[b] = m
-        lead |= 1 << b
-        below[b] = cols[:-1]
-        if len(pivots) >= cap:
-            return None, below
-    return lead, below
-
-
-def _reduce_rows_gf2(csr: sparse.csr_matrix, rows, pivots: dict[int, int], lead: int,
-                     cap: int) -> int | None:
-    """Insert ``rows`` in order; a new pivot is first cleared at every pivot
-    column it has (all lie below its leading one).  Returns the updated
-    ``lead`` mask, or None once the echelon holds ``cap`` pivots."""
+def _reduce_rows_gf2(csr: sparse.csr_matrix, rows, pivots: dict[int, int], cap: int) -> None:
+    """Insert ``rows`` in order, each reduced at its leading column until
+    that column leads no pivot, and then stored as it stands; stops once
+    the echelon holds ``cap`` pivots."""
     indptr, indices = csr.indptr, csr.indices
     for i in rows:
         m = 0
@@ -326,17 +290,11 @@ def _reduce_rows_gf2(csr: sparse.csr_matrix, rows, pivots: dict[int, int], lead:
             b = m.bit_length() - 1
             piv = pivots.get(b)
             if piv is None:
-                t = m & lead
-                while t:
-                    m ^= pivots[t.bit_length() - 1]
-                    t = m & lead
                 pivots[b] = m
-                lead |= 1 << b
                 if len(pivots) >= cap:
-                    return None
+                    return
                 break
             m ^= piv
-    return lead
 
 
 _GATHER = 1 << 18  # entries, and syndrome words, tested at a time by ``_SpanTest.new_pivots``
@@ -359,16 +317,23 @@ class _SpanTest:
     """
 
     def __init__(self, csr: sparse.csr_matrix, pivots: dict[int, int], seeds: list[int],
-                 below: dict[int, list[int]]):
-        """``pivots`` are ``seeds`` and the structural pivots, whose rows'
-        columns below their leads are ``below``."""
+                 structural: np.ndarray):
+        """``pivots`` are ``seeds`` and the structural pivots, which are the
+        rows ``structural`` of ``csr`` as they stand."""
         self.indptr = np.asarray(csr.indptr)
         self.indices = csr.indices
         ncols = csr.shape[1]
         words = -(-(ncols - len(pivots)) // 64)
         self.basis = None
         if ncols * words <= 2 * int(self.indptr[-1]):  # 2 nnz
-            self.basis = _annihilator(ncols, words, below | _read_pivots(seeds, pivots, ncols))
+            lo = self.indptr[structural]
+            pos, first = _positions(lo, self.indptr[structural + 1] - lo)
+            cols = self.indices[pos].tolist()
+            below = _read_pivots(seeds, pivots, ncols)
+            # canonical CSR: a row's columns ascend, its lead last
+            for a, b in zip(first.tolist(), first[1:].tolist() + [len(cols)]):
+                below[cols[b - 1]] = cols[a:b - 1]
+            self.basis = _annihilator(ncols, words, below)
 
     def new_pivots(self, ids: np.ndarray, need: int) -> np.ndarray:
         """The rows of ``ids``, in order, that lie outside the span of E and
@@ -391,10 +356,7 @@ class _SpanTest:
                 break
             if not len(rows):  # a row of more than _GATHER entries was split on
                 continue
-            n = lens[rows]
-            first = np.cumsum(n) - n
-            pos = np.repeat(lo[rows] - first, n)
-            pos += np.arange(len(pos))
+            pos, first = _positions(lo[rows], lens[rows])
             cols = self.indices[pos]
             syn = np.empty((words, len(rows)), dtype=np.uint64)
             for w, y in enumerate(self.basis):
@@ -431,6 +393,15 @@ class _SpanTest:
             taken.append(k)
             k += 1
         return taken
+
+
+def _positions(lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR positions of the rows that start at ``lo`` and hold ``n``
+    entries each, concatenated, and where each row's first one falls."""
+    first = np.cumsum(n) - n
+    pos = np.repeat(lo - first, n)
+    pos += np.arange(len(pos))
+    return pos, first
 
 
 def _annihilator(ncols: int, words: int, below: dict[int, list[int]]) -> np.ndarray:

@@ -673,6 +673,31 @@ def test_category_laws_pass_on_sym6_at_p3():
     assert rep.verdicts["category_laws"] == "pass"
 
 
+@pytest.mark.parametrize("value", [10**6, -5])
+def test_a_composite_that_is_no_token_fails_the_category_laws(monkeypatch, value):
+    """One transporter-poset composite of sym:4 at p = 2 set past the last
+    token, or below 0: the run returns a report whose category laws read
+    ``fail``, with the slot listed as a closure failure."""
+    real, seen = categories.verify_category, []
+
+    def corrupted(C):
+        if not seen:  # the transporter poset is verified first
+            t1, t2 = C.pairs()
+            k = len(t1) // 2
+            C.composite[k] = value
+            seen.append((f"({t1[k]},{t2[k]})", real(C)))
+            return seen[-1][1]
+        return real(C)
+
+    monkeypatch.setattr(categories, "verify_category", corrupted)
+    rep = run_pipeline("sym:4", PipelineConfig(
+        prime=2, max_degree=3, checks=("categories",), include_timings=False))
+    assert rep.verdicts["category_laws"] == "fail"
+    where, v = seen[0]
+    assert not v.composition_closed
+    assert any(f.startswith(f"composite {where} ") for f in v.failures), v.failures
+
+
 def test_structure_checks_on_sym6_at_p2():
     """The closure and quotient verdicts pass; one test subgroup's
     precomposition family in the adjunction has 79,280,775 pairs, over the

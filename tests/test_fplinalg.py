@@ -10,8 +10,10 @@ bound ∂² = 0 forces.  A bounded rank must equal the plain one and the
 reference, its echelon must equal the one a pass over every row keeps, and
 no row after the one that reaches the bound may be read.
 
-Every kept echelon is tail-reduced: each pivot is zero at the leading column
-of every pivot stored before it, seeds included.  The references reduce no
+Over F_p with p > 2 every kept echelon is tail-reduced: each pivot is zero
+at the leading column of every pivot stored before it, seeds included.  At
+p = 2 only the rows that add a pivot are reduced, so a pivot is stored as
+it stands, reduced only at its leading column.  The references reduce no
 tails, so they stay an independent check of the ranks.
 
 A rank is certified, with no row read and no echelon kept, when the seeds
@@ -63,7 +65,6 @@ from plocal.fplinalg import (
     FpMatrix,
     _insert_rows_gf2,
     _insert_rows_modp,
-    _insert_structural_gf2,
     _reduce_rows_gf2,
     _shifted_echelon,
     _SpanTest,
@@ -114,27 +115,21 @@ def assert_read_in_order(read: list[int], order: list[int]) -> list[int]:
 def plain_pass_gf2(csr, rows, pivots: dict, cap) -> dict:
     """Insert every row of ``rows`` into ``pivots``, up to ``cap`` pivots,
     in the engine's order but without the span filter."""
-    lead = 0
-    for c in pivots:
-        lead |= 1 << c
     structural, others = structural_first(csr, rows, pivots)
-    _reduce_rows_gf2(csr, structural + others, pivots, lead, cap)
+    _reduce_rows_gf2(csr, structural + others, pivots, cap)
     return pivots
 
 
 def rows_adding_pivots(csr, rows, pivots: dict, cap) -> list[int]:
     """The rows a plain pass in the engine's order turns into pivots, up to
     ``cap`` pivots, found by inserting one row at a time."""
-    lead = 0
-    for c in pivots:
-        lead |= 1 << c
     structural, others = structural_first(csr, rows, pivots)
     adding = []
     for i in structural + others:
         if len(pivots) >= cap:
             break
         before = len(pivots)
-        lead = _reduce_rows_gf2(csr, [i], pivots, lead, cap) or lead
+        _reduce_rows_gf2(csr, [i], pivots, cap)
         if len(pivots) > before:
             adding.append(i)
     return adding
@@ -177,7 +172,7 @@ def assert_certified_exactly(m: FpMatrix, cap: int):
 def assert_certified_or_eliminated(m: FpMatrix, cap: int, read: list[int] | None = None):
     """``m``, ranked under ``cap``, is certified exactly when its
     certificate says so, and then read no row (``read``, from a spy).
-    Otherwise it kept the tail-reduced echelon a full pass keeps."""
+    Otherwise it kept the echelon a full pass keeps."""
     assert_certified_exactly(m, cap)
     if m.echelon is None:
         assert not read
@@ -198,14 +193,12 @@ def full_echelon(m: FpMatrix) -> dict:
 
 
 def assert_tail_reduced(echelon: dict, p: int):
-    """Each pivot leads at its key (monic for p > 2) and is zero at the
-    leading column of every pivot stored before it; seeds are stored
-    first."""
+    """Each pivot leads at its key.  For p > 2 it is also monic and zero
+    at the leading column of every pivot stored before it; seeds are
+    stored first.  At p = 2 pivots are not tail-reduced."""
     if p == 2:
-        before = 0
         for c, m in echelon.items():
-            assert m.bit_length() - 1 == c and not m & before, c
-            before |= 1 << c
+            assert m.bit_length() - 1 == c, c
     else:
         before = set()
         for c, row in echelon.items():
@@ -469,9 +462,10 @@ HOMOLOGY_CHECKS = ("nerve-vs-group", "centric-restriction", "centric-agreement",
 def test_every_catalog_nerve_and_cone_keeps_a_tail_reduced_echelon(monkeypatch, p):
     """Every nerve and mapping-cone boundary the homology checks rank for the
     catalog at max-degree 3, seeded cones included, is certified exactly when
-    its certificate reaches its cap and otherwise keeps a tail-reduced
-    echelon; its rank equals the reference's and the dense oracle's where
-    those are cheap (the other tests here cover larger real matrices)."""
+    its certificate reaches its cap and otherwise keeps an echelon whose
+    pivots lead at their keys, tail-reduced for p > 2; its rank equals the
+    reference's and the dense oracle's where those are cheap (the other
+    tests here cover larger real matrices)."""
     real = FpMatrix.rank
     ranked = {"plain": 0, "seeded": 0, "certified": 0, "referenced": 0}
 
@@ -565,7 +559,7 @@ def tall_gf2(rng, nrows, ncols, dim, late, triangular=False):
 
 
 def echelon_gf2(rng, ncols, nrows) -> dict:
-    """A tail-reduced GF(2) echelon, to seed an insertion with."""
+    """A GF(2) echelon, to seed an insertion with."""
     seeds = {}
     plain_pass_gf2(tall_gf2(rng, nrows, ncols, nrows, 0), range(nrows), seeds, math.inf)
     return seeds
@@ -788,16 +782,76 @@ def test_span_filter_declines_an_annihilator_larger_than_the_matrix():
     csr = sparse.csr_matrix((np.ones(nrows, dtype=np.int64), (rows, rows % 8)),
                             shape=(nrows, ncols))
     pivots = {}
-    structural = _structural_rows(csr, nrows, pivots).tolist()
-    _, below = _insert_structural_gf2(csr, structural, pivots, 0, math.inf)
+    structural = _structural_rows(csr, nrows, pivots)
+    _reduce_rows_gf2(csr, structural.tolist(), pivots, math.inf)
     assert ncols * -(-(ncols - len(pivots)) // 64) > 2 * csr.nnz
-    assert _SpanTest(csr, pivots, [], below).basis is None
+    assert _SpanTest(csr, pivots, [], structural).basis is None
     order = sum(structural_first(csr, range(nrows), {}), [])
     read = spy_on_csr(csr)
     filtered = {}
     insert_gf2(csr, range(nrows), filtered, math.inf)
     assert list(filtered.items()) == list(pivots.items())
     assert assert_read_in_order(read, order) == order
+
+
+def short_cycles_gf2(rng, nrows, nverts, reach) -> sparse.csr_matrix:
+    """A nerve-like GF(2) boundary: one column per edge of the circulant
+    graph joining each vertex u to u + 1, ..., u + ``reach`` (mod
+    ``nverts``), and one row per random closed walk of 3 to 5 distinct
+    edges.  Every row lies in the cycle space, so the rank falls short of
+    the ``nverts * reach`` columns by at least ``nverts - 1``, and most rows
+    lie in the span of the rows before them."""
+    signed = [t for t in range(-reach, reach + 1) if t]
+    cycles = []
+    while len(cycles) < nrows:
+        steps = rng.choice(signed, int(rng.integers(2, 5))).tolist()
+        steps.append(-sum(steps))
+        if not 0 < abs(steps[-1]) <= reach:
+            continue
+        u, edges = int(rng.integers(nverts)), set()
+        for t in steps:
+            low = u if t > 0 else (u + t) % nverts
+            edges.add(low * reach + abs(t) - 1)
+            u = (u + t) % nverts
+        if len(edges) == len(steps):
+            cycles.append(sorted(edges))
+    cols = np.concatenate(cycles)
+    rows = np.repeat(np.arange(nrows), [len(c) for c in cycles])
+    return sparse.csr_matrix((np.ones(len(cols), dtype=np.int64), (rows, cols)),
+                             shape=(nrows, nverts * reach))
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_span_filter_keeps_the_plain_echelon_on_a_tall_nerve_like_matrix(monkeypatch, seeded):
+    """20,000 short cycles over 1,000 edges, ranked through ``FpMatrix``,
+    seeded as a cone is (the last 300 rows declared as a block already
+    ranked) and unseeded.  The rank falls short of the columns by more
+    than 64, so no cap stops it: the span test runs block after block with
+    a Y at least two words wide.  The rank equals the reference's, the
+    echelon the one a plain pass keeps, and every row read adds a pivot."""
+    rng = np.random.default_rng(26 + seeded)
+    csr = short_cycles_gf2(rng, 20_000, 125, 8)
+    widths = []
+    real = _SpanTest.new_pivots
+
+    def new_pivots(self, ids, need):
+        widths.append(len(self.basis))
+        return real(self, ids, need)
+
+    monkeypatch.setattr(_SpanTest, "new_pivots", new_pivots)
+    tail = None
+    if seeded:
+        block = FpMatrix(csr[-300:], 2)
+        block.rank()
+        tail = (block, 0)
+    m = FpMatrix(csr.copy(), 2, tail)
+    seeds, _ = seeds_of(m)  # checks the tail before the spy goes on
+    read = spy_on_rows(m)
+    widths.clear()
+    assert m.rank() == _rank_csr_gf2(csr) < min(csr.shape) - 64
+    assert len(read) == 2 * (len(m.echelon) - len(seeds))
+    assert list(m.echelon.items()) == list(full_echelon(m).items())
+    assert len(widths) >= 5 and min(widths) >= 2, widths
 
 
 # -- the structural phase at p = 2 ---------------------------------------------
@@ -1070,6 +1124,27 @@ def test_cone_over_a_certified_block_eliminates_unseeded(p):
     assert certificate(m)[0] == 0
     assert_certified_or_eliminated(m, min(m.shape), read)
     assert max(read) > m._check_tail()  # the tail's rows were read too
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("shape", [(23, 1), (5000, 7)])
+@pytest.mark.parametrize("bound", [1, None])
+def test_a_matrix_with_no_entries_has_rank_0_and_reads_no_row(monkeypatch, p, shape, bound):
+    """No row is read and no span test is built: the rank is 0 and the
+    echelon empty, under the caps 1 and infinity.  A declared tail is still
+    checked first."""
+    built = []
+    real = fplinalg._SpanTest
+    monkeypatch.setattr(fplinalg, "_SpanTest", lambda *args: built.append(args) or real(*args))
+    m = FpMatrix(sparse.csr_matrix(shape, dtype=np.int64), p)
+    read = spy_on_rows(m)
+    assert m.rank(bound) == 0
+    assert m.echelon == {} and not read and not built
+    assert reference_rank(m) == 0
+    wrong = FpMatrix(sparse.csr_matrix(shape, dtype=np.int64), p,
+                     tail=(FpMatrix(sparse.csr_matrix(np.ones((1, shape[1]), np.int64)), p), 0))
+    with pytest.raises(PLocalError, match="trailing rows differ"):
+        wrong.rank(bound)
 
 
 # -- construction --------------------------------------------------------------

@@ -198,7 +198,7 @@ def test_cohomology_basis_z3():
 def test_cohomology_functor_inner_action_trivial():
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
-    F = classifying_cohomology_functor(G, 2, skel.p_cat, 1)
+    F = classifying_cohomology_functor(G, 2, skel.p_cat, 1, CohomologyCache(G, 2))
     k = next(i for i, R in enumerate(skel.p_reps) if R.order == 2)
     assert F.dims[k] == 1
     for tid in skel.p_cat.mor(k, k):
@@ -208,7 +208,7 @@ def test_cohomology_functor_inner_action_trivial():
 def test_cohomology_functor_index_zero_constant():
     G = build_group("sym:4")
     skel = build_orbit_skeletons(G, 2)
-    F = classifying_cohomology_functor(G, 2, skel.omega_cat, 0)
+    F = classifying_cohomology_functor(G, 2, skel.omega_cat, 0, CohomologyCache(G, 2))
     assert all(d == 1 for d in F.dims)
     for tid in range(skel.omega_cat.morphism_count):
         assert np.array_equal(token_matrix(F, tid) % 2, np.eye(1, dtype=np.int64))
@@ -342,7 +342,7 @@ def test_cochain_budget_guard():
     from plocal import BudgetExceeded
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
-    F = classifying_cohomology_functor(G, 2, skel.p_cat, 0)
+    F = classifying_cohomology_functor(G, 2, skel.p_cat, 0, CohomologyCache(G, 2))
     with pytest.raises(BudgetExceeded):
         functor_cochain_complex(F, 3, budget=5)
 
@@ -411,7 +411,7 @@ def test_supported_functor_zero_off_support():
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
     k = next(i for i, R in enumerate(skel.p_reps) if R.order == 1)
-    F = supported_cohomology_functor(G, 2, skel.p_cat, [k], 0)
+    F = supported_cohomology_functor(G, 2, skel.p_cat, [k], 0, CohomologyCache(G, 2))
     for j, d in enumerate(F.dims):
         assert (d > 0) == (j == k)
 

@@ -113,7 +113,6 @@ class CohomologyCache:
 
 
 def classifying_cohomology_functor(
-    G: PermutationGroup,
     p: int,
     cat: FiniteCategory,
     i: int,
@@ -123,11 +122,10 @@ def classifying_cohomology_functor(
     action induced by conjugation by the canonical witness: the supported
     functor with every object in its support."""
     everywhere = list(range(cat.object_count))
-    return supported_cohomology_functor(G, p, cat, everywhere, i, cache)
+    return supported_cohomology_functor(p, cat, everywhere, i, cache)
 
 
 def supported_cohomology_functor(
-    G: PermutationGroup,
     p: int,
     cat: FiniteCategory,
     support: list[int],

@@ -2,13 +2,16 @@
 
 Sparse matrices are CSR (scipy) in canonical form with int64 entries reduced
 into 1..p-1.  Entries are reduced and zeros dropped before duplicates are
-summed and indices sorted, so a product that vanishes mod p, as every
-passing ∂² check's does, is never sorted.  Ranks come from an insertion
-echelon: each row is reduced against the pivots found so far, keyed by their
-leading (largest) column, and becomes a new pivot if anything is left.  Rows
-are big-integer bitmasks at p = 2 and {column: coefficient} dicts otherwise.
-All routines are deterministic: identical inputs give identical pivot
-choices and results.
+summed and indices sorted.  A product, as in every ∂² check, is taken over
+the integers on copies whose entries are lifted to symmetric residues (-1
+rather than p - 1) at p > 2, so the product of two nerve boundaries cancels
+before it is reduced.  Whatever is left is reduced mod p and tested, so the
+check stays exact, and a product that vanishes is never sorted.  Ranks come
+from an insertion echelon: each row is reduced against the pivots found so
+far, keyed by their leading (largest) column, and becomes a new pivot if
+anything is left.  Rows are big-integer bitmasks at p = 2 and {column:
+coefficient} dicts otherwise.  All routines are deterministic: identical
+inputs give identical pivot choices and results.
 
 Stored pivots are never changed, so the echelon after k rows does not
 depend on any row after them, and the bounded and seeded passes below keep
@@ -37,17 +40,22 @@ early span (50.8 s structural-first against 50.3 s on the sym:4, p = 3
 transporter-poset ∂_4).
 
 ``FpMatrix.rank`` keeps that echelon, unless it certifies the rank (below).  A
-matrix may declare that its last rows are ``[0 | block]`` for another matrix
-``block`` starting at a column offset; a mapping cone declares the target's
-boundary this way.  ``rank`` first checks that those rows really are
-``block``.  If ``block`` already holds its echelon, it then seeds its echelon
-with block's pivots shifted by the offset, and inserts only the leading rows.
-The shifted pivots are the ones inserting the tail rows first would store,
-reduced the same way, since the shift keeps the order of the columns.
-Otherwise it eliminates every row, as for any other matrix.  An echelon is
-reused only when it already exists: computing one for the block just to seed
-from it can cost far more than the whole matrix, because the leading rows
-often span most of it early.
+matrix may declare that below its stored rows come the rows ``[0 | block]``
+of another matrix ``block``, starting at a column offset; a mapping cone
+declares the target's boundary this way.  Those tail rows are referenced,
+never stored: ``csr`` holds the leading rows only, while ``shape`` and
+``nnz`` count the tail too.  So the tail is ``[0 | block]`` by
+construction, and a block whose prime or width does not fit raises when
+the matrix is built.  If ``block`` already holds its echelon, ``rank``
+seeds its echelon with block's pivots shifted by the offset, and inserts
+only the leading rows.  The shifted pivots are the ones inserting the tail
+rows first would store, reduced the same way, since the shift keeps the
+order of the columns.  Otherwise, unless the rank is certified, it stacks
+the leading rows over ``[0 | block]`` into one CSR and eliminates every
+row, as for any other matrix, in the same order and so with the same
+echelon.  An echelon is reused only when it already exists: computing one
+for the block just to seed from it can cost far more than the whole matrix,
+because the leading rows often span most of it early.
 
 ``rank`` may also be given an upper bound on the rank; it always caps at
 ``min(shape)`` too, and at 0 when the matrix has no entries.  Insertion stops
@@ -72,9 +80,11 @@ pairwise distinct leading columns, so they are linearly independent and the
 rank is at least the count.  When the count reaches the cap, the rank is
 the cap, exactly, because the cap bounds it from above: the rank is
 certified and no row is read.  The seeds are counted by the leads of the
-block's echelon; its pivots are shifted only when they are kept.  A
-certified matrix keeps no echelon, so a cone over it inserts every row
-unseeded, as over a block never ranked.
+block's echelon; its pivots are shifted only when they are kept.  Unseeded,
+the leading columns are those of the stored rows and then the block's,
+plus the offset, so no row is stacked to count them.  A certified matrix
+keeps no echelon, so a cone over it inserts every row unseeded, as over a
+block never ranked.
 The top boundaries of acyclic cones are certified this way: on the four
 boundaries of the sym:3 x cyc:3, p = 3 centric-restriction cone the counts
 1, 17, 289 and 4,913 equal their ∂² bounds, and no row of the 5,220 that
@@ -130,8 +140,10 @@ class FpMatrix:
     """A sparse matrix over F_p with row-major (CSR) storage.
 
     An int64 ``csr`` is taken over, not copied: it is reduced mod p in place.
-    ``tail`` optionally declares the last rows as ``[0 | block]``, given as
-    ``(block, column offset)``; see the module docstring.
+    ``tail`` optionally appends the rows ``[0 | block]`` below the rows of
+    ``csr``, given as ``(block, column offset)``.  They are referenced, not
+    stored: ``csr`` holds the leading rows only, and ``shape`` and ``nnz``
+    count both.  See the module docstring.
     """
 
     def __init__(self, csr: sparse.csr_matrix, prime: int,
@@ -145,19 +157,26 @@ class FpMatrix:
             csr.sum_duplicates()
             csr.data %= prime
             csr.eliminate_zeros()
+        if tail is not None:
+            block, offset = tail
+            if block.prime != prime or offset < 0 or csr.shape[1] != offset + block.shape[1]:
+                raise PLocalError("declared block does not fit the matrix")
         self.csr = csr
         self.tail = tail
         self.echelon: dict | None = None
         self._rank: int | None = None
-        self._tail_start: int | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.csr.shape
+        nrows, ncols = self.csr.shape
+        if self.tail is not None:
+            nrows += self.tail[0].shape[0]
+        return nrows, ncols
 
     @property
     def nnz(self) -> int:
-        return self.csr.nnz
+        # the entries held, not ``csr.nnz``: that reads the row pointer
+        return self.csr.data.size + (0 if self.tail is None else self.tail[0].nnz)
 
     def rank(self, bound: int | None = None) -> int:
         """The rank over F_p.  ``bound``, if given, must be an upper bound on
@@ -167,61 +186,94 @@ class FpMatrix:
         module docstring)."""
         if self._rank is None:
             cap = min(self.shape) if bound is None else min(bound, *self.shape)
-            if not self.csr.data.size:  # no entries (``__init__`` pruned them)
+            if not self.nnz:  # no entries (``__init__`` pruned them)
                 cap = 0  # rank 0, and no row is read
-            nrows, seeds, offset = self.shape[0], {}, 0
-            if self.tail is not None:
-                start = self._check_tail()
+            seeds, offset, stacked = {}, 0, self.tail is not None
+            if stacked and self.tail[0].echelon is not None:
                 block, offset = self.tail
-                if block.echelon is not None:
-                    nrows, seeds = start, block.echelon
+                seeds, stacked = block.echelon, False  # only the stored rows go in
+            leads = self._stacked_leads() if stacked else _leads(self.csr)
             if len(seeds) < cap:
-                structural = _structural_rows(self.csr, nrows, [c + offset for c in seeds])
+                structural = _structural_rows(leads, [c + offset for c in seeds], self.shape[1])
                 if len(seeds) + len(structural) >= cap:
                     self._rank = cap  # certified: no row read, no echelon kept
                     return cap
             # the seeds are shifted only now, when they are kept or eliminated against
             pivots = _shifted_echelon(seeds, offset, self.prime)
             if len(pivots) < cap:
+                # neither certified nor seeded: only now are the tail rows stacked
+                csr = self._stacked() if stacked else self.csr
                 if self.prime == 2:
-                    _insert_rows_gf2(self.csr, nrows, structural, pivots, cap)
+                    _insert_rows_gf2(csr, len(leads), structural, pivots, cap)
                 else:
-                    _insert_rows_modp(self.csr, range(nrows), self.prime, pivots, cap)
+                    _insert_rows_modp(csr, range(len(leads)), self.prime, pivots, cap)
             self.echelon = pivots
             self._rank = len(pivots)
         return self._rank
 
-    def _check_tail(self) -> int:
-        """The first row of the declared tail; raises unless the rows from
-        there on are exactly ``[0 | block]``.  Checked once per matrix."""
-        if self._tail_start is not None:
-            return self._tail_start
+    def _stacked_leads(self) -> np.ndarray:
+        """The leading column of every row, the tail's included, -1 for an
+        empty row."""
+        leads = _leads(self.csr)
+        if self.tail is None:
+            return leads
         block, offset = self.tail
-        a, b = self.csr, block.csr
-        start = a.shape[0] - b.shape[0]
-        if block.prime != self.prime or start < 0 or a.shape[1] != offset + b.shape[1]:
-            raise PLocalError("declared block does not fit the matrix")
-        lo = a.indptr[start]
-        if not (
-            np.array_equal(a.indptr[start:] - lo, b.indptr)
-            and np.array_equal(a.indices[lo:], b.indices + offset)
-            and np.array_equal(a.data[lo:], b.data)
-        ):
-            raise PLocalError("trailing rows differ from the declared block")
-        self._tail_start = start
-        return start
+        below = block._stacked_leads()
+        below[below >= 0] += offset
+        return np.concatenate([leads, below])
+
+    def _stacked(self) -> sparse.csr_matrix:
+        """Every row as one CSR: the stored rows over ``[0 | block]``."""
+        if self.tail is None:
+            return self.csr
+        block, offset = self.tail
+        head, below = self.csr, block._stacked()
+        return sparse.csr_matrix(
+            (
+                np.concatenate([head.data, below.data]),
+                np.concatenate([head.indices, below.indices + offset]),
+                np.concatenate([head.indptr, head.indptr[-1] + below.indptr[1:]]),
+            ),
+            shape=self.shape,
+        )
 
     def matmul(self, other: "FpMatrix") -> "FpMatrix":
-        prod = (self.csr @ other.csr).tocsr()
-        return FpMatrix(prod, self.prime)
+        """``self @ other`` over F_p; other's tail block is multiplied as it
+        stands, never stacked."""
+        return FpMatrix(_times(_lifted(self._stacked(), self.prime), other), self.prime)
 
     def is_zero(self) -> bool:
-        return self.csr.nnz == 0
+        return self.nnz == 0
 
     def equals(self, other: "FpMatrix") -> bool:
         if self.shape != other.shape or self.prime != other.prime:
             return False
-        return ((self.csr - other.csr).data % self.prime == 0).all()
+        return ((self._stacked() - other._stacked()).data % self.prime == 0).all()
+
+
+def _lifted(csr: sparse.csr_matrix, p: int) -> sparse.csr_matrix:
+    """``csr`` with its entries lifted to symmetric residues, -1 for p - 1:
+    a copy of the entries at p > 2, ``csr`` itself at p = 2."""
+    if p == 2:
+        return csr
+    data = csr.data.copy()
+    data[data > p // 2] -= p
+    return sparse.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
+
+
+def _times(a: sparse.csr_matrix, m: FpMatrix) -> sparse.csr_matrix:
+    """``a @ m`` over the integers, with m's entries lifted (``_lifted``).
+    A tail ``[0 | block]`` of m meets the columns of ``a`` past m's stored
+    rows, and their product lands ``offset`` columns to the right."""
+    b = _lifted(m.csr, m.prime)
+    if m.tail is None:
+        return a @ b
+    block, offset = m.tail
+    split = m.csr.shape[0]
+    low = _times(a[:, split:], block).tocsr()
+    low = sparse.csr_matrix((low.data, low.indices + offset, low.indptr),
+                            shape=(a.shape[0], m.shape[1]))
+    return a[:, :split] @ b + low
 
 
 def _shifted_echelon(pivots: dict, offset: int, p: int) -> dict:
@@ -233,17 +285,26 @@ def _shifted_echelon(pivots: dict, offset: int, p: int) -> dict:
     }
 
 
-def _structural_rows(csr: sparse.csr_matrix, nrows: int, seeded) -> np.ndarray:
-    """For each leading column not in ``seeded`` (the leads of the pivots),
-    the first of the first ``nrows`` rows leading there, in ascending order
-    of that column.  The rows have distinct leads, none a pivot's, so they
-    and the pivots are linearly independent."""
+def _leads(csr: sparse.csr_matrix) -> np.ndarray:
+    """The leading column of each row of ``csr``, -1 for an empty row."""
     indptr = np.asarray(csr.indptr)
-    ends = indptr[1:nrows + 1]
-    full = np.flatnonzero(ends > indptr[:nrows])
+    ends = indptr[1:]
+    full = ends > indptr[:-1]
+    leads = np.full(csr.shape[0], -1, dtype=np.int64)
     # canonical CSR: a row's last index is its leading column
-    cols, first = np.unique(csr.indices[ends[full] - 1], return_index=True)
-    led = np.zeros(csr.shape[1], dtype=bool)
+    leads[full] = csr.indices[ends[full] - 1]
+    return leads
+
+
+def _structural_rows(leads: np.ndarray, seeded, ncols: int) -> np.ndarray:
+    """For each leading column in ``leads`` (one per row, -1 for an empty
+    row) not in ``seeded`` (the leads of the pivots), the first row leading
+    there, in ascending order of that column.  The rows have distinct
+    leads, none a pivot's, so they and the pivots are linearly
+    independent."""
+    full = np.flatnonzero(leads >= 0)
+    cols, first = np.unique(leads[full], return_index=True)
+    led = np.zeros(ncols, dtype=bool)
     led[list(seeded)] = True
     return full[first[~led[cols]]]
 
@@ -253,8 +314,8 @@ def _insert_rows_gf2(csr: sparse.csr_matrix, nrows: int, structural: np.ndarray,
     """Insert the first ``nrows`` rows into a GF(2) echelon of bitmask rows,
     stopping once it holds ``cap`` pivots.
 
-    Structural phase: the rows ``structural`` (``_structural_rows`` of
-    ``nrows`` and ``pivots``) go in first, each a new pivot as it stands.
+    Structural phase: the rows ``structural`` (``_structural_rows`` of the
+    rows' leads and ``pivots``) go in first, each a new pivot as it stands.
     The remaining rows then go in their order, in blocks of growing size: a
     block's rows are tested by their syndromes (``_SpanTest``), and only
     the rows that add a pivot are reduced.  When the annihilator does not

@@ -57,23 +57,20 @@ class FpComplex:
     Construction raises ``PLocalError`` unless ∂_d ∂_{d-1} = 0 in every
     degree, which ``rank_boundary``'s bound relies on.
 
-    A boundary's declared tail ``[0 | block]`` is checked against its rows
-    here.  When ∂_{d-1}'s tail starts at the row ∂_d's tail block starts
-    at, the tail rows of ∂_d ∂_{d-1} are ``[0 | block_d block_{d-1}]``, so
-    only the leading rows are multiplied: consecutive tail blocks must be
-    consecutive boundaries of a complex that checked its own ∂² (a mapping
-    cone's target).
+    A boundary may reference a block as its tail ``[0 | block]`` (see
+    ``fplinalg``).  When ∂_{d-1}'s tail starts at the row ∂_d's tail block
+    starts at, the tail rows of ∂_d ∂_{d-1} are ``[0 | block_d block_{d-1}]``,
+    so only the leading rows of ∂_d are multiplied, and no tail is stacked:
+    consecutive tail blocks must be consecutive boundaries of a complex that
+    checked its own ∂² (a mapping cone's target).
     """
 
     def __init__(self, prime: int, dmax: int, dims: list[int],
                  boundaries: list[FpMatrix | None], chains: Chains | None = None):
-        for d in range(1, dmax + 1):
-            if boundaries[d].tail is not None:
-                boundaries[d]._check_tail()
         for d in range(2, dmax + 1):
             top, below = boundaries[d], boundaries[d - 1]
-            if top.tail and below.tail and top.tail[1] == below._check_tail():
-                top = FpMatrix(top.csr[:top._check_tail()], prime)
+            if top.tail and below.tail and top.tail[1] == below.csr.shape[0]:
+                top = FpMatrix(top.csr, prime)
             if not top.matmul(below).is_zero():
                 raise PLocalError(f"boundary squared is nonzero in degree {d}")
         self.prime = prime
@@ -151,10 +148,10 @@ def induced_chain_map(F: Functor, source_cx: FpComplex, target_cx: FpComplex) ->
     return ChainMap(source_cx.prime, source_cx, target_cx, mats)
 
 
-def _beside(left: sparse.csr_matrix, right: sparse.csr_matrix, offset: int):
-    """CSR arrays (indptr, indices, data) of ``[left | right]`` with right's
-    columns moved ``offset`` to the right: each row's left entries, then its
-    right entries, so canonical blocks give a canonical result."""
+def _beside(left: sparse.csr_matrix, right: sparse.csr_matrix, offset: int) -> sparse.csr_matrix:
+    """``[left | right]`` with right's columns moved ``offset`` to the right:
+    each row's left entries, then its right entries, so canonical blocks
+    give a canonical result."""
     indptr = left.indptr + right.indptr
     at_l = np.arange(left.nnz) + np.repeat(right.indptr[:-1], np.diff(left.indptr))
     at_r = np.arange(right.nnz) + np.repeat(left.indptr[1:], np.diff(right.indptr))
@@ -162,17 +159,17 @@ def _beside(left: sparse.csr_matrix, right: sparse.csr_matrix, offset: int):
     data = np.empty(len(indices), dtype=np.int64)
     indices[at_l], indices[at_r] = left.indices, right.indices + offset
     data[at_l], data[at_r] = left.data, right.data
-    return indptr, indices, data
+    return sparse.csr_matrix((data, indices, indptr), shape=(left.shape[0], offset + right.shape[1]))
 
 
 def mapping_cone(cm: ChainMap) -> FpComplex:
     """Algebraic mapping cone: cone_d = A_{d-1} (+) B_d with
     boundary (a, b) -> (-dA a, f(a) + dB b).
 
-    Each cone boundary is one concatenation of CSR arrays: the rows
-    ``[-dA_{d-1} | f_{d-1}]`` over ``[0 | dB_d]``.  It declares its B rows
-    as the block dB_d, so ranking it after B's own homology inserts only the
-    A rows into dB_d's echelon.
+    Each cone boundary stores only its source rows ``[-dA_{d-1} | f_{d-1}]``
+    and references the target's boundary dB_d as its tail ``[0 | dB_d]``,
+    which is never copied.  Ranking it after B's own homology inserts only
+    the A rows into dB_d's echelon.
 
     The cone's ∂² check is the chain map's commutation check: the rows
     ``[-dA_{d-1} | f_{d-1}]`` times the cone's ∂_{d-1} are
@@ -195,17 +192,8 @@ def mapping_cone(cm: ChainMap) -> FpComplex:
             left = -A.boundaries[d - 1].csr
         else:
             left = sparse.csr_matrix((A.dims[0], 0), dtype=np.int64)
-        top_ptr, top_idx, top_data = _beside(left, cm.mats[d - 1].csr, left_cols)
-        below = B.boundaries[d].csr
-        csr = sparse.csr_matrix(
-            (
-                np.concatenate([top_data, below.data]),
-                np.concatenate([top_idx, below.indices + left_cols]),
-                np.concatenate([top_ptr, top_ptr[-1] + below.indptr[1:]]),
-            ),
-            shape=(A.dims[d - 1] + B.dims[d], left_cols + B.dims[d - 1]),
-        )
-        boundaries[d] = FpMatrix(csr, p, tail=(B.boundaries[d], left_cols))
+        head = _beside(left, cm.mats[d - 1].csr, left_cols)
+        boundaries[d] = FpMatrix(head, p, tail=(B.boundaries[d], left_cols))
     return FpComplex(p, D, dims, boundaries)
 
 

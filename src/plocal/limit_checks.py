@@ -198,12 +198,12 @@ def punctured_class_vanishing(
     label = skel.p_reps[k].label()
     if skel.p_centric[k]:
         return VanishingVerdict(False, label, i)
-    F_full = supported_cohomology_functor(G, p, skel.p_cat, [k], i, cache)
+    F_full = supported_cohomology_functor(p, skel.p_cat, [k], i, cache)
     full = limits_profile(F_full, nmax, budget, cache.limits).dims
     om = skel.omega_object_of(Q)
     omega_dims = None
     if om is not None:
-        F_om = supported_cohomology_functor(G, p, skel.omega_cat, [om], i, cache)
+        F_om = supported_cohomology_functor(p, skel.omega_cat, [om], i, cache)
         omega_dims = limits_profile(F_om, nmax, budget, cache.limits).dims
     return VanishingVerdict(True, label, i, full, omega_dims)
 
@@ -239,7 +239,7 @@ def normalizer_reduction_check(
     cache = cache or CohomologyCache(G, p, budget)
     k = skel.p_object_of(Q)
     R = skel.p_reps[k]
-    F = supported_cohomology_functor(G, p, skel.p_cat, [k], i, cache)
+    F = supported_cohomology_functor(p, skel.p_cat, [k], i, cache)
     left = limits_profile(F, nmax, budget, cache.limits).dims
 
     kept = cache.quotients.get(R.ids)
@@ -310,7 +310,7 @@ def support_restriction_check(
             f"{skel.poset.members[outside].label()} lies above a supported member "
             f"but is outside the support"
         )
-    F = supported_cohomology_functor(G, p, skel.omega_cat, support, i, cache)
+    F = supported_cohomology_functor(p, skel.omega_cat, support, i, cache)
     ambient = limits_profile(F, nmax, budget, cache.limits).dims
     sub, incl = full_subcategory(skel.omega_cat, support)
     Fsub = F.restrict(sub, incl)
@@ -387,7 +387,7 @@ def class_filtration_check(
         key=lambda c: (-skel.omega_reps[c].order, skel.omega_reps[c].key),
     )
 
-    F_all = classifying_cohomology_functor(G, p, cat, i, cache)
+    F_all = classifying_cohomology_functor(p, cat, i, cache)
 
     def lim_on(objs: list[int], functor: LinearFunctor) -> list[int]:
         sub, incl = full_subcategory(cat, objs)
@@ -406,7 +406,7 @@ def class_filtration_check(
         new_sub = objs.index(new)
         F_full = F_all.restrict(sub, incl)
         F_zero = zeroed_at(F_full, [new_sub])
-        punct = supported_cohomology_functor(G, p, sub, [new_sub], i, cache)
+        punct = supported_cohomology_functor(p, sub, [new_sub], i, cache)
 
         natural = _natural_surjection_ok(F_full, new_sub)
         loops = sub.mor(new_sub, new_sub)

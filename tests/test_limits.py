@@ -107,7 +107,7 @@ def first_bad_pair(F):
 def test_validate_reports_the_first_bad_pair_in_store_order(spec, p, index):
     G = build_group(spec)
     C = build_orbit_skeletons(G, p).omega_cat
-    F = classifying_cohomology_functor(G, p, C, index, CohomologyCache(G, p))
+    F = classifying_cohomology_functor(p, C, index, CohomologyCache(G, p))
     assert first_bad_pair(F) is None
     F.validate()
     store = C.composite.copy()
@@ -169,7 +169,7 @@ def test_lim0_equals_compat_system_everywhere():
     skel = build_orbit_skeletons(G, 2)
     cache = CohomologyCache(G, 2)
     for i in range(3):
-        F = classifying_cohomology_functor(G, 2, skel.omega_cat, i, cache)
+        F = classifying_cohomology_functor(2, skel.omega_cat, i, cache)
         cx = functor_cochain_complex(F, 3)
         assert cx.homology().dims[0] == inverse_limit_dim(F)
 
@@ -198,7 +198,7 @@ def test_cohomology_basis_z3():
 def test_cohomology_functor_inner_action_trivial():
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
-    F = classifying_cohomology_functor(G, 2, skel.p_cat, 1, CohomologyCache(G, 2))
+    F = classifying_cohomology_functor(2, skel.p_cat, 1, CohomologyCache(G, 2))
     k = next(i for i, R in enumerate(skel.p_reps) if R.order == 2)
     assert F.dims[k] == 1
     for tid in skel.p_cat.mor(k, k):
@@ -208,7 +208,7 @@ def test_cohomology_functor_inner_action_trivial():
 def test_cohomology_functor_index_zero_constant():
     G = build_group("sym:4")
     skel = build_orbit_skeletons(G, 2)
-    F = classifying_cohomology_functor(G, 2, skel.omega_cat, 0, CohomologyCache(G, 2))
+    F = classifying_cohomology_functor(2, skel.omega_cat, 0, CohomologyCache(G, 2))
     assert all(d == 1 for d in F.dims)
     for tid in range(skel.omega_cat.morphism_count):
         assert np.array_equal(token_matrix(F, tid) % 2, np.eye(1, dtype=np.int64))
@@ -342,7 +342,7 @@ def test_cochain_budget_guard():
     from plocal import BudgetExceeded
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
-    F = classifying_cohomology_functor(G, 2, skel.p_cat, 0, CohomologyCache(G, 2))
+    F = classifying_cohomology_functor(2, skel.p_cat, 0, CohomologyCache(G, 2))
     with pytest.raises(BudgetExceeded):
         functor_cochain_complex(F, 3, budget=5)
 
@@ -411,7 +411,7 @@ def test_supported_functor_zero_off_support():
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
     k = next(i for i, R in enumerate(skel.p_reps) if R.order == 1)
-    F = supported_cohomology_functor(G, 2, skel.p_cat, [k], 0, CohomologyCache(G, 2))
+    F = supported_cohomology_functor(2, skel.p_cat, [k], 0, CohomologyCache(G, 2))
     for j, d in enumerate(F.dims):
         assert (d > 0) == (j == k)
 
@@ -439,7 +439,7 @@ def count_computations(monkeypatch) -> list:
 def cohomology_functor(spec="sym:4", p=2, index=1):
     G = build_group(spec)
     C = build_orbit_skeletons(G, p).omega_cat
-    return classifying_cohomology_functor(G, p, C, index, CohomologyCache(G, p))
+    return classifying_cohomology_functor(p, C, index, CohomologyCache(G, p))
 
 
 def test_content_equal_functors_share_one_computation(monkeypatch):
@@ -527,7 +527,7 @@ def test_an_object_without_an_identity_token_fails_cleanly():
 def test_an_identity_token_that_is_not_a_loop_is_rejected():
     G = build_group("sym:4")
     C = build_orbit_skeletons(G, 2).p_cat
-    F = classifying_cohomology_functor(G, 2, C, 1, CohomologyCache(G, 2))
+    F = classifying_cohomology_functor(2, C, 1, CohomologyCache(G, 2))
     t = next(t for t in range(C.morphism_count)
              if 0 < F.dims[C.src[t]] != F.dims[C.tgt[t]])
     C.identity_ids[C.src[t]] = t
@@ -559,10 +559,10 @@ def test_functor_store_matches_the_per_token_reference(spec, p, monkeypatch):
         everywhere = list(range(cat.object_count))
         for i in range(3):
             dims, mats = supported_mats(cat, everywhere, i, cache)
-            F = classifying_cohomology_functor(G, p, cat, i, cache)
+            F = classifying_cohomology_functor(p, cat, i, cache)
             assert_store_matches(F, dims, mats)
             for k in everywhere:
-                assert_store_matches(supported_cohomology_functor(G, p, cat, [k], i, cache),
+                assert_store_matches(supported_cohomology_functor(p, cat, [k], i, cache),
                                      *supported_mats(cat, [k], i, cache))
                 assert_store_matches(zeroed_at(F, [k]), *zeroed_mats(cat, dims, mats, [k]))
                 for keep in ([k], everywhere[k:]):

@@ -157,17 +157,33 @@ def _fp_matrix(rows, cols, vals, shape, prime: int) -> FpMatrix:
 
 def nerve_boundaries(chains: Chains, prime: int) -> list[FpMatrix | None]:
     """``[None, ∂_1, ..., ∂_dmax]``: row i of ∂_d is the boundary of chain i,
-    written as CSR straight from the face table, +-1 per face."""
+    written as CSR straight from the face table."""
     out: list[FpMatrix | None] = [None]
     for d, table in enumerate(chains.faces(), start=1):
         live = table >= 0
-        signs = np.resize(np.array([1, -1], dtype=np.int64), d + 1)
-        csr = sparse.csr_matrix(
-            (np.broadcast_to(signs, table.shape)[live], table[live], _offsets(live.sum(axis=1))),
-            shape=(chains.dims[d], chains.dims[d - 1]),
-        )
+        indptr = np.zeros(len(table) + 1, dtype=np.int64)
+        for i in range(d + 1):
+            indptr[1:] += live[:, i]
+        np.cumsum(indptr, out=indptr)
+        csr = sparse.csr_matrix((_face_signs(live, indptr, prime), table[live], indptr),
+                                shape=(chains.dims[d], chains.dims[d - 1]))
         out.append(FpMatrix(csr, prime))
     return out
+
+
+def _face_signs(live: np.ndarray, indptr: np.ndarray, prime: int) -> np.ndarray:
+    """The entry of each live face, row by row: (-1)^i at the face that
+    drops vertex i, which is 1 at p = 2.  Its per-row positions are freed
+    on return, before the caller gathers the indices, so they add nothing
+    to the peak."""
+    data = np.ones(int(indptr[-1]), dtype=np.int64)
+    if prime > 2:
+        at = indptr[:-1].copy()  # where each row's next entry goes
+        for i in range(1, live.shape[1]):
+            at += live[:, i - 1]
+            if i % 2:
+                data[at[live[:, i]]] = -1
+    return data
 
 
 def cochain_differentials(chains: Chains, dims: list[int], entries: np.ndarray,
@@ -202,7 +218,7 @@ def cochain_differentials(chains: Chains, dims: list[int], entries: np.ndarray,
             sel = np.flatnonzero(at >= 0)
             rows.append(sel)
             cols.append(col_off[at[sel]] + local[sel])
-            vals.append(np.full(len(sel), (-1) ** i, dtype=np.int64))
+            vals.append(np.full(len(sel), (-1) ** i if prime > 2 else 1, dtype=np.int64))
         shape = (int(row_off[-1]), int(col_off[-1]))
         diffs.append(_fp_matrix(rows, cols, vals, shape, prime))
     return [int(o[-1]) for o in cochain_off], diffs

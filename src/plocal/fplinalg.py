@@ -1,12 +1,15 @@
 """Exact sparse and dense linear algebra over the field with p elements.
 
-Sparse matrices are CSR (scipy) in canonical form with int64 entries reduced
-into 1..p-1.  Entries are reduced and zeros dropped before duplicates are
-summed and indices sorted.  A product, as in every ∂² check, is taken over
-the integers on copies whose entries are lifted to symmetric residues (-1
-rather than p - 1) at p > 2, so the product of two nerve boundaries cancels
-before it is reduced.  Whatever is left is reduced mod p and tested, so the
-check stays exact, and a product that vanishes is never sorted.  Ranks come
+Sparse matrices are CSR (scipy) in canonical form with int64 entries stored
+as symmetric residues, -(p-1)//2 .. p//2: 1 at p = 2, -1 and 1 at p = 3,
+-2 .. 2 at p = 5.  Each residue class has exactly one such representative,
+so the form is unique.  Entries are reduced and zeros dropped before duplicates are summed
+and indices sorted; entries already in range are not written, so the +-1
+of a nerve boundary are kept as they are.  A product, as in every ∂² check,
+is taken over the integers on the stored entries, with no copy, so the
+product of two nerve boundaries cancels before it is reduced.  Whatever is
+left is reduced and tested, so the check stays exact, and a product that
+vanishes is never sorted.  Ranks come
 from an insertion echelon: each row is reduced against the pivots found so
 far, keyed by their leading (largest) column, and becomes a new pivot if
 anything is left.  Rows are big-integer bitmasks at p = 2 and {column:
@@ -28,11 +31,12 @@ At p = 2 rows go in in two phases (the structural pivots of Faugère and
 Lachartre, PASCO 2010, and of Bouillaguet, Delaplace and Voge, ISSAC 2017).
 The structural phase comes first.  For each leading column c that no seed
 leads, it inserts the first row whose leading column is c, in ascending order
-of c.  One ``np.unique`` over the rows' last CSR indices finds these rows.
-When such a row goes in, every stored pivot leads at a seed or at a smaller
-column, so its own lead is no pivot column.  It becomes a pivot as it stands,
-with no reduction at all.  The other rows then go in in row order.  Rows with
-distinct leads are independent, so the echelon's span is large from the start.
+of c.  One ``np.minimum.at`` over the rows' last CSR indices finds these
+rows, with no sort.  When such a row goes in, every stored pivot leads at a
+seed or at a smaller column, so its own lead is no pivot column.  It
+becomes a pivot as it stands, with no reduction at all.  The other rows
+then go in in row order.  Rows with distinct leads are independent, so the
+echelon's span is large from the start.
 On the three degree-3 boundaries below, 493 of 505, 1,219 of 1,244 and 1,479
 of 1,538 pivots are structural.  Over F_p with p > 2 rows go in in row order:
 the order alone gained nothing there, since no span filter profits from the
@@ -74,8 +78,8 @@ finds the last pivot.
 
 Often no row need be read at all.  Before inserting any, ``rank`` counts
 its seeds plus the distinct leading columns, among the rows it would
-insert, that no seed leads, with the one ``np.unique`` that also finds the
-structural rows at p = 2.  The seeds and one row per such column have
+insert, that no seed leads, with the one ``np.minimum.at`` that also finds
+the structural rows at p = 2.  The seeds and one row per such column have
 pairwise distinct leading columns, so they are linearly independent and the
 rank is at least the count.  When the count reaches the cap, the rank is
 the cap, exactly, because the cap bounds it from above: the rank is
@@ -139,7 +143,8 @@ from .errors import PLocalError
 class FpMatrix:
     """A sparse matrix over F_p with row-major (CSR) storage.
 
-    An int64 ``csr`` is taken over, not copied: it is reduced mod p in place.
+    An int64 ``csr`` is taken over, not copied: its entries are mapped to
+    symmetric residues in place, and left untouched when they already are.
     ``tail`` optionally appends the rows ``[0 | block]`` below the rows of
     ``csr``, given as ``(block, column offset)``.  They are referenced, not
     stored: ``csr`` holds the leading rows only, and ``shape`` and ``nnz``
@@ -151,12 +156,10 @@ class FpMatrix:
         self.prime = prime
         csr = sparse.csr_matrix(csr, dtype=np.int64)
         # reduce before sorting: a product that vanishes mod p is never sorted
-        csr.data %= prime
-        csr.eliminate_zeros()
+        _symmetric(csr, prime)
         if not csr.has_canonical_format:
             csr.sum_duplicates()
-            csr.data %= prime
-            csr.eliminate_zeros()
+            _symmetric(csr, prime)
         if tail is not None:
             block, offset = tail
             if block.prime != prime or offset < 0 or csr.shape[1] != offset + block.shape[1]:
@@ -240,7 +243,7 @@ class FpMatrix:
     def matmul(self, other: "FpMatrix") -> "FpMatrix":
         """``self @ other`` over F_p; other's tail block is multiplied as it
         stands, never stacked."""
-        return FpMatrix(_times(_lifted(self._stacked(), self.prime), other), self.prime)
+        return FpMatrix(_times(self._stacked(), other), self.prime)
 
     def is_zero(self) -> bool:
         return self.nnz == 0
@@ -251,29 +254,37 @@ class FpMatrix:
         return ((self._stacked() - other._stacked()).data % self.prime == 0).all()
 
 
-def _lifted(csr: sparse.csr_matrix, p: int) -> sparse.csr_matrix:
-    """``csr`` with its entries lifted to symmetric residues, -1 for p - 1:
-    a copy of the entries at p > 2, ``csr`` itself at p = 2."""
-    if p == 2:
-        return csr
-    data = csr.data.copy()
-    data[data > p // 2] -= p
-    return sparse.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
-
-
 def _times(a: sparse.csr_matrix, m: FpMatrix) -> sparse.csr_matrix:
-    """``a @ m`` over the integers, with m's entries lifted (``_lifted``).
-    A tail ``[0 | block]`` of m meets the columns of ``a`` past m's stored
-    rows, and their product lands ``offset`` columns to the right."""
-    b = _lifted(m.csr, m.prime)
+    """``a @ m`` over the integers, on the stored residues.  A tail
+    ``[0 | block]`` of m meets the columns of ``a`` past m's stored rows,
+    and their product lands ``offset`` columns to the right."""
     if m.tail is None:
-        return a @ b
+        return a @ m.csr
     block, offset = m.tail
     split = m.csr.shape[0]
     low = _times(a[:, split:], block).tocsr()
     low = sparse.csr_matrix((low.data, low.indices + offset, low.indptr),
                             shape=(a.shape[0], m.shape[1]))
-    return a[:, :split] @ b + low
+    return a[:, :split] @ m.csr + low
+
+
+def _symmetric(csr: sparse.csr_matrix, p: int) -> None:
+    """Map the entries of ``csr`` in place to symmetric residues,
+    -(p-1)//2 .. p//2, and drop the zeros.  Entries already in that range
+    are not written, and the zeros are dropped only when there is one."""
+    data = csr.data
+    if not data.size:
+        return
+    half = (p - 1) // 2
+    if data.min() < -half or data.max() > p // 2:
+        if p == 2:
+            data &= 1  # two's complement: x & 1 is x mod 2, negatives included
+        else:
+            data += half
+            data %= p
+            data -= half
+    if not data.all():
+        csr.eliminate_zeros()
 
 
 def _shifted_echelon(pivots: dict, offset: int, p: int) -> dict:
@@ -299,14 +310,15 @@ def _leads(csr: sparse.csr_matrix) -> np.ndarray:
 def _structural_rows(leads: np.ndarray, seeded, ncols: int) -> np.ndarray:
     """For each leading column in ``leads`` (one per row, -1 for an empty
     row) not in ``seeded`` (the leads of the pivots), the first row leading
-    there, in ascending order of that column.  The rows have distinct
-    leads, none a pivot's, so they and the pivots are linearly
-    independent."""
-    full = np.flatnonzero(leads >= 0)
-    cols, first = np.unique(leads[full], return_index=True)
-    led = np.zeros(ncols, dtype=bool)
-    led[list(seeded)] = True
-    return full[first[~led[cols]]]
+    there, in ascending order of that column: one ``np.minimum.at`` into a
+    row per column, with no sort.  The rows have distinct leads, none a
+    pivot's, so they and the pivots are linearly independent."""
+    n = len(leads)
+    first = np.full(ncols, n, dtype=np.int64)  # n: no row leads there
+    rows = np.flatnonzero(leads >= 0)
+    np.minimum.at(first, leads[rows], rows)
+    first[list(seeded)] = n
+    return first[first < n]
 
 
 def _insert_rows_gf2(csr: sparse.csr_matrix, nrows: int, structural: np.ndarray,

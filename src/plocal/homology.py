@@ -189,7 +189,9 @@ def mapping_cone(cm: ChainMap) -> FpComplex:
     for d in range(1, D + 1):
         left_cols = A.dims[d - 2] if d >= 2 else 0
         if d >= 2:
-            left = -A.boundaries[d - 1].csr
+            left = A.boundaries[d - 1].csr
+            if p > 2:  # -1 = 1 at p = 2
+                left = -left
         else:
             left = sparse.csr_matrix((A.dims[0], 0), dtype=np.int64)
         head = _beside(left, cm.mats[d - 1].csr, left_cols)

@@ -3,11 +3,20 @@
 Each ranks a whole CSR matrix over F_p by plain insertion, in row order:
 no bound, no seeding, no tail reduction and no span filter,
 and it keeps no echelon.  The tests check the engine's ranks against them.
+``symmetric`` gives the form in which ``FpMatrix`` stores its entries.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from scipy import sparse
+
+
+def symmetric(a, p: int) -> np.ndarray:
+    """The entries of ``a`` as symmetric residues mod p, in
+    -(p-1)//2 .. p//2: reduced into 0..p-1, then those above p/2 less p."""
+    r = np.asarray(a, dtype=np.int64) % p
+    return np.where(r > p // 2, r - p, r)
 
 
 def _rank_csr_gf2(csr: sparse.csr_matrix) -> int:

@@ -1,21 +1,26 @@
 """Faults injected into one run artifact stay in the stage that reads it.
 
-Each test corrupts one entry of a matrix that a ∂² check reads: a chain
-map's, which only its mapping cone checks, or a nerve boundary's at p = 3,
-which ``FpComplex`` checks through a product of lifted entries.  The run
-must still return a report, each stage reading the artifact must read
-``fail`` with a note naming the nonzero boundary square, and every other
-verdict must be the one a clean run gives.
+Each test corrupts one entry of a matrix that a check reads: a chain
+map's, which only its mapping cone's ∂² check reads; a nerve boundary's at
+p = 3, which ``FpComplex`` checks through a product of the stored entries,
+-1 and 1; or a coefficient functor's, which the exhaustive functoriality
+check before its limits reads.  The run must still return a report, each
+stage reading the artifact must read ``fail`` with a note naming the
+broken invariant, and every other verdict must be the one a clean run
+gives.
 """
 
+import numpy as np
 import pytest
 
-from plocal import PipelineConfig, homology, pipeline
+from plocal import PipelineConfig, homology, limit_checks, pipeline
 from plocal.catalog import build_group
 from plocal.pipeline import STAGES, PipelineRun
 
 HOMOLOGY_CHECKS = ("quotient", "nerve-vs-group", "centric-restriction", "centric-agreement",
                    "linking-vs-transporter", "main")
+LIMIT_CHECKS = ("punctured", "normalizer-reduction", "atomic-vanishing", "restriction",
+                "filtration")
 
 
 def homology_run(spec: str, p: int) -> PipelineRun:
@@ -65,10 +70,10 @@ def test_a_corrupted_chain_map_entry_fails_only_its_cone(monkeypatch, spec, p):
 
 def test_a_corrupted_nerve_boundary_entry_fails_only_its_readers(monkeypatch):
     """One entry of ∂_2 of BG's bar complex at p = 3, which nerve-vs-group
-    and main read, takes the other nonzero value.  The nerve's ∂² check
-    multiplies the boundaries with entries lifted to -1 and 1, and the
-    product it reduces mod 3 is no longer zero.  A nerve that fails to
-    build is not kept, so each reader builds, and checks, it again."""
+    and main read, takes the other nonzero value: its negative.  The
+    nerve's ∂² check multiplies the stored boundaries, and the product it
+    reduces mod 3 is no longer zero.  A nerve that fails to build is not
+    kept, so each reader builds, and checks, it again."""
     clean = homology_run("sym:3 x cyc:3", 3).run()
     run = homology_run("sym:3 x cyc:3", 3)
     real = homology.nerve_boundaries
@@ -78,7 +83,8 @@ def test_a_corrupted_nerve_boundary_entry_fails_only_its_readers(monkeypatch):
         out = real(chains, prime)
         if chains.category is run.group_category:
             data = out[2].csr.data
-            data[0] = data[0] % 2 + 1
+            assert data[0] in (-1, 1)
+            data[0] = -data[0]
             corrupted.append(chains.category)
         return out
 
@@ -86,3 +92,40 @@ def test_a_corrupted_nerve_boundary_entry_fails_only_its_readers(monkeypatch):
     report = run.run()
     assert len(corrupted) == 2
     assert_only_stages_fail(report, clean, ("nerve-vs-group", "main"))
+
+
+def test_a_corrupted_coefficient_functor_entry_fails_only_its_stage(monkeypatch):
+    """One entry of the matrix of a non-identity automorphism in the functor
+    P -> H^i(B P; F_2) on the poset skeleton, which only the filtration
+    check reads, is flipped.  The exhaustive functoriality check before its
+    limits rejects it: the stage reads ``fail`` with a note naming the
+    failing composition, and every other limit verdict is a clean run's."""
+    def limits_run():
+        return PipelineRun(build_group("sym:3 x cyc:3"), PipelineConfig(
+            prime=2, max_degree=3, max_limit_degree=3, checks=LIMIT_CHECKS,
+            include_timings=False), "sym:3 x cyc:3")
+
+    clean = limits_run().run()
+    real = limit_checks.classifying_cohomology_functor
+    corrupted = []
+
+    def corrupt(p, cat, i, cache):
+        F = real(p, cat, i, cache)
+        sizes = np.diff(F.offsets)
+        loops = np.flatnonzero((cat.src == cat.tgt) & ~cat.is_id & (sizes > 0))
+        if not corrupted and len(loops):
+            k = F.offsets[loops[0]]
+            F.entries[k] = (F.entries[k] + 1) % p
+            corrupted.append((i, int(loops[0])))
+        return F
+
+    monkeypatch.setattr(limit_checks, "classifying_cohomology_functor", corrupt)
+    report = limits_run().run()
+    assert len(corrupted) == 1
+    key = "class_filtration_limits"
+    notes = [n for n in report.data["notes"] if n.startswith("filtration: ")]
+    assert report.verdicts[key] == "fail" and clean.verdicts[key] == "pass"
+    assert len(notes) == 1 and "composition fails at tokens" in notes[0], notes
+    assert report.data["notes"] == notes and not clean.data["notes"]
+    assert {k: v for k, v in report.verdicts.items() if k != key} == \
+        {k: v for k, v in clean.verdicts.items() if k != key}

@@ -21,14 +21,14 @@ tails, so they stay an independent check of the ranks.
 A rank is certified, with no row read and no echelon kept, when the seeds
 and the distinct leading columns that no seed leads number at least the cap.
 ``certificate`` recounts them by a scan of each row, independently of the
-engine's ``np.unique``.  Every matrix ranked here must be certified exactly
+engine's ``np.minimum.at``.  Every matrix ranked here must be certified exactly
 when that count reaches its cap, and otherwise keep the echelon a full pass
 keeps.
 
 At p = 2 the engine first inserts its structural rows (the first row with
 each leading column that no seed leads, in ascending order of that column),
 then the others in row order.  ``structural_first`` finds that order by a
-scan of each row, independently of the engine's ``np.unique``.  After the
+scan of each row, independently of the engine's ``np.minimum.at``.  After the
 structural rows, the engine reads only the rows that add a pivot: it skips
 each row that lies in the span of its echelon and of the rows before it.
 Its echelon must equal, key for key and in insertion order, the one a plain
@@ -60,7 +60,7 @@ from plocal import (
     run_pipeline,
     sylow_subgroup,
 )
-from plocal import fplinalg, limits
+from plocal import fplinalg, homology, limits
 from plocal.catalog import build_group
 from plocal.categories import group_category
 from plocal.cohomology import CohomologyCache
@@ -75,7 +75,7 @@ from plocal.fplinalg import (
     _structural_rows,
 )
 from reference_chains import constant_functor
-from reference_fplinalg import _rank_csr_gf2, _rank_csr_modp
+from reference_fplinalg import _rank_csr_gf2, _rank_csr_modp, symmetric
 from reference_omega import centric_subgroups
 
 DENSE_ORACLE_MAX_ENTRIES = 2_000_000
@@ -1231,10 +1231,11 @@ def test_a_matrix_with_no_entries_has_rank_0_and_reads_no_row(monkeypatch, p, sh
 
 def sum_first(csr, p: int) -> sparse.csr_matrix:
     """Canonical form the way ``FpMatrix`` once built it: duplicates summed
-    over the integers, then reduced mod p and zeros dropped."""
+    over the integers, then reduced to symmetric residues and zeros
+    dropped."""
     csr = sparse.csr_matrix(csr, dtype=np.int64, copy=True)
     csr.sum_duplicates()
-    csr.data %= p
+    csr.data = symmetric(csr.data, p)
     csr.eliminate_zeros()
     return csr
 
@@ -1262,7 +1263,7 @@ def test_construction_reduces_before_summing_as_summing_first_does(p):
         assert got.has_canonical_format
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert FpMatrix(raw.copy(), p).csr.toarray().tolist() == (raw.toarray() % p).tolist()
+    assert FpMatrix(raw.copy(), p).csr.toarray().tolist() == symmetric(raw.toarray(), p).tolist()
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -1282,20 +1283,163 @@ def test_square_check_rejects_a_boundary_that_squares_to_nonzero_mod_p(p):
 
 
 def test_products_of_lifted_nerve_boundaries_cancel_over_the_integers():
-    """The ∂² check at p = 3 multiplies copies with entries lifted to -1
-    and 1: on the bar complex of sym:3 x cyc:3, ∂_4 ∂_3 keeps 28 integer
-    entries of the 778,764 the stored residues give, all 0 mod 3, and
-    the stored boundaries keep their residues."""
+    """The ∂² check at p = 3 multiplies the stored boundaries, whose entries
+    are -1 and 1, with no copy: on the bar complex of sym:3 x cyc:3,
+    ∂_4 ∂_3 keeps 28 integer entries, all 0 mod 3, where residues in 1..2
+    would give 778,764, and the stored boundaries are not written."""
     G = build_group("sym:3 x cyc:3")
     cx = nerve_complex(group_category(G, G.full_subgroup()), 3, 4)
     top, below = cx.boundaries[4], cx.boundaries[3]
     stored = [m.csr.data.copy() for m in (top, below)]
-    residues = top.csr @ below.csr
+    residues = (top.csr @ below.csr).tocsr()
+    residues.data %= 3
     residues.eliminate_zeros()
-    lifted = fplinalg._times(fplinalg._lifted(top.csr, 3), below)
-    lifted.eliminate_zeros()
-    assert (residues.nnz, lifted.nnz) == (778_764, 28)
-    assert not (lifted.data % 3).any()
+    unsigned = [sparse.csr_matrix((m.csr.data % 3, m.csr.indices, m.csr.indptr), shape=m.shape)
+                for m in (top, below)]
+    raw = unsigned[0] @ unsigned[1]
+    raw.eliminate_zeros()
+    product = fplinalg._times(top.csr, below)
+    product.eliminate_zeros()
+    assert (raw.nnz, product.nnz, residues.nnz) == (778_764, 28, 0)
+    assert not (product.data % 3).any()
     assert top.matmul(below).is_zero()
     for m, data in zip((top, below), stored):
-        assert np.array_equal(m.csr.data, data) and set(data.tolist()) == {1, 2}
+        assert np.array_equal(m.csr.data, data) and set(data.tolist()) == {-1, 1}
+
+
+def noisy_csr(rng, canonical: sparse.csr_matrix, p: int, noise: int) -> sparse.csr_matrix:
+    """A raw int64 CSR equal to ``canonical`` mod p, in rows unchanged: its
+    entries moved by random multiples of p up to about 2^40, and ``noise``
+    more entries of each kind that change nothing mod p: explicit zeros,
+    multiples of p, and pairs of duplicates that cancel mod p only once
+    summed.  Each row's indices come in random order."""
+    nrows, ncols = canonical.shape
+    coo = canonical.tocoo()
+    big = 1 << 40
+    lift = rng.integers(-big // p, big // p, coo.nnz) * p
+    r = rng.integers(0, nrows, noise)
+    c = rng.integers(0, ncols, noise)
+    x = rng.integers(-big, big, noise)
+    x[x % p == 0] += 1  # a pair that cancels only once summed
+    rows = np.concatenate([coo.row, r, r, r, r])
+    cols = np.concatenate([coo.col, c, c, rng.integers(0, ncols, noise), rng.integers(0, ncols, noise)])
+    vals = np.concatenate([coo.data + lift, x, p * rng.integers(-3, 3, noise) - x,
+                           np.zeros(noise, np.int64), p * rng.integers(-big // p, big // p, noise)])
+    order = np.lexsort((rng.random(len(rows)), rows))  # by row, indices shuffled
+    indptr = np.zeros(nrows + 1, np.int64)
+    np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
+    return sparse.csr_matrix((vals[order], cols[order], indptr), shape=(nrows, ncols))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_symmetric_residues_at_size(p):
+    """More than 10^5 raw int64 entries, up to about 2^40 in size: negatives,
+    explicit zeros, multiples of p, unsorted indices and duplicates that
+    cancel.  The stored CSR equals, array for array, scipy's sum of the
+    duplicates taken mod p and lifted to symmetric residues.  Built again
+    from that canonical CSR, whose entries are made read-only, the matrix
+    keeps the same buffer and writes nothing into it.  Its rank equals the
+    references' and the dense oracle's."""
+    rng = np.random.default_rng(p)
+    ncols = 800
+    rows = np.repeat(np.arange(500), 6)
+    free = sparse.csr_matrix((rng.integers(1, p, len(rows)), (rows, rng.integers(0, ncols, len(rows)))),
+                             shape=(500, ncols), dtype=np.int64)
+    base = sparse.vstack([free, free[:100] + (p - 1) * free[100:200]]).tocsr()  # 100 dependent rows
+    nrows = base.shape[0]
+    raw = noisy_csr(rng, base, p, 25_000)
+    assert raw.nnz > 100_000 and not raw.has_canonical_format and (raw.data < 0).any()
+
+    want = sparse.csr_matrix(raw, copy=True)
+    want.sum_duplicates()
+    want.data = symmetric(want.data, p)
+    want.eliminate_zeros()
+    m = FpMatrix(raw.copy(), p)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(m.csr, name), getattr(want, name)), name
+    assert m.csr.has_canonical_format
+    assert np.array_equal(m.csr.toarray(), symmetric(base.toarray(), p))
+
+    data = want.data.copy()
+    data.flags.writeable = False
+    given = sparse.csr_matrix((data, want.indices, want.indptr), shape=want.shape)
+    again = FpMatrix(given, p)
+    assert again.csr.data is data or again.csr.data.base is data
+    assert np.array_equal(again.csr.data, want.data)
+
+    rank = m.rank()
+    ref = _rank_csr_gf2(want) if p == 2 else _rank_csr_modp(want, p)
+    assert rank == ref == oracle.dense_rank_modp(raw.toarray(), p)
+    assert 0 < rank <= nrows - 100
+
+
+def structural_rows_by_sort(leads: np.ndarray, seeded, ncols: int) -> np.ndarray:
+    """``_structural_rows`` as it was once written, with a sort: the first
+    row per lead by ``np.unique``, the seeded leads dropped."""
+    full = np.flatnonzero(leads >= 0)
+    cols, first = np.unique(leads[full], return_index=True)
+    led = np.zeros(ncols, dtype=bool)
+    led[list(seeded)] = True
+    return full[first[~led[cols]]]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_structural_rows_match_the_sorted_first_rows(seed):
+    """The first row per leading column, found with no sort, equals the one
+    ``np.unique`` finds, on 2 * 10^5 random leads with empty rows and with
+    seeded leads, some of which no row has."""
+    rng = np.random.default_rng(seed)
+    ncols = 50_000
+    leads = rng.integers(-1, ncols, 200_000)
+    leads[rng.random(len(leads)) < 0.2] = -1
+    for seeded in ([], rng.choice(ncols, 10_000, replace=False).tolist(), list(range(ncols))):
+        got = _structural_rows(leads, seeded, ncols)
+        want = structural_rows_by_sort(leads, seeded, ncols)
+        assert np.array_equal(got, want)
+        assert (np.diff(leads[got]) > 0).all()
+    assert len(_structural_rows(np.full(5, -1), [], 3)) == 0
+
+
+def assert_symmetric_canonical(csr: sparse.csr_matrix, p: int) -> None:
+    """Columns strictly ascending within each row, and every entry a nonzero
+    symmetric residue, in -(p-1)//2 .. p//2: checked on the arrays."""
+    indptr, indices, data = np.asarray(csr.indptr), csr.indices, csr.data
+    row = np.repeat(np.arange(csr.shape[0]), np.diff(indptr))
+    assert (np.diff(indices)[row[1:] == row[:-1]] > 0).all()
+    assert data.all()
+    if data.size:
+        assert data.min() >= -((p - 1) // 2) and data.max() <= p // 2
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_catalog_matrices_store_symmetric_residues(monkeypatch, p):
+    """Every matrix the catalog runs build, with the settings of the
+    determinism criterion (nerve boundaries, chain maps, mapping cones,
+    functor cochain differentials, lim^0 systems and the ∂² products),
+    stores canonical symmetric residues and nothing else."""
+    real_init = FpMatrix.__init__
+    built = {"nerve": 0, "cone": 0, "cochain": 0, "all": 0}
+
+    def checked_init(self, csr, prime, tail=None):
+        real_init(self, csr, prime, tail)
+        assert_symmetric_canonical(self.csr, prime)
+        built["all"] += 1
+
+    def counting(module, name, kind, of):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            built[kind] += sum(m is not None for m in of(out))
+            return out
+        monkeypatch.setattr(module, name, wrapper)
+
+    monkeypatch.setattr(FpMatrix, "__init__", checked_init)
+    counting(homology, "nerve_boundaries", "nerve", lambda out: out)
+    counting(homology, "mapping_cone", "cone", lambda out: out.boundaries)
+    counting(limits, "cochain_differentials", "cochain", lambda out: out[1])
+    for spec in CATALOG:
+        rep = run_pipeline(spec, PipelineConfig(prime=p, max_degree=3, max_limit_degree=3,
+                                                cohomology_index_max=1, include_timings=False))
+        assert rep.overall == "pass", spec
+    assert all(built.values()), built

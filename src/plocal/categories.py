@@ -705,8 +705,6 @@ class AdjunctionVerdict:
 
 
 def verify_closure_adjunction(
-    G: PermutationGroup,
-    p: int,
     poset: IntersectionPoset,
     test_subgroups: list[Subgroup],
     table_budget: int = DEFAULT_BUDGET,
@@ -718,6 +716,7 @@ def verify_closure_adjunction(
     ``BudgetExceeded`` when the members' orbit table, or the pairs of the
     larger orbit category one test subgroup's precomposition square
     composes, exceed ``table_budget``."""
+    G = poset.group
     failures: list[str] = []
     members = poset.members
     collection: list[Subgroup] = []

@@ -31,9 +31,8 @@ class CohomologyBasis:
     """H^i(B P; F_p) for a subgroup P, with cocycle representatives and
     deterministic coordinates in the quotient by coboundaries."""
 
-    def __init__(self, G: PermutationGroup, P: Subgroup, i: int, p: int,
-                 budget: int = DEFAULT_BUDGET):
-        self.G = G
+    def __init__(self, P: Subgroup, i: int, p: int, budget: int = DEFAULT_BUDGET):
+        self.G = G = P.parent
         self.P = P
         self.i = i
         self.p = p
@@ -79,11 +78,12 @@ class CohomologyBasis:
 
 
 class CohomologyCache:
-    """Shared per-run cache of CohomologyBasis objects keyed by (subgroup, i)
-    and of their pullback matrices keyed by (P, Q, i, g), the run's store of
-    limit profiles (``limits_profile``'s ``memo``), and the normalizer
-    quotients of the limit checks, keyed by the ids of the subgroup divided
-    out (see ``limit_checks.normalizer_reduction_check``)."""
+    """The one source of a run's group, prime and budget for the cohomology
+    functors and the limit checks, and the stores they share: CohomologyBasis
+    objects keyed by (subgroup, i) and their pullback matrices keyed by
+    (P, Q, i, g), the run's limit profiles (``limits_profile``'s ``memo``),
+    and the normalizer quotients of the limit checks, keyed by the ids of the
+    subgroup divided out (see ``limit_checks.normalizer_reduction_check``)."""
 
     def __init__(self, G: PermutationGroup, p: int, budget: int = DEFAULT_BUDGET):
         self.G = G
@@ -97,7 +97,7 @@ class CohomologyCache:
     def basis(self, P: Subgroup, i: int) -> CohomologyBasis:
         key = (P.ids, i)
         if key not in self._store:
-            self._store[key] = CohomologyBasis(self.G, P, i, self.p, self.budget)
+            self._store[key] = CohomologyBasis(P, i, self.p, self.budget)
         return self._store[key]
 
     def pullback(self, P: Subgroup, Q: Subgroup, i: int, g: int) -> np.ndarray:
@@ -113,20 +113,18 @@ class CohomologyCache:
 
 
 def classifying_cohomology_functor(
-    p: int,
     cat: FiniteCategory,
     i: int,
     cache: CohomologyCache,
 ) -> LinearFunctor:
-    """The functor P |-> H^i(B P; F_p) on an orbit category, with morphism
-    action induced by conjugation by the canonical witness: the supported
-    functor with every object in its support."""
+    """The functor P |-> H^i(B P; F_p) on an orbit category, p the cache's,
+    with morphism action induced by conjugation by the canonical witness:
+    the supported functor with every object in its support."""
     everywhere = list(range(cat.object_count))
-    return supported_cohomology_functor(p, cat, everywhere, i, cache)
+    return supported_cohomology_functor(cat, everywhere, i, cache)
 
 
 def supported_cohomology_functor(
-    p: int,
     cat: FiniteCategory,
     support: list[int],
     i: int,
@@ -140,7 +138,7 @@ def supported_cohomology_functor(
     live = np.isin(cat.src, support) & np.isin(cat.tgt, support)
     tokens = zip(cat.src[live].tolist(), cat.tgt[live].tolist(), cat.witness[live].tolist())
     blocks = [cache.pullback(objs[a], objs[b], i, g).ravel() for a, b, g in tokens]
-    return LinearFunctor(cat, p, dims, np.concatenate([np.zeros(0, np.int64), *blocks]))
+    return LinearFunctor(cat, cache.p, dims, np.concatenate([np.zeros(0, np.int64), *blocks]))
 
 
 def zeroed_at(F: LinearFunctor, kill: list[int]) -> LinearFunctor:

@@ -17,7 +17,9 @@ are:
 The restriction and filtration checks share one upward-closure rule,
 ``_first_outside_above``.
 
-Limits go through the run's ``CohomologyCache.limits`` store, so a functor
+Every check takes the run's ``CohomologyCache``, which carries the budget,
+and reads G and p from the skeletons; a cache of another group or prime is
+rejected.  Limits go through the cache's ``limits`` store, so a functor
 whose content recurs (the same functor restricted to every object, or
 built again by a later check) is limited once per run.  The two sides of an
 identity are different functors and are still computed separately.
@@ -55,7 +57,7 @@ from .limits import (
 from .omega import IntersectionPoset, build_intersection_poset, is_centric
 
 
-def p_class_representatives(G: PermutationGroup, p: int, subgroups) -> list[Subgroup]:
+def p_class_representatives(G: PermutationGroup, subgroups) -> list[Subgroup]:
     """One canonical representative per conjugacy class of p-subgroups, the
     least conjugate, from the subgroups of any one Sylow p-subgroup: every
     class meets every Sylow."""
@@ -110,7 +112,7 @@ def build_orbit_skeletons(
     # any Sylow works, for ``sylow_subgroups`` (every subgroup of one) too;
     # the minimal-key conjugate keeps output reproducible
     S = min(poset.sylows, key=lambda T: T.key)
-    p_reps = p_class_representatives(G, p, sylow_subgroups or all_subgroups(S))
+    p_reps = p_class_representatives(G, sylow_subgroups or all_subgroups(S))
     p_cat = build_orbit(G, p_reps, table_budget)
     p_centric = [is_centric(G, p, R) for R in p_reps]
     # a poset class is a whole conjugacy class, so its least member is its
@@ -138,25 +140,34 @@ def build_orbit_skeletons(
 
 
 def atomic_functor_limits(
-    G: PermutationGroup,
-    p: int,
+    skel: OrbitSkeletons,
     module: ModuleData,
     nmax: int,
-    budget: int = DEFAULT_BUDGET,
-    skeletons: OrbitSkeletons | None = None,
-    memo: dict | None = None,
+    cache: CohomologyCache,
 ) -> LimitsProfile:
     """Higher limits of the functor with value M at the trivial subgroup and
-    zero elsewhere, over the skeletal orbit category of all p-subgroups;
-    ``memo`` is passed on to ``limits_profile``."""
-    skel = skeletons or build_orbit_skeletons(G, p, table_budget=budget)
-    cat = skel.p_cat
+    zero elsewhere, over the skeletal orbit category of all p-subgroups of
+    ``skel.G``.  Only the cache's budget and its store of limit profiles are
+    read, so the cache may be a larger group's: the normalizer reduction
+    passes a quotient's skeletons with the run's cache."""
+    G, p, cat = skel.G, skel.p, skel.p_cat
     triv = next(i for i, R in enumerate(skel.p_reps) if R.order == 1)
     rho = element_action_matrices(G, module, p)
     dims = [module.dim if k == triv else 0 for k in range(cat.object_count)]
     loops = (cat.src == triv) & (cat.tgt == triv)
     F = LinearFunctor(cat, p, dims, rho[cat.witness[loops]].ravel())
-    return limits_profile(F, nmax, budget, memo)
+    return limits_profile(F, nmax, cache.budget, cache.limits)
+
+
+def _lim(F: LinearFunctor, nmax: int, cache: CohomologyCache) -> list[int]:
+    """lim^n F for n <= nmax, within the run's budget, through its store."""
+    return limits_profile(F, nmax, cache.budget, cache.limits).dims
+
+
+def _check_context(skel: OrbitSkeletons, cache: CohomologyCache) -> None:
+    if cache.G is not skel.G or cache.p != skel.p:
+        raise PLocalError(f"a cohomology cache at p={cache.p} for a group of order "
+                          f"{cache.G.order} is not the cache of these skeletons")
 
 
 @dataclass
@@ -187,24 +198,22 @@ def punctured_class_vanishing(
     Q: Subgroup,
     i: int,
     nmax: int,
-    budget: int = DEFAULT_BUDGET,
-    cache: CohomologyCache | None = None,
+    cache: CohomologyCache,
 ) -> VanishingVerdict:
     """Limits of the functor concentrated on the class of a non-centric Q
     vanish, over both skeleta; flags NOT-APPLICABLE for centric input."""
-    G, p = skel.G, skel.p
-    cache = cache or CohomologyCache(G, p, budget)
+    _check_context(skel, cache)
     k = skel.p_object_of(Q)
     label = skel.p_reps[k].label()
     if skel.p_centric[k]:
         return VanishingVerdict(False, label, i)
-    F_full = supported_cohomology_functor(p, skel.p_cat, [k], i, cache)
-    full = limits_profile(F_full, nmax, budget, cache.limits).dims
+    F_full = supported_cohomology_functor(skel.p_cat, [k], i, cache)
+    full = _lim(F_full, nmax, cache)
     om = skel.omega_object_of(Q)
     omega_dims = None
     if om is not None:
-        F_om = supported_cohomology_functor(p, skel.omega_cat, [om], i, cache)
-        omega_dims = limits_profile(F_om, nmax, budget, cache.limits).dims
+        F_om = supported_cohomology_functor(skel.omega_cat, [om], i, cache)
+        omega_dims = _lim(F_om, nmax, cache)
     return VanishingVerdict(True, label, i, full, omega_dims)
 
 
@@ -226,8 +235,7 @@ def normalizer_reduction_check(
     Q: Subgroup,
     i: int,
     nmax: int,
-    budget: int = DEFAULT_BUDGET,
-    cache: CohomologyCache | None = None,
+    cache: CohomologyCache,
 ) -> ReductionVerdict:
     """Limits of a class-supported functor equal the atomic limits of the
     normalizer quotient W = N_G(R)/R acting on the value through the
@@ -235,24 +243,23 @@ def normalizer_reduction_check(
     sides computed independently.  N_G(R), W and W's orbit skeletons depend
     only on the class representative R, so they are built once per class and
     kept in ``cache.quotients``."""
-    G, p = skel.G, skel.p
-    cache = cache or CohomologyCache(G, p, budget)
+    _check_context(skel, cache)
     k = skel.p_object_of(Q)
     R = skel.p_reps[k]
-    F = supported_cohomology_functor(p, skel.p_cat, [k], i, cache)
-    left = limits_profile(F, nmax, budget, cache.limits).dims
+    F = supported_cohomology_functor(skel.p_cat, [k], i, cache)
+    left = _lim(F, nmax, cache)
 
     kept = cache.quotients.get(R.ids)
     if kept is None:
-        N = normalizer(G, R)
-        W = quotient_realization(G, N, R)
-        kept = cache.quotients[R.ids] = (N, W, build_orbit_skeletons(W, p, table_budget=budget))
+        N = normalizer(skel.G, R)
+        W = quotient_realization(skel.G, N, R)
+        kept = cache.quotients[R.ids] = (
+            N, W, build_orbit_skeletons(W, skel.p, table_budget=cache.budget))
     N, W, quotient_skel = kept
     basis = cache.basis(R, i)
     gen_mats = [cache.pullback(R, R, i, g) for g in N.generating_ids]
     module = ModuleData(dim=basis.dim, generator_matrices=gen_mats)
-    right = atomic_functor_limits(W, p, module, nmax, budget, quotient_skel,
-                                  cache.limits).dims
+    right = atomic_functor_limits(quotient_skel, module, nmax, cache).dims
     return ReductionVerdict(R.label(), i, left, right, W.order)
 
 
@@ -289,8 +296,7 @@ def support_restriction_check(
     skel: OrbitSkeletons,
     i: int,
     nmax: int,
-    budget: int = DEFAULT_BUDGET,
-    cache: CohomologyCache | None = None,
+    cache: CohomologyCache,
     support_classes: list[int] | None = None,
 ) -> RestrictionVerdict:
     """Limits over the intersection-poset skeleton of a functor supported on
@@ -299,8 +305,7 @@ def support_restriction_check(
     The support defaults to the centric classes.  A support that is not
     closed under overgroups within the poset raises UpwardClosureViolated.
     """
-    G, p = skel.G, skel.p
-    cache = cache or CohomologyCache(G, p, budget)
+    _check_context(skel, cache)
     if support_classes is None:
         support_classes = [c for c, flag in enumerate(skel.omega_centric) if flag]
     support = sorted(set(support_classes))
@@ -310,11 +315,10 @@ def support_restriction_check(
             f"{skel.poset.members[outside].label()} lies above a supported member "
             f"but is outside the support"
         )
-    F = supported_cohomology_functor(p, skel.omega_cat, support, i, cache)
-    ambient = limits_profile(F, nmax, budget, cache.limits).dims
+    F = supported_cohomology_functor(skel.omega_cat, support, i, cache)
+    ambient = _lim(F, nmax, cache)
     sub, incl = full_subcategory(skel.omega_cat, support)
-    Fsub = F.restrict(sub, incl)
-    restricted = limits_profile(Fsub, nmax, budget, cache.limits).dims
+    restricted = _lim(F.restrict(sub, incl), nmax, cache)
     return RestrictionVerdict(i, ambient, restricted, len(support))
 
 
@@ -369,16 +373,14 @@ def class_filtration_check(
     skel: OrbitSkeletons,
     i: int,
     nmax: int,
-    budget: int = DEFAULT_BUDGET,
-    cache: CohomologyCache | None = None,
+    cache: CohomologyCache,
 ) -> FiltrationVerdict:
     """Add non-centric classes to the centric subcategory one at a time, by
     decreasing subgroup order, checking at every stage that the kernel of the
     zero-extension surjection is the punctured functor, that its limits
     vanish, and that the limit profile is unchanged; finish with the direct
     comparison of the centric and full profiles."""
-    G, p = skel.G, skel.p
-    cache = cache or CohomologyCache(G, p, budget)
+    _check_context(skel, cache)
     cat = skel.omega_cat
 
     centric_objs = sorted(c for c, f in enumerate(skel.omega_centric) if f)
@@ -387,16 +389,15 @@ def class_filtration_check(
         key=lambda c: (-skel.omega_reps[c].order, skel.omega_reps[c].key),
     )
 
-    F_all = classifying_cohomology_functor(p, cat, i, cache)
+    F_all = classifying_cohomology_functor(cat, i, cache)
 
     def lim_on(objs: list[int], functor: LinearFunctor) -> list[int]:
         sub, incl = full_subcategory(cat, objs)
-        restricted = functor.restrict(sub, incl)
-        return limits_profile(restricted, nmax, budget, cache.limits).dims
+        return _lim(functor.restrict(sub, incl), nmax, cache)
 
     verdict = FiltrationVerdict(index=i)
     verdict.centric_dims = lim_on(centric_objs, F_all)
-    verdict.full_dims = limits_profile(F_all, nmax, budget, cache.limits).dims
+    verdict.full_dims = _lim(F_all, nmax, cache)
 
     current = list(centric_objs)
     prev_dims = verdict.centric_dims
@@ -406,7 +407,7 @@ def class_filtration_check(
         new_sub = objs.index(new)
         F_full = F_all.restrict(sub, incl)
         F_zero = zeroed_at(F_full, [new_sub])
-        punct = supported_cohomology_functor(p, sub, [new_sub], i, cache)
+        punct = supported_cohomology_functor(sub, [new_sub], i, cache)
 
         natural = _natural_surjection_ok(F_full, new_sub)
         loops = sub.mor(new_sub, new_sub)
@@ -420,9 +421,9 @@ def class_filtration_check(
             upward_closed=_first_outside_above(skel, objs) is None,
             surjection_natural=natural,
             kernel_matches_punctured=kernel_ok,
-            punctured_dims=limits_profile(punct, nmax, budget, cache.limits).dims,
-            lim_full=limits_profile(F_full, nmax, budget, cache.limits).dims,
-            lim_zeroed=limits_profile(F_zero, nmax, budget, cache.limits).dims,
+            punctured_dims=_lim(punct, nmax, cache),
+            lim_full=_lim(F_full, nmax, cache),
+            lim_zeroed=_lim(F_zero, nmax, cache),
             lim_previous=prev_dims,
         )
         verdict.stages.append(stage)

@@ -213,8 +213,6 @@ class ClosureVerdict:
 
 
 def verify_closure_properties(
-    G: PermutationGroup,
-    p: int,
     poset: IntersectionPoset,
     test_subgroups: list[Subgroup],
 ) -> ClosureVerdict:
@@ -237,7 +235,7 @@ def verify_closure_properties(
     sources = list({H.ids: H for H in [*test_subgroups, *clos.values()]}.values())
     targets = list({H.ids: H for H in [*sources, *poset.members]}.values())
     at = {H.ids: k for k, H in enumerate(targets)}
-    N = transporters(G, sources, targets)
+    N = transporters(poset.group, sources, targets)
     tests = [at[P.ids] for P in test_subgroups]
     closed = [at[clos[P.ids].ids] for P in test_subgroups]
     members = [at[M.ids] for M in poset.members]

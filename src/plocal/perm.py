@@ -59,7 +59,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*map(len, self.cycles()))
 
     def cycle_string(self) -> str:
         """1-based disjoint-cycle notation; the identity prints as ``()``."""

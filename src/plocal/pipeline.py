@@ -288,9 +288,7 @@ class PipelineRun:
         return values
 
     def _stage_closure(self, detail):
-        v = verify_closure_properties(
-            self.G, self.p, self.poset, self.sylow_subgroup_list
-        )
+        v = verify_closure_properties(self.poset, self.sylow_subgroup_list)
         detail["limits"]["closure_pairs_checked"] = v.pairs_checked
         return (v.extends_and_monotone, v.idempotent, v.transporter_monotone,
                 v.transporter_equality)
@@ -308,6 +306,8 @@ class PipelineRun:
         for name, cat in built.items():
             if cat not in laws:
                 laws[cat] = cats.verify_category(cat)
+                if laws[cat].failures:
+                    self.notes.append(f"categories: {name}: {laws[cat].failures[0]}")
             ok = ok and laws[cat].passed
             detail["categories"][name] = {
                 "objects": cat.object_count,
@@ -323,7 +323,7 @@ class PipelineRun:
             for j, R in enumerate(self.skeletons.p_reps):
                 if len(pcat.mor(triv, j)) != self.G.order // R.order:
                     ok = False
-                    self.notes.append(f"orbit coset count wrong at {R.label()}")
+                    self.notes.append(f"categories: orbit coset count wrong at {R.label()}")
         return ok
 
     def _stage_quotient(self, detail):
@@ -333,7 +333,7 @@ class PipelineRun:
 
     def _stage_adjunction(self, detail):
         v = cats.verify_closure_adjunction(
-            self.G, self.p, self.poset, self.sylow_subgroup_list, self.cfg.budget
+            self.poset, self.sylow_subgroup_list, self.cfg.budget
         )
         detail["limits"]["adjunction_pairs_checked"] = v.pairs_checked
         return v.passed
@@ -364,7 +364,9 @@ class PipelineRun:
         if (tokens < 0).any():
             raise PLocalError("an element of G has no token at the poset minimum")
         functor = cats.Functor(bg_cat, T, [min_idx], tokens.tolist())
-        ok = functor.is_functor
+        violations = functor.violations()
+        if violations:
+            self.notes.append(f"nerve-vs-group: G into the transporter poset: {violations[0]}")
         cm = induced_chain_map(functor, bar, t_omega_cx)
         iso = homology_iso_verdict(cm)
         dims_equal = bar_h.dims[: dmax - 1] == t_h.dims[: dmax - 1]
@@ -372,7 +374,7 @@ class PipelineRun:
             "certified_through": iso.certified_through,
             "iso": iso.iso_by_degree,
         }
-        return ok and iso.passed and dims_equal and coset_h.dims == point
+        return not violations and iso.passed and dims_equal and coset_h.dims == point
 
     def _stage_centric_restriction(self, detail):
         dmax = self.cfg.max_degree
@@ -425,9 +427,7 @@ class PipelineRun:
             if skel.p_centric[k]:
                 continue
             for i in range(self.cfg.cohomology_index_max + 1):
-                v = punctured_class_vanishing(
-                    skel, R, i, nmax, self.cfg.budget, self.cohomology_cache
-                )
+                v = punctured_class_vanishing(skel, R, i, nmax, self.cohomology_cache)
                 ok = ok and v.passed and v.sides_agree
                 records.append({
                     "class": v.class_label,
@@ -445,9 +445,7 @@ class PipelineRun:
         ok = True
         for R in skel.p_reps:
             for i in range(self.cfg.cohomology_index_max + 1):
-                v = normalizer_reduction_check(
-                    skel, R, i, nmax, self.cfg.budget, self.cohomology_cache
-                )
+                v = normalizer_reduction_check(skel, R, i, nmax, self.cohomology_cache)
                 ok = ok and v.passed
                 records.append({
                     "class": v.class_label,
@@ -462,10 +460,7 @@ class PipelineRun:
     def _stage_atomic(self, detail):
         nmax = self.cfg.max_limit_degree
         module = ModuleData(1, [np.eye(1, dtype=np.int64) for _ in self.G.generators])
-        profile = atomic_functor_limits(
-            self.G, self.p, module, nmax, self.cfg.budget, self.skeletons,
-            self.cohomology_cache.limits,
-        )
+        profile = atomic_functor_limits(self.skeletons, module, nmax, self.cohomology_cache)
         has_p_element = any(o == self.p for o in self.G.element_orders)
         detail["limits"]["atomic_trivial_module"] = {
             "dims": profile.dims,
@@ -479,9 +474,7 @@ class PipelineRun:
         records = []
         ok = True
         for i in range(self.cfg.cohomology_index_max + 1):
-            v = support_restriction_check(
-                skel, i, nmax, self.cfg.budget, self.cohomology_cache
-            )
+            v = support_restriction_check(skel, i, nmax, self.cohomology_cache)
             ok = ok and v.passed
             records.append({
                 "index": i,
@@ -497,9 +490,7 @@ class PipelineRun:
         records = []
         ok = True
         for i in range(self.cfg.cohomology_index_max + 1):
-            v = class_filtration_check(
-                skel, i, nmax, self.cfg.budget, self.cohomology_cache
-            )
+            v = class_filtration_check(skel, i, nmax, self.cohomology_cache)
             ok = ok and v.passed
             records.append({
                 "index": i,

@@ -86,7 +86,7 @@ def test_criterion_1_closure_properties():
         for p in PRIMES:
             G = group(spec)
             subs = all_subgroups(sylow_subgroup(G, p))
-            v = verify_closure_properties(G, p, poset(spec, p), subs)
+            v = verify_closure_properties(poset(spec, p), subs)
             if not v.passed:
                 failures.append((spec, p))
     announce(
@@ -204,9 +204,7 @@ def test_criterion_5_punctured_vanishing():
                 if flag:
                     continue
                 for i in range(3):
-                    v = punctured_class_vanishing(
-                        skel, skel.omega_reps[k], i, 3, cache=cache
-                    )
+                    v = punctured_class_vanishing(skel, skel.omega_reps[k], i, 3, cache)
                     checked += 1
                     if not (v.applicable and v.passed and v.sides_agree
                             and v.omega_dims is not None):
@@ -230,12 +228,12 @@ def test_criterion_6_normalizer_reduction_and_restriction():
             cache = CohomologyCache(group(spec), p)
             for R in skel.p_reps:
                 for i in range(3):
-                    v = normalizer_reduction_check(skel, R, i, 3, cache=cache)
+                    v = normalizer_reduction_check(skel, R, i, 3, cache)
                     reductions += 1
                     if not v.passed:
                         failures.append(("reduction", spec, p, R.label(), i))
             for i in range(3):
-                rv = support_restriction_check(skel, i, 3, cache=cache)
+                rv = support_restriction_check(skel, i, 3, cache)
                 restrictions += 1
                 if not rv.passed:
                     failures.append(("restriction", spec, p, i))
@@ -259,7 +257,7 @@ def test_criterion_7_atomic_vanishing():
             if not any(o == p for o in G.element_orders):
                 continue
             module = ModuleData(1, [np.eye(1, dtype=np.int64) for _ in G.generators])
-            prof = atomic_functor_limits(G, p, module, 3, skeletons=skeletons(spec, p))
+            prof = atomic_functor_limits(skeletons(spec, p), module, 3, CohomologyCache(G, p))
             checked += 1
             if prof.dims != [0, 0, 0]:
                 failures.append((spec, p, prof.dims))

@@ -394,7 +394,7 @@ def test_closure_adjunction():
         G = build_group(spec)
         poset = build_intersection_poset(G, p)
         subs = all_subgroups(sylow_subgroup(G, p))
-        v = verify_closure_adjunction(G, p, poset, subs)
+        v = verify_closure_adjunction(poset, subs)
         assert v.passed, (spec, p, v.failures[:3])
 
 
@@ -412,10 +412,10 @@ def test_adjunction_composes_without_the_larger_orbit_table():
     everything = sorted({H.ids: H for H in subs + poset.members}.values(), key=lambda H: H.key)
     budget = 2000
     assert members < budget < int(build_orbit(G, everything, 10 ** 7).pair_start[-1])
-    v = verify_closure_adjunction(G, 2, poset, subs, table_budget=budget)
+    v = verify_closure_adjunction(poset, subs, table_budget=budget)
     assert v.passed, v.failures[:3]
     with pytest.raises(BudgetExceeded):
-        verify_closure_adjunction(G, 2, poset, subs, table_budget=members)
+        verify_closure_adjunction(poset, subs, table_budget=members)
     for b, verdict in ((budget, "pass"), (members, "not-certified")):
         rep = run_pipeline("sym:4 x cyc:2", PipelineConfig(
             prime=2, max_degree=2, checks=("adjunction",), budget=b, include_timings=False))

@@ -1,10 +1,11 @@
 """Faults injected into one run artifact stay in the stage that reads it.
 
-Each test corrupts one entry of a matrix that a check reads: a chain
-map's, which only its mapping cone's ∂² check reads; a nerve boundary's at
-p = 3, which ``FpComplex`` checks through a product of the stored entries,
--1 and 1; or a coefficient functor's, which the exhaustive functoriality
-check before its limits reads.  The run must still return a report, each
+Each test corrupts one entry of an artifact that a check reads: a chain
+map's matrix, which only its mapping cone's ∂² check reads; a nerve
+boundary's at p = 3, which ``FpComplex`` checks through a product of the
+stored entries, -1 and 1; a coefficient functor's, which the exhaustive
+functoriality check before its limits reads; or a category's composition
+store, which its law check and the functors into it read.  The run must still return a report, each
 stage reading the artifact must read ``fail`` with a note naming the
 broken invariant, and every other verdict must be the one a clean run
 gives.
@@ -109,13 +110,13 @@ def test_a_corrupted_coefficient_functor_entry_fails_only_its_stage(monkeypatch)
     real = limit_checks.classifying_cohomology_functor
     corrupted = []
 
-    def corrupt(p, cat, i, cache):
-        F = real(p, cat, i, cache)
+    def corrupt(cat, i, cache):
+        F = real(cat, i, cache)
         sizes = np.diff(F.offsets)
         loops = np.flatnonzero((cat.src == cat.tgt) & ~cat.is_id & (sizes > 0))
         if not corrupted and len(loops):
             k = F.offsets[loops[0]]
-            F.entries[k] = (F.entries[k] + 1) % p
+            F.entries[k] = (F.entries[k] + 1) % cache.p
             corrupted.append((i, int(loops[0])))
         return F
 
@@ -129,3 +130,31 @@ def test_a_corrupted_coefficient_functor_entry_fails_only_its_stage(monkeypatch)
     assert report.data["notes"] == notes and not clean.data["notes"]
     assert {k: v for k, v in report.verdicts.items() if k != key} == \
         {k: v for k, v in clean.verdicts.items() if k != key}
+
+
+def test_a_corrupted_composition_store_entry_fails_only_its_readers():
+    """The transporter poset's stored composite of its first pair, identity
+    token 0 with itself, is set to token 1 on sym:4 at p = 2.  Its law
+    check and the functor from G into it, which nerve-vs-group checks, read
+    the store: each of the two stages reads ``fail`` with a note naming its
+    first failure, and every other verdict is a clean run's."""
+    def sym4_report(corrupt: bool):
+        run = PipelineRun(build_group("sym:4"), PipelineConfig(
+            prime=2, max_degree=3, include_timings=False), "sym:4")
+        if corrupt:
+            store = run.transporter_omega.composite
+            assert store[0] == 0
+            store[0] = 1
+        return run.run()
+
+    clean, report = sym4_report(False), sym4_report(True)
+    keys = {"category_laws", "transporter_nerve_vs_classifying_space"}
+    assert {report.verdicts[k] for k in keys} == {"fail"}
+    assert {clean.verdicts[k] for k in keys} == {"pass"}
+    assert {k: v for k, v in report.verdicts.items() if k not in keys} == \
+        {k: v for k, v in clean.verdicts.items() if k not in keys}
+    assert not clean.data["notes"]
+    assert report.data["notes"] == [
+        "categories: transporter_poset: left identity fails at token 0",
+        "nerve-vs-group: G into the transporter poset: composition of tokens (0,0) not preserved",
+    ]

@@ -419,7 +419,7 @@ def test_real_cochain_and_nerve_ranks_bounded_and_full(spec, p, index):
     if index is None:
         F = constant_functor(skel.omega_cat, p)
     else:
-        F = classifying_cohomology_functor(p, skel.omega_cat, index, CohomologyCache(G, p))
+        F = classifying_cohomology_functor(skel.omega_cat, index, CohomologyCache(G, p))
     cx = functor_cochain_complex(F, 3)
     ranks = [cx.rank_boundary(d) for d in range(1, cx.dmax + 1)]
     assert_bounded_ranks_exact(cx, ranks)

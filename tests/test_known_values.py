@@ -22,6 +22,7 @@ def test_quaternion_center_class_vanishes():
     # limits of the functor concentrated there must vanish
     from plocal import build_orbit_skeletons, punctured_class_vanishing
     from plocal.catalog import build_group
+    from plocal.cohomology import CohomologyCache
 
     G = build_group(Q8)
     skel = build_orbit_skeletons(G, 2)
@@ -29,7 +30,7 @@ def test_quaternion_center_class_vanishes():
         R for R in skel.p_reps
         if R.order == 2
     )
-    v = punctured_class_vanishing(skel, center_rep, 1, 3)
+    v = punctured_class_vanishing(skel, center_rep, 1, 3, CohomologyCache(G, 2))
     assert v.applicable
     assert v.full_dims == [0, 0, 0]
 

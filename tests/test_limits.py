@@ -42,6 +42,15 @@ def eye_module(G, dim=1):
     return ModuleData(dim, [np.eye(dim, dtype=np.int64) for _ in G.generators])
 
 
+def cache_of(skel):
+    return CohomologyCache(skel.G, skel.p)
+
+
+def atomic_limits(G, p, module):
+    skel = build_orbit_skeletons(G, p)
+    return atomic_functor_limits(skel, module, 3, cache_of(skel))
+
+
 def test_constant_functor_on_one_object():
     G = build_group("cyc:1")
     O = build_orbit(G, [G.full_subgroup()])
@@ -62,7 +71,7 @@ def test_constant_functor_with_terminal_object():
 def test_a_pullback_outside_the_target_subgroup_raises():
     G = build_group("sym:3")
     P, Q = [H for H in all_subgroups(G.full_subgroup()) if H.order == 2][:2]
-    bP, bQ = CohomologyBasis(G, P, 1, 2), CohomologyBasis(G, Q, 1, 2)
+    bP, bQ = CohomologyBasis(P, 1, 2), CohomologyBasis(Q, 1, 2)
     assert bP.dim == bQ.dim == 1
     with pytest.raises(PLocalError, match="outside"):
         bP.pullback_matrix(bQ, 0)
@@ -107,7 +116,7 @@ def first_bad_pair(F):
 def test_validate_reports_the_first_bad_pair_in_store_order(spec, p, index):
     G = build_group(spec)
     C = build_orbit_skeletons(G, p).omega_cat
-    F = classifying_cohomology_functor(p, C, index, CohomologyCache(G, p))
+    F = classifying_cohomology_functor(C, index, CohomologyCache(G, p))
     assert first_bad_pair(F) is None
     F.validate()
     store = C.composite.copy()
@@ -142,7 +151,7 @@ def test_atomic_limits_vanish_with_p_element():
     # kernel of the trivial action contains an element of order p
     for spec, p in [("cyc:2", 2), ("sym:3", 2), ("sym:3", 3), ("alt:4", 2)]:
         G = build_group(spec)
-        prof = atomic_functor_limits(G, p, eye_module(G), 3)
+        prof = atomic_limits(G, p, eye_module(G))
         assert prof.dims == [0, 0, 0], (spec, p)
 
 
@@ -150,17 +159,17 @@ def test_atomic_limits_no_p_subgroups():
     # no nontrivial 2-subgroups: the orbit category is the one-object
     # category of the group, and lim^0 is the fixed subspace
     G = build_group("cyc:3")
-    prof = atomic_functor_limits(G, 2, eye_module(G), 3)
+    prof = atomic_limits(G, 2, eye_module(G))
     assert prof.dims == [1, 0, 0]
     # order-3 action on F_2^2 with no nonzero fixed vectors
     act = ModuleData(2, [np.array([[0, 1], [1, 1]], dtype=np.int64)])
-    prof2 = atomic_functor_limits(G, 2, act, 3)
+    prof2 = atomic_limits(G, 2, act)
     assert prof2.dims[0] == 0
 
 
 def test_trivial_group_atomic_limits():
     G = build_group("cyc:1")
-    prof = atomic_functor_limits(G, 2, ModuleData(2, []), 3)
+    prof = atomic_limits(G, 2, ModuleData(2, []))
     assert prof.dims == [2, 0, 0]
 
 
@@ -169,7 +178,7 @@ def test_lim0_equals_compat_system_everywhere():
     skel = build_orbit_skeletons(G, 2)
     cache = CohomologyCache(G, 2)
     for i in range(3):
-        F = classifying_cohomology_functor(2, skel.omega_cat, i, cache)
+        F = classifying_cohomology_functor(skel.omega_cat, i, cache)
         cx = functor_cochain_complex(F, 3)
         assert cx.homology().dims[0] == inverse_limit_dim(F)
 
@@ -178,27 +187,27 @@ def test_cohomology_basis_dimensions():
     G = build_group("dih:8")
     S = G.full_subgroup()
     # H^*(B D8; F_2) has dimensions 1, 2, 3, ...
-    dims = [CohomologyBasis(G, S, i, 2).dim for i in range(3)]
+    dims = [CohomologyBasis(S, i, 2).dim for i in range(3)]
     assert dims == [1, 2, 3]
     C2 = G.generated_subgroup([S.ids[1]])
-    z2dims = [CohomologyBasis(G, C2, i, 2).dim for i in range(4)]
+    z2dims = [CohomologyBasis(C2, i, 2).dim for i in range(4)]
     assert z2dims == [1, 1, 1, 1]
     triv = G.trivial_subgroup()
-    assert [CohomologyBasis(G, triv, i, 2).dim for i in range(3)] == [1, 0, 0]
+    assert [CohomologyBasis(triv, i, 2).dim for i in range(3)] == [1, 0, 0]
 
 
 def test_cohomology_basis_z3():
     G = build_group("cyc:3")
     S = G.full_subgroup()
-    assert [CohomologyBasis(G, S, i, 3).dim for i in range(4)] == [1, 1, 1, 1]
+    assert [CohomologyBasis(S, i, 3).dim for i in range(4)] == [1, 1, 1, 1]
     # prime-to-order coefficients: cohomology collapses
-    assert [CohomologyBasis(G, S, i, 2).dim for i in range(3)] == [1, 0, 0]
+    assert [CohomologyBasis(S, i, 2).dim for i in range(3)] == [1, 0, 0]
 
 
 def test_cohomology_functor_inner_action_trivial():
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
-    F = classifying_cohomology_functor(2, skel.p_cat, 1, CohomologyCache(G, 2))
+    F = classifying_cohomology_functor(skel.p_cat, 1, CohomologyCache(G, 2))
     k = next(i for i, R in enumerate(skel.p_reps) if R.order == 2)
     assert F.dims[k] == 1
     for tid in skel.p_cat.mor(k, k):
@@ -208,7 +217,7 @@ def test_cohomology_functor_inner_action_trivial():
 def test_cohomology_functor_index_zero_constant():
     G = build_group("sym:4")
     skel = build_orbit_skeletons(G, 2)
-    F = classifying_cohomology_functor(2, skel.omega_cat, 0, CohomologyCache(G, 2))
+    F = classifying_cohomology_functor(skel.omega_cat, 0, CohomologyCache(G, 2))
     assert all(d == 1 for d in F.dims)
     for tid in range(skel.omega_cat.morphism_count):
         assert np.array_equal(token_matrix(F, tid) % 2, np.eye(1, dtype=np.int64))
@@ -217,7 +226,7 @@ def test_cohomology_functor_index_zero_constant():
 def test_punctured_vanishing_s3():
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
-    v = punctured_class_vanishing(skel, G.trivial_subgroup(), 0, 3)
+    v = punctured_class_vanishing(skel, G.trivial_subgroup(), 0, 3, cache_of(skel))
     assert v.applicable
     assert v.full_dims == [0, 0, 0]
     assert v.omega_dims == [0, 0, 0]
@@ -228,7 +237,7 @@ def test_punctured_vanishing_guard_on_centric():
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
     S = skel.sylow
-    v = punctured_class_vanishing(skel, S, 0, 3)
+    v = punctured_class_vanishing(skel, S, 0, 3, cache_of(skel))
     assert not v.applicable
     assert v.passed  # not-applicable verdicts never assert vanishing
 
@@ -239,7 +248,7 @@ def test_punctured_vanishing_s4_noncentric_small_class():
     from plocal.catalog import parse_cycles
     Q = G.generated_subgroup([element_id(G, parse_cycles("(1 2)(3 4)", degree=4))])
     assert not is_centric(G, 2, Q)
-    v = punctured_class_vanishing(skel, Q, 1, 3)
+    v = punctured_class_vanishing(skel, Q, 1, 3, cache_of(skel))
     assert v.applicable
     assert v.full_dims == [0, 0, 0]
     assert v.omega_dims is None  # the class is not an intersection of Sylows
@@ -248,7 +257,7 @@ def test_punctured_vanishing_s4_noncentric_small_class():
 def test_normalizer_reduction_sylow_class():
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
-    v = normalizer_reduction_check(skel, skel.sylow, 1, 3)
+    v = normalizer_reduction_check(skel, skel.sylow, 1, 3, cache_of(skel))
     assert v.quotient_order == 1
     assert v.left_dims == v.right_dims == [1, 0, 0]
 
@@ -259,7 +268,7 @@ def test_normalizer_reduction_nontrivial_module():
     G = build_group("sym:4")
     skel = build_orbit_skeletons(G, 2)
     V = skel.poset.members[skel.poset.minimum]
-    v = normalizer_reduction_check(skel, V, 1, 3)
+    v = normalizer_reduction_check(skel, V, 1, 3, cache_of(skel))
     assert v.quotient_order == 6
     assert v.passed
 
@@ -269,7 +278,7 @@ def test_normalizer_reduction_everywhere_s4():
     skel = build_orbit_skeletons(G, 2)
     for R in skel.p_reps:
         for i in range(2):
-            assert normalizer_reduction_check(skel, R, i, 3).passed
+            assert normalizer_reduction_check(skel, R, i, 3, cache_of(skel)).passed
 
 
 def test_support_restriction():
@@ -277,7 +286,7 @@ def test_support_restriction():
         G = build_group(spec)
         skel = build_orbit_skeletons(G, p)
         for i in range(2):
-            v = support_restriction_check(skel, i, 3)
+            v = support_restriction_check(skel, i, 3, cache_of(skel))
             assert v.passed, (spec, p, i)
 
 
@@ -285,7 +294,7 @@ def test_support_restriction_full_support_trivially_equal():
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
     v = support_restriction_check(
-        skel, 1, 3, support_classes=list(range(len(skel.omega_reps)))
+        skel, 1, 3, cache_of(skel), support_classes=list(range(len(skel.omega_reps)))
     )
     assert v.passed
     assert v.support_size == len(skel.omega_reps)
@@ -299,13 +308,13 @@ def test_support_restriction_rejects_bad_support():
     skel = build_orbit_skeletons(G, 2)
     triv = next(c for c, R in enumerate(skel.omega_reps) if R.order == 1)
     with pytest.raises(UpwardClosureViolated):
-        support_restriction_check(skel, 0, 3, support_classes=[triv])
+        support_restriction_check(skel, 0, 3, cache_of(skel), support_classes=[triv])
 
 
 def test_filtration_trivial_when_all_centric():
     G = build_group("sym:4")
     skel = build_orbit_skeletons(G, 2)
-    v = class_filtration_check(skel, 1, 3)
+    v = class_filtration_check(skel, 1, 3, cache_of(skel))
     assert len(v.stages) == 0
     assert v.passed
 
@@ -313,13 +322,13 @@ def test_filtration_trivial_when_all_centric():
 def test_filtration_with_stages():
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
-    v = class_filtration_check(skel, 1, 3)
+    v = class_filtration_check(skel, 1, 3, cache_of(skel))
     assert len(v.stages) == 1
     assert v.stages[0].punctured_dims == [0, 0, 0]
     assert v.passed
     G12 = build_group("dih:12")
     skel12 = build_orbit_skeletons(G12, 2)
-    v12 = class_filtration_check(skel12, 1, 3)
+    v12 = class_filtration_check(skel12, 1, 3, cache_of(skel12))
     # one non-centric class: the central order-2 intersection of the Sylows
     assert len(v12.stages) == 1
     assert v12.stages[0].added_order == 2
@@ -332,7 +341,7 @@ def test_filtration_multi_stage_with_order_ties():
     G = build_group("sym:3 x sym:3")
     skel = build_orbit_skeletons(G, 2)
     assert sum(1 for f in skel.omega_centric if not f) == 3
-    v = class_filtration_check(skel, 1, 3)
+    v = class_filtration_check(skel, 1, 3, cache_of(skel))
     assert len(v.stages) == 3
     assert [s.added_order for s in v.stages] == [2, 2, 1]
     assert v.passed
@@ -342,43 +351,61 @@ def test_cochain_budget_guard():
     from plocal import BudgetExceeded
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
-    F = classifying_cohomology_functor(2, skel.p_cat, 0, CohomologyCache(G, 2))
+    F = classifying_cohomology_functor(skel.p_cat, 0, CohomologyCache(G, 2))
     with pytest.raises(BudgetExceeded):
         functor_cochain_complex(F, 3, budget=5)
 
 
-@pytest.mark.parametrize("own_cache", [False, True])
-def test_limit_checks_build_their_cache_with_the_callers_budget(own_cache):
+def test_limit_checks_keep_to_the_budget_of_their_cache():
     """H^2 of the Sylow subgroup of sym:4 needs a bar basis of 343 chains at
-    degree 3; a check given budget 300 raises, with or without its own cache."""
+    degree 3; a check given a cache with budget 300 raises."""
     from plocal import BudgetExceeded
     G = build_group("sym:4")
     skel = build_orbit_skeletons(G, 2)
     checks = (
-        lambda cache: normalizer_reduction_check(skel, skel.sylow, 2, 1, 300, cache),
-        lambda cache: support_restriction_check(skel, 2, 1, 300, cache),
-        lambda cache: class_filtration_check(skel, 2, 1, 300, cache),
+        lambda cache: normalizer_reduction_check(skel, skel.sylow, 2, 1, cache),
+        lambda cache: support_restriction_check(skel, 2, 1, cache),
+        lambda cache: class_filtration_check(skel, 2, 1, cache),
     )
     for check in checks:
         with pytest.raises(BudgetExceeded, match="basis size 343 at degree 3"):
-            check(None if own_cache else CohomologyCache(G, 2, 300))
+            check(CohomologyCache(G, 2, 300))
+
+
+LIMIT_CHECK_CALLS = {
+    "punctured": lambda skel, cache: punctured_class_vanishing(skel, skel.p_reps[0], 0, 1, cache),
+    "normalizer-reduction":
+        lambda skel, cache: normalizer_reduction_check(skel, skel.p_reps[0], 0, 1, cache),
+    "restriction": lambda skel, cache: support_restriction_check(skel, 0, 1, cache),
+    "filtration": lambda skel, cache: class_filtration_check(skel, 0, 1, cache),
+}
+
+
+@pytest.mark.parametrize("other", ["group", "prime"])
+@pytest.mark.parametrize("check", LIMIT_CHECK_CALLS)
+def test_limit_checks_reject_a_cache_of_another_group_or_prime(check, other):
+    """A cache of an equal but distinct group, or of another prime, is
+    refused before anything is computed or stored in it."""
+    G = build_group("sym:3")
+    skel = build_orbit_skeletons(G, 2)
+    cache = CohomologyCache(build_group("sym:3"), 2) if other == "group" else CohomologyCache(G, 3)
+    with pytest.raises(PLocalError, match="is not the cache of these skeletons"):
+        LIMIT_CHECK_CALLS[check](skel, cache)
+    assert cache.limits == cache.quotients == {} and not cache._store
+    assert LIMIT_CHECK_CALLS[check](skel, cache_of(skel)).passed
 
 
 def test_quotient_skeletons_are_built_within_the_callers_budget():
     """N(1)/1 is sym:4, whose orbit skeleton of 2-subgroups composes 2,239
-    pairs: the normalizer-reduction check, and atomic limits that build
-    their own skeletons, keep to the budget they are given."""
+    pairs: the normalizer-reduction check builds it within the budget of
+    the cache it is given."""
     from plocal import BudgetExceeded
     G = build_group("sym:4")
     skel = build_orbit_skeletons(G, 2)
     over = re.escape("basis size 2239 at degree 2 exceeds budget 2238")
     with pytest.raises(BudgetExceeded, match=over):
-        normalizer_reduction_check(skel, skel.p_reps[0], 0, 2, 2238, CohomologyCache(G, 2, 2238))
-    module = ModuleData(1, [np.eye(1, dtype=np.int64) for _ in G.generators])
-    with pytest.raises(BudgetExceeded, match=over):
-        atomic_functor_limits(G, 2, module, 2, 2238)
-    assert normalizer_reduction_check(skel, skel.p_reps[0], 0, 2, 2239,
-                                      CohomologyCache(G, 2, 2239)).passed
+        normalizer_reduction_check(skel, skel.p_reps[0], 0, 2, CohomologyCache(G, 2, 2238))
+    assert normalizer_reduction_check(skel, skel.p_reps[0], 0, 2, CohomologyCache(G, 2, 2239)).passed
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -396,7 +423,7 @@ def test_upward_closure_is_the_per_sylow_rule_on_every_catalog_group(p):
             for classes in combinations(range(n), size):
                 want = upward_closed_in_sylow(skel, classes)
                 assert (limit_checks._first_outside_above(skel, classes) is None) == want
-        stages = class_filtration_check(skel, 0, 1).stages
+        stages = class_filtration_check(skel, 0, 1, cache_of(skel)).stages
         objs = [c for c, flag in enumerate(skel.omega_centric) if flag]
         added = sorted((c for c, flag in enumerate(skel.omega_centric) if not flag),
                        key=lambda c: (-skel.omega_reps[c].order, skel.omega_reps[c].key))
@@ -411,7 +438,7 @@ def test_supported_functor_zero_off_support():
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
     k = next(i for i, R in enumerate(skel.p_reps) if R.order == 1)
-    F = supported_cohomology_functor(2, skel.p_cat, [k], 0, CohomologyCache(G, 2))
+    F = supported_cohomology_functor(skel.p_cat, [k], 0, CohomologyCache(G, 2))
     for j, d in enumerate(F.dims):
         assert (d > 0) == (j == k)
 
@@ -439,7 +466,7 @@ def count_computations(monkeypatch) -> list:
 def cohomology_functor(spec="sym:4", p=2, index=1):
     G = build_group(spec)
     C = build_orbit_skeletons(G, p).omega_cat
-    return classifying_cohomology_functor(p, C, index, CohomologyCache(G, p))
+    return classifying_cohomology_functor(C, index, CohomologyCache(G, p))
 
 
 def test_content_equal_functors_share_one_computation(monkeypatch):
@@ -527,7 +554,7 @@ def test_an_object_without_an_identity_token_fails_cleanly():
 def test_an_identity_token_that_is_not_a_loop_is_rejected():
     G = build_group("sym:4")
     C = build_orbit_skeletons(G, 2).p_cat
-    F = classifying_cohomology_functor(2, C, 1, CohomologyCache(G, 2))
+    F = classifying_cohomology_functor(C, 1, CohomologyCache(G, 2))
     t = next(t for t in range(C.morphism_count)
              if 0 < F.dims[C.src[t]] != F.dims[C.tgt[t]])
     C.identity_ids[C.src[t]] = t
@@ -559,10 +586,10 @@ def test_functor_store_matches_the_per_token_reference(spec, p, monkeypatch):
         everywhere = list(range(cat.object_count))
         for i in range(3):
             dims, mats = supported_mats(cat, everywhere, i, cache)
-            F = classifying_cohomology_functor(p, cat, i, cache)
+            F = classifying_cohomology_functor(cat, i, cache)
             assert_store_matches(F, dims, mats)
             for k in everywhere:
-                assert_store_matches(supported_cohomology_functor(p, cat, [k], i, cache),
+                assert_store_matches(supported_cohomology_functor(cat, [k], i, cache),
                                      *supported_mats(cat, [k], i, cache))
                 assert_store_matches(zeroed_at(F, [k]), *zeroed_mats(cat, dims, mats, [k]))
                 for keep in ([k], everywhere[k:]):
@@ -574,7 +601,7 @@ def test_functor_store_matches_the_per_token_reference(spec, p, monkeypatch):
     module = ModuleData(2, [rng.integers(0, p, (2, 2)) for _ in G.generators])
     built = []
     monkeypatch.setattr(limit_checks, "limits_profile", lambda F, *args: built.append(F))
-    atomic_functor_limits(G, p, module, 3, skeletons=skel)
+    atomic_functor_limits(skel, module, 3, cache)
     triv = next(k for k, R in enumerate(skel.p_reps) if R.order == 1)
     rho = element_action_matrices(G, module, p)
     assert_store_matches(built[0], *atomic_mats(skel.p_cat, triv, rho, 2))
@@ -637,8 +664,8 @@ def test_normalizer_quotients_are_built_once_per_class(monkeypatch):
     fresh = []
     for R in skel.p_reps:
         for i in range(cfg.cohomology_index_max + 1):
-            v = normalizer_reduction_check(skel, R, i, cfg.max_limit_degree, cfg.budget,
-                                           CohomologyCache(G, 2))
+            v = normalizer_reduction_check(skel, R, i, cfg.max_limit_degree,
+                                           CohomologyCache(G, 2, cfg.budget))
             fresh.append({"class": v.class_label, "index": i, "left": v.left_dims,
                           "right": v.right_dims, "quotient_order": v.quotient_order})
     assert records == fresh

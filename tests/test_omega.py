@@ -84,7 +84,7 @@ def test_closure_properties_exhaustive():
         G = build_group(spec)
         poset = build_intersection_poset(G, p)
         subs = all_subgroups(sylow_subgroup(G, p))
-        v = verify_closure_properties(G, p, poset, subs)
+        v = verify_closure_properties(poset, subs)
         assert v.passed, (spec, p)
 
 

@@ -343,7 +343,7 @@ def test_element_filters_match_the_permutation_references(spec, p):
     assert p_residual(G.full_subgroup(), p).ids == ref.p_residual(G.full_subgroup(), p)
     reps = {ref.conjugates(G, H)[0] for H in subs}
     reps = sorted(reps, key=lambda ids: (len(ids), ids))
-    assert [R.ids for R in p_class_representatives(G, p, subs)] == reps
+    assert [R.ids for R in p_class_representatives(G, subs)] == reps
     poset = build_intersection_poset(G, p)
     objs = subs + [M for M in poset.members if M.ids not in {H.ids for H in subs}]
     mask = transporters(G, objs, objs)

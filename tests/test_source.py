@@ -1,0 +1,48 @@
+"""Static checks over the package source."""
+
+import ast
+from pathlib import Path
+
+import plocal
+
+SOURCES = sorted(Path(plocal.__file__).parent.glob("*.py"))
+
+
+def unused_parameters(tree: ast.Module) -> list[str]:
+    """``function: parameter`` for each parameter of a function or lambda
+    that its body never reads; ``self``, ``cls`` and names starting with
+    ``_`` are exempt."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [x.arg for x in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+                  if x is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        read |= {n.target.id for stmt in body for n in ast.walk(stmt)
+                 if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        out += [f"{name}: {x}" for x in params
+                if x not in read and x not in ("self", "cls") and not x.startswith("_")]
+    return out
+
+
+def test_every_parameter_is_read():
+    unused = [f"{path.name}:{entry}" for path in SOURCES
+              for entry in unused_parameters(ast.parse(path.read_text(), str(path)))]
+    assert unused == []
+
+
+def test_the_scan_finds_an_unused_parameter():
+    tree = ast.parse(
+        "def f(a, b, _c, *args, d=1, **kw):\n"
+        "    b += 1\n"
+        "    return (lambda x, y: x)(d, kw)\n"
+        "class K:\n"
+        "    def m(self, e):\n"
+        "        e = 2\n"
+    )
+    assert unused_parameters(tree) == ["f: a", "f: args", "m: e", "<lambda>: y"]

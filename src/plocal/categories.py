@@ -561,11 +561,13 @@ def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str]) -> bo
         return True
     at, tables = C.least_tables()
     w, mul = C.witness, C.group.mul
-    bad = tables[at[C.src, C.tgt], w] != w
-    failures += [f"witness of token {t} is not the least of its coset"
-                 for t in np.flatnonzero(bad).tolist()]
+    element = (w >= 0) & (w < C.group.order)  # no lookup reads a witness outside G
+    bad = tables[at[C.src, C.tgt], np.where(element, w, 0)] != w
+    failures += [f"witness of token {t} is not " + ("the least of its coset" if element[t]
+                 else "an element of G") for t in np.flatnonzero(bad).tolist()]
     t1, t2 = C.pairs()
     filled = (C.composite >= 0) & (C.composite < C.morphism_count)
+    filled &= element[t1] & element[t2] & element[np.where(filled, C.composite, 0)]
     t1, t2, t3 = t1[filled], t2[filled], C.composite[filled]
     i, j, k, s, e = C.src[t1], C.tgt[t1], C.tgt[t2], C.src[t3], C.tgt[t3]
     row = at[s, e]
@@ -645,6 +647,7 @@ def verify_quotient_functor(psi: Functor, p: int) -> QuotientFunctorVerdict:
     C, D = psi.source, psi.target
     m, n, md, nd = C.object_count, C.morphism_count, D.object_count, D.morphism_count
     fmap = np.asarray(psi.morphism_map, dtype=np.int64)
+    fmap = np.where((fmap >= 0) & (fmap < nd), fmap, -1)  # -1: no token of D
     omap = np.asarray(psi.object_map, dtype=np.int64)
 
     # the distinct (class, image class) of the objects: one per class, and
@@ -679,7 +682,7 @@ def verify_quotient_functor(psi: Functor, p: int) -> QuotientFunctorVerdict:
     # (f, s f) for s in the kernel at f's source, against (f, g) for ψg = ψf
     kat = _offsets(np.bincount(at, minlength=m))
     f, pos, _ = _expand(np.diff(kat)[C.src])
-    key = (C.src * m + C.tgt) * nd + fmap
+    key = (C.src * m + C.tgt) * (nd + 1) + fmap
     loose = _mismatch(f, C.composites(kernel[kat[C.src[f]] + pos], f), *_matches(key, key), n + 1)
     failures += [f"fiber of token {t} is not a kernel orbit" for t in loose]
     return QuotientFunctorVerdict(

@@ -35,8 +35,9 @@ the image of its last token.
 
 Nerve boundaries are written as CSR straight from the face table, one entry
 per live face; cochain differentials, a block of entries per face, are
-summed from COO arrays.  Either way scipy sorts each row and adds up
-duplicate faces before reduction mod p.
+summed from COO arrays.  Either way the entries are the integer ones, the
+signs (-1)^i included at every p; ``FpMatrix`` sums duplicate faces and
+then reduces mod p, the only place that does.
 """
 
 from __future__ import annotations
@@ -131,7 +132,11 @@ def chain_images(source: Chains, target: Chains, object_map: np.ndarray,
     degree-d chain of ``source`` under the given maps, or -1 where an image
     token is an identity.  A chain's image is its parent's extended by the
     image of its last token.  Raises unless every other image is a chain of
-    composable tokens whose head starts chains."""
+    composable tokens whose head starts chains, and every object and token
+    either map gives is one of the target's."""
+    for m, n in ((object_map, len(target.row0)), (morphism_map, len(target.is_id))):
+        if len(m) and (m.min() < 0 or m.max() >= n):
+            raise PLocalError(NOT_A_CHAIN)
     heads = object_map[source.heads[0]]
     rows = target.row0[heads]
     if (rows < 0).any():
@@ -165,24 +170,23 @@ def nerve_boundaries(chains: Chains, prime: int) -> list[FpMatrix | None]:
         for i in range(d + 1):
             indptr[1:] += live[:, i]
         np.cumsum(indptr, out=indptr)
-        csr = sparse.csr_matrix((_face_signs(live, indptr, prime), table[live], indptr),
+        csr = sparse.csr_matrix((_face_signs(live, indptr), table[live], indptr),
                                 shape=(chains.dims[d], chains.dims[d - 1]))
         out.append(FpMatrix(csr, prime))
     return out
 
 
-def _face_signs(live: np.ndarray, indptr: np.ndarray, prime: int) -> np.ndarray:
+def _face_signs(live: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """The entry of each live face, row by row: (-1)^i at the face that
-    drops vertex i, which is 1 at p = 2.  Its per-row positions are freed
-    on return, before the caller gathers the indices, so they add nothing
-    to the peak."""
+    drops vertex i, at every p.  Its per-row positions are freed on return,
+    before the caller gathers the indices, so they add nothing to the
+    peak."""
     data = np.ones(int(indptr[-1]), dtype=np.int64)
-    if prime > 2:
-        at = indptr[:-1].copy()  # where each row's next entry goes
-        for i in range(1, live.shape[1]):
-            at += live[:, i - 1]
-            if i % 2:
-                data[at[live[:, i]]] = -1
+    at = indptr[:-1].copy()  # where each row's next entry goes
+    for i in range(1, live.shape[1]):
+        at += live[:, i - 1]
+        if i % 2:
+            data[at[live[:, i]]] = -1
     return data
 
 
@@ -218,7 +222,7 @@ def cochain_differentials(chains: Chains, dims: list[int], entries: np.ndarray,
             sel = np.flatnonzero(at >= 0)
             rows.append(sel)
             cols.append(col_off[at[sel]] + local[sel])
-            vals.append(np.full(len(sel), (-1) ** i if prime > 2 else 1, dtype=np.int64))
+            vals.append(np.full(len(sel), (-1) ** i, dtype=np.int64))
         shape = (int(row_off[-1]), int(col_off[-1]))
         diffs.append(_fp_matrix(rows, cols, vals, shape, prime))
     return [int(o[-1]) for o in cochain_off], diffs

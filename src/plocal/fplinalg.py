@@ -1,17 +1,17 @@
 """Exact sparse and dense linear algebra over the field with p elements.
 
-Sparse matrices are CSR (scipy) in canonical form with int64 entries stored
-as symmetric residues, -(p-1)//2 .. p//2: 1 at p = 2, -1 and 1 at p = 3,
--2 .. 2 at p = 5.  Each residue class has exactly one such representative,
-so the form is unique.  Entries are reduced and zeros dropped before duplicates are summed
-and indices sorted; entries already in range are not written, so the +-1
-of a nerve boundary are kept as they are.  A product, as in every ∂² check,
-is taken over the integers on the stored entries, with no copy, so the
-product of two nerve boundaries cancels before it is reduced.  Whatever is
-left is reduced and tested, so the check stays exact, and a product that
-vanishes is never sorted.  Ranks come
-from an insertion echelon: each row is reduced against the pivots found so
-far, keyed by their leading (largest) column, and becomes a new pivot if
+Every complex is written over the integers, with its real signs, at every
+p; ``FpMatrix`` alone reduces mod p.  Its CSR (scipy) is canonical, with
+int64 entries stored as symmetric residues, |x| <= p//2: unique at odd p
+(-1 and 1 at p = 3), while at p = 2 both -1 and 1 stand for 1 (the GF(2)
+engine reads only the indices, and ``equals`` tests differences mod p).
+Duplicates are summed first and the sums reduced once; an array already
+in range is not written.  A product, as in every ∂² check, is taken over
+the integers on the stored entries, with no copy, so the product of two
+nerve boundaries cancels before it is sorted or reduced, and what is left
+is reduced and tested, so the check stays exact.  Ranks come from an
+insertion echelon: each row is reduced against the pivots found so far,
+keyed by their leading (largest) column, and becomes a new pivot if
 anything is left.  Rows are big-integer bitmasks at p = 2 and {column:
 coefficient} dicts otherwise.  All routines are deterministic: identical
 inputs give identical pivot choices and results.
@@ -155,11 +155,9 @@ class FpMatrix:
                  tail: tuple["FpMatrix", int] | None = None):
         self.prime = prime
         csr = sparse.csr_matrix(csr, dtype=np.int64)
-        # reduce before sorting: a product that vanishes mod p is never sorted
-        _symmetric(csr, prime)
         if not csr.has_canonical_format:
             csr.sum_duplicates()
-            _symmetric(csr, prime)
+        _symmetric(csr, prime)
         if tail is not None:
             block, offset = tail
             if block.prime != prime or offset < 0 or csr.shape[1] != offset + block.shape[1]:
@@ -269,20 +267,16 @@ def _times(a: sparse.csr_matrix, m: FpMatrix) -> sparse.csr_matrix:
 
 
 def _symmetric(csr: sparse.csr_matrix, p: int) -> None:
-    """Map the entries of ``csr`` in place to symmetric residues,
-    -(p-1)//2 .. p//2, and drop the zeros.  Entries already in that range
-    are not written, and the zeros are dropped only when there is one."""
+    """Map the entries of ``csr`` in place to symmetric residues, |x| <= p//2,
+    and drop the zeros.  Entries already in that range are not written, and
+    the zeros are dropped only when there is one."""
     data = csr.data
     if not data.size:
         return
-    half = (p - 1) // 2
-    if data.min() < -half or data.max() > p // 2:
-        if p == 2:
-            data &= 1  # two's complement: x & 1 is x mod 2, negatives included
-        else:
-            data += half
-            data %= p
-            data -= half
+    half = p // 2
+    if data.min() < -half or data.max() > half:
+        out = np.flatnonzero((data < -half) | (data > half))
+        data[out] = (data[out] + half) % p - half
     if not data.all():
         csr.eliminate_zeros()
 

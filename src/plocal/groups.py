@@ -35,12 +35,12 @@ def p_part(n: int, p: int) -> int:
     return m
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
+def is_prime(n: int) -> bool:
+    if n < 2:
         return False
     d = 2
-    while d * d <= p:
-        if p % d == 0:
+    while d * d <= n:
+        if n % d == 0:
             return False
         d += 1
     return True

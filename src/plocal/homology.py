@@ -19,7 +19,8 @@ which covers its commutation with the boundaries (see ``mapping_cone``).
 Truncation semantics: a complex built to ``dmax`` has its true chain groups
 and boundaries in all degrees <= dmax, so homology dimensions are exact for
 d <= dmax-1; comparison verdicts through mapping cones are certified for
-d <= dmax-2.  Alternating signs are kept, and vanish mod 2.
+d <= dmax-2.  Every complex is written over the integers, with its
+alternating signs at every p, and only ``FpMatrix`` reduces mod p.
 """
 
 from __future__ import annotations
@@ -149,16 +150,16 @@ def induced_chain_map(F: Functor, source_cx: FpComplex, target_cx: FpComplex) ->
 
 
 def _beside(left: sparse.csr_matrix, right: sparse.csr_matrix, offset: int) -> sparse.csr_matrix:
-    """``[left | right]`` with right's columns moved ``offset`` to the right:
-    each row's left entries, then its right entries, so canonical blocks
-    give a canonical result."""
+    """``[-left | right]`` with right's columns moved ``offset`` to the right:
+    each row's left entries, negated, then its right entries, so canonical
+    blocks give a canonical result."""
     indptr = left.indptr + right.indptr
     at_l = np.arange(left.nnz) + np.repeat(right.indptr[:-1], np.diff(left.indptr))
     at_r = np.arange(right.nnz) + np.repeat(left.indptr[1:], np.diff(right.indptr))
     indices = np.empty(left.nnz + right.nnz, dtype=np.int64)
     data = np.empty(len(indices), dtype=np.int64)
     indices[at_l], indices[at_r] = left.indices, right.indices + offset
-    data[at_l], data[at_r] = left.data, right.data
+    data[at_l], data[at_r] = -left.data, right.data
     return sparse.csr_matrix((data, indices, indptr), shape=(left.shape[0], offset + right.shape[1]))
 
 
@@ -188,12 +189,7 @@ def mapping_cone(cm: ChainMap) -> FpComplex:
     boundaries: list[FpMatrix | None] = [None] * (D + 1)
     for d in range(1, D + 1):
         left_cols = A.dims[d - 2] if d >= 2 else 0
-        if d >= 2:
-            left = A.boundaries[d - 1].csr
-            if p > 2:  # -1 = 1 at p = 2
-                left = -left
-        else:
-            left = sparse.csr_matrix((A.dims[0], 0), dtype=np.int64)
+        left = A.boundaries[d - 1].csr if d >= 2 else sparse.csr_matrix((A.dims[0], 0), dtype=np.int64)
         head = _beside(left, cm.mats[d - 1].csr, left_cols)
         boundaries[d] = FpMatrix(head, p, tail=(B.boundaries[d], left_cols))
     return FpComplex(p, D, dims, boundaries)

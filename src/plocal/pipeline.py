@@ -329,6 +329,7 @@ class PipelineRun:
     def _stage_quotient(self, detail):
         v = self.quotient_verdict
         detail["categories"]["quotient_kernel_orders"] = v.kernel_orders
+        self.notes += [f"quotient: {f}" for f in v.failures[:1]]
         return v.passed
 
     def _stage_adjunction(self, detail):
@@ -336,6 +337,7 @@ class PipelineRun:
             self.poset, self.sylow_subgroup_list, self.cfg.budget
         )
         detail["limits"]["adjunction_pairs_checked"] = v.pairs_checked
+        self.notes += [f"adjunction: {f}" for f in v.failures[:1]]
         return v.passed
 
     def _stage_nerve_vs_group(self, detail):

@@ -37,17 +37,19 @@ from plocal.errors import PLocalError
 from plocal.fplinalg import FpMatrix
 from plocal.limits import LinearFunctor
 from reference_categories import compose
+from reference_fplinalg import symmetric
 from reference_groups import coset, product
 
 
 def from_row_entries(nrows: int, ncols: int, prime: int, rows) -> FpMatrix:
-    """An FpMatrix from an iterable of per-row {col: coeff} dicts."""
+    """An FpMatrix from an iterable of per-row {col: integer coeff} dicts,
+    each coefficient stored in the form ``symmetric`` gives."""
     indptr = [0]
     indices: list[int] = []
     data: list[int] = []
     for entries in rows:
         for c in sorted(entries):
-            v = entries[c] % prime
+            v = int(symmetric(entries[c], prime))
             if v:
                 indices.append(c)
                 data.append(v)
@@ -285,20 +287,20 @@ def cochain_differentials(F, nmax: int) -> tuple[list[int], list]:
                 base = offsets[n][face]
                 for r in range(M.shape[0]):
                     for c in range(M.shape[1]):
-                        v = int(M[r, c]) % p
+                        v = int(M[r, c])
                         if v:
                             row_block[r][base + c] = row_block[r].get(base + c, 0) + v
 
             first = toks[0]
-            add_block((int(C.tgt[first]), toks[1:]), token_matrix(F, first) % p)
+            add_block((int(C.tgt[first]), toks[1:]), token_matrix(F, first))
             eye = np.eye(k, dtype=np.int64)
             for i in range(1, n + 1):
                 u = compose(C, toks[i - 1], toks[i])
                 if C.is_id[u]:
                     continue
                 face = (head, toks[: i - 1] + (u,) + toks[i + 1:])
-                add_block(face, ((-1 if i % 2 else 1) * eye) % p)
-            add_block((head, toks[:-1]), ((-1 if (n + 1) % 2 else 1) * eye) % p)
+                add_block(face, (-1 if i % 2 else 1) * eye)
+            add_block((head, toks[:-1]), (-1 if (n + 1) % 2 else 1) * eye)
             rows.extend(row_block)
         diffs.append(from_row_entries(dims[n + 1], dims[n], p, rows))
     return dims, diffs
@@ -309,8 +311,9 @@ def bar_tuples(P, n: int) -> list[tuple]:
     return [tuple(t) for t in itertools.product(nonid, repeat=n)]
 
 
-def bar_coboundary(G, P, n: int, p: int) -> np.ndarray:
-    """Dense d: C^n -> C^{n+1} on normalized bar cochains of P, trivial coefficients."""
+def bar_coboundary(G, P, n: int) -> np.ndarray:
+    """Dense d: C^n -> C^{n+1} on normalized bar cochains of P, trivial
+    coefficients, over the integers."""
     tuples_n, tuples_n1 = bar_tuples(P, n), bar_tuples(P, n + 1)
     index_n = {t: k for k, t in enumerate(tuples_n)}
     D = np.zeros((len(tuples_n1), len(tuples_n)), dtype=np.int64)
@@ -322,7 +325,7 @@ def bar_coboundary(G, P, n: int, p: int) -> np.ndarray:
                 continue
             D[r, index_n[tup[: i - 1] + (prod,) + tup[i + 1:]]] += -1 if i % 2 else 1
         D[r, index_n[tup[:-1]]] += -1 if (n + 1) % 2 else 1
-    return D % p
+    return D
 
 
 def pullback_matrix(basis, other, point_map) -> np.ndarray:

@@ -13,10 +13,12 @@ from scipy import sparse
 
 
 def symmetric(a, p: int) -> np.ndarray:
-    """The entries of ``a`` as symmetric residues mod p, in
-    -(p-1)//2 .. p//2: reduced into 0..p-1, then those above p/2 less p."""
-    r = np.asarray(a, dtype=np.int64) % p
-    return np.where(r > p // 2, r - p, r)
+    """The entries of ``a`` in the form ``FpMatrix`` stores them: an entry
+    with |x| <= p//2 as it stands, any other as (x + p//2) % p - p//2.  At
+    odd p that is the one symmetric residue of x; at p = 2 it keeps -1, 0
+    and 1, and sends any other odd entry to -1."""
+    a = np.asarray(a, dtype=np.int64)
+    return np.where(np.abs(a) <= p // 2, a, (a + p // 2) % p - p // 2)
 
 
 def _rank_csr_gf2(csr: sparse.csr_matrix) -> int:

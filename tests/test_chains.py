@@ -138,7 +138,7 @@ def test_bar_coboundaries_match_reference(spec, p):
         boundaries = nerve_boundaries(Chains(group_category(G, P), 3), p)
         for n in range(3):
             got = boundaries[n + 1].csr.toarray()
-            want = symmetric(ref.bar_coboundary(G, P, n, p), p)
+            want = symmetric(ref.bar_coboundary(G, P, n), p)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (P.label(), n)
 

@@ -4,18 +4,21 @@ Each test corrupts one entry of an artifact that a check reads: a chain
 map's matrix, which only its mapping cone's ∂² check reads; a nerve
 boundary's at p = 3, which ``FpComplex`` checks through a product of the
 stored entries, -1 and 1; a coefficient functor's, which the exhaustive
-functoriality check before its limits reads; or a category's composition
-store, which its law check and the functors into it read.  The run must still return a report, each
-stage reading the artifact must read ``fail`` with a note naming the
-broken invariant, and every other verdict must be the one a clean run
-gives.
+functoriality check before its limits reads; a category's composition
+store or witness, which its law check (and the functors into it) read; a
+functor's token map, which the quotient check and the chain map read; or
+the transporter mask a category is built from.  The run must still return
+a report, each stage reading the artifact must read ``fail`` with a note
+naming the broken invariant, and every other verdict must be the one a
+clean run gives.
 """
 
 import numpy as np
 import pytest
 
-from plocal import PipelineConfig, homology, limit_checks, pipeline
+from plocal import PipelineConfig, categories, homology, limit_checks, pipeline
 from plocal.catalog import build_group
+from plocal.chains import NOT_A_CHAIN
 from plocal.pipeline import STAGES, PipelineRun
 
 HOMOLOGY_CHECKS = ("quotient", "nerve-vs-group", "centric-restriction", "centric-agreement",
@@ -132,29 +135,95 @@ def test_a_corrupted_coefficient_functor_entry_fails_only_its_stage(monkeypatch)
         {k: v for k, v in clean.verdicts.items() if k != key}
 
 
+def sym4_run() -> PipelineRun:
+    return PipelineRun(build_group("sym:4"), PipelineConfig(
+        prime=2, max_degree=3, include_timings=False), "sym:4")
+
+
+def assert_only_keys_fail(report, keys: set[str], notes: list[str]):
+    """The verdicts ``keys`` read ``fail`` where a clean sym:4, p = 2 run
+    passes, the notes are ``notes``, and every other verdict is clean."""
+    clean = sym4_run().run()
+    assert {report.verdicts[k] for k in keys} == {"fail"}
+    assert {clean.verdicts[k] for k in keys} == {"pass"}
+    assert {k: v for k, v in report.verdicts.items() if k not in keys} == \
+        {k: v for k, v in clean.verdicts.items() if k not in keys}
+    assert not clean.data["notes"]
+    assert report.data["notes"] == notes
+
+
 def test_a_corrupted_composition_store_entry_fails_only_its_readers():
     """The transporter poset's stored composite of its first pair, identity
     token 0 with itself, is set to token 1 on sym:4 at p = 2.  Its law
     check and the functor from G into it, which nerve-vs-group checks, read
     the store: each of the two stages reads ``fail`` with a note naming its
     first failure, and every other verdict is a clean run's."""
-    def sym4_report(corrupt: bool):
-        run = PipelineRun(build_group("sym:4"), PipelineConfig(
-            prime=2, max_degree=3, include_timings=False), "sym:4")
-        if corrupt:
-            store = run.transporter_omega.composite
-            assert store[0] == 0
-            store[0] = 1
-        return run.run()
-
-    clean, report = sym4_report(False), sym4_report(True)
-    keys = {"category_laws", "transporter_nerve_vs_classifying_space"}
-    assert {report.verdicts[k] for k in keys} == {"fail"}
-    assert {clean.verdicts[k] for k in keys} == {"pass"}
-    assert {k: v for k, v in report.verdicts.items() if k not in keys} == \
-        {k: v for k, v in clean.verdicts.items() if k not in keys}
-    assert not clean.data["notes"]
-    assert report.data["notes"] == [
+    run = sym4_run()
+    store = run.transporter_omega.composite
+    assert store[0] == 0
+    store[0] = 1
+    assert_only_keys_fail(run.run(), {"category_laws", "transporter_nerve_vs_classifying_space"}, [
         "categories: transporter_poset: left identity fails at token 0",
         "nerve-vs-group: G into the transporter poset: composition of tokens (0,0) not preserved",
-    ]
+    ])
+
+
+@pytest.mark.parametrize("artifact,name", [("transporter_omega", "transporter_poset"),
+                                           ("linking_centric", "linking_centric")])
+def test_a_witness_outside_the_group_fails_only_category_laws(artifact, name):
+    """Token 5's witness is set to 10^6, no element of sym:4.  The coset
+    rule of the law check, which reads the witnesses, notes it and reads
+    no table at it; no other stage reads it."""
+    run = sym4_run()
+    getattr(run, artifact).witness[5] = 10**6
+    assert_only_keys_fail(run.run(), {"category_laws"},
+                          [f"categories: {name}: witness of token 5 is not an element of G"])
+
+
+@pytest.mark.parametrize("token", [10**6, -5])
+def test_a_token_map_entry_out_of_range_fails_only_its_readers(token):
+    """Token 3 of the transporter-to-linking projection is sent to no token
+    of the linking category, past its end or below 0.  The quotient check
+    finds Mor(0, 0) not covered, and the chain map raises rather than read
+    the linking category at that index: the two stages reading the map
+    fail, each with a note."""
+    run = sym4_run()
+    run.linking_projection.morphism_map[3] = token
+    assert_only_keys_fail(run.run(), {"quotient_functor_conditions", "transporter_vs_linking_homology"}, [
+        "quotient: morphism map not surjective on Mor(0,0)",
+        f"linking-vs-transporter: {NOT_A_CHAIN}",
+    ])
+
+
+def test_a_flipped_transporter_mask_entry_fails_only_its_readers(monkeypatch):
+    """The first transporter mask a run builds, the transporter poset's,
+    loses its last element of N(P, P) for the second object P.  That
+    token's composites are then not filled: the law check and the three
+    nerves of the transporter poset and of its centric part fail, each
+    with a note, and every other verdict is a clean run's."""
+    run = sym4_run()
+    real = categories.transporters
+    flipped = []
+
+    def flip(G, sources, targets):
+        out = real(G, sources, targets)
+        if not flipped:
+            g = int(np.flatnonzero(out[1, 1])[-1])
+            out[1, 1, g] = False
+            flipped.append([P.ids for P in sources])
+        return out
+
+    monkeypatch.setattr(categories, "transporters", flip)
+    report = run.run()
+    monkeypatch.undo()  # the clean run builds its own mask
+    assert flipped == [[P.ids for P in run.transporter_omega.objects]]
+    missing = "composition misses a composable pair"
+    assert_only_keys_fail(report, {
+        "category_laws", "transporter_nerve_vs_classifying_space",
+        "centric_restriction_homology", "centric_collections_agree",
+    }, [
+        "categories: transporter_poset: composite (49,54) is not filled",
+        f"nerve-vs-group: {missing}",
+        f"centric-restriction: {missing}",
+        f"centric-agreement: {missing}",
+    ])

@@ -1230,9 +1230,8 @@ def test_a_matrix_with_no_entries_has_rank_0_and_reads_no_row(monkeypatch, p, sh
 
 
 def sum_first(csr, p: int) -> sparse.csr_matrix:
-    """Canonical form the way ``FpMatrix`` once built it: duplicates summed
-    over the integers, then reduced to symmetric residues and zeros
-    dropped."""
+    """Canonical form by scipy alone: duplicates summed over the integers,
+    then put in the form ``symmetric`` gives and zeros dropped."""
     csr = sparse.csr_matrix(csr, dtype=np.int64, copy=True)
     csr.sum_duplicates()
     csr.data = symmetric(csr.data, p)
@@ -1241,11 +1240,12 @@ def sum_first(csr, p: int) -> sparse.csr_matrix:
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_construction_reduces_before_summing_as_summing_first_does(p):
+def test_construction_sums_duplicates_before_reducing(p):
     """Unsorted indices, explicit zeros, entries that vanish mod p, and
     duplicates that cancel only once summed (2 + 2 -> 1 and 1 + 2 -> 0 at
-    p = 3, 1 + 1 -> 0 at p = 2), given as COO and as raw CSR arrays: the
-    matrix is canonical and equal, array for array, to the sum-first one."""
+    p = 3, 1 + 3 -> 0 at p = 2), given as COO and as raw CSR arrays: the
+    matrix is canonical and equal, array for array, to the sum-first one,
+    and the -1 it is given is kept as it stands, at p = 2 too."""
     if p == 3:
         row0 = ([3, 2, 0, 1, 2, 0, 4], [2, 2, 1, 0, 3, 2, -1])  # (cols, vals)
     else:
@@ -1264,6 +1264,7 @@ def test_construction_reduces_before_summing_as_summing_first_does(p):
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert FpMatrix(raw.copy(), p).csr.toarray().tolist() == symmetric(raw.toarray(), p).tolist()
+    assert FpMatrix(raw.copy(), p).csr[2].toarray().tolist() == [[1, 0, 0, 0, -1]]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -1282,29 +1283,53 @@ def test_square_check_rejects_a_boundary_that_squares_to_nonzero_mod_p(p):
             assert FpComplex(p, 2, [2, p, 1], [None, d1, d2]).homology().dims == [1, p - 2]
 
 
+def unsigned(m: FpMatrix) -> FpMatrix:
+    """m with every entry 1, its tail's too: the form in which p = 2 once
+    stored a boundary, with the signs of its faces dropped."""
+    csr = sparse.csr_matrix((np.ones_like(m.csr.data), m.csr.indices, m.csr.indptr),
+                            shape=m.csr.shape)
+    return FpMatrix(csr, m.prime, None if m.tail is None else (unsigned(m.tail[0]), m.tail[1]))
+
+
 def test_products_of_lifted_nerve_boundaries_cancel_over_the_integers():
-    """The ∂² check at p = 3 multiplies the stored boundaries, whose entries
-    are -1 and 1, with no copy: on the bar complex of sym:3 x cyc:3,
-    ∂_4 ∂_3 keeps 28 integer entries, all 0 mod 3, where residues in 1..2
-    would give 778,764, and the stored boundaries are not written."""
+    """The ∂² check multiplies the stored boundaries, whose entries are -1
+    and 1 at every p, with no copy.  On the bar complex of sym:3 x cyc:3,
+    ∂_4 ∂_3 keeps 28 integer entries at p = 3 and at p = 2, all 0 mod p,
+    where residues in 1..p-1 would give 778,764, and the stored boundaries
+    are not written.  On the p = 2 cone of the transporter-to-linking
+    projection of sym:4, the leading rows of ∂_3 times ∂_2 (tail included)
+    cancel outright, where entries that are all 1 give 6,616."""
     G = build_group("sym:3 x cyc:3")
-    cx = nerve_complex(group_category(G, G.full_subgroup()), 3, 4)
-    top, below = cx.boundaries[4], cx.boundaries[3]
-    stored = [m.csr.data.copy() for m in (top, below)]
-    residues = (top.csr @ below.csr).tocsr()
-    residues.data %= 3
-    residues.eliminate_zeros()
-    unsigned = [sparse.csr_matrix((m.csr.data % 3, m.csr.indices, m.csr.indptr), shape=m.shape)
-                for m in (top, below)]
-    raw = unsigned[0] @ unsigned[1]
+    for p in (3, 2):
+        cx = nerve_complex(group_category(G, G.full_subgroup()), p, 4)
+        top, below = cx.boundaries[4], cx.boundaries[3]
+        stored = [m.csr.data.copy() for m in (top, below)]
+        residues = (top.csr @ below.csr).tocsr()
+        residues.data %= p
+        residues.eliminate_zeros()
+        lifted = [sparse.csr_matrix((m.csr.data % p, m.csr.indices, m.csr.indptr), shape=m.shape)
+                  for m in (top, below)]
+        raw = lifted[0] @ lifted[1]
+        raw.eliminate_zeros()
+        product = fplinalg._times(top.csr, below)
+        product.eliminate_zeros()
+        assert (raw.nnz, product.nnz, residues.nnz) == (778_764, 28, 0), p
+        assert not (product.data % p).any()
+        assert top.matmul(below).is_zero()
+        for m, data in zip((top, below), stored):
+            assert np.array_equal(m.csr.data, data) and set(data.tolist()) == {-1, 1}
+
+    G = build_group("sym:4")
+    cents = centric_subgroups(classify_centric(G, 2, all_subgroups(sylow_subgroup(G, 2))))
+    psi = quotient_projection(build_transporter(G, cents), 2)
+    cone = mapping_cone(induced_chain_map(psi, nerve_complex(psi.source, 2, 2),
+                                          nerve_complex(psi.target, 2, 3)))
+    top, below = cone.boundaries[3], cone.boundaries[2]
+    assert below.tail is not None and top.csr.shape == (1_620, 1_704)
+    assert fplinalg._times(top.csr, below).nnz == 0
+    raw = fplinalg._times(unsigned(top).csr, unsigned(below))
     raw.eliminate_zeros()
-    product = fplinalg._times(top.csr, below)
-    product.eliminate_zeros()
-    assert (raw.nnz, product.nnz, residues.nnz) == (778_764, 28, 0)
-    assert not (product.data % 3).any()
-    assert top.matmul(below).is_zero()
-    for m, data in zip((top, below), stored):
-        assert np.array_equal(m.csr.data, data) and set(data.tolist()) == {-1, 1}
+    assert raw.nnz == 6_616 and not (raw.data % 2).any()
 
 
 def noisy_csr(rng, canonical: sparse.csr_matrix, p: int, noise: int) -> sparse.csr_matrix:
@@ -1336,7 +1361,8 @@ def test_symmetric_residues_at_size(p):
     """More than 10^5 raw int64 entries, up to about 2^40 in size: negatives,
     explicit zeros, multiples of p, unsorted indices and duplicates that
     cancel.  The stored CSR equals, array for array, scipy's sum of the
-    duplicates taken mod p and lifted to symmetric residues.  Built again
+    duplicates in the form ``symmetric`` gives, and it equals the matrix
+    mod p (entry for entry at odd p, where that form is unique).  Built again
     from that canonical CSR, whose entries are made read-only, the matrix
     keeps the same buffer and writes nothing into it.  Its rank equals the
     references' and the dense oracle's."""
@@ -1358,7 +1384,9 @@ def test_symmetric_residues_at_size(p):
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(m.csr, name), getattr(want, name)), name
     assert m.csr.has_canonical_format
-    assert np.array_equal(m.csr.toarray(), symmetric(base.toarray(), p))
+    assert not ((m.csr.toarray() - base.toarray()) % p).any()
+    if p > 2:  # the symmetric residue is unique only at odd p
+        assert np.array_equal(m.csr.toarray(), symmetric(base.toarray(), p))
 
     data = want.data.copy()
     data.flags.writeable = False
@@ -1402,13 +1430,13 @@ def test_structural_rows_match_the_sorted_first_rows(seed):
 
 def assert_symmetric_canonical(csr: sparse.csr_matrix, p: int) -> None:
     """Columns strictly ascending within each row, and every entry a nonzero
-    symmetric residue, in -(p-1)//2 .. p//2: checked on the arrays."""
+    symmetric residue, |x| <= p//2: checked on the arrays."""
     indptr, indices, data = np.asarray(csr.indptr), csr.indices, csr.data
     row = np.repeat(np.arange(csr.shape[0]), np.diff(indptr))
     assert (np.diff(indices)[row[1:] == row[:-1]] > 0).all()
     assert data.all()
     if data.size:
-        assert data.min() >= -((p - 1) // 2) and data.max() <= p // 2
+        assert data.min() >= -(p // 2) and data.max() <= p // 2
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -30,6 +30,39 @@ def unused_parameters(tree: ast.Module) -> list[str]:
     return out
 
 
+def comparisons_with_two(tree: ast.Module) -> list[str]:
+    """``line: comparison`` for each comparison of a name or attribute
+    ``p`` or ``prime`` with the constant 2."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        names = {x.id if isinstance(x, ast.Name) else getattr(x, "attr", None) for x in operands}
+        if names & {"p", "prime"} and any(
+                isinstance(x, ast.Constant) and x.value == 2 for x in operands):
+            out.append(f"{node.lineno}: {ast.unparse(node)}")
+    return out
+
+
+def test_only_fplinalg_branches_on_p_equal_to_2():
+    """Every complex is written over the integers at every p, so only the
+    elimination engine may tell p = 2 from the other primes."""
+    found = [f"{path.name}:{entry}" for path in SOURCES if path.name != "fplinalg.py"
+             for entry in comparisons_with_two(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_the_scan_finds_a_comparison_of_p_with_2():
+    tree = ast.parse(
+        "if p == 2:\n"
+        "    x = 2 < self.prime <= 5\n"
+        "y = q > 2 or p % 2 == 0 or prime != 3\n"
+        "z = [n for n in range(9) if cm.prime > 2]\n"
+    )
+    assert comparisons_with_two(tree) == ["1: p == 2", "2: 2 < self.prime <= 5", "4: cm.prime > 2"]
+
+
 def test_every_parameter_is_read():
     unused = [f"{path.name}:{entry}" for path in SOURCES
               for entry in unused_parameters(ast.parse(path.read_text(), str(path)))]

@@ -346,10 +346,6 @@ class Functor:
             out.append(f"token {tid} maps outside its object images")
         return out
 
-    @property
-    def is_functor(self) -> bool:
-        return not self.violations()
-
 
 def full_subcategory(C: FiniteCategory, keep: list[int]) -> tuple[FiniteCategory, Functor]:
     """Full subcategory on the listed objects, with its inclusion functor."""
@@ -643,12 +639,17 @@ def verify_quotient_functor(psi: Functor, p: int) -> QuotientFunctorVerdict:
     the loops at i mapped onto the identity of ψi; their orders come at
     once, by composing each with itself until it is the identity, which a
     loop of finite order reaches within |Mor(i, i)| steps.  The fiber of f
-    must be {s f : s in the kernel} = {g in Mor(i, j) : ψg = ψf}."""
+    must be {s f : s in the kernel} = {g in Mor(i, j) : ψg = ψf}.  An object
+    sent to no object of the target fails every condition, with a note."""
     C, D = psi.source, psi.target
     m, n, md, nd = C.object_count, C.morphism_count, D.object_count, D.morphism_count
     fmap = np.asarray(psi.morphism_map, dtype=np.int64)
     fmap = np.where((fmap >= 0) & (fmap < nd), fmap, -1)  # -1: no token of D
     omap = np.asarray(psi.object_map, dtype=np.int64)
+    stray = np.flatnonzero((omap < 0) | (omap >= md)).tolist()
+    if stray:
+        return QuotientFunctorVerdict(False, False, False, False, [], [
+            f"object {i} maps to no object of the target" for i in stray])
 
     # the distinct (class, image class) of the objects: one per class, and
     # the images every class of D once

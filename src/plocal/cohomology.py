@@ -1,17 +1,19 @@
 """Classifying-space cohomology H^i(B P; F_p) with explicit cocycle bases.
 
-Cohomology is computed from normalized bar cochains of the subgroup, with a
-deterministic echelon-form basis of cocycles modulo coboundaries.  The bar
-coboundary C^n -> C^{n+1} is ∂_{n+1} of the one-object category on P,
-whose tokens follow ``P.ids``, built and checked by ``nerve_complex`` like
-every nerve; so cochains are indexed by tuples of non-identity elements in
-lexicographic order, and a pullback finds each image tuple's index from
-its parent's image (``chains.chain_images``).
+Cohomology is computed from normalized bar cochains of the subgroup: the
+basis of H^i is the first cocycles of ``nullspace_dense``'s basis that are
+independent modulo coboundaries, all chosen in one ``EchelonCoords`` call.
+The bar coboundary C^n -> C^{n+1} is ∂_{n+1} of the one-object category on
+P, whose tokens follow ``P.ids``, built and checked by ``nerve_complex``
+like every nerve; so cochains are indexed by tuples of non-identity
+elements in lexicographic order, and a pullback finds each image tuple's
+index from its parent's image (``chains.chain_images``).
 Induced maps along orbit-category morphisms are pullbacks by conjugation by
 the morphism's witness, mapped on token arrays and reduced to the chosen
-bases, so the resulting functor matrices are reproducible.  The
-functors built here are not validated on construction: ``limits_profile``
-checks each one exhaustively before it computes its limits.
+bases, every representative in one product, so the resulting functor
+matrices are reproducible.  The functors built here are not validated on
+construction: ``limits_profile`` checks each one exhaustively before it
+computes its limits.
 """
 
 from __future__ import annotations
@@ -35,46 +37,37 @@ class CohomologyBasis:
         self.G = G = P.parent
         self.P = P
         self.i = i
-        self.p = p
         self.category = group_category(G, P, budget)
         # each element's token: k for P.ids[k], -1 outside P
         self.token_of = np.full(G.order, -1, dtype=np.int64)
         self.token_of[self.category.witness] = np.arange(P.order)
         cx = nerve_complex(self.category, p, i + 1, budget)
         self.chains = cx.chains
-        cocycles = nullspace_dense(cx.boundaries[i + 1].csr.toarray(), p)
         ech = EchelonCoords(cx.dims[i], p)
         if i >= 1:
-            D_prev = cx.boundaries[i].csr.toarray()
-            for j in range(D_prev.shape[1]):
-                ech.add_silent(D_prev[:, j])
-        reps = []
-        for vec in cocycles:
-            if ech.add_tracked(vec):
-                reps.append(vec % p)
-        self.reps = reps
-        self.dim = len(reps)
+            ech.add_silent(cx.boundaries[i].csr.toarray().T)
+        cocycles = nullspace_dense(cx.boundaries[i + 1].csr.toarray(), p)
+        self.reps = cocycles[ech.add_tracked(cocycles)]
+        self.dim = len(self.reps)
         self._ech = ech
 
-    def coords(self, vec: np.ndarray) -> np.ndarray:
-        """Coordinates of a cocycle's class in the chosen basis of H^i."""
-        return self._ech.coords(vec)
+    def coords(self, vecs: np.ndarray) -> np.ndarray:
+        """Coordinates of cocycles' classes in the chosen basis of H^i: the
+        cocycles go in as rows, and one column per cocycle comes out."""
+        return self._ech.coords(vecs)
 
     def pullback_matrix(self, other: "CohomologyBasis", g: int) -> np.ndarray:
         """Matrix of the map H^i(B other) -> H^i(B self) induced by the
         conjugation x -> x^g, which must map self.P into other.P."""
-        M = np.zeros((self.dim, other.dim), dtype=np.int64)
         if self.dim == 0 or other.dim == 0:
-            return M
+            return np.zeros((self.dim, other.dim), dtype=np.int64)
         image = other.token_of[_conj(self.G, self.category.witness, g)]
         if (image < 0).any():
             raise PLocalError(f"conjugation by {g} maps {self.P.label()} outside {other.P.label()}")
         *_, at = chain_images(self.chains, other.chains, np.zeros(1, dtype=np.int64), image, self.i)
         if (at < 0).any():
             raise PLocalError(NOT_A_CHAIN)
-        for j, rep in enumerate(other.reps):
-            M[:, j] = self.coords(rep[at] % self.p)
-        return M
+        return self.coords(other.reps[:, at])
 
 
 class CohomologyCache:

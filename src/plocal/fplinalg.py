@@ -569,111 +569,87 @@ def _reduce_tail_modp(row: dict[int, int], p: int, pivots: dict[int, dict[int, i
                 row[j] = nv
 
 
-# -- dense helpers (small matrices: cocycle bases, compatibility systems) ----
+# -- dense routines (small matrices: cocycle bases and their coordinates) ----
 
 
 def rref_dense(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p with deterministic first-nonzero pivots."""
-    R = np.array(A, dtype=np.int64) % p
-    nrows, ncols = R.shape
+    """Reduced row echelon form over F_p, entries in [0, p), and its pivot
+    columns, A's column rank profile: each pivot row is the first row at or
+    below it nonzero in its column.  A pivot clears its column by one outer
+    product over the rows nonzero there, itself included (then written back),
+    at columns >= c only, since the pivot row is zero before c."""
+    R = np.asarray(A, dtype=np.int64) % p
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
+    for c in range(R.shape[1]):
+        r = len(pivots)
+        if r == R.shape[0]:
             break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
+        nz = np.flatnonzero(R[r:, c])
+        if not nz.size:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        R[r] = (R[r] * pow(int(R[r, c]), -1, p)) % p
-        for k in range(nrows):
-            if k != r and R[k, c]:
-                R[k] = (R[k] - R[k, c] * R[r]) % p
+        R[[r, r + nz[0]]] = R[[r + nz[0], r]]
+        pivot = R[r, c:] * pow(int(R[r, c]), -1, p) % p
+        rows = np.flatnonzero(R[:, c])
+        R[rows, c:] = (R[rows, c:] - R[rows, c, None] * pivot) % p
+        R[r, c:] = pivot
         pivots.append(c)
-        r += 1
     return R, pivots
 
 
 def nullspace_dense(A: np.ndarray, p: int) -> np.ndarray:
-    """Deterministic basis of {x : A x = 0 mod p}, one row per basis vector."""
-    A = np.asarray(A, dtype=np.int64)
-    if A.shape[1] == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if A.shape[0] == 0:
-        return np.eye(A.shape[1], dtype=np.int64)
+    """Basis of {x : A x = 0 mod p}, one row per free column of A's RREF, in
+    column order: 1 at its free column and minus the RREF's entries in that
+    column at the pivot columns."""
     R, pivots = rref_dense(A, p)
-    ncols = A.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-R[r, c]) % p
+    free = np.delete(np.arange(R.shape[1]), pivots)
+    basis = np.zeros((len(free), R.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -R[:len(pivots), free].T % p
     return basis
 
 
 class EchelonCoords:
-    """Echelon reduction against a fixed subspace with coordinate tracking.
+    """Coordinates over F_p modulo a fixed subspace, for whole matrices.
 
-    Seeded with "silent" rows (a known subspace modded out) and then grown by
-    tracked rows; ``coords`` expresses a vector in terms of the tracked rows
-    modulo the silent span, failing if the vector lies outside.
+    ``add_silent`` sets the subspace modded out; ``add_tracked`` then picks
+    a basis of the rest from tracked rows, in one call, and ``coords``
+    writes vectors in that basis, failing if one lies outside.  Every
+    product sums at most ``ambient`` products of residues, so it is exact
+    in int64 while ambient·(p-1)² < 2^63.
     """
 
     def __init__(self, ambient: int, p: int):
+        if ambient * (p - 1) ** 2 >= 2 ** 63:
+            raise PLocalError(f"F_{p} products of length {ambient} overflow int64")
         self.p = p
-        self.ambient = ambient
-        self.rows: list[tuple[np.ndarray, np.ndarray | None]] = []  # (vector, coords)
+        self.silent = np.zeros((0, ambient), dtype=np.int64)  # an RREF, pivots at ``lead``
         self.lead: list[int] = []
-        self.tracked = 0
 
-    def _reduce(self, vec: np.ndarray, coords: np.ndarray | None):
-        p = self.p
-        vec = vec.copy() % p
-        for (rvec, rcoords), c in zip(self.rows, self.lead):
-            if vec[c]:
-                f = int(vec[c])
-                vec = (vec - f * rvec) % p
-                if coords is not None and rcoords is not None:
-                    coords = (coords - f * rcoords) % p
-        return vec, coords
+    def add_silent(self, rows: np.ndarray) -> None:
+        """Mod out the span of ``rows`` too; before any tracked rows."""
+        R, self.lead = rref_dense(np.vstack([self.silent, rows]), self.p)
+        self.silent = R[:len(self.lead)]
 
-    def add_silent(self, vec: np.ndarray) -> bool:
-        vec, _ = self._reduce(vec, None)
-        nz = np.nonzero(vec)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        vec = (vec * pow(int(vec[c]), -1, self.p)) % self.p
-        self.rows.append((vec, None))
-        self.lead.append(c)
-        return True
+    def add_tracked(self, rows: np.ndarray) -> list[int]:
+        """Keep, and return the indices of, the rows independent of the rows
+        before them modulo the silent span: the pivot columns of the reduced
+        rows' transpose, the rows an incremental pass would keep."""
+        rows = np.asarray(rows, dtype=np.int64) % self.p
+        reduced = (rows - rows[:, self.lead] @ self.silent) % self.p
+        kept = rref_dense(reduced.T, self.p)[1]
+        self.basis = np.vstack([self.silent, reduced[kept]])  # silent rows first
+        # [basis | I] reduces to [RREF | the inverse of basis at its pivot columns]
+        eye = np.eye(len(self.basis), dtype=np.int64)
+        R, self._at = rref_dense(np.hstack([self.basis, eye]), self.p)
+        self._inv = R[:, rows.shape[1]:]
+        return kept
 
-    def add_tracked(self, vec: np.ndarray) -> bool:
-        vec2, coords = self._reduce(vec, np.zeros(self.tracked, dtype=np.int64))
-        nz = np.nonzero(vec2)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        inv = pow(int(vec2[c]), -1, self.p)
-        vec2 = (vec2 * inv) % self.p
-        # extend stored coordinate vectors by one slot for the new tracked row
-        newrows = []
-        for rvec, rcoords in self.rows:
-            if rcoords is not None:
-                rcoords = np.concatenate([rcoords, [0]])
-            newrows.append((rvec, rcoords))
-        self.rows = newrows
-        coords = (np.concatenate([coords, [1]]) * inv) % self.p
-        self.rows.append((vec2, coords))
-        self.lead.append(c)
-        self.tracked += 1
-        return True
-
-    def coords(self, vec: np.ndarray) -> np.ndarray:
-        residue, coords = self._reduce(vec, np.zeros(self.tracked, dtype=np.int64))
-        if np.any(residue):
+    def coords(self, vecs: np.ndarray) -> np.ndarray:
+        """Coordinates of each row of ``vecs`` in the kept rows, modulo the
+        silent span, one column per vector; raises if a vector lies outside
+        their span plus the silent one."""
+        vecs = np.asarray(vecs, dtype=np.int64) % self.p
+        z = vecs[:, self._at] @ self._inv % self.p
+        if ((z @ self.basis - vecs) % self.p).any():
             raise PLocalError("vector lies outside the tracked span")
-        return (-coords) % self.p
+        return z[:, len(self.lead):].T

@@ -339,7 +339,7 @@ def pullback_matrix(basis, other, point_map) -> np.ndarray:
         w = np.zeros(len(tuples_i), dtype=np.int64)
         for k, tup in enumerate(tuples_i):
             w[k] = rep[other_index[tuple(point_map(x) for x in tup)]]
-        M[:, j] = basis.coords(w % basis.p)
+        M[:, j] = basis.coords(w[None])[:, 0]
     return M
 
 

@@ -4,12 +4,20 @@ Each ranks a whole CSR matrix over F_p by plain insertion, in row order:
 no bound, no seeding, no tail reduction and no span filter,
 and it keeps no echelon.  The tests check the engine's ranks against them.
 ``symmetric`` gives the form in which ``FpMatrix`` stores its entries.
+
+``rref_loop``, ``nullspace_loop`` and ``EchelonLoop`` are the dense routines
+as per-row and per-vector loops: one row operation per pivot and row, and
+one tracked or silent vector, or one vector's coordinates, per call.  The
+tests check ``rref_dense``, ``nullspace_dense`` and ``EchelonCoords``, which
+work on whole matrices, against them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+
+from plocal import PLocalError
 
 
 def symmetric(a, p: int) -> np.ndarray:
@@ -73,3 +81,110 @@ def _rank_csr_modp(csr: sparse.csr_matrix, p: int) -> int:
                     row.pop(k, None)
         # fully reduced to zero: move on
     return rank
+
+
+def rref_loop(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over F_p with deterministic first-nonzero pivots."""
+    R = np.array(A, dtype=np.int64) % p
+    nrows, ncols = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        R[r] = (R[r] * pow(int(R[r, c]), -1, p)) % p
+        for k in range(nrows):
+            if k != r and R[k, c]:
+                R[k] = (R[k] - R[k, c] * R[r]) % p
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def nullspace_loop(A: np.ndarray, p: int) -> np.ndarray:
+    """Deterministic basis of {x : A x = 0 mod p}, one row per basis vector."""
+    A = np.asarray(A, dtype=np.int64)
+    if A.shape[1] == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    if A.shape[0] == 0:
+        return np.eye(A.shape[1], dtype=np.int64)
+    R, pivots = rref_loop(A, p)
+    ncols = A.shape[1]
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    for k, c in enumerate(free):
+        basis[k, c] = 1
+        for r, pc in enumerate(pivots):
+            basis[k, pc] = (-R[r, c]) % p
+    return basis
+
+
+class EchelonLoop:
+    """Echelon reduction against a fixed subspace with coordinate tracking.
+
+    Seeded with "silent" rows (a known subspace modded out) and then grown by
+    tracked rows; ``coords`` expresses a vector in terms of the tracked rows
+    modulo the silent span, failing if the vector lies outside.
+    """
+
+    def __init__(self, ambient: int, p: int):
+        self.p = p
+        self.ambient = ambient
+        self.rows: list[tuple[np.ndarray, np.ndarray | None]] = []  # (vector, coords)
+        self.lead: list[int] = []
+        self.tracked = 0
+
+    def _reduce(self, vec: np.ndarray, coords: np.ndarray | None):
+        p = self.p
+        vec = vec.copy() % p
+        for (rvec, rcoords), c in zip(self.rows, self.lead):
+            if vec[c]:
+                f = int(vec[c])
+                vec = (vec - f * rvec) % p
+                if coords is not None and rcoords is not None:
+                    coords = (coords - f * rcoords) % p
+        return vec, coords
+
+    def add_silent(self, vec: np.ndarray) -> bool:
+        vec, _ = self._reduce(vec, None)
+        nz = np.nonzero(vec)[0]
+        if nz.size == 0:
+            return False
+        c = int(nz[0])
+        vec = (vec * pow(int(vec[c]), -1, self.p)) % self.p
+        self.rows.append((vec, None))
+        self.lead.append(c)
+        return True
+
+    def add_tracked(self, vec: np.ndarray) -> bool:
+        vec2, coords = self._reduce(vec, np.zeros(self.tracked, dtype=np.int64))
+        nz = np.nonzero(vec2)[0]
+        if nz.size == 0:
+            return False
+        c = int(nz[0])
+        inv = pow(int(vec2[c]), -1, self.p)
+        vec2 = (vec2 * inv) % self.p
+        # extend stored coordinate vectors by one slot for the new tracked row
+        newrows = []
+        for rvec, rcoords in self.rows:
+            if rcoords is not None:
+                rcoords = np.concatenate([rcoords, [0]])
+            newrows.append((rvec, rcoords))
+        self.rows = newrows
+        coords = (np.concatenate([coords, [1]]) * inv) % self.p
+        self.rows.append((vec2, coords))
+        self.lead.append(c)
+        self.tracked += 1
+        return True
+
+    def coords(self, vec: np.ndarray) -> np.ndarray:
+        residue, coords = self._reduce(vec, np.zeros(self.tracked, dtype=np.int64))
+        if np.any(residue):
+            raise PLocalError("vector lies outside the tracked span")
+        return (-coords) % self.p

@@ -260,7 +260,7 @@ def test_quotient_projection_fibers():
     cents = centric_in_sylow(G, 2)
     T = build_transporter(G, cents)
     psi = quotient_projection(T, 2)
-    assert psi.is_functor
+    assert not psi.violations()
     v = verify_quotient_functor(psi, 2)
     assert v.passed
     assert v.kernel_orders == [3]
@@ -286,7 +286,7 @@ def test_kernel_conditions_fail_on_collapse():
     collapse = Functor(
         T, terminal, [0] * T.object_count, [0] * T.morphism_count
     )
-    assert collapse.is_functor
+    assert not collapse.violations()
     v = verify_quotient_functor(collapse, 2)
     assert not v.iso_class_bijective
     assert not v.passed
@@ -364,7 +364,7 @@ def test_skeleton_of_conjugate_objects():
     skel, incl = skeleton(L)
     assert skel.object_count == 1
     assert len(skel.mor(0, 0)) == 2
-    assert incl.is_functor
+    assert not incl.violations()
     # skeleton of a skeletal category is itself
     again, _ = skeleton(skel)
     assert again.object_count == skel.object_count
@@ -385,7 +385,7 @@ def test_full_subcategory_inclusion():
     keep = [i for i, P in enumerate(T.objects) if P.order == 8][:2]
     sub, incl = full_subcategory(T, keep)
     assert sub.object_count == 2
-    assert incl.is_functor
+    assert not incl.violations()
     assert verify_category(sub).passed
 
 
@@ -828,7 +828,7 @@ def test_functor_violations_catch_a_composite_not_preserved():
     assert ident.violations() == [
         f"composition of tokens ({t},{C.identity_ids[C.tgt[t]]}) not preserved"
     ]
-    assert not ident.is_functor
+    assert ident.violations()
 
 
 def check_store_lookups(C):
@@ -870,7 +870,7 @@ def test_skeleta_and_unsorted_full_subcategories_keep_the_store(spec, p):
         assert C.witness.tolist() == T.witness[F.morphism_map].tolist()
         check_store_lookups(C)
         assert store_table(C) == reference_compose_table(C)
-        assert F.is_functor and verify_category(C).passed
+        assert not F.violations() and verify_category(C).passed
 
 
 def test_set_tokens_rejects_ungrouped_sources_and_a_second_call():

@@ -183,7 +183,7 @@ def test_tokens_stay_grouped_by_source():
     # an unsorted object list is renumbered grouped by the new sources
     sub, incl = full_subcategory(T, [1, 0])
     assert sub.src.tolist() == sorted(sub.src.tolist())
-    assert incl.is_functor
+    assert not incl.violations()
     assert nerve_complex(sub, 2, 3).homology().dims == nerve_complex(T, 2, 3).homology().dims
 
 

@@ -6,11 +6,11 @@ boundary's at p = 3, which ``FpComplex`` checks through a product of the
 stored entries, -1 and 1; a coefficient functor's, which the exhaustive
 functoriality check before its limits reads; a category's composition
 store or witness, which its law check (and the functors into it) read; a
-functor's token map, which the quotient check and the chain map read; or
-the transporter mask a category is built from.  The run must still return
-a report, each stage reading the artifact must read ``fail`` with a note
-naming the broken invariant, and every other verdict must be the one a
-clean run gives.
+functor's token or object map, which the quotient check and the chain map
+read; or the transporter mask a category is built from.  The run must
+still return a report, each stage reading the artifact must read ``fail``
+with a note naming the broken invariant, and every other verdict must be
+the one a clean run gives.
 """
 
 import numpy as np
@@ -191,6 +191,21 @@ def test_a_token_map_entry_out_of_range_fails_only_its_readers(token):
     run.linking_projection.morphism_map[3] = token
     assert_only_keys_fail(run.run(), {"quotient_functor_conditions", "transporter_vs_linking_homology"}, [
         "quotient: morphism map not surjective on Mor(0,0)",
+        f"linking-vs-transporter: {NOT_A_CHAIN}",
+    ])
+
+
+@pytest.mark.parametrize("obj", [10**6, -1])
+def test_an_object_map_entry_out_of_range_fails_only_its_readers(obj):
+    """Object 0 of the transporter-to-linking projection is sent to no
+    object of the linking category, past its end or below 0, where numpy
+    would wrap.  The quotient check names the object, and the chain map
+    raises rather than read the linking category there: the two stages
+    reading the map fail, each with a note."""
+    run = sym4_run()
+    run.linking_projection.object_map[0] = obj
+    assert_only_keys_fail(run.run(), {"quotient_functor_conditions", "transporter_vs_linking_homology"}, [
+        "quotient: object 0 maps to no object of the target",
         f"linking-vs-transporter: {NOT_A_CHAIN}",
     ])
 

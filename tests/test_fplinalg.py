@@ -65,6 +65,7 @@ from plocal.catalog import build_group
 from plocal.categories import group_category
 from plocal.cohomology import CohomologyCache
 from plocal.fplinalg import (
+    EchelonCoords,
     FpMatrix,
     _insert_rows_gf2,
     _insert_rows_modp,
@@ -73,9 +74,18 @@ from plocal.fplinalg import (
     _leads,
     _SpanTest,
     _structural_rows,
+    nullspace_dense,
+    rref_dense,
 )
 from reference_chains import constant_functor
-from reference_fplinalg import _rank_csr_gf2, _rank_csr_modp, symmetric
+from reference_fplinalg import (
+    EchelonLoop,
+    _rank_csr_gf2,
+    _rank_csr_modp,
+    nullspace_loop,
+    rref_loop,
+    symmetric,
+)
 from reference_omega import centric_subgroups
 
 DENSE_ORACLE_MAX_ENTRIES = 2_000_000
@@ -1471,3 +1481,80 @@ def test_catalog_matrices_store_symmetric_residues(monkeypatch, p):
                                                 cohomology_index_max=1, include_timings=False))
         assert rep.overall == "pass", spec
     assert all(built.values()), built
+
+
+# -- dense routines, against their per-vector loops ---------------------------
+
+
+def low_rank(rng, p: int, nrows: int, ncols: int, rank: int) -> np.ndarray:
+    """A random integer matrix of rank at most ``rank`` mod p, with entries
+    of both signs, and a zero row and a zero column where it has any."""
+    A = rng.integers(0, p, (nrows, rank)) @ rng.integers(0, p, (rank, ncols)) % p
+    A -= p * rng.integers(0, 2, A.shape)
+    if nrows and ncols:
+        A[rng.integers(nrows)] = 0
+        A[:, rng.integers(ncols)] = 0
+    return A
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("nrows,ncols,rank", [
+    (0, 0, 0), (0, 7, 0), (7, 0, 0), (1, 1, 1), (12, 9, 4), (60, 90, 35), (90, 60, 60),
+    (300, 280, 120),
+])
+def test_dense_rref_and_nullspace_match_their_loops(p, nrows, ncols, rank):
+    """The RREF is unique, so R and its pivots equal the loop's; the rank is
+    the oracle's, and the nullspace basis is the loop's, with ncols - rank
+    rows, each killed by A."""
+    A = low_rank(np.random.default_rng(p * nrows + ncols), p, nrows, ncols, rank)
+    R, pivots = rref_dense(A, p)
+    want_R, want_pivots = rref_loop(A, p)
+    assert pivots == want_pivots and np.array_equal(R, want_R)
+    assert len(pivots) == oracle.dense_rank_modp(A, p)
+    N = nullspace_dense(A, p)
+    assert N.shape == (ncols - len(pivots), ncols)
+    assert not (A @ N.T % p).any()
+    assert np.array_equal(N, nullspace_loop(A, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("ambient,silent,tracked", [
+    (0, 0, 0), (6, 0, 4), (6, 3, 0), (40, 15, 30), (250, 80, 200),
+])
+def test_echelon_coords_match_the_per_vector_loop(p, ambient, silent, tracked):
+    """Silent rows of half rank, and tracked rows of rank ambient/3 plus
+    silent combinations, go into the batch object at once and into the loop
+    one at a time.  The kept rows and the coordinates of vectors in the span
+    are the loop's, and a vector outside it raises in both."""
+    rng = np.random.default_rng(p * ambient + silent + tracked)
+    S = low_rank(rng, p, silent, ambient, silent // 2)
+    T = low_rank(rng, p, tracked, ambient, ambient // 3) + low_rank(rng, p, tracked, silent, silent) @ S
+    ech, loop = EchelonCoords(ambient, p), EchelonLoop(ambient, p)
+    ech.add_silent(S)
+    for row in S:
+        loop.add_silent(row)
+    kept = ech.add_tracked(T)
+    assert kept == [j for j, row in enumerate(T) if loop.add_tracked(row)]
+    V = low_rank(rng, p, 9, tracked, tracked) @ T + low_rank(rng, p, 9, silent, silent) @ S
+    X = ech.coords(V)
+    assert X.shape == (len(kept), 9)
+    assert np.array_equal(X, np.array([loop.coords(v) for v in V]).reshape(9, len(kept)).T)
+    span = rref_dense(np.vstack([S, T]), p)[1]
+    outside = np.setdiff1d(np.arange(ambient), span)
+    if ambient > 6:
+        assert outside.size
+    for c in outside[:2].tolist():
+        e = np.zeros(ambient, dtype=np.int64)
+        e[c] = p - 1
+        with pytest.raises(PLocalError, match="outside the tracked span"):
+            ech.coords(np.vstack([V, e]))
+        with pytest.raises(PLocalError, match="outside the tracked span"):
+            loop.coords(e)
+
+
+@pytest.mark.parametrize("ambient,p", [(2 ** 61, 3), (2 ** 63 // 36 + 1, 7)])
+def test_echelon_coords_refuses_products_that_overflow_int64(ambient, p):
+    """A product sums up to ``ambient`` products of residues, each at most
+    (p-1)^2, so from ambient·(p-1)² = 2^63 on it could wrap."""
+    with pytest.raises(PLocalError, match="overflow int64"):
+        EchelonCoords(ambient, p)

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -25,6 +26,7 @@ from plocal import (
 from plocal import limit_checks
 from plocal.catalog import build_group
 from plocal.cohomology import CohomologyBasis, CohomologyCache, zeroed_at
+from plocal.fplinalg import EchelonCoords
 from plocal.limits import LinearFunctor, element_action_matrices
 from plocal.omega import is_centric
 from reference_chains import (
@@ -202,6 +204,48 @@ def test_cohomology_basis_z3():
     assert [CohomologyBasis(S, i, 3).dim for i in range(4)] == [1, 1, 1, 1]
     # prime-to-order coefficients: cohomology collapses
     assert [CohomologyBasis(S, i, 2).dim for i in range(3)] == [1, 0, 0]
+
+
+# the digest the per-vector dense loops gave, before rref_dense,
+# nullspace_dense and EchelonCoords worked on whole matrices
+FUNCTOR_DIGEST = "c09b0522d6db67ddce76de4304f52d7ac71d05c68e9b75660ebd4aea52456972"
+
+
+def test_cohomology_functor_entries_are_pinned():
+    """The dims and entries of P -> H^i(B P; F_p) on the orbit category of
+    each class of p-subgroups, i = 0..2, p = 2 and 3: the cocycle bases and
+    the coordinates of their pullbacks are the ones the loops chose."""
+    h = hashlib.sha256()
+    for spec in ["sym:3", "sym:4", "alt:4", "dih:8", "dih:12", "sym:3 x cyc:3"]:
+        G = build_group(spec)
+        for p in (2, 3):
+            skel = build_orbit_skeletons(G, p)
+            cache = CohomologyCache(G, p)
+            for i in range(3):
+                F = classifying_cohomology_functor(skel.p_cat, i, cache)
+                h.update(repr((spec, p, i, list(F.dims))).encode())
+                h.update(np.asarray(F.entries, dtype=np.int64).tobytes())
+    assert h.hexdigest() == FUNCTOR_DIGEST
+
+
+@pytest.mark.parametrize("i", [0, 2])
+def test_a_basis_reduces_its_vectors_in_one_call_of_each_kind(monkeypatch, i):
+    """One CohomologyBasis hands its silent rows (none at i = 0) and its
+    cocycles to its echelon in one call each, and a pullback matrix takes
+    the coordinates of every representative in one call."""
+    calls = []
+    for name in ("add_silent", "add_tracked", "coords"):
+        real = getattr(EchelonCoords, name)
+        monkeypatch.setattr(EchelonCoords, name,
+                            lambda self, rows, real=real, name=name: calls.append(name)
+                            or real(self, rows))
+    S = build_group("dih:8").full_subgroup()
+    basis = CohomologyBasis(S, i, 2)
+    assert calls == ["add_silent", "add_tracked"][i == 0:]
+    calls.clear()
+    M = basis.pullback_matrix(basis, 0)
+    assert calls == ["coords"]
+    assert M.tolist() == np.eye(i + 1, dtype=np.int64).tolist()
 
 
 def test_cohomology_functor_inner_action_trivial():

@@ -4,8 +4,10 @@
 Prints one summary line per (group, prime) with the sha256 of its JSON
 report (timings left out, so the digest depends only on the results), then
 one combined digest over all reports in catalog order; optionally writes the
-reports to a directory.  Running it on two checkouts and comparing the last
-line tells whether the catalog reports are byte-identical.
+reports to a directory.  A failing verdict or an internal-error note is
+flagged on its line and makes the exit status 1.  Running it on two
+checkouts and comparing the last line tells whether the catalog reports are
+byte-identical.
 
     python3 scripts/run_catalog.py [--out reports/] [--max-degree 3]
 """
@@ -51,6 +53,7 @@ def main():
                 ),
             )
             fails = [k for k, v in rep.verdicts.items() if v == "fail"]
+            crashes = [n for n in rep.data["notes"] if ": internal error: " in n]
             text = rep.to_json()
             digest = hashlib.sha256(text.encode()).hexdigest()
             combined.update(digest.encode())
@@ -58,8 +61,9 @@ def main():
                 f"{spec:16s} p={p}  overall={rep.overall:13s} "
                 f"[{time.time() - t0:6.1f}s]  sha256={digest}"
                 + (f"  FAILING: {fails}" if fails else "")
+                + (f"  INTERNAL ERROR: {crashes}" if crashes else "")
             )
-            bad += bool(fails)
+            bad += bool(fails or crashes)
             if outdir:
                 name = spec.replace(" ", "").replace(":", "") + f"_p{p}.json"
                 (outdir / name).write_text(text)

@@ -156,7 +156,7 @@ class FiniteCategory:
         """Write the store: the composite is the token of the coset of the
         witness product (unfilled if there is none)."""
         if self.pair_start[-1] > table_budget:
-            raise BudgetExceeded(2, int(self.pair_start[-1]), table_budget)
+            raise BudgetExceeded(None, int(self.pair_start[-1]), table_budget)
         self.composite = self.coset_composites(*self.pairs())
 
     # -- the coset rule ------------------------------------------------------
@@ -215,6 +215,13 @@ class FiniteCategory:
         out = np.full(ok.shape, -1, dtype=np.int64)
         out[ok] = self.composite[(self.pair_start[a] + b - self.first[self.src[b]])[ok]]
         return out
+
+    def table_key(self) -> tuple:
+        """All a nerve or a functor's limits read of the category: the object
+        count and the src, tgt, identity and composite arrays, whose bytes a
+        dict hashes to a slot and compares in full on a hit."""
+        arrays = (self.src, self.tgt, self.identity_ids, self.composite)
+        return (self.object_count, *(np.asarray(a, dtype=np.int64).tobytes() for a in arrays))
 
     @property
     def object_count(self) -> int:
@@ -785,7 +792,7 @@ def verify_closure_adjunction(
         # are omega's, within the budget once omega is built; the
         # precomposition pairs are counted before they are formed
         if len(u) * len(phi_big) > table_budget:
-            raise BudgetExceeded(2, len(u) * len(phi_big), table_budget)
+            raise BudgetExceeded(None, len(u) * len(phi_big), table_budget, "precomposition")
         k, pos, _ = _expand(np.diff(omega.pair_start)[phi])
         slot = omega.pair_start[phi[k]] + pos
         post = differ(big.coset_composites(phi_big[k], lift[om_next[slot]]),

@@ -31,12 +31,14 @@ DEFAULT_BUDGET = 2_000_000
 
 
 class BudgetExceeded(PLocalError):
-    """Raised when a chain basis (or composition table) would exceed the budget."""
+    """Raised when a chain basis, or the pairs a composition table composes,
+    would exceed the budget.  A degree of None counts pairs, of the kind
+    ``pairs`` names."""
 
-    def __init__(self, degree: int, count: int, budget: int):
-        super().__init__(
-            f"basis size {count} at degree {degree} exceeds budget {budget}"
-        )
+    def __init__(self, degree: int | None, count: int, budget: int, pairs: str = "composable"):
+        counted = (f"{count} {pairs} pairs exceed" if degree is None
+                   else f"basis size {count} at degree {degree} exceeds")
+        super().__init__(f"{counted} budget {budget}")
         self.degree = degree
         self.count = count
         self.budget = budget

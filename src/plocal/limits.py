@@ -162,15 +162,12 @@ def limits_profile(F: LinearFunctor, nmax: int, budget: int = DEFAULT_BUDGET,
 
 
 def _functor_key(F: LinearFunctor, nmax: int, budget: int) -> tuple:
-    """Everything ``limits_profile`` reads: the category's identities and
-    composition, the prime, nmax, the budget, the dimensions (so every
-    matrix's shape) and the entries mod p.  Compared in full, never by digest."""
-    C = F.category
-    arrays = (C.src, C.tgt, C.is_id, C.identity_ids, C.composite)
-    return (
-        C.object_count, *(np.asarray(a, dtype=np.int64).tobytes() for a in arrays),
-        F.prime, nmax, budget, tuple(F.dims), F.entries.tobytes(),
-    )
+    """Everything ``limits_profile`` reads: the category's composition table
+    (``FiniteCategory.table_key``, the key nerves are shared by too), the
+    prime, nmax, the budget, the dimensions (so every matrix's shape) and
+    the entries mod p.  Compared in full, never by digest alone."""
+    return (F.category.table_key(), F.prime, nmax, budget, tuple(F.dims),
+            F.entries.tobytes())
 
 
 def inverse_limit_dim(F: LinearFunctor) -> int:

@@ -10,7 +10,8 @@ comparison of the linking-system nerve against the classifying space.
 
 Every nerve a run ranks, the bar complex of G too (the nerve of
 ``group_category``), comes from ``complex_of`` at the degree its stage
-reads: main compares through degree 2, so it reads degree 3.
+reads, once per composition table (``FiniteCategory.table_key``, which
+keys the limits store too): main compares through degree 2, so it reads 3.
 
 ``STAGES`` is the one list of checks: each row names a check, its verdict
 keys in report order, the stage method and the least max degree its
@@ -24,7 +25,8 @@ earlier verdicts are kept.  So does a ``MemoryError``: the stage's
 verdicts read not-certified, with the note "<check>: out of memory".  Any
 other toolkit error in a stage (a broken internal invariant such as a
 nonzero boundary squared) marks that stage's verdicts fail with a note, and
-the run likewise continues.
+the run likewise continues; any other exception is noted as
+"<check>: internal error: <type>: <message>".
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class PipelineRun:
         self.timings: dict[str, float] = {}
         self.notes: list[str] = []
         self._cache: dict[str, object] = {}
-        self._nerves: dict[cats.FiniteCategory, FpComplex] = {}
+        self._nerves: dict[tuple, FpComplex] = {}  # by table_key
 
     # -- cached artifacts -------------------------------------------------
 
@@ -241,13 +243,14 @@ class PipelineRun:
         )
 
     def complex_of(self, cat: cats.FiniteCategory, dmax: int) -> FpComplex:
-        """The nerve of ``cat`` through degree dmax, built once per category
-        object: a smaller dmax is served as the prefix of the larger complex,
+        """The nerve of ``cat`` through degree dmax, built once per composition
+        table: a smaller dmax is served as the prefix of the larger complex,
         whose boundaries it shares, so each boundary is ranked once."""
-        cx = self._nerves.get(cat)
+        table = cat.table_key()
+        cx = self._nerves.get(table)
         if cx is None or cx.dmax < dmax:
             t0 = time.perf_counter()
-            cx = self._nerves[cat] = nerve_complex(cat, self.p, dmax, self.cfg.budget)
+            cx = self._nerves[table] = nerve_complex(cat, self.p, dmax, self.cfg.budget)
             key = f"cx:{cat.kind}:{cat.object_count}x{cat.morphism_count}:{dmax}"
             self.timings[key] = round(time.perf_counter() - t0, 6)
         return cx.prefix(dmax)
@@ -267,7 +270,7 @@ class PipelineRun:
     def _run_stage(self, stage: Stage, detail: dict) -> tuple:
         """The stage's verdict values: None for all of them when max_degree
         is below the stage's least, or it overruns its budget or runs out of
-        memory, False for all of them on any other toolkit error."""
+        memory, False for all of them on any other exception."""
         if self.cfg.max_degree < stage.min_degree:
             self.notes.append(f"{stage.check}: needs max degree >= {stage.min_degree}")
             return (None,) * len(stage.keys)
@@ -283,6 +286,9 @@ class PipelineRun:
             values = (None,) * len(stage.keys)
         except PLocalError as e:
             self.notes.append(f"{stage.check}: {e}")
+            values = (False,) * len(stage.keys)
+        except Exception as e:
+            self.notes.append(f"{stage.check}: internal error: {type(e).__name__}: {e}")
             values = (False,) * len(stage.keys)
         self.timings[f"stage:{stage.check}"] = round(time.perf_counter() - t0, 6)
         return values
@@ -316,14 +322,11 @@ class PipelineRun:
             }
         # orbit morphism-count identity |Mor(1, Q)| = |G| / |Q|
         pcat = self.skeletons.p_cat
-        triv = next(
-            (k for k, R in enumerate(self.skeletons.p_reps) if R.order == 1), None
-        )
-        if triv is not None:
-            for j, R in enumerate(self.skeletons.p_reps):
-                if len(pcat.mor(triv, j)) != self.G.order // R.order:
-                    ok = False
-                    self.notes.append(f"categories: orbit coset count wrong at {R.label()}")
+        triv = next(k for k, R in enumerate(self.skeletons.p_reps) if R.order == 1)
+        for j, R in enumerate(self.skeletons.p_reps):
+            if len(pcat.mor(triv, j)) != self.G.order // R.order:
+                ok = False
+                self.notes.append(f"categories: orbit coset count wrong at {R.label()}")
         return ok
 
     def _stage_quotient(self, detail):
@@ -381,7 +384,7 @@ class PipelineRun:
     def _stage_centric_restriction(self, detail):
         dmax = self.cfg.max_degree
         incl = self.centric_inclusion
-        # the target first, so that a source equal to it is served as its prefix
+        # the target first, so that a source with its table is served as its prefix
         tgt = self.complex_of(incl.target, dmax)
         src = self.complex_of(incl.source, dmax - 1)
         cm = induced_chain_map(incl, src, tgt)

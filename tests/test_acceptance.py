@@ -364,6 +364,7 @@ def test_criterion_9_determinism():
         "reports with timings masked",
     )
     assert '"overall": "fail"' not in first
+    assert ": internal error: " not in first
     assert hashlib.sha256(first.encode()).hexdigest() == GOLDEN_CATALOG_SHA256
 
 
@@ -381,4 +382,5 @@ def test_catalog_script_digest_is_pinned():
         capture_output=True, text=True, timeout=600,
     )
     assert r.returncode == 0, r.stdout + r.stderr
+    assert "INTERNAL ERROR" not in r.stdout
     assert r.stdout.splitlines()[-1] == f"combined sha256={CATALOG_SCRIPT_SHA256}"

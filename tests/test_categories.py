@@ -414,7 +414,7 @@ def test_adjunction_composes_without_the_larger_orbit_table():
     assert members < budget < int(build_orbit(G, everything, 10 ** 7).pair_start[-1])
     v = verify_closure_adjunction(poset, subs, table_budget=budget)
     assert v.passed, v.failures[:3]
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=f"precomposition pairs exceed budget {members}$"):
         verify_closure_adjunction(poset, subs, table_budget=members)
     for b, verdict in ((budget, "pass"), (members, "not-certified")):
         rep = run_pipeline("sym:4 x cyc:2", PipelineConfig(
@@ -426,7 +426,7 @@ def test_group_category_store_is_checked_against_the_budget():
     """sym:4's one-object category composes 24 * 24 = 576 pairs: its store
     is budgeted like every other builder's."""
     G = build_group("sym:4")
-    with pytest.raises(BudgetExceeded, match="basis size 576 at degree 2 exceeds budget 575"):
+    with pytest.raises(BudgetExceeded, match="576 composable pairs exceed budget 575"):
         categories.group_category(G, G.full_subgroup(), table_budget=575)
     C = categories.group_category(G, G.full_subgroup(), table_budget=576)
     assert C.pair_start[-1] == 576
@@ -710,7 +710,7 @@ def test_structure_checks_on_sym6_at_p2():
                            "closure_preserves_transporters", "closure_transporter_equality",
                            "quotient_functor_conditions")] == ["pass"] * 5
     assert v["closure_inclusion_adjunction"] == "not-certified"
-    assert rep.data["notes"] == ["adjunction: basis size 79280775 at degree 2 exceeds budget 2000000"]
+    assert rep.data["notes"] == ["adjunction: 79280775 composable pairs exceed budget 2000000"]
 
 
 def transporter_s3c3():
@@ -888,3 +888,22 @@ def test_set_tokens_rejects_ungrouped_sources_and_a_second_call():
     assert C.mor(0, 1) == [1] and C.is_id.tolist() == [True, False, True]
     with pytest.raises(PLocalError, match="fixed once"):
         C.set_tokens([0, 0, 1], [0, 1, 1], [0, 1, 0], [0, 2])
+
+
+def test_table_key_is_the_composition_table():
+    """A full subcategory on every object, and sym:4's centric transporter
+    and linking categories at p=2, have one table key; one changed
+    composite or identity token gives another."""
+    from plocal.pipeline import PipelineRun
+    run = PipelineRun(build_group("sym:4"), PipelineConfig(prime=2), "sym:4")
+    T = run.transporter_omega
+    key = T.table_key()
+    assert full_subcategory(T, list(range(T.object_count)))[0].table_key() == key
+    assert run.transporter_centric.table_key() == run.linking_centric.table_key()
+    assert run.transporter_centric is not run.linking_centric
+    for array, at in ((T.composite, 7), (T.identity_ids, 1)):
+        old = array[at]
+        array[at] = (old + 1) % T.morphism_count
+        assert T.table_key() != key
+        array[at] = old
+    assert T.table_key() == key

@@ -7,8 +7,9 @@ stored entries, -1 and 1; a coefficient functor's, which the exhaustive
 functoriality check before its limits reads; a category's composition
 store or witness, which its law check (and the functors into it) read; a
 functor's token or object map, which the quotient check and the chain map
-read; or the transporter mask a category is built from.  The run must
-still return a report, each stage reading the artifact must read ``fail``
+read; or the transporter mask a category is built from.  One more makes
+a check raise an exception that is no toolkit error.  The run must still
+return a report, each stage reading the artifact must read ``fail``
 with a note naming the broken invariant, and every other verdict must be
 the one a clean run gives.
 """
@@ -73,11 +74,17 @@ def test_a_corrupted_chain_map_entry_fails_only_its_cone(monkeypatch, spec, p):
 
 
 def test_a_corrupted_nerve_boundary_entry_fails_only_its_readers(monkeypatch):
-    """One entry of ∂_2 of BG's bar complex at p = 3, which nerve-vs-group
-    and main read, takes the other nonzero value: its negative.  The
-    nerve's ∂² check multiplies the stored boundaries, and the product it
-    reduces mod 3 is no longer zero.  A nerve that fails to build is not
-    kept, so each reader builds, and checks, it again."""
+    """One entry of ∂_2 of BG's bar complex at p = 3 takes the other nonzero
+    value: its negative.  On sym:3 x cyc:3 the bar's 1 x 18 table is also
+    the transporter-poset, centric transporter and linking table, so the
+    entry is corrupted in every nerve built for that table.  The nerve's ∂²
+    check multiplies the stored boundaries, and the product it reduces mod
+    3 is no longer zero in degree 3.  A nerve that fails to build is not
+    kept, so nerve-vs-group, centric-restriction, linking-vs-transporter
+    and main each build, check and fail it again.  Centric-agreement reads
+    degrees <= 2 only, and ∂_1 of a one-object nerve is 0, so no ∂² product
+    it checks sees the entry: it keeps that nerve and passes, as quotient
+    does."""
     clean = homology_run("sym:3 x cyc:3", 3).run()
     run = homology_run("sym:3 x cyc:3", 3)
     real = homology.nerve_boundaries
@@ -85,7 +92,7 @@ def test_a_corrupted_nerve_boundary_entry_fails_only_its_readers(monkeypatch):
 
     def corrupt(chains, prime):
         out = real(chains, prime)
-        if chains.category is run.group_category:
+        if chains.category.table_key() == run.group_category.table_key():
             data = out[2].csr.data
             assert data[0] in (-1, 1)
             data[0] = -data[0]
@@ -94,8 +101,9 @@ def test_a_corrupted_nerve_boundary_entry_fails_only_its_readers(monkeypatch):
 
     monkeypatch.setattr(homology, "nerve_boundaries", corrupt)
     report = run.run()
-    assert len(corrupted) == 2
-    assert_only_stages_fail(report, clean, ("nerve-vs-group", "main"))
+    assert len(corrupted) == 5
+    assert_only_stages_fail(report, clean, ("nerve-vs-group", "centric-restriction",
+                                            "linking-vs-transporter", "main"))
 
 
 def test_a_corrupted_coefficient_functor_entry_fails_only_its_stage(monkeypatch):
@@ -242,3 +250,18 @@ def test_a_flipped_transporter_mask_entry_fails_only_its_readers(monkeypatch):
         f"centric-restriction: {missing}",
         f"centric-agreement: {missing}",
     ])
+
+
+def test_an_unexpected_exception_fails_only_its_stage(monkeypatch):
+    """The adjunction check raises ``ValueError``, which is no toolkit
+    error.  The run still returns its report: the adjunction verdict reads
+    ``fail`` with a note naming the exception's type and message, and every
+    other verdict is a clean run's."""
+    def crash(*args):
+        raise ValueError("no such coset")
+
+    monkeypatch.setattr(categories, "verify_closure_adjunction", crash)
+    report = sym4_run().run()
+    monkeypatch.undo()  # the clean run checks the adjunction
+    assert_only_keys_fail(report, {"closure_inclusion_adjunction"},
+                          ["adjunction: internal error: ValueError: no such coset"])

@@ -446,7 +446,7 @@ def test_quotient_skeletons_are_built_within_the_callers_budget():
     from plocal import BudgetExceeded
     G = build_group("sym:4")
     skel = build_orbit_skeletons(G, 2)
-    over = re.escape("basis size 2239 at degree 2 exceeds budget 2238")
+    over = re.escape("2239 composable pairs exceed budget 2238")
     with pytest.raises(BudgetExceeded, match=over):
         normalizer_reduction_check(skel, skel.p_reps[0], 0, 2, CohomologyCache(G, 2, 2238))
     assert normalizer_reduction_check(skel, skel.p_reps[0], 0, 2, CohomologyCache(G, 2, 2239)).passed

@@ -378,7 +378,10 @@ def test_sym4_homology_checks_build_five_nerves_and_one_group_category(monkeypat
     is that category itself, read as a prefix), the coset nerve and the
     centric transporter and linking nerves: five nerves of five distinct
     category objects, none of them through ``bar_complex``, and the
-    nerve-vs-group functor starts at that one group category."""
+    nerve-vs-group functor starts at that one group category.  The centric
+    transporter and linking tables are equal, but the linking nerve is
+    asked for at degree 3 after the transporter's at degree 2, so it is
+    built again at the larger degree."""
     nerves = record_calls(monkeypatch, "nerve_complex")
     groups = record_calls(monkeypatch, "group_category")
     bars = record_calls(monkeypatch, "bar_complex")
@@ -389,6 +392,33 @@ def test_sym4_homology_checks_build_five_nerves_and_one_group_category(monkeypat
     assert len(nerves) == len({id(args[0]) for args in nerves}) == 5
     assert sum(P.order == G.order for G, P, *_ in groups) == 1
     assert bars == []
+
+
+@pytest.mark.parametrize("spec,p,built", [
+    ("sym:3 x cyc:3", 3, [(1, 18, 3), (1, 1, 3)]),
+    ("sym:3", 3, [(1, 6, 3), (1, 1, 3)]),
+    ("sym:4", 2, [(1, 24, 3), (2, 56, 3), (4, 7, 3), (4, 88, 2), (4, 88, 3)]),
+])
+def test_a_full_run_builds_one_nerve_per_composition_table(monkeypatch, spec, p, built):
+    """A full max-degree-3 run builds a nerve once per composition table
+    and degree, as (objects, morphisms, degree).  On sym:3 x cyc:3 and
+    sym:3 at p=3 the bar, transporter-poset, centric transporter and
+    linking categories are one one-object table, so only it and the
+    one-object coset table are built.  On sym:4 at p=2 the equal centric
+    transporter and linking tables are built twice: degree 2 first, then
+    3 for the linking nerve."""
+    from plocal import pipeline
+    calls = []
+    real = pipeline.nerve_complex
+
+    def nerve(C, prime, dmax, budget):
+        calls.append((C.object_count, C.morphism_count, dmax))
+        return real(C, prime, dmax, budget)
+
+    monkeypatch.setattr(pipeline, "nerve_complex", nerve)
+    rep = run_pipeline(spec, PipelineConfig(prime=p, max_degree=3, include_timings=False))
+    assert rep.overall == "pass"
+    assert calls == built
 
 
 def test_main_passes_at_degree_three_when_the_bar_overruns_at_degree_four():

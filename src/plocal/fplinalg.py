@@ -9,125 +9,124 @@ Duplicates are summed first and the sums reduced once; an array already
 in range is not written.  A product, as in every ∂² check, is taken over
 the integers on the stored entries, with no copy, so the product of two
 nerve boundaries cancels before it is sorted or reduced, and what is left
-is reduced and tested, so the check stays exact.  Ranks come from an
-insertion echelon: each row is reduced against the pivots found so far,
-keyed by their leading (largest) column, and becomes a new pivot if
-anything is left.  Rows are big-integer bitmasks at p = 2 and {column:
-coefficient} dicts otherwise.  All routines are deterministic: identical
-inputs give identical pivot choices and results.
+is reduced and tested, so the check stays exact.  All routines are
+deterministic: identical inputs give identical results.
 
-Stored pivots are never changed, so the echelon after k rows does not
-depend on any row after them, and the bounded and seeded passes below keep
-exactly the echelon a full pass keeps.  A full pass here means one that
-inserts every row in the engine's order, which at p = 2 is not row order.
-Over F_p with p > 2 a new pivot is also tail-reduced: before it is stored it
-is cleared at every pivot column below its leading one, largest first.  A
-pivot's entries at other pivot columns cost a further step in every row it
-reduces, and over F_p every row is still reduced, most of them to zero, so
-clearing those entries once pays.  At p = 2 only the rows that add a pivot
-are reduced (below), so a pivot is stored as it stands.
+One loop reduces rows: an insertion echelon of {column: coefficient}
+dicts.  Each row is reduced against the pivots found so far, keyed by
+their leading (largest) column, and becomes a new pivot if anything is
+left: monic, and cleared first at every pivot column below its lead,
+largest first, since over F_p most rows reduce to zero and each such entry
+would cost a step in every one of them.  Stored pivots are never changed,
+so the echelon after k rows does not depend on any row after them.  Over
+F_p with p > 2 every row goes through this loop in row order.  At p = 2 a
+matrix is ranked by its annihilator instead, and reduces no row at all;
+only one whose annihilator would not fit (below) goes through the loop.
 
-At p = 2 rows go in in two phases (the structural pivots of Faugère and
-Lachartre, PASCO 2010, and of Bouillaguet, Delaplace and Voge, ISSAC 2017).
-The structural phase comes first.  For each leading column c that no seed
-leads, it inserts the first row whose leading column is c, in ascending order
-of c.  One ``np.minimum.at`` over the rows' last CSR indices finds these
-rows, with no sort.  When such a row goes in, every stored pivot leads at a
-seed or at a smaller column, so its own lead is no pivot column.  It
-becomes a pivot as it stands, with no reduction at all.  The other rows
-then go in in row order.  Rows with distinct leads are independent, so the
-echelon's span is large from the start.
-On the three degree-3 boundaries below, 493 of 505, 1,219 of 1,244 and 1,479
-of 1,538 pivots are structural.  Over F_p with p > 2 rows go in in row order:
-the order alone gained nothing there, since no span filter profits from the
-early span (50.8 s structural-first against 50.3 s on the sym:4, p = 3
-transporter-poset ∂_4).
+At p = 2 the structural rows come first (the structural pivots of Faugère
+and Lachartre, PASCO 2010, and of Bouillaguet, Delaplace and Voge, ISSAC
+2017): for each leading column, the first row leading there, in ascending
+order of that column.  One ``np.minimum.at`` over the rows' last CSR
+indices finds them, with no sort.  Rows with distinct leads are
+independent, so they span an echelon E of that many pivots as they stand.
+A basis Y of its annihilator {y : E y = 0} is built in one ascending pass
+over the leads: bit k of Y is the unit vector at the k-th free column (one
+that leads no structural row) and, at each lead c, Y takes the XOR of Y
+over the other columns of the row leading at c, all below c.  Packed into
+uint64 words, Y tests a chunk of rows with one gather and one XOR
+reduction per word.  A row's syndrome, the XOR of Y over its columns, is 0
+exactly when the row lies in span(E); an empty row lies in every span.
+The other rows are tested in row order.  Within a chunk the nonzero
+syndromes are eliminated in row order, and a row whose syndrome is
+independent of those before it adds one to the rank; the others lie in the
+span of E and the rows before them.  Each such row is folded into Y: with b
+the top bit of its syndrome v, every column of Y with bit b set takes ^= v.
+That zeroes bit b and keeps Y a basis of the annihilator of the grown
+echelon, so a later row in its span tests 0.  The test is exact linear
+algebra, with no hashing and no randomness.
 
-``FpMatrix.rank`` keeps that echelon, unless it certifies the rank (below).  A
-matrix may declare that below its stored rows come the rows ``[0 | block]``
-of another matrix ``block``, starting at a column offset; a mapping cone
-declares the target's boundary this way.  Those tail rows are referenced,
-never stored: ``csr`` holds the leading rows only, while ``shape`` and
-``nnz`` count the tail too.  So the tail is ``[0 | block]`` by
-construction, and a block whose prime or width does not fit raises when
-the matrix is built.  If ``block`` already holds its echelon, ``rank``
-seeds its echelon with block's pivots shifted by the offset, and inserts
-only the leading rows.  The shifted pivots are the ones inserting the tail
-rows first would store, reduced the same way, since the shift keeps the
-order of the columns.  Otherwise, unless the rank is certified, it stacks
-the leading rows over ``[0 | block]`` into one CSR and eliminates every
-row, as for any other matrix, in the same order and so with the same
-echelon.  An echelon is reused only when it already exists: computing one
-for the block just to seed from it can cost far more than the whole matrix,
-because the leading rows often span most of it early.
+On the free columns each live bit of Y stays the unit vector at its own
+free column: a fold adds to bit k a bit b above it, whose free column is
+then a lead.  So a row's syndrome, reduced to the free columns, is the set
+of free columns of the row reduced by E, whose largest is its lead: the
+fold's top bit sits at the new pivot's lead.  The matrix keeps Y and
+``leads``, the structural leads and then that of each fold, which are the
+keys, in insertion order, of the echelon a plain pass in the same order
+keeps; every other column is the free column of a live bit.  On the three
+degree-3 boundaries of the sym:4, p = 2 homology checks, 493 of 505, 1,219
+of 1,244 and 1,479 of 1,538 pivots are structural.  Those boundaries never
+reach their ∂² bound, because H_2 ≠ 0, and Y is narrow there: 36, 79 and
+141 columns lead no structural row, one to three words.  Memory: Y takes
+ncols * ceil((ncols - #structural) / 64) words, and it is built only when
+that is at most 2 nnz, about the size of the CSR itself.  Otherwise the
+dict loop ranks the matrix, in row order, and it keeps that echelon.  Over
+F_p with p > 2 there is no annihilator: a dense one takes at least a byte
+per entry, so even an int8 one would take 8 times the memory of a packed
+bit plane.  The structural order alone gained nothing there (50.8 s
+structural-first against 50.3 s on the sym:4, p = 3 transporter-poset
+∂_4).
+
+A matrix may declare that below its stored rows come the rows ``[0 |
+block]`` of another matrix ``block``, starting at a column offset; a
+mapping cone declares the target's boundary this way.  Those tail rows are
+referenced, never stored: ``csr`` holds the leading rows only, while
+``shape`` and ``nnz`` count the tail too.  So the tail is ``[0 | block]``
+by construction, and a block whose prime or width does not fit raises when
+the matrix is built.  ``rank`` seeds from what the block keeps, when it
+keeps anything, and inserts only the leading rows:
+- a dict echelon: its pivots shifted by the offset, which are the ones
+  inserting the tail rows first would store, since the shift keeps the
+  order of the columns.  Odd p seeds this way, and it pays: on sym:4, p =
+  3, max-degree 4 the seeded 652,879 x 28,373 centric-restriction cone
+  ranks in 0.057 s, against 31.4 s stacked;
+- an annihilator Y_B: the annihilator of the rows ``[0 | block]`` is
+  spanned by the unit vectors at the offset left columns and Y_B shifted,
+  and each of them is the unit vector at its own free column there.  When
+  that basis fits the same rule (2 nnz words, the tail's entries counted)
+  every leading row is tested against it, with no structural phase.  The
+  sym:5, p = 2, max-degree 3 centric-restriction cone's ∂_3 at budget 12M
+  tests its 1,298 leading rows this way, in 0.04 s, where stacking would
+  rank all 11,142,749.
+Before a matrix reads its block's annihilator, ``rank`` checks that the
+block's leads and Y_B's live bits number its columns, and raises
+``PLocalError`` if not, so that a broken state fails its stage instead of
+giving a wrong rank.
+Otherwise, unless the rank is certified, it stacks the leading rows over
+``[0 | block]`` into one CSR and ranks every row, as for any other matrix.
+A block's state is reused only when it already exists: ranking the block
+just to seed from it can cost far more than the whole matrix, because the
+leading rows often span most of it early.
 
 ``rank`` may also be given an upper bound on the rank; it always caps at
-``min(shape)`` too, and at 0 when the matrix has no entries.  Insertion stops
-as soon as the echelon holds that many pivots, seeded ones included, and the
-rows after that are never read.  The result stays exact when the bound is a
-true upper bound: the rows inserted so far then span the whole row space, so
-every later row would reduce to zero and add no pivot, and the stopped echelon
-is the one a full pass would keep.  Every complex supplies the bound from
-∂² = 0, which ``homology.FpComplex`` checks: the rows of ∂_d lie in the left
-kernel of ∂_{d-1}, so rank ∂_d <= dim C_{d-1} - rank ∂_{d-1}.  Nerves,
-mapping cones and functor cochain complexes are all written in that
-orientation, a cochain differential C^n -> C^{n+1} transposed with rows
-indexed by C^{n+1}.  For an acyclic complex (the mapping cone of an
-isomorphism) that bound is the rank, and elimination ends at the row that
-finds the last pivot.
+``min(shape)`` too, and at 0 when the matrix has no entries.  Insertion
+stops as soon as that many pivots are found, seeded ones included, and the
+rows after that are never read.  The result stays exact when the bound is
+a true upper bound: the rows inserted so far then span the whole row space,
+so every later row would add no pivot, and the stopped state is the one a
+full pass would keep.  Every complex supplies the bound from ∂² = 0, which
+``homology.FpComplex`` checks: the rows of ∂_d lie in the left kernel of
+∂_{d-1}, so rank ∂_d <= dim C_{d-1} - rank ∂_{d-1}.  Nerves, mapping cones
+and functor cochain complexes are all written in that orientation, a
+cochain differential C^n -> C^{n+1} transposed with rows indexed by
+C^{n+1}.  For an acyclic complex (the mapping cone of an isomorphism) that
+bound is the rank.
 
 Often no row need be read at all.  Before inserting any, ``rank`` counts
 its seeds plus the distinct leading columns, among the rows it would
 insert, that no seed leads, with the one ``np.minimum.at`` that also finds
-the structural rows at p = 2.  The seeds and one row per such column have
-pairwise distinct leading columns, so they are linearly independent and the
-rank is at least the count.  When the count reaches the cap, the rank is
-the cap, exactly, because the cap bounds it from above: the rank is
-certified and no row is read.  The seeds are counted by the leads of the
-block's echelon; its pivots are shifted only when they are kept.  Unseeded,
-the leading columns are those of the stored rows and then the block's,
-plus the offset, so no row is stacked to count them.  A certified matrix
-keeps no echelon, so a cone over it inserts every row unseeded, as over a
-block never ranked.
-The top boundaries of acyclic cones are certified this way: on the four
-boundaries of the sym:3 x cyc:3, p = 3 centric-restriction cone the counts
-1, 17, 289 and 4,913 equal their ∂² bounds, and no row of the 5,220 that
-elimination read is read; at p = 2 so are the transporter-to-linking cones
-of sym:4 and dih:8.
-
-At p = 2 the engine reduces, after the structural phase, only the rows
-that add a pivot.  A row v lies in span(E) exactly when v y = 0 for every y
-in the annihilator {y : E y = 0}.  A basis Y of it is built once, right
-after the structural phase, in one ascending pass over the leads: a unit
-vector at each free column, and at each lead c the XOR of Y over the other
-columns of the row leading at c.  Those rows are the structural rows, read
-from their CSR indices, and the seeds; they span E and have distinct
-leads, all above their other columns.  Packed into uint64 words, Y tests a
-chunk of rows with one gather and one XOR reduction per word.  A row's
-syndrome, the XOR of Y over its columns, is 0 exactly when the row lies in
-span(E); an empty row lies in every span.  Within a chunk, the nonzero
-syndromes are eliminated in row order, and a row whose syndrome is
-independent of those before it is reduced and becomes a pivot; the others
-lie in the span of E and the rows before them, and would reduce to zero.
-Each new pivot, with b the top bit of its syndrome v, is folded into Y:
-every column of Y with bit b set takes ^= v.  That clears bit b and keeps
-Y a basis of the annihilator of the grown echelon, so a later row in its
-span tests 0.  The test is exact linear algebra, with no hashing and no
-randomness, and the kept echelon is the one a full pass in the same order
-keeps, in keys, values and insertion order, whatever the seeds, bound or
-cap.  Rows are reduced in blocks, the first as long as the matrix is wide
-and each later one half as long as the rows tested so far, and a block is
-tested in chunks of at most 2^18 entries and 2^18 syndrome words.  After
-the structural phase Y is narrow: ncols - rank is 36, 79 and 141 columns
-on the three degree-3 boundaries of the sym:4, p = 2 homology checks, one
-to three words.  Those boundaries never reach their ∂² bound, because
-H_2 ≠ 0, and they reduce 505, 1,244 and 1,538 rows: their ranks.  Memory:
-Y takes ncols * ceil((ncols - rank) / 64) words, and it is built only when
-that is at most 2 nnz, about the size of the CSR itself; a gather holds
-one word per entry of its chunk.  When Y would be larger every block is
-reduced whole.  The F_p path has no filter: a dense annihilator takes at
-least a byte per entry, so even an int8 one would take 8 times the memory
-of a packed bit plane.
+the structural rows.  The seeds and one row per such column have pairwise
+distinct leading columns, so they are linearly independent and the rank is
+at least the count.  When the count reaches the cap, the rank is the cap,
+exactly, because the cap bounds it from above: the rank is certified, no
+row is read and nothing is kept.  The seeds are counted by the block's
+``leads``; unseeded, the leading columns are those of the stored rows and
+then the block's, plus the offset, so no row is stacked to count them.  A
+cone over a certified block inserts every row unseeded, as over a block
+never ranked.  The top boundaries of acyclic cones are certified this way:
+on the four boundaries of the sym:3 x cyc:3, p = 3 centric-restriction cone
+the counts 1, 17, 289 and 4,913 equal their ∂² bounds, and no row of the
+5,220 that elimination read is read; at p = 2 so are the
+transporter-to-linking cones of sym:4 and dih:8.
 """
 
 from __future__ import annotations
@@ -148,7 +147,9 @@ class FpMatrix:
     ``tail`` optionally appends the rows ``[0 | block]`` below the rows of
     ``csr``, given as ``(block, column offset)``.  They are referenced, not
     stored: ``csr`` holds the leading rows only, and ``shape`` and ``nnz``
-    count both.  See the module docstring.
+    count both.  Once ranked, unless the rank was certified, the matrix
+    keeps its ``leads`` and either its ``annihilator`` (p = 2) or its dict
+    ``echelon``.  See the module docstring.
     """
 
     def __init__(self, csr: sparse.csr_matrix, prime: int,
@@ -164,7 +165,9 @@ class FpMatrix:
                 raise PLocalError("declared block does not fit the matrix")
         self.csr = csr
         self.tail = tail
+        self.leads: list[int] | None = None
         self.echelon: dict | None = None
+        self.annihilator: _Annihilator | None = None
         self._rank: int | None = None
 
     @property
@@ -189,28 +192,52 @@ class FpMatrix:
             cap = min(self.shape) if bound is None else min(bound, *self.shape)
             if not self.nnz:  # no entries (``__init__`` pruned them)
                 cap = 0  # rank 0, and no row is read
-            seeds, offset, stacked = {}, 0, self.tail is not None
-            if stacked and self.tail[0].echelon is not None:
-                block, offset = self.tail
-                seeds, stacked = block.echelon, False  # only the stored rows go in
-            leads = self._stacked_leads() if stacked else _leads(self.csr)
+            block, offset = self.tail if self.tail is not None else (None, 0)
+            if block is not None and block.leads is None:
+                block = None  # never ranked, or certified: nothing to seed from
+            y = None if block is None else block.annihilator
+            if y is not None and len(block.leads) + y.live_bits() != block.shape[1]:
+                raise PLocalError("a kept annihilator does not match its leads")
+            seeds = [] if block is None else [c + offset for c in block.leads]
+            structural = None
             if len(seeds) < cap:
-                structural = _structural_rows(leads, [c + offset for c in seeds], self.shape[1])
+                leads = self._stacked_leads() if block is None else _leads(self.csr)
+                structural = _structural_rows(leads, seeds, self.shape[1])
                 if len(seeds) + len(structural) >= cap:
-                    self._rank = cap  # certified: no row read, no echelon kept
+                    self._rank = cap  # certified: no row read, nothing kept
                     return cap
-            # the seeds are shifted only now, when they are kept or eliminated against
-            pivots = _shifted_echelon(seeds, offset, self.prime)
-            if len(pivots) < cap:
-                # neither certified nor seeded: only now are the tail rows stacked
-                csr = self._stacked() if stacked else self.csr
-                if self.prime == 2:
-                    _insert_rows_gf2(csr, len(leads), structural, pivots, cap)
-                else:
-                    _insert_rows_modp(csr, range(len(leads)), self.prime, pivots, cap)
-            self.echelon = pivots
-            self._rank = len(pivots)
+            self.leads = self._insert(block, seeds, structural, cap)
+            self._rank = len(self.leads)
         return self._rank
+
+    def _insert(self, block: "FpMatrix | None", seeds: list[int],
+                structural: np.ndarray | None, cap: int) -> list[int]:
+        """Rank the rows from ``block``'s state shifted (``seeds`` its
+        leads), or unseeded, keep the new state and return its leads.
+        ``structural``, if given, are the structural rows unseeded."""
+        offset = 0 if block is None else self.tail[1]
+        if block is not None and block.annihilator is not None:
+            self.annihilator = block.annihilator.shifted(offset, self.shape[1], self.nnz)
+            if self.annihilator is not None:
+                rows = np.arange(self.csr.shape[0])
+                return seeds + self.annihilator.new_leads(self.csr, rows, cap - len(seeds))
+            block = structural = None  # too wide to seed from: stack
+        if block is not None:
+            csr, self.echelon = self.csr, _shifted_echelon(block.echelon, offset)
+        else:
+            csr = self._stacked()
+            if self.prime == 2 and cap:
+                if structural is None:
+                    structural = _structural_rows(_leads(csr), [], csr.shape[1])
+                made = _Annihilator.of_rows(csr, structural)
+                if made is not None:
+                    self.annihilator, leads = made
+                    others = np.delete(np.arange(csr.shape[0]), structural)
+                    return leads + self.annihilator.new_leads(csr, others, cap - len(leads))
+            self.echelon = {}
+        if len(self.echelon) < cap:
+            _insert_rows_modp(csr, range(csr.shape[0]), self.prime, self.echelon, cap)
+        return list(self.echelon)
 
     def _stacked_leads(self) -> np.ndarray:
         """The leading column of every row, the tail's included, -1 for an
@@ -281,10 +308,8 @@ def _symmetric(csr: sparse.csr_matrix, p: int) -> None:
         csr.eliminate_zeros()
 
 
-def _shifted_echelon(pivots: dict, offset: int, p: int) -> dict:
-    """An echelon moved ``offset`` columns to the right."""
-    if p == 2:
-        return {c + offset: m << offset for c, m in pivots.items()}
+def _shifted_echelon(pivots: dict, offset: int) -> dict:
+    """A dict echelon moved ``offset`` columns to the right."""
     return {
         c + offset: {k + offset: v for k, v in row.items()} for c, row in pivots.items()
     }
@@ -303,10 +328,10 @@ def _leads(csr: sparse.csr_matrix) -> np.ndarray:
 
 def _structural_rows(leads: np.ndarray, seeded, ncols: int) -> np.ndarray:
     """For each leading column in ``leads`` (one per row, -1 for an empty
-    row) not in ``seeded`` (the leads of the pivots), the first row leading
+    row) not in ``seeded`` (the leads of the seeds), the first row leading
     there, in ascending order of that column: one ``np.minimum.at`` into a
     row per column, with no sort.  The rows have distinct leads, none a
-    pivot's, so they and the pivots are linearly independent."""
+    seed's, so they and the seeds are linearly independent."""
     n = len(leads)
     first = np.full(ncols, n, dtype=np.int64)  # n: no row leads there
     rows = np.flatnonzero(leads >= 0)
@@ -315,151 +340,137 @@ def _structural_rows(leads: np.ndarray, seeded, ncols: int) -> np.ndarray:
     return first[first < n]
 
 
-def _insert_rows_gf2(csr: sparse.csr_matrix, nrows: int, structural: np.ndarray,
-                     pivots: dict[int, int], cap: int) -> None:
-    """Insert the first ``nrows`` rows into a GF(2) echelon of bitmask rows,
-    stopping once it holds ``cap`` pivots.
-
-    Structural phase: the rows ``structural`` (``_structural_rows`` of the
-    rows' leads and ``pivots``) go in first, each a new pivot as it stands.
-    The remaining rows then go in their order, in blocks of growing size: a
-    block's rows are tested by their syndromes (``_SpanTest``), and only
-    the rows that add a pivot are reduced.  When the annihilator does not
-    fit, a block's rows are all reduced.
-
-    Stored pivots never change, so stopping at a cap that bounds the rank,
-    or starting from seeds, keeps the echelon that a pass over every row
-    in this order keeps: the rows never read would reduce to zero."""
-    seeds = list(pivots)
-    _reduce_rows_gf2(csr, structural.tolist(), pivots, cap)
-    ids = np.delete(np.arange(nrows), structural)
-    span = _SpanTest(csr, pivots, seeds, structural)
-    done = 0
-    while len(pivots) < cap and done < len(ids):
-        size = max(csr.shape[1], done // 2, 1)
-        block = ids[done:done + size]
-        if span.basis is not None:
-            block = span.new_pivots(block, cap - len(pivots))
-        _reduce_rows_gf2(csr, block.tolist(), pivots, cap)
-        done += size
-
-
-def _reduce_rows_gf2(csr: sparse.csr_matrix, rows, pivots: dict[int, int], cap: int) -> None:
-    """Insert ``rows`` in order, each reduced at its leading column until
-    that column leads no pivot, and then stored as it stands; stops once
-    the echelon holds ``cap`` pivots."""
-    indptr, indices = csr.indptr, csr.indices
-    for i in rows:
-        m = 0
-        for c in indices[indptr[i]:indptr[i + 1]].tolist():
-            m |= 1 << c
-        while m:
-            b = m.bit_length() - 1
-            piv = pivots.get(b)
-            if piv is None:
-                pivots[b] = m
-                if len(pivots) >= cap:
-                    return
-                break
-            m ^= piv
-
-
-_GATHER = 1 << 18  # entries, and syndrome words, tested at a time by ``_SpanTest.new_pivots``
+_GATHER = 1 << 18  # entries, and syndrome words, tested at a time by ``_Annihilator``
 _BATCH = 1024  # bigints converted to bytes at a time
 
 
-class _SpanTest:
-    """Which rows of a GF(2) matrix add a pivot to an echelon E.
+class _Annihilator:
+    """A basis Y of the annihilator {y : E y = 0} of a GF(2) echelon E.
 
-    A row lies in span(E) exactly when it is orthogonal to every y with
-    E y = 0.  ``basis`` holds a basis Y of that annihilator, packed as one
-    array of uint64 words over the columns per 64 basis vectors; a row's
-    syndrome is the XOR of Y over its columns, and it is 0 exactly when the
-    row lies in the span.  Empty rows lie in every span.  Y is built once,
-    and only when it fits in ``2 * nnz`` words; otherwise ``basis`` is None.
-    ``new_pivots`` folds each row it passes on into Y, so Y stays a basis
-    of the annihilator of the growing echelon.  Rows are tested one word
-    and at most ``_GATHER`` entries and ``_GATHER`` syndrome words at a
-    time, so no gather holds more than one word per entry of the matrix.
+    ``basis`` packs Y as one array of uint64 words over the columns per 64
+    bits.  ``free[k]`` is the free column of bit k (-1 for a padding bit):
+    while bit k is live, it is the unit vector at that column among the
+    columns that lead no pivot of E.  A row's syndrome, the XOR of Y over
+    its columns, is 0 exactly when the row lies in span(E).  ``new_leads``
+    folds each row outside the span into Y, so Y stays a basis of the
+    annihilator of the growing echelon; see the module docstring.
     """
 
-    def __init__(self, csr: sparse.csr_matrix, pivots: dict[int, int], seeds: list[int],
-                 structural: np.ndarray):
-        """``pivots`` are ``seeds`` and the structural pivots, which are the
-        rows ``structural`` of ``csr`` as they stand."""
-        self.indptr = np.asarray(csr.indptr)
-        self.indices = csr.indices
-        ncols = csr.shape[1]
-        words = -(-(ncols - len(pivots)) // 64)
-        self.basis = None
-        if ncols * words <= 2 * int(self.indptr[-1]):  # 2 nnz
-            lo = self.indptr[structural]
-            pos, first = _positions(lo, self.indptr[structural + 1] - lo)
-            cols = self.indices[pos].tolist()
-            below = _read_pivots(seeds, pivots, ncols)
-            # canonical CSR: a row's columns ascend, its lead last
-            for a, b in zip(first.tolist(), first[1:].tolist() + [len(cols)]):
-                below[cols[b - 1]] = cols[a:b - 1]
-            self.basis = _annihilator(ncols, words, below)
+    def __init__(self, basis: np.ndarray, free: np.ndarray):
+        self.basis, self.free = basis, free
 
-    def new_pivots(self, ids: np.ndarray, need: int) -> np.ndarray:
-        """The rows of ``ids``, in order, that lie outside the span of E and
-        of the rows of ``ids`` before them, at most ``need`` of them; each is
-        folded into Y.  Each chunk of rows is tested against Y as the chunks
-        before it left it."""
-        lo = self.indptr[ids]
-        lens = self.indptr[ids + 1] - lo
+    @classmethod
+    def of_rows(cls, csr: sparse.csr_matrix,
+                rows: np.ndarray) -> tuple["_Annihilator", list[int]] | None:
+        """The annihilator of the rows ``rows`` of ``csr``, which lead at
+        distinct columns in ascending order, and their leads; None when it
+        would take more than ``2 * nnz`` words."""
+        ncols = csr.shape[1]
+        words = -(-(ncols - len(rows)) // 64)
+        if ncols * words > 2 * csr.data.size:
+            return None
+        lo = csr.indptr[rows]
+        pos, first = _positions(lo, csr.indptr[rows + 1] - lo)
+        cols = csr.indices[pos].tolist()
+        # canonical CSR: a row's columns ascend, its lead last
+        below = {cols[b - 1]: cols[a:b - 1]
+                 for a, b in zip(first.tolist(), first[1:].tolist() + [len(cols)])}
+        return cls(*_annihilator(ncols, words, below)), list(below)
+
+    def shifted(self, offset: int, ncols: int, nnz: int) -> "_Annihilator | None":
+        """The annihilator of the rows ``[0 | E]`` over ``ncols`` columns:
+        the unit vectors at the ``offset`` left columns, in words of their
+        own, then Y moved ``offset`` columns to the right; None when it
+        would take more than ``2 * nnz`` words."""
+        left = -(-offset // 64)
+        if ncols * (left + len(self.basis)) > 2 * nnz:
+            return None
+        basis = np.zeros((left + len(self.basis), ncols), dtype=np.uint64)
+        cols = np.arange(offset)
+        basis[cols // 64, cols] = np.left_shift(np.uint64(1), (cols % 64).astype(np.uint64))
+        basis[left:, offset:] = self.basis
+        free = np.full(64 * left + len(self.free), -1, dtype=np.int64)
+        free[:offset] = cols
+        free[64 * left:] = np.where(self.free < 0, -1, self.free + offset)
+        return _Annihilator(basis, free)
+
+    def live_bits(self) -> int:
+        """The number of bits set in some column: dim Y."""
+        return int(np.bitwise_count(np.bitwise_or.reduce(self.basis, axis=1)).sum())
+
+    def new_leads(self, csr: sparse.csr_matrix, ids: np.ndarray, need: int) -> list[int]:
+        """The leads of the rows of ``ids`` that lie outside the span of E
+        and of the rows of ``ids`` before them, in order, at most ``need``
+        of them; each is folded into Y.  Rows go in blocks, the first as
+        long as the matrix is wide and each later one half as long as the
+        rows tested so far, so that no row after the one that finds the
+        last lead needed is read far ahead of it."""
+        leads: list[int] = []
+        done = 0
+        while len(leads) < need and done < len(ids):
+            size = max(csr.shape[1], done // 2, 1)
+            leads += self._test(csr, ids[done:done + size], need - len(leads))
+            done += size
+        return leads
+
+    def _test(self, csr: sparse.csr_matrix, ids: np.ndarray, need: int) -> list[int]:
+        """``new_leads`` on one block.  Rows are tested one word and at most
+        ``_GATHER`` entries and ``_GATHER`` syndrome words at a time, each
+        chunk against Y as the chunks before it left it, so no gather holds
+        more than one word per entry of the matrix."""
+        lo = csr.indptr[ids]
+        lens = csr.indptr[ids + 1] - lo
         full = np.flatnonzero(lens)
         if not len(full):
-            return ids[:0]
+            return []
         words = len(self.basis)
         step = max(1, _GATHER // words)
         ends = np.cumsum(lens[full])
         cuts = np.union1d(np.searchsorted(ends, np.arange(_GATHER, ends[-1], _GATHER)),
                           np.arange(step, len(full), step))
-        taken: list[int] = []
+        leads: list[int] = []
         for rows in np.split(full, cuts):
-            if len(taken) >= need:
+            if len(leads) >= need:
                 break
             if not len(rows):  # a row of more than _GATHER entries was split on
                 continue
             pos, first = _positions(lo[rows], lens[rows])
-            cols = self.indices[pos]
+            cols = csr.indices[pos]
             syn = np.empty((words, len(rows)), dtype=np.uint64)
             for w, y in enumerate(self.basis):
                 syn[w] = np.bitwise_xor.reduceat(y[cols], first)
-            nonzero = np.flatnonzero(syn.any(axis=0))
-            fresh = self._eliminate(syn[:, nonzero], need - len(taken))
-            taken.extend(rows[nonzero[fresh]].tolist())
-        return ids[taken]
+            leads += self._eliminate(syn[:, syn.any(axis=0)], need - len(leads))
+        return leads
 
     def _eliminate(self, syn: np.ndarray, need: int) -> list[int]:
-        """The columns of ``syn``, nonzero syndromes in row order, that are
-        independent of those before them, at most ``need`` of them.  Each
-        is folded into Y as it is found: with b the top bit of its syndrome
-        v, Y's columns with bit b set take ``^= v``, which clears bit b
-        everywhere and keeps Y orthogonal to its row.  The later syndromes
-        take the same step, so they stay the syndromes against the folded
-        Y, and one is 0 exactly when its row lies in the grown span."""
+        """The leads of the columns of ``syn``, nonzero syndromes in row
+        order, that are independent of those before them, at most ``need``
+        of them.  Each is folded into Y as it is found: with b the top bit
+        of its syndrome v, Y's columns with bit b set take ``^= v``, which
+        zeroes bit b and keeps Y orthogonal to its row, and its lead is the
+        free column of bit b.  The later syndromes take the same step, so
+        they stay the syndromes against the folded Y, and one is 0 exactly
+        when its row lies in the grown span."""
         basis = self.basis
         alive = np.ones(syn.shape[1], dtype=bool)
-        taken: list[int] = []
+        leads: list[int] = []
         k = 0
-        while len(taken) < need and k < len(alive):
+        while len(leads) < need and k < len(alive):
             k += int(alive[k:].argmax())
             if not alive[k]:
                 break
             v = syn[:, k].copy()
             w = int(np.flatnonzero(v)[-1])
-            top = np.uint64(1 << (int(v[w]).bit_length() - 1))
+            b = int(v[w]).bit_length() - 1
+            top = np.uint64(1 << b)
             hit = np.flatnonzero(syn[w, k + 1:] & top) + (k + 1)
             syn[:, hit] ^= v[:, None]
             alive[hit] = syn[:, hit].any(axis=0)
             hit = np.flatnonzero(basis[w] & top)
             basis[:, hit] ^= v[:, None]
-            taken.append(k)
+            leads.append(int(self.free[64 * w + b]))
             k += 1
-        return taken
+        return leads
 
 
 def _positions(lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -471,24 +482,27 @@ def _positions(lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, first
 
 
-def _annihilator(ncols: int, words: int, below: dict[int, list[int]]) -> np.ndarray:
-    """A basis of {y : E y = 0}, packed into ``words`` rows of uint64, for
-    an echelon E spanned by one row per key c of ``below``, leading at c
-    with its other columns ``below[c]``: a unit vector at each free column,
-    and at each lead c the XOR of the basis over ``below[c]``, all of which
-    lie below c."""
-    free = np.ones(ncols, dtype=bool)
-    free[list(below)] = False
-    free = np.flatnonzero(free).tolist()
-    leads = sorted(below)
+def _annihilator(ncols: int, words: int,
+                 below: dict[int, list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """A basis of {y : E y = 0}, packed into ``words`` rows of uint64, and
+    the free column of each bit, for an echelon E spanned by one row per
+    key c of ``below``, leading at c with its other columns ``below[c]``:
+    bit k is the unit vector at the k-th free column, in ascending order,
+    and at each lead c the basis is the XOR of the basis over ``below[c]``,
+    all of which lie below c."""
+    lead = np.zeros(ncols, dtype=bool)
+    lead[list(below)] = True
+    free = np.full(64 * words, -1, dtype=np.int64)
+    free[:ncols - len(below)] = np.flatnonzero(~lead)
     basis = np.empty((words, ncols), dtype=np.uint64)
     # 32 words at a time, so that no int outgrows the small-object allocator
     for w0 in range(0, words, 32):
         group = min(32, words - w0)
         Y = [0] * ncols
-        for k, f in enumerate(free[64 * w0:64 * (w0 + group)]):
-            Y[f] = 1 << k
-        for c in leads:
+        for k, f in enumerate(free[64 * w0:64 * (w0 + group)].tolist()):
+            if f >= 0:
+                Y[f] = 1 << k
+        for c in sorted(below):
             y = 0
             for j in below[c]:
                 y ^= Y[j]
@@ -497,34 +511,15 @@ def _annihilator(ncols: int, words: int, below: dict[int, list[int]]) -> np.ndar
             part = b"".join(y.to_bytes(8 * group, "little") for y in Y[a:a + _BATCH])
             basis[w0:w0 + group, a:a + _BATCH] = \
                 np.frombuffer(part, dtype=np.uint64).reshape(-1, group).T
-    return basis
-
-
-def _read_pivots(leads: list[int], pivots: dict[int, int], ncols: int) -> dict[int, list[int]]:
-    """The columns below the lead of each pivot in ``leads``."""
-    words = -(-ncols // 64)
-    below = {}
-    for s in range(0, len(leads), _BATCH):
-        batch = leads[s:s + _BATCH]
-        raw = np.frombuffer(b"".join(pivots[c].to_bytes(8 * words, "little") for c in batch),
-                            dtype=np.uint64).reshape(len(batch), words)
-        r, w = np.nonzero(raw)
-        bits = np.unpackbits(raw[r, w].view(np.uint8).reshape(-1, 8), axis=1,
-                             bitorder="little")
-        k, bit = np.nonzero(bits)
-        bounds = np.searchsorted(r[k], np.arange(len(batch) + 1)).tolist()
-        cols = (w[k] * 64 + bit).tolist()
-        # each pivot's columns come in ascending order, its lead last
-        for i, c in enumerate(batch):
-            below[c] = cols[bounds[i]:bounds[i + 1] - 1]
-    return below
+    return basis, free
 
 
 def _insert_rows_modp(csr: sparse.csr_matrix, rows, p: int,
                       pivots: dict[int, dict[int, int]], cap: int) -> None:
     """Insert ``rows``, in order, into an F_p echelon of monic {column: coeff}
     rows, stopping once it holds ``cap`` pivots.  A new pivot is first
-    cleared at every pivot column it has, largest first."""
+    cleared at every pivot column it has, largest first.  The one loop that
+    reduces rows, at every p."""
     indptr, indices, data = csr.indptr, csr.indices, csr.data
     for i in rows:
         lo, hi = indptr[i], indptr[i + 1]

@@ -169,8 +169,9 @@ def mapping_cone(cm: ChainMap) -> FpComplex:
 
     Each cone boundary stores only its source rows ``[-dA_{d-1} | f_{d-1}]``
     and references the target's boundary dB_d as its tail ``[0 | dB_d]``,
-    which is never copied.  Ranking it after B's own homology inserts only
-    the A rows into dB_d's echelon.
+    which is never copied.  Ranking it after B's own homology seeds from
+    what dB_d keeps, its echelon or at p = 2 its annihilator, so that only
+    the A rows are inserted (see ``fplinalg``).
 
     The cone's ∂² check is the chain map's commutation check: the rows
     ``[-dA_{d-1} | f_{d-1}]`` times the cone's ∂_{d-1} are

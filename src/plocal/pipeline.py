@@ -412,7 +412,7 @@ class PipelineRun:
         quotient_ok = self.quotient_verdict.passed
         src = self.complex_of(self.transporter_centric, dmax - 1)
         tgt = self.complex_of(self.linking_centric, dmax)
-        tgt_h = tgt.homology()  # before the cone, which then reuses its echelons
+        tgt_h = tgt.homology()  # before the cone, which then seeds from what it keeps
         cm = induced_chain_map(self.linking_projection, src, tgt)
         iso = homology_iso_verdict(cm)
         detail["homology"]["linking_nerve"] = {

@@ -1,8 +1,11 @@
 """Reference eliminations for the sparse rank engine (``plocal.fplinalg``).
 
 Each ranks a whole CSR matrix over F_p by plain insertion, in row order:
-no bound, no seeding, no tail reduction and no span filter,
+no bound, no seeding, no tail reduction and no span test,
 and it keeps no echelon.  The tests check the engine's ranks against them.
+``insert_rows_gf2`` is the same plain insertion at p = 2 on given rows,
+keeping its echelon of bitmask rows, whose keys the tests check the
+engine's leads against.
 ``symmetric`` gives the form in which ``FpMatrix`` stores its entries.
 
 ``rref_loop``, ``nullspace_loop`` and ``EchelonLoop`` are the dense routines
@@ -50,6 +53,27 @@ def _rank_csr_gf2(csr: sparse.csr_matrix) -> int:
                 break
             m ^= piv
     return rank
+
+
+def insert_rows_gf2(csr: sparse.csr_matrix, rows, pivots: dict[int, int], cap) -> dict:
+    """Insert ``rows`` in order into ``pivots``, bitmask rows keyed by their
+    leading (largest) column: each is reduced at its leading column until
+    that column leads no pivot, and then stored as it stands.  Stops once
+    there are ``cap`` pivots; returns ``pivots``."""
+    indptr, indices = np.asarray(csr.indptr), csr.indices
+    for i in rows:
+        if len(pivots) >= cap:
+            break
+        m = 0
+        for c in indices[indptr[i]:indptr[i + 1]].tolist():
+            m |= 1 << c
+        while m:
+            b = m.bit_length() - 1
+            if b not in pivots:
+                pivots[b] = m
+                break
+            m ^= pivots[b]
+    return pivots
 
 
 def _rank_csr_modp(csr: sparse.csr_matrix, p: int) -> int:

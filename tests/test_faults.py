@@ -6,12 +6,13 @@ boundary's at p = 3, which ``FpComplex`` checks through a product of the
 stored entries, -1 and 1; a coefficient functor's, which the exhaustive
 functoriality check before its limits reads; a category's composition
 store or witness, which its law check (and the functors into it) read; a
-functor's token or object map, which the quotient check and the chain map
-read; or the transporter mask a category is built from.  One more makes
-a check raise an exception that is no toolkit error.  The run must still
-return a report, each stage reading the artifact must read ``fail``
-with a note naming the broken invariant, and every other verdict must be
-the one a clean run gives.
+functor's token or object map, which the quotient check and the chain
+map read; the transporter mask a category is built from; or the
+annihilator a nerve boundary keeps at p = 2, which the cones over it
+seed from.  One more makes a check raise an exception that is no toolkit
+error.  The run must still return a report, each stage reading the
+artifact must read ``fail`` with a note naming the broken invariant, and
+every other verdict must be the one a clean run gives.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 from plocal import PipelineConfig, categories, homology, limit_checks, pipeline
 from plocal.catalog import build_group
 from plocal.chains import NOT_A_CHAIN
+from plocal.fplinalg import FpMatrix
 from plocal.pipeline import STAGES, PipelineRun
 
 HOMOLOGY_CHECKS = ("quotient", "nerve-vs-group", "centric-restriction", "centric-agreement",
@@ -265,3 +267,43 @@ def test_an_unexpected_exception_fails_only_its_stage(monkeypatch):
     monkeypatch.undo()  # the clean run checks the adjunction
     assert_only_keys_fail(report, {"closure_inclusion_adjunction"},
                           ["adjunction: internal error: ValueError: no such coset"])
+
+
+def test_a_zeroed_annihilator_bit_fails_only_the_cones_seeded_from_it(monkeypatch):
+    """On alt:4 at p = 2, max-degree 4, the first cone boundary over a
+    block that keeps an annihilator with a live bit has that bit zeroed in
+    the block's Y before it is ranked.  The block is ∂_3 of one nerve, 1,331
+    x 121, which nerve-vs-group, centric-restriction and
+    linking-vs-transporter share, since their categories have one
+    composition table.  Each of their cones checks that the block's leads
+    and its live bits number its columns, before it seeds: each of the three
+    stages reads ``fail`` with a note, and every other verdict is a clean
+    run's."""
+    def alt4_run() -> PipelineRun:
+        return PipelineRun(build_group("alt:4"), PipelineConfig(
+            prime=2, max_degree=4, include_timings=False), "alt:4")
+
+    clean = alt4_run().run()
+    real = FpMatrix.rank
+    zeroed = []
+
+    def zero_a_bit(self, bound=None):
+        y = None if self.tail is None else self.tail[0].annihilator
+        if self._rank is None and not zeroed and y is not None and y.live_bits():
+            w = int(np.flatnonzero(y.basis.any(axis=1))[0])
+            live = int(np.bitwise_or.reduce(y.basis[w]))
+            y.basis[w] &= ~np.uint64(live & -live)
+            zeroed.append(self.tail[0].shape)
+        return real(self, bound)
+
+    monkeypatch.setattr(FpMatrix, "rank", zero_a_bit)
+    report = alt4_run().run()
+    assert zeroed == [(1331, 121)]
+    checks = ("nerve-vs-group", "centric-restriction", "linking-vs-transporter")
+    keys = {k for s in STAGES if s.check in checks for k in s.keys}
+    assert report.data["notes"] == [f"{c}: a kept annihilator does not match its leads"
+                                    for c in checks]
+    assert {report.verdicts[k] for k in keys} == {"fail"}
+    assert clean.overall == "pass" and not clean.data["notes"]
+    assert {k: v for k, v in report.verdicts.items() if k not in keys} == \
+        {k: v for k, v in clean.verdicts.items() if k not in keys}

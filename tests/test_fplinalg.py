@@ -1,7 +1,7 @@
 """Differential tests for the sparse elimination engine.
 
 A matrix that stores only its leading rows and references B as its tail
-``[0 | B]`` is ranked twice: seeded from B's kept echelon, and from scratch.
+``[0 | B]`` is ranked twice: seeded from what B keeps, and from scratch.
 Both must agree with the reference eliminations
 ``_rank_csr_gf2``/``_rank_csr_modp`` (``reference_fplinalg.py``) on the
 same rows stacked into one CSR by scipy (``whole``) and, where the matrix is
@@ -9,31 +9,33 @@ small enough to hold densely, with the dense oracle.
 
 Nerves, cones and functor cochain complexes rank each boundary with the
 bound ∂² = 0 forces.  A bounded rank must equal the plain one and the
-reference, its echelon must equal the one a pass over every row keeps, and
-no row after the one that reaches the bound may be read.
+reference, it must keep what a pass over every row keeps, and no row after
+the one that reaches the bound may be read.
 
-Over F_p with p > 2 every kept echelon is tail-reduced: each pivot is zero
-at the leading column of every pivot stored before it, seeds included.  At
-p = 2 only the rows that add a pivot are reduced, so a pivot is stored as
-it stands, reduced only at its leading column.  The references reduce no
-tails, so they stay an independent check of the ranks.
+A matrix ranked by the dict loop keeps its echelon, at every p.  Every kept
+echelon is tail-reduced: each pivot is monic and zero at the leading column
+of every pivot stored before it, seeds included.  It must equal, pivot for
+pivot, the one the dict loop keeps inserting every row, seeded the same
+way.  The references reduce no tails, so they stay an independent check of
+the ranks.
 
-A rank is certified, with no row read and no echelon kept, when the seeds
-and the distinct leading columns that no seed leads number at least the cap.
-``certificate`` recounts them by a scan of each row, independently of the
-engine's ``np.minimum.at``.  Every matrix ranked here must be certified exactly
-when that count reaches its cap, and otherwise keep the echelon a full pass
-keeps.
+At p = 2 a matrix keeps its leads and an annihilator Y instead, unless Y
+would not fit.  The engine reduces no row then: it never reads a row one at
+a time.  Three things are checked against it.  Its leads, in order, are
+the keys of the echelon a plain max-column pass (``insert_rows_gf2``) keeps
+inserting the rows in the engine's order.  ``whole @ Y`` vanishes mod 2.
+Y has ncols - rank live bits, and on the columns that lead no pivot it is
+the identity on them, so they are independent.  Unseeded, the engine's
+order is the structural rows (the first row with each leading column, in
+ascending order of that column), then the others in row order;
+``structural_first`` finds it by a scan of each row, independently of the
+engine's ``np.minimum.at``.  Seeded from B's annihilator, it tests the
+stored rows in row order, after the rows of B.
 
-At p = 2 the engine first inserts its structural rows (the first row with
-each leading column that no seed leads, in ascending order of that column),
-then the others in row order.  ``structural_first`` finds that order by a
-scan of each row, independently of the engine's ``np.minimum.at``.  After the
-structural rows, the engine reads only the rows that add a pivot: it skips
-each row that lies in the span of its echelon and of the rows before it.
-Its echelon must equal, key for key and in insertion order, the one a plain
-pass in the same order keeps, which inserts every row; rows are read in
-that order, and a skipped row is never read.
+A rank is certified, with no row read and nothing kept, when the seeds and
+the distinct leading columns that no seed leads number at least the cap.
+``certificate`` recounts them by a scan of each row.  Every matrix ranked
+here must be certified exactly when that count reaches its cap.
 """
 
 import math
@@ -67,12 +69,9 @@ from plocal.cohomology import CohomologyCache
 from plocal.fplinalg import (
     EchelonCoords,
     FpMatrix,
-    _insert_rows_gf2,
+    _Annihilator,
     _insert_rows_modp,
-    _reduce_rows_gf2,
-    _shifted_echelon,
     _leads,
-    _SpanTest,
     _structural_rows,
     nullspace_dense,
     rref_dense,
@@ -82,6 +81,7 @@ from reference_fplinalg import (
     EchelonLoop,
     _rank_csr_gf2,
     _rank_csr_modp,
+    insert_rows_gf2,
     nullspace_loop,
     rref_loop,
     symmetric,
@@ -111,12 +111,11 @@ def reference_rank(m: FpMatrix) -> int:
 
 
 def structural_first(csr, rows, seeds) -> tuple[list[int], list[int]]:
-    """The order in which the GF(2) engine inserts ``rows`` into an echelon
-    seeded with ``seeds``, found by a scan of each row: the structural rows
+    """The structural rows of ``rows`` for an echelon seeded with ``seeds``
     (for each leading column that no seed leads, the first row leading
-    there, in ascending order of that column), then the others in their
-    order.  It reads the row pointer through ``np.asarray``, so a spy on it
-    records nothing."""
+    there, in ascending order of that column) and the others in their
+    order, found by a scan of each row.  It reads the row pointer through
+    ``np.asarray``, so a spy on it records nothing."""
     first = {}
     indptr = np.asarray(csr.indptr)
     for i in rows:
@@ -128,110 +127,150 @@ def structural_first(csr, rows, seeds) -> tuple[list[int], list[int]]:
     return structural, [i for i in rows if i not in taken]
 
 
-def assert_read_in_order(read: list[int], order: list[int]) -> list[int]:
-    """The rows read, from a spy's record, which must come in ``order``
-    with none read twice (rows may be skipped); returns them."""
-    starts = read[::2]  # row i reads indptr[i] and then indptr[i + 1]
-    assert read[1::2] == [i + 1 for i in starts]
-    position = {i: k for k, i in enumerate(order)}
-    at = [position[i] for i in starts]
-    assert at == sorted(set(at))
-    return starts
+def rows_read(read: list) -> list[int]:
+    """The rows read, in order, from a spy's record: each read takes a
+    row's start and then its end, one row or an array of rows at a time."""
+    starts, ends = read[::2], read[1::2]
+    assert len(starts) == len(ends)
+    assert all(np.array_equal(np.add(s, 1), e) for s, e in zip(starts, ends))
+    return [int(i) for s in starts for i in np.atleast_1d(s)]
+
+
+def assert_reads_a_prefix(read: list, order: list[int]) -> list[int]:
+    """The rows read, which must be the first ones of ``order``, each read
+    once; returns them."""
+    rows = rows_read(read)
+    assert rows == list(order[:len(rows)])
+    return rows
 
 
 def plain_pass_gf2(csr, rows, pivots: dict, cap) -> dict:
     """Insert every row of ``rows`` into ``pivots``, up to ``cap`` pivots,
-    in the engine's order but without the span filter."""
+    in the unseeded engine's order (structural rows first) but with no span
+    test: a plain max-column pass."""
     structural, others = structural_first(csr, rows, pivots)
-    _reduce_rows_gf2(csr, structural + others, pivots, cap)
+    return insert_rows_gf2(csr, structural + others, pivots, cap)
+
+
+def fits(m: FpMatrix) -> bool:
+    """Whether ``m`` seeds from its block's annihilator: the unit vectors
+    at the offset left columns, in words of their own, and the block's Y
+    take at most 2 nnz words, the tail's entries counted."""
+    block, offset = m.tail
+    return m.shape[1] * (-(-offset // 64) + len(block.annihilator.basis)) <= 2 * m.nnz
+
+
+def seeds_of(m: FpMatrix) -> tuple[dict, sparse.csr_matrix, bool]:
+    """The echelon ``m.rank()`` starts from, the rows it inserts, and
+    whether it seeds: the block's dict echelon shifted, or the bitmask
+    echelon a plain pass keeps over the block's rows, shifted, when ``m``
+    seeds from the block's annihilator; then it inserts the stored rows.
+    Otherwise it inserts every row, unseeded."""
+    block, offset = m.tail if m.tail is not None else (None, 0)
+    if block is not None and block.echelon is not None:
+        return fplinalg._shifted_echelon(block.echelon, offset), m.csr, True
+    if block is not None and block.annihilator is not None and fits(m):
+        below = whole(block)
+        pivots = plain_pass_gf2(below, range(below.shape[0]), {}, math.inf)
+        return {c + offset: row << offset for c, row in pivots.items()}, m.csr, True
+    return {}, whole(m), False
+
+
+def full_echelon(m: FpMatrix) -> dict:
+    """The echelon a pass over every row keeps, in ``m.rank()``'s order and
+    seeded the same way, with no bound and no cap: the dict loop's when
+    ``m`` keeps a dict echelon, and otherwise a plain pass of bitmask rows,
+    structural rows first unless seeded."""
+    pivots, csr, seeded = seeds_of(m)
+    rows = range(csr.shape[0])
+    if m.echelon is not None:
+        _insert_rows_modp(csr, rows, m.prime, pivots, math.inf)
+    elif seeded:
+        insert_rows_gf2(csr, rows, pivots, math.inf)
+    else:
+        plain_pass_gf2(csr, rows, pivots, math.inf)
     return pivots
 
 
-def rows_adding_pivots(csr, rows, pivots: dict, cap) -> list[int]:
-    """The rows a plain pass in the engine's order turns into pivots, up to
-    ``cap`` pivots, found by inserting one row at a time."""
-    structural, others = structural_first(csr, rows, pivots)
-    adding = []
-    for i in structural + others:
-        if len(pivots) >= cap:
-            break
-        before = len(pivots)
-        _reduce_rows_gf2(csr, [i], pivots, cap)
-        if len(pivots) > before:
-            adding.append(i)
-    return adding
-
-
-def insert_gf2(csr, rows: range, pivots: dict, cap) -> None:
-    """``_insert_rows_gf2`` on ``rows`` (``range(nrows)``) with the structural
-    rows ``rank`` hands it, which must be the ones ``structural_first``
-    finds."""
-    structural = _structural_rows(_leads(csr)[:len(rows)], pivots, csr.shape[1])
-    assert structural.tolist() == structural_first(csr, rows, pivots)[0]
-    _insert_rows_gf2(csr, len(rows), structural, pivots, cap)
-
-
-def seeds_of(m: FpMatrix) -> tuple[dict, sparse.csr_matrix]:
-    """The seeds ``m.rank()`` starts from and the rows it inserts: the
-    stored rows when seeded, every row otherwise."""
-    if m.tail is not None and m.tail[0].echelon is not None:
-        return _shifted_echelon(m.tail[0].echelon, m.tail[1], m.prime), m.csr
-    return {}, whole(m)
-
-
 def certificate(m: FpMatrix) -> tuple[int, int]:
-    """The number of seeds of ``m``, and that number plus the distinct
-    leading columns of the rows it inserts that no seed leads, counted by a
-    scan of each row."""
-    seeds, csr = seeds_of(m)
+    """The number of seeds of ``m`` (its block's leads), and that number
+    plus the distinct leading columns of the rows it inserts that no seed
+    leads, counted by a scan of each row."""
+    block, offset = m.tail if m.tail is not None else (None, 0)
+    if block is not None and block.leads is not None:
+        seeds, csr = {c + offset for c in block.leads}, m.csr
+    else:
+        seeds, csr = set(), whole(m)
     return len(seeds), len(seeds) + len(structural_first(csr, range(csr.shape[0]), seeds)[0])
 
 
 def assert_certified_exactly(m: FpMatrix, cap: int):
-    """``m``, ranked under ``cap``, kept no echelon exactly when its seeds
-    fall short of the cap and its certificate reaches it, and then its rank
-    is the cap."""
+    """``m``, ranked under ``cap``, kept nothing exactly when its seeds fall
+    short of the cap and its certificate reaches it, and then its rank is
+    the cap."""
     seeds, count = certificate(m)
-    assert (m.echelon is None) == (seeds < cap <= count)
-    if m.echelon is None:
-        assert m.rank() == cap
+    assert (m.leads is None) == (seeds < cap <= count)
+    if m.leads is None:
+        assert m.rank() == cap and m.echelon is None and m.annihilator is None
 
 
-def assert_certified_or_eliminated(m: FpMatrix, cap: int, read: list[int] | None = None):
+def unpacked(m: FpMatrix) -> np.ndarray:
+    """``m``'s annihilator as a 0/1 array, one row per column of ``m`` and
+    one column per bit."""
+    basis = m.annihilator.basis
+    raw = np.ascontiguousarray(basis.T).view(np.uint8).reshape(m.shape[1], 8 * len(basis))
+    return np.unpackbits(raw, axis=1, bitorder="little")
+
+
+def assert_annihilates(m: FpMatrix):
+    """``m`` keeps an annihilator Y and no echelon: ``whole(m) @ Y`` is 0
+    mod 2, Y has ncols - rank live bits, and on the columns that lead no
+    pivot, in ascending order, Y is the identity on its live bits, each of
+    which is the unit vector at its free column there."""
+    assert m.echelon is None
+    Y = unpacked(m).astype(np.int64)
+    rows = whole(m)
+    rows = sparse.csr_matrix((rows.data % 2, rows.indices, rows.indptr), shape=rows.shape)
+    assert not (rows @ Y % 2).any()
+    live = np.flatnonzero(Y.any(axis=0))
+    assert len(live) == m.shape[1] - m.rank()
+    free = np.setdiff1d(np.arange(m.shape[1]), m.leads)
+    assert np.array_equal(Y[free][:, live], np.eye(len(live), dtype=np.int64))
+    assert np.array_equal(m.annihilator.free[live], free)
+
+
+def assert_kept_state(m: FpMatrix):
+    """``m``'s leads are the keys, in insertion order, of the echelon a pass
+    over every row keeps.  With a dict echelon, the echelon is that pass's,
+    pivot for pivot, and tail-reduced; otherwise ``m`` keeps an exact
+    annihilator."""
+    full = full_echelon(m)
+    assert m.leads == list(full)
+    if m.echelon is not None:
+        assert m.annihilator is None and m.echelon == full
+        assert_tail_reduced(m.echelon)
+    else:
+        assert_annihilates(m)
+
+
+def assert_certified_or_eliminated(m: FpMatrix, cap: int, read: list | None = None):
     """``m``, ranked under ``cap``, is certified exactly when its
     certificate says so, and then read no row (``read``, from a spy).
-    Otherwise it kept the echelon a full pass keeps."""
+    Otherwise it kept what a full pass keeps."""
     assert_certified_exactly(m, cap)
-    if m.echelon is None:
+    if m.leads is None:
         assert not read
     else:
-        assert m.echelon == full_echelon(m)
-        assert_tail_reduced(m.echelon, m.prime)
+        assert_kept_state(m)
 
 
-def full_echelon(m: FpMatrix) -> dict:
-    """The echelon ``m.rank()`` builds, seeded the same way, but with every
-    row inserted: no bound, no cap and, at p = 2, no span filter."""
-    pivots, csr = seeds_of(m)
-    if m.prime == 2:
-        plain_pass_gf2(csr, range(csr.shape[0]), pivots, math.inf)
-    else:
-        _insert_rows_modp(csr, range(csr.shape[0]), m.prime, pivots, math.inf)
-    return pivots
-
-
-def assert_tail_reduced(echelon: dict, p: int):
-    """Each pivot leads at its key.  For p > 2 it is also monic and zero
-    at the leading column of every pivot stored before it; seeds are
-    stored first.  At p = 2 pivots are not tail-reduced."""
-    if p == 2:
-        for c, m in echelon.items():
-            assert m.bit_length() - 1 == c, c
-    else:
-        before = set()
-        for c, row in echelon.items():
-            assert max(row) == c and row[c] == 1 and not before & row.keys(), c
-            before.add(c)
+def assert_tail_reduced(echelon: dict):
+    """Each pivot leads at its key, is monic and is zero at the leading
+    column of every pivot stored before it; seeds are stored first."""
+    before = set()
+    for c, row in echelon.items():
+        assert max(row) == c and row[c] == 1 and not before & row.keys(), c
+        before.add(c)
 
 
 def bound_caps(cx, ranks: list[int]) -> list[int]:
@@ -243,8 +282,8 @@ def bound_caps(cx, ranks: list[int]) -> list[int]:
 
 def assert_bounded_ranks_exact(cx, ranks: list[int]):
     """Each boundary, ranked by its complex with the ∂² = 0 bound, against
-    an unbounded rank and the reference; each is certified or keeps the
-    echelon of a full pass, as its certificate says."""
+    an unbounded rank and the reference; each is certified or keeps what a
+    full pass keeps, as its certificate says."""
     for m, r, cap in zip(cx.boundaries[1:], ranks, bound_caps(cx, ranks)):
         unbounded = FpMatrix(m.csr.copy(), m.prime, m.tail)
         assert r == unbounded.rank() == reference_rank(m)
@@ -253,25 +292,29 @@ def assert_bounded_ranks_exact(cx, ranks: list[int]):
 
 
 class RowSpy(np.ndarray):
-    """A CSR row pointer that records every row index read from it."""
+    """A CSR row pointer that records every row index read from it: an int,
+    or an array of them at once.  Indices from the end are no rows."""
 
     def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)) and hasattr(self, "read"):
-            self.read.append(int(key))
+        if hasattr(self, "read"):
+            if isinstance(key, (int, np.integer)) and key >= 0:
+                self.read.append(int(key))
+            elif isinstance(key, np.ndarray) and key.dtype.kind in "iu":
+                self.read.append(key.copy())
         return super().__getitem__(key)
 
 
-def spy_on_csr(csr, read: list[int] | None = None) -> list[int]:
+def spy_on_csr(csr, read: list | None = None) -> list:
     spy = csr.indptr.view(RowSpy)
     spy.read = [] if read is None else read
     csr.indptr = spy
     return spy.read
 
 
-def spy_on_rows(m: FpMatrix) -> list[int]:
+def spy_on_rows(m: FpMatrix) -> list:
     """The rows ``m.rank`` reads: its stored rows and, when it stacks its
-    tail under them to eliminate every row, the stacked rows, numbered as
-    in ``whole(m)``."""
+    tail under them to rank every row, the stacked rows, numbered as in
+    ``whole(m)``."""
     read = spy_on_csr(m.csr)
     if m.tail is not None:
         stack = m._stacked
@@ -283,6 +326,17 @@ def spy_on_rows(m: FpMatrix) -> list[int]:
 
         m._stacked = spied
     return read
+
+
+def engine_order(m: FpMatrix) -> list[int]:
+    """The order in which ``m.rank()`` reads the rows it inserts, numbered
+    as in ``whole(m)``: the dict loop's row order, or at p = 2 with an
+    annihilator the structural rows and then the others, unseeded."""
+    _, csr, seeded = seeds_of(m)
+    rows = range(csr.shape[0])
+    if m.annihilator is None or seeded:
+        return list(rows)
+    return sum(structural_first(csr, rows, {}), [])
 
 
 def random_sparse(rng, nrows, ncols, p, per_row):
@@ -332,14 +386,14 @@ def test_seeded_rank_matches_plain_and_oracle(p, t_rows, b_rows, left, right):
     want = reference_rank(FpMatrix(full.copy(), p))
     assert seeded.rank() == plain.rank() == want
     # seeded and bounded by the true rank: the same rank, and the same
-    # echelon unless the bound certifies it
+    # leads and echelon unless the bound certifies it
     bounded = FpMatrix(T.copy(), p, tail=(block, left))
     assert bounded.rank(want) == want
     for m, cap in ((block, min(B.shape)), (seeded, min(full.shape)), (plain, min(full.shape)),
                    (bounded, want)):
         assert_certified_or_eliminated(m, cap)
-    if bounded.echelon is not None:
-        assert bounded.echelon == seeded.echelon
+    if bounded.leads is not None:
+        assert bounded.leads == seeded.leads and bounded.echelon == seeded.echelon
     if full.shape[0] * full.shape[1] <= DENSE_ORACLE_MAX_ENTRIES:
         assert want == oracle.dense_rank_modp(full.toarray(), p)
 
@@ -362,7 +416,7 @@ def test_real_cone_ranks_seeded_and_plain(spec, p):
     cm, tgt = centric_linking_cone(spec, p, 3)
     plain = mapping_cone(cm)
     plain_ranks = [plain.rank_boundary(d) for d in range(1, plain.dmax + 1)]
-    assert all(tgt.boundaries[d].echelon is None for d in range(1, tgt.dmax + 1))
+    assert all(tgt.boundaries[d].leads is None for d in range(1, tgt.dmax + 1))
     assert_bounded_ranks_exact(plain, plain_ranks)
 
     target_ranks = [tgt.rank_boundary(d) for d in range(1, tgt.dmax + 1)]
@@ -387,7 +441,8 @@ def test_elimination_stops_at_the_row_that_reaches_the_forced_rank(spec, p):
     and its distinct leading columns reach that bound, so ``rank`` certifies
     it without reading a row.  The engine run on it under the same cap, as
     for a matrix whose certificate falls short, stops at the row whose pivot
-    reaches the bound, and most rows are never read."""
+    reaches the bound, and most rows are never read: at p = 2 it reads its
+    structural rows to build the annihilator, and no other row."""
     cm, _ = centric_linking_cone(spec, p, 3)
     cone = mapping_cone(cm)
     d = cone.dmax
@@ -401,17 +456,18 @@ def test_elimination_stops_at_the_row_that_reaches_the_forced_rank(spec, p):
     assert rank == reference_rank(FpMatrix(csr, p))
     assert certificate(top) == (0, rank)
     assert_certified_or_eliminated(top, rank, read)
-    assert top.echelon is None
+    assert top.leads is None
 
-    spied = csr.copy()
-    read = spy_on_csr(spied)
-    pivots = {}
+    engine = FpMatrix(csr.copy(), p)
+    read = spy_on_csr(engine.csr)
+    engine.leads = engine._insert(None, [], None, rank)
+    engine._rank = len(engine.leads)
+    read = assert_reads_a_prefix(read, engine_order(engine))
+    assert_kept_state(engine)
     if p == 2:
-        insert_gf2(spied, range(csr.shape[0]), pivots, rank)
-    else:
-        _insert_rows_modp(spied, range(csr.shape[0]), p, pivots, rank)
-    assert pivots == full_echelon(FpMatrix(csr, p))
-    last = max(read) - 1  # row i reads indptr[i] and indptr[i + 1]
+        assert engine.annihilator is not None
+        assert read == structural_first(csr, range(csr.shape[0]), {})[0]
+    last = max(read)
     assert 2 * (last + 1) < csr.shape[0]
     assert reference_rank(FpMatrix(csr[:last + 1], p)) == rank
     assert reference_rank(FpMatrix(csr[:last], p)) == rank - 1
@@ -459,14 +515,11 @@ def assert_cochain_ranks_exact(cx) -> int:
             assert r == oracle.dense_rank_modp(full.csr.toarray(), full.prime)
         assert_certified_or_eliminated(m, cap, read)
         assert_certified_or_eliminated(full, min(full.shape))
-        if m.echelon is None:
+        if m.leads is None:
             certified += 1
             continue
-        assert m.echelon == full.echelon
-        order = range(m.shape[0])
-        if m.prime == 2:
-            order = sum(structural_first(full.csr, order, {}), [])
-        starts = assert_read_in_order(read, order)
+        assert m.leads == full.leads and m.echelon == full.echelon
+        starts = assert_reads_a_prefix(read, engine_order(m))
         if r == cap and starts and starts[-1] < m.shape[0] - 1:
             stopped += 1
     return certified, stopped
@@ -476,8 +529,8 @@ def assert_cochain_ranks_exact(cx) -> int:
 def test_cochain_ranks_bounded_on_every_catalog_limit_complex(monkeypatch, p):
     """Every cochain complex the limit checks build for the catalog: ranks
     bounded by ∂² = 0 equal full passes, the references and the dense
-    oracle, the kept echelons equal full passes, some boundary is certified
-    and some other stops at its bound before its last row."""
+    oracle, what each keeps is what a full pass keeps, some boundary is
+    certified and some other stops at its bound before its last row."""
     real = limits.functor_cochain_complex
     seen, counts = [], []
 
@@ -504,24 +557,31 @@ HOMOLOGY_CHECKS = ("nerve-vs-group", "centric-restriction", "centric-agreement",
 def test_every_catalog_nerve_and_cone_keeps_a_tail_reduced_echelon(monkeypatch, p):
     """Every nerve and mapping-cone boundary the homology checks rank for the
     catalog at max-degree 3, seeded cones included, is certified exactly when
-    its certificate reaches its cap and otherwise keeps an echelon whose
-    pivots lead at their keys, tail-reduced for p > 2; its rank equals the
+    its certificate reaches its cap.  Otherwise it keeps a tail-reduced
+    echelon or, at p = 2, an exact annihilator, and its leads are the
+    echelon's keys or number ncols minus Y's live bits.  Its rank equals the
     reference's and the dense oracle's where those are cheap (the other
     tests here cover larger real matrices)."""
     real = FpMatrix.rank
     ranked = {"plain": 0, "seeded": 0, "certified": 0, "referenced": 0}
+    kept = {"echelon": 0, "annihilator": 0}
 
     def checked(self, bound=None):
         if self._rank is not None:
             return real(self, bound)
-        seeded = self.tail is not None and self.tail[0].echelon is not None
+        seeded = self.tail is not None and self.tail[0].leads is not None
         r = real(self, bound)
         assert_certified_exactly(self, min(self.shape) if bound is None
                                  else min(bound, *self.shape))
-        if self.echelon is None:
+        if self.leads is None:
             ranked["certified"] += 1
+        elif self.echelon is not None:
+            assert self.leads == list(self.echelon) and self.annihilator is None
+            assert_tail_reduced(self.echelon)
+            kept["echelon"] += 1
         else:
-            assert_tail_reduced(self.echelon, self.prime)
+            assert_annihilates(self)
+            kept["annihilator"] += 1
         if self.nnz <= 60_000:
             assert r == reference_rank(self)
             ranked["referenced"] += 1
@@ -536,6 +596,34 @@ def test_every_catalog_nerve_and_cone_keeps_a_tail_reduced_echelon(monkeypatch, 
                                                 include_timings=False))
         assert "fail" not in rep.verdicts.values(), spec
     assert all(ranked.values()), ranked
+    assert kept["echelon" if p > 2 else "annihilator"] > 0
+    if p > 2:
+        assert not kept["annihilator"]
+
+
+def test_alt4_at_p2_max_degree_4_seeds_three_cones_from_annihilators(monkeypatch):
+    """A full alt:4 run at p = 2, max-degree 4: three cone boundaries read
+    rows after seeding from what their block keeps, an annihilator each
+    time, and each keeps the annihilator and leads a full pass keeps."""
+    real = FpMatrix.rank
+    seeded = []
+
+    def checked(self, bound=None):
+        if self._rank is not None:
+            return real(self, bound)
+        block = self.tail[0] if self.tail is not None else None
+        r = real(self, bound)
+        if block is not None and block.leads is not None and self.leads is not None:
+            assert block.annihilator is not None and fits(self)
+            assert r == reference_rank(self)
+            assert_kept_state(self)
+            seeded.append(self.shape)
+        return r
+
+    monkeypatch.setattr(FpMatrix, "rank", checked)
+    rep = run_pipeline("alt:4", PipelineConfig(prime=2, max_degree=4, include_timings=False))
+    assert rep.overall == "pass"
+    assert seeded == [(132, 12)] * 3
 
 
 def test_block_that_does_not_fit_raises():
@@ -553,14 +641,14 @@ def test_block_that_does_not_fit_raises():
     assert m.shape == (7, 4) and m.nnz == 7 and m.rank() == 4
 
 
-# -- the span filter at p = 2 --------------------------------------------------
+# -- the span test at p = 2 ----------------------------------------------------
 
 
 def tall_gf2(rng, nrows, ncols, dim, late, triangular=False):
     """A GF(2) matrix whose rows are drawn from ``dim`` generator rows: sums
     of one to three generators, empty rows and repeats of earlier rows.
     ``late`` generators first appear at random rows after the first
-    ``ncols``, so pivots keep arriving once the span filter has started.
+    ``ncols``, so pivots keep arriving once the span test has started.
     With ``triangular``, generator k leads at column k (``dim <= ncols``)
     and the early generators also appear alone among the first ``ncols``
     rows, so each of the first ``dim`` columns leads some row."""
@@ -595,11 +683,23 @@ def tall_gf2(rng, nrows, ncols, dim, late, triangular=False):
     return sparse.csr_matrix(rows.astype(np.int64))
 
 
-def echelon_gf2(rng, ncols, nrows) -> dict:
-    """A GF(2) echelon, to seed an insertion with."""
-    seeds = {}
-    plain_pass_gf2(tall_gf2(rng, nrows, ncols, nrows, 0), range(nrows), seeds, math.inf)
-    return seeds
+def seed_block(rng, ncols, dim) -> FpMatrix:
+    """A ranked GF(2) block over ``ncols`` columns whose rows span ``dim``
+    generators, tall enough to keep an annihilator, to seed a matrix that
+    declares it as its tail."""
+    block = FpMatrix(tall_gf2(rng, 20 * ncols, ncols, dim, 0), 2)
+    block.rank()
+    assert block.annihilator is not None
+    return block
+
+
+def ranked_gf2(csr, block: FpMatrix | None, cap) -> tuple[FpMatrix, list[int]]:
+    """``csr``, over ``block`` at offset 0 if given, ranked under ``cap``,
+    and the rows it read."""
+    m = FpMatrix(csr.copy(), 2, None if block is None else (block, 0))
+    read = spy_on_rows(m)
+    m.rank(None if cap == math.inf else cap)
+    return m, list(read)
 
 
 @pytest.mark.parametrize("nrows,ncols,dim,late", [
@@ -611,34 +711,39 @@ def echelon_gf2(rng, ncols, nrows) -> dict:
 @pytest.mark.parametrize("seeded", [False, True])
 def test_span_filter_keeps_the_plain_echelon_on_tall_random_matrices(nrows, ncols, dim, late,
                                                                     seeded):
-    """Filtered insertion against a plain pass, with and without seeds,
-    under infinite, loose, exact and default caps."""
+    """The span test against a plain pass, unseeded and seeded from a
+    block's annihilator, under infinite, loose, exact and default caps: the
+    leads are the plain echelon's keys, in order, Y is exact, no row is
+    read one at a time, and the rows read are a prefix of the engine's
+    order, all of them when no cap stops the test."""
     rng = np.random.default_rng(7 * nrows + ncols + seeded)
     csr = tall_gf2(rng, nrows, ncols, dim, late)
-    seeds = echelon_gf2(rng, ncols, 3 if seeded else 0)
-    rows = range(nrows)
-    filtered_any = False
-    rank = len(plain_pass_gf2(csr, rows, dict(seeds), math.inf))
-    if not seeded:
-        assert rank == _rank_csr_gf2(csr)
+    block = seed_block(rng, ncols, 3) if seeded else None
+    stacked = FpMatrix(csr.copy(), 2, None if block is None else (block, 0))
+    rank = _rank_csr_gf2(whole(stacked))
+    if nrows * ncols <= DENSE_ORACLE_MAX_ENTRIES:
+        assert rank == oracle.dense_rank_modp(whole(stacked).toarray(), 2)
+    tested = False
     for cap in (math.inf, rank + 2, rank, min(nrows, ncols)):
-        plain = plain_pass_gf2(csr, rows, dict(seeds), cap)
-        spied = csr.copy()
-        read = spy_on_csr(spied)
-        filtered = dict(seeds)
-        insert_gf2(spied, rows, filtered, cap)
-        assert list(filtered.items()) == list(plain.items()), cap
-        assert_tail_reduced(filtered, 2)
-        assert_read_in_order(read, sum(structural_first(csr, rows, seeds), []))
-        filtered_any |= len(read) < 2 * nrows
-    assert filtered_any
+        m, read = ranked_gf2(csr, block, cap)
+        assert m.rank() == min(rank, cap)
+        assert_certified_or_eliminated(m, min(cap, *m.shape), read)
+        if m.leads is None:
+            continue
+        assert m.annihilator is not None and all(isinstance(k, np.ndarray) for k in read)
+        rows = assert_reads_a_prefix(read, engine_order(m))
+        if m.rank() < min(cap, *m.shape):
+            assert len(rows) == nrows  # no cap stopped the test
+        tested = True
+    assert tested
 
 
 def test_span_filter_never_reads_a_row_already_in_the_span():
-    """After the structural rows, rows in the span of the rows before them
-    (sums of head rows, repeats and empty rows) are skipped: the rows read
-    are the structural rows and the rows that add a pivot, which past the
-    head are the new rows, and nothing after the row that reaches the cap."""
+    """After the structural rows, no row is reduced: rows in the span of the
+    rows before them (sums of head rows, repeats and empty rows) and the new
+    rows alike are only tested.  The leads past the structural ones are
+    those of the new rows, in order, and with the cap at the rank nothing
+    after the block that holds the last new row is read."""
     rng = np.random.default_rng(11)
     ncols, nrows = 64, 3000
     # the head touches only the first 48 columns; each new row leads at the
@@ -651,7 +756,6 @@ def test_span_filter_never_reads_a_row_already_in_the_span():
     fresh[np.arange(6), rng.choice(np.arange(48, ncols - 1), 6, replace=False)] = True
     rows = np.zeros((nrows, ncols), dtype=bool)
     rows[:ncols] = head
-    in_span = []
     new_at = sorted(rng.choice(np.arange(ncols, nrows), 6, replace=False).tolist())
     for i in range(ncols, nrows):
         if i in new_at:
@@ -664,28 +768,36 @@ def test_span_filter_never_reads_a_row_already_in_the_span():
             rows[i] = head[rng.integers(ncols)]
         else:
             rows[i] = np.logical_xor.reduce(head[rng.choice(ncols, 3, replace=False)], axis=0)
-        in_span.append(i)
     # the trailing rows are empty, so the last block ends with empty rows
     rows[-5:] = False
     csr = sparse.csr_matrix(rows.astype(np.int64))
     rank = _rank_csr_gf2(csr)
     structural, others = structural_first(csr, range(nrows), {})
     assert new_at[0] in structural and not set(new_at[1:]) & set(structural)
-    order = structural + others
+    # a plain pass, one row at a time: past the structural rows and the
+    # head, the new rows are the ones that add a pivot
+    plain = insert_rows_gf2(csr, structural, {}, math.inf)
+    adding = []
+    for i in others:
+        before = len(plain)
+        if len(insert_rows_gf2(csr, [i], plain, math.inf)) > before:
+            adding.append(i)
+    assert [i for i in adding if i >= ncols] == new_at[1:]
 
-    for cap in (math.inf, rank):
-        spied = csr.copy()
-        read = spy_on_csr(spied)
-        pivots = {}
-        insert_gf2(spied, range(nrows), pivots, cap)
-        assert list(pivots.items()) == list(plain_pass_gf2(csr, range(nrows), {}, cap).items())
-        starts = assert_read_in_order(read, order)
-        assert starts == rows_adding_pivots(csr, range(nrows), {}, cap)
-        assert starts[:len(structural)] == structural
-        assert [i for i in starts[len(structural):] if i >= ncols] == new_at[1:]
-        assert not set(starts) & set(in_span) - set(structural)
-        assert len(starts) == len(pivots) == rank
-    assert starts[-1] == new_at[-1]  # the row that reaches the cap
+    # the blocks the rows after the structural ones are tested in: the
+    # first as long as the matrix is wide, each later one half as long as
+    # the rows tested so far; the cap stops the test with the block that
+    # holds the last new row
+    end = ncols
+    while end < len(others) and others[end - 1] < new_at[-1]:
+        end += max(ncols, end // 2)
+    for cap, stop in ((math.inf, len(others)), (rank, end)):
+        m, read = ranked_gf2(csr, None, cap)
+        assert m.rank() == rank == len(m.leads)
+        assert_certified_or_eliminated(m, min(cap, *m.shape), read)
+        assert m.leads == list(plain)
+        assert all(isinstance(k, np.ndarray) for k in read)
+        assert rows_read(read) == structural + others[:stop]
 
 
 def shared_lead_gf2(rng, nrows, ncols, early, late):
@@ -742,49 +854,44 @@ def outside_span(csr, rows, pivots: dict) -> list[int]:
 def test_rows_joining_the_span_inside_a_block_are_never_reduced(monkeypatch, nrows, ncols,
                                                                  early, late, seeded, gather):
     """Pivots that arrive inside a block put the block's later rows into the
-    span: those rows are not reduced, so every row reduced after the
-    structural phase becomes a pivot, under the caps infinity, rank and
-    ``min(shape)``.  The syndromes are more than 128 bits wide, so their
-    top bits are found across several words.  With a gather of 8 entries a
-    block is tested in chunks of one or two rows, some longer than the
-    gather, each against Y as the chunks before it left it."""
+    span.  No row is reduced, and the leads are those of a plain pass, in
+    order, under the caps infinity, rank and ``min(shape)``.  The syndromes
+    are more than 128 bits wide, so their top bits are found across several
+    words.  With a gather of 8 entries a block is tested in chunks of one
+    or two rows, some longer than the gather, each against Y as the chunks
+    before it left it."""
     if gather:
         monkeypatch.setattr(fplinalg, "_GATHER", gather)
     rng = np.random.default_rng(nrows + late + seeded)
     csr = shared_lead_gf2(rng, nrows, ncols, early, late)
-    seeds = echelon_gf2(rng, ncols, 40 if seeded else 0)
-    rows = range(nrows)
-    structural, others = structural_first(csr, rows, seeds)
-    start = plain_pass_gf2(csr, structural, dict(seeds), math.inf)
-    assert ncols - len(start) > 128
-    rank = len(plain_pass_gf2(csr, rows, dict(seeds), math.inf))
-    if not seeded:
-        assert rank == _rank_csr_gf2(csr)
-        if gather is None and nrows * ncols <= DENSE_ORACLE_MAX_ENTRIES:
-            assert rank == oracle.dense_rank_modp(csr.toarray(), 2)
+    block = seed_block(rng, ncols, 40) if seeded else None
+    stacked = FpMatrix(csr.copy(), 2, None if block is None else (block, 0))
+    seeds, _, _ = seeds_of(stacked) if seeded else ({}, None, False)
+    structural, others = structural_first(csr, range(nrows), seeds)
+    start = insert_rows_gf2(csr, structural, dict(seeds), math.inf)
+    rank = _rank_csr_gf2(whole(stacked))
+    assert ncols - len(start) > 128 and ncols - len(seeds) > 128
+    if gather is None and not seeded and nrows * ncols <= DENSE_ORACLE_MAX_ENTRIES:
+        assert rank == oracle.dense_rank_modp(csr.toarray(), 2)
     # far more rows lie outside the span after the structural phase than
     # add a pivot: the rest join the span later
     assert len(outside_span(csr, others, start)) > 5 * (rank - len(start))
     for cap in (math.inf, rank, min(nrows, ncols)):
-        spied = csr.copy()
-        read = spy_on_csr(spied)
-        pivots = dict(seeds)
-        insert_gf2(spied, rows, pivots, cap)
-        assert list(pivots.items()) == list(plain_pass_gf2(csr, rows, dict(seeds), cap).items())
-        assert_tail_reduced(pivots, 2)
-        starts = assert_read_in_order(read, structural + others)
-        assert starts[:len(structural)] == structural
-        assert starts == rows_adding_pivots(csr, rows, dict(seeds), cap)
-        assert len(starts) == len(pivots) - len(seeds) == min(rank, cap) - len(seeds)
+        m, read = ranked_gf2(csr, block, cap)
+        assert m.rank() == min(rank, cap) == len(m.leads)
+        assert_certified_or_eliminated(m, min(cap, *m.shape), read)
+        assert m.annihilator is not None and all(isinstance(k, np.ndarray) for k in read)
+        assert_reads_a_prefix(read, engine_order(m))
 
 
 def test_span_filter_keeps_the_plain_echelon_on_the_sym4_degree3_boundaries(monkeypatch):
     """The three largest boundaries the homology checks rank for sym:4 at
     p = 2, max-degree 3: the bar ∂_3 and the transporter-poset and linking
     ∂_3, which read past their columns because H_2 ≠ 0 keeps them below the
-    ∂² bound.  The rows read are pinned exactly: they repeat from run to
-    run, so a filter that lets more rows through fails here: each boundary
-    reads exactly as many rows as its rank, every one a new pivot."""
+    ∂² bound.  Each keeps an exact annihilator and the leads of a plain
+    pass, and reduces no row; their ranks, structural rows and annihilator
+    widths in words are pinned: 493 of 505, 1,219 of 1,244 and 1,479 of
+    1,538 pivots are structural."""
     real = FpMatrix.rank
     seen = {}
 
@@ -794,41 +901,54 @@ def test_span_filter_keeps_the_plain_echelon_on_the_sym4_degree3_boundaries(monk
         csr = self.csr.copy()
         read = spy_on_rows(self)
         r = real(self, bound)
-        plain = plain_pass_gf2(csr, range(csr.shape[0]), {}, min(bound, *csr.shape))
-        assert list(self.echelon.items()) == list(plain.items())
+        assert_kept_state(self)
         assert r == _rank_csr_gf2(csr) == len(plain_pass_gf2(csr, range(csr.shape[0]), {},
-                                                                math.inf))
-        order = sum(structural_first(csr, range(csr.shape[0]), {}), [])
-        seen[csr.shape] = (r, len(assert_read_in_order(read, order)))
+                                                              math.inf))
+        assert all(isinstance(k, np.ndarray) for k in read)
+        assert_reads_a_prefix(read, engine_order(self))
+        structural = structural_first(csr, range(csr.shape[0]), {})[0]
+        seen[csr.shape] = (r, len(structural), len(self.annihilator.basis))
         return r
 
     monkeypatch.setattr(FpMatrix, "rank", checked)
     rep = run_pipeline("sym:4", PipelineConfig(prime=2, max_degree=3, checks=HOMOLOGY_CHECKS,
                                                include_timings=False))
     assert "fail" not in rep.verdicts.values()
-    assert seen == {
-        (12167, 529): (505, 505), (30246, 1298): (1244, 1244), (33284, 1620): (1538, 1538)}
+    assert seen == {(12167, 529): (505, 493, 1), (30246, 1298): (1244, 1219, 2),
+                    (33284, 1620): (1538, 1479, 3)}
 
 
 def test_span_filter_declines_an_annihilator_larger_than_the_matrix():
-    """A wide, sparse matrix: the annihilator of the echelon of its
-    structural rows would take more than 2 nnz words, so the other rows go
-    in plainly."""
+    """A wide, sparse matrix: the annihilator of its structural rows would
+    take more than 2 nnz words, so the dict loop ranks it, reading every
+    row in row order, and it keeps that echelon and no annihilator.  A cone
+    over it seeds from that echelon: it reads only its own rows."""
     ncols, nrows = 640, 2000
     rows = np.arange(nrows)
     csr = sparse.csr_matrix((np.ones(nrows, dtype=np.int64), (rows, rows % 8)),
                             shape=(nrows, ncols))
-    pivots = {}
-    structural = _structural_rows(_leads(csr), pivots, ncols)
-    _reduce_rows_gf2(csr, structural.tolist(), pivots, math.inf)
-    assert ncols * -(-(ncols - len(pivots)) // 64) > 2 * csr.nnz
-    assert _SpanTest(csr, pivots, [], structural).basis is None
-    order = sum(structural_first(csr, range(nrows), {}), [])
-    read = spy_on_csr(csr)
-    filtered = {}
-    insert_gf2(csr, range(nrows), filtered, math.inf)
-    assert list(filtered.items()) == list(pivots.items())
-    assert assert_read_in_order(read, order) == order
+    structural = _structural_rows(_leads(csr), [], ncols)
+    assert ncols * -(-(ncols - len(structural)) // 64) > 2 * csr.nnz
+    assert _Annihilator.of_rows(csr, structural) is None
+    m = FpMatrix(csr.copy(), 2)
+    read = spy_on_rows(m)
+    assert m.rank() == _rank_csr_gf2(csr) == 8
+    read = list(read)  # before the checks below read m's rows again
+    assert m.annihilator is None and m.echelon is not None
+    assert_certified_or_eliminated(m, min(m.shape), read)
+    assert rows_read(read) == list(range(nrows))
+
+    rng = np.random.default_rng(640)
+    left = 30
+    head = random_sparse(rng, 50, left + ncols, 2, 3)
+    cone = FpMatrix(head.copy(), 2, tail=(m, left))
+    read = spy_on_rows(cone)
+    assert cone.rank() == reference_rank(cone)
+    read = list(read)
+    assert cone.annihilator is None and cone.echelon is not None
+    assert_certified_or_eliminated(cone, min(cone.shape), read)
+    assert set(rows_read(read)) <= set(range(head.shape[0]))
+    assert list(cone.echelon)[:8] == [c + left for c in m.leads]
 
 
 def short_cycles_gf2(rng, nrows, nverts, reach) -> sparse.csr_matrix:
@@ -861,32 +981,34 @@ def short_cycles_gf2(rng, nrows, nverts, reach) -> sparse.csr_matrix:
 @pytest.mark.parametrize("seeded", [False, True])
 def test_span_filter_keeps_the_plain_echelon_on_a_tall_nerve_like_matrix(monkeypatch, seeded):
     """20,000 short cycles over 1,000 edges, ranked through ``FpMatrix``,
-    seeded as a cone is (the last 300 rows declared as a block already
-    ranked) and unseeded.  The rank falls short of the columns by more
-    than 64, so no cap stops it: the span test runs block after block with
-    a Y at least two words wide.  The rank equals the reference's, the
-    echelon the one a plain pass keeps, and every row read adds a pivot."""
+    seeded as a cone is (the last 10,000 rows declared as a block already
+    ranked, tall enough to keep an annihilator) and unseeded.  The rank
+    falls short of the columns by more than 64, so no cap stops it: the
+    span test runs block after block with a Y at least two words wide.  The
+    rank equals the reference's, the leads are a plain pass's, Y is exact,
+    and no row is reduced."""
     rng = np.random.default_rng(26 + seeded)
     csr = short_cycles_gf2(rng, 20_000, 125, 8)
     widths = []
-    real = _SpanTest.new_pivots
+    real = _Annihilator._test
 
-    def new_pivots(self, ids, need):
+    def test(self, csr, ids, need):
         widths.append(len(self.basis))
-        return real(self, ids, need)
+        return real(self, csr, ids, need)
 
-    monkeypatch.setattr(_SpanTest, "new_pivots", new_pivots)
+    monkeypatch.setattr(_Annihilator, "_test", test)
     m = FpMatrix(csr.copy(), 2)
     if seeded:
-        block = FpMatrix(csr[-300:], 2)
+        block = FpMatrix(csr[-10_000:], 2)
         block.rank()
-        m = FpMatrix(csr[:-300], 2, (block, 0))
-    seeds, _ = seeds_of(m)
+        assert block.annihilator is not None and fits(FpMatrix(csr[:-10_000], 2, (block, 0)))
+        m = FpMatrix(csr[:-10_000], 2, (block, 0))
     read = spy_on_rows(m)
     widths.clear()
     assert m.rank() == _rank_csr_gf2(csr) < min(csr.shape) - 64
-    assert len(read) == 2 * (len(m.echelon) - len(seeds))
-    assert list(m.echelon.items()) == list(full_echelon(m).items())
+    assert all(isinstance(k, np.ndarray) for k in read)
+    assert_reads_a_prefix(read, engine_order(m))
+    assert_kept_state(m)
     assert len(widths) >= 5 and min(widths) >= 2, widths
 
 
@@ -904,8 +1026,9 @@ def assert_rank_exact(csr, rank: int):
 @pytest.mark.parametrize("nrows,ncols,dim,late", [(2000, 40, 30, 8), (6000, 250, 180, 30)])
 def test_structural_phase_skips_the_leads_of_seeds(nrows, ncols, dim, late):
     """Seeds leading where structural rows lead, and mostly outside their
-    row space: the rows leading there are not structural, and the echelon
-    is the one a plain pass in the same order keeps."""
+    row space, declared as a block: the rows leading there are not counted
+    by the certificate, and the matrix keeps what a plain pass from the
+    block's state keeps."""
     rng = np.random.default_rng(nrows + ncols)
     csr = tall_gf2(rng, nrows, ncols, dim, late)
     structural, _ = structural_first(csr, range(nrows), {})
@@ -915,32 +1038,34 @@ def test_structural_phase_skips_the_leads_of_seeds(nrows, ncols, dim, late):
         below = np.flatnonzero(row)[-1]
         if below:
             row[rng.integers(below)] ^= 1
-    S = sparse.csr_matrix(dense)
-    seeds = plain_pass_gf2(S, range(S.shape[0]), {}, math.inf)
+    # and the sum of the first two, so that the seeds' own rank is not certified
+    S = sparse.csr_matrix(np.vstack([dense, dense[0] ^ dense[1]]))
+    block = FpMatrix(S.copy(), 2)
+    block.rank()
+    seeds = block.leads
     assert sorted(seeds) == sorted(lead_of(csr, i) for i in structural[::3])
-    after, others = structural_first(csr, range(nrows), seeds)
+    after, _ = structural_first(csr, range(nrows), seeds)
     assert after == [i for i in structural if lead_of(csr, i) not in seeds]
-    both = sparse.vstack([S, csr]).tocsr()
+    assert _structural_rows(_leads(csr), seeds, ncols).tolist() == after
+    both = sparse.vstack([csr, S]).tocsr()
     rank = _rank_csr_gf2(both)
     assert_rank_exact(both, rank)
     assert rank > _rank_csr_gf2(csr)
 
     for cap in (math.inf, rank, len(seeds) + len(after), min(nrows, ncols)):
-        spied = csr.copy()
-        read = spy_on_csr(spied)
-        pivots = dict(seeds)
-        insert_gf2(spied, range(nrows), pivots, cap)
-        assert list(pivots.items()) == list(plain_pass_gf2(csr, range(nrows), dict(seeds),
-                                                           cap).items())
-        assert len(pivots) == min(rank, cap)
-        assert_tail_reduced(pivots, 2)
-        starts = assert_read_in_order(read, after + others)
-        assert starts[:len(after)] == after
+        m = FpMatrix(csr.copy(), 2, (block, 0))
+        read = spy_on_rows(m)
+        assert m.rank(None if cap == math.inf else cap) == min(rank, cap)
+        read = list(read)  # before the checks below read m's rows again
+        assert certificate(m) == (len(seeds), len(seeds) + len(after))
+        assert_certified_or_eliminated(m, min(cap, *m.shape), read)
+        if m.leads is not None:
+            assert_reads_a_prefix(read, engine_order(m))
 
 
 def test_a_cap_inside_the_structural_phase_reads_no_later_row():
-    """Structural rows have distinct leads, so each one read is a pivot,
-    and a cap reached among them leaves every later row unread."""
+    """Structural rows have distinct leads, so they are independent, and a
+    cap they reach is certified: no row is read at all."""
     rng = np.random.default_rng(23)
     nrows, ncols = 4000, 100
     csr = tall_gf2(rng, nrows, ncols, 100, 20)
@@ -948,14 +1073,12 @@ def test_a_cap_inside_the_structural_phase_reads_no_later_row():
     assert_rank_exact(csr, _rank_csr_gf2(csr))
     assert len(structural) < _rank_csr_gf2(csr)
     for cap in (1, len(structural) // 2, len(structural)):
-        spied = csr.copy()
-        read = spy_on_csr(spied)
-        pivots = {}
-        insert_gf2(spied, range(nrows), pivots, cap)
-        assert read[::2] == structural[:cap]
-        assert list(pivots.items()) == list(plain_pass_gf2(csr, range(nrows), {}, cap).items())
-        assert_tail_reduced(pivots, 2)
-        assert_rank_exact(csr[structural[:cap]], len(pivots))
+        m = FpMatrix(csr.copy(), 2)
+        read = spy_on_rows(m)
+        assert m.rank(cap) == cap
+        assert_certified_or_eliminated(m, cap, read)
+        assert m.leads is None and not read
+        assert_rank_exact(csr[structural[:cap]], cap)
 
 
 @pytest.mark.parametrize("nrows,ncols,late", [(3000, 120, 30), (5000, 200, 40)])
@@ -963,7 +1086,8 @@ def test_structural_rows_alone_reach_the_bound_of_a_full_rank_matrix(nrows, ncol
     """A tall matrix of full column rank whose every column leads some row,
     late ones included, like the top boundary of an acyclic cone: ranked
     with the bound ``ncols``, it is certified and reads no row, and the
-    engine under that cap reads its structural rows and nothing else."""
+    engine under that cap reads its structural rows and nothing else, and
+    keeps an annihilator of no words."""
     rng = np.random.default_rng(nrows + late)
     csr = tall_gf2(rng, nrows, ncols, ncols, late, triangular=True)
     structural, _ = structural_first(csr, range(nrows), {})
@@ -973,15 +1097,16 @@ def test_structural_rows_alone_reach_the_bound_of_a_full_rank_matrix(nrows, ncol
     assert m.rank(ncols) == ncols
     assert_rank_exact(csr, ncols)
     assert_certified_or_eliminated(m, ncols, read)
-    assert m.echelon is None
+    assert m.leads is None
 
-    spied = csr.copy()
-    read = spy_on_csr(spied)
-    pivots = {}
-    insert_gf2(spied, range(nrows), pivots, ncols)
-    assert read[::2] == structural
-    assert list(pivots.items()) == list(plain_pass_gf2(csr, structural, {}, math.inf).items())
-    assert_tail_reduced(pivots, 2)
+    engine = FpMatrix(csr.copy(), 2)
+    read = spy_on_csr(engine.csr)
+    engine.leads = engine._insert(None, [], None, ncols)
+    engine._rank = len(engine.leads)
+    assert rows_read(read) == structural
+    assert engine.leads == list(plain_pass_gf2(csr, structural, {}, math.inf))
+    assert engine.annihilator.basis.shape == (0, ncols)
+    assert_kept_state(engine)
 
 
 @pytest.mark.parametrize("spec", ["sym:4", "dih:8"])
@@ -989,7 +1114,8 @@ def test_acyclic_cone_boundaries_read_only_their_structural_rows(spec):
     """Every boundary of the transporter-to-linking cone at p = 2 reaches
     its ∂² bound with its structural rows alone: they are as many as the
     bound, so ``rank`` certifies it and reads no row, and the engine under
-    that cap reads them once each in ascending order of their leads."""
+    that cap reads them, in ascending order of their leads, and no other
+    row."""
     cm, _ = centric_linking_cone(spec, 2, 3)
     cone = mapping_cone(cm)
     for d in range(1, cone.dmax + 1):
@@ -1002,17 +1128,18 @@ def test_acyclic_cone_boundaries_read_only_their_structural_rows(spec):
         assert rank == cone.dims[d - 1] - (cone.rank_boundary(d - 1) if d > 1 else 0)
         assert len(structural) == rank
         assert_certified_or_eliminated(m, rank, read)
-        assert m.echelon is None
+        assert m.leads is None
         assert rank == reference_rank(FpMatrix(csr, 2))
         if csr.shape[0] * csr.shape[1] <= DENSE_ORACLE_MAX_ENTRIES:
             assert rank == oracle.dense_rank_modp(csr.toarray(), 2)
 
-        spied = csr.copy()
-        read = spy_on_csr(spied)
-        pivots = {}
-        insert_gf2(spied, range(csr.shape[0]), pivots, rank)
-        assert read[::2] == structural
-        assert_tail_reduced(pivots, 2)
+        engine = FpMatrix(csr.copy(), 2)
+        read = spy_on_csr(engine.csr)
+        engine.leads = engine._insert(None, [], None, rank)
+        engine._rank = len(engine.leads)
+        assert engine.annihilator is not None
+        assert rows_read(read) == structural
+        assert_kept_state(engine)
 
 
 # -- the rank certificate ------------------------------------------------------
@@ -1117,7 +1244,7 @@ def test_certificate_on_tall_random_matrices(p, seeded, hidden):
         head = csr[:csr.shape[0] - tail[0].shape[0]]
         block = FpMatrix(tail[0].copy(), p)
         block.rank()
-        assert block.echelon is not None  # B's certificate falls short
+        assert block.leads is not None  # B's certificate falls short
         tail = (block, tail[1])
     certified = []
     for bound in (want, want + 1, None):
@@ -1127,7 +1254,7 @@ def test_certificate_on_tall_random_matrices(p, seeded, hidden):
         cap = min(m.shape) if bound is None else min(bound, *m.shape)
         read = list(read)
         assert_certified_or_eliminated(m, cap, read)
-        certified.append(m.echelon is None)
+        certified.append(m.leads is None)
         seeds, count = certificate(m)
         assert count == want - hidden
         if seeded and bound is None:
@@ -1139,7 +1266,7 @@ def test_certificate_on_tall_random_matrices(p, seeded, hidden):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_cone_over_a_certified_block_eliminates_unseeded(p):
-    """A block certified by its bound keeps no echelon, so a matrix that
+    """A block certified by its bound keeps nothing, so a matrix that
     declares it as its tail has no seeds: it inserts every row, the tail's
     included, and its rank is the oracle's."""
     rng = np.random.default_rng(p)
@@ -1149,7 +1276,7 @@ def test_cone_over_a_certified_block_eliminates_unseeded(p):
                      B.shape[0])
     block = FpMatrix(B.copy(), p)
     r = oracle.dense_rank_modp(B.toarray(), p)
-    assert block.rank(r) == r and block.echelon is None
+    assert block.rank(r) == r and block.leads is None
     head = csr[:-B.shape[0]]
     full = sparse.vstack([head, sparse.hstack(
         [sparse.csr_matrix((B.shape[0], left), dtype=np.int64), B])]).tocsr()
@@ -1160,15 +1287,15 @@ def test_cone_over_a_certified_block_eliminates_unseeded(p):
     read = list(read)
     assert certificate(m)[0] == 0
     assert_certified_or_eliminated(m, min(m.shape), read)
-    assert max(read) > m.csr.shape[0]  # the tail's rows were read too
+    assert max(rows_read(read)) > m.csr.shape[0]  # the tail's rows were read too
 
 
-def tall_cone(rng, p):
+def tall_cone(rng, p, left=40):
     """``(T, B, left)``: a block B of 20,000 rows over 150 columns, spanned
     by generators leading at 100 of them, each leading some row, and 2,000
-    leading rows T over 40 + 150 columns, combining B's generators, moved
-    ``left`` = 40 columns to the right, with 20 of T's own."""
-    left, right = 40, 150
+    leading rows T over ``left`` + 150 columns, combining B's generators,
+    moved ``left`` columns to the right, with 20 of T's own."""
+    right = 150
     lead_b = np.sort(rng.choice(right, 100, replace=False))
     g_b = led_generators(rng, p, right, lead_b)
     B = combinations(rng, p, g_b, 20_000)
@@ -1183,52 +1310,88 @@ def tall_cone(rng, p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_tall_cones_rank_as_their_rows_stacked_into_one_csr(p):
     """A cone storing 2,000 rows over a 20,000-row block that was ranked
-    (its echelon kept), certified (none kept) or never ranked has the rank
+    (its state kept), certified (none kept) or never ranked has the rank
     of the same rows stacked into one CSR and the dense oracle's, bounded
-    by it or not.  Unseeded, it keeps that CSR's echelon, pivot for pivot
-    and in insertion order.  Seeded, it keeps the echelon a full pass from
-    the shifted seeds keeps, which at p > 2 is the one of the CSR with the
-    block's rows first."""
+    by it or not.  Unseeded, it keeps what that CSR keeps.  Seeded, it
+    keeps what a full pass from the block's state keeps, which at p > 2 is
+    the echelon of the CSR with the block's rows first."""
     rng = np.random.default_rng(20_000 + p)
     T, B, left = tall_cone(rng, p)
     bottom = sparse.hstack([sparse.csr_matrix((B.shape[0], left), dtype=np.int64), B]).tocsr()
     full = FpMatrix(sparse.vstack([T, bottom]).tocsr(), p)
     want = oracle.dense_rank_modp(full.csr.toarray().astype(np.int16), p)
-    assert full.rank() == want == 120 and full.echelon is not None
+    assert full.rank() == want == 120 and full.leads is not None
     for state in ("ranked", "certified", "never"):
         block = FpMatrix(B.copy(), p)
         if state == "ranked":
-            assert block.rank() == 100 and block.echelon is not None
+            assert block.rank() == 100 and block.leads is not None
         elif state == "certified":
-            assert block.rank(100) == 100 and block.echelon is None
+            assert block.rank(100) == 100 and block.leads is None
         m = FpMatrix(T.copy(), p, tail=(block, left))
         assert m.csr.shape == T.shape and m.shape == full.shape and m.nnz == full.nnz
         assert m.rank() == want, state
+        assert_kept_state(m)
         if state == "ranked":
-            assert list(m.echelon.items()) == list(full_echelon(m).items())
             if p > 2:
                 first = FpMatrix(sparse.vstack([bottom, T]).tocsr(), p)
                 assert first.rank() == want
                 assert list(m.echelon.items()) == list(first.echelon.items())
         else:
-            assert list(m.echelon.items()) == list(full.echelon.items()), state
+            assert m.leads == full.leads and m.echelon == full.echelon, state
         assert FpMatrix(T.copy(), p, tail=(block, left)).rank(want) == want
+
+
+@pytest.mark.parametrize("case", ["annihilator", "certified", "too wide"])
+def test_tall_cones_at_p2_seed_from_the_block_annihilator_when_it_fits(case):
+    """A cone of 2,000 rows over a 20,000-row block at p = 2, against the
+    same rows stacked, the reference and the oracle, bounded or not.  Over
+    a block that keeps an annihilator the cone seeds from it: it reads only
+    its stored rows and keeps the block's leads, shifted, then its own.
+    Over a certified block it stacks.  So it does over a block with an
+    annihilator when the unit vectors at its 10,000 left columns and the
+    block's Y would take more than 2 nnz words."""
+    rng = np.random.default_rng(2)
+    T, B, left = tall_cone(rng, 2, 10_000 if case == "too wide" else 40)
+    bottom = sparse.hstack([sparse.csr_matrix((B.shape[0], left), dtype=np.int64), B]).tocsr()
+    stacked = FpMatrix(sparse.vstack([T, bottom]).tocsr(), 2)
+    want = reference_rank(stacked)
+    assert stacked.rank() == want
+    if case != "too wide":
+        assert want == oracle.dense_rank_modp(stacked.csr.toarray().astype(np.int8), 2)
+    block = FpMatrix(B.copy(), 2)
+    assert block.rank(None if case != "certified" else 100) == 100
+    assert (block.annihilator is not None) == (case != "certified")
+    for bound in (None, want):
+        m = FpMatrix(T.copy(), 2, tail=(block, left))
+        read = spy_on_rows(m)
+        assert m.rank(bound) == want
+        assert_certified_or_eliminated(m, min(m.shape) if bound is None else want, list(read))
+        if m.leads is None:
+            continue
+        rows = assert_reads_a_prefix(read, engine_order(m))
+        if case == "annihilator":
+            assert fits(m) and max(rows) < T.shape[0]
+            assert m.leads[:100] == [c + left for c in block.leads]
+        else:
+            assert case == "certified" or not fits(m)
+            assert max(rows) >= T.shape[0]  # the tail's rows were read too
+            assert m.leads == stacked.leads
 
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("shape", [(23, 1), (5000, 7)])
 @pytest.mark.parametrize("bound", [1, None])
 def test_a_matrix_with_no_entries_has_rank_0_and_reads_no_row(monkeypatch, p, shape, bound):
-    """No row is read and no span test is built: the rank is 0 and the
-    echelon empty, under the caps 1 and infinity.  A tail's entries count:
-    over a block with one nonzero row the rank is 1."""
+    """No row is read and no annihilator is built: the rank is 0 and the
+    echelon and leads are empty, under the caps 1 and infinity.  A tail's
+    entries count: over a block with one nonzero row the rank is 1."""
     built = []
-    real = fplinalg._SpanTest
-    monkeypatch.setattr(fplinalg, "_SpanTest", lambda *args: built.append(args) or real(*args))
+    real = _Annihilator.of_rows
+    monkeypatch.setattr(_Annihilator, "of_rows", lambda *args: built.append(args) or real(*args))
     m = FpMatrix(sparse.csr_matrix(shape, dtype=np.int64), p)
     read = spy_on_rows(m)
     assert m.rank(bound) == 0
-    assert m.echelon == {} and not read and not built
+    assert m.echelon == {} and m.leads == [] and not read and not built
     assert reference_rank(m) == 0
     over = FpMatrix(sparse.csr_matrix(shape, dtype=np.int64), p,
                     tail=(FpMatrix(sparse.csr_matrix(np.ones((1, shape[1]), np.int64)), p), 0))

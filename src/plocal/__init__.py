@@ -59,7 +59,6 @@ from .groups import (
 from .homology import (
     ChainMap,
     FpComplex,
-    HomologyProfile,
     bar_complex,
     homology_iso_verdict,
     induced_chain_map,
@@ -76,7 +75,6 @@ from .limit_checks import (
     support_restriction_check,
 )
 from .limits import (
-    LimitsProfile,
     LinearFunctor,
     ModuleData,
     functor_cochain_complex,

@@ -55,7 +55,9 @@ strong induction on the id, S generates every token.  So only the triples
 with middle in S are checked, unless identities or closure fail: then
 every composable triple is.  The coset rule is checked by table lookups,
 over the middle object's sides only where the composite lies in its
-morphism set (``_verify_coset_well_definedness``).
+morphism set (``_verify_coset_well_definedness``).  A verdict, of the laws,
+the quotient functor or the adjunction, is its failure list: it passes
+when the list is empty.
 """
 
 from __future__ import annotations
@@ -426,21 +428,12 @@ def skeleton(C: FiniteCategory) -> tuple[FiniteCategory, Functor]:
 
 @dataclass
 class CategoryLawsVerdict:
-    associative: bool
-    identities: bool
-    composition_closed: bool
-    well_defined: bool
     triples_checked: int
     failures: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return (
-            self.associative
-            and self.identities
-            and self.composition_closed
-            and self.well_defined
-        )
+        return not self.failures
 
 
 def generating_set(C: FiniteCategory) -> np.ndarray:
@@ -516,36 +509,30 @@ def verify_category(C: FiniteCategory) -> CategoryLawsVerdict:
         t, e = tok[e >= 0], e[e >= 0]
         got = C.composites(e, t) if side == "left" else C.composites(t, e)
         failures += [f"{side} identity fails at token {x}" for x in t[got != t].tolist()]
-    identities = not failures
 
     t1, t2 = C.pairs()
     comp = C.composite
     # a composite outside [0, morphism_count) is no token, and there safe != comp
     safe = np.where((comp >= 0) & (comp < C.morphism_count), comp, 0)
     inside = (safe == comp) & (C.src[safe] == C.src[t1]) & (C.tgt[safe] == C.tgt[t2])
-    closed = bool(inside.all())
     for k in np.flatnonzero(~inside).tolist():
         where = f"({t1[k]},{t2[k]})"
         failures.append(f"composite {where} is not filled" if comp[k] < 0 else
                         f"composite {where} lands outside Mor({C.src[t1[k]]},{C.tgt[t2[k]]})")
 
-    middles = generating_set(C) if identities and closed else tok
+    middles = generating_set(C) if not failures else tok
     triples, broken = _associativity_failures(C, middles, inside)
     failures += broken
-    associative = not broken
-
-    well_defined = _verify_coset_well_definedness(C, failures)
-    return CategoryLawsVerdict(
-        associative, identities, closed, well_defined, triples, failures
-    )
+    _verify_coset_well_definedness(C, failures)
+    return CategoryLawsVerdict(triples, failures)
 
 
-def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str]) -> bool:
-    """Check the coset rule by lookups in ``least_tables``: each witness is
-    the least element of its coset, and for every filled composable pair of
-    tokens every product of representatives of their two cosets lies in the
-    composite's coset (a slot unfilled or holding no token is left to the
-    closure check).
+def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str]) -> None:
+    """Append to ``failures`` those of the coset rule, checked by lookups in
+    ``least_tables``: each witness is the least element of its coset, and for
+    every filled composable pair of tokens every product of representatives
+    of their two cosets lies in the composite's coset (a slot unfilled or
+    holding no token is left to the closure check).
 
     Let t1: i -> j have witness a, t2: j -> k witness b, and the composite
     t3 witness c.  The products are x y with x = l a r and y = l' b r' for l
@@ -561,7 +548,7 @@ def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str]) -> bo
     where it ends elsewhere than k, r' over R_k: a composite outside its
     morphism set is judged on every product."""
     if C.left is None:
-        return True
+        return
     at, tables = C.least_tables()
     w, mul = C.witness, C.group.mul
     element = (w >= 0) & (w < C.group.order)  # no lookup reads a witness outside G
@@ -596,7 +583,6 @@ def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str]) -> bo
             broken[q] = (tables[row[q, None], mul[a, b]] != least[:, None]).any(axis=1)
     failures += [f"representative shift breaks composite ({t1[q]},{t2[q]})"
                  for q in np.flatnonzero(broken).tolist()]
-    return not bad.any() and not broken.any()
 
 
 # -- the quotient-functor conditions -----------------------------------------
@@ -604,21 +590,12 @@ def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str]) -> bo
 
 @dataclass
 class QuotientFunctorVerdict:
-    iso_class_bijective: bool
-    morphism_surjective: bool
-    kernels_prime_to_p: bool
-    fibers_are_kernel_orbits: bool
     kernel_orders: list[int]
     failures: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return (
-            self.iso_class_bijective
-            and self.morphism_surjective
-            and self.kernels_prime_to_p
-            and self.fibers_are_kernel_orbits
-        )
+        return not self.failures
 
 
 def _mismatch(key_a, val_a, key_b, val_b, width: int) -> list[int]:
@@ -655,8 +632,8 @@ def verify_quotient_functor(psi: Functor, p: int) -> QuotientFunctorVerdict:
     omap = np.asarray(psi.object_map, dtype=np.int64)
     stray = np.flatnonzero((omap < 0) | (omap >= md)).tolist()
     if stray:
-        return QuotientFunctorVerdict(False, False, False, False, [], [
-            f"object {i} maps to no object of the target" for i in stray])
+        return QuotientFunctorVerdict([], [f"object {i} maps to no object of the target"
+                                           for i in stray])
 
     # the distinct (class, image class) of the objects: one per class, and
     # the images every class of D once
@@ -664,8 +641,7 @@ def verify_quotient_functor(psi: Functor, p: int) -> QuotientFunctorVerdict:
     cls, img = np.unique(np.stack([iso_classes(C)[0], np.asarray(tgt_class)[omap]]), axis=1)
     split = int((np.bincount(cls) > 1).sum())
     failures = ["isomorphic objects map to non-isomorphic objects"] * split
-    iso_bij = not split and np.array_equal(np.sort(img), np.arange(len(tgt_classes)))
-    if not iso_bij:
+    if split or not np.array_equal(np.sort(img), np.arange(len(tgt_classes))):
         failures.append("not bijective on isomorphism classes")
 
     # (i, j) with the images of Mor(i, j), against the tokens of Mor(ψi, ψj)
@@ -693,10 +669,7 @@ def verify_quotient_functor(psi: Functor, p: int) -> QuotientFunctorVerdict:
     key = (C.src * m + C.tgt) * (nd + 1) + fmap
     loose = _mismatch(f, C.composites(kernel[kat[C.src[f]] + pos], f), *_matches(key, key), n + 1)
     failures += [f"fiber of token {t} is not a kernel orbit" for t in loose]
-    return QuotientFunctorVerdict(
-        iso_bij, not unhit, not (order % p == 0).any(), not loose,
-        np.diff(kat).tolist(), failures,
-    )
+    return QuotientFunctorVerdict(np.diff(kat).tolist(), failures)
 
 
 # -- the closure / inclusion adjunction ---------------------------------------
@@ -704,15 +677,12 @@ def verify_quotient_functor(psi: Functor, p: int) -> QuotientFunctorVerdict:
 
 @dataclass
 class AdjunctionVerdict:
-    bijections: bool
-    natural_in_source: bool
-    natural_in_target: bool
     pairs_checked: int
     failures: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return self.bijections and self.natural_in_source and self.natural_in_target
+        return not self.failures
 
 
 def verify_closure_adjunction(
@@ -755,7 +725,6 @@ def verify_closure_adjunction(
             reps_om = omega.witness[omega.mor(om_idx[clos[P.ids].ids], om_idx[Q.ids])]
             if not np.array_equal(np.sort(reps_big), np.sort(reps_om)):
                 failures.append(f"morphism sets differ for P={P.label()}, Q={Q.label()}")
-    bijections, pairs = not failures, len(test_subgroups) * len(members)
 
     # naturality, per test subgroup P.  In the target variable: for every
     # phi: P° -> Q of omega, identified with the token phi_big: P -> Q of big,
@@ -805,6 +774,4 @@ def verify_closure_adjunction(
                          + ["identification misses a morphism"] * (missing * len(u))
                          + ["precomposition square fails"] * int(pre.sum()))
     failures += tgt_failures + src_failures
-    natural_tgt = not tgt_failures
-    natural_src = not src_failures
-    return AdjunctionVerdict(bijections, natural_src, natural_tgt, pairs, failures)
+    return AdjunctionVerdict(len(test_subgroups) * len(members), failures)

@@ -46,7 +46,7 @@ class CohomologyBasis:
         ech = EchelonCoords(cx.dims[i], p)
         if i >= 1:
             ech.add_silent(cx.boundaries[i].csr.toarray().T)
-        cocycles = nullspace_dense(cx.boundaries[i + 1].csr.toarray(), p)
+        cocycles = nullspace_dense(cx.boundaries[i + 1].csr, p)
         self.reps = cocycles[ech.add_tracked(cocycles)]
         self.dim = len(self.reps)
         self._ech = ech

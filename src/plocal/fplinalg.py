@@ -591,13 +591,24 @@ def rref_dense(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return R, pivots
 
 
-def nullspace_dense(A: np.ndarray, p: int) -> np.ndarray:
+_DENSE_BLOCK = 1 << 22  # entries of a sparse matrix densified at a time by ``nullspace_dense``
+
+
+def nullspace_dense(A: sparse.csr_matrix, p: int) -> np.ndarray:
     """Basis of {x : A x = 0 mod p}, one row per free column of A's RREF, in
     column order: 1 at its free column and minus the RREF's entries in that
-    column at the pivot columns."""
-    R, pivots = rref_dense(A, p)
-    free = np.delete(np.arange(R.shape[1]), pivots)
-    basis = np.zeros((len(free), R.shape[1]), dtype=np.int64)
+    column at the pivot columns.  A is densified a block of rows at a time,
+    each reduced with the pivot rows of the RREF so far: an RREF depends
+    only on the row space.  A block has about ``_DENSE_BLOCK`` entries but at
+    least ncols rows, so a matrix of at most ``_DENSE_BLOCK`` is one block."""
+    n = A.shape[1]
+    step = max(n, _DENSE_BLOCK // max(n, 1))
+    R, pivots = np.zeros((0, n), dtype=np.int64), []
+    for lo in range(0, A.shape[0], step):
+        block = A[lo:lo + step].toarray()
+        R, pivots = rref_dense(np.vstack([R[:len(pivots)], block]) if pivots else block, p)
+    free = np.delete(np.arange(n), pivots)
+    basis = np.zeros((len(free), n), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = -R[:len(pivots), free].T % p
     return basis

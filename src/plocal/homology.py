@@ -38,15 +38,6 @@ from .fplinalg import FpMatrix
 from .groups import PermutationGroup
 
 
-@dataclass
-class HomologyProfile:
-    """Dimensions of H_d(-; F_p) for d = 0..dmax-1 (top degree dropped)."""
-
-    prime: int
-    dims: list[int]
-    dmax: int
-
-
 class FpComplex:
     """A chain complex of F_p vector spaces, truncated at degree dmax.
 
@@ -56,7 +47,12 @@ class FpComplex:
     cochain complexes (``limits``, boundary d+1 the transposed differential
     C^d -> C^{d+1}) carry none.
     Construction raises ``PLocalError`` unless ∂_d ∂_{d-1} = 0 in every
-    degree, which ``rank_boundary``'s bound relies on.
+    degree, which ``rank_boundary``'s bound relies on.  So a boundary is
+    checked only through its products with its neighbours, and the top one,
+    ∂_dmax, only against the one below it: when that one is zero, ∂_dmax
+    goes unchecked.  One case is ∂_2 of a one-object nerve (its ∂_1 is
+    zero) built to degree 2, as centric-agreement and the i = 1 cohomology
+    bases build it.
 
     A boundary may reference a block as its tail ``[0 | block]`` (see
     ``fplinalg``).  When ∂_{d-1}'s tail starts at the row ∂_d's tail block
@@ -94,12 +90,12 @@ class FpComplex:
             return 0
         return self.boundaries[d].rank(self.dims[d - 1] - self.rank_boundary(d - 1))
 
-    def homology(self) -> HomologyProfile:
-        dims = [
+    def homology(self) -> list[int]:
+        """dim H_d(-; F_p) for d = 0..dmax-1 (the top degree dropped)."""
+        return [
             self.dims[d] - self.rank_boundary(d) - self.rank_boundary(d + 1)
             for d in range(self.dmax)
         ]
-        return HomologyProfile(self.prime, dims, self.dmax)
 
 
 def nerve_complex(C: FiniteCategory, prime: int, dmax: int,
@@ -125,7 +121,6 @@ def bar_complex(G: PermutationGroup, prime: int, dmax: int,
 class ChainMap:
     """Degree-wise matrices of a functor-induced map between nerve complexes."""
 
-    prime: int
     source: FpComplex
     target: FpComplex
     mats: list[FpMatrix]
@@ -146,7 +141,7 @@ def induced_chain_map(F: Functor, source_cx: FpComplex, target_cx: FpComplex) ->
             shape=(source_cx.dims[d], target_cx.dims[d]),
         )
         mats.append(FpMatrix(csr, source_cx.prime))
-    return ChainMap(source_cx.prime, source_cx, target_cx, mats)
+    return ChainMap(source_cx, target_cx, mats)
 
 
 def _beside(left: sparse.csr_matrix, right: sparse.csr_matrix, offset: int) -> sparse.csr_matrix:
@@ -200,7 +195,6 @@ def mapping_cone(cm: ChainMap) -> FpComplex:
 class IsoVerdict:
     """Per-degree homology-isomorphism verdicts from mapping-cone acyclicity."""
 
-    prime: int
     certified_through: int
     iso_by_degree: list[bool] = field(default_factory=list)
     cone_homology: list[int] = field(default_factory=list)
@@ -213,10 +207,10 @@ class IsoVerdict:
 def homology_iso_verdict(cm: ChainMap) -> IsoVerdict:
     """Iso in degree d certified by vanishing cone homology in degrees d and d+1."""
     cone = mapping_cone(cm)
-    cone_h = cone.homology().dims  # exact for d <= cone.dmax - 1
+    cone_h = cone.homology()  # exact for d <= cone.dmax - 1
     certified = cone.dmax - 2
     iso = [
         cone_h[d] == 0 and cone_h[d + 1] == 0
         for d in range(certified + 1)
     ]
-    return IsoVerdict(cm.prime, certified, iso, cone_h)
+    return IsoVerdict(certified, iso, cone_h)

@@ -48,7 +48,6 @@ from .groups import (
     quotient_realization,
 )
 from .limits import (
-    LimitsProfile,
     LinearFunctor,
     ModuleData,
     element_action_matrices,
@@ -144,24 +143,24 @@ def atomic_functor_limits(
     module: ModuleData,
     nmax: int,
     cache: CohomologyCache,
-) -> LimitsProfile:
-    """Higher limits of the functor with value M at the trivial subgroup and
-    zero elsewhere, over the skeletal orbit category of all p-subgroups of
-    ``skel.G``.  Only the cache's budget and its store of limit profiles are
-    read, so the cache may be a larger group's: the normalizer reduction
-    passes a quotient's skeletons with the run's cache."""
+) -> list[int]:
+    """dim lim^n, n < nmax, of the functor with value M at the trivial
+    subgroup and zero elsewhere, over the skeletal orbit category of all
+    p-subgroups of ``skel.G``.  Only the cache's budget and its store of
+    limit profiles are read, so the cache may be a larger group's: the
+    normalizer reduction passes a quotient's skeletons with the run's cache."""
     G, p, cat = skel.G, skel.p, skel.p_cat
     triv = next(i for i, R in enumerate(skel.p_reps) if R.order == 1)
     rho = element_action_matrices(G, module, p)
     dims = [module.dim if k == triv else 0 for k in range(cat.object_count)]
     loops = (cat.src == triv) & (cat.tgt == triv)
     F = LinearFunctor(cat, p, dims, rho[cat.witness[loops]].ravel())
-    return limits_profile(F, nmax, cache.budget, cache.limits)
+    return _lim(F, nmax, cache)
 
 
 def _lim(F: LinearFunctor, nmax: int, cache: CohomologyCache) -> list[int]:
-    """lim^n F for n <= nmax, within the run's budget, through its store."""
-    return limits_profile(F, nmax, cache.budget, cache.limits).dims
+    """dim lim^n F for n < nmax, within the run's budget, through its store."""
+    return limits_profile(F, nmax, cache.budget, cache.limits)
 
 
 def _check_context(skel: OrbitSkeletons, cache: CohomologyCache) -> None:
@@ -259,7 +258,7 @@ def normalizer_reduction_check(
     basis = cache.basis(R, i)
     gen_mats = [cache.pullback(R, R, i, g) for g in N.generating_ids]
     module = ModuleData(dim=basis.dim, generator_matrices=gen_mats)
-    right = atomic_functor_limits(quotient_skel, module, nmax, cache).dims
+    right = atomic_functor_limits(quotient_skel, module, nmax, cache)
     return ReductionVerdict(R.label(), i, left, right, W.order)
 
 

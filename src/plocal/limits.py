@@ -17,7 +17,7 @@ Each differential d: C^n -> C^{n+1} is written transposed, rows indexed by
 C^{n+1}, so the complex is a ``homology.FpComplex`` whose boundary in
 degree n+1 is d, and lim^n is its homology in degree n, ranked exactly as a
 nerve's: each rank stops at the bound ∂² = 0 forces (see ``fplinalg``).
-``limits_profile`` can keep its results in a per-run store keyed on the
+``limits_profile`` keeps its results in a per-run store keyed on the
 functor's whole content.
 """
 
@@ -103,20 +103,6 @@ class LinearFunctor:
         return LinearFunctor(sub, self.prime, dims, self.blocks(inclusion.morphism_map))
 
 
-@dataclass
-class LimitsProfile:
-    """Dimensions of lim^n for n = 0..nmax-1, with the certified range."""
-
-    prime: int
-    dims: list[int]
-    nmax: int
-    lim0_cross_check: int
-
-    @property
-    def vanishes(self) -> bool:
-        return all(d == 0 for d in self.dims)
-
-
 def functor_cochain_complex(F: LinearFunctor, nmax: int,
                             budget: int = DEFAULT_BUDGET) -> FpComplex:
     """Build the normalized cochain complex of a (validated) functor.
@@ -136,29 +122,24 @@ def functor_cochain_complex(F: LinearFunctor, nmax: int,
     return FpComplex(F.prime, nmax, dims, [None, *diffs])
 
 
-def limits_profile(F: LinearFunctor, nmax: int, budget: int = DEFAULT_BUDGET,
-                   memo: dict | None = None) -> LimitsProfile:
-    """lim^n F for n < nmax, after an exhaustive check that F is a functor.
+def limits_profile(F: LinearFunctor, nmax: int, budget: int, memo: dict) -> list[int]:
+    """dim lim^n F for n < nmax, after an exhaustive check that F is a
+    functor, with lim^0 cross-checked against the compatible-family system.
 
-    With ``memo`` (a run's store), a functor equal in content to one already
+    ``memo`` is a run's store: a functor equal in content to one already
     limited with the same nmax and budget is not validated or computed
     again.  Only successes are stored, so an error is raised on every call."""
-    if memo is not None:
-        key = _functor_key(F, nmax, budget)
-        if key in memo:
-            dims, check = memo[key]
-            return LimitsProfile(F.prime, list(dims), nmax, check)
-    F.validate()
-    cx = functor_cochain_complex(F, nmax, budget)
-    dims = cx.homology().dims
-    check = inverse_limit_dim(F)
-    if dims and dims[0] != check:
-        raise PLocalError(
-            f"lim^0 mismatch: cochain gives {dims[0]}, compatibility system gives {check}"
-        )
-    if memo is not None:
-        memo[key] = (tuple(dims), check)
-    return LimitsProfile(F.prime, dims, nmax, check)
+    key = _functor_key(F, nmax, budget)
+    if key not in memo:
+        F.validate()
+        dims = functor_cochain_complex(F, nmax, budget).homology()
+        check = inverse_limit_dim(F)
+        if dims and dims[0] != check:
+            raise PLocalError(
+                f"lim^0 mismatch: cochain gives {dims[0]}, compatibility system gives {check}"
+            )
+        memo[key] = tuple(dims)
+    return list(memo[key])
 
 
 def _functor_key(F: LinearFunctor, nmax: int, budget: int) -> tuple:

@@ -351,14 +351,14 @@ class PipelineRun:
         bar_h = bar.homology()
         t_h = t_omega_cx.homology()
         detail["homology"]["classifying_space"] = {
-            "dims": bar_h.dims, "exact_through": dmax - 1}
+            "dims": bar_h, "exact_through": dmax - 1}
         detail["homology"]["transporter_poset_nerve"] = {
-            "dims": t_h.dims, "exact_through": dmax - 1}
+            "dims": t_h, "exact_through": dmax - 1}
 
         coset_h = self.complex_of(self.coset_category, dmax).homology()
         point = [1] + [0] * (dmax - 1)
         detail["homology"]["coset_category_nerve"] = {
-            "dims": coset_h.dims, "expected": point}
+            "dims": coset_h, "expected": point}
 
         T = self.transporter_omega
         min_idx = next(
@@ -374,12 +374,12 @@ class PipelineRun:
             self.notes.append(f"nerve-vs-group: G into the transporter poset: {violations[0]}")
         cm = induced_chain_map(functor, bar, t_omega_cx)
         iso = homology_iso_verdict(cm)
-        dims_equal = bar_h.dims[: dmax - 1] == t_h.dims[: dmax - 1]
+        dims_equal = bar_h[: dmax - 1] == t_h[: dmax - 1]
         detail["homology"]["group_into_transporter_iso"] = {
             "certified_through": iso.certified_through,
             "iso": iso.iso_by_degree,
         }
-        return not violations and iso.passed and dims_equal and coset_h.dims == point
+        return not violations and iso.passed and dims_equal and coset_h == point
 
     def _stage_centric_restriction(self, detail):
         dmax = self.cfg.max_degree
@@ -399,8 +399,8 @@ class PipelineRun:
         dmax = max(self.cfg.max_degree - 1, 1)
         cx_omega_c = self.complex_of(self.transporter_omega_centric, dmax)
         cx_centric = self.complex_of(self.transporter_centric, dmax)
-        a = cx_omega_c.homology().dims
-        b = cx_centric.homology().dims
+        a = cx_omega_c.homology()
+        b = cx_centric.homology()
         detail["homology"]["transporter_centric_nerve"] = {
             "dims": b, "exact_through": dmax - 1}
         detail["homology"]["transporter_poset_centric_nerve"] = {
@@ -416,7 +416,7 @@ class PipelineRun:
         cm = induced_chain_map(self.linking_projection, src, tgt)
         iso = homology_iso_verdict(cm)
         detail["homology"]["linking_nerve"] = {
-            "dims": tgt_h.dims, "exact_through": dmax - 1}
+            "dims": tgt_h, "exact_through": dmax - 1}
         detail["homology"]["transporter_into_linking_iso"] = {
             "certified_through": iso.certified_through,
             "iso": iso.iso_by_degree,
@@ -465,13 +465,13 @@ class PipelineRun:
     def _stage_atomic(self, detail):
         nmax = self.cfg.max_limit_degree
         module = ModuleData(1, [np.eye(1, dtype=np.int64) for _ in self.G.generators])
-        profile = atomic_functor_limits(self.skeletons, module, nmax, self.cohomology_cache)
+        dims = atomic_functor_limits(self.skeletons, module, nmax, self.cohomology_cache)
         has_p_element = any(o == self.p for o in self.G.element_orders)
         detail["limits"]["atomic_trivial_module"] = {
-            "dims": profile.dims,
+            "dims": dims,
             "group_has_order_p_element": has_p_element,
         }
-        return profile.vanishes or not has_p_element
+        return not any(dims) or not has_p_element
 
     def _stage_restriction(self, detail):
         skel = self.skeletons
@@ -518,8 +518,8 @@ class PipelineRun:
 
     def _stage_main(self, detail):
         # homology through degree 2, exact from complexes through degree 3
-        bar_h = self.complex_of(self.group_category, 3).homology().dims
-        link_h = self.complex_of(self.linking_centric, 3).homology().dims
+        bar_h = self.complex_of(self.group_category, 3).homology()
+        link_h = self.complex_of(self.linking_centric, 3).homology()
         detail["homology"]["main_comparison"] = {
             "classifying_dims": bar_h, "linking_dims": link_h, "through_degree": 2}
         return bar_h == link_h

@@ -9,8 +9,8 @@ before it read least elements from tables: it expands every coset element
 by element (``reference_cosets``) and tests every product of
 representatives of two composable cosets for membership in the composite's
 coset.  ``test_categories.py`` requires the checks to agree on ``passed``,
-``associative``, ``well_defined`` and the failures on every category the
-pipeline builds, and under injected faults.
+the laws that fail, told apart by their failure prefixes, and the failures
+on every category the pipeline builds, and under injected faults.
 
 ``reference_coset_tokens`` is the token list ``_fill_cosets`` made before
 it took the witnesses as the listed elements that are their own coset's
@@ -26,8 +26,8 @@ with ``coset_category`` object for object.
 per-object and per-token loops over sets, as it was before it became array
 comparisons over the token arrays: kernels are the automorphisms mapped to an
 identity, each one's order found by composing it with itself one store
-lookup at a time.  The tests require the same flags, kernel orders and
-failures from both checks.
+lookup at a time.  The tests require the same failed conditions, kernel
+orders and failures from both checks.
 """
 
 from __future__ import annotations
@@ -89,12 +89,13 @@ def reference_coset_tokens(C) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return src, tgt, witness
 
 
-def reference_coset_well_definedness(C, failures: list[str]) -> bool:
-    """Each witness is the least element of its expanded coset, and for every
-    filled composable pair every product of representatives of the two
-    cosets is, by a sorted-key search, an element of the composite's coset."""
+def reference_coset_well_definedness(C, failures: list[str]) -> None:
+    """Append a failure unless each witness is the least element of its
+    expanded coset and, for every filled composable pair, every product of
+    representatives of the two cosets is, by a sorted-key search, an element
+    of the composite's coset."""
     if C.left is None:
-        return True
+        return
     witness = C.witness
     elems, offs = reference_cosets(C, C.src, C.tgt, witness)
     bad = np.minimum.reduceat(elems, offs[:-1]) != witness
@@ -118,7 +119,6 @@ def reference_coset_well_definedness(C, failures: list[str]) -> bool:
     broken = np.concatenate(broken or [np.zeros(0, dtype=np.int64)])
     failures += [f"representative shift breaks composite ({t1[k]},{t2[k]})"
                  for k in broken.tolist()]
-    return not bad.any() and not len(broken)
 
 
 def reference_verify_category(C) -> CategoryLawsVerdict:
@@ -129,13 +129,11 @@ def reference_verify_category(C) -> CategoryLawsVerdict:
         t, e = tok[e >= 0], e[e >= 0]
         got = C.composites(e, t) if side == "left" else C.composites(t, e)
         failures += [f"{side} identity fails at token {x}" for x in t[got != t].tolist()]
-    identities = not failures
 
     t1, t2 = C.pairs()
     comp = C.composite
     safe = np.where(comp >= 0, comp, 0)
     inside = (comp >= 0) & (C.src[safe] == C.src[t1]) & (C.tgt[safe] == C.tgt[t2])
-    closed = bool(inside.all())
     for k in np.flatnonzero(~inside).tolist():
         where = f"({t1[k]},{t2[k]})"
         failures.append(f"composite {where} is not filled" if comp[k] < 0 else
@@ -146,7 +144,7 @@ def reference_verify_category(C) -> CategoryLawsVerdict:
     # c's place in its block and, once inside, (b c)'s place in b's block
     ps, first = C.pair_start, C.first
     j, c_at, bc_at = t1 - first[C.src[t1]], t2 - first[C.src[t2]], comp - first[C.src[t1]]
-    before, triples = len(failures), 0
+    triples = 0
     for a in range(C.morphism_count):
         obj = C.tgt[a]
         run = slice(ps[first[obj]], ps[first[obj + 1]])
@@ -158,12 +156,8 @@ def reference_verify_category(C) -> CategoryLawsVerdict:
         triples += len(ab)
         failures += [f"associativity fails at ({a},{t1[run][k]},{t2[run][k]})"
                      for k in np.flatnonzero(bad).tolist()]
-    associative = len(failures) == before
-
-    well_defined = reference_coset_well_definedness(C, failures)
-    return CategoryLawsVerdict(
-        associative, identities, closed, well_defined, triples, failures
-    )
+    reference_coset_well_definedness(C, failures)
+    return CategoryLawsVerdict(triples, failures)
 
 
 def stored(C, t1: int, t2: int) -> int:
@@ -194,21 +188,17 @@ def reference_verify_quotient_functor(psi, p: int) -> QuotientFunctorVerdict:
         if len(imgs) != 1:
             injective = False
             failures.append("isomorphic objects map to non-isomorphic objects")
-    iso_bij = injective and surjective_classes
-    if not iso_bij:
+    if not (injective and surjective_classes):
         failures.append("not bijective on isomorphism classes")
 
-    mor_surj = True
     for i in range(C.object_count):
         for j in range(C.object_count):
             hit = {image[t] for t in C.mor(i, j)}
             want = set(D.mor(psi.object_map[i], psi.object_map[j]))
             if hit != want:
-                mor_surj = False
                 failures.append(f"morphism map not surjective on Mor({i},{j})")
 
     kernels: list[list[int]] = []
-    kernels_ok = True
     for i in range(C.object_count):
         ident_img = D.identity_ids[psi.object_map[i]]
         one, ends = C.identity_ids[i], C.mor(i, i)
@@ -224,10 +214,8 @@ def reference_verify_quotient_functor(psi, p: int) -> QuotientFunctorVerdict:
                 if k > len(ends) + 1:
                     raise PLocalError(f"endomorphism token {t} is not invertible")
             if k % p == 0:
-                kernels_ok = False
                 failures.append(f"kernel element at object {i} has order divisible by {p}")
 
-    fibers_ok = True
     for i in range(C.object_count):
         K = kernels[i]
         for j in range(C.object_count):
@@ -236,12 +224,8 @@ def reference_verify_quotient_functor(psi, p: int) -> QuotientFunctorVerdict:
                 orbit = {compose(C, s, f) for s in K}
                 fiber = {g for g in toks if image[g] == image[f]}
                 if orbit != fiber:
-                    fibers_ok = False
                     failures.append(f"fiber of token {f} is not a kernel orbit")
-    return QuotientFunctorVerdict(
-        iso_bij, mor_surj, kernels_ok, fibers_ok,
-        [len(K) for K in kernels], failures,
-    )
+    return QuotientFunctorVerdict([len(K) for K in kernels], failures)
 
 
 def reference_coset_category(G, collection) -> FiniteCategory:

@@ -60,7 +60,7 @@ def check_nerve(C, prime, cx):
 def check_chain_map(F, cm):
     src = ref.nerve_basis(F.source, cm.source.dmax)
     tgt = ref.nerve_basis(F.target, cm.target.dmax)
-    want = ref.chain_map(F, src, tgt, cm.prime)
+    want = ref.chain_map(F, src, tgt, cm.source.prime)
     assert len(cm.mats) == len(want)
     for got, expected in zip(cm.mats, want):
         assert_same_matrix(got, expected)
@@ -184,7 +184,7 @@ def test_tokens_stay_grouped_by_source():
     sub, incl = full_subcategory(T, [1, 0])
     assert sub.src.tolist() == sorted(sub.src.tolist())
     assert not incl.violations()
-    assert nerve_complex(sub, 2, 3).homology().dims == nerve_complex(T, 2, 3).homology().dims
+    assert nerve_complex(sub, 2, 3).homology() == nerve_complex(T, 2, 3).homology()
 
 
 def test_chain_map_rejects_images_that_are_not_chains():

@@ -424,7 +424,7 @@ def test_real_cone_ranks_seeded_and_plain(spec, p):
     seeded = mapping_cone(cm)
     seeded_ranks = [seeded.rank_boundary(d) for d in range(1, seeded.dmax + 1)]
     assert seeded_ranks == plain_ranks
-    assert seeded.homology().dims == [0] * seeded.dmax
+    assert seeded.homology() == [0] * seeded.dmax
     assert_bounded_ranks_exact(seeded, seeded_ranks)
     for d in range(1, seeded.dmax + 1):
         m = seeded.boundaries[d]
@@ -1453,7 +1453,7 @@ def test_square_check_rejects_a_boundary_that_squares_to_nonzero_mod_p(p):
             with pytest.raises(PLocalError, match="boundary squared is nonzero in degree 2"):
                 FpComplex(p, 2, [2, p, 1], [None, d1, d2])
         else:
-            assert FpComplex(p, 2, [2, p, 1], [None, d1, d2]).homology().dims == [1, p - 2]
+            assert FpComplex(p, 2, [2, p, 1], [None, d1, d2]).homology() == [1, p - 2]
 
 
 def unsigned(m: FpMatrix) -> FpMatrix:
@@ -1674,9 +1674,36 @@ def test_dense_rref_and_nullspace_match_their_loops(p, nrows, ncols, rank):
     want_R, want_pivots = rref_loop(A, p)
     assert pivots == want_pivots and np.array_equal(R, want_R)
     assert len(pivots) == oracle.dense_rank_modp(A, p)
-    N = nullspace_dense(A, p)
+    N = nullspace_dense(sparse.csr_matrix(A), p)
     assert N.shape == (ncols - len(pivots), ncols)
     assert not (A @ N.T % p).any()
+    assert np.array_equal(N, nullspace_loop(A, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("nrows,ncols,rank", [
+    (0, 0, 0), (0, 7, 0), (7, 0, 0), (40, 6, 3), (90, 60, 60), (300, 25, 12), (500, 40, 40),
+])
+@pytest.mark.parametrize("block", [1, 100])
+def test_nullspace_by_blocks_of_rows_is_the_whole_matrix_one(monkeypatch, p, nrows, ncols,
+                                                             rank, block):
+    """With the densified block cut to ``block`` entries, a block holds
+    max(ncols, block // ncols) rows, so the tall matrices take many blocks,
+    each reduced with the pivot rows so far: the nullspace basis is the one
+    the whole matrix gives in one block, and the loop's."""
+    A = low_rank(np.random.default_rng(p * nrows + ncols + block), p, nrows, ncols, rank)
+    whole_basis = nullspace_dense(sparse.csr_matrix(A), p)
+    calls = []
+
+    def counted(M, q):
+        calls.append(M.shape)
+        return rref_dense(M, q)
+
+    monkeypatch.setattr(fplinalg, "_DENSE_BLOCK", block)
+    monkeypatch.setattr(fplinalg, "rref_dense", counted)
+    N = nullspace_dense(sparse.csr_matrix(A), p)
+    assert len(calls) == -(-nrows // max(ncols, block // max(ncols, 1)))
+    assert np.array_equal(N, whole_basis)
     assert np.array_equal(N, nullspace_loop(A, p))
 
 

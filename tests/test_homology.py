@@ -36,34 +36,34 @@ from scipy import sparse
 def test_point_complex():
     G = build_group("cyc:1")
     cx = bar_complex(G, 2, 4)
-    assert cx.homology().dims == [1, 0, 0, 0]
+    assert cx.homology() == [1, 0, 0, 0]
 
 
 def test_bar_z2():
     cx = bar_complex(build_group("cyc:2"), 2, 4)
     assert cx.dims == [1, 1, 1, 1, 1]
-    assert cx.homology().dims == [1, 1, 1, 1]
+    assert cx.homology() == [1, 1, 1, 1]
 
 
 def test_bar_z3_at_3():
     cx = bar_complex(build_group("cyc:3"), 3, 4)
-    assert cx.homology().dims == [1, 1, 1, 1]
+    assert cx.homology() == [1, 1, 1, 1]
 
 
 def test_bar_z3_at_2_acyclic():
     cx = bar_complex(build_group("cyc:3"), 2, 4)
-    assert cx.homology().dims == [1, 0, 0, 0]
+    assert cx.homology() == [1, 0, 0, 0]
 
 
 def test_bar_s3():
-    assert bar_complex(build_group("sym:3"), 3, 5).homology().dims == [1, 0, 0, 1, 1]
-    assert bar_complex(build_group("sym:3"), 2, 4).homology().dims == [1, 1, 1, 1]
+    assert bar_complex(build_group("sym:3"), 3, 5).homology() == [1, 0, 0, 1, 1]
+    assert bar_complex(build_group("sym:3"), 2, 4).homology() == [1, 1, 1, 1]
 
 
 def test_bar_matches_oracle_unnormalized():
     for spec, p in [("sym:3", 2), ("cyc:4", 2), ("sym:3", 3), ("cyc:6", 3)]:
         G = build_group(spec)
-        got = bar_complex(G, p, 3).homology().dims
+        got = bar_complex(G, p, 3).homology()
         raw = [e.images for e in G.elements]
         want = oracle.unnormalized_nerve_homology(
             oracle.one_object_group_category(raw), p, 3
@@ -81,7 +81,7 @@ def test_zero_boundaries_profile():
     rows = [dict() for _ in range(3)]
     mat = from_row_entries(3, 2, 2, rows)
     cx = FpComplex(2, 1, [2, 3], [None, mat])
-    assert cx.homology().dims == [2]
+    assert cx.homology() == [2]
 
 
 def test_nerve_of_transporter_on_sylow_is_group_bar():
@@ -89,7 +89,7 @@ def test_nerve_of_transporter_on_sylow_is_group_bar():
     S = sylow_subgroup(G, 2)
     T = build_transporter(G, [S])
     cx = nerve_complex(T, 2, 4)
-    assert cx.homology().dims == [1, 1, 1, 1]
+    assert cx.homology() == [1, 1, 1, 1]
 
 
 def test_identity_functor_chain_map():
@@ -123,7 +123,7 @@ def test_a_chain_map_that_does_not_commute_has_no_cone(p, source_dmax):
     f1[0, j] = (f1[0, j] + 1) % p
     mats = [cm.mats[0], FpMatrix(f1.tocsr(), p), *cm.mats[2:]]
     with pytest.raises(PLocalError, match="boundary squared is nonzero"):
-        homology_iso_verdict(ChainMap(p, src, tgt, mats))
+        homology_iso_verdict(ChainMap(src, tgt, mats))
 
 
 def test_point_into_bz2_not_iso():
@@ -142,7 +142,7 @@ def test_point_into_bz2_not_iso():
     assert not v.iso_by_degree[1]
     assert not v.passed
     # homology dimensions genuinely differ in degree 1
-    assert src.homology().dims[1] != tgt.homology().dims[1]
+    assert src.homology()[1] != tgt.homology()[1]
 
 
 def test_skeleton_inclusion_iso():
@@ -177,8 +177,8 @@ def test_transporter_poset_nerve_vs_classifying_space():
         S = sylow_subgroup(G, p)
         members = [poset.members[i] for i in poset.members_in(S)]
         T = build_transporter(G, members)
-        got = nerve_complex(T, p, dmax).homology().dims
-        want = bar_complex(G, p, dmax).homology().dims
+        got = nerve_complex(T, p, dmax).homology()
+        want = bar_complex(G, p, dmax).homology()
         assert got[: dmax - 1] == want[: dmax - 1], (spec, p)
 
 
@@ -187,13 +187,13 @@ def test_h0_counts_connected_components():
     G = build_group("cyc:6")
     T = build_transporter(G, [sylow_subgroup(G, 2), sylow_subgroup(G, 3)])
     assert len(T.mor(0, 1)) == 0 and len(T.mor(1, 0)) == 0
-    assert nerve_complex(T, 2, 3).homology().dims[0] == 2
+    assert nerve_complex(T, 2, 3).homology()[0] == 2
 
 
 def test_group_of_order_prime_to_p_is_acyclic():
     G = build_group("cyc:5")
     for p in (2, 3):
-        dims = bar_complex(G, p, 4).homology().dims
+        dims = bar_complex(G, p, 4).homology()
         assert dims[0] == 1
         assert all(d == 0 for d in dims[1:3])
 
@@ -268,7 +268,7 @@ def test_complexes_with_nonzero_boundary_squared_do_not_build():
         FpComplex(2, 2, [1, 1, 1], [None, one, one])
     # ranking relies on it: with ∂² = 0 the same shapes build and rank
     zero = from_row_entries(1, 1, 2, [{}])
-    assert FpComplex(2, 2, [1, 1, 1], [None, zero, one]).homology().dims == [1, 0]
+    assert FpComplex(2, 2, [1, 1, 1], [None, zero, one]).homology() == [1, 0]
 
 
 HOMOLOGY_CHECKS = ("nerve-vs-group", "centric-restriction", "centric-agreement",
@@ -326,7 +326,7 @@ def test_cone_square_check_multiplies_only_the_leading_rows(monkeypatch):
 
     monkeypatch.setattr(FpMatrix, "matmul", matmul)
     rebuilt = FpComplex(cone.prime, cone.dmax, cone.dims, cone.boundaries)
-    assert rebuilt.homology().dims == cone.homology().dims
+    assert rebuilt.homology() == cone.homology()
     want = [((b.csr.shape[0], b.shape[1]), below.shape)
             for b, below in zip(cone.boundaries[2:], cone.boundaries[1:])]
     assert shapes == want

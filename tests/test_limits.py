@@ -26,6 +26,7 @@ from plocal import (
 from plocal import limit_checks
 from plocal.catalog import build_group
 from plocal.cohomology import CohomologyBasis, CohomologyCache, zeroed_at
+from plocal.errors import DEFAULT_BUDGET
 from plocal.fplinalg import EchelonCoords
 from plocal.limits import LinearFunctor, element_action_matrices
 from plocal.omega import is_centric
@@ -57,17 +58,16 @@ def test_constant_functor_on_one_object():
     G = build_group("cyc:1")
     O = build_orbit(G, [G.full_subgroup()])
     F = constant_functor(O, 2)
-    prof = limits_profile(F, 3)
-    assert prof.dims == [1, 0, 0]
-    assert prof.lim0_cross_check == 1
+    dims = limits_profile(F, 3, DEFAULT_BUDGET, {})
+    assert dims == [1, 0, 0]
+    assert inverse_limit_dim(F) == dims[0]
 
 
 def test_constant_functor_with_terminal_object():
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
     F = constant_functor(skel.omega_cat, 2)
-    prof = limits_profile(F, 3)
-    assert prof.dims == [1, 0, 0]
+    assert limits_profile(F, 3, DEFAULT_BUDGET, {}) == [1, 0, 0]
 
 
 def test_a_pullback_outside_the_target_subgroup_raises():
@@ -95,7 +95,7 @@ def test_validate_rejects_bad_matrices():
         F.validate()
     # the builders leave validation to limits_profile, which must refuse it
     with pytest.raises(NotAFunctor):
-        limits_profile(F, 2)
+        limits_profile(F, 2, DEFAULT_BUDGET, {})
 
 
 def first_bad_pair(F):
@@ -153,26 +153,22 @@ def test_atomic_limits_vanish_with_p_element():
     # kernel of the trivial action contains an element of order p
     for spec, p in [("cyc:2", 2), ("sym:3", 2), ("sym:3", 3), ("alt:4", 2)]:
         G = build_group(spec)
-        prof = atomic_limits(G, p, eye_module(G))
-        assert prof.dims == [0, 0, 0], (spec, p)
+        assert atomic_limits(G, p, eye_module(G)) == [0, 0, 0], (spec, p)
 
 
 def test_atomic_limits_no_p_subgroups():
     # no nontrivial 2-subgroups: the orbit category is the one-object
     # category of the group, and lim^0 is the fixed subspace
     G = build_group("cyc:3")
-    prof = atomic_limits(G, 2, eye_module(G))
-    assert prof.dims == [1, 0, 0]
+    assert atomic_limits(G, 2, eye_module(G)) == [1, 0, 0]
     # order-3 action on F_2^2 with no nonzero fixed vectors
     act = ModuleData(2, [np.array([[0, 1], [1, 1]], dtype=np.int64)])
-    prof2 = atomic_limits(G, 2, act)
-    assert prof2.dims[0] == 0
+    assert atomic_limits(G, 2, act)[0] == 0
 
 
 def test_trivial_group_atomic_limits():
     G = build_group("cyc:1")
-    prof = atomic_limits(G, 2, ModuleData(2, []))
-    assert prof.dims == [2, 0, 0]
+    assert atomic_limits(G, 2, ModuleData(2, [])) == [2, 0, 0]
 
 
 def test_lim0_equals_compat_system_everywhere():
@@ -182,7 +178,7 @@ def test_lim0_equals_compat_system_everywhere():
     for i in range(3):
         F = classifying_cohomology_functor(skel.omega_cat, i, cache)
         cx = functor_cochain_complex(F, 3)
-        assert cx.homology().dims[0] == inverse_limit_dim(F)
+        assert cx.homology()[0] == inverse_limit_dim(F)
 
 
 def test_cohomology_basis_dimensions():
@@ -521,22 +517,22 @@ def test_content_equal_functors_share_one_computation(monkeypatch):
     assert sub is not F.category and twin.entries is not F.entries
     assert np.array_equal(twin.entries, F.entries)
     memo: dict = {}
-    first = limits_profile(F, 3, memo=memo)
-    again = limits_profile(twin, 3, memo=memo)
+    first = limits_profile(F, 3, DEFAULT_BUDGET, memo)
+    again = limits_profile(twin, 3, DEFAULT_BUDGET, memo)
     assert computed == [F] and len(memo) == 1
-    assert again == first and again.dims is not first.dims
+    assert again == first and again is not first
     # entries are reduced mod p: a functor built from entries + p has the content
     shifted = LinearFunctor(sub, F.prime, twin.dims, twin.entries + F.prime)
-    assert limits_profile(shifted, 3, memo=memo) == first
+    assert limits_profile(shifted, 3, DEFAULT_BUDGET, memo) == first
     assert computed == [F]
-    assert limits_profile(F, 3, memo=None) == first and len(computed) == 2
+    assert limits_profile(F, 3, DEFAULT_BUDGET, {}) == first and len(computed) == 2
 
 
 def test_any_change_to_the_functor_or_the_call_misses(monkeypatch):
     computed = count_computations(monkeypatch)
     F = cohomology_functor()
     memo: dict = {}
-    limits_profile(F, 3, memo=memo)
+    limits_profile(F, 3, DEFAULT_BUDGET, memo)
     t = next(t for t in range(F.category.morphism_count)
              if not F.category.is_id[t] and F.offsets[t + 1] > F.offsets[t])
 
@@ -546,14 +542,14 @@ def test_any_change_to_the_functor_or_the_call_misses(monkeypatch):
     prime = LinearFunctor(F.category, 3, F.dims, F.entries)
     for variant in (entry, length, prime):
         try:
-            limits_profile(variant, 3, memo=memo)
+            limits_profile(variant, 3, DEFAULT_BUDGET, memo)
         except NotAFunctor:
             pass
         assert computed[-1] is variant
-    limits_profile(F, 2, memo=memo)
-    limits_profile(F, 3, budget=10 ** 6, memo=memo)
+    limits_profile(F, 2, DEFAULT_BUDGET, memo)
+    limits_profile(F, 3, 10 ** 6, memo)
     assert len(computed) == 6
-    limits_profile(F, 3, memo=memo)
+    limits_profile(F, 3, DEFAULT_BUDGET, memo)
     assert len(computed) == 6
 
 
@@ -565,9 +561,9 @@ def test_failures_are_never_stored(monkeypatch):
     memo: dict = {}
     for _ in range(2):
         with pytest.raises(NotAFunctor):
-            limits_profile(bad, 3, memo=memo)
+            limits_profile(bad, 3, DEFAULT_BUDGET, memo)
         with pytest.raises(BudgetExceeded):
-            limits_profile(F, 3, budget=5, memo=memo)
+            limits_profile(F, 3, 5, memo)
     assert memo == {} and len(computed) == 4
 
 
@@ -580,9 +576,9 @@ def test_validate_rejects_entries_of_the_wrong_length(monkeypatch, short):
     memo: dict = {}
     for _ in range(2):
         with pytest.raises(NotAFunctor, match="entries where the dimensions need"):
-            limits_profile(bad, 3, memo=memo)
+            limits_profile(bad, 3, DEFAULT_BUDGET, memo)
     assert memo == {} and computed == [bad, bad]
-    limits_profile(F, 3, memo=memo)
+    limits_profile(F, 3, DEFAULT_BUDGET, memo)
     assert len(memo) == 1
 
 
@@ -591,7 +587,7 @@ def test_an_object_without_an_identity_token_fails_cleanly():
     F.category.identity_ids[1] = -1
     memo: dict = {}
     with pytest.raises(PLocalError, match="object 1 has no identity token"):
-        limits_profile(F, 3, memo=memo)
+        limits_profile(F, 3, DEFAULT_BUDGET, memo)
     assert memo == {}
 
 
@@ -603,7 +599,7 @@ def test_an_identity_token_that_is_not_a_loop_is_rejected():
              if 0 < F.dims[C.src[t]] != F.dims[C.tgt[t]])
     C.identity_ids[C.src[t]] = t
     with pytest.raises(NotAFunctor, match=f"identity at object {C.src[t]} is not"):
-        limits_profile(F, 3)
+        limits_profile(F, 3, DEFAULT_BUDGET, {})
 
 
 CATALOG = ["sym:3", "sym:4", "alt:4", "dih:8", "dih:12", "cyc:6", "sym:3 x cyc:3"]

@@ -122,20 +122,25 @@ class PermutationGroup:
 
     # -- subgroups -----------------------------------------------------
 
-    def subgroup_closure(self, seed_ids) -> tuple[int, ...]:
-        """Ids of the subgroup generated by the given element ids."""
-        members = {0}
-        frontier = [0]
+    def subgroup_closure(self, seed_ids, base=(0,)) -> tuple[int, ...]:
+        """Ids of the subgroup generated by the given element ids, built up
+        from ``base``, the ids of a subgroup of the one they generate (by
+        default the trivial one), one right coset of it at a time.
+
+        The union M of the cosets By reached is closed under each generator
+        s: an element b·y goes to b·(ys), and ys lies in a coset B·y' already
+        in M, so b·y·s lies in B·y' too.  A set of elements of a finite group
+        that holds the identity and is closed under right multiplication by
+        the generators is the subgroup they generate."""
+        members = set(base)
         gens = sorted(set(seed_ids))
-        while frontier:
-            new = []
-            for e in frontier:
-                for s in gens:
-                    f = self.mult(e, s)
-                    if f not in members:
-                        members.add(f)
-                        new.append(f)
-            frontier = new
+        reps = [0]
+        for y in reps:
+            for s in gens:
+                z = self.mult(y, s)
+                if z not in members:
+                    members.update(self.mult(b, z) for b in base)
+                    reps.append(z)
         return tuple(sorted(members))
 
     def generated_subgroup(self, seed_ids) -> "Subgroup":
@@ -186,14 +191,15 @@ class Subgroup:
 
     @property
     def generating_ids(self) -> tuple[int, ...]:
-        """A small generating set, chosen greedily in canonical element order."""
+        """A small generating set, chosen greedily in canonical element order;
+        each closure grows from the subgroup the ids before it generate."""
         if self._gens is None:
             gens: list[int] = []
             span = {0}
             for e in self.ids:
                 if e not in span:
                     gens.append(e)
-                    span = set(self.parent.subgroup_closure(gens))
+                    span = set(self.parent.subgroup_closure(gens, span))
                     if len(span) == len(self.ids):
                         break
             self._gens = tuple(gens)
@@ -295,21 +301,22 @@ def conjugates(G: PermutationGroup, H: Subgroup) -> list[Subgroup]:
     H's order, so by their id tuples)."""
     h = np.array(H.ids, dtype=np.intp)
     rows = np.sort(_conj(G, h, np.arange(G.order)[:, None]), axis=1)
-    return [Subgroup(G, ids) for ids in np.unique(rows, axis=0).tolist()]
+    return [Subgroup(G, ids) for ids in sorted(set(map(tuple, rows.tolist())))]
 
 
 def p_residual(H: Subgroup, p: int) -> Subgroup:
     """O^p(H): the subgroup generated by all elements of H of order prime to p.
 
     It is closed over a small generating set of those elements: each is
-    added as a generator only when the subgroup generated so far misses it."""
+    added as a generator only when the subgroup generated so far misses it,
+    and the closure grows from that subgroup."""
     G = H.parent
     gens: list[int] = []
     span = {0}
     for x in H.ids:
         if x not in span and G.element_orders[x] % p != 0:
             gens.append(x)
-            span = set(G.subgroup_closure(gens))
+            span = set(G.subgroup_closure(gens, span))
     return Subgroup(G, span)
 
 
@@ -344,27 +351,40 @@ def sylow_conjugates(G: PermutationGroup, S: Subgroup) -> list[Subgroup]:
 
 
 def all_subgroups(S: Subgroup) -> list[Subgroup]:
-    """Every subgroup of S, by bottom-up closure; canonically sorted.
+    """Every subgroup of S, canonically sorted, built up from the trivial
+    subgroup: from each subgroup H found, the subgroups <H, x> for x in S.
+
+    Every subgroup K of S is found, as the top of a chain 1 = K_0 < K_1 <
+    ... < K_m = K with K_{i+1} = <K_i, x> for some x in K outside K_i.  Two
+    reductions keep the work to one closure per right coset of H:
+
+    - one x per right coset Hx other than H, its least element, is enough:
+      for h in H, <H, hx> = <H, x>, since hx lies in <H, x> and
+      x = h^-1·(hx) lies in <H, hx>.  So H costs |S : H| - 1 closures;
+    - the ids that produced H generate it, so they and x generate <H, x>,
+      a subgroup that contains H.  ``subgroup_closure`` builds it from H's
+      members under those ids, one right coset of H at a time.
 
     Intended for small S (Sylow subgroups at desk scale).
     """
     G = S.parent
-    found: dict[tuple[int, ...], Subgroup] = {}
-    triv = G.trivial_subgroup()
-    found[triv.ids] = triv
-    frontier = [triv]
+    made_by: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
+    frontier = [(0,)]
     while frontier:
         new = []
         for H in frontier:
+            covered = set(H)
             for x in S.ids:
-                if x in H.idset:
+                if x in covered:
                     continue
-                E = G.generated_subgroup(H.ids + (x,))
-                if E.ids not in found:
-                    found[E.ids] = E
+                covered.update(G.mult(h, x) for h in H)
+                gens = made_by[H] + (x,)
+                E = G.subgroup_closure(gens, H)
+                if E not in made_by:
+                    made_by[E] = gens
                     new.append(E)
         frontier = new
-    return [found[k] for k in sorted(found, key=lambda ids: (len(ids), ids))]
+    return [Subgroup(G, ids) for ids in sorted(made_by, key=lambda ids: (len(ids), ids))]
 
 
 def direct_product(A: PermutationGroup, B: PermutationGroup,

@@ -56,15 +56,24 @@ from .limits import (
 from .omega import IntersectionPoset, build_intersection_poset, is_centric
 
 
-def p_class_representatives(G: PermutationGroup, subgroups) -> list[Subgroup]:
+def p_class_representatives(
+    G: PermutationGroup, subgroups
+) -> tuple[list[Subgroup], dict[tuple[int, ...], int]]:
     """One canonical representative per conjugacy class of p-subgroups, the
-    least conjugate, from the subgroups of any one Sylow p-subgroup: every
-    class meets every Sylow."""
-    reps: dict[tuple[int, ...], Subgroup] = {}
+    least conjugate, canonically sorted, and the class of the ids of every
+    conjugate, from the subgroups of any one Sylow p-subgroup: every class
+    meets every Sylow.  A subgroup is conjugated only when no class found
+    before it holds its ids, as the intersection poset's classes are found."""
+    orbits: list[list[Subgroup]] = []
+    seen: set[tuple[int, ...]] = set()
     for H in subgroups:
-        least = conjugates(G, H)[0]
-        reps.setdefault(least.ids, least)
-    return [reps[k] for k in sorted(reps, key=lambda ids: (len(ids), ids))]
+        if H.ids not in seen:
+            orbit = conjugates(G, H)
+            seen.update(C.ids for C in orbit)
+            orbits.append(orbit)
+    orbits.sort(key=lambda orbit: orbit[0].key)
+    class_of = {C.ids: k for k, orbit in enumerate(orbits) for C in orbit}
+    return [orbit[0] for orbit in orbits], class_of
 
 
 @dataclass
@@ -76,25 +85,24 @@ class OrbitSkeletons:
     poset: IntersectionPoset
     sylow: Subgroup
     p_reps: list[Subgroup]
+    p_class: dict[tuple[int, ...], int]   # p skeleton object of every p-subgroup's ids
     p_cat: FiniteCategory
     omega_reps: list[Subgroup]
     omega_cat: FiniteCategory
     omega_centric: list[bool]
     p_centric: list[bool]
+    omega_of: dict[int, int]   # omega skeleton object of each p object in the poset
     member_class: list[int]   # omega skeleton object of each poset member
 
     def p_object_of(self, H: Subgroup) -> int:
-        """Skeleton object index of the class of H: the class whose
-        representative is H's least conjugate."""
-        least = conjugates(self.G, H)[0].ids
-        for i, R in enumerate(self.p_reps):
-            if R.ids == least:
-                return i
-        raise PLocalError(f"{H.label()} is not a p-subgroup of the catalogued classes")
+        """Skeleton object index of the class of H."""
+        k = self.p_class.get(H.ids)
+        if k is None:
+            raise PLocalError(f"{H.label()} is not a p-subgroup of the catalogued classes")
+        return k
 
     def omega_object_of(self, H: Subgroup) -> int | None:
-        ids = self.p_reps[self.p_object_of(H)].ids
-        return next((i for i, M in enumerate(self.omega_reps) if M.ids == ids), None)
+        return self.omega_of.get(self.p_object_of(H))
 
 
 def build_orbit_skeletons(
@@ -111,30 +119,30 @@ def build_orbit_skeletons(
     # any Sylow works, for ``sylow_subgroups`` (every subgroup of one) too;
     # the minimal-key conjugate keeps output reproducible
     S = min(poset.sylows, key=lambda T: T.key)
-    p_reps = p_class_representatives(G, sylow_subgroups or all_subgroups(S))
+    p_reps, p_class = p_class_representatives(G, sylow_subgroups or all_subgroups(S))
     p_cat = build_orbit(G, p_reps, table_budget)
     p_centric = [is_centric(G, p, R) for R in p_reps]
-    # a poset class is a whole conjugacy class, so its least member is its
-    # representative in p_reps; the poset skeleton is the full subcategory
-    # of p_cat on those representatives, in p_reps order, so its tokens
-    # keep their order in p_cat
-    p_index = {R.ids: k for k, R in enumerate(p_reps)}
-    class_rep = [p_index[min((poset.members[i] for i in cls), key=lambda m: m.key).ids]
-                 for cls in poset.classes]
+    # a poset class is a whole conjugacy class, so all its members share a
+    # class of p_reps; the poset skeleton is the full subcategory of p_cat
+    # on those classes, in p_reps order, so its tokens keep their order in
+    # p_cat
+    class_rep = [p_class[poset.members[cls[0]].ids] for cls in poset.classes]
     keep = sorted(set(class_rep))
-    omega_index = {k: i for i, k in enumerate(keep)}
+    omega_of = {k: i for i, k in enumerate(keep)}
     return OrbitSkeletons(
         G=G,
         p=p,
         poset=poset,
         sylow=S,
         p_reps=p_reps,
+        p_class=p_class,
         p_cat=p_cat,
         omega_reps=[p_reps[k] for k in keep],
         omega_cat=full_subcategory(p_cat, keep)[0],
         omega_centric=[p_centric[k] for k in keep],
         p_centric=p_centric,
-        member_class=[omega_index[class_rep[c]] for c in poset.class_of],
+        omega_of=omega_of,
+        member_class=[omega_of[class_rep[c]] for c in poset.class_of],
     )
 
 

@@ -3,7 +3,8 @@
 These are the element loops that the array filters over the multiplication
 table replaced: transporter sets, centralizers, normalizers, centers,
 conjugacy orbits of subgroups and the cosets a category's witnesses stand
-for; p-residuals, closed over every element of order prime to p; and the
+for; p-residuals, closed over every element of order prime to p; the
+subgroup lattice of a subgroup, by bottom-up closure; and the
 centricity rule; and the conjugates H^g and inverses of single elements,
 which only tests use.  Every product here is a product of ``Permutation``
 objects, looked up by ``element_id`` in the group's enumeration; nothing
@@ -80,16 +81,39 @@ def center(P) -> tuple[int, ...]:
     return tuple(z for z in P.ids if all(ct[z][x] == x for x in P.ids))
 
 
-def p_residual(H, p: int) -> tuple[int, ...]:
-    """O^p(H): the closure of every element of H of order prime to p."""
-    G = H.parent
-    seeds = [x for x in H.ids if G.elements[x].order() % p]
+def _closure(G, seeds) -> tuple[int, ...]:
+    """The subgroup of G generated by the given ids, closed from the identity."""
     members, frontier = {0}, [0]
     while frontier:
         new = [product(G, e, s) for e in frontier for s in seeds]
         frontier = [f for f in dict.fromkeys(new) if f not in members]
         members.update(frontier)
     return tuple(sorted(members))
+
+
+def p_residual(H, p: int) -> tuple[int, ...]:
+    """O^p(H): the closure of every element of H of order prime to p."""
+    G = H.parent
+    return _closure(G, [x for x in H.ids if G.elements[x].order() % p])
+
+
+def all_subgroups(S) -> list[tuple[int, ...]]:
+    """Every subgroup of S, sorted by (order, ids): bottom up, each subgroup
+    found is closed from the identity with every element of it and one
+    element of S outside it as generators, once for every such element."""
+    found = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        new = []
+        for H in frontier:
+            for x in S.ids:
+                if x not in H:
+                    E = _closure(S.parent, H + (x,))
+                    if E not in found:
+                        found.add(E)
+                        new.append(E)
+        frontier = new
+    return sorted(found, key=lambda ids: (len(ids), ids))
 
 
 def is_centric(G, p: int, P) -> bool:

@@ -25,7 +25,7 @@ from plocal import (
 )
 from plocal.catalog import build_group, parse_cycles
 from plocal.categories import build_linking, build_orbit, build_transporter, quotient_projection
-from plocal.groups import conjugates, transporters
+from plocal.groups import Subgroup, conjugates, transporters
 from plocal.limit_checks import build_orbit_skeletons, p_class_representatives
 from plocal.omega import build_intersection_poset, classify_centric, is_centric
 
@@ -327,10 +327,13 @@ def test_element_filters_match_the_permutation_references(spec, p):
     the p-residuals of each, its centralizer, its normalizer and the whole
     group; and the transporter kernel's rows for every pair of those
     subgroups and the poset members, empty transporters included where the
-    Sylow is nontrivial."""
+    Sylow is nontrivial; and the subgroup lattice of the Sylow, in order,
+    against the bottom-up closure."""
     G = build_group(spec)
     S = sylow_subgroup(G, p)
     subs = all_subgroups(S)
+    assert [H.ids for H in subs] == ref.all_subgroups(S)
+    assert all(type(x) is int for H in subs for x in H.ids)
     for P in subs:
         assert centralizer(G, P).ids == ref.centralizer(G, P)
         assert normalizer(G, P).ids == ref.normalizer(G, P)
@@ -343,7 +346,7 @@ def test_element_filters_match_the_permutation_references(spec, p):
     assert p_residual(G.full_subgroup(), p).ids == ref.p_residual(G.full_subgroup(), p)
     reps = {ref.conjugates(G, H)[0] for H in subs}
     reps = sorted(reps, key=lambda ids: (len(ids), ids))
-    assert [R.ids for R in p_class_representatives(G, subs)] == reps
+    assert [R.ids for R in p_class_representatives(G, subs)[0]] == reps
     poset = build_intersection_poset(G, p)
     objs = subs + [M for M in poset.members if M.ids not in {H.ids for H in subs}]
     mask = transporters(G, objs, objs)
@@ -359,6 +362,67 @@ def test_element_filters_match_the_permutation_references(spec, p):
     for H in subs:
         assert skel.p_reps[skel.p_object_of(H)].ids == ref.conjugates(G, H)[0]
     assert skel.member_class == [skel.omega_object_of(M) for M in poset.members]
+
+
+@pytest.mark.parametrize("spec", ["dih:8", "sym:4"])
+def test_full_group_lattices_match_the_reference(spec):
+    """The lattice of a whole group, a p-group (dih:8) and not (sym:4),
+    in order, against the bottom-up closure."""
+    G = build_group(spec)
+    subs = all_subgroups(G.full_subgroup())
+    assert [H.ids for H in subs] == ref.all_subgroups(G.full_subgroup())
+    assert all(type(x) is int for H in subs for x in H.ids)
+
+
+@pytest.mark.parametrize("spec,p", [("sym:4", 2), ("sym:4 x cyc:2", 2), ("sym:3 x cyc:3", 2)])
+def test_class_representatives_do_not_depend_on_their_input(spec, p):
+    """The subgroups of one Sylow reversed, and those of two Sylows joined,
+    give the least reference conjugate of each class, in canonical order,
+    and the class of every conjugate."""
+    G = build_group(spec)
+    first, second = sylow_conjugates(G, sylow_subgroup(G, p))[:2]
+    subs = all_subgroups(first)
+    expected = sorted({ref.conjugates(G, H)[0] for H in subs}, key=lambda ids: (len(ids), ids))
+    orbits = {ids: ref.conjugates(G, Subgroup(G, ids)) for ids in expected}
+    for given in (subs[::-1], subs + all_subgroups(second)):
+        reps, class_of = p_class_representatives(G, given)
+        assert [R.ids for R in reps] == expected
+        assert class_of == {C: k for k, ids in enumerate(expected) for C in orbits[ids]}
+
+
+def test_the_lattice_and_its_classes_do_one_step_per_new_answer(monkeypatch):
+    """On the order-16 Sylow of sym:4 x cyc:2 at p=2 (35 subgroups in 23
+    classes), the lattice closes once per right coset Hx other than H of
+    each subgroup H, sum |S:H| - 1 = 144 closures; the class
+    representatives conjugate once per class, and the skeletons find a
+    subgroup's class without conjugating it."""
+    from plocal import limit_checks
+    G = build_group("sym:4 x cyc:2")
+    S = sylow_subgroup(G, 2)
+    closures, conjugated = [], []
+    real_closure, real_conjugates = PermutationGroup.subgroup_closure, limit_checks.conjugates
+
+    def closure(self, *args):
+        closures.append(args)
+        return real_closure(self, *args)
+
+    def counted(G, H):
+        conjugated.append(H.ids)
+        return real_conjugates(G, H)
+
+    monkeypatch.setattr(PermutationGroup, "subgroup_closure", closure)
+    monkeypatch.setattr(limit_checks, "conjugates", counted)
+    subs = all_subgroups(S)
+    assert len(closures) == sum(S.order // H.order - 1 for H in subs) == 144
+    reps, _ = p_class_representatives(G, subs)
+    assert len(conjugated) == len(reps) == 23
+    skel = build_orbit_skeletons(G, 2, sylow_subgroups=subs)
+    assert len(conjugated) == 2 * 23
+    for H in subs:
+        skel.omega_object_of(H)
+    assert len(conjugated) == 2 * 23
+    with pytest.raises(PLocalError, match="catalogued classes"):
+        skel.p_object_of(G.full_subgroup())
 
 
 def test_group_code_hands_out_python_ints():

@@ -8,9 +8,10 @@ engine reads only the indices, and ``equals`` tests differences mod p).
 Duplicates are summed first and the sums reduced once; an array already
 in range is not written.  A product, as in every ∂² check, is taken over
 the integers on the stored entries, with no copy, so the product of two
-nerve boundaries cancels before it is sorted or reduced, and what is left
-is reduced and tested, so the check stays exact.  All routines are
-deterministic: identical inputs give identical results.
+nerve boundaries cancels before it is sorted, and what is left is tested
+entry by entry mod p, with no matrix built for it, so the check stays
+exact.  All routines are deterministic: identical inputs give identical
+results.
 
 One loop reduces rows: an insertion echelon of {column: coefficient}
 dicts.  Each row is reduced against the pivots found so far, keyed by
@@ -32,18 +33,25 @@ independent, so they span an echelon E of that many pivots as they stand.
 A basis Y of its annihilator {y : E y = 0} is built in one ascending pass
 over the leads: bit k of Y is the unit vector at the k-th free column (one
 that leads no structural row) and, at each lead c, Y takes the XOR of Y
-over the other columns of the row leading at c, all below c.  Packed into
-uint64 words, Y tests a chunk of rows with one gather and one XOR
-reduction per word.  A row's syndrome, the XOR of Y over its columns, is 0
-exactly when the row lies in span(E); an empty row lies in every span.
-The other rows are tested in row order.  Within a chunk the nonzero
-syndromes are eliminated in row order, and a row whose syndrome is
-independent of those before it adds one to the rank; the others lie in the
-span of E and the rows before them.  Each such row is folded into Y: with b
-the top bit of its syndrome v, every column of Y with bit b set takes ^= v.
-That zeroes bit b and keeps Y a basis of the annihilator of the grown
-echelon, so a later row in its span tests 0.  The test is exact linear
-algebra, with no hashing and no randomness.
+over the other columns of the row leading at c, all below c.  A row's
+syndrome, the XOR of Y over its columns, is 0 exactly when the row lies in
+span(E); an empty row lies in every span.  Then every row is tested, in
+row order, by contiguous CSR ranges [a, b): Y, packed into uint64 words,
+is gathered over the column slice ``indices[indptr[a]:indptr[b]]`` and
+XOR-reduced once per word at the offsets of the range's nonempty rows.
+The nonzero syndromes are eliminated in row order, and a row whose
+syndrome is independent of those before it adds one to the rank; the
+others lie in the span of E and the rows before them.  Each such row is
+folded into Y: with b the top bit of its syndrome v, every column of Y
+with bit b set takes ^= v.  That zeroes bit b and keeps Y a basis of the
+annihilator of the grown echelon, so a later row in its span tests 0.
+The test is exact linear algebra, with no hashing and no randomness.
+Testing the structural rows again changes nothing: each is a row of E, and
+every fold keeps Y the annihilator of an echelon that holds E, so each
+tests 0, adds no lead and folds nothing.  So the folds, the leads, Y and
+the rank are those of testing only the other rows in row order, wherever
+the chunks are cut, since every syndrome is taken against Y as the rows
+before it left it.
 
 On the free columns each live bit of Y stays the unit vector at its own
 free column: a fold adds to bit k a bit b above it, whose free column is
@@ -155,6 +163,11 @@ class FpMatrix:
     def __init__(self, csr: sparse.csr_matrix, prime: int,
                  tail: tuple["FpMatrix", int] | None = None):
         self.prime = prime
+        csr = csr.tocsr()  # as given: scipy would prune a short row pointer silently
+        ptr, idx = csr.indptr, csr.indices
+        if ptr[0] or ptr[-1] != len(idx) or (ptr[1:] < ptr[:-1]).any() \
+                or idx.min(initial=0) < 0 or idx.max(initial=-1) >= csr.shape[1]:
+            raise PLocalError("a CSR row pointer or column index is out of bounds")
         csr = sparse.csr_matrix(csr, dtype=np.int64)
         if not csr.has_canonical_format:
             csr.sum_duplicates()
@@ -219,8 +232,7 @@ class FpMatrix:
         if block is not None and block.annihilator is not None:
             self.annihilator = block.annihilator.shifted(offset, self.shape[1], self.nnz)
             if self.annihilator is not None:
-                rows = np.arange(self.csr.shape[0])
-                return seeds + self.annihilator.new_leads(self.csr, rows, cap - len(seeds))
+                return seeds + self.annihilator.new_leads(self.csr, cap - len(seeds))
             block = structural = None  # too wide to seed from: stack
         if block is not None:
             csr, self.echelon = self.csr, _shifted_echelon(block.echelon, offset)
@@ -232,8 +244,7 @@ class FpMatrix:
                 made = _Annihilator.of_rows(csr, structural)
                 if made is not None:
                     self.annihilator, leads = made
-                    others = np.delete(np.arange(csr.shape[0]), structural)
-                    return leads + self.annihilator.new_leads(csr, others, cap - len(leads))
+                    return leads + self.annihilator.new_leads(csr, cap - len(leads))
             self.echelon = {}
         if len(self.echelon) < cap:
             _insert_rows_modp(csr, range(csr.shape[0]), self.prime, self.echelon, cap)
@@ -265,13 +276,14 @@ class FpMatrix:
             shape=self.shape,
         )
 
-    def matmul(self, other: "FpMatrix") -> "FpMatrix":
-        """``self @ other`` over F_p; other's tail block is multiplied as it
-        stands, never stacked."""
-        return FpMatrix(_times(self._stacked(), other), self.prime)
-
-    def is_zero(self) -> bool:
-        return self.nnz == 0
+    def matmul(self, other: "FpMatrix", head_only: bool = False) -> bool:
+        """Whether ``self @ other`` vanishes over F_p, or with ``head_only``
+        the product of self's stored rows alone; other's tail block is
+        multiplied as it stands, never stacked.  The integer product holds
+        one entry per (row, column), so it vanishes mod p exactly when every
+        entry is 0 mod p, and no matrix is built for it."""
+        rows = self.csr if head_only else self._stacked()
+        return not (_times(rows, other).data % self.prime).any()
 
     def equals(self, other: "FpMatrix") -> bool:
         if self.shape != other.shape or self.prime != other.prime:
@@ -370,8 +382,9 @@ class _Annihilator:
         if ncols * words > 2 * csr.data.size:
             return None
         lo = csr.indptr[rows]
-        pos, first = _positions(lo, csr.indptr[rows + 1] - lo)
-        cols = csr.indices[pos].tolist()
+        n = csr.indptr[rows + 1] - lo
+        first = np.cumsum(n) - n
+        cols = csr.indices[np.repeat(lo - first, n) + np.arange(n.sum())].tolist()
         # canonical CSR: a row's columns ascend, its lead last
         below = {cols[b - 1]: cols[a:b - 1]
                  for a, b in zip(first.tolist(), first[1:].tolist() + [len(cols)])}
@@ -398,49 +411,44 @@ class _Annihilator:
         """The number of bits set in some column: dim Y."""
         return int(np.bitwise_count(np.bitwise_or.reduce(self.basis, axis=1)).sum())
 
-    def new_leads(self, csr: sparse.csr_matrix, ids: np.ndarray, need: int) -> list[int]:
-        """The leads of the rows of ``ids`` that lie outside the span of E
-        and of the rows of ``ids`` before them, in order, at most ``need``
-        of them; each is folded into Y.  Rows go in blocks, the first as
-        long as the matrix is wide and each later one half as long as the
-        rows tested so far, so that no row after the one that finds the
-        last lead needed is read far ahead of it."""
+    def new_leads(self, csr: sparse.csr_matrix, need: int) -> list[int]:
+        """The leads of the rows of ``csr`` that lie outside the span of E
+        and of the rows before them, in row order, at most ``need`` of them;
+        each is folded into Y.  Rows go in blocks, the first as long as the
+        matrix is wide and each later one half as long as the rows tested so
+        far, so that no row after the one that finds the last lead needed is
+        read far ahead of it; a block's row pointer is read as one slice.
+        Its rows are tested at most ``_GATHER`` entries (or one longer row)
+        and ``_GATHER`` syndrome words at a time, so no gather holds more
+        than one word per entry of the matrix."""
         leads: list[int] = []
-        done = 0
-        while len(leads) < need and done < len(ids):
-            size = max(csr.shape[1], done // 2, 1)
-            leads += self._test(csr, ids[done:done + size], need - len(leads))
-            done += size
+        done, nrows = 0, csr.shape[0]
+        while len(leads) < need and done < nrows:
+            ptr = csr.indptr[done:min(nrows, done + max(csr.shape[1], done // 2, 1)) + 1]
+            a, step = 0, max(1, _GATHER // len(self.basis))
+            while len(leads) < need and a < len(ptr) - 1:
+                fit = int(np.searchsorted(ptr, ptr[a] + _GATHER, "right")) - 1
+                b = min(max(fit, a + 1), a + step, len(ptr) - 1)
+                leads += self._test(csr.indices, ptr[a:b + 1], need - len(leads))
+                a = b
+            done += len(ptr) - 1
         return leads
 
-    def _test(self, csr: sparse.csr_matrix, ids: np.ndarray, need: int) -> list[int]:
-        """``new_leads`` on one block.  Rows are tested one word and at most
-        ``_GATHER`` entries and ``_GATHER`` syndrome words at a time, each
-        chunk against Y as the chunks before it left it, so no gather holds
-        more than one word per entry of the matrix."""
-        lo = csr.indptr[ids]
-        lens = csr.indptr[ids + 1] - lo
-        full = np.flatnonzero(lens)
-        if not len(full):
+    def _test(self, indices: np.ndarray, ptr: np.ndarray, need: int) -> list[int]:
+        """``new_leads`` on the rows whose row pointer is ``ptr``: Y reduced
+        at the offsets of the nonempty rows only (an empty row tests 0, and
+        ``reduceat`` takes no offset equal to the length), then
+        ``_eliminate`` only when some syndrome is nonzero."""
+        starts = ptr[:-1]
+        first = starts[starts < ptr[1:]] - ptr[0]
+        if not len(first):
             return []
-        words = len(self.basis)
-        step = max(1, _GATHER // words)
-        ends = np.cumsum(lens[full])
-        cuts = np.union1d(np.searchsorted(ends, np.arange(_GATHER, ends[-1], _GATHER)),
-                          np.arange(step, len(full), step))
-        leads: list[int] = []
-        for rows in np.split(full, cuts):
-            if len(leads) >= need:
-                break
-            if not len(rows):  # a row of more than _GATHER entries was split on
-                continue
-            pos, first = _positions(lo[rows], lens[rows])
-            cols = csr.indices[pos]
-            syn = np.empty((words, len(rows)), dtype=np.uint64)
-            for w, y in enumerate(self.basis):
-                syn[w] = np.bitwise_xor.reduceat(y[cols], first)
-            leads += self._eliminate(syn[:, syn.any(axis=0)], need - len(leads))
-        return leads
+        cols = indices[ptr[0]:ptr[-1]]
+        syn = np.empty((len(self.basis), len(first)), dtype=np.uint64)
+        for w, y in enumerate(self.basis):
+            syn[w] = np.bitwise_xor.reduceat(y[cols], first)
+        live = syn.any(axis=0)
+        return self._eliminate(syn[:, live], need) if live.any() else []
 
     def _eliminate(self, syn: np.ndarray, need: int) -> list[int]:
         """The leads of the columns of ``syn``, nonzero syndromes in row
@@ -471,15 +479,6 @@ class _Annihilator:
             leads.append(int(self.free[64 * w + b]))
             k += 1
         return leads
-
-
-def _positions(lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR positions of the rows that start at ``lo`` and hold ``n``
-    entries each, concatenated, and where each row's first one falls."""
-    first = np.cumsum(n) - n
-    pos = np.repeat(lo - first, n)
-    pos += np.arange(len(pos))
-    return pos, first
 
 
 def _annihilator(ncols: int, words: int,

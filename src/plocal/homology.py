@@ -47,28 +47,28 @@ class FpComplex:
     cochain complexes (``limits``, boundary d+1 the transposed differential
     C^d -> C^{d+1}) carry none.
     Construction raises ``PLocalError`` unless ∂_d ∂_{d-1} = 0 in every
-    degree, which ``rank_boundary``'s bound relies on.  So a boundary is
-    checked only through its products with its neighbours, and the top one,
-    ∂_dmax, only against the one below it: when that one is zero, ∂_dmax
-    goes unchecked.  One case is ∂_2 of a one-object nerve (its ∂_1 is
-    zero) built to degree 2, as centric-agreement and the i = 1 cohomology
-    bases build it.
+    degree, which ``rank_boundary``'s bound relies on; ``FpMatrix.matmul``
+    tests each entry of the integer product of the stored entries mod p.
+    So a boundary is checked only through its products with its
+    neighbours, and the top one, ∂_dmax, only against the one below it:
+    when that one is zero, ∂_dmax goes unchecked.  One case is ∂_2 of a
+    one-object nerve (its ∂_1 is zero) built to degree 2, as
+    centric-agreement and the i = 1 cohomology bases build it.
 
     A boundary may reference a block as its tail ``[0 | block]`` (see
     ``fplinalg``).  When ∂_{d-1}'s tail starts at the row ∂_d's tail block
     starts at, the tail rows of ∂_d ∂_{d-1} are ``[0 | block_d block_{d-1}]``,
-    so only the leading rows of ∂_d are multiplied, and no tail is stacked:
-    consecutive tail blocks must be consecutive boundaries of a complex that
-    checked its own ∂² (a mapping cone's target).
+    so only the leading rows of ∂_d are multiplied, with no copy, and no
+    tail is stacked: consecutive tail blocks must be consecutive boundaries
+    of a complex that checked its own ∂² (a mapping cone's target).
     """
 
     def __init__(self, prime: int, dmax: int, dims: list[int],
                  boundaries: list[FpMatrix | None], chains: Chains | None = None):
         for d in range(2, dmax + 1):
             top, below = boundaries[d], boundaries[d - 1]
-            if top.tail and below.tail and top.tail[1] == below.csr.shape[0]:
-                top = FpMatrix(top.csr, prime)
-            if not top.matmul(below).is_zero():
+            head_only = bool(top.tail and below.tail and top.tail[1] == below.csr.shape[0])
+            if not top.matmul(below, head_only):
                 raise PLocalError(f"boundary squared is nonzero in degree {d}")
         self.prime = prime
         self.dmax = dmax

@@ -8,6 +8,12 @@ keeping its echelon of bitmask rows, whose keys the tests check the
 engine's leads against.
 ``symmetric`` gives the form in which ``FpMatrix`` stores its entries.
 
+``new_leads_by_ids`` is the GF(2) span test as it once read rows: by an
+array of row ids, the structural rows left out, gathered through each
+row's CSR positions and cut into chunks at the union of the entry and row
+cuts.  The tests check ``_Annihilator.new_leads``, which reads contiguous
+row ranges and tests the structural rows again, against it.
+
 ``rref_loop``, ``nullspace_loop`` and ``EchelonLoop`` are the dense routines
 as per-row and per-vector loops: one row operation per pivot and row, and
 one tracked or silent vector, or one vector's coordinates, per call.  The
@@ -20,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from plocal import PLocalError
+from plocal import PLocalError, fplinalg
 
 
 def symmetric(a, p: int) -> np.ndarray:
@@ -74,6 +80,49 @@ def insert_rows_gf2(csr: sparse.csr_matrix, rows, pivots: dict[int, int], cap) -
                 break
             m ^= pivots[b]
     return pivots
+
+
+def new_leads_by_ids(y, csr: sparse.csr_matrix, ids: np.ndarray, need: int) -> list[int]:
+    """The leads of the rows ``ids`` of ``csr`` outside the span of the
+    echelon that the annihilator ``y`` annihilates and of the rows before
+    them, in order, at most ``need`` of them, each folded into ``y`` by its
+    ``_eliminate``.  Blocks grow as in ``new_leads``; each is read through
+    the ids' row starts and ends."""
+    leads: list[int] = []
+    done = 0
+    while len(leads) < need and done < len(ids):
+        size = max(csr.shape[1], done // 2, 1)
+        leads += _test_by_ids(y, csr, ids[done:done + size], need - len(leads))
+        done += size
+    return leads
+
+
+def _test_by_ids(y, csr: sparse.csr_matrix, ids: np.ndarray, need: int) -> list[int]:
+    lo = csr.indptr[ids]
+    lens = csr.indptr[ids + 1] - lo
+    full = np.flatnonzero(lens)
+    if not len(full):
+        return []
+    words, gather = len(y.basis), fplinalg._GATHER
+    step = max(1, gather // words)
+    ends = np.cumsum(lens[full])
+    cuts = np.union1d(np.searchsorted(ends, np.arange(gather, ends[-1], gather)),
+                      np.arange(step, len(full), step))
+    leads: list[int] = []
+    for rows in np.split(full, cuts):
+        if len(leads) >= need:
+            break
+        if not len(rows):  # a row of more than ``gather`` entries was split on
+            continue
+        n = lens[rows]
+        first = np.cumsum(n) - n
+        pos = np.repeat(lo[rows] - first, n) + np.arange(n.sum())
+        cols = csr.indices[pos]
+        syn = np.empty((words, len(rows)), dtype=np.uint64)
+        for w, basis in enumerate(y.basis):
+            syn[w] = np.bitwise_xor.reduceat(basis[cols], first)
+        leads += y._eliminate(syn[:, syn.any(axis=0)], need - len(leads))
+    return leads
 
 
 def _rank_csr_modp(csr: sparse.csr_matrix, p: int) -> int:

@@ -7,7 +7,8 @@ stored entries, -1 and 1; a coefficient functor's, which the exhaustive
 functoriality check before its limits reads; a category's composition
 store or witness, which its law check (and the functors into it) read; a
 functor's token or object map, which the quotient check and the chain
-map read; the transporter mask a category is built from; or the
+map read; the transporter mask a category is built from; a category's
+pair offsets, which its law check and its nerves read; or the
 annihilator a nerve boundary keeps at p = 2, which the cones over it
 seed from.  One more makes a check raise an exception that is no toolkit
 error.  The run must still return a report, each stage reading the
@@ -251,6 +252,31 @@ def test_a_flipped_transporter_mask_entry_fails_only_its_readers(monkeypatch):
         f"nerve-vs-group: {missing}",
         f"centric-restriction: {missing}",
         f"centric-agreement: {missing}",
+    ])
+
+
+def test_a_lowered_pair_start_fails_only_the_store_readers():
+    """The transporter poset's ``pair_start[51]`` is lowered from 1,368 to
+    1,268.  Its nerves' ∂_2 then holds a column index past its columns,
+    which scipy's CSR constructor does not check; the ∂² product on it once
+    ran ``csr_matmat`` out of bounds and killed the process before any
+    report was written.  ``FpMatrix`` rejects the index instead: the run
+    returns a report in which the law check and the three stages building
+    a nerve of the poset fail, each with a note, and every other verdict is
+    a clean run's."""
+    run = sym4_run()
+    start = run.transporter_omega.pair_start
+    assert start[51] == 1_368
+    start[51] = 1_268
+    bounds = "a CSR row pointer or column index is out of bounds"
+    assert_only_keys_fail(run.run(), {
+        "category_laws", "transporter_nerve_vs_classifying_space",
+        "centric_restriction_homology", "centric_collections_agree",
+    }, [
+        "categories: internal error: ValueError: repeats may not contain negative values.",
+        f"nerve-vs-group: {bounds}",
+        f"centric-restriction: {bounds}",
+        f"centric-agreement: {bounds}",
     ])
 
 

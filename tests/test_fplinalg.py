@@ -25,12 +25,15 @@ a time.  Three things are checked against it.  Its leads, in order, are
 the keys of the echelon a plain max-column pass (``insert_rows_gf2``) keeps
 inserting the rows in the engine's order.  ``whole @ Y`` vanishes mod 2.
 Y has ncols - rank live bits, and on the columns that lead no pivot it is
-the identity on them, so they are independent.  Unseeded, the engine's
-order is the structural rows (the first row with each leading column, in
-ascending order of that column), then the others in row order;
-``structural_first`` finds it by a scan of each row, independently of the
-engine's ``np.minimum.at``.  Seeded from B's annihilator, it tests the
-stored rows in row order, after the rows of B.
+the identity on them, so they are independent.  Unseeded, the engine
+reads the structural rows (the first row with each leading column, in
+ascending order of that column), then every row in row order, the
+structural ones again, in contiguous ranges; ``structural_first`` finds
+them by a scan of each row, independently of the engine's
+``np.minimum.at``.  Seeded from B's annihilator, it tests the stored rows
+in row order, after the rows of B.  The leads and Y also equal those of
+the span test that reads rows by id and skips the structural ones
+(``reference_fplinalg.new_leads_by_ids``).
 
 A rank is certified, with no row read and nothing kept, when the seeds and
 the distinct leading columns that no seed leads number at least the cap.
@@ -82,6 +85,7 @@ from reference_fplinalg import (
     _rank_csr_gf2,
     _rank_csr_modp,
     insert_rows_gf2,
+    new_leads_by_ids,
     nullspace_loop,
     rref_loop,
     symmetric,
@@ -128,12 +132,26 @@ def structural_first(csr, rows, seeds) -> tuple[list[int], list[int]]:
 
 
 def rows_read(read: list) -> list[int]:
-    """The rows read, in order, from a spy's record: each read takes a
-    row's start and then its end, one row or an array of rows at a time."""
-    starts, ends = read[::2], read[1::2]
-    assert len(starts) == len(ends)
-    assert all(np.array_equal(np.add(s, 1), e) for s, e in zip(starts, ends))
-    return [int(i) for s in starts for i in np.atleast_1d(s)]
+    """The rows read, in order, from a spy's record: a row range read as
+    one slice, or a row's start and then its end, one row or an array of
+    rows at a time."""
+    rows, k = [], 0
+    while k < len(read):
+        if isinstance(read[k], range):
+            rows += read[k]
+            k += 1
+            continue
+        start, end = read[k:k + 2]
+        assert not isinstance(end, range) and np.array_equal(np.add(start, 1), end)
+        rows += [int(i) for i in np.atleast_1d(start)]
+        k += 2
+    return rows
+
+
+def read_in_bulk(read: list) -> bool:
+    """Whether no row was read one at a time: every record is an array of
+    rows or a row range."""
+    return all(isinstance(k, (np.ndarray, range)) for k in read)
 
 
 def assert_reads_a_prefix(read: list, order: list[int]) -> list[int]:
@@ -293,7 +311,10 @@ def assert_bounded_ranks_exact(cx, ranks: list[int]):
 
 class RowSpy(np.ndarray):
     """A CSR row pointer that records every row index read from it: an int,
-    or an array of them at once.  Indices from the end are no rows."""
+    or an array of them at once, and a slice ``[a:b]`` as the row range
+    ``range(a, b - 1)``, the rows whose start and end it holds.  Indices
+    from the end are no rows, and reads from a slice taken of it are not
+    recorded again."""
 
     def __getitem__(self, key):
         if hasattr(self, "read"):
@@ -301,6 +322,10 @@ class RowSpy(np.ndarray):
                 self.read.append(int(key))
             elif isinstance(key, np.ndarray) and key.dtype.kind in "iu":
                 self.read.append(key.copy())
+            elif isinstance(key, slice):
+                a, b, step = key.indices(len(self))
+                assert step == 1
+                self.read.append(range(a, max(a, b - 1)))
         return super().__getitem__(key)
 
 
@@ -331,12 +356,13 @@ def spy_on_rows(m: FpMatrix) -> list:
 def engine_order(m: FpMatrix) -> list[int]:
     """The order in which ``m.rank()`` reads the rows it inserts, numbered
     as in ``whole(m)``: the dict loop's row order, or at p = 2 with an
-    annihilator the structural rows and then the others, unseeded."""
+    annihilator, unseeded, the structural rows and then every row, the
+    structural ones again among them, in row order."""
     _, csr, seeded = seeds_of(m)
-    rows = range(csr.shape[0])
+    rows = list(range(csr.shape[0]))
     if m.annihilator is None or seeded:
-        return list(rows)
-    return sum(structural_first(csr, rows, {}), [])
+        return rows
+    return structural_first(csr, rows, {})[0] + rows
 
 
 def random_sparse(rng, nrows, ncols, p, per_row):
@@ -730,10 +756,11 @@ def test_span_filter_keeps_the_plain_echelon_on_tall_random_matrices(nrows, ncol
         assert_certified_or_eliminated(m, min(cap, *m.shape), read)
         if m.leads is None:
             continue
-        assert m.annihilator is not None and all(isinstance(k, np.ndarray) for k in read)
-        rows = assert_reads_a_prefix(read, engine_order(m))
+        assert m.annihilator is not None and read_in_bulk(read)
+        order = engine_order(m)
+        rows = assert_reads_a_prefix(read, order)
         if m.rank() < min(cap, *m.shape):
-            assert len(rows) == nrows  # no cap stopped the test
+            assert rows == order  # no cap stopped the test
         tested = True
     assert tested
 
@@ -784,20 +811,20 @@ def test_span_filter_never_reads_a_row_already_in_the_span():
             adding.append(i)
     assert [i for i in adding if i >= ncols] == new_at[1:]
 
-    # the blocks the rows after the structural ones are tested in: the
-    # first as long as the matrix is wide, each later one half as long as
-    # the rows tested so far; the cap stops the test with the block that
-    # holds the last new row
+    # after the structural rows, every row is tested in blocks, in row
+    # order: the first as long as the matrix is wide, each later one half
+    # as long as the rows tested so far; the cap stops the test with the
+    # block that holds the last new row
     end = ncols
-    while end < len(others) and others[end - 1] < new_at[-1]:
+    while end < nrows and end - 1 < new_at[-1]:
         end += max(ncols, end // 2)
-    for cap, stop in ((math.inf, len(others)), (rank, end)):
+    for cap, stop in ((math.inf, nrows), (rank, min(end, nrows))):
         m, read = ranked_gf2(csr, None, cap)
         assert m.rank() == rank == len(m.leads)
         assert_certified_or_eliminated(m, min(cap, *m.shape), read)
         assert m.leads == list(plain)
-        assert all(isinstance(k, np.ndarray) for k in read)
-        assert rows_read(read) == structural + others[:stop]
+        assert read_in_bulk(read)
+        assert rows_read(read) == structural + list(range(stop))
 
 
 def shared_lead_gf2(rng, nrows, ncols, early, late):
@@ -880,7 +907,7 @@ def test_rows_joining_the_span_inside_a_block_are_never_reduced(monkeypatch, nro
         m, read = ranked_gf2(csr, block, cap)
         assert m.rank() == min(rank, cap) == len(m.leads)
         assert_certified_or_eliminated(m, min(cap, *m.shape), read)
-        assert m.annihilator is not None and all(isinstance(k, np.ndarray) for k in read)
+        assert m.annihilator is not None and read_in_bulk(read)
         assert_reads_a_prefix(read, engine_order(m))
 
 
@@ -904,7 +931,7 @@ def test_span_filter_keeps_the_plain_echelon_on_the_sym4_degree3_boundaries(monk
         assert_kept_state(self)
         assert r == _rank_csr_gf2(csr) == len(plain_pass_gf2(csr, range(csr.shape[0]), {},
                                                               math.inf))
-        assert all(isinstance(k, np.ndarray) for k in read)
+        assert read_in_bulk(read)
         assert_reads_a_prefix(read, engine_order(self))
         structural = structural_first(csr, range(csr.shape[0]), {})[0]
         seen[csr.shape] = (r, len(structural), len(self.annihilator.basis))
@@ -992,9 +1019,9 @@ def test_span_filter_keeps_the_plain_echelon_on_a_tall_nerve_like_matrix(monkeyp
     widths = []
     real = _Annihilator._test
 
-    def test(self, csr, ids, need):
+    def test(self, indices, ptr, need):
         widths.append(len(self.basis))
-        return real(self, csr, ids, need)
+        return real(self, indices, ptr, need)
 
     monkeypatch.setattr(_Annihilator, "_test", test)
     m = FpMatrix(csr.copy(), 2)
@@ -1006,10 +1033,100 @@ def test_span_filter_keeps_the_plain_echelon_on_a_tall_nerve_like_matrix(monkeyp
     read = spy_on_rows(m)
     widths.clear()
     assert m.rank() == _rank_csr_gf2(csr) < min(csr.shape) - 64
-    assert all(isinstance(k, np.ndarray) for k in read)
+    assert read_in_bulk(read)
     assert_reads_a_prefix(read, engine_order(m))
     assert_kept_state(m)
     assert len(widths) >= 5 and min(widths) >= 2, widths
+
+
+def ranked_by_ids(csr, block: FpMatrix | None, cap: int) -> tuple[list[int], _Annihilator]:
+    """The leads and annihilator of ``csr``, over ``block`` at offset 0 or
+    unseeded, under ``cap``, by the id-based span test of
+    ``reference_fplinalg``: seeded, every row against the block's Y
+    shifted; unseeded, the other rows against the structural rows' Y."""
+    if block is not None:
+        y = block.annihilator.shifted(0, csr.shape[1], csr.data.size + block.nnz)
+        ids, leads = np.arange(csr.shape[0]), list(block.leads)
+    else:
+        structural, others = structural_first(csr, range(csr.shape[0]), {})
+        y, leads = _Annihilator.of_rows(csr, np.array(structural, dtype=np.int64))
+        ids = np.array(others, dtype=np.int64)
+    return leads + new_leads_by_ids(y, csr, ids, cap - len(leads)), y
+
+
+def assert_reads_as_by_ids(csr, block: FpMatrix | None, cap) -> FpMatrix:
+    """``csr`` ranked under ``cap`` through ``FpMatrix`` keeps the rank,
+    leads and Y, bit for bit, of the id-based span test, and reads its
+    rows in bulk, a prefix of the engine's order; returns the matrix."""
+    m, read = ranked_gf2(csr, block, cap)
+    if m.leads is None:
+        return m
+    leads, y = ranked_by_ids(csr, block, min(cap, *m.shape))
+    assert m.rank() == len(leads) and m.leads == leads
+    assert np.array_equal(m.annihilator.basis, y.basis)
+    assert np.array_equal(m.annihilator.free, y.free)
+    assert read_in_bulk(read)
+    assert_reads_a_prefix(read, engine_order(m))
+    return m
+
+
+@pytest.mark.parametrize("nrows,ncols,dim,late,gather", [
+    (2000, 40, 30, 8, None),
+    (6000, 250, 180, 30, None),
+    (3000, 100, 90, 20, 8),
+])
+@pytest.mark.parametrize("seeded", [False, True])
+def test_range_reader_keeps_the_id_readers_leads_and_annihilator(monkeypatch, nrows, ncols, dim,
+                                                                 late, gather, seeded):
+    """Tall random GF(2) matrices with empty rows, a run of 300 empty rows
+    and 5 trailing ones, so that a chunk may hold no entry and the last
+    range ends with empty rows, whose offsets ``reduceat`` must not see.
+    With a gather of 8 entries some rows are longer than the gather and
+    are tested alone.  Unseeded and seeded from a block's annihilator,
+    under the caps infinity, the rank, one past the certificate and
+    ``min(shape)``: the rank equals the reference's and the oracle's, and
+    the leads and Y equal the id-based span test's."""
+    if gather:
+        monkeypatch.setattr(fplinalg, "_GATHER", gather)
+    rng = np.random.default_rng(5 * nrows + ncols + seeded)
+    rows = tall_gf2(rng, nrows, ncols, dim, late)
+    empty = sparse.csr_matrix((300, ncols), dtype=np.int64)
+    csr = sparse.vstack([rows[:nrows // 2], empty, rows[nrows // 2:], empty[:5]]).tocsr()
+    assert not csr[-5:].nnz and not csr[nrows // 2:nrows // 2 + 300].nnz
+    if gather:
+        assert np.diff(csr.indptr).max() > gather
+    block = seed_block(rng, ncols, 3) if seeded else None
+    stacked = FpMatrix(csr.copy(), 2, None if block is None else (block, 0))
+    assert not seeded or fits(stacked)
+    rank = _rank_csr_gf2(whole(stacked))
+    assert rank == oracle.dense_rank_modp(whole(stacked).toarray(), 2)
+    count = certificate(stacked)[1]
+    eliminated = 0
+    for cap in (math.inf, rank, count + 1, min(csr.shape)):
+        m = assert_reads_as_by_ids(csr, block, cap)
+        assert m.rank() == min(rank, cap)
+        eliminated += m.leads is not None
+    assert eliminated >= 3
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_range_reader_keeps_the_id_readers_state_on_a_linking_sized_nerve_like_matrix(seeded):
+    """33,284 short cycles over 1,620 edges, the shape of the sym:4, p = 2
+    linking ∂_3, unseeded and over its last 13,284 rows declared as a
+    ranked block: the rank equals the reference's, and the leads and Y
+    equal the id-based span test's."""
+    rng = np.random.default_rng(33_284 + seeded)
+    csr = short_cycles_gf2(rng, 33_284, 180, 9)
+    block = None
+    if seeded:
+        block = FpMatrix(csr[20_000:], 2)
+        block.rank()
+        csr = csr[:20_000]
+        assert block.annihilator is not None and fits(FpMatrix(csr, 2, (block, 0)))
+    want = _rank_csr_gf2(whole(FpMatrix(csr, 2, None if block is None else (block, 0))))
+    m = assert_reads_as_by_ids(csr, block, math.inf)
+    assert m.rank() == want < 1_620 - 64
+    assert_annihilates(m)
 
 
 # -- the structural phase at p = 2 ---------------------------------------------
@@ -1365,7 +1482,8 @@ def test_tall_cones_at_p2_seed_from_the_block_annihilator_when_it_fits(case):
         m = FpMatrix(T.copy(), 2, tail=(block, left))
         read = spy_on_rows(m)
         assert m.rank(bound) == want
-        assert_certified_or_eliminated(m, min(m.shape) if bound is None else want, list(read))
+        read = list(read)  # before the checks below stack m's rows
+        assert_certified_or_eliminated(m, min(m.shape) if bound is None else want, read)
         if m.leads is None:
             continue
         rows = assert_reads_a_prefix(read, engine_order(m))
@@ -1395,7 +1513,7 @@ def test_a_matrix_with_no_entries_has_rank_0_and_reads_no_row(monkeypatch, p, sh
     assert reference_rank(m) == 0
     over = FpMatrix(sparse.csr_matrix(shape, dtype=np.int64), p,
                     tail=(FpMatrix(sparse.csr_matrix(np.ones((1, shape[1]), np.int64)), p), 0))
-    assert over.nnz == shape[1] and not over.is_zero()
+    assert over.nnz == shape[1]
     assert over.rank(bound) == 1 == reference_rank(over)
 
 
@@ -1410,6 +1528,24 @@ def sum_first(csr, p: int) -> sparse.csr_matrix:
     csr.data = symmetric(csr.data, p)
     csr.eliminate_zeros()
     return csr
+
+
+@pytest.mark.parametrize("array,at,value", [
+    ("indptr", 0, 1),  # the row pointer starts past 0
+    ("indptr", 2, 1),  # and decreases
+    ("indptr", -1, 5),  # ends short of the indices
+    ("indices", 3, -1),
+    ("indices", 3, 4),  # past the last column
+])
+def test_construction_rejects_csr_arrays_out_of_bounds(array, at, value):
+    """A CSR whose arrays were written after scipy built it: each fault
+    raises ``PLocalError``, where scipy would prune the short row pointer
+    silently and checks no column index, and the intact matrix builds."""
+    csr = sparse.csr_matrix(np.array([[1, 0, 1, 0], [0, 1, 0, 0], [1, 1, 0, 1]]))
+    assert FpMatrix(csr.copy(), 3).csr.nnz == 6
+    getattr(csr, array)[at] = value
+    with pytest.raises(PLocalError, match="out of bounds"):
+        FpMatrix(csr, 3)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -1488,7 +1624,7 @@ def test_products_of_lifted_nerve_boundaries_cancel_over_the_integers():
         product.eliminate_zeros()
         assert (raw.nnz, product.nnz, residues.nnz) == (778_764, 28, 0), p
         assert not (product.data % p).any()
-        assert top.matmul(below).is_zero()
+        assert top.matmul(below)
         for m, data in zip((top, below), stored):
             assert np.array_equal(m.csr.data, data) and set(data.tolist()) == {-1, 1}
 

@@ -27,7 +27,7 @@ from plocal import (
     skeleton,
     sylow_subgroup,
 )
-from plocal import homology
+from plocal import fplinalg, homology
 from plocal.catalog import build_group
 from plocal.fplinalg import FpMatrix
 from scipy import sparse
@@ -320,9 +320,10 @@ def test_cone_square_check_multiplies_only_the_leading_rows(monkeypatch):
     shapes = []
     real = FpMatrix.matmul
 
-    def matmul(self, other):
-        shapes.append((self.shape, other.shape))
-        return real(self, other)
+    def matmul(self, other, head_only=False):
+        rows = self.csr.shape[0] if head_only else self.shape[0]
+        shapes.append(((rows, self.shape[1]), other.shape))
+        return real(self, other, head_only)
 
     monkeypatch.setattr(FpMatrix, "matmul", matmul)
     rebuilt = FpComplex(cone.prime, cone.dmax, cone.dims, cone.boundaries)
@@ -362,3 +363,48 @@ def test_cone_with_a_corrupted_leading_row_does_not_build():
     boundaries[2] = FpMatrix(lil.tocsr(), 3, tail=top.tail)
     with pytest.raises(PLocalError, match="boundary squared is nonzero in degree 2"):
         FpComplex(3, cone.dmax, cone.dims, boundaries)
+
+
+def test_cone_with_a_nonzero_head_only_product_does_not_build(monkeypatch):
+    """The same corrupted leading row, seen through ``FpMatrix.matmul``:
+    the degree-2 check multiplies only the cone boundary's leading rows,
+    and that product, nonzero mod 3, fails the cone."""
+    cone = real_cone()
+    boundaries = list(cone.boundaries)
+    top, below = boundaries[2], boundaries[1]
+    j = int(np.flatnonzero(below.csr.getnnz(axis=1))[0])
+    lil = top.csr.tolil()
+    lil[0, j] = (lil[0, j] + 1) % 3
+    boundaries[2] = FpMatrix(lil.tocsr(), 3, tail=top.tail)
+    calls = []
+    real = FpMatrix.matmul
+
+    def matmul(self, other, head_only=False):
+        calls.append((head_only, real(self, other, head_only)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(FpMatrix, "matmul", matmul)
+    with pytest.raises(PLocalError, match="boundary squared is nonzero in degree 2"):
+        FpComplex(3, cone.dmax, cone.dims, boundaries)
+    assert calls == [(True, False)]
+
+
+def test_square_check_tests_the_bare_integer_product_mod_p(monkeypatch):
+    """At p = 3, three edges from one point to another and one face over
+    them.  With the face [1, 1, 1] the integer product ∂_2 ∂_1 is [-3, 3],
+    0 mod 3, and the complex builds; with [1, -1, 1] it is [-1, 1], and
+    construction raises.  The product is tested as scipy gives it, one
+    entry per (row, column): no ``FpMatrix`` is built for it."""
+    d1 = FpMatrix(sparse.csr_matrix(np.tile([-1, 1], (3, 1))), 3)
+    good = FpMatrix(sparse.csr_matrix(np.array([[1, 1, 1]])), 3)
+    bad = FpMatrix(sparse.csr_matrix(np.array([[1, -1, 1]])), 3)
+    assert fplinalg._times(good.csr, d1).toarray().tolist() == [[-3, 3]]
+    assert fplinalg._times(bad.csr, d1).toarray().tolist() == [[-1, 1]]
+    built = []
+    real = FpMatrix.__init__
+    monkeypatch.setattr(FpMatrix, "__init__",
+                        lambda self, *args, **kw: built.append(args) or real(self, *args, **kw))
+    assert FpComplex(3, 2, [2, 3, 1], [None, d1, good]).homology() == [1, 1]
+    with pytest.raises(PLocalError, match="boundary squared is nonzero in degree 2"):
+        FpComplex(3, 2, [2, 3, 1], [None, d1, bad])
+    assert not built

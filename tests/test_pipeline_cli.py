@@ -135,21 +135,6 @@ def test_stage_table_matches_benchmark_and_report(monkeypatch):
     assert stage_timings == ["stage:closure", "stage:main"]
 
 
-def test_every_traced_benchmark_target_resolves(monkeypatch):
-    """The benchmark's tracer wraps plocal functions by name, so renaming or
-    deleting one would break ``perfbench/run.py --trace 1``."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    tracing = importlib.import_module("tracing")
-    for module, attr, _ in tracing.TARGETS:
-        owner = importlib.import_module(module)
-        *classes, name = attr.split(".")
-        for cls in classes:
-            owner = getattr(owner, cls)
-        # ``Tracer.install`` reads a method from its class's own __dict__
-        assert name in vars(owner), (module, attr)
-        assert callable(getattr(owner, name)), (module, attr)
-
-
 def test_degenerate_prime_not_dividing_order():
     rep = run_pipeline("cyc:3", PipelineConfig(prime=2, include_timings=False))
     d = rep.data

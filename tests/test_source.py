@@ -1,11 +1,13 @@
 """Static checks over the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import plocal
 
 SOURCES = sorted(Path(plocal.__file__).parent.glob("*.py"))
+TRACING = Path(plocal.__file__).parents[2] / "perfbench" / "tracing.py"
 
 
 def unused_parameters(tree: ast.Module) -> list[str]:
@@ -79,3 +81,29 @@ def test_the_scan_finds_an_unused_parameter():
         "        e = 2\n"
     )
     assert unused_parameters(tree) == ["f: a", "f: args", "m: e", "<lambda>: y"]
+
+
+def traced_targets() -> list[tuple[str, str]]:
+    """The ``(module, attribute)`` pairs of ``TARGETS`` in the benchmark's
+    tracer, read from its source, which is neither imported nor run."""
+    tree = ast.parse(TRACING.read_text(), str(TRACING))
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+    return [(module, attr) for module, attr, _ in ast.literal_eval(value)]
+
+
+def test_every_traced_benchmark_target_resolves():
+    """The benchmark's tracer wraps plocal functions by name, so renaming or
+    deleting one would break ``perfbench/run.py --trace 1``: every target
+    resolves, a method in its class's own ``__dict__``, where
+    ``Tracer.install`` reads it.  The ∂² check is measured through
+    ``FpMatrix.matmul`` and ``FpMatrix.equals``."""
+    targets = traced_targets()
+    assert {("plocal.fplinalg", "FpMatrix.matmul"), ("plocal.fplinalg", "FpMatrix.equals")} \
+        <= set(targets)
+    for module, attr in targets:
+        owner = importlib.import_module(module)
+        *classes, name = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        assert name in vars(owner) and callable(vars(owner)[name]), (module, attr)

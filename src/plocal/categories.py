@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, NotCentric, PLocalError
-from .groups import PermutationGroup, Subgroup, conjugates, coset_minima, transporters
+from .groups import PermutationGroup, Subgroup, conjugacy_classes, coset_minima, transporters
 from .omega import IntersectionPoset, classify_centric, closure_in_poset
 
 
@@ -319,7 +319,7 @@ def coset_category(G: PermutationGroup, collection,
     of all Sylow subgroups, say), it is the least object and the nerve is
     contractible.
     """
-    objs = sorted({H.ids: H for P in collection for H in conjugates(G, P)}.values(),
+    objs = sorted((H for orbit in conjugacy_classes(G, collection) for H in orbit),
                   key=lambda H: H.key)
     cat = FiniteCategory("coset", objs, G)
     cat.left = cat.right = [G.trivial_subgroup()] * cat.object_count
@@ -501,7 +501,13 @@ def verify_category(C: FiniteCategory) -> CategoryLawsVerdict:
     pass over the store, and every token is an iterated stored composite of
     S; so when identities and closure hold, the triples with middle in S
     decide associativity.  When either fails, every token is a middle and
-    every composable triple is checked, each failure reported."""
+    every composable triple is checked, each failure reported.  Token
+    offsets that are not those ``set_tokens`` derives fail first, alone:
+    every other check reads pairs through them."""
+    first = _offsets(np.bincount(C.src, minlength=C.object_count))
+    for name, want in (("first", first), ("pair_start", _offsets(np.diff(first)[C.tgt]))):
+        if not np.array_equal(getattr(C, name), want):
+            return CategoryLawsVerdict(0, [f"{name} differs from the offsets of the token arrays"])
     tok = np.arange(C.morphism_count)
     ident = np.asarray(C.identity_ids, dtype=np.int64)
     failures = [f"object {i} has no identity" for i in np.flatnonzero(ident < 0).tolist()]
@@ -693,85 +699,72 @@ def verify_closure_adjunction(
     """Check that closure is left adjoint to inclusion between the orbit
     category on all p-subgroups and the one on intersection-poset members:
     the morphism sets Mor(P, Q) and Mor(P°, Q) coincide for closed Q, and the
-    identification commutes with composition on both sides.  Raises
-    ``BudgetExceeded`` when the members' orbit table, or the pairs of the
-    larger orbit category one test subgroup's precomposition square
-    composes, exceed ``table_budget``."""
-    G = poset.group
-    failures: list[str] = []
-    members = poset.members
-    collection: list[Subgroup] = []
-    seen = set()
-    for H in list(test_subgroups) + members:
-        if H.ids not in seen:
-            seen.add(H.ids)
-            collection.append(H)
-    collection.sort(key=lambda H: H.key)
-    # the orbit category on the collection; only two families of its
-    # composites are read, so they are composed by the coset rule where
-    # needed and it keeps no composition store
-    big = FiniteCategory("orbit", collection, G)
-    big.left = [G.trivial_subgroup()] * big.object_count
-    big.right = big.objects
-    _fill_cosets(big)
-    omega = build_orbit(G, members, table_budget)
-    big_idx = {H.ids: i for i, H in enumerate(collection)}
-    om_idx = {H.ids: i for i, H in enumerate(members)}
-    clos = {P.ids: closure_in_poset(poset, P) for P in test_subgroups}
+    identification commutes with composition on both sides.
 
-    for P in test_subgroups:
-        for Q in members:
-            reps_big = big.witness[big.mor(big_idx[P.ids], big_idx[Q.ids])]
-            reps_om = omega.witness[omega.mor(om_idx[clos[P.ids].ids], om_idx[Q.ids])]
-            if not np.array_equal(np.sort(reps_big), np.sort(reps_om)):
-                failures.append(f"morphism sets differ for P={P.label()}, Q={Q.label()}")
+    Both are full subcategories of one orbit category O on the test
+    subgroups and the members, built as tokens only: each composite read is
+    composed by the coset rule, and O keeps no composition store.  Per test
+    subgroup P the squares form two families of pairs: each phi: P° -> Q,
+    as its token P -> Q, postcomposed with every m: Q -> Q2 between members,
+    and precomposed with every u: P' -> P between test subgroups, against
+    phi after the closure P'° -> P° of u.  Both families of every P are
+    counted before any composite is formed; ``BudgetExceeded`` names the
+    first, in test order, whose pairs exceed ``table_budget``."""
+    G, members, tests = poset.group, poset.members, list(test_subgroups)
+    n, m = len(tests), len(members)
+    O = FiniteCategory("orbit", sorted({H.ids: H for H in tests + members}.values(),
+                                       key=lambda H: H.key), G)
+    O.left, O.right = [G.trivial_subgroup()] * O.object_count, O.objects
+    _fill_cosets(O)
+    place = {H.ids: i for i, H in enumerate(O.objects)}
+    at = np.array([place[P.ids] for P in tests], dtype=np.int64)
+    atc = np.array([place[closure_in_poset(poset, P).ids] for P in tests], dtype=np.int64)
+    member, closure_of = np.full((2, O.object_count), -1, dtype=np.int64)
+    member[[place[Q.ids] for Q in members]] = np.arange(m)
+    closure_of[at] = atc
+    w, to_members = O.witness, np.flatnonzero(member[O.tgt] >= 0)
 
-    # naturality, per test subgroup P.  In the target variable: for every
-    # phi: P° -> Q of omega, identified with the token phi_big: P -> Q of big,
-    # postcomposition with every m: Q -> Q2 of omega commutes with the
-    # identification.  In the source variable: precomposition of phi_big with
-    # every u: P' -> P of big between test subgroups matches precomposition of
-    # phi with the closure of u, the token P'° -> P° of u's coset.
-    w_big, w_om = big.witness, omega.witness
-    big_of = np.array([big_idx[M.ids] for M in members], dtype=np.int64)
-    om_of = np.full(big.object_count, -1, dtype=np.int64)
-    for P in test_subgroups:
-        om_of[big_idx[P.ids]] = om_idx[clos[P.ids].ids]
-    lift = big.tokens_of(big_of[omega.src], big_of[omega.tgt], w_om)
-    if (lift < 0).any():
-        raise PLocalError("a morphism between members is missing from the larger orbit category")
-    om_next = omega.pairs()[1]
+    def ends(side, among, objects):
+        """Each (k, t) with t in ``among`` and side[t] == objects[k]."""
+        k, i = _matches(side[among], objects)
+        return k, among[i]
 
-    def differ(t_big, t_om):
-        return (t_big < 0) | (t_om < 0) | (w_big[t_big] != w_om[t_om])
+    (ka, ta), (kb, phi) = (ends(O.src, to_members, x) for x in (at, atc))
+    differ = _mismatch(ka * m + member[O.tgt[ta]], w[ta], kb * m + member[O.tgt[phi]], w[phi],
+                       G.order + 1)
+    failures = [f"morphism sets differ for P={tests[k // m].label()}, Q={members[k % m].label()}"
+                for k in differ]
+
+    # phi: P° -> Q as its token P -> Q, and u: P' -> P with its closure P'° -> P°
+    phi_big = O.tokens_of(at[kb], O.tgt[phi], w[phi])
+    found = phi_big >= 0
+    ku, u = ends(O.tgt, np.flatnonzero(closure_of[O.src] >= 0), at)
+    iu = closure_of[O.src[u]]
+    uc = O.tokens_of(iu, atc[ku], O.canonicals(iu, atc[ku], w[u]))
+    closed = uc >= 0
+    n_phi, n_u, missing, unclosed = (np.bincount(k, minlength=n) for k in (
+        kb[found], ku[closed], kb[~found], ku[~closed]))
+    out_deg = np.bincount(O.src[to_members], minlength=O.object_count)
+    n_post = np.bincount(kb[found], out_deg[O.tgt[phi[found]]], n).astype(np.int64)
+    pairs = np.stack([n_phi * n_u, n_post], axis=1).ravel()  # per P: pre, then post
+    over = np.flatnonzero(pairs > table_budget)
+    if len(over):
+        kind = ("precomposition", "postcomposition")[over[0] % 2]
+        raise BudgetExceeded(None, int(pairs[over[0]]), table_budget, kind)
+
+    def broken(t_big, t) -> int:
+        return int(((t_big < 0) | (t < 0) | (w[t_big] != w[t])).sum())
 
     tgt_failures, src_failures = [], []
-    for P in test_subgroups:
-        iP, iPc = big_idx[P.ids], om_of[big_idx[P.ids]]
-        phi = np.arange(omega.first[iPc], omega.first[iPc + 1])
-        phi_big = big.tokens_of(iP, big_of[omega.tgt[phi]], w_om[phi])
-        found = phi_big >= 0
-        phi, phi_big = phi[found], phi_big[found]
-        u = np.flatnonzero((om_of[big.src] >= 0) & (big.tgt == iP))
-        iu = om_of[big.src[u]]
-        uc = omega.tokens_of(iu, iPc, omega.canonicals(iu, iPc, w_big[u]))
-        closed = uc >= 0
-        u, uc = u[closed, None], uc[closed, None]
-        # each family is composed as one array: the postcomposition pairs
-        # are omega's, within the budget once omega is built; the
-        # precomposition pairs are counted before they are formed
-        if len(u) * len(phi_big) > table_budget:
-            raise BudgetExceeded(None, len(u) * len(phi_big), table_budget, "precomposition")
-        k, pos, _ = _expand(np.diff(omega.pair_start)[phi])
-        slot = omega.pair_start[phi[k]] + pos
-        post = differ(big.coset_composites(phi_big[k], lift[om_next[slot]]),
-                      omega.composite[slot])
-        pre = differ(big.coset_composites(u, phi_big), omega.composites(uc, phi))
-        missing = int((~found).sum())
-        tgt_failures += (["identification misses a morphism"] * missing
-                         + ["postcomposition square fails"] * int(post.sum()))
-        src_failures += (["closure of a morphism is missing"] * int((~closed).sum())
-                         + ["identification misses a morphism"] * (missing * len(u))
-                         + ["precomposition square fails"] * int(pre.sum()))
-    failures += tgt_failures + src_failures
-    return AdjunctionVerdict(len(test_subgroups) * len(members), failures)
+    for k in range(n):
+        f, c = found & (kb == k), closed & (ku == k)
+        a, b = phi[f], phi_big[f]
+        j, x = ends(O.src, to_members, O.tgt[a])
+        post = broken(O.coset_composites(b[j], x), O.coset_composites(a[j], x))
+        pre = broken(O.coset_composites(u[c, None], b), O.coset_composites(uc[c, None], a))
+        tgt_failures += (["identification misses a morphism"] * missing[k]
+                         + ["postcomposition square fails"] * post)
+        src_failures += (["closure of a morphism is missing"] * unclosed[k]
+                         + ["identification misses a morphism"] * (missing[k] * n_u[k])
+                         + ["precomposition square fails"] * pre)
+    return AdjunctionVerdict(n * m, failures + tgt_failures + src_failures)

@@ -7,13 +7,14 @@ unsigned dtype that holds the order.  Subgroups are explicit sorted id sets.
 Transporter sets and normalizers come from one kernel, ``transporters``,
 which conjugates a source's generators by every element at once and reads
 membership in all targets at once; centralizers come from one conjugation
-filter and conjugacy classes of subgroups from ``conjugates``.  All read
-``mul`` as arrays and hand out Python ints.  A quotient N/Q is a group in
-its own right, acting on the cosets of Q, with no map back to N.  A group
-keeps only the tables ``coset_minima`` builds: for a pair of subgroups
-(L, R), the least element of L·x·R for every x in G.  Conjugation is on the
-right, ``x^g = g^-1 x g``, which makes ``(P^g)^h = P^(g h)`` and lets
-transporter elements compose left to right.
+filter and conjugacy classes of subgroups from ``conjugates``, called once
+per class (``conjugacy_classes``).  All read ``mul`` as arrays and hand out
+Python ints.  A quotient N/Q is a group in its own right, acting on the
+cosets of Q, with no map back to N.  A group keeps only the tables
+``coset_minima`` builds: for a pair of subgroups (L, R), the least element
+of L·x·R for every x in G.  Conjugation is on the right,
+``x^g = g^-1 x g``, which makes ``(P^g)^h = P^(g h)`` and lets transporter
+elements compose left to right.
 """
 
 from __future__ import annotations
@@ -302,6 +303,18 @@ def conjugates(G: PermutationGroup, H: Subgroup) -> list[Subgroup]:
     h = np.array(H.ids, dtype=np.intp)
     rows = np.sort(_conj(G, h, np.arange(G.order)[:, None]), axis=1)
     return [Subgroup(G, ids) for ids in sorted(set(map(tuple, rows.tolist())))]
+
+
+def conjugacy_classes(G: PermutationGroup, subgroups) -> list[list[Subgroup]]:
+    """The conjugacy classes the subgroups meet, in first-seen order, each
+    as ``conjugates`` lists it: a subgroup is conjugated only when no class
+    found before it holds it."""
+    classes, seen = [], set()
+    for H in subgroups:
+        if H.ids not in seen:
+            classes.append(conjugates(G, H))
+            seen.update(C.ids for C in classes[-1])
+    return classes
 
 
 def p_residual(H: Subgroup, p: int) -> Subgroup:

@@ -43,7 +43,7 @@ from .groups import (
     PermutationGroup,
     Subgroup,
     all_subgroups,
-    conjugates,
+    conjugacy_classes,
     normalizer,
     quotient_realization,
 )
@@ -62,16 +62,8 @@ def p_class_representatives(
     """One canonical representative per conjugacy class of p-subgroups, the
     least conjugate, canonically sorted, and the class of the ids of every
     conjugate, from the subgroups of any one Sylow p-subgroup: every class
-    meets every Sylow.  A subgroup is conjugated only when no class found
-    before it holds its ids, as the intersection poset's classes are found."""
-    orbits: list[list[Subgroup]] = []
-    seen: set[tuple[int, ...]] = set()
-    for H in subgroups:
-        if H.ids not in seen:
-            orbit = conjugates(G, H)
-            seen.update(C.ids for C in orbit)
-            orbits.append(orbit)
-    orbits.sort(key=lambda orbit: orbit[0].key)
+    meets every Sylow."""
+    orbits = sorted(conjugacy_classes(G, subgroups), key=lambda orbit: orbit[0].key)
     class_of = {C.ids: k for k, orbit in enumerate(orbits) for C in orbit}
     return [orbit[0] for orbit in orbits], class_of
 

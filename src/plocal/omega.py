@@ -19,7 +19,7 @@ from .groups import (
     Subgroup,
     center,
     centralizer,
-    conjugates,
+    conjugacy_classes,
     p_residual,
     sylow_conjugates,
     sylow_subgroup,
@@ -85,15 +85,11 @@ def build_intersection_poset(G: PermutationGroup, p: int) -> IntersectionPoset:
             minimum = i
             break
 
+    classes = [sorted(index[C.ids] for C in orbit) for orbit in conjugacy_classes(G, members)]
     class_of = [-1] * len(members)
-    classes: list[list[int]] = []
-    for i, m in enumerate(members):
-        if class_of[i] >= 0:
-            continue
-        orbit = sorted(index[C.ids] for C in conjugates(G, m))
+    for k, orbit in enumerate(classes):
         for j in orbit:
-            class_of[j] = len(classes)
-        classes.append(orbit)
+            class_of[j] = k
 
     return IntersectionPoset(
         group=G,

@@ -28,6 +28,14 @@ comparisons over the token arrays: kernels are the automorphisms mapped to an
 identity, each one's order found by composing it with itself one store
 lookup at a time.  The tests require the same failed conditions, kernel
 orders and failures from both checks.
+
+``reference_verify_closure_adjunction`` is the adjunction check as it was
+while it built two orbit categories: one on the test subgroups and members,
+composed by the coset rule, and Ω = ``build_orbit`` on the members, whose
+whole composition store it read for the squares and whose pair count it
+held to the budget.  It compares Mor(P, Q) with Mor(P°, Q) one pair at a
+time.  The tests require the same ``pairs_checked`` and failures from both
+checks.
 """
 
 from __future__ import annotations
@@ -36,16 +44,20 @@ import numpy as np
 
 from plocal.categories import (
     _BLOCK,
+    AdjunctionVerdict,
     CategoryLawsVerdict,
     FiniteCategory,
     QuotientFunctorVerdict,
     _expand,
+    _fill_cosets,
     _flat,
     _offsets,
+    build_orbit,
     iso_classes,
 )
-from plocal.errors import PLocalError
+from plocal.errors import DEFAULT_BUDGET, BudgetExceeded, PLocalError
 from plocal.groups import transporters
+from plocal.omega import closure_in_poset
 from reference_groups import conjugate
 
 
@@ -244,3 +256,72 @@ def reference_coset_category(G, collection) -> FiniteCategory:
     t1, t2 = cat.pairs()
     cat.composite = tok[cat.src[t1], cat.tgt[t2]]
     return cat
+
+
+def reference_verify_closure_adjunction(poset, test_subgroups,
+                                        table_budget: int = DEFAULT_BUDGET) -> AdjunctionVerdict:
+    G = poset.group
+    failures: list[str] = []
+    members = poset.members
+    collection = sorted({H.ids: H for H in list(test_subgroups) + members}.values(),
+                        key=lambda H: H.key)
+    big = FiniteCategory("orbit", collection, G)
+    big.left = [G.trivial_subgroup()] * big.object_count
+    big.right = big.objects
+    _fill_cosets(big)
+    omega = build_orbit(G, members, table_budget)
+    big_idx = {H.ids: i for i, H in enumerate(collection)}
+    om_idx = {H.ids: i for i, H in enumerate(members)}
+    clos = {P.ids: closure_in_poset(poset, P) for P in test_subgroups}
+
+    for P in test_subgroups:
+        for Q in members:
+            reps_big = big.witness[big.mor(big_idx[P.ids], big_idx[Q.ids])]
+            reps_om = omega.witness[omega.mor(om_idx[clos[P.ids].ids], om_idx[Q.ids])]
+            if not np.array_equal(np.sort(reps_big), np.sort(reps_om)):
+                failures.append(f"morphism sets differ for P={P.label()}, Q={Q.label()}")
+
+    # naturality, per test subgroup P: postcomposition of phi: P° -> Q of
+    # omega, identified with phi_big: P -> Q of big, with every m: Q -> Q2
+    # of omega; precomposition of phi_big with every u: P' -> P of big
+    # between test subgroups, against phi after the closure of u
+    w_big, w_om = big.witness, omega.witness
+    big_of = np.array([big_idx[M.ids] for M in members], dtype=np.int64)
+    om_of = np.full(big.object_count, -1, dtype=np.int64)
+    for P in test_subgroups:
+        om_of[big_idx[P.ids]] = om_idx[clos[P.ids].ids]
+    lift = big.tokens_of(big_of[omega.src], big_of[omega.tgt], w_om)
+    if (lift < 0).any():
+        raise PLocalError("a morphism between members is missing from the larger orbit category")
+    om_next = omega.pairs()[1]
+
+    def differ(t_big, t_om):
+        return (t_big < 0) | (t_om < 0) | (w_big[t_big] != w_om[t_om])
+
+    tgt_failures, src_failures = [], []
+    for P in test_subgroups:
+        iP, iPc = big_idx[P.ids], om_of[big_idx[P.ids]]
+        phi = np.arange(omega.first[iPc], omega.first[iPc + 1])
+        phi_big = big.tokens_of(iP, big_of[omega.tgt[phi]], w_om[phi])
+        found = phi_big >= 0
+        phi, phi_big = phi[found], phi_big[found]
+        u = np.flatnonzero((om_of[big.src] >= 0) & (big.tgt == iP))
+        iu = om_of[big.src[u]]
+        uc = omega.tokens_of(iu, iPc, omega.canonicals(iu, iPc, w_big[u]))
+        closed = uc >= 0
+        u, uc = u[closed, None], uc[closed, None]
+        if len(u) * len(phi_big) > table_budget:
+            raise BudgetExceeded(None, len(u) * len(phi_big), table_budget, "precomposition")
+        k, pos, _ = _expand(np.diff(omega.pair_start)[phi])
+        slot = omega.pair_start[phi[k]] + pos
+        post = differ(big.coset_composites(phi_big[k], lift[om_next[slot]]),
+                      omega.composite[slot])
+        pre = differ(big.coset_composites(u, phi_big), omega.composites(uc, phi))
+        missing = int((~found).sum())
+        tgt_failures += (["identification misses a morphism"] * missing
+                         + ["postcomposition square fails"] * int(post.sum()))
+        src_failures += (["closure of a morphism is missing"] * int((~closed).sum())
+                         + ["identification misses a morphism"] * (missing * len(u))
+                         + ["precomposition square fails"] * int(pre.sum()))
+    failures += tgt_failures + src_failures
+    return AdjunctionVerdict(len(test_subgroups) * len(members), failures)

@@ -24,6 +24,7 @@ from plocal import (
     build_orbit_skeletons,
     build_transporter,
     classify_centric,
+    emit_report,
     homology_iso_verdict,
     induced_chain_map,
     nerve_complex,
@@ -384,3 +385,22 @@ def test_catalog_script_digest_is_pinned():
     assert r.returncode == 0, r.stdout + r.stderr
     assert "INTERNAL ERROR" not in r.stdout
     assert r.stdout.splitlines()[-1] == f"combined sha256={CATALOG_SCRIPT_SHA256}"
+
+
+# sha256 of ``plocal analyze --group sym:5 --prime 2 --max-degree 3 --format
+# json --no-timings``: 31 poset members, 310 adjunction pairs, and 6 of the
+# 17 verdicts over the default budget
+SYM5_P2_REPORT_SHA256 = (
+    "d6d8153f3e7159e500591b83791a61b20b726f2f3ca2c68ea0fd1b9462e2a295"
+)
+
+
+def test_sym5_report_at_p2_is_pinned():
+    """The largest adjunction outside the catalog, byte for byte."""
+    out = emit_report(run_pipeline("sym:5", PipelineConfig(
+        prime=2, max_degree=3, include_timings=False)), "json")
+    data = json.loads(out)
+    assert data["poset"]["member_count"] == 31
+    assert data["limits"]["adjunction_pairs_checked"] == 310
+    assert list(data["verdicts"].values()).count("not-certified") == 6
+    assert hashlib.sha256(out.encode()).hexdigest() == SYM5_P2_REPORT_SHA256

@@ -1,3 +1,4 @@
+import random
 import sys
 
 import numpy as np
@@ -27,11 +28,12 @@ from plocal import (
     verify_closure_adjunction,
     verify_quotient_functor,
 )
-from plocal import categories
+from plocal import categories, omega
 from plocal.catalog import build_group
 from plocal.categories import iso_classes
 from plocal.chains import chain_counts
 from plocal.errors import DEFAULT_BUDGET
+import reference_categories
 from reference_categories import (
     reference_coset_category,
     reference_coset_tokens,
@@ -39,6 +41,7 @@ from reference_categories import (
     reference_cosets,
     reference_least,
     reference_verify_category,
+    reference_verify_closure_adjunction,
     reference_verify_quotient_functor,
 )
 from reference_chains import reference_by_witness, reference_compose_table, reference_mor
@@ -423,27 +426,108 @@ def test_closure_adjunction():
 
 
 def test_adjunction_composes_without_the_larger_orbit_table():
-    """On sym:4 x cyc:2 at p=2, a budget that admits the members' orbit
-    table and each precomposition square but not the orbit table on every
-    subgroup of the Sylow: the adjunction composes the larger category's
-    morphisms by the coset rule and passes.  At the members' table alone
-    the precomposition squares overrun it and the verdict is not
-    certified."""
+    """On sym:4 x cyc:2 at p=2 the adjunction keeps no composition store:
+    its budget bounds each test subgroup's two families of squares, counted
+    before any is composed.  Over the 35 test subgroups the largest
+    precomposition family has 1,440 pairs and the largest postcomposition
+    family 117 (15,645 and 2,043 in all), so a budget of 2,000 passes and
+    one of 1,439 leaves the verdict not certified.  With the Sylow the one
+    test subgroup, its postcomposition family (9 pairs) is the larger of
+    its two (3) and overruns alone."""
     G = build_group("sym:4 x cyc:2")
     poset = build_intersection_poset(G, 2)
-    subs = all_subgroups(sylow_subgroup(G, 2))
-    members = int(build_orbit(G, poset.members).pair_start[-1])
-    everything = sorted({H.ids: H for H in subs + poset.members}.values(), key=lambda H: H.key)
+    S = sylow_subgroup(G, 2)
+    subs = all_subgroups(S)
     budget = 2000
-    assert members < budget < int(build_orbit(G, everything, 10 ** 7).pair_start[-1])
-    v = verify_closure_adjunction(poset, subs, table_budget=budget)
-    assert v.passed, v.failures[:3]
-    with pytest.raises(BudgetExceeded, match=f"precomposition pairs exceed budget {members}$"):
-        verify_closure_adjunction(poset, subs, table_budget=members)
-    for b, verdict in ((budget, "pass"), (members, "not-certified")):
+    assert verify_closure_adjunction(poset, subs, table_budget=budget).passed
+    with pytest.raises(BudgetExceeded, match="^1440 precomposition pairs exceed budget 1439$"):
+        verify_closure_adjunction(poset, subs, table_budget=1439)
+    assert verify_closure_adjunction(poset, [S], table_budget=9).passed
+    with pytest.raises(BudgetExceeded, match="^9 postcomposition pairs exceed budget 8$"):
+        verify_closure_adjunction(poset, [S], table_budget=8)
+    for b, verdict in ((budget, "pass"), (1439, "not-certified")):
         rep = run_pipeline("sym:4 x cyc:2", PipelineConfig(
             prime=2, max_degree=2, checks=("adjunction",), budget=b, include_timings=False))
         assert rep.verdicts["closure_inclusion_adjunction"] == verdict
+
+
+def assert_adjunction_matches_reference(poset, subs):
+    v = verify_closure_adjunction(poset, subs)
+    want = reference_verify_closure_adjunction(poset, subs)
+    assert (v.pairs_checked, v.failures) == (want.pairs_checked, want.failures)
+    return v
+
+
+@pytest.mark.parametrize("spec,p", [(s, p) for s in CATALOG for p in (2, 3)]
+                         + [("sym:4 x cyc:2", 2), ("sym:4 x cyc:2", 3), ("sym:5", 2), ("sym:5", 3)])
+def test_adjunction_matches_the_two_category_reference(spec, p):
+    """The same pairs checked and failures as the check that built the
+    members' orbit category Ω with its store."""
+    G = build_group(spec)
+    poset = build_intersection_poset(G, p)
+    v = assert_adjunction_matches_reference(poset, all_subgroups(sylow_subgroup(G, p)))
+    assert v.passed, v.failures[:3]
+
+
+def test_adjunction_matches_the_reference_under_a_wrong_closure(monkeypatch):
+    """On sym:4 x cyc:2 at p=2, each test subgroup in turn given a wrong
+    member as its closure: both checks report the same failures, in the
+    same order, and every such closure fails."""
+    G = build_group("sym:4 x cyc:2")
+    poset = build_intersection_poset(G, 2)
+    subs = all_subgroups(sylow_subgroup(G, 2))
+    for bad in subs:
+        def wrong(poset, P, bad=bad):
+            right = omega.closure_in_poset(poset, P)
+            if P.ids != bad.ids:
+                return right
+            return poset.members[0] if right.ids == poset.members[-1].ids else poset.members[-1]
+
+        monkeypatch.setattr(categories, "closure_in_poset", wrong)
+        monkeypatch.setattr(reference_categories, "closure_in_poset", wrong)
+        assert not assert_adjunction_matches_reference(poset, subs).passed, bad.label()
+
+
+@pytest.mark.parametrize("seed,least", [(7, False), (3, True)])
+def test_adjunction_matches_the_reference_on_a_corrupted_coset_table(seed, least):
+    """On sym:4 at p=2, one entry of one least-element table the group
+    keeps, chosen by the seed, set to a random element, so that a composite
+    may be no token, or to the least element of another coset, so that two
+    composites may both be tokens and differ: both checks read the same
+    tables and report the same failures, in the same order."""
+    G = build_group("sym:4")
+    poset = build_intersection_poset(G, 2)
+    subs = all_subgroups(sylow_subgroup(G, 2))
+    assert_adjunction_matches_reference(poset, subs)  # builds the tables
+    rng = random.Random(seed)
+    table = G._coset_minima[rng.choice(sorted(G._coset_minima))]
+    x = rng.randrange(G.order)
+    table[x] = table[rng.randrange(G.order)] if least else rng.randrange(G.order)
+    assert not assert_adjunction_matches_reference(poset, subs).passed
+
+
+def test_adjunction_builds_one_category_and_no_store(monkeypatch):
+    """The check builds one ``FiniteCategory`` and composes nothing into a
+    store: ``build_orbit`` would add a second category and fill its store."""
+    G = build_group("sym:4 x cyc:2")
+    poset = build_intersection_poset(G, 2)
+    subs = all_subgroups(sylow_subgroup(G, 2))
+    built, filled = [], []
+    C = categories.FiniteCategory
+    real_init, real_fill = C.__init__, C.fill_composition
+
+    def init(self, *args):
+        built.append(args[0])
+        real_init(self, *args)
+
+    def fill(self, *args):
+        filled.append(self.kind)
+        real_fill(self, *args)
+
+    monkeypatch.setattr(C, "__init__", init)
+    monkeypatch.setattr(C, "fill_composition", fill)
+    assert verify_closure_adjunction(poset, subs).passed
+    assert (built, filled) == (["orbit"], [])
 
 
 def test_group_category_store_is_checked_against_the_budget():
@@ -724,18 +808,30 @@ def test_a_composite_that_is_no_token_fails_the_category_laws(monkeypatch, value
 
 
 def test_structure_checks_on_sym6_at_p2():
-    """The closure and quotient verdicts pass; one test subgroup's
-    precomposition family in the adjunction has 79,280,775 pairs, over the
-    default budget."""
+    """The closure and quotient verdicts pass; in the adjunction, the first
+    test subgroup with a family of squares over the default budget has
+    17,528,400 precomposition pairs, and the check raises before it
+    composes anything."""
     checks = ("closure", "quotient", "adjunction")
-    rep = run_pipeline("sym:6", PipelineConfig(
-        prime=2, max_degree=2, checks=checks, include_timings=False))
+    composed = []
+    real = categories.FiniteCategory.coset_composites
+
+    def coset_composites(self, *args):
+        if sys._getframe(1).f_code.co_name == "verify_closure_adjunction":
+            composed.append(args)
+        return real(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(categories.FiniteCategory, "coset_composites", coset_composites)
+        rep = run_pipeline("sym:6", PipelineConfig(
+            prime=2, max_degree=2, checks=checks, include_timings=False))
     v = rep.verdicts
     assert [v[k] for k in ("closure_extends_and_monotone", "closure_idempotent",
                            "closure_preserves_transporters", "closure_transporter_equality",
                            "quotient_functor_conditions")] == ["pass"] * 5
     assert v["closure_inclusion_adjunction"] == "not-certified"
-    assert rep.data["notes"] == ["adjunction: 79280775 composable pairs exceed budget 2000000"]
+    assert rep.data["notes"] == ["adjunction: 17528400 precomposition pairs exceed budget 2000000"]
+    assert composed == []
 
 
 def transporter_s3c3():

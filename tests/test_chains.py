@@ -28,7 +28,7 @@ from plocal import categories, cohomology, homology, limits, pipeline
 from plocal.catalog import build_group
 from plocal.categories import group_category
 from plocal.chains import Chains, chain_counts, chain_images, nerve_boundaries
-from plocal.limits import functor_cochain_complex
+from plocal.limits import LinearFunctor, functor_cochain_complex
 from reference_fplinalg import symmetric
 from reference_omega import centric_subgroups
 
@@ -50,11 +50,17 @@ def assert_same_matrix(got, want):
 
 
 def check_nerve(C, prime, cx):
+    """The kernel's nerve against the reference, and against the other face
+    table writer: a nerve's boundaries are the cochain differentials of the
+    constant functor, every dimension 1 and every matrix [1]."""
     basis, boundaries = ref.nerve_boundaries(C, prime, cx.dmax)
     assert cx.dims == [len(b) for b in basis]
+    constant = LinearFunctor(C, prime, [1] * C.object_count, np.ones(C.morphism_count))
+    cochains = functor_cochain_complex(constant, cx.dmax)
     for d in range(1, cx.dmax + 1):
         assert ref.tokens(cx.chains, d).tolist() == [list(t) for t in basis[d]]
         assert_same_matrix(cx.boundaries[d], boundaries[d])
+        assert_same_matrix(cochains.boundaries[d], cx.boundaries[d])
 
 
 def check_chain_map(F, cm):

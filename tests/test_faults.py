@@ -260,10 +260,11 @@ def test_a_lowered_pair_start_fails_only_the_store_readers():
     1,268.  Its nerves' ∂_2 then holds a column index past its columns,
     which scipy's CSR constructor does not check; the ∂² product on it once
     ran ``csr_matmat`` out of bounds and killed the process before any
-    report was written.  ``FpMatrix`` rejects the index instead: the run
-    returns a report in which the law check and the three stages building
-    a nerve of the poset fail, each with a note, and every other verdict is
-    a clean run's."""
+    report was written.  ``FpMatrix`` rejects the index instead, and the
+    law check names the offsets before it reads a pair through them: the
+    run returns a report in which the law check and the three stages
+    building a nerve of the poset fail, each with a note, and every other
+    verdict is a clean run's."""
     run = sym4_run()
     start = run.transporter_omega.pair_start
     assert start[51] == 1_368
@@ -273,7 +274,7 @@ def test_a_lowered_pair_start_fails_only_the_store_readers():
         "category_laws", "transporter_nerve_vs_classifying_space",
         "centric_restriction_homology", "centric_collections_agree",
     }, [
-        "categories: internal error: ValueError: repeats may not contain negative values.",
+        "categories: transporter_poset: pair_start differs from the offsets of the token arrays",
         f"nerve-vs-group: {bounds}",
         f"centric-restriction: {bounds}",
         f"centric-agreement: {bounds}",

@@ -393,14 +393,17 @@ def test_class_representatives_do_not_depend_on_their_input(spec, p):
 def test_the_lattice_and_its_classes_do_one_step_per_new_answer(monkeypatch):
     """On the order-16 Sylow of sym:4 x cyc:2 at p=2 (35 subgroups in 23
     classes), the lattice closes once per right coset Hx other than H of
-    each subgroup H, sum |S:H| - 1 = 144 closures; the class
-    representatives conjugate once per class, and the skeletons find a
-    subgroup's class without conjugating it."""
-    from plocal import limit_checks
+    each subgroup H, sum |S:H| - 1 = 144 closures; every class finder
+    conjugates once per class, counted where ``groups.conjugacy_classes``
+    looks ``conjugates`` up: the representatives 23 times, the skeletons
+    23 + 1 + 2 more times (their intersection poset conjugates the Sylow
+    and each of its 2 classes once); and the skeletons find a subgroup's
+    class without conjugating it."""
+    from plocal import groups
     G = build_group("sym:4 x cyc:2")
     S = sylow_subgroup(G, 2)
     closures, conjugated = [], []
-    real_closure, real_conjugates = PermutationGroup.subgroup_closure, limit_checks.conjugates
+    real_closure, real_conjugates = PermutationGroup.subgroup_closure, groups.conjugates
 
     def closure(self, *args):
         closures.append(args)
@@ -411,16 +414,17 @@ def test_the_lattice_and_its_classes_do_one_step_per_new_answer(monkeypatch):
         return real_conjugates(G, H)
 
     monkeypatch.setattr(PermutationGroup, "subgroup_closure", closure)
-    monkeypatch.setattr(limit_checks, "conjugates", counted)
+    monkeypatch.setattr(groups, "conjugates", counted)
     subs = all_subgroups(S)
     assert len(closures) == sum(S.order // H.order - 1 for H in subs) == 144
     reps, _ = p_class_representatives(G, subs)
     assert len(conjugated) == len(reps) == 23
     skel = build_orbit_skeletons(G, 2, sylow_subgroups=subs)
-    assert len(conjugated) == 2 * 23
+    assert len(skel.poset.classes) == 2
+    assert len(conjugated) == 2 * 23 + 1 + 2 == 49
     for H in subs:
         skel.omega_object_of(H)
-    assert len(conjugated) == 2 * 23
+    assert len(conjugated) == 49
     with pytest.raises(PLocalError, match="catalogued classes"):
         skel.p_object_of(G.full_subgroup())
 

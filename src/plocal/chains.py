@@ -28,10 +28,19 @@ keeps t, so F_{d,i}(c) is face i of q extended by t, the row
 with t, so it is g extended by u·t, one lookup in the category's
 composition store; the last face is q.  A face through an identity, or whose
 head starts no chains, is -1, and so is every face derived from it.  So each
-degree's face table is one gather per face from the table before it, and
-is dropped once the next degree's is made.  The images of an induced chain
-map follow the same recursion: a chain's image is its parent's, extended by
-the image of its last token.
+degree's face table is derived from the table before it, and is dropped
+once the next degree's is made.  The images of an induced chain map follow
+the same recursion: a chain's image is its parent's, extended by the image
+of its last token.
+
+Every array is int32, and is gathered once per parent row and repeated
+over that row's extensions rather than gathered once per chain.  This is
+exact because the chains with parent q are the block
+``starts[d][q]:starts[d][q+1]``, so ``parent[d]`` is ``arange`` repeated by
+``diff(starts[d])``, and the face rows ``starts[d-1][F_{d-1,i}(q)]``, the
+grandparent's offset ``starts[d-1][g]`` and the composition slot base of u
+depend on q alone.  A degree whose exact row count, an int64 offset,
+reaches ``ROW_LIMIT`` = 2^31 raises before any of its arrays is allocated.
 
 Nerve boundaries are written as CSR straight from the face table, one entry
 per live face; cochain differentials, a block of entries per face, are
@@ -65,11 +74,16 @@ def chain_counts(C: FiniteCategory, dmax: int, weights: list[int] | None = None)
     return totals
 
 
+# rows are int32: a degree with this many chains or more raises before it
+# is allocated
+ROW_LIMIT = 1 << 31
+
+
 class Chains:
     """The normalized chains of C through degree ``dmax`` that start at
     ``heads`` (every object by default).  Degree d >= 1 keeps, per chain, its
     last token, its parent (drop-last face) row in degree d-1 and its head
-    object; the token rows are never built."""
+    object; the token rows are never built.  Every array is int32."""
 
     def __init__(self, C: FiniteCategory, dmax: int, heads=None):
         self.category = C
@@ -77,24 +91,30 @@ class Chains:
         out = np.flatnonzero(~self.is_id)
         out_count = np.bincount(self.src[out], minlength=C.object_count)
         out_start = _offsets(out_count)
-        self.pos = np.full(C.morphism_count, -1, dtype=np.int64)
+        self.pos = np.full(C.morphism_count, -1, dtype=np.int32)
         self.pos[out] = np.arange(len(out)) - out_start[self.src[out]]
+        out_tgt, out = self.tgt[out], out.astype(np.int32)
 
         tails = np.arange(C.object_count) if heads is None else np.asarray(heads, np.int64)
-        self.row0 = np.full(C.object_count, -1, dtype=np.int64)
+        self.row0 = np.full(C.object_count, -1, dtype=np.int32)
         self.row0[tails] = np.arange(len(tails))
-        self.heads = [tails]
+        self.heads = [tails.astype(np.int32)]
         self.last: list[np.ndarray | None] = [None]
         self.parent: list[np.ndarray | None] = [None]
         self.starts: list[np.ndarray | None] = [None]
         for d in range(1, dmax + 1):
-            parent, j, starts = _expand(out_count[tails])
-            last = out[out_start[tails[parent]] + j]
-            self.last.append(last)
-            self.parent.append(parent)
-            self.starts.append(starts)
-            self.heads.append(self.heads[d - 1][parent])
-            tails = self.tgt[last]
+            counts = out_count[tails]
+            starts = _offsets(counts)
+            if starts[-1] >= ROW_LIMIT:
+                raise PLocalError(f"degree {d} has {starts[-1]} chains, past 32-bit rows")
+            # row starts[q] + j extends row q by the j-th token leaving its tail
+            k = (out_start[tails] - starts[:-1]).repeat(counts) + np.arange(starts[-1])
+            self.last.append(out[k])
+            self.parent.append(np.arange(len(tails), dtype=np.int32).repeat(counts))
+            self.starts.append(starts.astype(np.int32))
+            self.heads.append(self.heads[d - 1].repeat(counts))
+            if d < dmax:
+                tails = out_tgt[k]
         self.dims = [len(h) for h in self.heads]
 
     def faces(self):
@@ -102,25 +122,41 @@ class Chains:
         holds the row of each chain's face that drops vertex c_i, or -1 where
         that face goes through an identity or starts at no head.  Each table
         is derived from the one before and dropped when the next is made."""
-        prev = None
+        table = None
         for d in range(1, len(self.dims)):
-            last, parent, starts = self.last[d], self.parent[d], self.starts[d - 1]
-            table = np.empty((len(last), d + 1), dtype=np.int64)
-            if d == 1:
-                table[:, 0] = self.row0[self.tgt[last]]
-            else:
-                at = self.pos[last]
-                for i in range(d - 1):
-                    face = prev[parent, i]
-                    table[:, i] = np.where(face >= 0, starts[face] + at, -1)
-                u = self.category.composites(self.last[d - 1][parent], last)
-                if (u < 0).any():
-                    raise PLocalError("composition misses a composable pair")
-                grand = self.parent[d - 1][parent]
-                table[:, d - 1] = np.where(self.is_id[u], -1, starts[grand] + self.pos[u])
-            table[:, d] = parent
-            prev = table
+            table = self._face_table(d, table)
             yield table
+
+    def _face_table(self, d: int, prev: np.ndarray | None) -> np.ndarray:
+        """Degree d's face table from degree d-1's; its temporaries are freed
+        on return, before the caller reads the table."""
+        C = self.category
+        last, starts = self.last[d].astype(np.intp), self.starts[d]
+        counts = starts[1:] - starts[:-1]
+        if starts[0] or starts[-1] != len(last) or counts.min(initial=0) < 0:
+            raise PLocalError(f"degree {d} chain offsets do not lay out its rows")
+        tail = self.heads[0] if d == 1 else self.tgt[self.last[d - 1]]
+        if (self.src[last] != tail.repeat(counts)).any():
+            raise PLocalError(f"a degree {d} chain's last token does not leave its parent's tail")
+        table = np.empty((len(last), d + 1), dtype=np.int32)
+        if d == 1:
+            table[:, 0] = self.row0[self.tgt[last]]
+        else:
+            # a dead face, -1, reads the entry appended here, which stays
+            # negative once any pos[t] is added and is then clipped to -1
+            below = np.concatenate((self.starts[d - 1], [-len(self.pos)]))
+            at = self.pos[last]
+            for i in range(d - 1):
+                np.add(below[prev[:, i]].repeat(counts), at, out=table[:, i])
+            u = self.last[d - 1]
+            uv = C.composite[(C.pair_start[u] - C.first[tail]).repeat(counts) + last]
+            if (uv < 0).any():
+                raise PLocalError("composition misses a composable pair")
+            grand = below[self.parent[d - 1]].repeat(counts)
+            table[:, d - 1] = np.where(self.is_id[uv], -1, grand + self.pos[uv])
+            np.maximum(table, -1, out=table)
+        table[:, d] = self.parent[d]
+        return table
 
 
 NOT_A_CHAIN = "image is not a chain of composable non-identity morphisms"
@@ -208,10 +244,12 @@ def cochain_differentials(chains: Chains, dims: list[int], entries: np.ndarray,
     blk_ptr = np.searchsorted(nz, offsets)
 
     cochain_off = [_offsets(dims[heads]) for heads in chains.heads]
+    first = chains.last[1].astype(np.intp)
     diffs = []
     for n, table in enumerate(chains.faces()):
-        first = chains.last[1] if n == 0 else first[chains.parent[n + 1]]
-        row_of, local, row_off = _expand(dims[chains.heads[n + 1]])
+        if n:
+            first = first[chains.parent[n + 1]]
+        row_of, local, row_off = _expand(np.diff(cochain_off[n + 1]))
         col_off = cochain_off[n]
         # drop-first face: F(first arrow), with no entries where that face is absent
         ent, j, _ = _expand(np.diff(blk_ptr)[first])

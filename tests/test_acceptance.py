@@ -404,3 +404,19 @@ def test_sym5_report_at_p2_is_pinned():
     assert data["limits"]["adjunction_pairs_checked"] == 310
     assert list(data["verdicts"].values()).count("not-certified") == 6
     assert hashlib.sha256(out.encode()).hexdigest() == SYM5_P2_REPORT_SHA256
+
+
+# sha256 of ``plocal analyze --group "sym:3 x cyc:3" --prime 3 --max-degree 4
+# --format json --no-timings``: its largest nerve, the bar complex of the
+# 18-element group, has 83,521 chains in degree 4
+S3C3_P3_REPORT_SHA256 = (
+    "9427dd80c6f6b2e76b8e11077db53a96f7d82a4c914714d3fa3c16f5a1f12c2e"
+)
+
+
+def test_s3c3_report_at_p3_degree_4_is_pinned():
+    """The centric-restriction workload's group and prime at full size, byte
+    for byte, with the degree-4 bar nerve among its complexes."""
+    out = emit_report(run_pipeline("sym:3 x cyc:3", PipelineConfig(
+        prime=3, max_degree=4, include_timings=False)), "json")
+    assert hashlib.sha256(out.encode()).hexdigest() == S3C3_P3_REPORT_SHA256

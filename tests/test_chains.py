@@ -24,7 +24,7 @@ from plocal import (
     run_pipeline,
     sylow_subgroup,
 )
-from plocal import categories, cohomology, homology, limits, pipeline
+from plocal import categories, chains as chains_module, cohomology, homology, limits, pipeline
 from plocal.catalog import build_group
 from plocal.categories import group_category
 from plocal.chains import Chains, chain_counts, chain_images, nerve_boundaries
@@ -49,10 +49,18 @@ def assert_same_matrix(got, want):
         assert np.array_equal(x, y), name
 
 
+def assert_int32(chains):
+    """Every chain array the kernel keeps is int32."""
+    arrays = [chains.pos, chains.row0, *chains.heads]
+    arrays += [a for name in ("last", "parent", "starts") for a in getattr(chains, name)[1:]]
+    assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
+
+
 def check_nerve(C, prime, cx):
     """The kernel's nerve against the reference, and against the other face
     table writer: a nerve's boundaries are the cochain differentials of the
     constant functor, every dimension 1 and every matrix [1]."""
+    assert_int32(cx.chains)
     basis, boundaries = ref.nerve_boundaries(C, prime, cx.dmax)
     assert cx.dims == [len(b) for b in basis]
     constant = LinearFunctor(C, prime, [1] * C.object_count, np.ones(C.morphism_count))
@@ -261,7 +269,9 @@ def test_face_tables_match_the_index_walk_on_every_pipeline_category(pipeline_in
         D = walk_degree(C)
         for heads in (None, np.arange(0, C.object_count, 2)):
             chains = Chains(C, D, heads)
+            assert_int32(chains)
             for d, table in enumerate(chains.faces(), start=1):
+                assert table.dtype == np.int32
                 assert np.array_equal(table, ref.reference_faces(chains, d)), (C.kind, d)
                 if heads is not None:
                     seen["restricted"] += int((table[:, 0] < 0).sum())
@@ -290,6 +300,22 @@ def test_chain_images_match_the_index_walk_on_every_pipeline_functor(pipeline_in
             zeros += int((cols < 0).sum())
         top = max(top, D)
     assert functors and zeros and top == 4
+
+
+def test_a_degree_of_2_to_the_31_rows_raises_before_it_is_built(monkeypatch):
+    """Rows are int32, so a degree with ``ROW_LIMIT`` chains or more raises,
+    from its exact int64 count, before any of its arrays is allocated.  With
+    the limit lowered to the 125 degree-3 chains of sym:3's bar complex
+    (dims 1, 5, 25, 125), degree 3 raises and degree 2 is built; with one
+    more row, degree 3 is built too."""
+    G = build_group("sym:3")
+    C = group_category(G, G.full_subgroup())
+    monkeypatch.setattr(chains_module, "ROW_LIMIT", 125)
+    assert Chains(C, 2).dims == [1, 5, 25]
+    with pytest.raises(PLocalError, match="degree 3 has 125 chains"):
+        Chains(C, 3)
+    monkeypatch.setattr(chains_module, "ROW_LIMIT", 126)
+    assert Chains(C, 3).dims == [1, 5, 25, 125]
 
 
 @pytest.mark.parametrize("p,residue", [(2, 0), (3, 2), (5, 2)])

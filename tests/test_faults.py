@@ -8,7 +8,8 @@ functoriality check before its limits reads; a category's composition
 store or witness, which its law check (and the functors into it) read; a
 functor's token or object map, which the quotient check and the chain
 map read; the transporter mask a category is built from; a category's
-pair offsets, which its law check and its nerves read; or the
+pair offsets, which its law check and its nerves read; a nerve's chain
+offsets or last tokens, which its face derivation reads; or the
 annihilator a nerve boundary keeps at p = 2, which the cones over it
 seed from.  One more makes a check raise an exception that is no toolkit
 error.  The run must still return a report, each stage reading the
@@ -278,6 +279,73 @@ def test_a_lowered_pair_start_fails_only_the_store_readers():
         f"nerve-vs-group: {bounds}",
         f"centric-restriction: {bounds}",
         f"centric-agreement: {bounds}",
+    ])
+
+
+def corrupt_poset_chains(monkeypatch, run: PipelineRun, corrupt) -> list:
+    """Each nerve built for the transporter poset's composition table has
+    ``corrupt`` applied to its ``Chains`` before its faces are derived; the
+    returned list gains one entry per nerve so corrupted."""
+    real = homology.nerve_boundaries
+    corrupted = []
+
+    def wrapped(chains, prime):
+        if chains.category.table_key() == run.transporter_omega.table_key():
+            corrupt(chains)
+            corrupted.append(chains.dims)
+        return real(chains, prime)
+
+    monkeypatch.setattr(homology, "nerve_boundaries", wrapped)
+    return corrupted
+
+
+POSET_NERVE_KEYS = {"transporter_nerve_vs_classifying_space", "centric_restriction_homology",
+                    "centric_collections_agree"}
+
+
+def test_a_lowered_chain_offset_fails_only_the_nerve_readers(monkeypatch):
+    """``starts[2][1]``, where the transporter poset's degree-2 extensions
+    of its second degree-1 chain begin, is lowered below ``starts[2][0]``.
+    The faces are derived one parent block at a time from these offsets, so
+    the nerve's face derivation finds the blocks out of order and raises
+    before it repeats anything over them: the three stages building a nerve
+    of the poset fail, each with a note, and every other verdict is a clean
+    run's."""
+    run = sym4_run()
+
+    def lower(chains):
+        chains.starts[2][1] = chains.starts[2][0] - 1
+
+    corrupted = corrupt_poset_chains(monkeypatch, run, lower)
+    report = run.run()
+    monkeypatch.undo()  # the clean run builds its own nerves
+    assert len(corrupted) == 3
+    note = "degree 2 chain offsets do not lay out its rows"
+    assert_only_keys_fail(report, POSET_NERVE_KEYS, [
+        f"nerve-vs-group: {note}", f"centric-restriction: {note}", f"centric-agreement: {note}",
+    ])
+
+
+def test_a_last_token_off_its_parent_fails_only_the_nerve_readers(monkeypatch):
+    """The last token of the transporter poset's first degree-2 chain is
+    replaced by a non-identity token leaving another object, so it does not
+    extend the chain's parent.  The face derivation compares each last
+    token's source with its parent's tail before it looks up a composite:
+    the three stages building a nerve of the poset fail, each with a note,
+    and every other verdict is a clean run's."""
+    run = sym4_run()
+
+    def replace(chains):
+        tail = chains.tgt[chains.last[1][chains.parent[2][0]]]
+        chains.last[2][0] = np.flatnonzero((chains.src != tail) & ~chains.is_id)[0]
+
+    corrupted = corrupt_poset_chains(monkeypatch, run, replace)
+    report = run.run()
+    monkeypatch.undo()
+    assert len(corrupted) == 3
+    note = "a degree 2 chain's last token does not leave its parent's tail"
+    assert_only_keys_fail(report, POSET_NERVE_KEYS, [
+        f"nerve-vs-group: {note}", f"centric-restriction: {note}", f"centric-agreement: {note}",
     ])
 
 

@@ -169,24 +169,26 @@ def chain_images(source: Chains, target: Chains, object_map: np.ndarray,
     token is an identity.  A chain's image is its parent's extended by the
     image of its last token.  Raises unless every other image is a chain of
     composable tokens whose head starts chains, and every object and token
-    either map gives is one of the target's."""
+    either map gives is one of the target's.  The rows come out as intp,
+    as does every int32 chain array once per degree before it indexes,
+    since numpy gathers through an intp index faster than through int32."""
     for m, n in ((object_map, len(target.row0)), (morphism_map, len(target.is_id))):
         if len(m) and (m.min() < 0 or m.max() >= n):
             raise PLocalError(NOT_A_CHAIN)
     heads = object_map[source.heads[0]]
-    rows = target.row0[heads]
+    rows = target.row0[heads].astype(np.intp)
     if (rows < 0).any():
         raise PLocalError(NOT_A_CHAIN)
     yield rows
     tails = heads
     for d in range(1, dmax + 1):
-        parent = source.parent[d]
-        t = morphism_map[source.last[d]]
+        parent = source.parent[d].astype(np.intp)
+        t = morphism_map[source.last[d].astype(np.intp)]
         at = rows[parent]
         live = (at >= 0) & ~target.is_id[t]
         if (target.src[t[live]] != tails[parent[live]]).any():
             raise PLocalError(NOT_A_CHAIN)
-        rows = np.where(live, target.starts[d][at] + target.pos[t], -1)
+        rows = np.where(live, target.starts[d][at] + target.pos[t], -1).astype(np.intp)
         yield rows
         tails = target.tgt[t]
 

@@ -26,7 +26,7 @@ alternating signs at every p, and only ``FpMatrix`` reduces mod p.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -191,21 +191,10 @@ def mapping_cone(cm: ChainMap) -> FpComplex:
     return FpComplex(p, D, dims, boundaries)
 
 
-@dataclass
-class IsoVerdict:
-    """Per-degree homology-isomorphism verdicts from mapping-cone acyclicity."""
-
-    certified_through: int
-    iso_by_degree: list[bool] = field(default_factory=list)
-    cone_homology: list[int] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.certified_through >= 0 and all(self.iso_by_degree)
-
-
-def homology_iso_verdict(cm: ChainMap) -> IsoVerdict:
-    """Iso in degree d certified by vanishing cone homology in degrees d and d+1."""
+def homology_iso_verdict(cm: ChainMap) -> tuple[bool, dict]:
+    """Iso in degree d certified by vanishing cone homology in degrees d and
+    d+1: whether every degree through ``certified_through`` is iso, and the
+    report's record of the degrees certified and the verdict in each."""
     cone = mapping_cone(cm)
     cone_h = cone.homology()  # exact for d <= cone.dmax - 1
     certified = cone.dmax - 2
@@ -213,4 +202,4 @@ def homology_iso_verdict(cm: ChainMap) -> IsoVerdict:
         cone_h[d] == 0 and cone_h[d + 1] == 0
         for d in range(certified + 1)
     ]
-    return IsoVerdict(certified, iso, cone_h)
+    return certified >= 0 and all(iso), {"certified_through": certified, "iso": iso}

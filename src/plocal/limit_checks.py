@@ -17,6 +17,10 @@ are:
 The restriction and filtration checks share one upward-closure rule,
 ``_first_outside_above``.
 
+Each check returns ``(passed, record)``, where ``record`` is the dict the
+report prints for it: the dimensions of both sides, never a verdict object
+for the pipeline to copy.
+
 Every check takes the run's ``CohomologyCache``, which carries the budget,
 and reads G and p from the skeletons; a cache of another group or prime is
 rejected.  Limits go through the cache's ``limits`` store, so a functor
@@ -27,7 +31,7 @@ identity are different functors and are still computed separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,43 +173,21 @@ def _check_context(skel: OrbitSkeletons, cache: CohomologyCache) -> None:
                           f"{cache.G.order} is not the cache of these skeletons")
 
 
-@dataclass
-class VanishingVerdict:
-    applicable: bool
-    class_label: str
-    index: int
-    full_dims: list[int] | None = None
-    omega_dims: list[int] | None = None
-
-    @property
-    def passed(self) -> bool:
-        if not self.applicable:
-            return True
-        if self.full_dims is None or any(self.full_dims):
-            return False
-        if self.omega_dims is not None and any(self.omega_dims):
-            return False
-        return True
-
-    @property
-    def sides_agree(self) -> bool:
-        return self.omega_dims is None or self.omega_dims == self.full_dims
-
-
 def punctured_class_vanishing(
     skel: OrbitSkeletons,
     Q: Subgroup,
     i: int,
     nmax: int,
     cache: CohomologyCache,
-) -> VanishingVerdict:
+) -> tuple[bool, dict]:
     """Limits of the functor concentrated on the class of a non-centric Q
-    vanish, over both skeleta; flags NOT-APPLICABLE for centric input."""
+    vanish, over both skeleta, and agree; raises PLocalError for centric
+    input.  The poset side is None when the class is not in the poset."""
     _check_context(skel, cache)
     k = skel.p_object_of(Q)
     label = skel.p_reps[k].label()
     if skel.p_centric[k]:
-        return VanishingVerdict(False, label, i)
+        raise PLocalError(f"{label} is centric: punctured vanishing needs a non-centric class")
     F_full = supported_cohomology_functor(skel.p_cat, [k], i, cache)
     full = _lim(F_full, nmax, cache)
     om = skel.omega_object_of(Q)
@@ -213,20 +195,8 @@ def punctured_class_vanishing(
     if om is not None:
         F_om = supported_cohomology_functor(skel.omega_cat, [om], i, cache)
         omega_dims = _lim(F_om, nmax, cache)
-    return VanishingVerdict(True, label, i, full, omega_dims)
-
-
-@dataclass
-class ReductionVerdict:
-    class_label: str
-    index: int
-    left_dims: list[int]
-    right_dims: list[int]
-    quotient_order: int
-
-    @property
-    def passed(self) -> bool:
-        return self.left_dims == self.right_dims
+    passed = not any(full) and (omega_dims is None or omega_dims == full)
+    return passed, {"class": label, "index": i, "full_dims": full, "poset_dims": omega_dims}
 
 
 def normalizer_reduction_check(
@@ -235,7 +205,7 @@ def normalizer_reduction_check(
     i: int,
     nmax: int,
     cache: CohomologyCache,
-) -> ReductionVerdict:
+) -> tuple[bool, dict]:
     """Limits of a class-supported functor equal the atomic limits of the
     normalizer quotient W = N_G(R)/R acting on the value through the
     pullbacks along N_G(R)'s generating ids (W's generators, in order); both
@@ -259,19 +229,8 @@ def normalizer_reduction_check(
     gen_mats = [cache.pullback(R, R, i, g) for g in N.generating_ids]
     module = ModuleData(dim=basis.dim, generator_matrices=gen_mats)
     right = atomic_functor_limits(quotient_skel, module, nmax, cache)
-    return ReductionVerdict(R.label(), i, left, right, W.order)
-
-
-@dataclass
-class RestrictionVerdict:
-    index: int
-    ambient_dims: list[int]
-    restricted_dims: list[int]
-    support_size: int
-
-    @property
-    def passed(self) -> bool:
-        return self.ambient_dims == self.restricted_dims
+    return left == right, {"class": R.label(), "index": i, "left": left, "right": right,
+                           "quotient_order": W.order}
 
 
 def _first_outside_above(skel: OrbitSkeletons, classes: list[int]) -> int | None:
@@ -297,7 +256,7 @@ def support_restriction_check(
     nmax: int,
     cache: CohomologyCache,
     support_classes: list[int] | None = None,
-) -> RestrictionVerdict:
+) -> tuple[bool, dict]:
     """Limits over the intersection-poset skeleton of a functor supported on
     an upward-closed subcollection equal limits over that subcategory alone.
 
@@ -318,46 +277,7 @@ def support_restriction_check(
     ambient = _lim(F, nmax, cache)
     sub, incl = full_subcategory(skel.omega_cat, support)
     restricted = _lim(F.restrict(sub, incl), nmax, cache)
-    return RestrictionVerdict(i, ambient, restricted, len(support))
-
-
-@dataclass
-class FiltrationStage:
-    added_label: str
-    added_order: int
-    upward_closed: bool
-    surjection_natural: bool
-    kernel_matches_punctured: bool
-    punctured_dims: list[int]
-    lim_full: list[int]
-    lim_zeroed: list[int]
-    lim_previous: list[int]
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.upward_closed
-            and self.surjection_natural
-            and self.kernel_matches_punctured
-            and not any(self.punctured_dims)
-            and self.lim_full == self.lim_zeroed == self.lim_previous
-        )
-
-
-@dataclass
-class FiltrationVerdict:
-    index: int
-    stages: list[FiltrationStage] = field(default_factory=list)
-    centric_dims: list[int] | None = None
-    full_dims: list[int] | None = None
-
-    @property
-    def passed(self) -> bool:
-        return (
-            all(s.passed for s in self.stages)
-            and self.centric_dims is not None
-            and self.centric_dims == self.full_dims
-        )
+    return ambient == restricted, {"index": i, "ambient": ambient, "restricted": restricted}
 
 
 def _natural_surjection_ok(F1: LinearFunctor, dead: int) -> bool:
@@ -373,12 +293,14 @@ def class_filtration_check(
     i: int,
     nmax: int,
     cache: CohomologyCache,
-) -> FiltrationVerdict:
+) -> tuple[bool, dict]:
     """Add non-centric classes to the centric subcategory one at a time, by
     decreasing subgroup order, checking at every stage that the kernel of the
     zero-extension surjection is the punctured functor, that its limits
     vanish, and that the limit profile is unchanged; finish with the direct
-    comparison of the centric and full profiles."""
+    comparison of the centric and full profiles.  Every limit of a stage is
+    computed before its checks are combined, so a failing stage costs what
+    a passing one does."""
     _check_context(skel, cache)
     cat = skel.omega_cat
 
@@ -394,12 +316,12 @@ def class_filtration_check(
         sub, incl = full_subcategory(cat, objs)
         return _lim(functor.restrict(sub, incl), nmax, cache)
 
-    verdict = FiltrationVerdict(index=i)
-    verdict.centric_dims = lim_on(centric_objs, F_all)
-    verdict.full_dims = _lim(F_all, nmax, cache)
+    centric_dims = lim_on(centric_objs, F_all)
+    full_dims = _lim(F_all, nmax, cache)
 
+    stages = []
     current = list(centric_objs)
-    prev_dims = verdict.centric_dims
+    prev_dims = centric_dims
     for new in noncentric:
         objs = sorted(current + [new])
         sub, incl = full_subcategory(cat, objs)
@@ -413,19 +335,21 @@ def class_filtration_check(
         kernel_ok = punct.dims[new_sub] == F_full.dims[new_sub] and all(
             punct.dims[k] == 0 for k in range(sub.object_count) if k != new_sub
         ) and np.array_equal(punct.blocks(loops), F_full.blocks(loops))
-
-        stage = FiltrationStage(
-            added_label=skel.omega_reps[new].label(),
-            added_order=skel.omega_reps[new].order,
-            upward_closed=_first_outside_above(skel, objs) is None,
-            surjection_natural=natural,
-            kernel_matches_punctured=kernel_ok,
-            punctured_dims=_lim(punct, nmax, cache),
-            lim_full=_lim(F_full, nmax, cache),
-            lim_zeroed=_lim(F_zero, nmax, cache),
-            lim_previous=prev_dims,
-        )
-        verdict.stages.append(stage)
-        prev_dims = stage.lim_full
+        upward_closed = _first_outside_above(skel, objs) is None
+        punctured_dims = _lim(punct, nmax, cache)
+        lim_full = _lim(F_full, nmax, cache)
+        lim_zeroed = _lim(F_zero, nmax, cache)
+        stages.append({
+            "added": skel.omega_reps[new].label(),
+            "order": skel.omega_reps[new].order,
+            "punctured_dims": punctured_dims,
+            "lim_full": lim_full,
+            "lim_previous": prev_dims,
+            "passed": (upward_closed and natural and kernel_ok and not any(punctured_dims)
+                       and lim_full == lim_zeroed == prev_dims),
+        })
+        prev_dims = lim_full
         current = objs
-    return verdict
+    passed = all(s["passed"] for s in stages) and centric_dims == full_dims
+    return passed, {"index": i, "stages": stages, "centric_dims": centric_dims,
+                    "full_dims": full_dims}

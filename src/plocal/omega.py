@@ -141,8 +141,6 @@ def longest_chain_length(poset: IntersectionPoset, within: Subgroup | None = Non
 class CentricityRecord:
     subgroup: Subgroup
     is_centric: bool
-    centralizer: Subgroup
-    center: Subgroup
     residual: Subgroup          # O^p(C_G(P))
 
 
@@ -160,33 +158,24 @@ class CentricityTable:
         return self._by_ids[H.ids]
 
 
-def _centricity(G: PermutationGroup, p: int, P: Subgroup) -> tuple[Subgroup, Subgroup, bool]:
-    """C_G(P), Z(P), and whether P is p-centric: whether Z(P) is a Sylow
+def _centricity(G: PermutationGroup, p: int, P: Subgroup) -> tuple[Subgroup, bool]:
+    """C_G(P), and whether P is p-centric: whether Z(P) is a Sylow
     p-subgroup of C_G(P), i.e. |C_G(P) : Z(P)| is prime to p."""
     if not P.is_p_group(p):
         raise NotPSubgroup(f"{P.label()} is not a {p}-group")
     C = centralizer(G, P)
-    Z = center(P)
-    return C, Z, (C.order // Z.order) % p != 0
+    return C, (C.order // center(P).order) % p != 0
 
 
 def is_centric(G: PermutationGroup, p: int, P: Subgroup) -> bool:
-    return _centricity(G, p, P)[2]
+    return _centricity(G, p, P)[1]
 
 
 def classify_centric(G: PermutationGroup, p: int, collection) -> CentricityTable:
     records = []
     for P in collection:
-        C, Z, centric = _centricity(G, p, P)
-        records.append(
-            CentricityRecord(
-                subgroup=P,
-                is_centric=centric,
-                centralizer=C,
-                center=Z,
-                residual=p_residual(C, p),
-            )
-        )
+        C, centric = _centricity(G, p, P)
+        records.append(CentricityRecord(subgroup=P, is_centric=centric, residual=p_residual(C, p)))
     return CentricityTable(prime=p, records=records)
 
 

@@ -18,6 +18,12 @@ keys in report order, the stage method and the least max degree its
 verdicts need, and ``run`` walks it in order.
 A stage method writes its ``detail`` sections and returns one value (True,
 False or None) per verdict key; the runner turns them into verdict strings.
+The limit checks and ``homology_iso_verdict`` return ``(passed, record)``,
+and a stage stores the record as the report prints it.  The four limit
+stages (punctured, normalizer-reduction, restriction, filtration) share
+``_limit_stage``: it runs its check at every cohomology index, for each
+class first where the check takes one, keeps the records in that order
+under ``detail["limits"]`` and passes when every check passes.
 Below that degree (a mapping cone certifies through max_degree - 2) the
 stage reads not-certified, with the note "<check>: needs max degree >= n".
 Budget overruns in one stage mark it not-certified and the run continues;
@@ -373,13 +379,9 @@ class PipelineRun:
         if violations:
             self.notes.append(f"nerve-vs-group: G into the transporter poset: {violations[0]}")
         cm = induced_chain_map(functor, bar, t_omega_cx)
-        iso = homology_iso_verdict(cm)
+        iso, detail["homology"]["group_into_transporter_iso"] = homology_iso_verdict(cm)
         dims_equal = bar_h[: dmax - 1] == t_h[: dmax - 1]
-        detail["homology"]["group_into_transporter_iso"] = {
-            "certified_through": iso.certified_through,
-            "iso": iso.iso_by_degree,
-        }
-        return not violations and iso.passed and dims_equal and coset_h == point
+        return not violations and iso and dims_equal and coset_h == point
 
     def _stage_centric_restriction(self, detail):
         dmax = self.cfg.max_degree
@@ -388,12 +390,8 @@ class PipelineRun:
         tgt = self.complex_of(incl.target, dmax)
         src = self.complex_of(incl.source, dmax - 1)
         cm = induced_chain_map(incl, src, tgt)
-        iso = homology_iso_verdict(cm)
-        detail["homology"]["centric_restriction_iso"] = {
-            "certified_through": iso.certified_through,
-            "iso": iso.iso_by_degree,
-        }
-        return iso.passed
+        iso, detail["homology"]["centric_restriction_iso"] = homology_iso_verdict(cm)
+        return iso
 
     def _stage_centric_agreement(self, detail):
         dmax = max(self.cfg.max_degree - 1, 1)
@@ -414,53 +412,34 @@ class PipelineRun:
         tgt = self.complex_of(self.linking_centric, dmax)
         tgt_h = tgt.homology()  # before the cone, which then seeds from what it keeps
         cm = induced_chain_map(self.linking_projection, src, tgt)
-        iso = homology_iso_verdict(cm)
+        iso, record = homology_iso_verdict(cm)
         detail["homology"]["linking_nerve"] = {
             "dims": tgt_h, "exact_through": dmax - 1}
-        detail["homology"]["transporter_into_linking_iso"] = {
-            "certified_through": iso.certified_through,
-            "iso": iso.iso_by_degree,
-        }
-        return quotient_ok and iso.passed
+        detail["homology"]["transporter_into_linking_iso"] = record
+        return quotient_ok and iso
+
+    def _limit_stage(self, detail, key: str, check, classes=None) -> bool:
+        """Run a limit check at every cohomology index, for each of the
+        classes in turn when it takes one, keep its records in order under
+        ``detail["limits"][key]``, and pass when every check passes."""
+        skel, cache = self.skeletons, self.cohomology_cache
+        nmax = self.cfg.max_limit_degree
+        indices = range(self.cfg.cohomology_index_max + 1)
+        if classes is None:
+            runs = [check(skel, i, nmax, cache) for i in indices]
+        else:
+            runs = [check(skel, R, i, nmax, cache) for R in classes for i in indices]
+        detail["limits"][key] = [record for _, record in runs]
+        return all(passed for passed, _ in runs)
 
     def _stage_punctured(self, detail):
         skel = self.skeletons
-        nmax = self.cfg.max_limit_degree
-        records = []
-        ok = True
-        for k, R in enumerate(skel.p_reps):
-            if skel.p_centric[k]:
-                continue
-            for i in range(self.cfg.cohomology_index_max + 1):
-                v = punctured_class_vanishing(skel, R, i, nmax, self.cohomology_cache)
-                ok = ok and v.passed and v.sides_agree
-                records.append({
-                    "class": v.class_label,
-                    "index": i,
-                    "full_dims": v.full_dims,
-                    "poset_dims": v.omega_dims,
-                })
-        detail["limits"]["punctured"] = records
-        return ok
+        noncentric = [R for R, centric in zip(skel.p_reps, skel.p_centric) if not centric]
+        return self._limit_stage(detail, "punctured", punctured_class_vanishing, noncentric)
 
     def _stage_reduction(self, detail):
-        skel = self.skeletons
-        nmax = self.cfg.max_limit_degree
-        records = []
-        ok = True
-        for R in skel.p_reps:
-            for i in range(self.cfg.cohomology_index_max + 1):
-                v = normalizer_reduction_check(skel, R, i, nmax, self.cohomology_cache)
-                ok = ok and v.passed
-                records.append({
-                    "class": v.class_label,
-                    "index": i,
-                    "left": v.left_dims,
-                    "right": v.right_dims,
-                    "quotient_order": v.quotient_order,
-                })
-        detail["limits"]["normalizer_reduction"] = records
-        return ok
+        return self._limit_stage(detail, "normalizer_reduction", normalizer_reduction_check,
+                                 self.skeletons.p_reps)
 
     def _stage_atomic(self, detail):
         nmax = self.cfg.max_limit_degree
@@ -474,47 +453,10 @@ class PipelineRun:
         return not any(dims) or not has_p_element
 
     def _stage_restriction(self, detail):
-        skel = self.skeletons
-        nmax = self.cfg.max_limit_degree
-        records = []
-        ok = True
-        for i in range(self.cfg.cohomology_index_max + 1):
-            v = support_restriction_check(skel, i, nmax, self.cohomology_cache)
-            ok = ok and v.passed
-            records.append({
-                "index": i,
-                "ambient": v.ambient_dims,
-                "restricted": v.restricted_dims,
-            })
-        detail["limits"]["support_restriction"] = records
-        return ok
+        return self._limit_stage(detail, "support_restriction", support_restriction_check)
 
     def _stage_filtration(self, detail):
-        skel = self.skeletons
-        nmax = self.cfg.max_limit_degree
-        records = []
-        ok = True
-        for i in range(self.cfg.cohomology_index_max + 1):
-            v = class_filtration_check(skel, i, nmax, self.cohomology_cache)
-            ok = ok and v.passed
-            records.append({
-                "index": i,
-                "stages": [
-                    {
-                        "added": s.added_label,
-                        "order": s.added_order,
-                        "punctured_dims": s.punctured_dims,
-                        "lim_full": s.lim_full,
-                        "lim_previous": s.lim_previous,
-                        "passed": s.passed,
-                    }
-                    for s in v.stages
-                ],
-                "centric_dims": v.centric_dims,
-                "full_dims": v.full_dims,
-            })
-        detail["limits"]["class_filtration"] = records
-        return ok
+        return self._limit_stage(detail, "class_filtration", class_filtration_check)
 
     def _stage_main(self, detail):
         # homology through degree 2, exact from complexes through degree 3

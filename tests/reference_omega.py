@@ -7,6 +7,8 @@ a centric subgroup that the linking category relies on.
 
 from __future__ import annotations
 
+from plocal.groups import center, centralizer
+
 
 def centric_subgroups(table) -> list:
     """The subgroups of a ``CentricityTable`` marked p-centric, in its order."""
@@ -17,7 +19,7 @@ def verify_centric_decomposition(G, p: int, rec) -> bool:
     """For centric P: C_G(P) = Z(P) x O^p(C_G(P)) as an internal direct product."""
     if not rec.is_centric:
         return True
-    Z, K, C = rec.center, rec.residual, rec.centralizer
+    Z, K, C = center(rec.subgroup), rec.residual, centralizer(G, rec.subgroup)
     if len(Z.idset & K.idset) != 1:
         return False
     if K.order % p == 0:

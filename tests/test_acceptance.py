@@ -146,8 +146,8 @@ def test_criterion_3_transporter_linking_equivalence():
             kv = verify_quotient_functor(psi, p)
             src = nerve_complex(T, p, dmax - 1)
             tgt = nerve_complex(psi.target, p, dmax)
-            iso = homology_iso_verdict(induced_chain_map(psi, src, tgt))
-            if not (kv.passed and iso.certified_through >= 2 and iso.passed):
+            iso, record = homology_iso_verdict(induced_chain_map(psi, src, tgt))
+            if not (kv.passed and record["certified_through"] >= 2 and iso):
                 failures.append((spec, p))
     announce(
         3,
@@ -181,8 +181,8 @@ def test_criterion_4_transporter_nerve_matches_classifying_space():
         )
         bg = build_transporter(G, [G.full_subgroup()])
         F = Functor(bg, T, [min_idx], T.tokens_of(min_idx, min_idx, bg.witness).tolist())
-        iso = homology_iso_verdict(induced_chain_map(F, bar, t_cx))
-        if not iso.passed:
+        iso, _ = homology_iso_verdict(induced_chain_map(F, bar, t_cx))
+        if not iso:
             failures.append((spec, p, "cone"))
     announce(
         4,
@@ -205,10 +205,9 @@ def test_criterion_5_punctured_vanishing():
                 if flag:
                     continue
                 for i in range(3):
-                    v = punctured_class_vanishing(skel, skel.omega_reps[k], i, 3, cache)
+                    passed, rec = punctured_class_vanishing(skel, skel.omega_reps[k], i, 3, cache)
                     checked += 1
-                    if not (v.applicable and v.passed and v.sides_agree
-                            and v.omega_dims is not None):
+                    if not (passed and rec["poset_dims"] is not None):
                         failures.append((spec, p, skel.omega_reps[k].label(), i))
     announce(
         5,
@@ -229,14 +228,14 @@ def test_criterion_6_normalizer_reduction_and_restriction():
             cache = CohomologyCache(group(spec), p)
             for R in skel.p_reps:
                 for i in range(3):
-                    v = normalizer_reduction_check(skel, R, i, 3, cache)
+                    passed, _ = normalizer_reduction_check(skel, R, i, 3, cache)
                     reductions += 1
-                    if not v.passed:
+                    if not passed:
                         failures.append(("reduction", spec, p, R.label(), i))
             for i in range(3):
-                rv = support_restriction_check(skel, i, 3, cache)
+                passed, _ = support_restriction_check(skel, i, 3, cache)
                 restrictions += 1
-                if not rv.passed:
+                if not passed:
                     failures.append(("restriction", spec, p, i))
     announce(
         6,

@@ -30,9 +30,9 @@ def test_quaternion_center_class_vanishes():
         R for R in skel.p_reps
         if R.order == 2
     )
-    v = punctured_class_vanishing(skel, center_rep, 1, 3, CohomologyCache(G, 2))
-    assert v.applicable
-    assert v.full_dims == [0, 0, 0]
+    passed, rec = punctured_class_vanishing(skel, center_rep, 1, 3, CohomologyCache(G, 2))
+    assert passed
+    assert rec["full_dims"] == [0, 0, 0]
 
 
 def test_alternating_5_main_comparison():

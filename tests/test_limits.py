@@ -266,20 +266,20 @@ def test_cohomology_functor_index_zero_constant():
 def test_punctured_vanishing_s3():
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
-    v = punctured_class_vanishing(skel, G.trivial_subgroup(), 0, 3, cache_of(skel))
-    assert v.applicable
-    assert v.full_dims == [0, 0, 0]
-    assert v.omega_dims == [0, 0, 0]
-    assert v.passed and v.sides_agree
+    passed, rec = punctured_class_vanishing(skel, G.trivial_subgroup(), 0, 3, cache_of(skel))
+    assert rec == {"class": G.trivial_subgroup().label(), "index": 0,
+                   "full_dims": [0, 0, 0], "poset_dims": [0, 0, 0]}
+    assert passed
 
 
 def test_punctured_vanishing_guard_on_centric():
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
     S = skel.sylow
-    v = punctured_class_vanishing(skel, S, 0, 3, cache_of(skel))
-    assert not v.applicable
-    assert v.passed  # not-applicable verdicts never assert vanishing
+    cache = cache_of(skel)
+    with pytest.raises(PLocalError, match="is centric"):
+        punctured_class_vanishing(skel, S, 0, 3, cache)
+    assert cache.limits == {}  # refused before any limit is computed
 
 
 def test_punctured_vanishing_s4_noncentric_small_class():
@@ -288,18 +288,19 @@ def test_punctured_vanishing_s4_noncentric_small_class():
     from plocal.catalog import parse_cycles
     Q = G.generated_subgroup([element_id(G, parse_cycles("(1 2)(3 4)", degree=4))])
     assert not is_centric(G, 2, Q)
-    v = punctured_class_vanishing(skel, Q, 1, 3, cache_of(skel))
-    assert v.applicable
-    assert v.full_dims == [0, 0, 0]
-    assert v.omega_dims is None  # the class is not an intersection of Sylows
+    passed, rec = punctured_class_vanishing(skel, Q, 1, 3, cache_of(skel))
+    assert passed
+    assert rec["full_dims"] == [0, 0, 0]
+    assert rec["poset_dims"] is None  # the class is not an intersection of Sylows
 
 
 def test_normalizer_reduction_sylow_class():
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
-    v = normalizer_reduction_check(skel, skel.sylow, 1, 3, cache_of(skel))
-    assert v.quotient_order == 1
-    assert v.left_dims == v.right_dims == [1, 0, 0]
+    passed, rec = normalizer_reduction_check(skel, skel.sylow, 1, 3, cache_of(skel))
+    assert rec["quotient_order"] == 1
+    assert rec["left"] == rec["right"] == [1, 0, 0]
+    assert passed
 
 
 def test_normalizer_reduction_nontrivial_module():
@@ -308,9 +309,9 @@ def test_normalizer_reduction_nontrivial_module():
     G = build_group("sym:4")
     skel = build_orbit_skeletons(G, 2)
     V = skel.poset.members[skel.poset.minimum]
-    v = normalizer_reduction_check(skel, V, 1, 3, cache_of(skel))
-    assert v.quotient_order == 6
-    assert v.passed
+    passed, rec = normalizer_reduction_check(skel, V, 1, 3, cache_of(skel))
+    assert rec["quotient_order"] == 6
+    assert passed
 
 
 def test_normalizer_reduction_everywhere_s4():
@@ -318,7 +319,7 @@ def test_normalizer_reduction_everywhere_s4():
     skel = build_orbit_skeletons(G, 2)
     for R in skel.p_reps:
         for i in range(2):
-            assert normalizer_reduction_check(skel, R, i, 3, cache_of(skel)).passed
+            assert normalizer_reduction_check(skel, R, i, 3, cache_of(skel))[0]
 
 
 def test_support_restriction():
@@ -326,18 +327,22 @@ def test_support_restriction():
         G = build_group(spec)
         skel = build_orbit_skeletons(G, p)
         for i in range(2):
-            v = support_restriction_check(skel, i, 3, cache_of(skel))
-            assert v.passed, (spec, p, i)
+            passed, _ = support_restriction_check(skel, i, 3, cache_of(skel))
+            assert passed, (spec, p, i)
 
 
-def test_support_restriction_full_support_trivially_equal():
+def test_support_restriction_full_support_trivially_equal(monkeypatch):
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
-    v = support_restriction_check(
+    supports = []
+    real = limit_checks.supported_cohomology_functor
+    monkeypatch.setattr(limit_checks, "supported_cohomology_functor",
+                        lambda cat, support, *a: supports.append(support) or real(cat, support, *a))
+    passed, rec = support_restriction_check(
         skel, 1, 3, cache_of(skel), support_classes=list(range(len(skel.omega_reps)))
     )
-    assert v.passed
-    assert v.support_size == len(skel.omega_reps)
+    assert passed and rec["ambient"] == rec["restricted"]
+    assert supports == [list(range(len(skel.omega_reps)))]
 
 
 def test_support_restriction_rejects_bad_support():
@@ -354,25 +359,25 @@ def test_support_restriction_rejects_bad_support():
 def test_filtration_trivial_when_all_centric():
     G = build_group("sym:4")
     skel = build_orbit_skeletons(G, 2)
-    v = class_filtration_check(skel, 1, 3, cache_of(skel))
-    assert len(v.stages) == 0
-    assert v.passed
+    passed, rec = class_filtration_check(skel, 1, 3, cache_of(skel))
+    assert len(rec["stages"]) == 0
+    assert passed
 
 
 def test_filtration_with_stages():
     G = build_group("sym:3")
     skel = build_orbit_skeletons(G, 2)
-    v = class_filtration_check(skel, 1, 3, cache_of(skel))
-    assert len(v.stages) == 1
-    assert v.stages[0].punctured_dims == [0, 0, 0]
-    assert v.passed
+    passed, rec = class_filtration_check(skel, 1, 3, cache_of(skel))
+    assert len(rec["stages"]) == 1
+    assert rec["stages"][0]["punctured_dims"] == [0, 0, 0]
+    assert rec["stages"][0]["passed"] and passed
     G12 = build_group("dih:12")
     skel12 = build_orbit_skeletons(G12, 2)
-    v12 = class_filtration_check(skel12, 1, 3, cache_of(skel12))
+    passed12, rec12 = class_filtration_check(skel12, 1, 3, cache_of(skel12))
     # one non-centric class: the central order-2 intersection of the Sylows
-    assert len(v12.stages) == 1
-    assert v12.stages[0].added_order == 2
-    assert v12.passed
+    assert len(rec12["stages"]) == 1
+    assert rec12["stages"][0]["order"] == 2
+    assert passed12
 
 
 def test_filtration_multi_stage_with_order_ties():
@@ -381,10 +386,48 @@ def test_filtration_multi_stage_with_order_ties():
     G = build_group("sym:3 x sym:3")
     skel = build_orbit_skeletons(G, 2)
     assert sum(1 for f in skel.omega_centric if not f) == 3
-    v = class_filtration_check(skel, 1, 3, cache_of(skel))
-    assert len(v.stages) == 3
-    assert [s.added_order for s in v.stages] == [2, 2, 1]
-    assert v.passed
+    passed, rec = class_filtration_check(skel, 1, 3, cache_of(skel))
+    assert [s["order"] for s in rec["stages"]] == [2, 2, 1]
+    assert passed
+
+
+def test_a_failing_filtration_stage_still_computes_every_side(monkeypatch):
+    """With the surjection check forced to fail, every filtration stage of
+    sym:4 at p=3 (its trivial class is the one non-centric poset class;
+    at p=2 every class is centric, so there is no stage) reads failed, and
+    the run asks for the same limit profiles in the same order as the
+    passing run: a failed side does not skip the sides after it."""
+    from plocal import PipelineConfig, PipelineRun
+    from plocal.limits import _functor_key
+
+    G = build_group("sym:4")
+    real = limit_checks.limits_profile
+
+    def run():
+        keys = []
+
+        def spy(F, nmax, budget, memo):
+            keys.append(_functor_key(F, nmax, budget))
+            return real(F, nmax, budget, memo)
+        with monkeypatch.context() as m:
+            m.setattr(limit_checks, "limits_profile", spy)
+            cfg = PipelineConfig(prime=3, checks=("filtration",), include_timings=False)
+            return keys, PipelineRun(G, cfg, "sym:4").run()
+
+    keys, passing = run()
+    monkeypatch.setattr(limit_checks, "_natural_surjection_ok", lambda F1, dead: False)
+    failing_keys, failing = run()
+    assert failing_keys == keys
+    records = passing.data["limits"]["class_filtration"]
+    failed = failing.data["limits"]["class_filtration"]
+    assert len(records) == 3 and all(len(r["stages"]) == 1 for r in records)
+    assert [s["passed"] for r in records for s in r["stages"]] == [True] * 3
+    assert [s["passed"] for r in failed for s in r["stages"]] == [False] * 3
+    for r in records:
+        r["stages"][0]["passed"] = False
+    assert failed == records  # every dimension as in the passing run
+    assert passing.verdicts["class_filtration_limits"] == "pass"
+    assert failing.verdicts["class_filtration_limits"] == "fail"
 
 
 def test_cochain_budget_guard():
@@ -432,7 +475,7 @@ def test_limit_checks_reject_a_cache_of_another_group_or_prime(check, other):
     with pytest.raises(PLocalError, match="is not the cache of these skeletons"):
         LIMIT_CHECK_CALLS[check](skel, cache)
     assert cache.limits == cache.quotients == {} and not cache._store
-    assert LIMIT_CHECK_CALLS[check](skel, cache_of(skel)).passed
+    assert LIMIT_CHECK_CALLS[check](skel, cache_of(skel))[0]
 
 
 def test_quotient_skeletons_are_built_within_the_callers_budget():
@@ -445,11 +488,11 @@ def test_quotient_skeletons_are_built_within_the_callers_budget():
     over = re.escape("2239 composable pairs exceed budget 2238")
     with pytest.raises(BudgetExceeded, match=over):
         normalizer_reduction_check(skel, skel.p_reps[0], 0, 2, CohomologyCache(G, 2, 2238))
-    assert normalizer_reduction_check(skel, skel.p_reps[0], 0, 2, CohomologyCache(G, 2, 2239)).passed
+    assert normalizer_reduction_check(skel, skel.p_reps[0], 0, 2, CohomologyCache(G, 2, 2239))[0]
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_upward_closure_is_the_per_sylow_rule_on_every_catalog_group(p):
+def test_upward_closure_is_the_per_sylow_rule_on_every_catalog_group(p, monkeypatch):
     """One rule over all poset members decides upward closure for the
     restriction and the filtration checks.  On every catalog group it agrees
     with the rule within one Sylow (``reference_omega``) on every set of
@@ -463,15 +506,24 @@ def test_upward_closure_is_the_per_sylow_rule_on_every_catalog_group(p):
             for classes in combinations(range(n), size):
                 want = upward_closed_in_sylow(skel, classes)
                 assert (limit_checks._first_outside_above(skel, classes) is None) == want
-        stages = class_filtration_check(skel, 0, 1, cache_of(skel)).stages
+        asked = []  # (classes, rule's answer) of each stage's upward-closure test
+        real = limit_checks._first_outside_above
+
+        def spy(sk, objs):
+            asked.append((list(objs), real(sk, objs)))
+            return asked[-1][1]
+        with monkeypatch.context() as m:
+            m.setattr(limit_checks, "_first_outside_above", spy)
+            stages = class_filtration_check(skel, 0, 1, cache_of(skel))[1]["stages"]
         objs = [c for c, flag in enumerate(skel.omega_centric) if flag]
         added = sorted((c for c, flag in enumerate(skel.omega_centric) if not flag),
                        key=lambda c: (-skel.omega_reps[c].order, skel.omega_reps[c].key))
-        assert len(stages) == len(added)
-        for stage, new in zip(stages, added):
+        assert len(stages) == len(added) == len(asked)
+        for stage, new, (stage_objs, outside) in zip(stages, added, asked):
             objs.append(new)
-            assert stage.added_label == skel.omega_reps[new].label()
-            assert stage.upward_closed == upward_closed_in_sylow(skel, objs), (spec, new)
+            assert stage["added"] == skel.omega_reps[new].label()
+            assert stage_objs == sorted(objs), (spec, new)
+            assert (outside is None) == upward_closed_in_sylow(skel, objs), (spec, new)
 
 
 def test_supported_functor_zero_off_support():
@@ -704,10 +756,8 @@ def test_normalizer_quotients_are_built_once_per_class(monkeypatch):
     fresh = []
     for R in skel.p_reps:
         for i in range(cfg.cohomology_index_max + 1):
-            v = normalizer_reduction_check(skel, R, i, cfg.max_limit_degree,
-                                           CohomologyCache(G, 2, cfg.budget))
-            fresh.append({"class": v.class_label, "index": i, "left": v.left_dims,
-                          "right": v.right_dims, "quotient_order": v.quotient_order})
+            fresh.append(normalizer_reduction_check(skel, R, i, cfg.max_limit_degree,
+                                                    CohomologyCache(G, 2, cfg.budget))[1])
     assert records == fresh
 
 

@@ -2,12 +2,19 @@
 
 import ast
 import importlib
+import re
+from collections import Counter
 from pathlib import Path
 
 import plocal
 
 SOURCES = sorted(Path(plocal.__file__).parent.glob("*.py"))
-TRACING = Path(plocal.__file__).parents[2] / "perfbench" / "tracing.py"
+ROOT = Path(plocal.__file__).parents[2]
+TRACING = ROOT / "perfbench" / "tracing.py"
+# every file whose names keep a definition in the package alive
+READERS = sorted(path for top in ("src", "tests", "scripts", "perfbench")
+                 for path in (ROOT / top).rglob("*.py"))
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
 def unused_parameters(tree: ast.Module) -> list[str]:
@@ -30,6 +37,35 @@ def unused_parameters(tree: ast.Module) -> list[str]:
         out += [f"{name}: {x}" for x in params
                 if x not in read and x not in ("self", "cls") and not x.startswith("_")]
     return out
+
+
+def names_used(tree: ast.AST) -> Counter:
+    """How often each name is read or assigned, taken as an attribute,
+    imported, or spelled as a whole string of dotted identifiers, the way
+    ``getattr``, ``monkeypatch.setattr`` and the benchmark's tracer name a
+    function."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rsplit(".", 1)[-1]] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            out.update(node.value.split("."))
+    return out
+
+
+def unnamed_definitions(tree: ast.Module, used: Counter) -> list[str]:
+    """``line: name`` for each function, method or class defined in tree
+    whose name occurs in ``used`` only inside its own definition; dunders
+    are exempt."""
+    return [f"{node.lineno}: {node.name}" for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and used[node.name] == names_used(node)[node.name]]
 
 
 def comparisons_with_two(tree: ast.Module) -> list[str]:
@@ -81,6 +117,38 @@ def test_the_scan_finds_an_unused_parameter():
         "        e = 2\n"
     )
     assert unused_parameters(tree) == ["f: a", "f: args", "m: e", "<lambda>: y"]
+
+
+def test_every_definition_is_named_outside_itself():
+    """No function, method or class of the package is left that nothing in
+    ``src``, ``tests``, ``scripts`` or ``perfbench`` names."""
+    used = Counter()
+    for path in READERS:
+        used.update(names_used(ast.parse(path.read_text(), str(path))))
+    unnamed = [f"{path.name}:{entry}" for path in SOURCES
+               for entry in unnamed_definitions(ast.parse(path.read_text(), str(path)), used)]
+    assert unnamed == []
+
+
+def test_the_scan_finds_an_unnamed_definition():
+    tree = ast.parse(
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "def called():\n"
+        "    pass\n"
+        "class K:\n"
+        "    def __init__(self):\n"
+        "        self.x = 'K.by_name'\n"
+        "    def unread(self):\n"
+        "        pass\n"
+        "    def by_name(self):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def attr(self):\n"
+        "        return self.x\n"
+        "y = called() + K().attr\n"
+    )
+    assert unnamed_definitions(tree, names_used(tree)) == ["1: recursive", "8: unread"]
 
 
 def traced_targets() -> list[tuple[str, str]]:

@@ -27,12 +27,13 @@ Tokens: a category keeps its morphisms only as int arrays, one entry per
 token: ``src``, ``tgt`` and ``witness`` (the coset's least element), set
 once, whole, by ``set_tokens`` together with each object's identity token.
 Tokens are numbered in strictly increasing (source, target, witness)
-order, which every builder emits and ``set_tokens`` enforces, keeping the
-sorted keys.  So the tokens leaving
-object o are the block ``first[o] <= t < first[o + 1]``; ``mor`` reads
-Mor(i, j) from that block and ``tokens_of`` finds tokens by witness with one
-``searchsorted`` over the kept keys.  ``full_subcategory`` keeps its
-tokens in the same order.
+order, which every builder emits and ``set_tokens`` enforces.  So the
+tokens leaving object o are the block ``first[o] <= t < first[o + 1]``, and
+``mor`` reads Mor(i, j) from that block.  ``tokens_of`` finds tokens by
+witness with one gather from a dense table, a row of |G| tokens per object
+pair with tokens, built on the first lookup: a category whose store
+overruns the budget never builds it.  A witness outside [0, |G|) finds no
+token.  ``full_subcategory`` keeps its tokens in the same order.
 
 Composition: the composable pairs (t1, t2) are t1 followed by a token of
 the block of t1's target; each has one slot in the int array
@@ -53,11 +54,14 @@ factor.  ``generating_set`` S keeps, in one pass over the store, every
 token that is not the stored composite of two tokens with smaller ids; by
 strong induction on the id, S generates every token.  So only the triples
 with middle in S are checked, unless identities or closure fail: then
-every composable triple is.  The coset rule is checked by table lookups,
-over the middle object's sides only where the composite lies in its
-morphism set (``_verify_coset_well_definedness``).  A verdict, of the laws,
-the quotient functor or the adjunction, is its failure list: it passes
-when the list is empty.
+every composable triple is.  They are checked one source object s of the
+middle at a time, as blocks of the tokens a into s by the pairs (b, c)
+whose middle b leaves s.  The composable pairs are expanded once per
+check.  The coset rule is checked by table lookups, over the middle
+object's sides only where the composite lies in its morphism set
+(``_verify_coset_well_definedness``).  A verdict, of the laws, the
+quotient functor or the adjunction, is its failure list: it passes when
+the list is empty.
 """
 
 from __future__ import annotations
@@ -104,8 +108,8 @@ def _distinct(subgroups) -> tuple[list[Subgroup], np.ndarray]:
     return [H for _, H in place.values()], places
 
 
-# entries per array operation in the coset-rule check and the associativity
-# check
+# entries per array operation in the coset-rule check; in the associativity
+# check, the composable pairs per block and the triples per block
 _BLOCK = 1 << 15
 
 
@@ -123,10 +127,11 @@ class FiniteCategory:
         self.right: list[Subgroup] | None = None
         # the tokens and their slot offsets, fixed by ``set_tokens``
         self.src = self.tgt = self.witness = self.identity_ids = None
-        self.is_id = self.first = self.pair_start = self._keys = None
+        self.is_id = self.first = self.pair_start = None
         self.composite: np.ndarray | None = None
-        # the least-element tables of the sides, stacked on first use
-        self._at = self._tables = None
+        # the least-element tables of the sides, and the token table of
+        # ``tokens_of``, each built on first use
+        self._at = self._tables = self._rows = self._token_table = None
 
     # -- construction ----------------------------------------------------
 
@@ -134,16 +139,16 @@ class FiniteCategory:
         """Fix every token at once, with each object's identity token (-1
         for none).  Tokens must be strictly increasing in (source, target,
         witness): the composition store and ``chains`` rely on tokens
-        grouped by source, and ``tokens_of`` searches the sorted keys."""
+        grouped by source."""
         if self.src is not None:
             raise PLocalError("tokens are fixed once set")
         src, tgt, witness = (np.asarray(a, dtype=np.int64) for a in (src, tgt, witness))
         if (np.diff(src) < 0).any():
             raise PLocalError("tokens must be grouped by source object")
-        keys = self._key(src, tgt, witness)
-        if (np.diff(keys) <= 0).any():
+        step, up = np.diff(src * self.object_count + tgt), np.diff(witness)
+        if ((step < 0) | ((step == 0) & (up <= 0))).any():
             raise PLocalError("tokens must be distinct and sorted by (source, target, witness)")
-        self.src, self.tgt, self.witness, self._keys = src, tgt, witness, keys
+        self.src, self.tgt, self.witness = src, tgt, witness
         self.identity_ids = np.asarray(identity_ids, dtype=np.int64)
         self.is_id = self.identity_ids[src] == np.arange(len(src))
         self.first = _offsets(np.bincount(src, minlength=self.object_count))
@@ -191,17 +196,22 @@ class FiniteCategory:
         product = self.group.mul[self.witness[t1], self.witness[t2]]
         return self.tokens_of(a, c, self.canonicals(a, c, product))
 
-    def _key(self, i, j, w):
-        """The sort key of (source, target, witness): a key has a place for
-        each witness from -1 to |G| - 1."""
-        return (i * self.object_count + j) * (self.group.order + 1) + w + 1
-
     def tokens_of(self, i, j, w) -> np.ndarray:
         """The tokens from object i to object j witnessed by w, elementwise;
-        -1 where there is none: one search of the keys ``set_tokens`` sorted."""
-        want = self._key(np.asarray(i, dtype=np.int64), j, w)
-        at = np.searchsorted(self._keys, want).clip(max=len(self._keys) - 1)
-        return np.where(self._keys[at] == want, at, -1)
+        -1 where there is none or w is no element of G.  One gather from a
+        table built on first use: a row of |G| tokens (-1 for none) per
+        object pair with tokens, and a last -1 read by every other lookup."""
+        n, m = self.group.order, self.object_count
+        if self._token_table is None:
+            has, row = np.unique(self.src * m + self.tgt, return_inverse=True)
+            ok = (self.witness >= 0) & (self.witness < n)
+            self._rows = np.full(m * m, -1, dtype=np.int64)
+            self._rows[has] = np.arange(len(has))
+            self._token_table = np.full(len(has) * n + 1, -1, dtype=np.int32)
+            self._token_table[(row * n + self.witness)[ok]] = np.flatnonzero(ok)
+        w, row = np.asarray(w), self._rows[np.asarray(i) * m + j]
+        at = np.where((row >= 0) & (w >= 0) & (w < n), row * n + w, -1)
+        return self._token_table[at].astype(np.int64)
 
     # -- queries -----------------------------------------------------------
 
@@ -436,50 +446,56 @@ class CategoryLawsVerdict:
         return not self.failures
 
 
-def generating_set(C: FiniteCategory) -> np.ndarray:
+def generating_set(C: FiniteCategory, pairs=None) -> np.ndarray:
     """The tokens that are not the stored composite of two tokens with
     smaller ids, ascending.  By strong induction on the id, every token is a
-    stored composite of tokens of this set, iterated."""
-    t1, t2 = C.pairs()
+    stored composite of tokens of this set, iterated.  ``pairs``: ``C.pairs()``."""
+    t1, t2 = C.pairs() if pairs is None else pairs
     comp = C.composite
     made = np.zeros(C.morphism_count + 1, dtype=bool)  # the extra last entry takes the rest
     made[np.where((t1 < comp) & (t2 < comp), comp, -1)] = True
     return np.flatnonzero(~made[:-1])
 
 
-def _associativity_failures(C: FiniteCategory, middles: np.ndarray,
-                            inside: np.ndarray) -> tuple[int, list[str]]:
+def _associativity_failures(C: FiniteCategory, middles: np.ndarray, t1: np.ndarray,
+                            t2: np.ndarray, inside: np.ndarray) -> tuple[int, list[str]]:
     """Compare (a b) c with a (b c) on every composable triple whose middle
-    token b is listed: per middle, a runs over the tokens into b's source
-    and c over the block leaving b's target, in outer products of about
-    ``_BLOCK`` entries.  A triple fails unless both inner composites are
-    inside their morphism sets and the two outer composites are equal and
-    filled.  The number of triples and the failures, in (a, b, c) order."""
-    comp, ps = C.composite, C.pair_start
+    token b is listed, one source object s at a time: a runs over the tokens
+    into s and (b, c) over the composable pairs (t1, t2) whose b leaves s
+    and is listed, in blocks of at most ``_BLOCK`` pairs and about
+    ``_BLOCK`` triples, so a source with many pairs is cut along both
+    axes.  A triple fails unless both inner composites are inside their
+    morphism sets and the two outer composites are equal and filled.  The
+    number of triples and the failures, in (a, b, c) order."""
+    comp, ps, first = C.composite, C.pair_start, C.first
+    listed = np.zeros(C.morphism_count, dtype=bool)
+    listed[middles] = True
+    bc = np.flatnonzero(listed[t1])  # in slot order, so grouped by b's source
+    b, c = t1[bc], t2[bc]
+    bc_ok = inside[bc]
+    # c's place in its block and, where bc is inside, bc's place in the
+    # block leaving b's source; elsewhere place 0 of that block stands in
+    c_at = c - first[C.src[c]]
+    bc_at = np.where(bc_ok, comp[bc] - first[C.src[b]], 0)
     into = np.argsort(C.tgt, kind="stable")  # the tokens into each object, a block each
-    ps_into = ps[into]
-    into_at = _offsets(np.bincount(C.tgt, minlength=C.object_count)).tolist()
-    first, pss = C.first.tolist(), ps.tolist()
-    triples, bad = 0, []
-    for b, s, t in zip(middles.tolist(), C.src[middles].tolist(), C.tgt[middles].tolist()):
-        nout = first[t + 1] - first[t]
-        out = np.arange(nout)  # c's place in t's block
-        bc = slice(pss[b], pss[b] + nout)
-        bc_ok = inside[bc]
-        # where bc is not inside, place 0 of s's block (b's own block) stands in
-        bc_at = np.where(bc_ok, comp[bc] - first[s], 0)
-        triples += (into_at[s + 1] - into_at[s]) * nout
-        rows, end = max(1, _BLOCK // max(nout, 1)), into_at[s + 1]
-        for lo in range(into_at[s], end, rows):
-            ps_a = ps_into[lo:min(lo + rows, end)]
-            ab_slot = ps_a + (b - first[s])
-            ab_ok = inside[ab_slot]
-            ab = np.where(ab_ok, comp[ab_slot], b)  # b stands in: it ends at t too
-            lhs = comp[ps[ab][:, None] + out]
-            wrong = (lhs < 0) | (lhs != comp[ps_a[:, None] + bc_at]) | ~(ab_ok[:, None] & bc_ok)
-            if wrong.any():
-                i, k = np.nonzero(wrong)
-                bad.append(np.stack([into[lo + i], np.full(len(i), b), first[t] + k]))
+    into_at = _offsets(np.bincount(C.tgt, minlength=C.object_count))
+    cols = np.searchsorted(C.src[b], np.arange(C.object_count + 1))
+    rows, cols = into_at.tolist(), cols.tolist()
+    triples, bad = int(np.diff(into_at) @ np.diff(cols)), []
+    for s in range(C.object_count):
+        for lo in range(cols[s], cols[s + 1], _BLOCK):
+            k = slice(lo, min(lo + _BLOCK, cols[s + 1]))
+            step = max(1, _BLOCK // (k.stop - k.start))
+            for r in range(rows[s], rows[s + 1], step):
+                a = into[r:min(r + step, rows[s + 1]), None]
+                ab_slot = ps[a] + (b[k] - first[s])
+                ab_ok = inside[ab_slot]
+                ab = np.where(ab_ok, comp[ab_slot], b[k])  # b stands in: it ends at c's source
+                lhs = comp[ps[ab] + c_at[k]]
+                wrong = (lhs < 0) | (lhs != comp[ps[a] + bc_at[k]]) | ~(ab_ok & bc_ok[k])
+                if wrong.any():
+                    i, j = np.nonzero(wrong)
+                    bad.append(np.stack([a[i, 0], b[k][j], c[k][j]]))
     bad = np.concatenate(bad, axis=1) if bad else np.zeros((3, 0), dtype=np.int64)
     bad = bad[:, np.lexsort(bad[::-1])]
     return triples, [f"associativity fails at ({a},{b},{c})" for a, b, c in bad.T.tolist()]
@@ -516,7 +532,7 @@ def verify_category(C: FiniteCategory) -> CategoryLawsVerdict:
         got = C.composites(e, t) if side == "left" else C.composites(t, e)
         failures += [f"{side} identity fails at token {x}" for x in t[got != t].tolist()]
 
-    t1, t2 = C.pairs()
+    t1, t2 = pairs = C.pairs()
     comp = C.composite
     # a composite outside [0, morphism_count) is no token, and there safe != comp
     safe = np.where((comp >= 0) & (comp < C.morphism_count), comp, 0)
@@ -526,17 +542,18 @@ def verify_category(C: FiniteCategory) -> CategoryLawsVerdict:
         failures.append(f"composite {where} is not filled" if comp[k] < 0 else
                         f"composite {where} lands outside Mor({C.src[t1[k]]},{C.tgt[t2[k]]})")
 
-    middles = generating_set(C) if not failures else tok
-    triples, broken = _associativity_failures(C, middles, inside)
+    middles = generating_set(C, pairs) if not failures else tok
+    triples, broken = _associativity_failures(C, middles, t1, t2, inside)
     failures += broken
-    _verify_coset_well_definedness(C, failures)
+    _verify_coset_well_definedness(C, failures, t1, t2)
     return CategoryLawsVerdict(triples, failures)
 
 
-def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str]) -> None:
+def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str],
+                                   t1: np.ndarray, t2: np.ndarray) -> None:
     """Append to ``failures`` those of the coset rule, checked by lookups in
     ``least_tables``: each witness is the least element of its coset, and for
-    every filled composable pair of tokens every product of representatives
+    every filled composable pair (t1, t2) every product of representatives
     of their two cosets lies in the composite's coset (a slot unfilled or
     holding no token is left to the closure check).
 
@@ -561,7 +578,6 @@ def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str]) -> No
     bad = tables[at[C.src, C.tgt], np.where(element, w, 0)] != w
     failures += [f"witness of token {t} is not " + ("the least of its coset" if element[t]
                  else "an element of G") for t in np.flatnonzero(bad).tolist()]
-    t1, t2 = C.pairs()
     filled = (C.composite >= 0) & (C.composite < C.morphism_count)
     filled &= element[t1] & element[t2] & element[np.where(filled, C.composite, 0)]
     t1, t2, t3 = t1[filled], t2[filled], C.composite[filled]
@@ -709,7 +725,11 @@ def verify_closure_adjunction(
     and precomposed with every u: P' -> P between test subgroups, against
     phi after the closure P'° -> P° of u.  Both families of every P are
     counted before any composite is formed; ``BudgetExceeded`` names the
-    first, in test order, whose pairs exceed ``table_budget``."""
+    first, in test order, whose pairs exceed ``table_budget``.  Otherwise
+    the families, in test order, are cut into runs of consecutive families
+    with at most ``table_budget`` pairs in all, and each run is composed in
+    one pass, its broken squares counted per family.  The failures are
+    listed in test order."""
     G, members, tests = poset.group, poset.members, list(test_subgroups)
     n, m = len(tests), len(members)
     O = FiniteCategory("orbit", sorted({H.ids: H for H in tests + members}.values(),
@@ -752,19 +772,39 @@ def verify_closure_adjunction(
         kind = ("precomposition", "postcomposition")[over[0] % 2]
         raise BudgetExceeded(None, int(pairs[over[0]]), table_budget, kind)
 
-    def broken(t_big, t) -> int:
-        return int(((t_big < 0) | (t < 0) | (w[t_big] != w[t])).sum())
+    # runs of consecutive families with at most table_budget pairs in all,
+    # each composed in one pass, u phi_big against u° phi and phi_big m
+    # against phi m, its broken squares counted per family
+    F, U = np.flatnonzero(found), np.flatnonzero(closed)  # each in test order
+    f_at, u_at = _offsets(n_phi), _offsets(n_u)
+    cuts, total = [], 0
+    for i, count in enumerate(pairs.tolist()):
+        if total + count > table_budget:
+            cuts.append(i)
+            total = 0
+        total += count
+    broken = np.zeros(2 * n, dtype=np.int64)  # per family, as ``pairs``
+    for i0, i1 in zip([0, *cuts], [*cuts, 2 * n]):
+        # the pairs (u, phi) of each k with 2k in [i0, i1) ...
+        pu = U[u_at[(i0 + 1) // 2]:u_at[(i1 + 1) // 2]]
+        r, pos, _ = _expand(n_phi[ku[pu]])
+        pu, pf = pu[r], F[f_at[ku[pu[r]]] + pos]
+        # ... and (phi, m) of each k with 2k + 1 in [i0, i1)
+        qf = F[f_at[i0 // 2]:f_at[i1 // 2]]
+        j, mm = ends(O.src, to_members, O.tgt[phi[qf]])
+        qf = qf[j]
+        big = O.coset_composites(np.concatenate([u[pu], phi_big[qf]]),
+                                 np.concatenate([phi_big[pf], mm]))
+        small = O.coset_composites(np.concatenate([uc[pu], phi[qf]]),
+                                   np.concatenate([phi[pf], mm]))
+        bad = (big < 0) | (small < 0) | (w[big] != w[small])
+        broken += np.bincount(np.concatenate([2 * ku[pu], 2 * kb[qf] + 1])[bad], minlength=2 * n)
 
     tgt_failures, src_failures = [], []
     for k in range(n):
-        f, c = found & (kb == k), closed & (ku == k)
-        a, b = phi[f], phi_big[f]
-        j, x = ends(O.src, to_members, O.tgt[a])
-        post = broken(O.coset_composites(b[j], x), O.coset_composites(a[j], x))
-        pre = broken(O.coset_composites(u[c, None], b), O.coset_composites(uc[c, None], a))
         tgt_failures += (["identification misses a morphism"] * missing[k]
-                         + ["postcomposition square fails"] * post)
+                         + ["postcomposition square fails"] * broken[2 * k + 1])
         src_failures += (["closure of a morphism is missing"] * unclosed[k]
                          + ["identification misses a morphism"] * (missing[k] * n_u[k])
-                         + ["precomposition square fails"] * pre)
+                         + ["precomposition square fails"] * broken[2 * k])
     return AdjunctionVerdict(n * m, failures + tgt_failures + src_failures)

@@ -30,7 +30,7 @@ from plocal import (
 )
 from plocal import categories, omega
 from plocal.catalog import build_group
-from plocal.categories import iso_classes
+from plocal.categories import AdjunctionVerdict, iso_classes
 from plocal.chains import chain_counts
 from plocal.errors import DEFAULT_BUDGET
 import reference_categories
@@ -190,7 +190,7 @@ def test_coset_check_catches_a_witness_that_is_not_least():
 def coset_check(C):
     """The coset rule's failures, in order: the rule holds when there are none."""
     failures = []
-    categories._verify_coset_well_definedness(C, failures)
+    categories._verify_coset_well_definedness(C, failures, *C.pairs())
     return failures
 
 
@@ -506,6 +506,91 @@ def test_adjunction_matches_the_reference_on_a_corrupted_coset_table(seed, least
     assert not assert_adjunction_matches_reference(poset, subs).passed
 
 
+def adjunction_passes(monkeypatch, poset, subs, budget) -> tuple[int, AdjunctionVerdict]:
+    """The verdict at the budget, and how many passes composed its squares:
+    each composes twice by the coset rule."""
+    calls = []
+    real = categories.FiniteCategory.coset_composites
+
+    def coset_composites(self, *args):
+        if sys._getframe(1).f_code.co_name == "verify_closure_adjunction":
+            calls.append(args)
+        return real(self, *args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(categories.FiniteCategory, "coset_composites", coset_composites)
+        v = verify_closure_adjunction(poset, subs, table_budget=budget)
+    assert len(calls) % 2 == 0
+    return len(calls) // 2, v
+
+
+def test_adjunction_squares_agree_across_passes(monkeypatch):
+    """On sym:4 x cyc:2 at p=2, with one test subgroup given a wrong closure
+    so that squares fail: the pairs checked and the failures are the
+    reference's whether the budget composes every family in one pass, in
+    11 passes, or in 17 at the largest family's size.  With the Sylow as
+    the test subgroup three times over (families of 3 and 9 pairs), the
+    budget sets one pass, two, one per test subgroup or one per family."""
+    G = build_group("sym:4 x cyc:2")
+    poset = build_intersection_poset(G, 2)
+    S = sylow_subgroup(G, 2)
+    subs = all_subgroups(S)
+    bad = subs[5]
+
+    def wrong(poset, P):
+        right = omega.closure_in_poset(poset, P)
+        if P.ids != bad.ids:
+            return right
+        return poset.members[0] if right.ids == poset.members[-1].ids else poset.members[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(categories, "closure_in_poset", wrong)
+        mp.setattr(reference_categories, "closure_in_poset", wrong)
+        want = reference_verify_closure_adjunction(poset, subs)
+        assert want.failures
+        for budget, passes in ((DEFAULT_BUDGET, 1), (2000, 11), (1440, 17)):
+            got = adjunction_passes(monkeypatch, poset, subs, budget)
+            assert got == (passes, want), budget
+    want = reference_verify_closure_adjunction(poset, [S] * 3)
+    for budget, passes in ((36, 1), (24, 2), (12, 3), (9, 6)):
+        assert adjunction_passes(monkeypatch, poset, [S] * 3, budget) == (passes, want)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_adjunction_matches_the_reference_under_a_corrupted_orbit_witness(monkeypatch, seed):
+    """On sym:4 x cyc:2 at p=2, one token from a test subgroup to a member
+    in the orbit category on both, chosen by the seed, given another
+    element as its witness: the check and the reference, which builds that
+    category too, report the same failures, in one pass and in many."""
+    G = build_group("sym:4 x cyc:2")
+    poset = build_intersection_poset(G, 2)
+    subs = all_subgroups(sylow_subgroup(G, 2))
+    tests, members = {P.ids for P in subs}, {Q.ids for Q in poset.members}
+    rng = np.random.default_rng(seed)
+    real = categories._fill_cosets
+
+    def corrupted(C):
+        real(C)
+        if C.object_count > len(members):  # not the members' own category
+            ends = [(C.objects[i].ids in tests, C.objects[j].ids in members)
+                    for i, j in zip(C.src.tolist(), C.tgt.tolist())]
+            t = rng.choice(np.flatnonzero(np.all(ends, axis=1)))
+            C.witness[t] = (C.witness[t] + 1 + rng.integers(G.order - 1)) % G.order
+        return C
+
+    monkeypatch.setattr(categories, "_fill_cosets", corrupted)
+    monkeypatch.setattr(reference_categories, "_fill_cosets", corrupted)
+    outcomes = set()
+    for budget in (DEFAULT_BUDGET, 1440):
+        seed_state = rng.bit_generator.state
+        want = reference_verify_closure_adjunction(poset, subs)
+        rng.bit_generator.state = seed_state
+        got = verify_closure_adjunction(poset, subs, table_budget=budget)
+        assert (got.pairs_checked, got.failures) == (want.pairs_checked, want.failures)
+        outcomes.add(got.passed)
+    assert outcomes == {False}
+
+
 def test_adjunction_builds_one_category_and_no_store(monkeypatch):
     """The check builds one ``FiniteCategory`` and composes nothing into a
     store: ``build_orbit`` would add a second category and fill its store."""
@@ -774,6 +859,51 @@ def test_generating_set_check_agrees_with_the_exhaustive_one_under_faults(spec):
         assert not all(outcomes), (spec, builder)
 
 
+def test_triples_checked_on_the_structure_workload(monkeypatch):
+    """The categories stage of sym:4 x cyc:2 at p=2 checks five distinct
+    categories; the triples with a middle in each one's generating set are
+    pinned."""
+    real, seen = categories.verify_category, []
+    monkeypatch.setattr(categories, "verify_category", lambda C: seen.append(real(C)) or seen[-1])
+    rep = run_pipeline("sym:4 x cyc:2", PipelineConfig(
+        prime=2, max_degree=3, checks=("categories",), include_timings=False))
+    assert rep.verdicts["category_laws"] == "pass"
+    assert [v.triples_checked for v in seen] == [28928, 37120, 37120, 172, 159291]
+
+
+@pytest.mark.parametrize("fault", ["unfilled", "inside"])
+def test_associativity_blocks_split_on_both_axes(monkeypatch, fault):
+    """Two composites b1 c1 and b2 c2 of the sym:3 x cyc:3 transporter poset
+    broken, with b1 and b2 leaving one object s: made unfilled, so that
+    every triple is checked, or pointed at another token of their morphism
+    sets with the coset rule dropped, so that only the generating set's
+    middles are.  With ``_BLOCK`` so small that the pairs leaving s and the
+    tokens into s both split into blocks, the failures are those at the
+    default ``_BLOCK``, in order, and those of the exhaustive reference:
+    equal to them when every triple is checked, among them otherwise."""
+    C = transporter_s3c3()
+    t1, t2 = C.pairs()
+    plain = ~C.is_id[t1] & ~C.is_id[t2]
+    s = int(np.bincount(C.src[t1[plain]]).argmax())
+    k1 = np.flatnonzero(plain & (C.src[t1] == s))[0]
+    k2 = np.flatnonzero(plain & (C.src[t1] == s) & (t1 != t1[k1]))[-1]
+    for k in (k1, k2):
+        C.composite[k] = -1 if fault == "unfilled" else other_in_mor(C, C.composite[k])
+    if fault == "inside":
+        C.left = C.right = None
+    want = verify_category(C)
+    monkeypatch.setattr(categories, "_BLOCK", 8)
+    assert (t1[plain] == t1[k1]).sum() > 8 and (C.tgt == s).sum() > 1
+    got, ref = verify_category(C), reference_verify_category(C)
+    assert (got.triples_checked, got.failures) == (want.triples_checked, want.failures)
+    middles = {int(f[1:-1].split(",")[1]) for f in got.failures if f.startswith("associativity")}
+    if fault == "unfilled":
+        assert {t1[k1], t1[k2]} <= middles
+        assert (got.triples_checked, got.failures) == (ref.triples_checked, ref.failures)
+    else:
+        assert middles and set(got.failures) <= set(ref.failures)
+
+
 def test_category_laws_pass_on_sym6_at_p3():
     """1,875,317,376 composable triples; about 16 million with a middle in
     the generating sets."""
@@ -953,14 +1083,16 @@ def test_functor_violations_catch_a_composite_not_preserved():
 
 def check_store_lookups(C):
     """``mor`` and ``tokens_of`` against the dicts rebuilt from the token
-    arrays, over every object pair and every witness (-1 included), so
-    missing tokens read [] and -1."""
+    arrays, over every object pair and every witness from -2 to |G| + 1, so
+    missing tokens, and witnesses that are no element of G, read [] and
+    -1."""
     mor, by_witness = reference_mor(C), reference_by_witness(C)
     m = C.object_count
     for i in range(m):
         for j in range(m):
             assert C.mor(i, j) == mor.get((i, j), []), (i, j)
-    i, j, w = np.meshgrid(np.arange(m), np.arange(m), np.arange(-1, C.group.order), indexing="ij")
+    i, j, w = np.meshgrid(np.arange(m), np.arange(m), np.arange(-2, C.group.order + 2),
+                          indexing="ij")
     want = [by_witness.get(key, -1) for key in zip(i.ravel().tolist(), j.ravel().tolist(),
                                                    w.ravel().tolist())]
     assert C.tokens_of(i.ravel(), j.ravel(), w.ravel()).tolist() == want
@@ -976,6 +1108,25 @@ def test_store_lookups_match_reference_dicts_on_every_pipeline_category(monkeypa
             assert all(len(C.mor(i, j)) <= 1 for i in range(C.object_count)
                        for j in range(C.object_count))
     assert builders >= BUILDERS
+
+
+def test_tokens_of_finds_no_token_for_a_witness_outside_the_group():
+    """On sym:3 at p=2 token 6 of the transporter poset is 0 -> 1 with
+    witness 0, next to the place of witness |G| + 1 from 0 to 0 in a key
+    that takes a place for every witness: no witness outside G reaches a
+    token.  A category whose store overruns the budget builds no token
+    table."""
+    G = build_group("sym:3")
+    members = build_intersection_poset(G, 2).members
+    T = build_transporter(G, members)
+    assert (T.src[6], T.tgt[6], T.witness[6]) == (0, 1, 0)
+    assert T.tokens_of(0, 0, [7, 6, -1, -2]).tolist() == [-1] * 4
+    assert T.tokens_of(0, 1, 0) == 6
+    C = categories.FiniteCategory("transporter", members, G)
+    C.left = C.right = T.left
+    with pytest.raises(BudgetExceeded):
+        categories._fill_cosets(C).fill_composition(10)
+    assert C._token_table is None
 
 
 @pytest.mark.parametrize("spec,p", [("sym:4", 2), ("sym:3 x cyc:3", 3), ("dih:12", 2)])
@@ -999,8 +1150,10 @@ def test_set_tokens_rejects_ungrouped_sources_and_a_second_call():
     with pytest.raises(PLocalError, match="grouped by source"):
         C.set_tokens([0, 1, 0], [0, 1, 1], [0, 0, 1], [0, 1])
     assert C.src is None
-    # a repeated (source, target, witness), then targets out of order
-    for tgt, witness in (([0, 1, 1], [0, 1, 1]), ([1, 0], [0, 0])):
+    # a repeated (source, target, witness), then targets out of order, also
+    # behind a witness past |G| that a key with a place per witness in G
+    # would carry into the next target's places
+    for tgt, witness in (([0, 1, 1], [0, 1, 1]), ([1, 0], [0, 0]), ([1, 0], [0, 12])):
         with pytest.raises(PLocalError, match="distinct and sorted"):
             C.set_tokens([0] * len(tgt) + [1], tgt + [1], witness + [0], [0, len(tgt)])
         assert C.src is None

@@ -57,7 +57,6 @@ from .groups import (
     transporter_set,
 )
 from .homology import (
-    ChainMap,
     FpComplex,
     bar_complex,
     homology_iso_verdict,
@@ -82,7 +81,6 @@ from .limits import (
     limits_profile,
 )
 from .omega import (
-    CentricityTable,
     IntersectionPoset,
     build_intersection_poset,
     classify_centric,

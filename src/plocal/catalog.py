@@ -163,7 +163,8 @@ def build_group(spec: str, order_bound: int = DEFAULT_ORDER_BOUND) -> Permutatio
             if not m:
                 raise ParseError(f"bad option {opt!r}", 0)
             deg = int(m.group(1))
-        gen_texts = [t for t in rest.split(",") if t.strip()]
+        # a comma separates generators only outside a cycle, where it may separate points
+        gen_texts = [t for t in re.split(r",(?![^()]*\))", rest) if t.strip()]
         perms = [parse_cycles(t, degree=deg) for t in gen_texts]
         if deg is None:
             deg = max((p.degree for p in perms), default=1)

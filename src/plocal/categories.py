@@ -71,8 +71,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, NotCentric, PLocalError
-from .groups import PermutationGroup, Subgroup, conjugacy_classes, coset_minima, transporters
-from .omega import IntersectionPoset, classify_centric, closure_in_poset
+from .groups import (PermutationGroup, Subgroup, centralizer, conjugacy_classes, coset_minima,
+                     p_residual, transporters)
+from .omega import IntersectionPoset, closure_in_poset, is_centric
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -279,12 +280,11 @@ def build_linking(G: PermutationGroup, p: int, centric_collection,
     """The linking category on p-centric objects: Mor(P, Q) = K(P)\\N_G(P, Q)
     with K(P) = O^p(C_G(P)) acting on the left."""
     objs = list(centric_collection)
-    records = classify_centric(G, p, objs).records
-    for r in records:
-        if not r.is_centric:
-            raise NotCentric(f"{r.subgroup.label()} is not {p}-centric")
+    for P in objs:
+        if not is_centric(G, p, P):
+            raise NotCentric(f"{P.label()} is not {p}-centric")
     cat = FiniteCategory("linking", objs, G)
-    cat.left = [r.residual for r in records]
+    cat.left = [p_residual(centralizer(G, P), p) for P in objs]
     cat.right = [G.trivial_subgroup()] * len(objs)
     _fill_cosets(cat).fill_composition(table_budget)
     return cat

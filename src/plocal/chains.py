@@ -14,7 +14,9 @@ The extensions of row j of degree d-1 are then the contiguous block of
 degree d starting at ``starts[d][j]``: the extension by t is row
 ``starts[d][j] + pos[t]``, where ``pos[t]`` is the rank of t among the
 non-identity tokens with its source.  A degree keeps only each chain's last
-token, parent row j (its drop-last face) and head, never the token rows.
+token and parent row j (its drop-last face), never the token rows; only
+degree 0 keeps heads, and a reader derives degree d's as it walks the
+degrees, ``heads[d] = heads[d-1][parent[d]]``.
 Tokens must be numbered grouped by source (object 0's first, then object
 1's, ...); ``FiniteCategory.set_tokens`` enforces it, and it makes
 head-major order the lexicographic order of the token rows.
@@ -81,9 +83,10 @@ ROW_LIMIT = 1 << 31
 
 class Chains:
     """The normalized chains of C through degree ``dmax`` that start at
-    ``heads`` (every object by default).  Degree d >= 1 keeps, per chain, its
-    last token, its parent (drop-last face) row in degree d-1 and its head
-    object; the token rows are never built.  Every array is int32."""
+    ``heads`` (every object by default), which degree 0 keeps.  Degree
+    d >= 1 keeps, per chain, its last token and its parent (drop-last face)
+    row in degree d-1; the token rows and the heads of its chains are never
+    built.  Every array is int32."""
 
     def __init__(self, C: FiniteCategory, dmax: int, heads=None):
         self.category = C
@@ -98,7 +101,7 @@ class Chains:
         tails = np.arange(C.object_count) if heads is None else np.asarray(heads, np.int64)
         self.row0 = np.full(C.object_count, -1, dtype=np.int32)
         self.row0[tails] = np.arange(len(tails))
-        self.heads = [tails.astype(np.int32)]
+        self.heads = tails.astype(np.int32)
         self.last: list[np.ndarray | None] = [None]
         self.parent: list[np.ndarray | None] = [None]
         self.starts: list[np.ndarray | None] = [None]
@@ -112,10 +115,9 @@ class Chains:
             self.last.append(out[k])
             self.parent.append(np.arange(len(tails), dtype=np.int32).repeat(counts))
             self.starts.append(starts.astype(np.int32))
-            self.heads.append(self.heads[d - 1].repeat(counts))
             if d < dmax:
                 tails = out_tgt[k]
-        self.dims = [len(h) for h in self.heads]
+        self.dims = [len(self.heads)] + [len(t) for t in self.last[1:]]
 
     def faces(self):
         """For d = 1..dmax in turn, the (dims[d], d+1) table whose column i
@@ -135,7 +137,7 @@ class Chains:
         counts = starts[1:] - starts[:-1]
         if starts[0] or starts[-1] != len(last) or counts.min(initial=0) < 0:
             raise PLocalError(f"degree {d} chain offsets do not lay out its rows")
-        tail = self.heads[0] if d == 1 else self.tgt[self.last[d - 1]]
+        tail = self.heads if d == 1 else self.tgt[self.last[d - 1]]
         if (self.src[last] != tail.repeat(counts)).any():
             raise PLocalError(f"a degree {d} chain's last token does not leave its parent's tail")
         table = np.empty((len(last), d + 1), dtype=np.int32)
@@ -175,7 +177,7 @@ def chain_images(source: Chains, target: Chains, object_map: np.ndarray,
     for m, n in ((object_map, len(target.row0)), (morphism_map, len(target.is_id))):
         if len(m) and (m.min() < 0 or m.max() >= n):
             raise PLocalError(NOT_A_CHAIN)
-    heads = object_map[source.heads[0]]
+    heads = object_map[source.heads]
     rows = target.row0[heads].astype(np.intp)
     if (rows < 0).any():
         raise PLocalError(NOT_A_CHAIN)
@@ -245,14 +247,15 @@ def cochain_differentials(chains: Chains, dims: list[int], entries: np.ndarray,
     blk_r, blk_c = np.divmod(nz - offsets[tok], dims[chains.tgt[tok]])
     blk_ptr = np.searchsorted(nz, offsets)
 
-    cochain_off = [_offsets(dims[heads]) for heads in chains.heads]
-    first = chains.last[1].astype(np.intp)
-    diffs = []
+    # each degree's heads are its parents', read as the degrees are walked
+    heads, first = chains.heads, chains.last[1].astype(np.intp)
+    col_off = _offsets(dims[heads])
+    sizes, diffs = [int(col_off[-1])], []
     for n, table in enumerate(chains.faces()):
+        heads = heads[chains.parent[n + 1]]
         if n:
             first = first[chains.parent[n + 1]]
-        row_of, local, row_off = _expand(np.diff(cochain_off[n + 1]))
-        col_off = cochain_off[n]
+        row_of, local, row_off = _expand(dims[heads])
         # drop-first face: F(first arrow), with no entries where that face is absent
         ent, j, _ = _expand(np.diff(blk_ptr)[first])
         e = blk_ptr[first[ent]] + j
@@ -265,4 +268,6 @@ def cochain_differentials(chains: Chains, dims: list[int], entries: np.ndarray,
             vals.append(np.full(len(sel), (-1) ** i, dtype=np.int64))
         shape = (int(row_off[-1]), int(col_off[-1]))
         diffs.append(_fp_matrix(rows, cols, vals, shape, prime))
-    return [int(o[-1]) for o in cochain_off], diffs
+        sizes.append(shape[0])
+        col_off = row_off
+    return sizes, diffs

@@ -13,8 +13,12 @@ Every nerve, a group's bar complex too (the nerve of its one-object
 category), is built by ``nerve_complex``, which raises ``BudgetExceeded``
 at the first degree over budget before it builds any chain.
 
-An induced chain map is checked once, by the ∂² check of its mapping cone,
-which covers its commutation with the boundaries (see ``mapping_cone``).
+An induced chain map is its image rows, as ``chains.chain_images`` yields
+them: per degree, each source chain's row in the target, -1 where its image
+is degenerate; no matrix of it is built.  ``mapping_cone`` writes its rows
+from them, and ``homology_iso_verdict`` takes the functor and builds both.
+The map is checked once, by the ∂² check of its mapping cone, which covers
+its commutation with the boundaries (see ``mapping_cone``).
 
 Truncation semantics: a complex built to ``dmax`` has its true chain groups
 and boundaries in all degrees <= dmax, so homology dimensions are exact for
@@ -26,7 +30,6 @@ alternating signs at every p, and only ``FpMatrix`` reduces mod p.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -117,85 +120,59 @@ def bar_complex(G: PermutationGroup, prime: int, dmax: int,
     return nerve_complex(group_category(G, G.full_subgroup(), budget), prime, dmax, budget)
 
 
-@dataclass
-class ChainMap:
-    """Degree-wise matrices of a functor-induced map between nerve complexes."""
-
-    source: FpComplex
-    target: FpComplex
-    mats: list[FpMatrix]
-
-
-def induced_chain_map(F: Functor, source_cx: FpComplex, target_cx: FpComplex) -> ChainMap:
-    """Chain map sending a chain to its image chain; degenerate images go to 0.
+def induced_chain_map(F: Functor, source_cx: FpComplex, target_cx: FpComplex) -> list[np.ndarray]:
+    """The chain map of F as its image rows: for each degree d through the
+    lower of the two tops, the row in the target of each source chain's
+    image, or -1 where the image is degenerate and the chain goes to 0.
     Its commutation with the boundaries is checked by its mapping cone."""
-    D = min(source_cx.dmax, target_cx.dmax)
-    images = chain_images(source_cx.chains, target_cx.chains,
-                          np.asarray(F.object_map, dtype=np.int64),
-                          np.asarray(F.morphism_map, dtype=np.int64), D)
-    mats: list[FpMatrix] = []
-    for d, cols in enumerate(images):
-        live = cols >= 0
-        csr = sparse.csr_matrix(
-            (np.ones(len(cols), dtype=np.int64)[live], cols[live], _offsets(live)),
-            shape=(source_cx.dims[d], target_cx.dims[d]),
-        )
-        mats.append(FpMatrix(csr, source_cx.prime))
-    return ChainMap(source_cx, target_cx, mats)
+    return list(chain_images(source_cx.chains, target_cx.chains,
+                             np.asarray(F.object_map, dtype=np.int64),
+                             np.asarray(F.morphism_map, dtype=np.int64),
+                             min(source_cx.dmax, target_cx.dmax)))
 
 
-def _beside(left: sparse.csr_matrix, right: sparse.csr_matrix, offset: int) -> sparse.csr_matrix:
-    """``[-left | right]`` with right's columns moved ``offset`` to the right:
-    each row's left entries, negated, then its right entries, so canonical
-    blocks give a canonical result."""
-    indptr = left.indptr + right.indptr
-    at_l = np.arange(left.nnz) + np.repeat(right.indptr[:-1], np.diff(left.indptr))
-    at_r = np.arange(right.nnz) + np.repeat(left.indptr[1:], np.diff(right.indptr))
-    indices = np.empty(left.nnz + right.nnz, dtype=np.int64)
-    data = np.empty(len(indices), dtype=np.int64)
-    indices[at_l], indices[at_r] = left.indices, right.indices + offset
-    data[at_l], data[at_r] = -left.data, right.data
-    return sparse.csr_matrix((data, indices, indptr), shape=(left.shape[0], offset + right.shape[1]))
+def mapping_cone(A: FpComplex, B: FpComplex, images: list[np.ndarray]) -> FpComplex:
+    """Algebraic mapping cone of the chain map f: A -> B with these image
+    rows: cone_d = A_{d-1} (+) B_d with boundary (a, b) -> (-dA a, f(a) + dB b).
 
-
-def mapping_cone(cm: ChainMap) -> FpComplex:
-    """Algebraic mapping cone: cone_d = A_{d-1} (+) B_d with
-    boundary (a, b) -> (-dA a, f(a) + dB b).
-
-    Each cone boundary stores only its source rows ``[-dA_{d-1} | f_{d-1}]``
-    and references the target's boundary dB_d as its tail ``[0 | dB_d]``,
-    which is never copied.  Ranking it after B's own homology seeds from
-    what dB_d keeps, its echelon or at p = 2 its annihilator, so that only
-    the A rows are inserted (see ``fplinalg``).
+    Each cone boundary stores only its source rows ``[-dA_{d-1} | f_{d-1}]``,
+    each row dA's entries negated and then a single 1 at its image's column
+    where the image is live, and references the target's boundary dB_d as
+    its tail ``[0 | dB_d]``, which is never copied.  Ranking it after B's
+    own homology seeds from what dB_d keeps, its echelon or at p = 2 its
+    annihilator, so that only the A rows are inserted (see ``fplinalg``).
 
     The cone's ∂² check is the chain map's commutation check: the rows
     ``[-dA_{d-1} | f_{d-1}]`` times the cone's ∂_{d-1} are
     ``[dA_{d-1} dA_{d-2} | f_{d-1} dB_{d-1} - dA_{d-1} f_{d-2}]``, so
     building the cone raises ``PLocalError`` unless
     f_{d-1} dB_{d-1} = dA_{d-1} f_{d-2} for 2 <= d <= D, which for D >= 2
-    takes in every matrix of f that a cone boundary reads.  When A and B share their top
-    degree, f's top matrix is read by no cone boundary and is not checked."""
-    A, B = cm.source, cm.target
+    takes in every degree of f that a cone boundary reads.  When A and B
+    share their top degree, f's top degree is read by no cone boundary and
+    is not checked."""
     D = min(A.dmax + 1, B.dmax)
     p = A.prime
-    dims = [
-        (A.dims[d - 1] if d >= 1 else 0) + B.dims[d]
-        for d in range(D + 1)
-    ]
+    dims = [(A.dims[d - 1] if d >= 1 else 0) + B.dims[d] for d in range(D + 1)]
     boundaries: list[FpMatrix | None] = [None] * (D + 1)
     for d in range(1, D + 1):
-        left_cols = A.dims[d - 2] if d >= 2 else 0
-        left = A.boundaries[d - 1].csr if d >= 2 else sparse.csr_matrix((A.dims[0], 0), dtype=np.int64)
-        head = _beside(left, cm.mats[d - 1].csr, left_cols)
+        cols, left_cols = images[d - 1], A.dims[d - 2] if d >= 2 else 0
+        live = cols >= 0
+        dA = A.boundaries[d - 1].csr if d >= 2 else sparse.csr_matrix((len(cols), 0), dtype=np.int64)
+        ends = dA.indptr[1:][live]  # each live row's 1 goes after its dA entries
+        indices = np.insert(dA.indices, ends, cols[live] + left_cols)
+        head = sparse.csr_matrix((np.insert(-dA.data, ends, 1), indices, dA.indptr + _offsets(live)),
+                                 shape=(len(cols), left_cols + B.dims[d - 1]))
         boundaries[d] = FpMatrix(head, p, tail=(B.boundaries[d], left_cols))
     return FpComplex(p, D, dims, boundaries)
 
 
-def homology_iso_verdict(cm: ChainMap) -> tuple[bool, dict]:
-    """Iso in degree d certified by vanishing cone homology in degrees d and
-    d+1: whether every degree through ``certified_through`` is iso, and the
-    report's record of the degrees certified and the verdict in each."""
-    cone = mapping_cone(cm)
+def homology_iso_verdict(F: Functor, A: FpComplex, B: FpComplex) -> tuple[bool, dict]:
+    """Whether F induces an iso from the homology of the nerve complex A to
+    that of B: iso in degree d is certified by vanishing cone homology in
+    degrees d and d+1.  Returns whether every degree through
+    ``certified_through`` is iso, and the report's record of the degrees
+    certified and the verdict in each."""
+    cone = mapping_cone(A, B, induced_chain_map(F, A, B))
     cone_h = cone.homology()  # exact for d <= cone.dmax - 1
     certified = cone.dmax - 2
     iso = [

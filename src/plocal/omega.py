@@ -5,6 +5,10 @@ poset is closed under pairwise intersection and under conjugation, and its
 minimum is the intersection of all Sylow p-subgroups.  The closure of an
 arbitrary p-subgroup P is the intersection of every Sylow subgroup
 containing it.
+
+p-centricity is a flag per subgroup (``classify_centric`` keys it by ids).
+O^p(C_G(P)), which acts only in the linking category, is computed by
+``categories.build_linking`` for its own objects.
 """
 
 from __future__ import annotations
@@ -13,14 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPSubgroup, PLocalError
+from .errors import NotPSubgroup
 from .groups import (
     PermutationGroup,
     Subgroup,
     center,
     centralizer,
     conjugacy_classes,
-    p_residual,
     sylow_conjugates,
     sylow_subgroup,
     transporters,
@@ -137,46 +140,22 @@ def longest_chain_length(poset: IntersectionPoset, within: Subgroup | None = Non
     return max(best.values(), default=0)
 
 
-@dataclass
-class CentricityRecord:
-    subgroup: Subgroup
-    is_centric: bool
-    residual: Subgroup          # O^p(C_G(P))
-
-
-@dataclass
-class CentricityTable:
-    prime: int
-    records: list[CentricityRecord]
-
-    def __post_init__(self):
-        self._by_ids = {r.subgroup.ids: r for r in self.records}
-
-    def record_for(self, H: Subgroup) -> CentricityRecord:
-        if H.ids not in self._by_ids:
-            raise PLocalError(f"{H.label()} was not classified")
-        return self._by_ids[H.ids]
-
-
-def _centricity(G: PermutationGroup, p: int, P: Subgroup) -> tuple[Subgroup, bool]:
-    """C_G(P), and whether P is p-centric: whether Z(P) is a Sylow
-    p-subgroup of C_G(P), i.e. |C_G(P) : Z(P)| is prime to p."""
+def is_centric(G: PermutationGroup, p: int, P: Subgroup) -> bool:
+    """Whether P is p-centric: whether Z(P) is a Sylow p-subgroup of
+    C_G(P), i.e. |C_G(P) : Z(P)| is prime to p."""
     if not P.is_p_group(p):
         raise NotPSubgroup(f"{P.label()} is not a {p}-group")
-    C = centralizer(G, P)
-    return C, (C.order // center(P).order) % p != 0
+    return (centralizer(G, P).order // center(P).order) % p != 0
 
 
-def is_centric(G: PermutationGroup, p: int, P: Subgroup) -> bool:
-    return _centricity(G, p, P)[1]
-
-
-def classify_centric(G: PermutationGroup, p: int, collection) -> CentricityTable:
-    records = []
+def classify_centric(G: PermutationGroup, p: int, collection) -> dict[tuple[int, ...], bool]:
+    """{P.ids: whether P is p-centric} over the collection, each distinct
+    subgroup classified once."""
+    out: dict[tuple[int, ...], bool] = {}
     for P in collection:
-        C, centric = _centricity(G, p, P)
-        records.append(CentricityRecord(subgroup=P, is_centric=centric, residual=p_residual(C, p)))
-    return CentricityTable(prime=p, records=records)
+        if P.ids not in out:
+            out[P.ids] = is_centric(G, p, P)
+    return out
 
 
 @dataclass

@@ -55,12 +55,7 @@ from .groups import (
     p_part,
     sylow_subgroup,
 )
-from .homology import (
-    FpComplex,
-    homology_iso_verdict,
-    induced_chain_map,
-    nerve_complex,
-)
+from .homology import FpComplex, homology_iso_verdict, nerve_complex
 from .limit_checks import (
     OrbitSkeletons,
     atomic_functor_limits,
@@ -141,26 +136,16 @@ class PipelineRun:
         return self._get("sylow_subgroups", lambda: all_subgroups(self.sylow))
 
     @property
-    def centricity(self):
-        def build():
-            extra = [H for H in self.sylow_subgroup_list]
-            seen = {H.ids for H in extra}
-            for M in self.poset.members:
-                if M.ids not in seen:
-                    extra.append(M)
-                    seen.add(M.ids)
-            return classify_centric(self.G, self.p, extra)
-        return self._get("centricity", build)
+    def centricity(self) -> dict[tuple[int, ...], bool]:
+        """Whether each subgroup of the Sylow and each poset member is
+        p-centric, by its ids."""
+        return self._get("centricity", lambda: classify_centric(
+            self.G, self.p, [*self.sylow_subgroup_list, *self.poset.members]))
 
     @property
     def centric_in_sylow(self):
-        def build():
-            table = self.centricity
-            return [
-                H for H in self.sylow_subgroup_list
-                if table.record_for(H).is_centric
-            ]
-        return self._get("centric_in_sylow", build)
+        return self._get("centric_in_sylow", lambda: [
+            H for H in self.sylow_subgroup_list if self.centricity[H.ids]])
 
     @property
     def omega_in_sylow(self):
@@ -197,8 +182,7 @@ class PipelineRun:
         is centric, so that the subcategory is ``transporter_omega`` itself."""
         def build():
             T = self.transporter_omega
-            keep = [i for i, P in enumerate(T.objects)
-                    if self.centricity.record_for(P).is_centric]
+            keep = [i for i, P in enumerate(T.objects) if self.centricity[P.ids]]
             if len(keep) == T.object_count:
                 return cats.Functor(T, T, keep, list(range(T.morphism_count)))
             return cats.full_subcategory(T, keep)[1]
@@ -378,8 +362,8 @@ class PipelineRun:
         violations = functor.violations()
         if violations:
             self.notes.append(f"nerve-vs-group: G into the transporter poset: {violations[0]}")
-        cm = induced_chain_map(functor, bar, t_omega_cx)
-        iso, detail["homology"]["group_into_transporter_iso"] = homology_iso_verdict(cm)
+        iso, detail["homology"]["group_into_transporter_iso"] = homology_iso_verdict(
+            functor, bar, t_omega_cx)
         dims_equal = bar_h[: dmax - 1] == t_h[: dmax - 1]
         return not violations and iso and dims_equal and coset_h == point
 
@@ -389,8 +373,7 @@ class PipelineRun:
         # the target first, so that a source with its table is served as its prefix
         tgt = self.complex_of(incl.target, dmax)
         src = self.complex_of(incl.source, dmax - 1)
-        cm = induced_chain_map(incl, src, tgt)
-        iso, detail["homology"]["centric_restriction_iso"] = homology_iso_verdict(cm)
+        iso, detail["homology"]["centric_restriction_iso"] = homology_iso_verdict(incl, src, tgt)
         return iso
 
     def _stage_centric_agreement(self, detail):
@@ -411,8 +394,7 @@ class PipelineRun:
         src = self.complex_of(self.transporter_centric, dmax - 1)
         tgt = self.complex_of(self.linking_centric, dmax)
         tgt_h = tgt.homology()  # before the cone, which then seeds from what it keeps
-        cm = induced_chain_map(self.linking_projection, src, tgt)
-        iso, record = homology_iso_verdict(cm)
+        iso, record = homology_iso_verdict(self.linking_projection, src, tgt)
         detail["homology"]["linking_nerve"] = {
             "dims": tgt_h, "exact_through": dmax - 1}
         detail["homology"]["transporter_into_linking_iso"] = record
@@ -478,7 +460,7 @@ class PipelineRun:
                 "label": M.label(),
                 "order": M.order,
                 "class": poset.class_of[idx],
-                "centric": table.record_for(M).is_centric,
+                "centric": table[M.ids],
             })
         centric_sylow = [H.label() for H in self.centric_in_sylow]
         data = {
@@ -515,9 +497,7 @@ class PipelineRun:
                 "class_sizes": [len(cls) for cls in poset.classes],
                 "chain_length": longest_chain_length(poset, self.sylow),
                 "minimum_order": poset.members[poset.minimum].order,
-                "centric_member_count": sum(
-                    1 for M in poset.members if table.record_for(M).is_centric
-                ),
+                "centric_member_count": sum(table[M.ids] for M in poset.members),
                 "members": members,
                 "hasse_edges": poset.hasse_edges(),
             },

@@ -14,8 +14,9 @@ its ``src``/``tgt``/``witness`` arrays alone, never calling ``mor`` or
 ``walk``, ``find`` and ``reference_faces`` are the index walk the chain
 kernel used before it derived faces and chain-map images from the parent
 chain's: a chain's row is found from its head, ``idx = row0[head]``, then
-``idx = starts[k][idx] + pos[t_k]`` for k = 1..d, over the token rows that
-``tokens`` reads back along parents; the kernel itself never builds them.
+``idx = starts[k][idx] + pos[t_k]`` for k = 1..d, over the token rows and
+heads that ``tokens`` and ``heads`` read back along parents; the kernel
+itself never builds them.
 
 The functor references build {token: matrix} dicts by the per-token loops
 that the flat functor store (``plocal.limits.LinearFunctor``) replaced: a
@@ -121,6 +122,14 @@ def tokens(chains, d: int) -> np.ndarray:
     return rows
 
 
+def heads(chains, d: int) -> np.ndarray:
+    """The head object of each degree-d chain, read back along parents."""
+    at = np.arange(chains.dims[d])
+    for k in range(d, 0, -1):
+        at = chains.parent[k][at]
+    return chains.heads[at]
+
+
 def walk(chains, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Row numbers of the given chains, by the index walk from their heads."""
     idx = chains.row0[heads]
@@ -146,7 +155,7 @@ def reference_faces(chains, d: int) -> np.ndarray:
     every face of the token rows: column i is the row of the face that drops
     vertex c_i, -1 where it goes through an identity or starts at no head."""
     C = chains.category
-    T = tokens(chains, d)
+    T, head = tokens(chains, d), heads(chains, d)
     table = np.full((len(T), d + 1), -1, dtype=np.int64)
     head0 = C.tgt[T[:, 0]]
     rows = np.flatnonzero(chains.row0[head0] >= 0)
@@ -156,8 +165,8 @@ def reference_faces(chains, d: int) -> np.ndarray:
         assert (u >= 0).all()
         rows = np.flatnonzero(~C.is_id[u])
         face = np.concatenate([T[rows, :i - 1], u[rows, None], T[rows, i + 1:]], axis=1)
-        table[rows, i] = walk(chains, chains.heads[d][rows], face)
-    table[:, d] = walk(chains, chains.heads[d], T[:, :-1])
+        table[rows, i] = walk(chains, head[rows], face)
+    table[:, d] = walk(chains, head, T[:, :-1])
     return table
 
 
@@ -172,9 +181,26 @@ def reference_images(F, source, target, dmax: int) -> list[np.ndarray]:
         image = morphism_map[tokens(source, d)]
         rows = np.flatnonzero(~target.is_id[image].any(axis=1))
         cols = np.full(source.dims[d], -1, dtype=np.int64)
-        cols[rows] = find(target, object_map[source.heads[d][rows]], image[rows])
+        cols[rows] = find(target, object_map[heads(source, d)[rows]], image[rows])
         out.append(cols)
     return out
+
+
+def move_an_image(images: list[np.ndarray], target, d: int) -> int:
+    """Move the first live degree-d image row, in place, to the first chain
+    of the target complex whose boundary differs from its image's mod p,
+    and return the source row moved: a fault in a chain map's image rows
+    that the ∂² check of its mapping cone must catch."""
+    B, p = target.boundaries[d].csr, target.prime
+
+    def boundary(j):
+        lo, hi = B.indptr[j], B.indptr[j + 1]
+        return {c: v % p for c, v in zip(B.indices[lo:hi].tolist(), B.data[lo:hi].tolist()) if v % p}
+
+    cols = images[d]
+    k = int(np.flatnonzero(cols >= 0)[0])
+    cols[k] = next(j for j in range(B.shape[0]) if boundary(j) != boundary(cols[k]))
+    return k
 
 
 def nerve_basis(C, dmax: int) -> list[list]:

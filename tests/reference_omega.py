@@ -1,6 +1,6 @@
 """References for the centricity code (``plocal.omega``) that only tests read.
 
-``centric_subgroups`` lists a centricity table's centric subgroups, and
+``centric_subgroups`` lists the centric subgroups of a collection, and
 ``verify_centric_decomposition`` checks the splitting of the centralizer of
 a centric subgroup that the linking category relies on.
 """
@@ -8,18 +8,20 @@ a centric subgroup that the linking category relies on.
 from __future__ import annotations
 
 from plocal.groups import center, centralizer
+from plocal.omega import classify_centric
 
 
-def centric_subgroups(table) -> list:
-    """The subgroups of a ``CentricityTable`` marked p-centric, in its order."""
-    return [r.subgroup for r in table.records if r.is_centric]
+def centric_subgroups(G, p: int, collection) -> list:
+    """The subgroups of the collection that ``classify_centric`` marks
+    p-centric, in its order."""
+    table = classify_centric(G, p, collection)
+    return [H for H in collection if table[H.ids]]
 
 
-def verify_centric_decomposition(G, p: int, rec) -> bool:
-    """For centric P: C_G(P) = Z(P) x O^p(C_G(P)) as an internal direct product."""
-    if not rec.is_centric:
-        return True
-    Z, K, C = center(rec.subgroup), rec.residual, centralizer(G, rec.subgroup)
+def verify_centric_decomposition(G, p: int, P, K) -> bool:
+    """For P centric with K = O^p(C_G(P)): C_G(P) = Z(P) x K as an internal
+    direct product."""
+    Z, C = center(P), centralizer(G, P)
     if len(Z.idset & K.idset) != 1:
         return False
     if K.order % p == 0:

@@ -23,10 +23,8 @@ from plocal import (
     build_orbit,
     build_orbit_skeletons,
     build_transporter,
-    classify_centric,
     emit_report,
     homology_iso_verdict,
-    induced_chain_map,
     nerve_complex,
     normalizer_reduction_check,
     punctured_class_vanishing,
@@ -73,7 +71,7 @@ def skeletons(spec, p):
 def centric_in_sylow(spec, p):
     G = group(spec)
     subs = all_subgroups(sylow_subgroup(G, p))
-    return centric_subgroups(classify_centric(G, p, subs))
+    return centric_subgroups(G, p, subs)
 
 
 def announce(num, ok, text):
@@ -146,7 +144,7 @@ def test_criterion_3_transporter_linking_equivalence():
             kv = verify_quotient_functor(psi, p)
             src = nerve_complex(T, p, dmax - 1)
             tgt = nerve_complex(psi.target, p, dmax)
-            iso, record = homology_iso_verdict(induced_chain_map(psi, src, tgt))
+            iso, record = homology_iso_verdict(psi, src, tgt)
             if not (kv.passed and record["certified_through"] >= 2 and iso):
                 failures.append((spec, p))
     announce(
@@ -181,7 +179,7 @@ def test_criterion_4_transporter_nerve_matches_classifying_space():
         )
         bg = build_transporter(G, [G.full_subgroup()])
         F = Functor(bg, T, [min_idx], T.tokens_of(min_idx, min_idx, bg.witness).tolist())
-        iso, _ = homology_iso_verdict(induced_chain_map(F, bar, t_cx))
+        iso, _ = homology_iso_verdict(F, bar, t_cx)
         if not iso:
             failures.append((spec, p, "cone"))
     announce(

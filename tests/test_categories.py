@@ -51,10 +51,7 @@ CATALOG = ["sym:3", "sym:4", "alt:4", "dih:8", "dih:12", "cyc:6", "sym:3 x cyc:3
 
 
 def centric_in_sylow(G, p):
-    from plocal import classify_centric
-    subs = all_subgroups(sylow_subgroup(G, p))
-    table = classify_centric(G, p, subs)
-    return centric_subgroups(table)
+    return centric_subgroups(G, p, all_subgroups(sylow_subgroup(G, p)))
 
 
 # the failure prefixes of each category law and each quotient condition,

@@ -14,10 +14,11 @@ from plocal import (
     PLocalError,
     PipelineConfig,
     all_subgroups,
+    build_intersection_poset,
     build_linking,
     build_orbit,
+    build_orbit_skeletons,
     build_transporter,
-    classify_centric,
     full_subcategory,
     induced_chain_map,
     nerve_complex,
@@ -51,7 +52,7 @@ def assert_same_matrix(got, want):
 
 def assert_int32(chains):
     """Every chain array the kernel keeps is int32."""
-    arrays = [chains.pos, chains.row0, *chains.heads]
+    arrays = [chains.pos, chains.row0, chains.heads]
     arrays += [a for name in ("last", "parent", "starts") for a in getattr(chains, name)[1:]]
     assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
 
@@ -71,13 +72,19 @@ def check_nerve(C, prime, cx):
         assert_same_matrix(cochains.boundaries[d], cx.boundaries[d])
 
 
-def check_chain_map(F, cm):
-    src = ref.nerve_basis(F.source, cm.source.dmax)
-    tgt = ref.nerve_basis(F.target, cm.target.dmax)
-    want = ref.chain_map(F, src, tgt, cm.source.prime)
-    assert len(cm.mats) == len(want)
-    for got, expected in zip(cm.mats, want):
-        assert_same_matrix(got, expected)
+def check_chain_map(F, source_cx, target_cx, images):
+    """Each image row is the one nonzero column, with entry 1, of its row
+    of the reference matrix, and -1 where that row is zero."""
+    src = ref.nerve_basis(F.source, source_cx.dmax)
+    tgt = ref.nerve_basis(F.target, target_cx.dmax)
+    want = ref.chain_map(F, src, tgt, source_cx.prime)
+    assert len(images) == len(want)
+    for cols, expected in zip(images, want):
+        csr = expected.csr
+        assert cols.shape == (csr.shape[0],)
+        live = cols >= 0
+        assert np.array_equal(np.diff(csr.indptr), live)
+        assert np.array_equal(csr.indices, cols[live]) and (csr.data == 1).all()
 
 
 def check_cochains(F, nmax, cx):
@@ -106,10 +113,10 @@ def test_kernel_matches_reference_on_every_pipeline_input(monkeypatch):
         return cx
 
     def chain_map(F, source_cx, target_cx):
-        cm = real_map(F, source_cx, target_cx)
-        check_chain_map(F, cm)
+        images = real_map(F, source_cx, target_cx)
+        check_chain_map(F, source_cx, target_cx, images)
         seen["chain_map"] += 1
-        return cm
+        return images
 
     def cochains(F, nmax, budget=limits.DEFAULT_BUDGET):
         cx = real_cochains(F, nmax, budget)
@@ -128,7 +135,7 @@ def test_kernel_matches_reference_on_every_pipeline_input(monkeypatch):
 
     for mod in (homology, pipeline):
         monkeypatch.setattr(mod, "nerve_complex", nerve)
-    monkeypatch.setattr(pipeline, "induced_chain_map", chain_map)
+    monkeypatch.setattr(homology, "induced_chain_map", chain_map)
     monkeypatch.setattr(limits, "functor_cochain_complex", cochains)
     monkeypatch.setattr(cohomology.CohomologyBasis, "pullback_matrix", pullback)
     for spec in CATALOG:
@@ -171,7 +178,7 @@ def test_kernel_matches_reference_on_random_collections(data):
     p = data.draw(st.sampled_from([2, 3, 5]))
     G = build_group(spec)
     coll = _collection(data, G, p)
-    centric = centric_subgroups(classify_centric(G, p, coll))
+    centric = centric_subgroups(G, p, coll)
     cats = [build_transporter(G, coll), build_orbit(G, coll)]
     if centric:
         cats.append(build_linking(G, p, centric))
@@ -183,9 +190,24 @@ def test_kernel_matches_reference_on_random_collections(data):
         check_nerve(C, p, cx)
         keep = sorted(data.draw(st.sets(st.integers(0, C.object_count - 1), min_size=1)))
         sub, incl = full_subcategory(C, keep)
-        check_chain_map(incl, induced_chain_map(incl, nerve_complex(sub, p, 2), cx))
+        sub_cx = nerve_complex(sub, p, 2)
+        check_chain_map(incl, sub_cx, cx, induced_chain_map(incl, sub_cx, cx))
         F = ref.constant_functor(C, p, data.draw(st.integers(1, 2)))
         check_cochains(F, 2, functor_cochain_complex(F, 2))
+
+
+@pytest.mark.parametrize("spec,p", [("sym:4", 2), ("sym:3 x cyc:3", 3)])
+def test_cochains_match_reference_where_dims_vary_by_head(spec, p):
+    """H^i(B P) on the full orbit skeleton has different dimensions at
+    different heads, so each degree's row blocks follow the heads of its
+    chains, which the writer derives along parents."""
+    G = build_group(spec)
+    skel = build_orbit_skeletons(G, p, build_intersection_poset(G, p))
+    cache = cohomology.CohomologyCache(G, p)
+    for i in (1, 2):
+        F = cohomology.classifying_cohomology_functor(skel.p_cat, i, cache)
+        assert len(set(F.dims) - {0}) > 1
+        check_cochains(F, 3, functor_cochain_complex(F, 3))
 
 
 def test_tokens_stay_grouped_by_source():
@@ -231,7 +253,7 @@ def pipeline_inputs() -> tuple[list, list]:
     it induces a chain map along."""
     cats, functors = [], []
     real_init = categories.FiniteCategory.__init__
-    real_map = pipeline.induced_chain_map
+    real_map = homology.induced_chain_map
 
     def init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
@@ -243,7 +265,7 @@ def pipeline_inputs() -> tuple[list, list]:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(categories.FiniteCategory, "__init__", init)
-        mp.setattr(pipeline, "induced_chain_map", chain_map)
+        mp.setattr(homology, "induced_chain_map", chain_map)
         for spec in CATALOG:
             for p in (2, 3):
                 rep = run_pipeline(spec, PipelineConfig(
@@ -338,13 +360,13 @@ def test_homology_runs_read_no_token_rows(monkeypatch):
     reader of token rows (only ``reference_chains.tokens`` builds them) and
     a run of the homology checks induces its chain maps without them."""
     calls = {"chain_map": 0}
-    real_map = pipeline.induced_chain_map
+    real_map = homology.induced_chain_map
 
     def chain_map(F, source_cx, target_cx):
         calls["chain_map"] += 1
         return real_map(F, source_cx, target_cx)
 
-    monkeypatch.setattr(pipeline, "induced_chain_map", chain_map)
+    monkeypatch.setattr(homology, "induced_chain_map", chain_map)
     rep = run_pipeline("sym:4", PipelineConfig(
         prime=2, max_degree=3, include_timings=False,
         checks=("nerve-vs-group", "centric-restriction", "centric-agreement",

@@ -1,7 +1,7 @@
 """Faults injected into one run artifact stay in the stage that reads it.
 
 Each test corrupts one entry of an artifact that a check reads: a chain
-map's matrix, which only its mapping cone's ∂² check reads; a nerve
+map's image rows, which only its mapping cone's ∂² check reads; a nerve
 boundary's at p = 3, which ``FpComplex`` checks through a product of the
 stored entries, -1 and 1; a coefficient functor's, which the exhaustive
 functoriality check before its limits reads; a category's composition
@@ -20,11 +20,12 @@ every other verdict must be the one a clean run gives.
 import numpy as np
 import pytest
 
-from plocal import PipelineConfig, categories, homology, limit_checks, pipeline
+from plocal import PipelineConfig, categories, homology, limit_checks
 from plocal.catalog import build_group
 from plocal.chains import NOT_A_CHAIN
 from plocal.fplinalg import FpMatrix
 from plocal.pipeline import STAGES, PipelineRun
+from reference_chains import move_an_image
 
 HOMOLOGY_CHECKS = ("quotient", "nerve-vs-group", "centric-restriction", "centric-agreement",
                    "linking-vs-transporter", "main")
@@ -50,31 +51,30 @@ def assert_only_stages_fail(report, clean, checks: tuple[str, ...]):
 
 @pytest.mark.parametrize("spec,p", [("sym:4", 2), ("sym:3 x cyc:3", 3)])
 def test_a_corrupted_chain_map_entry_fails_only_its_cone(monkeypatch, spec, p):
-    """One entry of f_1 of the transporter-to-linking chain map moves to
-    another column at p = 2, or takes another nonzero value at p = 3.  The
-    cone reads f_1 in its degree-2 and degree-3 boundaries, and the
-    product of the degree-3 one with the cone's ∂_2 no longer vanishes."""
+    """The image of the first degree-d chain with one under the
+    transporter-to-linking chain map moves to a chain with a different
+    boundary mod p.  The cone reads f_d in its degree-(d+1) boundary, and
+    the product of that boundary's leading rows with the cone's ∂_d no
+    longer vanishes.  On sym:3 x cyc:3 at p = 3 the linking category has one
+    object, so every degree-1 chain has boundary 0 and the image moved is a
+    degree-2 one."""
+    d = 1 if p == 2 else 2
     clean = homology_run(spec, p).run()
     run = homology_run(spec, p)
-    real = pipeline.induced_chain_map
+    real = homology.induced_chain_map
     corrupted = []
 
     def corrupt(F, source, target):
-        cm = real(F, source, target)
+        images = real(F, source, target)
         if F is run.linking_projection:
-            csr = cm.mats[1].csr
-            k = 0  # the entry of the first chain with an image
-            if p == 2:
-                csr.indices[k] = (csr.indices[k] + 1) % csr.shape[1]
-            else:
-                csr.data[k] = csr.data[k] % 2 + 1
-            corrupted.append(k)
-        return cm
+            corrupted.append(move_an_image(images, target, d))
+        return images
 
-    monkeypatch.setattr(pipeline, "induced_chain_map", corrupt)
+    monkeypatch.setattr(homology, "induced_chain_map", corrupt)
     report = run.run()
-    assert corrupted == [0]
+    assert len(corrupted) == 1
     assert_only_stages_fail(report, clean, ("linking-vs-transporter",))
+    assert f"boundary squared is nonzero in degree {d + 1}" in " ".join(report.data["notes"])
 
 
 def test_a_corrupted_nerve_boundary_entry_fails_only_its_readers(monkeypatch):

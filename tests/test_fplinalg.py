@@ -55,7 +55,6 @@ from plocal import (
     all_subgroups,
     build_orbit_skeletons,
     build_transporter,
-    classify_centric,
     classifying_cohomology_functor,
     functor_cochain_complex,
     induced_chain_map,
@@ -425,29 +424,30 @@ def test_seeded_rank_matches_plain_and_oracle(p, t_rows, b_rows, left, right):
 
 
 def centric_linking_cone(spec, p, dmax):
-    """The mapping cone of the transporter-to-linking projection, as in the
-    linking-vs-transporter check."""
+    """The arguments of the mapping cone of the transporter-to-linking
+    projection, as in the linking-vs-transporter check: its source and
+    target nerves and its image rows."""
     G = build_group(spec)
-    cents = centric_subgroups(classify_centric(G, p, all_subgroups(sylow_subgroup(G, p))))
+    cents = centric_subgroups(G, p, all_subgroups(sylow_subgroup(G, p)))
     psi = quotient_projection(build_transporter(G, cents), p)
     src = nerve_complex(psi.source, p, dmax - 1)
     tgt = nerve_complex(psi.target, p, dmax)
-    return induced_chain_map(psi, src, tgt), tgt
+    return src, tgt, induced_chain_map(psi, src, tgt)
 
 
 @pytest.mark.parametrize("spec,p", [("sym:4", 2), ("sym:3 x cyc:3", 3), ("sym:3 x cyc:3", 5)])
 def test_real_cone_ranks_seeded_and_plain(spec, p):
     """At p = 5 the Sylow subgroup is trivial: the cone compares BG with a
     point, and is acyclic because 5 does not divide |G|."""
-    cm, tgt = centric_linking_cone(spec, p, 3)
-    plain = mapping_cone(cm)
+    src, tgt, images = centric_linking_cone(spec, p, 3)
+    plain = mapping_cone(src, tgt, images)
     plain_ranks = [plain.rank_boundary(d) for d in range(1, plain.dmax + 1)]
     assert all(tgt.boundaries[d].leads is None for d in range(1, tgt.dmax + 1))
     assert_bounded_ranks_exact(plain, plain_ranks)
 
     target_ranks = [tgt.rank_boundary(d) for d in range(1, tgt.dmax + 1)]
     assert_bounded_ranks_exact(tgt, target_ranks)
-    seeded = mapping_cone(cm)
+    seeded = mapping_cone(src, tgt, images)
     seeded_ranks = [seeded.rank_boundary(d) for d in range(1, seeded.dmax + 1)]
     assert seeded_ranks == plain_ranks
     assert seeded.homology() == [0] * seeded.dmax
@@ -469,8 +469,7 @@ def test_elimination_stops_at_the_row_that_reaches_the_forced_rank(spec, p):
     for a matrix whose certificate falls short, stops at the row whose pivot
     reaches the bound, and most rows are never read: at p = 2 it reads its
     structural rows to build the annihilator, and no other row."""
-    cm, _ = centric_linking_cone(spec, p, 3)
-    cone = mapping_cone(cm)
+    cone = mapping_cone(*centric_linking_cone(spec, p, 3))
     d = cone.dmax
     top = cone.boundaries[d]
     csr = whole(top)
@@ -1233,8 +1232,7 @@ def test_acyclic_cone_boundaries_read_only_their_structural_rows(spec):
     bound, so ``rank`` certifies it and reads no row, and the engine under
     that cap reads them, in ascending order of their leads, and no other
     row."""
-    cm, _ = centric_linking_cone(spec, 2, 3)
-    cone = mapping_cone(cm)
+    cone = mapping_cone(*centric_linking_cone(spec, 2, 3))
     for d in range(1, cone.dmax + 1):
         m = cone.boundaries[d]
         csr = whole(m)
@@ -1629,10 +1627,10 @@ def test_products_of_lifted_nerve_boundaries_cancel_over_the_integers():
             assert np.array_equal(m.csr.data, data) and set(data.tolist()) == {-1, 1}
 
     G = build_group("sym:4")
-    cents = centric_subgroups(classify_centric(G, 2, all_subgroups(sylow_subgroup(G, 2))))
+    cents = centric_subgroups(G, 2, all_subgroups(sylow_subgroup(G, 2)))
     psi = quotient_projection(build_transporter(G, cents), 2)
-    cone = mapping_cone(induced_chain_map(psi, nerve_complex(psi.source, 2, 2),
-                                          nerve_complex(psi.target, 2, 3)))
+    src, tgt = nerve_complex(psi.source, 2, 2), nerve_complex(psi.target, 2, 3)
+    cone = mapping_cone(src, tgt, induced_chain_map(psi, src, tgt))
     top, below = cone.boundaries[3], cone.boundaries[2]
     assert below.tail is not None and top.csr.shape == (1_620, 1_704)
     assert fplinalg._times(top.csr, below).nnz == 0

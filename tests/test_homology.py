@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from reference_chains import from_row_entries, identity_functor
+from reference_chains import from_row_entries, identity_functor, move_an_image
 from reference_omega import centric_subgroups
 from plocal import (
     BudgetExceeded,
@@ -17,7 +17,6 @@ from plocal import (
     build_linking,
     build_orbit,
     build_transporter,
-    classify_centric,
     homology_iso_verdict,
     induced_chain_map,
     mapping_cone,
@@ -96,10 +95,12 @@ def test_identity_functor_chain_map():
     G = build_group("sym:3")
     T = build_transporter(G, [sylow_subgroup(G, 2)])
     cx = nerve_complex(T, 2, 3)
-    cm = induced_chain_map(identity_functor(T), cx, cx)
-    iso, record = homology_iso_verdict(cm)
+    F = identity_functor(T)
+    iso, record = homology_iso_verdict(F, cx, cx)
     assert iso and record == {"certified_through": 1, "iso": [True, True]}
-    cone_h = mapping_cone(cm).homology()
+    images = induced_chain_map(F, cx, cx)
+    assert [cols.tolist() for cols in images] == [list(range(n)) for n in cx.dims]
+    cone_h = mapping_cone(cx, cx, images).homology()
     assert cone_h == [0] * len(cone_h)
 
 
@@ -107,24 +108,22 @@ def test_identity_functor_chain_map():
 @pytest.mark.parametrize("source_dmax", [2, 3])
 def test_a_chain_map_that_does_not_commute_has_no_cone(p, source_dmax):
     """The identity of the transporter nerve on the poset members of sym:3
-    in one Sylow, into the same nerve through degree 3, with one entry of
-    f_1 changed: its mapping cone fails its ∂² check, whether the source
-    stops one degree below the target or at the same degree."""
-    from plocal.homology import ChainMap
+    in one Sylow, into the same nerve through degree 3, with the image of
+    one degree-1 chain moved to a chain with a different boundary: its
+    mapping cone fails its ∂² check, whether the source stops one degree
+    below the target or at the same degree."""
     G = build_group("sym:3")
     S = sylow_subgroup(G, 2)
     poset = build_intersection_poset(G, 2)
     T = build_transporter(G, [poset.members[i] for i in poset.members_in(S)])
     tgt = nerve_complex(T, p, 3)
     src = tgt.prefix(source_dmax)
-    cm = induced_chain_map(identity_functor(T), src, tgt)
-    assert homology_iso_verdict(cm)[0]
-    f1 = cm.mats[1].csr.tolil()
-    j = int(np.flatnonzero(np.diff(tgt.boundaries[1].csr.indptr))[0])  # a chain with a boundary
-    f1[0, j] = (f1[0, j] + 1) % p
-    mats = [cm.mats[0], FpMatrix(f1.tocsr(), p), *cm.mats[2:]]
-    with pytest.raises(PLocalError, match="boundary squared is nonzero"):
-        homology_iso_verdict(ChainMap(src, tgt, mats))
+    F = identity_functor(T)
+    assert homology_iso_verdict(F, src, tgt)[0]
+    images = induced_chain_map(F, src, tgt)
+    move_an_image(images, tgt, 1)
+    with pytest.raises(PLocalError, match="boundary squared is nonzero in degree 2"):
+        mapping_cone(src, tgt, images)
 
 
 def test_point_into_bz2_not_iso():
@@ -138,8 +137,7 @@ def test_point_into_bz2_not_iso():
     assert not F.violations()
     src = nerve_complex(one, 2, 3)
     tgt = nerve_complex(T2, 2, 3)
-    cm = induced_chain_map(F, src, tgt)
-    iso, record = homology_iso_verdict(cm)
+    iso, record = homology_iso_verdict(F, src, tgt)
     assert not record["iso"][1]
     assert not iso
     # homology dimensions genuinely differ in degree 1
@@ -153,20 +151,18 @@ def test_skeleton_inclusion_iso():
     skel, incl = skeleton(L)
     src = nerve_complex(skel, 2, 3)
     tgt = nerve_complex(L, 2, 4)
-    cm = induced_chain_map(incl, src, tgt)
-    assert homology_iso_verdict(cm)[0]
+    assert homology_iso_verdict(incl, src, tgt)[0]
 
 
 def test_quotient_projection_iso_with_fibers():
     G = build_group("sym:3 x cyc:3")
     subs = all_subgroups(sylow_subgroup(G, 2))
-    cents = centric_subgroups(classify_centric(G, 2, subs))
+    cents = centric_subgroups(G, 2, subs)
     T = build_transporter(G, cents)
     psi = quotient_projection(T, 2)
     src = nerve_complex(T, 2, 3)
     tgt = nerve_complex(psi.target, 2, 4)
-    cm = induced_chain_map(psi, src, tgt)
-    iso, record = homology_iso_verdict(cm)
+    iso, record = homology_iso_verdict(psi, src, tgt)
     assert record["certified_through"] == 2
     assert iso
 
@@ -203,8 +199,7 @@ def test_mapping_cone_shapes():
     G = build_group("cyc:2")
     T = build_transporter(G, [G.full_subgroup()])
     cx = nerve_complex(T, 2, 3)
-    cm = induced_chain_map(identity_functor(T), cx, cx)
-    cone = mapping_cone(cm)
+    cone = mapping_cone(cx, cx, induced_chain_map(identity_functor(T), cx, cx))
     assert cone.dims[0] == cx.dims[0]
     for d in range(1, cone.dmax + 1):
         assert cone.dims[d] == cx.dims[d - 1] + cx.dims[d]
@@ -214,7 +209,7 @@ def test_mapping_cone_boundaries_are_integer():
     G = build_group("sym:3")
     T = build_transporter(G, [sylow_subgroup(G, 2)])
     cx = nerve_complex(T, 2, 3)
-    cone = mapping_cone(induced_chain_map(identity_functor(T), cx, cx))
+    cone = mapping_cone(cx, cx, induced_chain_map(identity_functor(T), cx, cx))
     for d in range(1, cone.dmax + 1):
         assert np.issubdtype(cone.boundaries[d].csr.dtype, np.integer), d
 
@@ -280,11 +275,11 @@ def real_cone(p=3):
     """The cone of the transporter-to-linking projection on the centric
     subgroups of sym:3 x cyc:3, as in the linking-vs-transporter check."""
     G = build_group("sym:3 x cyc:3")
-    cents = centric_subgroups(classify_centric(G, p, all_subgroups(sylow_subgroup(G, p))))
+    cents = centric_subgroups(G, p, all_subgroups(sylow_subgroup(G, p)))
     psi = quotient_projection(build_transporter(G, cents), p)
     src = nerve_complex(psi.source, p, 2)
     tgt = nerve_complex(psi.target, p, 3)
-    return mapping_cone(induced_chain_map(psi, src, tgt))
+    return mapping_cone(src, tgt, induced_chain_map(psi, src, tgt))
 
 
 @pytest.mark.parametrize("spec,p", [("sym:4", 2), ("sym:3 x cyc:3", 3)])
@@ -295,9 +290,9 @@ def test_cone_boundaries_store_only_their_source_rows(monkeypatch, spec, p):
     real = homology.mapping_cone
     cones = []
 
-    def recorded(cm):
-        cone = real(cm)
-        cones.append((cm, cone))
+    def recorded(A, B, images):
+        cone = real(A, B, images)
+        cones.append((A, B, cone))
         return cone
 
     monkeypatch.setattr(homology, "mapping_cone", recorded)
@@ -305,8 +300,7 @@ def test_cone_boundaries_store_only_their_source_rows(monkeypatch, spec, p):
                                             include_timings=False))
     assert "fail" not in rep.verdicts.values()
     assert len(cones) == 3
-    for cm, cone in cones:
-        A, B = cm.source, cm.target
+    for A, B, cone in cones:
         for d in range(1, cone.dmax + 1):
             m = cone.boundaries[d]
             left = A.dims[d - 2] if d >= 2 else 0
@@ -340,17 +334,17 @@ def test_cone_over_a_corrupted_target_boundary_does_not_build():
     never copies it, so a corrupted entry there is read where the next
     cone boundary's leading rows meet it: f_2 dB_2 = dA_2 f_1 fails."""
     G = build_group("sym:3 x cyc:3")
-    cents = centric_subgroups(classify_centric(G, 3, all_subgroups(sylow_subgroup(G, 3))))
+    cents = centric_subgroups(G, 3, all_subgroups(sylow_subgroup(G, 3)))
     psi = quotient_projection(build_transporter(G, cents), 3)
     src = nerve_complex(psi.source, 3, 2)
     tgt = nerve_complex(psi.target, 3, 3)
-    cm = induced_chain_map(psi, src, tgt)
-    assert mapping_cone(cm).boundaries[2].tail[0] is tgt.boundaries[2]
+    images = induced_chain_map(psi, src, tgt)
+    assert mapping_cone(src, tgt, images).boundaries[2].tail[0] is tgt.boundaries[2]
     data = tgt.boundaries[2].csr.data
     assert data[-1] in (-1, 1)
     data[-1] = -data[-1]  # a different nonzero entry mod 3
     with pytest.raises(PLocalError, match="boundary squared is nonzero in degree 3"):
-        mapping_cone(cm)
+        mapping_cone(src, tgt, images)
 
 
 def test_cone_with_a_corrupted_leading_row_does_not_build():

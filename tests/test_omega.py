@@ -1,20 +1,26 @@
+import sys
+
 import pytest
 
 from plocal import (
     NotPSubgroup,
+    PipelineConfig,
     all_subgroups,
     build_intersection_poset,
+    build_linking,
     centralizer,
     classify_centric,
     closure_in_poset,
+    groups,
     is_centric,
     longest_chain_length,
+    run_pipeline,
     sylow_subgroup,
     verify_closure_properties,
 )
 from plocal.catalog import build_group, parse_cycles
 from reference_groups import conjugate, element_id
-from reference_omega import verify_centric_decomposition
+from reference_omega import centric_subgroups, verify_centric_decomposition
 
 
 def test_poset_s3_p2():
@@ -121,9 +127,10 @@ def test_centric_table_s4():
     G = build_group("sym:4")
     subs = all_subgroups(sylow_subgroup(G, 2))
     table = classify_centric(G, 2, subs)
+    assert set(table) == {H.ids for H in subs}
     by_order = {}
-    for r in table.records:
-        by_order.setdefault(r.subgroup.order, []).append(r.is_centric)
+    for H in subs:
+        by_order.setdefault(H.order, []).append(table[H.ids])
     assert all(not f for f in by_order[1])
     assert all(not f for f in by_order[2])
     assert all(f for f in by_order[4])
@@ -134,27 +141,24 @@ def test_centric_decomposition():
     for spec, p in [("sym:3", 2), ("sym:4", 2), ("cyc:6", 2), ("sym:3 x cyc:3", 2)]:
         G = build_group(spec)
         subs = all_subgroups(sylow_subgroup(G, p))
-        table = classify_centric(G, p, subs)
-        for rec in table.records:
-            assert verify_centric_decomposition(G, p, rec), (spec, p, rec.subgroup.label())
-            if rec.is_centric:
-                # the complement has order prime to p
-                assert rec.residual.order % p != 0
+        L = build_linking(G, p, centric_subgroups(G, p, subs))
+        for P, K in zip(L.objects, L.left):
+            assert verify_centric_decomposition(G, p, P, K), (spec, p, P.label())
+            # the complement has order prime to p
+            assert K.order % p != 0
 
 
 def test_residual_index_is_p_power_for_centric_centralizers():
     for spec, p in [("sym:3 x cyc:3", 2), ("sym:4", 2), ("cyc:6", 2)]:
         G = build_group(spec)
         subs = all_subgroups(sylow_subgroup(G, p))
-        table = classify_centric(G, p, subs)
-        for rec in table.records:
-            if not rec.is_centric:
-                continue
+        L = build_linking(G, p, centric_subgroups(G, p, subs))
+        for P, K in zip(L.objects, L.left):
             # the residual is normal in the centralizer with p-power index
-            C = centralizer(G, rec.subgroup)
+            C = centralizer(G, P)
             for h in C.generating_ids:
-                assert conjugate(rec.residual, h).ids == rec.residual.ids
-            q = C.order // rec.residual.order
+                assert conjugate(K, h).ids == K.ids
+            q = C.order // K.order
             while q % p == 0:
                 q //= p
             assert q == 1
@@ -180,3 +184,21 @@ def test_hasse_edges_s3():
     assert len(edges) == 3
     for i, j in edges:
         assert poset.members[i].order == 1 and poset.members[j].order == 2
+
+
+def test_only_the_linking_builder_computes_residuals(monkeypatch):
+    """O^p(C_G(P)) acts only in the linking category, so a full run
+    computes it once per linking-category object and for no other
+    subgroup: on sym:4 at p = 2, for the four centric classes in D8."""
+    real, calls = groups.p_residual, []
+
+    def spy(H, p):
+        calls.append(H)
+        return real(H, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "plocal" and getattr(module, "p_residual", None) is real:
+            monkeypatch.setattr(module, "p_residual", spy)
+    rep = run_pipeline("sym:4", PipelineConfig(prime=2, max_degree=3, include_timings=False))
+    assert rep.overall == "pass"
+    assert len(calls) == rep.data["categories"]["linking_centric"]["objects"] == 4

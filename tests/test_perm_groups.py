@@ -435,12 +435,13 @@ def test_group_code_hands_out_python_ints():
     S = sylow_subgroup(G, 2)
     subs = all_subgroups(S)
     assert all(type(g) is int for P in subs for g in transporter_set(G, P, S))
-    residuals = [r.residual for r in classify_centric(G, 2, subs).records]
+    table = classify_centric(G, 2, subs)
+    cents = [H for H in subs if table[H.ids]]
+    residuals = [p_residual(centralizer(G, H), 2) for H in subs]
     made = [centralizer(G, S), normalizer(G, S), center(S),
             *conjugates(G, S), *subs, *residuals]
     assert all(type(x) is int for H in made for x in H.ids + H.generating_ids)
     T = build_transporter(G, subs)
-    cents = [H for H in subs if classify_centric(G, 2, [H]).records[0].is_centric]
     psi = quotient_projection(build_transporter(G, cents), 2)
     for C in (T, build_orbit(G, subs), build_linking(G, 2, cents), psi.target):
         assert C.witness.dtype == np.int64

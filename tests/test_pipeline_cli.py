@@ -85,6 +85,22 @@ def test_explicit_generators():
     assert H.order == 2
 
 
+def test_explicit_generators_with_commas_inside_cycles(capsys):
+    """Commas may separate the points of a cycle, as ``parse_cycles``
+    accepts; only a comma outside the parentheses separates generators."""
+    from plocal import cli
+
+    G = build_group("gens:(1,2,3),(1,2)")
+    assert (G.degree, G.order) == (3, 6)
+    same = build_group("gens:(1 2 3)(4 5),(1 2)")
+    assert build_group("gens:(1,2,3)(4,5),(1,2)").order == same.order == 12
+    assert build_group("gens:(1, 2),(3,4);deg=5").order == 4
+    code = cli.main(["analyze", "--group", "gens:(1,2,3),(1,2)", "--prime", "2",
+                     "--no-timings", "--check", "closure"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["group"]["order"] == 6
+
+
 def test_report_schema_keys():
     rep = run_pipeline("sym:3", PipelineConfig(prime=2, include_timings=False))
     d = rep.data
@@ -173,7 +189,7 @@ def test_budget_failure_gives_partial_report():
 def test_internal_error_fails_only_its_stage(monkeypatch, capsys):
     from plocal import PLocalError, cli, homology
 
-    def broken_cone(cm):
+    def broken_cone(A, B, images):
         raise PLocalError("cone check broke")
 
     monkeypatch.setattr(homology, "mapping_cone", broken_cone)

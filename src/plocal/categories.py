@@ -57,11 +57,11 @@ with middle in S are checked, unless identities or closure fail: then
 every composable triple is.  They are checked one source object s of the
 middle at a time, as blocks of the tokens a into s by the pairs (b, c)
 whose middle b leaves s.  The composable pairs are expanded once per
-check.  The coset rule is checked by table lookups, over the middle
-object's sides only where the composite lies in its morphism set
-(``_verify_coset_well_definedness``).  A verdict, of the laws, the
-quotient functor or the adjunction, is its failure list: it passes when
-the list is empty.
+check.  The coset rule is checked by table lookups; a pair whose composite
+lies in its morphism set and one of whose tokens absorbs the middle
+object's sides is decided by g h alone (``_verify_coset_well_definedness``).
+A verdict, of the laws, the quotient functor or the adjunction, is its
+failure list: it passes when the list is empty.
 """
 
 from __future__ import annotations
@@ -280,11 +280,12 @@ def build_linking(G: PermutationGroup, p: int, centric_collection,
     """The linking category on p-centric objects: Mor(P, Q) = K(P)\\N_G(P, Q)
     with K(P) = O^p(C_G(P)) acting on the left."""
     objs = list(centric_collection)
-    for P in objs:
-        if not is_centric(G, p, P):
+    cents = [centralizer(G, P) for P in objs]
+    for P, cent in zip(objs, cents):
+        if not is_centric(G, p, P, cent):
             raise NotCentric(f"{P.label()} is not {p}-centric")
     cat = FiniteCategory("linking", objs, G)
-    cat.left = [p_residual(centralizer(G, P), p) for P in objs]
+    cat.left = [p_residual(cent, p) for cent in cents]
     cat.right = [G.trivial_subgroup()] * len(objs)
     _fill_cosets(cat).fill_composition(table_budget)
     return cat
@@ -350,17 +351,22 @@ class Functor:
     morphism_map: list[int]     # source token id -> target token id
 
     def violations(self) -> list[str]:
+        """The broken laws; a token mapped to no token is left out of the rest."""
         S, T = self.source, self.target
         fmap = np.asarray(self.morphism_map, dtype=np.int64)
         omap = np.asarray(self.object_map, dtype=np.int64)
-        lost = fmap[S.identity_ids] != T.identity_ids[omap]
-        out = [f"identity at object {i} not preserved" for i in np.flatnonzero(lost).tolist()]
+        stray = (fmap < 0) | (fmap >= T.morphism_count)
+        out = [f"token {t} maps to no token of the target" for t in np.flatnonzero(stray).tolist()]
+        fmap = np.where(stray, 0, fmap)
+        lost = (fmap[S.identity_ids] != T.identity_ids[omap]) & ~stray[S.identity_ids]
+        out += [f"identity at object {i} not preserved" for i in np.flatnonzero(lost).tolist()]
         t1, t2 = S.pairs()
-        t3 = S.composite
-        bad = (t3 < 0) | (T.composites(fmap[t1], fmap[t2]) != fmap[np.maximum(t3, 0)])
+        t3 = np.maximum(S.composite, 0)
+        bad = (S.composite < 0) | (T.composites(fmap[t1], fmap[t2]) != fmap[t3])
+        bad &= ~(stray[t1] | stray[t2] | (stray[t3] & (S.composite >= 0)))
         for k in np.flatnonzero(bad).tolist():
             out.append(f"composition of tokens ({t1[k]},{t2[k]}) not preserved")
-        moved = (T.src[fmap] != omap[S.src]) | (T.tgt[fmap] != omap[S.tgt])
+        moved = ((T.src[fmap] != omap[S.src]) | (T.tgt[fmap] != omap[S.tgt])) & ~stray
         for tid in np.flatnonzero(moved).tolist():
             out.append(f"token {tid} maps outside its object images")
         return out
@@ -549,6 +555,21 @@ def verify_category(C: FiniteCategory) -> CategoryLawsVerdict:
     return CategoryLawsVerdict(triples, failures)
 
 
+def _absorbing(C: FiniteCategory, g: np.ndarray, sides, middles) -> list[np.ndarray]:
+    """Per token g: x -> y, with L = left and R = right, whether g·R_y L_y ⊆
+    L_x·g (left-absorbing: g m g⁻¹ in L_x for m in R_y L_y) and whether
+    R_x L_x·g ⊆ g·R_y (right-absorbing: g⁻¹ m g in R_y for m in R_x L_x)."""
+    G, (mids, mat, mn), out, g_inv = C.group, middles, [], C.group.inverse_ids[g]
+    for (ids, _, size), far, near, (u, v) in zip(sides, (C.src, C.tgt), (C.tgt, C.src),
+                                                 ((g, g_inv), (g_inv, g))):
+        member = np.zeros((C.object_count, G.order), dtype=bool)
+        member[np.repeat(np.arange(C.object_count), size), ids] = True
+        t, pos, _ = _expand(mn[near])
+        inner = member[far[t], G.mul[G.mul[u[t], mids[mat[near[t]] + pos]], v[t]]]
+        out.append(np.bincount(t[~inner], minlength=C.morphism_count) == 0)
+    return out
+
+
 def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str],
                                    t1: np.ndarray, t2: np.ndarray) -> None:
     """Append to ``failures`` those of the coset rule, checked by lookups in
@@ -564,45 +585,50 @@ def _verify_coset_well_definedness(C: FiniteCategory, failures: list[str],
     c's.  When t3 lies in Mor(i, k), its coset L_i c R_k is a union of sets
     L_i z R_k, so
 
-        x y = l (a r l' b) r'  lies in it exactly when  a r l' b  does,
+        x y = l (a r l' b) r'  lies in it exactly when  a r l' b  does.
 
-    and the pair takes one lookup per element of R_j L_j, not one per
-    product.  Where t3 starts elsewhere than i, l still ranges over L_i, and
-    where it ends elsewhere than k, r' over R_k: a composite outside its
-    morphism set is judged on every product."""
+    If t1 is also left-absorbing or t2 right-absorbing (``_absorbing``), each
+    a r l' b lies in L_i a b or in a b R_k, so in L_i c R_k exactly when a b
+    does: the pair takes the one lookup of a b.  Any other pair takes one
+    per element of R_j L_j; where t3 starts elsewhere than i, l still ranges
+    over L_i, and where it ends elsewhere than k, r' over R_k."""
     if C.left is None:
         return
     at, tables = C.least_tables()
-    w, mul = C.witness, C.group.mul
+    w, mul, comp = C.witness, C.group.mul, C.composite
     element = (w >= 0) & (w < C.group.order)  # no lookup reads a witness outside G
-    bad = tables[at[C.src, C.tgt], np.where(element, w, 0)] != w
+    row, ws = at[C.src, C.tgt], np.where(element, w, 0)
+    least = tables[row, ws]
     failures += [f"witness of token {t} is not " + ("the least of its coset" if element[t]
-                 else "an element of G") for t in np.flatnonzero(bad).tolist()]
-    filled = (C.composite >= 0) & (C.composite < C.morphism_count)
-    filled &= element[t1] & element[t2] & element[np.where(filled, C.composite, 0)]
-    t1, t2, t3 = t1[filled], t2[filled], C.composite[filled]
-    i, j, k, s, e = C.src[t1], C.tgt[t1], C.tgt[t2], C.src[t3], C.tgt[t3]
-    row = at[s, e]
-    # the factors each pair's products range over: L_i, R_j L_j and R_k, with
-    # a side the composite's coset absorbs cut to its first id, the identity
-    (lids, lat, ln), (rids, rat, rn) = (_flat([H.ids for H in side]) for side in (C.left, C.right))
-    mids, mat, mn = _flat([np.unique(mul[np.ix_(R.ids, L.ids)]) for L, R in zip(C.left, C.right)])
-    nl, nm, nr = np.where(s == i, 1, ln[i]), mn[j], np.where(e == k, 1, rn[k])
-    count, broken = nl * nm * nr, np.zeros(len(t1), dtype=bool)
-    # the pairs with one product count n at a time, in rows of about _BLOCK
-    # lookups; with n = 1 every factor but a and b is the identity
+                 else "an element of G") for t in np.flatnonzero(least != w).tolist()]
+    filled = (comp >= 0) & (comp < C.morphism_count)
+    t3 = np.where(filled, comp, 0)
+    filled &= element[t1] & element[t2] & element[t3]
+    # the factors of the products: L, R and the middle products R L per object
+    sides = [_flat([H.ids for H in side]) for side in (C.left, C.right)]
+    (lids, lat, ln), (rids, rat, rn) = sides
+    o, pos, mat = _expand(rn * ln)
+    mids, mn = mul[rids[rat[o] + pos // ln[o]], lids[lat[o] + pos % ln[o]]], rn * ln
+    left_abs, right_abs = _absorbing(C, ws, sides, (mids, mat, mn))
+    inside = (C.src[t3] == C.src[t1]) & (C.tgt[t3] == C.tgt[t2])
+    easy = filled & inside & (left_abs[t1] | right_abs[t2])
+    broken = easy & (tables[row[t3], mul[ws[t1], ws[t2]]] != least[t3])
+    # every other filled pair, by product count n, in rows of about _BLOCK lookups
+    hard = np.flatnonzero(filled & ~easy)
+    h1, h2, h3 = t1[hard], t2[hard], t3[hard]
+    i, j, k = C.src[h1], C.tgt[h1], C.tgt[h2]
+    nl, nm, nr = np.where(C.src[h3] == i, 1, ln[i]), mn[j], np.where(C.tgt[h3] == k, 1, rn[k])
+    count = nl * nm * nr
     for n in np.flatnonzero(np.bincount(count)).tolist():
         run, pos, step = np.flatnonzero(count == n), np.arange(n), max(1, _BLOCK // n)
         for lo in range(0, len(run), step):
             q = run[lo:lo + step]
-            a, b = w[t1[q], None], w[t2[q], None]
-            if n > 1:
-                lm, r = np.divmod(pos, nr[q, None])
-                l, m = np.divmod(lm, nm[q, None])
-                a = mul[mul[lids[lat[i[q], None] + l], a], mids[mat[j[q], None] + m]]
-                b = mul[b, rids[rat[k[q], None] + r]]
-            least = tables[row[q], w[t3[q]]]
-            broken[q] = (tables[row[q, None], mul[a, b]] != least[:, None]).any(axis=1)
+            lm, r = np.divmod(pos, nr[q, None])
+            l, m = np.divmod(lm, nm[q, None])
+            a = mul[mul[lids[lat[i[q], None] + l], w[h1[q], None]], mids[mat[j[q], None] + m]]
+            b = mul[w[h2[q], None], rids[rat[k[q], None] + r]]
+            shift = tables[row[h3[q], None], mul[a, b]] != least[h3[q], None]
+            broken[hard[q]] = shift.any(axis=1)
     failures += [f"representative shift breaks composite ({t1[q]},{t2[q]})"
                  for q in np.flatnonzero(broken).tolist()]
 

@@ -21,7 +21,6 @@ from .errors import NotPSubgroup
 from .groups import (
     PermutationGroup,
     Subgroup,
-    center,
     centralizer,
     conjugacy_classes,
     sylow_conjugates,
@@ -140,12 +139,14 @@ def longest_chain_length(poset: IntersectionPoset, within: Subgroup | None = Non
     return max(best.values(), default=0)
 
 
-def is_centric(G: PermutationGroup, p: int, P: Subgroup) -> bool:
-    """Whether P is p-centric: whether Z(P) is a Sylow p-subgroup of
-    C_G(P), i.e. |C_G(P) : Z(P)| is prime to p."""
+def is_centric(G: PermutationGroup, p: int, P: Subgroup, cent: Subgroup | None = None) -> bool:
+    """Whether P is p-centric: whether Z(P) = P ∩ C_G(P) is a Sylow
+    p-subgroup of C_G(P), i.e. |C_G(P) : Z(P)| is prime to p.  ``cent``:
+    C_G(P), when the caller has it."""
     if not P.is_p_group(p):
         raise NotPSubgroup(f"{P.label()} is not a {p}-group")
-    return (centralizer(G, P).order // center(P).order) % p != 0
+    cent = centralizer(G, P) if cent is None else cent
+    return (cent.order // len(cent.idset & P.idset)) % p != 0
 
 
 def classify_centric(G: PermutationGroup, p: int, collection) -> dict[tuple[int, ...], bool]:

@@ -14,6 +14,7 @@ from plocal import (
     build_intersection_poset,
     build_linking,
     build_orbit,
+    build_orbit_skeletons,
     build_transporter,
     coset_category,
     full_subcategory,
@@ -33,6 +34,7 @@ from plocal.catalog import build_group
 from plocal.categories import AdjunctionVerdict, iso_classes
 from plocal.chains import chain_counts
 from plocal.errors import DEFAULT_BUDGET
+from plocal.groups import transporters
 import reference_categories
 from reference_categories import (
     reference_coset_category,
@@ -111,6 +113,19 @@ def test_linking_rejects_non_centric():
     G = build_group("sym:3")
     with pytest.raises(NotCentric):
         build_linking(G, 2, [G.trivial_subgroup()])
+
+
+def test_build_linking_computes_each_centralizer_once(monkeypatch):
+    """C_G(P) serves both the centricity test and O^p(C_G(P))."""
+    G = build_group("sym:3 x cyc:3")
+    objs = sylow_conjugates(G, sylow_subgroup(G, 2))
+    calls, real = [], categories.centralizer
+    spy = lambda G, P: calls.append(P.ids) or real(G, P)  # noqa: E731
+    for module in (categories, omega):
+        monkeypatch.setattr(module, "centralizer", spy)
+    L = build_linking(G, 2, objs)
+    assert calls == [P.ids for P in objs]
+    assert [K.order for K in L.left] == [3, 3, 3]
 
 
 def test_orbit_counts_s3():
@@ -769,31 +784,137 @@ def both_sided(G, objects, left, right):
     return C
 
 
+def sym4_both_sided():
+    """Two categories on the sym:4, p=2 poset members built by the coset rule
+    with both sides nontrivial: the normal Klein four group V on both sides,
+    and sides that do not absorb each other."""
+    G = build_group("sym:4")
+    members = build_intersection_poset(G, 2).members
+    V = next(H for H in all_subgroups(sylow_subgroup(G, 2))
+             if H.order == 4 and normalizer(G, H).order == G.order)
+    three = G.generated_subgroup([G.element_orders.index(3)])
+    two = G.generated_subgroup([G.element_orders.index(2)])
+    sides = [three, V, two]
+    return (both_sided(G, members, [V] * len(members), [V] * len(members)),
+            both_sided(G, members, [sides[k % 3] for k in range(len(members))],
+                       [sides[(k + 1) % 3] for k in range(len(members))]))
+
+
 def test_least_tables_on_cosets_with_both_sides_nontrivial():
     """Double cosets L x R: with the normal Klein four group V on both sides
     the rule composes (V g V)(V h V) = V g h V and every law holds; with
     sides that do not absorb each other the check still reports exactly the
     reference's failures."""
-    G = build_group("sym:4")
-    members = build_intersection_poset(G, 2).members
-    V = next(H for H in all_subgroups(sylow_subgroup(G, 2))
-             if H.order == 4 and normalizer(G, H).order == G.order)
-    C = both_sided(G, members, [V] * len(members), [V] * len(members))
+    C, mixed = sym4_both_sided()
     check_least_tables(C)
     v = verify_category(C)
     assert v.passed and laws(v) == laws(reference_verify_category(C))
     assert coset_check(C) == reference_coset_check(C)
 
-    three = G.generated_subgroup([G.element_orders.index(3)])
-    two = G.generated_subgroup([G.element_orders.index(2)])
-    sides = [three, V, two]
-    C = both_sided(G, members, [sides[k % 3] for k in range(len(members))],
-                   [sides[(k + 1) % 3] for k in range(len(members))])
-    assert all(C.left[k].order > 1 and C.right[k].order > 1 for k in range(len(members)))
+    C = mixed
+    assert all(C.left[k].order > 1 and C.right[k].order > 1 for k in range(C.object_count))
     check_least_tables(C)
     got = coset_check(C)
     assert got == reference_coset_check(C)
     assert got
+
+
+def absorbing_flags(monkeypatch, C):
+    """The left- and right-absorbing flags per token that the coset check
+    computes for C, and the check's failures."""
+    seen, real = [], categories._absorbing
+    monkeypatch.setattr(categories, "_absorbing", lambda *args: seen.append(real(*args)) or seen[-1])
+    failures = coset_check(C)
+    monkeypatch.setattr(categories, "_absorbing", real)
+    return seen[0], failures
+
+
+def enumerated_pairs(C, left_abs, right_abs) -> np.ndarray:
+    """The filled pairs the coset check judges by enumerating products: those
+    whose composite leaves their morphism set or neither of whose tokens
+    absorbs.  Every other filled pair takes the one lookup of its product."""
+    t1, t2 = C.pairs()
+    t3 = np.maximum(C.composite, 0)
+    inside = (C.src[t3] == C.src[t1]) & (C.tgt[t3] == C.tgt[t2])
+    return np.flatnonzero((C.composite >= 0) & ~(inside & (left_abs[t1] | right_abs[t2])))
+
+
+def s4c2_orbit():
+    """The 23-object orbit category on the classes of 2-subgroups of sym:4 x cyc:2."""
+    C = build_orbit_skeletons(build_group("sym:4 x cyc:2"), 2).p_cat
+    assert C.object_count == 23
+    return C
+
+
+def test_no_pipeline_category_enumerates_a_pair(monkeypatch):
+    """Every category the pipeline builds, the 23-object orbit category and
+    the linking category with K(P) of order 3 have a token that absorbs the
+    middle object's sides in every composable pair, so each pair takes one
+    lookup."""
+    cats = list(pipeline_categories(monkeypatch))
+    cats += [("sym:3 x cyc:3", 2, "linking", s3c3_category("linking")),
+             ("sym:4 x cyc:2", 2, "orbit skeleton", s4c2_orbit())]
+    assert [K.order for K in cats[-2][3].left] == [3, 3, 3]
+    for spec, p, builder, C in cats:
+        if C.left is not None:
+            flags, failures = absorbing_flags(monkeypatch, C)
+            assert not failures, (spec, p, builder)
+            assert len(enumerated_pairs(C, *flags)) == 0, (spec, p, builder)
+
+
+CORRUPTIONS = ("non-least witness", "non-transporting witness",
+               "composite inside its Mor set", "composite outside its Mor set")
+
+
+def corrupt(C, rng, kind) -> int:
+    """Make one corruption of the given kind, chosen by ``rng``; the token,
+    or the pair's slot, it changed."""
+    G, (t1, t2), n = C.group, C.pairs(), C.morphism_count
+    move = transporters(G, C.objects, C.objects)
+    while True:
+        if kind.endswith("witness"):
+            t = int(rng.integers(n))
+            if kind == "non-least witness":
+                coset = np.unique(reference_cosets(C, C.src[t], C.tgt[t], C.witness[t])[0])
+            else:
+                coset = np.flatnonzero(~move[C.src[t], C.tgt[t]])
+            coset = coset[coset != C.canonicals(C.src[t], C.tgt[t], C.witness[t])]
+            if len(coset):
+                C.witness[t] = coset[int(rng.integers(len(coset)))]
+                return t
+        else:
+            k = int(rng.integers(len(t1)))
+            i, j, t3 = C.src[t1[k]], C.tgt[t2[k]], C.composite[k]
+            into = (C.src == i) & (C.tgt == j)
+            others = np.flatnonzero((into if kind.startswith("composite inside") else ~into)
+                                    & (np.arange(n) != t3))
+            if len(others):
+                C.composite[k] = others[int(rng.integers(len(others)))]
+                return k
+
+
+def test_coset_check_matches_the_reference_under_single_corruptions(monkeypatch):
+    """Seeded single corruptions of the 23-object orbit category and the
+    both-sided categories: the check's failures equal the reference's, in
+    order.  On the orbit category a witness that does not transport its
+    source into its target absorbs neither side, so its pairs are
+    enumerated."""
+    rng = np.random.default_rng(42)
+    for C in (s4c2_orbit(), *sym4_both_sided()):
+        witness, composite = C.witness.copy(), C.composite.copy()
+        for kind in CORRUPTIONS:
+            caught = 0
+            for _ in range(20):
+                C.witness[:], C.composite[:] = witness, composite
+                hit = corrupt(C, rng, kind)
+                (left_abs, right_abs), got = absorbing_flags(monkeypatch, C)
+                assert got == reference_coset_check(C), (C.kind, kind, hit)
+                caught += bool(got)
+                if C.kind == "orbit" and kind == "non-transporting witness":
+                    assert not left_abs[hit] and not right_abs[hit]
+                    assert len(enumerated_pairs(C, left_abs, right_abs))
+            assert caught, (C.kind, kind)
+        C.witness[:], C.composite[:] = witness, composite
 
 
 def generated_by(C, S) -> np.ndarray:
@@ -1076,6 +1197,19 @@ def test_functor_violations_catch_a_composite_not_preserved():
         f"composition of tokens ({t},{C.identity_ids[C.tgt[t]]}) not preserved"
     ]
     assert ident.violations()
+
+
+@pytest.mark.parametrize("image", ["past the last token", "-1"])
+def test_functor_violations_report_a_token_mapped_to_no_token(image):
+    """A token mapped past the target's tokens, or to -1, is reported once
+    and kept out of the identity, composition and object comparisons."""
+    G = build_group("sym:3")
+    T = build_transporter(G, build_intersection_poset(G, 2).members)
+    t1, t2 = T.pairs()
+    assert (t1 == 3).any() and (t2 == 3).any() and (T.composite == 3).any()
+    ident = Functor(T, T, list(range(T.object_count)), list(range(T.morphism_count)))
+    ident.morphism_map[3] = T.morphism_count + 5 if image == "past the last token" else -1
+    assert ident.violations() == ["token 3 maps to no token of the target"]
 
 
 def check_store_lookups(C):

@@ -351,13 +351,19 @@ class Functor:
     morphism_map: list[int]     # source token id -> target token id
 
     def violations(self) -> list[str]:
-        """The broken laws; a token mapped to no token is left out of the rest."""
+        """The broken laws; an object mapped to no object, or a token mapped
+        to no token, is reported once and left out of the rest, and so are
+        the tokens at such an object."""
         S, T = self.source, self.target
         fmap = np.asarray(self.morphism_map, dtype=np.int64)
         omap = np.asarray(self.object_map, dtype=np.int64)
+        lost_obj = (omap < 0) | (omap >= T.object_count)
         stray = (fmap < 0) | (fmap >= T.morphism_count)
-        out = [f"token {t} maps to no token of the target" for t in np.flatnonzero(stray).tolist()]
-        fmap = np.where(stray, 0, fmap)
+        out = [f"object {i} maps to no object of the target"
+               for i in np.flatnonzero(lost_obj).tolist()]
+        out += [f"token {t} maps to no token of the target" for t in np.flatnonzero(stray).tolist()]
+        fmap, omap = np.where(stray, 0, fmap), np.where(lost_obj, 0, omap)
+        stray |= lost_obj[S.src] | lost_obj[S.tgt]
         lost = (fmap[S.identity_ids] != T.identity_ids[omap]) & ~stray[S.identity_ids]
         out += [f"identity at object {i} not preserved" for i in np.flatnonzero(lost).tolist()]
         t1, t2 = S.pairs()

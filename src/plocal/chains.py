@@ -44,11 +44,13 @@ grandparent's offset ``starts[d-1][g]`` and the composition slot base of u
 depend on q alone.  A degree whose exact row count, an int64 offset,
 reaches ``ROW_LIMIT`` = 2^31 raises before any of its arrays is allocated.
 
-Nerve boundaries are written as CSR straight from the face table, one entry
-per live face; cochain differentials, a block of entries per face, are
-summed from COO arrays.  Either way the entries are the integer ones, the
-signs (-1)^i included at every p; ``FpMatrix`` sums duplicate faces and
-then reduces mod p, the only place that does.
+Nerve boundaries and cochain differentials are both written as CSR straight
+from the face table: a nerve's row holds one entry per live face, and a
+cochain row holds a row of F(first arrow) at face 0 and one entry per live
+face after it, counted first and then filled in place.  Either way the
+entries are the integer ones, the signs (-1)^i included at every p;
+``FpMatrix`` sums duplicate faces and then reduces mod p, the only place
+that does.
 """
 
 from __future__ import annotations
@@ -195,11 +197,6 @@ def chain_images(source: Chains, target: Chains, object_map: np.ndarray,
         tails = target.tgt[t]
 
 
-def _fp_matrix(rows, cols, vals, shape, prime: int) -> FpMatrix:
-    coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    return FpMatrix(sparse.csr_matrix(coo, shape=shape, dtype=np.int64), prime)
-
-
 def nerve_boundaries(chains: Chains, prime: int) -> list[FpMatrix | None]:
     """``[None, ∂_1, ..., ∂_dmax]``: row i of ∂_d is the boundary of chain i,
     written as CSR straight from the face table."""
@@ -239,13 +236,22 @@ def cochain_differentials(chains: Chains, dims: list[int], entries: np.ndarray,
     columns by C^n, as a nerve boundary is.  A chain carries ``dims[head]``
     coordinates; its row block has F(first arrow) at the drop-first face and
     +-I at the others.  ``chains`` must start exactly at the objects of
-    nonzero dimension."""
+    nonzero dimension.
+
+    Each matrix is written as CSR by count, then fill.  Row l of chain c
+    holds the nonzeros of row l of F(first arrow), then one entry (-1)^i per
+    live face i >= 1, so one prefix sum of those counts is the row pointer.
+    Face 0 is filled by one expansion over the token-row ranges, and each
+    later face at a running per-row position."""
     dims = np.asarray(dims, dtype=np.int64)
-    # COO of every token's matrix: its nonzero entries in store order
+    # row l of token t is token row k = tok_row[t] + l; its nonzeros, in
+    # store order, are j = row_ptr[k] .. row_ptr[k + 1] - 1, each the entry
+    # nz_val[j] at column nz_col[j] of the token's matrix
+    tok, l, tok_row = _expand(dims[chains.src])
+    row_at = offsets[tok] + l * dims[chains.tgt[tok]]
     nz = np.flatnonzero(entries)
-    tok = np.searchsorted(offsets, nz, "right") - 1
-    blk_r, blk_c = np.divmod(nz - offsets[tok], dims[chains.tgt[tok]])
-    blk_ptr = np.searchsorted(nz, offsets)
+    row_ptr = np.searchsorted(nz, np.append(row_at, len(entries)))
+    nz_col, nz_val = nz - row_at.repeat(np.diff(row_ptr)), entries[nz]
 
     # each degree's heads are its parents', read as the degrees are walked
     heads, first = chains.heads, chains.last[1].astype(np.intp)
@@ -255,19 +261,39 @@ def cochain_differentials(chains: Chains, dims: list[int], entries: np.ndarray,
         heads = heads[chains.parent[n + 1]]
         if n:
             first = first[chains.parent[n + 1]]
-        row_of, local, row_off = _expand(dims[heads])
-        # drop-first face: F(first arrow), with no entries where that face is absent
-        ent, j, _ = _expand(np.diff(blk_ptr)[first])
-        e = blk_ptr[first[ent]] + j
-        rows, cols, vals = [row_off[ent] + blk_r[e]], [col_off[table[ent, 0]] + blk_c[e]], [entries[nz[e]]]
+        size = dims[heads]
+        row_off = _offsets(size)
+        local = np.arange(row_off[-1]) - row_off[:-1].repeat(size)  # l of each row
+        k = tok_row[first].repeat(size) + local
+        lo = row_ptr[k]
+        count0 = row_ptr[k + 1] - lo
+        faces = table.T.repeat(size, axis=1)  # row i: face i of every row
+        live = faces[1:] >= 0
+        count = count0 + live.sum(axis=0)
+        shape, nnz = (int(row_off[-1]), int(col_off[-1])), int(count.sum())
+        # 32-bit indices when they fit, as scipy would convert them
+        index = np.int32 if max(nnz, *shape) < ROW_LIMIT else np.int64
+        indptr = np.zeros(shape[0] + 1, dtype=index)
+        np.cumsum(count, out=indptr[1:])
+        data, indices = np.empty(nnz, dtype=np.int64), np.empty(nnz, dtype=index)
+        # face 0: each row's token-row nonzeros, at the head of the row
+        start = _offsets(count0)
+        e = np.arange(start[-1])
+        at = (indptr[:-1] - start[:-1]).repeat(count0) + e
+        e += (lo - start[:-1]).repeat(count0)
+        indices[at] = col_off[faces[0]].repeat(count0) + nz_col[e]
+        data[at] = nz_val[e]
+        del k, lo, count, start, e
+        # faces i >= 1: every row writes face i where its next entry goes,
+        # and moves on only if the face is live, so a dead face is written
+        # over by the next one; the last face, the parent, is always live
+        at = indptr[:-1] + count0
         for i in range(1, n + 2):
-            at = table[row_of, i]
-            sel = np.flatnonzero(at >= 0)
-            rows.append(sel)
-            cols.append(col_off[at[sel]] + local[sel])
-            vals.append(np.full(len(sel), (-1) ** i, dtype=np.int64))
-        shape = (int(row_off[-1]), int(col_off[-1]))
-        diffs.append(_fp_matrix(rows, cols, vals, shape, prime))
+            indices[at] = col_off[faces[i]] + local
+            data[at] = (-1) ** i
+            at += live[i - 1]
+        csr = sparse.csr_matrix((data, indices, indptr), shape=shape)
+        diffs.append(FpMatrix(csr, prime))
         sizes.append(shape[0])
         col_off = row_off
     return sizes, diffs

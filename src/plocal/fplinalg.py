@@ -168,7 +168,8 @@ class FpMatrix:
         if ptr[0] or ptr[-1] != len(idx) or (ptr[1:] < ptr[:-1]).any() \
                 or idx.min(initial=0) < 0 or idx.max(initial=-1) >= csr.shape[1]:
             raise PLocalError("a CSR row pointer or column index is out of bounds")
-        csr = sparse.csr_matrix(csr, dtype=np.int64)
+        if csr.dtype != np.int64:
+            csr = csr.astype(np.int64)
         if not csr.has_canonical_format:
             csr.sum_duplicates()
         _symmetric(csr, prime)

@@ -9,9 +9,10 @@ piece is the direct sum of F(c_0) over composable chains
 c_0 -> c_1 -> ... -> c_n of non-identity morphisms, in the head-major order
 of ``chains`` (tokens are numbered grouped by source, as
 ``FiniteCategory.set_tokens`` enforces) over the heads with F(c_0) != 0.
-Each face's block column comes from the face tables of ``chains``.  A
-complex built to ``nmax`` certifies lim^n for n <= nmax-1, and lim^0 is
-cross-checked against the directly solved compatible-family system.
+Each face's block column comes from the face tables of ``chains``, which
+writes each differential straight into CSR.  A complex built to ``nmax``
+certifies lim^n for n <= nmax-1, and lim^0 is cross-checked against the
+directly solved compatible-family system, assembled apart from COO arrays.
 
 Each differential d: C^n -> C^{n+1} is written transposed, rows indexed by
 C^{n+1}, so the complex is a ``homology.FpComplex`` whose boundary in
@@ -26,10 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .categories import FiniteCategory, Functor, _expand, _offsets
-from .chains import Chains, _fp_matrix, chain_counts, cochain_differentials
+from .chains import Chains, chain_counts, cochain_differentials
 from .errors import DEFAULT_BUDGET, BudgetExceeded, NotAFunctor, PLocalError
+from .fplinalg import FpMatrix
 from .homology import FpComplex
 
 
@@ -154,7 +157,8 @@ def _functor_key(F: LinearFunctor, nmax: int, budget: int) -> tuple:
 def inverse_limit_dim(F: LinearFunctor) -> int:
     """dim lim^0 by solving the compatible-family system directly: per
     non-identity token t, one row block x_src - F(t) x_tgt = 0, built as an
-    I block and a -F(t) block of COO arrays."""
+    I block and a -F(t) block of COO arrays.  The system is -δ^0, so it is
+    kept apart from the cochain writer, which it cross-checks."""
     C = F.category
     dims = np.asarray(F.dims, dtype=np.int64)
     offsets = _offsets(dims)
@@ -167,6 +171,11 @@ def inverse_limit_dim(F: LinearFunctor) -> int:
     vals = [np.ones(len(r), dtype=np.int64), -F.blocks(tids)]
     mat = _fp_matrix(rows, cols, vals, (int(row_off[-1]), int(offsets[-1])), F.prime)
     return int(offsets[-1]) - mat.rank()
+
+
+def _fp_matrix(rows, cols, vals, shape, prime: int) -> FpMatrix:
+    coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return FpMatrix(sparse.csr_matrix(coo, shape=shape, dtype=np.int64), prime)
 
 
 @dataclass

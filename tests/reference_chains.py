@@ -18,6 +18,11 @@ chain's: a chain's row is found from its head, ``idx = row0[head]``, then
 heads that ``tokens`` and ``heads`` read back along parents; the kernel
 itself never builds them.
 
+``coo_cochain_differentials`` is the array writer that ``plocal.chains``
+used before it wrote cochain differentials straight into CSR: it sums
+every face's block from COO arrays, and the kernel's CSR arrays must equal
+its arrays byte for byte.
+
 The functor references build {token: matrix} dicts by the per-token loops
 that the flat functor store (``plocal.limits.LinearFunctor``) replaced: a
 pullback or ``rho[g]`` where a token's ends both carry the functor and a
@@ -33,7 +38,7 @@ import itertools
 import numpy as np
 from scipy import sparse
 
-from plocal.categories import Functor
+from plocal.categories import Functor, _expand, _offsets
 from plocal.errors import PLocalError
 from plocal.fplinalg import FpMatrix
 from plocal.limits import LinearFunctor
@@ -330,6 +335,47 @@ def cochain_differentials(F, nmax: int) -> tuple[list[int], list]:
             rows.extend(row_block)
         diffs.append(from_row_entries(dims[n + 1], dims[n], p, rows))
     return dims, diffs
+
+
+def coo_cochain_differentials(chains, dims, entries: np.ndarray, offsets: np.ndarray,
+                              prime: int) -> tuple[list[int], list]:
+    """``chains.cochain_differentials`` as it was written before it filled
+    CSR directly: every face's block as COO arrays, concatenated, summed and
+    converted to CSR by scipy.  Same arguments, and the same arrays out."""
+    C = chains.category
+    dims = np.asarray(dims, dtype=np.int64)
+    # COO of every token's matrix: its nonzero entries in store order
+    nz = np.flatnonzero(entries)
+    tok = np.searchsorted(offsets, nz, "right") - 1
+    blk_r, blk_c = np.divmod(nz - offsets[tok], dims[C.tgt[tok]])
+    blk_ptr = np.searchsorted(nz, offsets)
+
+    heads, first = chains.heads, chains.last[1].astype(np.intp)
+    col_off = _offsets(dims[heads])
+    sizes, diffs = [int(col_off[-1])], []
+    for n, table in enumerate(chains.faces()):
+        heads = heads[chains.parent[n + 1]]
+        if n:
+            first = first[chains.parent[n + 1]]
+        row_of, local, row_off = _expand(dims[heads])
+        # drop-first face: F(first arrow), with no entries where that face is absent
+        ent, j, _ = _expand(np.diff(blk_ptr)[first])
+        e = blk_ptr[first[ent]] + j
+        rows = [row_off[ent] + blk_r[e]]
+        cols = [col_off[table[ent, 0]] + blk_c[e]]
+        vals = [entries[nz[e]]]
+        for i in range(1, n + 2):
+            at = table[row_of, i]
+            sel = np.flatnonzero(at >= 0)
+            rows.append(sel)
+            cols.append(col_off[at[sel]] + local[sel])
+            vals.append(np.full(len(sel), (-1) ** i, dtype=np.int64))
+        shape = (int(row_off[-1]), int(col_off[-1]))
+        coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+        diffs.append(FpMatrix(sparse.csr_matrix(coo, shape=shape, dtype=np.int64), prime))
+        sizes.append(shape[0])
+        col_off = row_off
+    return sizes, diffs
 
 
 def bar_tuples(P, n: int) -> list[tuple]:

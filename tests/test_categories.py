@@ -1212,6 +1212,20 @@ def test_functor_violations_report_a_token_mapped_to_no_token(image):
     assert ident.violations() == ["token 3 maps to no token of the target"]
 
 
+@pytest.mark.parametrize("image", ["past the last object", "-1"])
+def test_functor_violations_report_an_object_mapped_to_no_object(image):
+    """An object mapped past the target's objects, or to -1, is reported once,
+    as ``verify_quotient_functor`` reports it, and it and its tokens are kept
+    out of the identity, composition and object comparisons: past the end
+    raised ``IndexError``, and -1 read the last object's identity."""
+    G = build_group("sym:3")
+    T = build_transporter(G, build_intersection_poset(G, 2).members)
+    assert ((T.src == 0) & ~T.is_id).any() and ((T.tgt == 0) & ~T.is_id).any()
+    ident = Functor(T, T, list(range(T.object_count)), list(range(T.morphism_count)))
+    ident.object_map[0] = T.object_count + 2 if image == "past the last object" else -1
+    assert ident.violations() == ["object 0 maps to no object of the target"]
+
+
 def check_store_lookups(C):
     """``mor`` and ``tokens_of`` against the dicts rebuilt from the token
     arrays, over every object pair and every witness from -2 to |G| + 1, so

@@ -1708,6 +1708,18 @@ def test_symmetric_residues_at_size(p):
     assert 0 < rank <= nrows - 100
 
 
+def test_an_int64_csr_is_kept_and_another_is_converted():
+    """An int64 ``csr_matrix`` is kept as the very object given, not built a
+    second time; a CSR of another entry type is converted to int64 first,
+    then reduced to symmetric residues."""
+    csr = sparse.csr_matrix(np.array([[1, 0, 2], [0, -1, 0]], dtype=np.int64))
+    assert FpMatrix(csr, 3).csr is csr
+    small = sparse.csr_matrix(np.array([[1, 0, 4], [0, -1, 0]], dtype=np.int8))
+    m = FpMatrix(small, 3)
+    assert m.csr.dtype == np.int64
+    assert m.csr.toarray().tolist() == [[1, 0, 1], [0, -1, 0]]
+
+
 def structural_rows_by_sort(leads: np.ndarray, seeded, ncols: int) -> np.ndarray:
     """``_structural_rows`` as it was once written, with a sort: the first
     row per lead by ``np.unique``, the seeded leads dropped."""
